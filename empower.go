@@ -58,7 +58,9 @@ type (
 	// their exploration-tree rates.
 	Combination = routing.Combination
 
-	// Controller is the §4 congestion controller.
+	// Controller is the §4 congestion controller. Traffic of non-EMPoWER
+	// stations (§4.3) is declared with its SetExternalLoad method, between
+	// any two slots.
 	Controller = congestion.Controller
 	// ControllerOptions tunes the controller.
 	ControllerOptions = congestion.Options

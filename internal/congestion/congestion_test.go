@@ -2,6 +2,7 @@ package congestion
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -219,7 +220,7 @@ func TestExternalLoadRespected(t *testing.T) {
 	c, _ := New(net, []Route{{Links: p, Flow: 0}}, Options{Alpha: 0.05})
 	ext := make([]float64, net.NumLinks())
 	ext[p[0]] = 5 // an external station consumes half the medium
-	c.ExternalLoad = ext
+	c.SetExternalLoad(ext)
 	c.Run(3000)
 	if got := c.FlowRate(0); math.Abs(got-5) > 0.5 {
 		t.Errorf("rate with external load = %v, want ~5", got)
@@ -283,6 +284,75 @@ func TestSlotsToSteady(t *testing.T) {
 	// Constant series settles immediately.
 	if got := SlotsToSteady([]float64{5, 5, 5}, 0.01); got != 0 {
 		t.Errorf("constant series: %d, want 0", got)
+	}
+}
+
+// slotsToSteadyByDefinition is the definition SlotsToSteady implements,
+// spelled out: the first t whose whole tail stays inside the band.
+func slotsToSteadyByDefinition(series []float64, tol float64) int {
+	if len(series) == 0 {
+		return 0
+	}
+	final := series[len(series)-1]
+	band := tol * math.Abs(final)
+	if band == 0 {
+		band = tol
+	}
+	for t := 0; t < len(series); t++ {
+		ok := true
+		for u := t; u < len(series); u++ {
+			if math.Abs(series[u]-final) > band {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return t
+		}
+	}
+	return len(series)
+}
+
+// TestSlotsToSteadyMatchesDefinition pins the backward scan to the
+// tail-rescanning definition on random, empty, constant, never-settling
+// and NaN-containing series.
+func TestSlotsToSteadyMatchesDefinition(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	fixed := [][]float64{
+		nil,
+		{},
+		{7},
+		{5, 5, 5, 5},
+		{0, 0, 0},
+		{1, 2, 3, 4, 5, 100, 5},    // leaves the band at the last moment
+		{10, nan, 10, 20, nan, 10}, // NaN inside the band by the predicate
+		{1, 2, nan},                // NaN final value
+		{1, inf, 3, inf},
+		{-4, -4.01, -4},
+	}
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 300; i++ {
+		s := make([]float64, rng.Intn(60))
+		level := rng.Float64() * 50
+		for j := range s {
+			s[j] = level
+			if rng.Intn(3) == 0 {
+				s[j] += rng.NormFloat64() * level * 0.05
+			}
+			if rng.Intn(40) == 0 {
+				s[j] = nan
+			}
+		}
+		fixed = append(fixed, s)
+	}
+	for _, s := range fixed {
+		// A negative tolerance puts even the final value outside the band:
+		// the series never settles.
+		for _, tol := range []float64{0.01, 0.05, 0, -0.01} {
+			if got, want := SlotsToSteady(s, tol), slotsToSteadyByDefinition(s, tol); got != want {
+				t.Fatalf("SlotsToSteady(%v, %v) = %d, definition gives %d", s, tol, got, want)
+			}
+		}
 	}
 }
 

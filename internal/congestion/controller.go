@@ -3,6 +3,7 @@ package congestion
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -83,14 +84,19 @@ type Options struct {
 // the dual variables γ_l (congestion prices per link), the route prices
 // q_r, and the route rates x_r.
 //
-// The state is laid out structure-of-arrays: dense rate/price/gamma/offered
+// The state is laid out structure-of-arrays: dense rate/price/offered
 // vectors indexed by route, flow and link slots, with the route→link,
 // flow→route and link→interference memberships flattened to CSR index
-// arrays. One Step is a handful of linear passes over those arrays — no
-// per-flow objects, no maps, no interface calls on the hot path when every
-// utility is the paper's proportional fairness — and allocates nothing.
-// Trajectories are bit-identical to the per-flow reference implementation
-// retained in reference_test.go.
+// arrays. The duals live on interference cells, not links: eqs. (7)-(8)
+// make γ_l depend on l only through which loaded links lie in I_l, so all
+// links seeing the same set of sources (links that carry own or external
+// load) share one γ, bit for bit. One Step touches the routes' hops, each
+// cell's source list and each distinct interference row of a used link —
+// nothing that scales with the size of the network — with no per-flow
+// objects, no maps, no interface calls on the hot path when every utility
+// is the paper's proportional fairness, and no allocation. Trajectories
+// are bit-identical to the per-flow reference implementation retained in
+// reference_test.go.
 //
 // Capacities are latched from the network at New/Reset: a controller run
 // assumes the network is not mutated between Steps (true for every
@@ -132,20 +138,38 @@ type Controller struct {
 	intIdx  []int32
 	capv    []float64
 	dl      []float64 // d_l = 1/c_l (+Inf on dead links)
-	gamma   []float64 // per-link dual variables
-	offered []float64 // per-link own traffic Σ_{r∋l} x_r (scratch)
-	airtime []float64 // per-link own airtime offered_l/c_l (scratch)
-	extAir  []float64 // per-link external airtime (scratch, external path)
-	extY    []float64 // per-link external airtime demand (scratch, external path)
-	gsum    []float64 // per-link Σ_{i∈I_l} γ_i, filled for used links only
-	y       []float64 // per-link own airtime demand in I_l (scratch)
-	used    []int32   // links appearing on at least one route
-	usedSet []bool    // scratch for deduplicating `used` at Reset
+	offered []float64 // per-link own traffic Σ_{r∋l} x_r (scratch, kept on used links only)
+	airtime []float64 // per-link own airtime offered_l/c_l: written on used links, 0 elsewhere
+	used    []int32   // links appearing on at least one route, ascending
+	isSrc   []bool    // link is a source: used, or has carried external load since Reset
+	ext     []float64 // external load per link (Mbps), the controller's copy; empty = none
 
-	// ExternalLoad can be set to per-link rates (Mbps) injected by
-	// non-EMPoWER stations; the controller measures and respects them
-	// (paper §4.3). Indexed by LinkID; nil means no external traffic.
-	ExternalLoad []float64
+	// Interference cells. Invariant: two links share a cell iff the same
+	// sources lie in their interference domains, so they have had the same
+	// y, budget and γ in every slot since Reset. Cell 0 holds the links
+	// with no source in range (γ ≡ 0) and may be empty; every other cell
+	// is non-empty. srcOff/srcIdx is the cell→sources CSR, ascending by
+	// LinkID like the reference's domain sums.
+	cellOf    []int32   // link → cell
+	ncell     int       // cells in use
+	gamma     []float64 // per-cell dual variables
+	budget    []float64 // per-cell airtime budget: 1−δ minus external demand, floored
+	srcOff    []int32
+	srcIdx    []int32
+	cellRep   []int32 // one member link per cell (scratch for rebuilding srcIdx)
+	cellSize  []int32 // members per cell
+	cellHit   []int32 // refine scratch: members inside the splitting row; 0 between calls
+	cellChild []int32 // refine scratch: the cell split off this one; 0 between calls
+
+	// Distinct interference rows of the used links: used links whose rows
+	// are identical share one price sum. rowOff/rowCell lists each distinct
+	// row's cell ids in ascending link order — the operand order of the
+	// reference's Σ_{i∈I_l} γ_i.
+	rowOf   []int32 // used link → row slot (by LinkID; valid on used links)
+	rowRep  []int32 // row slot → a used link with that row
+	rowOff  []int32
+	rowCell []int32
+	rowSum  []float64 // per-row Σ γ (scratch)
 
 	t int
 }
@@ -162,10 +186,12 @@ func New(net *graph.Network, routes []Route, opts Options) (*Controller, error) 
 // Reset re-initializes the controller for a new problem — network, routes
 // and options — reusing every backing array (grow-only), so a pooled
 // controller makes repeated evaluations allocation-free. It is exactly
-// equivalent to New: state (rates, duals, prices, slot counter,
-// ExternalLoad) is cleared, capacities are re-latched, and the CSR index
-// arrays are rebuilt (the interference CSR is reused when net is the same
-// network as the previous Reset — topology is immutable after Build).
+// equivalent to New: state (rates, duals, prices, slot counter, external
+// load) is cleared, capacities are re-latched, and the CSR index arrays and
+// interference cells are rebuilt (the interference CSR is reused when net
+// is the same network as the previous Reset — topology is immutable after
+// Build). The cost is O(links + Σ_used |I_u|), plus the comparisons that
+// tell apart used links of one cell whose rows differ.
 func (c *Controller) Reset(net *graph.Network, routes []Route, opts Options) error {
 	if opts.Alpha == 0 {
 		opts.Alpha = 0.02
@@ -203,7 +229,6 @@ func (c *Controller) Reset(net *graph.Network, routes []Route, opts Options) err
 	sameNet := c.net == net && net != nil
 	c.net, c.routes, c.opts = net, routes, opts
 	c.flows = maxFlow + 1
-	c.ExternalLoad = nil
 	c.t = 0
 	nr, nl := len(routes), net.NumLinks()
 
@@ -247,9 +272,9 @@ func (c *Controller) Reset(net *graph.Network, routes []Route, opts Options) err
 	c.xbar = growF(c.xbar, nr)
 	c.q = growF(c.q, nr)
 	c.newX = growF(c.newX, nr)
-	c.usedSet = growB(c.usedSet, nl)
-	for l := range c.usedSet {
-		c.usedSet[l] = false
+	c.isSrc = growB(c.isSrc, nl)
+	for l := range c.isSrc {
+		c.isSrc[l] = false
 	}
 	c.used = c.used[:0]
 	pos := 0
@@ -260,8 +285,8 @@ func (c *Controller) Reset(net *graph.Network, routes []Route, opts Options) err
 		for _, l := range r.Links {
 			c.linkIdx[pos] = int32(l)
 			pos++
-			if !c.usedSet[l] {
-				c.usedSet[l] = true
+			if !c.isSrc[l] {
+				c.isSrc[l] = true
 				c.used = append(c.used, int32(l))
 			}
 			if cl := c.capv[l]; cl < cap {
@@ -275,8 +300,8 @@ func (c *Controller) Reset(net *graph.Network, routes []Route, opts Options) err
 		c.newX[i] = 0
 	}
 	c.linkOff[nr] = int32(pos)
-	// The scatter in Step requires used links in ascending LinkID order
-	// to reproduce the reference's ascending-domain gather bit for bit.
+	// Ascending, so that refining by the used links in order is
+	// deterministic and rows are deduplicated against lower LinkIDs.
 	for i := 1; i < len(c.used); i++ {
 		for j := i; j > 0 && c.used[j] < c.used[j-1]; j-- {
 			c.used[j], c.used[j-1] = c.used[j-1], c.used[j]
@@ -340,23 +365,154 @@ func (c *Controller) Reset(net *graph.Network, routes []Route, opts Options) err
 		c.single = false
 	}
 
-	c.gamma = growF(c.gamma, nl)
 	c.offered = growF(c.offered, nl)
 	c.airtime = growF(c.airtime, nl)
-	c.extAir = growF(c.extAir, nl)
-	c.extY = growF(c.extY, nl)
-	c.gsum = growF(c.gsum, nl)
-	c.y = growF(c.y, nl)
+	c.ext = growF(c.ext, nl)[:0]
+	c.cellOf = growI(c.cellOf, nl)
 	for l := 0; l < nl; l++ {
-		c.gamma[l] = 0
-		c.offered[l] = 0
 		c.airtime[l] = 0
-		c.extAir[l] = 0
-		c.extY[l] = 0
-		c.gsum[l] = 0
-		c.y[l] = 0
+		c.cellOf[l] = 0
 	}
+
+	// Cells: every link starts in cell 0; each used link's row splits off
+	// the links that see it. At most nl non-empty cells plus cell 0.
+	c.gamma = growF(c.gamma, nl+1)
+	c.budget = growF(c.budget, nl+1)
+	c.cellRep = growI(c.cellRep, nl+1)
+	c.cellSize = growI(c.cellSize, nl+1)
+	c.cellHit = growI(c.cellHit, nl+1)
+	c.cellChild = growI(c.cellChild, nl+1)
+	c.ncell = 1
+	c.gamma[0], c.cellSize[0], c.cellHit[0], c.cellChild[0] = 0, int32(nl), 0, 0
+	for _, u := range c.used {
+		c.refine(u)
+	}
+
+	// Distinct rows: identical rows imply identical cells, so only
+	// representatives in the same cell are ever compared element-wise.
+	c.rowOf = growI(c.rowOf, nl)
+	c.rowRep = c.rowRep[:0]
+	for _, u := range c.used {
+		j := 0
+		for ; j < len(c.rowRep); j++ {
+			if v := c.rowRep[j]; c.cellOf[v] == c.cellOf[u] && slices.Equal(c.row(v), c.row(u)) {
+				break
+			}
+		}
+		if j == len(c.rowRep) {
+			c.rowRep = append(c.rowRep, u)
+		}
+		c.rowOf[u] = int32(j)
+	}
+	c.rowSum = growF(c.rowSum, len(c.rowRep))
+	c.rebuildCells()
 	return nil
+}
+
+// row returns I_l from the interference CSR.
+func (c *Controller) row(l int32) []int32 { return c.intIdx[c.intOff[l]:c.intOff[l+1]] }
+
+// refine makes link s a source: every cell is split into its members
+// inside I_s (interference is symmetric, so these are the links that have
+// s in their domain) and the rest. A cell lying wholly inside I_s stays as
+// it is, except cell 0, which always gives its members up so that it keeps
+// meaning "no source". The new cell inherits its parent's γ: its links'
+// duals are unchanged, they only stop sharing future updates. Cells never
+// merge, which is what keeps a mid-run SetExternalLoad exact.
+func (c *Controller) refine(s int32) {
+	row := c.row(s)
+	for _, l := range row {
+		c.cellHit[c.cellOf[l]]++
+	}
+	for _, l := range row {
+		p := c.cellOf[l]
+		if p != 0 && c.cellHit[p] == c.cellSize[p] {
+			continue
+		}
+		ch := c.cellChild[p]
+		if ch == 0 {
+			ch = int32(c.ncell)
+			c.ncell++
+			c.gamma[ch], c.cellSize[ch], c.cellHit[ch], c.cellChild[ch] = c.gamma[p], 0, 0, 0
+			c.cellChild[p] = ch
+		}
+		c.cellOf[l] = ch
+		c.cellSize[ch]++
+		// Decrementing both keeps the whole-cell test above stable while
+		// the cell drains, and leaves cellHit[p] at 0 when it is done.
+		c.cellSize[p]--
+		c.cellHit[p]--
+		if c.cellHit[p] == 0 {
+			c.cellChild[p] = 0
+		}
+	}
+	for _, l := range row {
+		c.cellHit[c.cellOf[l]] = 0 // wholly covered cells still hold their count
+	}
+}
+
+// rebuildCells recomputes what Step reads from the cells after they were
+// refined or the external load changed: each cell's ascending source list
+// and airtime budget, and each distinct row's cell-id sequence.
+func (c *Controller) rebuildCells() {
+	for l := len(c.cellOf) - 1; l >= 0; l-- {
+		c.cellRep[c.cellOf[l]] = int32(l)
+	}
+	limit := 1 - c.opts.Delta
+	floor := c.opts.FairShareFloor
+	c.srcOff = growI(c.srcOff, c.ncell+1)
+	c.srcIdx = c.srcIdx[:0]
+	c.srcOff[0], c.srcOff[1] = 0, 0 // cell 0 has no sources
+	for k := 1; k < c.ncell; k++ {
+		// Every member sees the same sources; read them off one member's
+		// row. The external demand y_ext of eq. (7) is constant between
+		// SetExternalLoad calls, so the budget is latched here.
+		var yExt float64
+		for _, s := range c.row(c.cellRep[k]) {
+			if !c.isSrc[s] {
+				continue
+			}
+			c.srcIdx = append(c.srcIdx, s)
+			if len(c.ext) != 0 && c.ext[s] > 0 && c.capv[s] > 0 {
+				yExt += c.ext[s] / c.capv[s]
+			}
+		}
+		c.srcOff[k+1] = int32(len(c.srcIdx))
+		b := limit - yExt
+		if floor > 0 && b < floor*limit {
+			b = floor * limit
+		}
+		c.budget[k] = b
+	}
+	c.rowOff = growI(c.rowOff, len(c.rowRep)+1)
+	c.rowCell = c.rowCell[:0]
+	for j, u := range c.rowRep {
+		c.rowOff[j] = int32(len(c.rowCell))
+		for _, l := range c.row(u) {
+			c.rowCell = append(c.rowCell, c.cellOf[l])
+		}
+	}
+	c.rowOff[len(c.rowRep)] = int32(len(c.rowCell))
+}
+
+// SetExternalLoad sets the per-link rates (Mbps) injected by non-EMPoWER
+// stations; the controller measures and respects them (paper §4.3). load
+// is indexed by LinkID and copied; nil clears it, any other length than
+// NumLinks panics. It may be called between any two slots: links loaded
+// for the first time become sources and split the cells they are seen
+// from, and every budget is recomputed.
+func (c *Controller) SetExternalLoad(load []float64) {
+	if len(load) != 0 && len(load) != len(c.capv) {
+		panic(fmt.Sprintf("congestion: external load has %d entries for %d links", len(load), len(c.capv)))
+	}
+	c.ext = append(c.ext[:0], load...)
+	for l, v := range c.ext {
+		if v > 0 && c.capv[l] > 0 && !c.isSrc[l] {
+			c.isSrc[l] = true
+			c.refine(int32(l))
+		}
+	}
+	c.rebuildCells()
 }
 
 // fillFlowCSR places each route index into its flow's slot range, walking
@@ -417,7 +573,7 @@ func (c *Controller) Utility() float64 {
 func (c *Controller) Price(r int) float64 { return c.q[r] }
 
 // Gamma returns the dual variable of link l.
-func (c *Controller) Gamma(l graph.LinkID) float64 { return c.gamma[l] }
+func (c *Controller) Gamma(l graph.LinkID) float64 { return c.gamma[c.cellOf[l]] }
 
 // SetAlpha changes the step size; used by AlphaTuner.
 func (c *Controller) SetAlpha(a float64) { c.opts.Alpha = a }
@@ -429,20 +585,19 @@ func (c *Controller) Alpha() float64 { return c.opts.Alpha }
 // and for tests).
 func (c *Controller) SetRate(r int, x float64) { c.x[r] = x }
 
-// Step advances the controller by one time slot: four linear passes over
-// the dense arrays (offered-load scatter, per-link γ update, per-route
-// price gather, rate update), allocation-free.
+// Step advances the controller by one time slot — offered load on the used
+// links, one γ update per interference cell, one price sum per distinct
+// used row, rate update — allocation-free, and independent of how many
+// links the network has.
 func (c *Controller) Step() {
 	alpha := c.opts.Alpha
-	limit := 1 - c.opts.Delta
-	nl := len(c.capv)
 	nr := len(c.routes)
 
-	// offered_l = Σ_{r∋l} x_r (eq. 7 inner sum): own traffic only; the
-	// external load enters the airtime sums separately so the fair-share
-	// extension can distinguish the two.
-	offered := c.offered
-	for l := range offered {
+	// offered_l = Σ_{r∋l} x_r (eq. 7 inner sum), own traffic only (the
+	// external load sits in the cell budgets), latched as airtime
+	// offered_l/c_l once per used link. No other link carries own traffic.
+	offered, airtime := c.offered, c.airtime
+	for _, l := range c.used {
 		offered[l] = 0
 	}
 	for r := 0; r < nr; r++ {
@@ -451,90 +606,43 @@ func (c *Controller) Step() {
 			offered[l] += xr
 		}
 	}
-
-	// Latch each link's own airtime offered_l/c_l once (the reference
-	// divided inside every interference sum; same operands, one division
-	// per link), so the γ pass is a pure gather of adds.
-	airtime := c.airtime
-	for l := 0; l < nl; l++ {
+	for _, l := range c.used {
 		if offered[l] > 0 && c.capv[l] > 0 {
 			airtime[l] = offered[l] / c.capv[l]
 		} else {
 			airtime[l] = 0
 		}
 	}
-	ext := c.ExternalLoad != nil
-	if ext {
-		for l := 0; l < nl; l++ {
-			if c.ExternalLoad[l] > 0 && c.capv[l] > 0 {
-				c.extAir[l] = c.ExternalLoad[l] / c.capv[l]
-			} else {
-				c.extAir[l] = 0
-			}
-		}
-	}
 
-	// y_l[t] = Σ_{l'∈I_l} d_{l'} · offered_{l'} (eq. 7). Gathering that
-	// per link costs Σ|I_l| ≈ L² adds per slot, yet airtime is nonzero
-	// only on the few links routes actually traverse — so scatter instead:
-	// each loaded link adds its airtime to every domain it belongs to
-	// (interference is symmetric: lp ∈ I_l ⟺ l ∈ I_lp). Scattering in
-	// ascending LinkID order reproduces the reference's ascending-domain
-	// gather exactly — the skipped zero terms are exact no-ops on a
-	// non-negative sum.
-	y := c.y
-	for l := range y {
-		y[l] = 0
-	}
-	for _, l := range c.used {
-		if a := airtime[l]; a > 0 {
-			for _, lp := range c.intIdx[c.intOff[l]:c.intOff[l+1]] {
-				y[lp] += a
-			}
+	// y[t] = Σ_{l'∈I_l} d_{l'}·offered_{l'} (eq. 7) and
+	// γ[t+1] = [γ[t] + α(y − budget)]+ (eq. 8), once per cell: the sum runs
+	// over the cell's sources in ascending LinkID order, which is the
+	// reference's ascending-domain sum with its zero terms — exact no-ops
+	// on a non-negative sum — left out. With no external traffic and no
+	// floor the budget is the paper's 1−δ. Cell 0 has y = 0 < budget, so
+	// its γ stays 0 and it is skipped.
+	for k := 1; k < c.ncell; k++ {
+		var y float64
+		for _, s := range c.srcIdx[c.srcOff[k]:c.srcOff[k+1]] {
+			y += airtime[s]
 		}
-	}
-	if ext {
-		// External airtime can sit on any link, not just used ones: same
-		// scatter, iterating all links in ascending order.
-		for l := range c.extY {
-			c.extY[l] = 0
-		}
-		for l := 0; l < nl; l++ {
-			if a := c.extAir[l]; a > 0 {
-				for _, lp := range c.intIdx[c.intOff[l]:c.intOff[l+1]] {
-					c.extY[lp] += a
-				}
-			}
-		}
-	}
-
-	// γ_l[t+1] = [γ_l[t] + α(y_own − budget)]+ (eq. 8; with no external
-	// traffic and no floor the budget is exactly the paper's 1−δ).
-	floor := c.opts.FairShareFloor
-	for l := 0; l < nl; l++ {
-		budget := limit
-		if ext {
-			budget = limit - c.extY[l]
-		}
-		if floor > 0 && budget < floor*limit {
-			budget = floor * limit
-		}
-		g := c.gamma[l] + alpha*(y[l]-budget)
+		g := c.gamma[k] + alpha*(y-c.budget[k])
 		if g < 0 {
 			g = 0
 		}
-		c.gamma[l] = g
+		c.gamma[k] = g
 	}
 
-	// q_r[t] = Σ_{l∈r} d_l Σ_{i∈I_l} γ_i (eq. 9). The inner γ sum is
-	// latched once per link actually on a route; routes sharing links
+	// q_r[t] = Σ_{l∈r} d_l Σ_{i∈I_l} γ_i (eq. 9). The inner sum walks the
+	// row's cell ids in link order (same operands, same order as the
+	// reference), once per distinct row; routes and links sharing a row
 	// reuse it.
-	for _, l := range c.used {
+	for j := range c.rowSum {
 		var s float64
-		for _, il := range c.intIdx[c.intOff[l]:c.intOff[l+1]] {
-			s += c.gamma[il]
+		for _, k := range c.rowCell[c.rowOff[j]:c.rowOff[j+1]] {
+			s += c.gamma[k]
 		}
-		c.gsum[l] = s
+		c.rowSum[j] = s
 	}
 	for r := 0; r < nr; r++ {
 		var qr float64
@@ -543,7 +651,7 @@ func (c *Controller) Step() {
 				qr = math.Inf(1)
 				break
 			}
-			qr += c.dl[l] * c.gsum[l]
+			qr += c.dl[l] * c.rowSum[c.rowOf[l]]
 		}
 		c.q[r] = qr
 	}
@@ -660,7 +768,8 @@ func (c *Controller) Run(n int) [][]float64 {
 
 // MaxAirtimeViolation returns max_l (y_l − 1): how much the airtime
 // constraint (2) is exceeded at the current rates (≤ 0 when feasible).
-// It recomputes loads from the current rates.
+// It recomputes loads from the current rates over every link, so it may be
+// called between slots: Step clears and reads offered on used links only.
 func (c *Controller) MaxAirtimeViolation() float64 {
 	for l := range c.offered {
 		c.offered[l] = 0
@@ -670,10 +779,8 @@ func (c *Controller) MaxAirtimeViolation() float64 {
 			c.offered[l] += c.x[i]
 		}
 	}
-	if c.ExternalLoad != nil {
-		for l := range c.offered {
-			c.offered[l] += c.ExternalLoad[l]
-		}
+	for l, v := range c.ext {
+		c.offered[l] += v
 	}
 	worst := math.Inf(-1)
 	for l := 0; l < c.net.NumLinks(); l++ {
@@ -704,19 +811,14 @@ func SlotsToSteady(series []float64, tol float64) int {
 	if band == 0 {
 		band = tol
 	}
-	for t := 0; t < len(series); t++ {
-		ok := true
-		for u := t; u < len(series); u++ {
-			if math.Abs(series[u]-final) > band {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return t
+	// One backward scan: the answer is one past the last value outside the
+	// band (a NaN compares as inside).
+	for u := len(series) - 1; u >= 0; u-- {
+		if math.Abs(series[u]-final) > band {
+			return u + 1
 		}
 	}
-	return len(series)
+	return 0
 }
 
 // growF resizes a float64 scratch slice to n, reusing capacity.

@@ -25,7 +25,7 @@ func externalScenario(extRate float64) (*Controller, error) {
 	}
 	load := make([]float64, net.NumLinks())
 	load[ext] = extRate
-	c.ExternalLoad = load
+	c.SetExternalLoad(load)
 	return c, nil
 }
 
@@ -73,7 +73,7 @@ func TestPaperBehaviourWithoutFloor(t *testing.T) {
 	}
 	load := make([]float64, net.NumLinks())
 	load[ext] = 10 // saturating
-	c.ExternalLoad = load
+	c.SetExternalLoad(load)
 	c.Run(3000)
 	if got := c.FlowRate(0); got > 0.5 {
 		t.Errorf("rate without floor under saturation = %v, want ~0", got)

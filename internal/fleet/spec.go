@@ -55,10 +55,15 @@ type rawSpec struct {
 	// Schemes is a comma-separated scheme list, or "all"/empty for all
 	// eight §5.1 schemes.
 	Schemes string `json:"schemes,omitempty"`
-	// Delta, Bin, Frac mirror the empower-scenario flags (0 = default).
+	// Delta is the congestion-control constraint margin δ, used as given:
+	// an omitted delta runs δ = 0, whereas empower-scenario's -delta flag
+	// defaults to 0.05 — pass "delta": 0.05 to reproduce a CLI run. (The
+	// behaviour is persisted in WALs and pinned by the fleet goldens.)
 	Delta float64 `json:"delta,omitempty"`
-	Bin   float64 `json:"bin,omitempty"`
-	Frac  float64 `json:"frac,omitempty"`
+	// Bin and Frac mirror the empower-scenario flags; 0 or omitted means
+	// the same defaults as the CLI (0.2 s, 0.8).
+	Bin  float64 `json:"bin,omitempty"`
+	Frac float64 `json:"frac,omitempty"`
 	// Manage attaches the route manager to CC schemes (default true).
 	Manage *bool `json:"manage,omitempty"`
 	// Shards enables the domain-sharded engine inside each replication.
