@@ -17,6 +17,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/optimal"
 	"repro/internal/routing"
 	"repro/internal/scenario"
 	"repro/internal/stats"
@@ -83,6 +84,52 @@ func BenchmarkFigure6OptimalRatios(b *testing.B) {
 	cfg.Runs = 4
 	for i := 0; i < b.N; i++ {
 		experiments.Figure6(experiments.TopoResidential, cfg)
+	}
+}
+
+// BenchmarkOptimalSolve measures one centralized solve of the problem the
+// repository benchmark's sim-fig6 workload solves first: the residential
+// instance of seed 1, 512 enumerated routes of one flow under the two
+// per-technology airtime rows. It is assembled from the package's exported
+// pieces, so the same benchmark runs on any commit.
+func BenchmarkOptimalSolve(b *testing.B) {
+	inst := topology.Residential(stats.NewRand(1), topology.Config{})
+	src, dst := inst.RandomFlow(stats.NewRand(1_000_001))
+	net := inst.Build(topology.ViewHybrid).Network
+	paths := optimal.EnumeratePaths(net, src, dst, optimal.EnumerateOptions{MaxHops: 4, MaxPaths: 512})
+	p := optimal.Problem{NumRoutes: len(paths), Flows: [][]int{make([]int, len(paths))}, RateCap: make([]float64, len(paths))}
+	for r, path := range paths {
+		p.Flows[0][r] = r
+		p.RateCap[r] = net.Link(path[0]).Capacity
+		for _, l := range path {
+			p.RateCap[r] = min(p.RateCap[r], net.Link(l).Capacity)
+		}
+	}
+	for _, clique := range optimal.NewConflictGraph(net).MaximalCliques() {
+		coef := map[int]float64{}
+		for _, cl := range clique {
+			for r, path := range paths {
+				for _, l := range path {
+					if int(l) == cl {
+						coef[r] += net.Link(l).D()
+					}
+				}
+			}
+		}
+		if len(coef) > 0 {
+			p.Constraints = append(p.Constraints, optimal.Constraint{Coef: coef, Bound: 1})
+		}
+	}
+	if len(paths) != 512 || len(p.Constraints) != 2 {
+		b.Fatalf("problem has %d routes and %d rows, want 512 and 2", len(paths), len(p.Constraints))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sol, err := optimal.Solve(p, optimal.SolveOptions{})
+		if err != nil || sol.FlowRates[0] <= 0 {
+			b.Fatalf("solve failed: %v, rate %v", err, sol.FlowRates)
+		}
 	}
 }
 

@@ -15,6 +15,10 @@ import "math"
 // Utility is an increasing, strictly concave utility function attached to
 // a flow. It describes the benefit the flow's source obtains from sending
 // at rate x (Mbps).
+//
+// Value and Prime must be pure functions of their argument: the
+// centralized solver (internal/optimal) evaluates Prime once per flow per
+// iteration and uses the result for every route of the flow.
 type Utility interface {
 	// Value returns U(x).
 	Value(x float64) float64

@@ -38,9 +38,6 @@ func TestFigure4ParallelDeterminism(t *testing.T) {
 // follow Go's randomized map order and the ratios differ in the last bits
 // from run to run — caught here by exact-bits comparison of two sweeps.
 func TestFigure6ParallelDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure 6 solves two centralized baselines per replication")
-	}
 	base := SimConfig{Runs: 4, Seed: 11, Core: core.Options{Slots: 1500}}
 	serial := base
 	serial.Parallel = 1

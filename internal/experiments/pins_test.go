@@ -10,19 +10,22 @@ import (
 
 // simPins are sha256 digests of `empower-sim -fig F -runs N -seed 3 -json`
 // (both topologies, default slots) for the §5 figures the repository
-// benchmark does not run, at a seed it never uses. They were recorded from
-// the binary of commit 4e58792, before the congestion controller moved its
-// duals onto interference cells, so they hold any later controller to that
-// commit's bytes. Like bench/golden.json they are for linux/amd64: float
-// formatting is portable, fused multiply-add is not.
+// benchmark does not run, at a seed it never uses — and for Figure 6, which
+// it runs at seed 1 on one topology only. Figures 5, 7 and convergence were
+// recorded from the binary of commit 4e58792, before the congestion
+// controller moved its duals onto interference cells; Figure 6 from the
+// binary of commit c15c5c4, before the centralized solver became a CSR
+// kernel with frozen routes. They hold any later controller or solver to
+// those commits' bytes. Like bench/golden.json they are for linux/amd64:
+// float formatting is portable, fused multiply-add is not.
 var simPins = []struct {
 	fig    string
 	runs   int
 	sha256 string
-	slow   bool
 }{
 	{fig: "5", runs: 60, sha256: "03691947d357906aea1bd604180efe0953b4ef78560979d3f22cd4b5e7ad4c30"},
-	{fig: "7", runs: 1, sha256: "0023ea50e42e828bb2a1b3195f803543829c2c842b514d3a55259f657eda1cd0", slow: true},
+	{fig: "6", runs: 4, sha256: "29100ddf7fc4c6235e8fd1ad91854b0b43b6b1677ed822bf769d347c128264d4"},
+	{fig: "7", runs: 1, sha256: "0023ea50e42e828bb2a1b3195f803543829c2c842b514d3a55259f657eda1cd0"},
 	{fig: "convergence", runs: 12, sha256: "cc9f47c05474b690e90cb73bbfa36bb4889f051292d34a89518c496e160063fa"},
 }
 
@@ -33,9 +36,6 @@ func TestSimFigureDigests(t *testing.T) {
 	const seed = 3
 	for _, pin := range simPins {
 		t.Run("fig="+pin.fig, func(t *testing.T) {
-			if pin.slow && testing.Short() {
-				t.Skip("Figure 7 solves the centralized optimum (~20 s); skipped under -short")
-			}
 			t.Parallel()
 			cfg := SimConfig{Runs: pin.runs, Seed: seed}
 			h := sha256.New()
@@ -45,6 +45,8 @@ func TestSimFigureDigests(t *testing.T) {
 				switch pin.fig {
 				case "5":
 					result = Figure5(Figure4(topo, cfg))
+				case "6":
+					result = Figure6(topo, cfg)
 				case "7":
 					result = Figure7(topo, cfg)
 				case "convergence":

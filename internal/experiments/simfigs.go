@@ -261,13 +261,9 @@ func Figure6Ctx(ctx context.Context, t Topo, cfg SimConfig) (Figure6Result, erro
 			inst, src, dst := instanceFor(t, cfg, rep.Index)
 			net := inst.BuildCached(topology.ViewHybrid)
 			flows := []optimal.FlowSpec{{Src: src, Dst: dst}}
-			opt, err := optimal.Optimal(net.Network, flows, optCfg)
+			opt, cons, err := optimal.Baselines(net.Network, flows, optCfg)
 			if err != nil || opt.FlowRates[0] <= 0 {
 				return nil // disconnected pair: ratios undefined
-			}
-			cons, err := optimal.ConservativeOpt(net.Network, flows, optCfg)
-			if err != nil {
-				return nil
 			}
 			out := &f6run{cons: clampRatio(cons.FlowRates[0] / opt.FlowRates[0])}
 			for _, s := range schemes {
@@ -353,12 +349,8 @@ func Figure7Ctx(ctx context.Context, t Topo, cfg SimConfig) (Figure7Result, erro
 			}
 			net := inst.BuildCached(topology.ViewHybrid)
 			optCfg := optimal.Config{Enumerate: optimal.EnumerateOptions{MaxHops: 4, MaxPaths: 512}}
-			opt, err := optimal.Optimal(net.Network, flows, optCfg)
+			opt, cons, err := optimal.Baselines(net.Network, flows, optCfg)
 			if err != nil || opt.Utility <= 0 {
-				return nil
-			}
-			cons, err := optimal.ConservativeOpt(net.Network, flows, optCfg)
-			if err != nil {
 				return nil
 			}
 			out := &f6run{cons: clampRatio(cons.Utility / opt.Utility)}

@@ -3,6 +3,7 @@ package optimal
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/congestion"
@@ -48,8 +49,6 @@ type SolveOptions struct {
 	Gain float64
 }
 
-func (o SolveOptions) iters() int { return o.itersFor(1) }
-
 func (o SolveOptions) itersFor(routes int) int {
 	if o.Iters > 0 {
 		return o.Iters
@@ -85,6 +84,78 @@ type Solution struct {
 	Utility float64
 	// MaxViolation is max_c ((Ax)_c − b_c), ≤ ~0 when feasible.
 	MaxViolation float64
+
+	// freezes and thaws count how often the kernel parked a route at its
+	// fixed point and how often it had to resume one; the equivalence
+	// tests read them to prove both transitions ran.
+	freezes, thaws int
+}
+
+// rows is a constraint matrix in compressed sparse row form: row c is
+// entries [start[c], start[c+1]) of route and coef, route indices
+// ascending. Iterating the Coef maps directly would make every airtime sum
+// follow Go's randomized map order, i.e. a different float summation order
+// — and a different 16th decimal — on every run; sorted rows make the
+// solver deterministic and keep map lookups out of the iteration loop.
+type rows struct {
+	start []int
+	route []int
+	coef  []float64
+	bound []float64
+}
+
+// densify sorts the constraints of a problem with n routes into rows.
+func densify(cons []Constraint, n int) (rows, error) {
+	nnz := 0
+	for _, con := range cons {
+		nnz += len(con.Coef)
+	}
+	m := rows{
+		start: make([]int, len(cons)+1),
+		route: make([]int, nnz),
+		coef:  make([]float64, nnz),
+		bound: make([]float64, len(cons)),
+	}
+	for c, con := range cons {
+		lo := m.start[c]
+		hi := lo
+		for r := range con.Coef {
+			if r < 0 || r >= n {
+				return rows{}, fmt.Errorf("optimal: constraint %d references route %d out of range", c, r)
+			}
+			m.route[hi] = r
+			hi++
+		}
+		sort.Ints(m.route[lo:hi])
+		for k := lo; k < hi; k++ {
+			m.coef[k] = con.Coef[m.route[k]]
+		}
+		m.start[c+1] = hi
+		m.bound[c] = con.Bound
+	}
+	return m, nil
+}
+
+// equal reports whether two matrices are the same problem data bit for
+// bit — same rows in the same order — so that one solve serves both.
+func (m rows) equal(o rows) bool {
+	if !slices.Equal(m.start, o.start) || !slices.Equal(m.route, o.route) {
+		return false
+	}
+	return slices.EqualFunc(m.coef, o.coef, sameBits) && slices.EqualFunc(m.bound, o.bound, sameBits)
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// sums stores every row's Σ coef·x, added in ascending route order, in out.
+func (m rows) sums(x, out []float64) {
+	for c := range out {
+		var u float64
+		for k := m.start[c]; k < m.start[c+1]; k++ {
+			u += m.coef[k] * x[m.route[k]]
+		}
+		out[c] = u
+	}
 }
 
 // Solve maximizes the problem with a proximal primal update and dual
@@ -94,10 +165,19 @@ type Solution struct {
 // uniform scaling if it slightly overshoots, so the reported rates are
 // always feasible.
 func Solve(p Problem, opts SolveOptions) (Solution, error) {
-	n := p.NumRoutes
-	if n == 0 {
+	if p.NumRoutes == 0 {
 		return Solution{}, fmt.Errorf("optimal: no routes")
 	}
+	m, err := densify(p.Constraints, p.NumRoutes)
+	if err != nil {
+		return Solution{}, err
+	}
+	return solve(p, m, opts)
+}
+
+// solve is Solve on densified constraints: m replaces p.Constraints.
+func solve(p Problem, m rows, opts SolveOptions) (Solution, error) {
+	n := p.NumRoutes
 	flowOf := make([]int, n)
 	for i := range flowOf {
 		flowOf[i] = -1
@@ -131,34 +211,28 @@ func Solve(p Problem, opts SolveOptions) (Solution, error) {
 		}
 	}
 
-	// Densify the constraints once, with route indices sorted: iterating
-	// the Coef maps directly would make every airtime sum follow Go's
-	// randomized map order, i.e. a different float summation order — and a
-	// different 16th decimal — on every run. Sorted slices make the solver
-	// deterministic and keep map lookups out of the iteration loop.
-	conIdx := make([][]int, len(p.Constraints))      // constraint -> route indices
-	conCoef := make([][]float64, len(p.Constraints)) // constraint -> coefficients
-	routeCons := make([][]int, n)                    // route -> constraint indices
-	routeCoef := make([][]float64, n)                // route -> coefficients
-	for c, con := range p.Constraints {
-		idx := make([]int, 0, len(con.Coef))
-		for r := range con.Coef {
-			if r < 0 || r >= n {
-				return Solution{}, fmt.Errorf("optimal: constraint %d references route %d out of range", c, r)
-			}
-			idx = append(idx, r)
+	// Transpose the rows: route r's entries are [rtStart[r], rtStart[r+1])
+	// of rtRow and rtCoef, rows ascending.
+	rtStart := make([]int, n+1)
+	for _, r := range m.route {
+		rtStart[r+1]++
+	}
+	for r := 0; r < n; r++ {
+		rtStart[r+1] += rtStart[r]
+	}
+	rtRow := make([]int, len(m.route))
+	rtCoef := make([]float64, len(m.route))
+	next := append([]int(nil), rtStart[:n]...)
+	for c := range m.bound {
+		for k := m.start[c]; k < m.start[c+1]; k++ {
+			j := next[m.route[k]]
+			next[m.route[k]]++
+			rtRow[j], rtCoef[j] = c, m.coef[k]
 		}
-		sort.Ints(idx)
-		cf := make([]float64, len(idx))
-		for i, r := range idx {
-			cf[i] = con.Coef[r]
-			routeCons[r] = append(routeCons[r], c)
-			routeCoef[r] = append(routeCoef[r], con.Coef[r])
-		}
-		conIdx[c], conCoef[c] = idx, cf
 	}
 
 	alpha, gain := opts.step(), opts.gain()
+	keep := 1 - alpha
 	// With many routes per flow, every route initially sees the same
 	// positive (U' − q) term, so the aggregate primal gain grows with the
 	// route count and can overshoot before the duals price it. A mild
@@ -188,95 +262,124 @@ func Solve(p Problem, opts SolveOptions) (Solution, error) {
 			xbar[r] = x[r]
 		}
 	}
-	lambda := make([]float64, len(p.Constraints))
-	usage := make([]float64, len(p.Constraints))
+	lambda := make([]float64, len(m.bound))
+	// usage[c] = Σ_r coef·x_r and flowRate[f] = Σ_{r∈f} x_r belong to the
+	// iterate the coming iteration reads. The route pass below accumulates
+	// them for the next iterate as it writes it: it visits routes in
+	// ascending order, so each sum adds the same terms in the same order
+	// as a pass over that row or flow alone. term caches each entry's
+	// coef·x_r, rounded once, for the routes that stop moving.
+	usage := make([]float64, len(m.bound))
 	flowRate := make([]float64, len(p.Flows))
-	newX := make([]float64, n)
+	prime := make([]float64, len(p.Flows))
+	term := make([]float64, len(rtCoef))
+	frozen := make([]bool, n)
+	for r := 0; r < n; r++ {
+		for k := rtStart[r]; k < rtStart[r+1]; k++ {
+			term[k] = rtCoef[k] * x[r]
+			usage[rtRow[k]] += term[k]
+		}
+		flowRate[flowOf[r]] += x[r]
+	}
 	iters := opts.itersFor(n)
 	// Ergodic averaging over the last third of the run: with a fixed
 	// step the iterates hover around the optimizer, and the average is
 	// the reliable read-out.
 	avg := make([]float64, n)
 	avgFrom := iters * 2 / 3
-	avgCount := 0
+	sol := Solution{FlowRates: make([]float64, len(p.Flows))}
 
 	for t := 0; t < iters; t++ {
-		// Constraint usages and dual update.
-		for c := range usage {
-			usage[c] = 0
-		}
-		for c := range conIdx {
-			var u float64
-			for i, r := range conIdx[c] {
-				u += conCoef[c][i] * x[r]
-			}
-			usage[c] = u
-			l := lambda[c] + alpha*(u-p.Constraints[c].Bound)
+		// Dual update from the current iterate's usages.
+		for c, u := range usage {
+			l := lambda[c] + alpha*(u-m.bound[c])
 			if l < 0 {
 				l = 0
 			}
 			lambda[c] = l
+			usage[c] = 0
 		}
-		// Flow totals.
-		for f := range flowRate {
+		// One marginal utility per flow: every route of a flow sees the
+		// same U'(flow rate).
+		for f, rate := range flowRate {
+			prime[f] = util[f].Prime(rate)
 			flowRate[f] = 0
 		}
+		// Proximal primal update, x and x̄ in place. A route the optimum
+		// does not use is clipped every iteration, so x and x̄ decay by 1−α
+		// until they reach a fixed point of the clipped map in
+		// round-to-nearest — a subnormal, on which every multiply costs
+		// ≈ 85 cycles, for most routes and the last third of the run. A
+		// route found at such a fixed point is frozen: while its update
+		// stays clipped — decided by inner, from normal-range operands and
+		// one add — recomputing x, x̄ and coef·x would reproduce the stored
+		// values bit for bit, so the pass adds the stored terms and
+		// multiplies nothing. The first unclipped update runs in full
+		// again. No value is flushed, rounded or compared to a threshold.
 		for r := 0; r < n; r++ {
-			flowRate[flowOf[r]] += x[r]
-		}
-		// Proximal primal update.
-		for r := 0; r < n; r++ {
+			lo, hi := rtStart[r], rtStart[r+1]
 			var q float64
-			for i, c := range routeCons[r] {
-				q += lambda[c] * routeCoef[r][i]
+			for k := lo; k < hi; k++ {
+				q += lambda[rtRow[k]] * rtCoef[k]
 			}
 			f := flowOf[r]
-			inner := xbar[r] + perRouteGain[r]*(util[f].Prime(flowRate[f])-q)
-			if inner < 0 {
-				inner = 0
+			inner := xbar[r] + perRouteGain[r]*(prime[f]-q)
+			// Clipped, the update ignores inner (α·max(0, inner) adds ±0)
+			// and maps (x, x̄) to a function of (x, x̄) alone.
+			clipped := inner <= 0
+			if frozen[r] && !clipped {
+				frozen[r] = false
+				sol.thaws++
 			}
-			nx := (1-alpha)*x[r] + alpha*inner
-			if nx > cap[r] {
-				nx = cap[r]
+			if !frozen[r] {
+				if inner < 0 {
+					inner = 0
+				}
+				nx := keep*x[r] + alpha*inner
+				if nx > cap[r] {
+					nx = cap[r]
+				}
+				nxbar := keep*xbar[r] + alpha*x[r]
+				if clipped && nx == x[r] && nxbar == xbar[r] {
+					frozen[r] = true
+					sol.freezes++
+				} else {
+					x[r], xbar[r] = nx, nxbar
+					for k := lo; k < hi; k++ {
+						term[k] = rtCoef[k] * nx
+					}
+				}
 			}
-			newX[r] = nx
-		}
-		for r := 0; r < n; r++ {
-			xbar[r] = (1-alpha)*xbar[r] + alpha*x[r]
-		}
-		copy(x, newX)
-		if t >= avgFrom {
-			for r := 0; r < n; r++ {
+			for k := lo; k < hi; k++ {
+				usage[rtRow[k]] += term[k]
+			}
+			flowRate[f] += x[r]
+			if t >= avgFrom {
 				avg[r] += x[r]
 			}
-			avgCount++
 		}
 	}
-	if avgCount > 0 {
-		for r := 0; r < n; r++ {
-			x[r] = avg[r] / float64(avgCount)
-		}
+	// avgFrom < iters, so at least one iterate was averaged.
+	for r := 0; r < n; r++ {
+		x[r] = avg[r] / float64(iters-avgFrom)
 	}
 
 	// Project onto feasibility by uniform scaling if needed.
+	m.sums(x, usage)
 	worst := 0.0
-	for c := range conIdx {
-		var u float64
-		for i, r := range conIdx[c] {
-			u += conCoef[c][i] * x[r]
-		}
-		if b := p.Constraints[c].Bound; b > 0 && u/b > worst {
+	for c, u := range usage {
+		if b := m.bound[c]; b > 0 && u/b > worst {
 			worst = u / b
 		}
-		usage[c] = u
 	}
 	if worst > 1 {
 		for r := range x {
 			x[r] /= worst
 		}
+		m.sums(x, usage)
 	}
 
-	sol := Solution{X: x, FlowRates: make([]float64, len(p.Flows))}
+	sol.X = x
 	for r := 0; r < n; r++ {
 		sol.FlowRates[flowOf[r]] += x[r]
 	}
@@ -284,16 +387,12 @@ func Solve(p Problem, opts SolveOptions) (Solution, error) {
 		sol.Utility += util[f].Value(sol.FlowRates[f])
 	}
 	sol.MaxViolation = math.Inf(-1)
-	for c := range conIdx {
-		var u float64
-		for i, r := range conIdx[c] {
-			u += conCoef[c][i] * x[r]
-		}
-		if v := u - p.Constraints[c].Bound; v > sol.MaxViolation {
+	for c, u := range usage {
+		if v := u - m.bound[c]; v > sol.MaxViolation {
 			sol.MaxViolation = v
 		}
 	}
-	if len(p.Constraints) == 0 {
+	if len(usage) == 0 {
 		sol.MaxViolation = 0
 	}
 	return sol, nil

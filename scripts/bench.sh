@@ -6,7 +6,9 @@
 # can be told from noise (CI uploads the BENCH_*.json files as artifacts):
 #
 #   BENCH_ROUTING.json  — routing and controller micro-benchmarks plus the
-#                         Figure-4 sweep bench (tracked since PR 2)
+#                         Figure-4 sweep bench (tracked since PR 2), and the
+#                         centralized baselines: one 512-route solve and
+#                         the Figure-6 sweep bench (tracked since PR 15)
 #   BENCH_SCENARIO.json — the emulation fast-path benches: the churn sweep
 #                         (scenario engine end to end, tracked since PR 3),
 #                         one emulated second of the flaps scenario
@@ -198,5 +200,5 @@ print_delta() {
   ' "$1" "$2"
 }
 
-run_bench 'BenchmarkRoutingN5$|BenchmarkAblationNShortest|BenchmarkAblationCSC|BenchmarkControllerSlot$|BenchmarkControllerBatch$|BenchmarkFigure4ParallelSweep' "$routing_out"
+run_bench 'BenchmarkRoutingN5$|BenchmarkAblationNShortest|BenchmarkAblationCSC|BenchmarkControllerSlot$|BenchmarkControllerBatch$|BenchmarkFigure4ParallelSweep|BenchmarkOptimalSolve$|BenchmarkFigure6OptimalRatios$' "$routing_out"
 run_bench 'BenchmarkChurnSweep$|BenchmarkChurnSweepSharded$|BenchmarkEmulationSecond$|BenchmarkEmulationSecondSharded$|BenchmarkMetricsOverhead$' "$scenario_out"
