@@ -15,11 +15,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/graph"
+	"repro/internal/mac"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/optimal"
 	"repro/internal/routing"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -358,6 +361,74 @@ func BenchmarkDataFrameCodec(b *testing.B) {
 		if err := g.UnmarshalBinary(buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMACCompletion measures one MAC frame completion on the
+// 22-node testbed's hybrid network (482 links, interference rows of
+// ≈ 170) with three links of one collision domain kept backlogged — the
+// regime the §6 emulation spends its time in: a long freed row, a couple
+// of links that can actually start. It is the micro meter of the MAC
+// completion kernel (row shuffle, contender skip, cell counts);
+// scripts/bench.sh records it in BENCH_SCENARIO.json.
+func BenchmarkMACCompletion(b *testing.B) {
+	net := topology.Testbed(stats.NewRand(42), topology.Config{}).Build(topology.ViewHybrid).Network
+	var eng sim.Engine
+	m := mac.New(&eng, net, stats.NewRand(7), mac.Options{})
+	links := net.Interference(0)[:3]
+	const frameBits = 12000
+	delivered, target := 0, 0
+	m.Deliver = func(l graph.LinkID, _ mac.Packet) {
+		if delivered++; delivered < target {
+			m.Send(l, frameBits, nil)
+		}
+	}
+	run := func(n int) {
+		target = delivered + n
+		for _, l := range links {
+			m.Send(l, frameBits, nil)
+			m.Send(l, frameBits, nil)
+		}
+		eng.RunUntilIdle()
+	}
+	run(64) // warm the rings, the timer pool and the heap
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+}
+
+// engineTicker is one self-rescheduling timer of BenchmarkEngineHeap.
+type engineTicker struct {
+	eng    *sim.Engine
+	period float64
+}
+
+func engineTick(arg any) {
+	t := arg.(*engineTicker)
+	t.eng.ScheduleFunc(t.period, engineTick, t)
+}
+
+// BenchmarkEngineHeap measures one event through the bare engine — pop,
+// recycle, handler, push — with `depth` self-rescheduling closure-free
+// timers of distinct periods pending: depth 57 is the churn-testbed
+// workload's peak heap depth, 4096 a heap that has left the L1 cache.
+// The micro meter of the event heap; recorded in BENCH_SCENARIO.json.
+func BenchmarkEngineHeap(b *testing.B) {
+	for _, depth := range []int{57, 4096} {
+		b.Run(benchName("depth", depth), func(b *testing.B) {
+			var eng sim.Engine
+			for i := 0; i < depth; i++ {
+				t := &engineTicker{eng: &eng, period: 1 + float64(i)/float64(depth)}
+				eng.ScheduleFunc(t.period, engineTick, t)
+			}
+			eng.Run(4) // every slot recycled at least once
+			start := eng.Fired()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for eng.Fired()-start < uint64(b.N) {
+				eng.Run(eng.NextEventTime())
+			}
+		})
 	}
 }
 

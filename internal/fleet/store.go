@@ -70,11 +70,11 @@ type Sweep struct {
 	outs []json.RawMessage
 	// order lists completed indices in completion order; SSE streams
 	// replay it through subscriber cursors.
-	order   []int
-	errMsg  string
-	retries int
+	order    []int
+	errMsg   string
+	retries  int
 	timeouts int
-	panics  int
+	panics   int
 	// changed is closed (and replaced) on every mutation — a broadcast
 	// primitive for streaming watchers.
 	changed chan struct{}

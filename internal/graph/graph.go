@@ -92,7 +92,10 @@ type Path []LinkID
 // Network is the multigraph. It is the central data structure of the
 // reproduction: routing, congestion control and the simulators all operate
 // on it. A Network is mutable (capacities can be updated) but its topology
-// (nodes, link endpoints, interference structure) is fixed after Build.
+// (nodes and their tech sets, link endpoints and technologies,
+// interference structure) is fixed after Build. Caches rely on that: the
+// MAC's interference cells and the emulation's price-listener lists are
+// computed once per run and never invalidated.
 type Network struct {
 	Nodes []Node
 	Links []Link
@@ -270,9 +273,9 @@ func (b *Builder) Build() *Network {
 	adjFlat := make([]LinkID, 2*nl)
 	pos := 0
 	for n := 0; n < nn; n++ {
-		net.out[n] = adjFlat[pos:pos : pos+degOut[n]]
+		net.out[n] = adjFlat[pos : pos : pos+degOut[n]]
 		pos += degOut[n]
-		net.in[n] = adjFlat[pos:pos : pos+degIn[n]]
+		net.in[n] = adjFlat[pos : pos : pos+degIn[n]]
 		pos += degIn[n]
 	}
 	for i := range net.Links {
@@ -303,7 +306,7 @@ func (b *Builder) Build() *Network {
 	intFlat := make([]LinkID, total)
 	pos = 0
 	for i := 0; i < nl; i++ {
-		row := intFlat[pos:pos : pos+count[i]]
+		row := intFlat[pos : pos : pos+count[i]]
 		for j := 0; j < i; j++ {
 			p := j*nl + i
 			if bits[p>>6]&(1<<(p&63)) != 0 {

@@ -15,6 +15,14 @@
 // Packet's address; the value they receive is theirs, the queue slot it
 // came from is not.
 //
+// A completion costs what it can start, not what it frees: the freed
+// row is still shuffled in full (the draw sequence is part of the seeded
+// trajectory), but only links flagged as contenders — backlogged and
+// idle — are offered the medium, and the carrier-sense state is one
+// busy count per interference cell (links with identical interference
+// rows) instead of one per link. DESIGN.md's "allocation-free emulation
+// fast path" section has the exactness arguments.
+//
 // The package also provides a fluid approximation (FluidDelivered) used by
 // the analytic no-congestion-control baselines: it reproduces the
 // congestion-collapse behaviour of saturated multihop paths without
@@ -24,6 +32,7 @@ package mac
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -182,10 +191,20 @@ type MAC struct {
 
 	queues       []ring
 	transmitting []bool
-	// blocked[l] counts active transmitters in I_l; l may start only when
-	// blocked[l] == 0.
-	blocked []int
-	stats   []LinkStats
+	// contender[l] is "backlogged and not transmitting", kept current at
+	// every queue and transmission transition, so complete can skip the
+	// links tryStart would turn away at its first test.
+	contender []bool
+	// Links with identical interference rows form a cell. Interference is
+	// symmetric, so every row is a union of whole cells and all links of a
+	// cell hear the same transmitters: cellBusy[c] counts the active
+	// transmitters in I_l for every l with cellOf[l] == c (l may start
+	// only at zero), and rowCells[c] lists the cells making up that row —
+	// what a transmission start or end has to bump.
+	cellOf   []int32
+	cellBusy []int32
+	rowCells [][]int32
+	stats    []LinkStats
 	// lossProb[l] is the live per-link channel error probability (dense;
 	// seeded from Options.LossProb, mutated by SetLossProb).
 	lossProb []float64
@@ -216,11 +235,13 @@ func New(engine *sim.Engine, net *graph.Network, rng *rand.Rand, opts Options) *
 		opts:         opts,
 		queues:       make([]ring, n),
 		transmitting: make([]bool, n),
-		blocked:      make([]int, n),
+		contender:    make([]bool, n),
 		stats:        make([]LinkStats, n),
 		lossProb:     make([]float64, n),
 		completion:   make([]completeArg, n),
 	}
+	m.cellOf, m.rowCells = interferenceCells(net)
+	m.cellBusy = make([]int32, len(m.rowCells))
 	for l := range m.completion {
 		m.completion[l] = completeArg{m: m, l: graph.LinkID(l)}
 	}
@@ -228,6 +249,57 @@ func New(engine *sim.Engine, net *graph.Network, rng *rand.Rand, opts Options) *
 		m.SetLossProb(graph.LinkID(l), opts.LossProb[l])
 	}
 	return m
+}
+
+// interferenceCells partitions the links into cells of identical
+// interference rows. cellOf[l] is link l's cell; rowCells[c] lists, once
+// each, the cells of the links in the row shared by cell c's members.
+// Rows are ascending and contain their own link, so all members of a
+// cell sit in its lowest member's row: one walk of that row, comparing
+// only rows whose hash agrees, finds them. With every row distinct the
+// cells are the links and rowCells is the interference structure itself.
+func interferenceCells(net *graph.Network) (cellOf []int32, rowCells [][]int32) {
+	n := net.NumLinks()
+	cellOf = make([]int32, n)
+	hash := make([]uint64, n)
+	for l := range cellOf {
+		cellOf[l] = -1
+		h := uint64(14695981039346656037)
+		for _, i := range net.Interference(graph.LinkID(l)) {
+			h = (h ^ uint64(i)) * 1099511628211
+		}
+		hash[l] = h
+	}
+	var lowest []graph.LinkID // per cell, its lowest member
+	for l := range cellOf {
+		if cellOf[l] >= 0 {
+			continue
+		}
+		row := net.Interference(graph.LinkID(l))
+		for _, j := range row {
+			if cellOf[j] < 0 && hash[j] == hash[l] && slices.Equal(row, net.Interference(j)) {
+				cellOf[j] = int32(len(lowest))
+			}
+		}
+		lowest = append(lowest, graph.LinkID(l))
+	}
+	var flat []int32
+	start := make([]int, len(lowest)+1)
+	seenBy := make([]int32, len(lowest)) // cell c was listed for cell seenBy[c]-1
+	for c, l := range lowest {
+		for _, j := range net.Interference(l) {
+			if cj := cellOf[j]; seenBy[cj] != int32(c)+1 {
+				seenBy[cj] = int32(c) + 1
+				flat = append(flat, cj)
+			}
+		}
+		start[c+1] = len(flat)
+	}
+	rowCells = make([][]int32, len(lowest))
+	for c := range rowCells {
+		rowCells[c] = flat[start[c]:start[c+1]:start[c+1]]
+	}
+	return cellOf, rowCells
 }
 
 // SetRecorder attaches a flight recorder for tx-start, deliver and drop
@@ -293,18 +365,23 @@ func (m *MAC) SetLossProb(l graph.LinkID, p float64) {
 }
 
 // CheckConsistency verifies the MAC's internal bookkeeping: queue
-// lengths within the limit, a transmitting link has backlog, blocked
-// counts equal to the number of active transmitters in each link's
-// interference set, and per-reason drop counters summing to the total.
-// It is read-only and cheap enough for a periodic invariant checker.
+// lengths within the limit, a transmitting link has backlog, the
+// contender flag set exactly on backlogged idle links, every link's cell
+// count equal to the number of active transmitters in its interference
+// set, and per-reason drop counters summing to the total. It is
+// read-only and cheap enough for a periodic invariant checker.
 func (m *MAC) CheckConsistency() error {
 	for l := range m.queues {
 		id := graph.LinkID(l)
-		if n := m.queues[l].len(); n > m.opts.queueLimit() {
-			return fmt.Errorf("mac: link %d queue %d exceeds limit %d", l, n, m.opts.queueLimit())
+		backlog := m.queues[l].len()
+		if backlog > m.opts.queueLimit() {
+			return fmt.Errorf("mac: link %d queue %d exceeds limit %d", l, backlog, m.opts.queueLimit())
 		}
-		if m.transmitting[l] && m.queues[l].len() == 0 {
+		if m.transmitting[l] && backlog == 0 {
 			return fmt.Errorf("mac: link %d transmitting with empty queue", l)
+		}
+		if want := backlog > 0 && !m.transmitting[l]; m.contender[l] != want {
+			return fmt.Errorf("mac: link %d contender flag %v with backlog %d, transmitting %v", l, m.contender[l], backlog, m.transmitting[l])
 		}
 		active := 0
 		for _, i := range m.net.Interference(id) {
@@ -312,8 +389,8 @@ func (m *MAC) CheckConsistency() error {
 				active++
 			}
 		}
-		if m.blocked[l] != active {
-			return fmt.Errorf("mac: link %d blocked=%d but %d active transmitters in its interference set", l, m.blocked[l], active)
+		if c := m.cellOf[l]; int(m.cellBusy[c]) != active {
+			return fmt.Errorf("mac: link %d cell %d busy=%d but %d active transmitters in its interference set", l, c, m.cellBusy[c], active)
 		}
 		st := &m.stats[l]
 		sum := 0
@@ -346,6 +423,7 @@ func (m *MAC) Send(l graph.LinkID, bits float64, payload interface{}) bool {
 		return false
 	}
 	m.queues[l].push(pkt)
+	m.contender[l] = !m.transmitting[l]
 	m.tryStart(l)
 	return true
 }
@@ -371,6 +449,7 @@ func (m *MAC) LinkChanged(l graph.LinkID) {
 		m.drop(l, *q.at(i), DropLinkDown)
 	}
 	q.truncate(keep)
+	m.contender[l] = false // nothing is left behind the in-flight frame
 }
 
 func (m *MAC) drop(l graph.LinkID, pkt Packet, reason DropReason) {
@@ -387,7 +466,8 @@ func (m *MAC) drop(l graph.LinkID, pkt Packet, reason DropReason) {
 // tryStart begins a transmission on l if it has backlog and its medium is
 // idle.
 func (m *MAC) tryStart(l graph.LinkID) {
-	if m.transmitting[l] || m.queues[l].len() == 0 || m.blocked[l] > 0 {
+	cell := m.cellOf[l]
+	if !m.contender[l] || m.cellBusy[cell] > 0 {
 		return
 	}
 	link := m.net.Link(l)
@@ -396,8 +476,9 @@ func (m *MAC) tryStart(l graph.LinkID) {
 	}
 	bits := m.queues[l].at(0).Bits
 	m.transmitting[l] = true
-	for _, i := range m.net.Interference(l) {
-		m.blocked[i]++
+	m.contender[l] = false
+	for _, c := range m.rowCells[cell] {
+		m.cellBusy[c]++
 	}
 	duration := bits / (link.Capacity * 1e6)
 	m.stats[l].BusySeconds += duration
@@ -412,9 +493,10 @@ func (m *MAC) complete(l graph.LinkID) {
 	// Pop the frame that was on the air (LinkChanged keeps it at the
 	// head even when the link died mid-flight).
 	pkt := m.queues[l].pop()
+	m.contender[l] = m.queues[l].len() > 0
 
-	for _, i := range m.net.Interference(l) {
-		m.blocked[i]--
+	for _, c := range m.rowCells[m.cellOf[l]] {
+		m.cellBusy[c]--
 	}
 
 	// Channel-error filtering happens at reception, as with real CSMA/CA
@@ -438,12 +520,41 @@ func (m *MAC) complete(l graph.LinkID) {
 
 	// Hand the medium to the next contender(s): all links freed by this
 	// completion, in uniformly random order (perfect sensing, no
-	// back-off, no collisions).
-	cands := m.net.Interference(l)
-	order := append(m.shuffleScratch[:0], cands...)
-	m.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	// back-off, no collisions). The whole row is shuffled — the draws are
+	// part of the trajectory — but only contenders are offered the
+	// medium: tryStart returns at its first test for every other link.
+	order := append(m.shuffleScratch[:0], m.net.Interference(l)...)
+	shuffleLinks(m.rng, order)
 	for _, c := range order {
-		m.tryStart(c)
+		if m.contender[c] {
+			m.tryStart(c)
+		}
 	}
 	m.shuffleScratch = order[:0]
+}
+
+// shuffleLinks permutes order exactly as
+//
+//	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+//
+// does, consuming the same values from rng: math/rand's Fisher-Yates
+// from the top, each index drawn by the Lemire multiply-shift over
+// uint32(Int63()>>31) with its rejection loop. Interference rows are far
+// shorter than 2³¹, so Shuffle's Int63n branch for longer inputs does
+// not exist here. What is saved is the swap closure and two call levels
+// per draw.
+func shuffleLinks(rng *rand.Rand, order []graph.LinkID) {
+	for i := len(order) - 1; i > 0; i-- {
+		n := uint32(i + 1)
+		prod := uint64(uint32(rng.Int63()>>31)) * uint64(n)
+		if low := uint32(prod); low < n {
+			thresh := -n % n
+			for low < thresh {
+				prod = uint64(uint32(rng.Int63()>>31)) * uint64(n)
+				low = uint32(prod)
+			}
+		}
+		j := int(prod >> 32)
+		order[i], order[j] = order[j], order[i]
+	}
 }

@@ -3,6 +3,7 @@ package mac
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -304,5 +305,50 @@ func TestFluidMatchesPacketMAC(t *testing.T) {
 	p2 := got[l2] / 20 / 1e6
 	if math.Abs(p1-fluid[0]) > 0.6 || math.Abs(p2-fluid[1]) > 0.6 {
 		t.Errorf("packet (%.2f, %.2f) vs fluid (%.2f, %.2f)", p1, p2, fluid[0], fluid[1])
+	}
+}
+
+// TestCheckConsistencyFires hand-builds one violating state per check
+// and sees it reported; the untouched state (one link on the air, its
+// same-medium neighbour backlogged behind it, a third link idle) passes.
+func TestCheckConsistencyFires(t *testing.T) {
+	net, l1, l2, l3 := twoContenders()
+	build := func() *MAC {
+		var e sim.Engine
+		m := New(&e, net, rng(1), Options{QueueLimit: 2})
+		m.Send(l1, 12000, nil) // on the air
+		m.Send(l2, 12000, nil) // backlogged, blocked by l1
+		if !m.Busy(l1) || m.Busy(l2) || m.QueueLen(l2) != 1 {
+			t.Fatalf("setup: busy(l1)=%v busy(l2)=%v queue(l2)=%d", m.Busy(l1), m.Busy(l2), m.QueueLen(l2))
+		}
+		return m
+	}
+	if err := build().CheckConsistency(); err != nil {
+		t.Fatalf("clean state reported: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(m *MAC)
+		want    string
+	}{
+		{"queue over limit", func(m *MAC) { m.queues[l2].push(Packet{}); m.queues[l2].push(Packet{}) }, "exceeds limit"},
+		{"transmitting with empty queue", func(m *MAC) { m.transmitting[l3] = true }, "transmitting with empty queue"},
+		{"flag set on an empty queue", func(m *MAC) { m.contender[l3] = true }, "link 2 contender flag true with backlog 0"},
+		{"flag set on a transmitting link", func(m *MAC) { m.contender[l1] = true }, "link 0 contender flag true with backlog 1, transmitting true"},
+		{"flag clear on an idle backlogged link", func(m *MAC) { m.contender[l2] = false }, "link 1 contender flag false with backlog 1, transmitting false"},
+		{"cell count too high", func(m *MAC) { m.cellBusy[m.cellOf[l1]]++ }, "busy=2 but 1 active"},
+		{"cell count too low", func(m *MAC) { m.cellBusy[m.cellOf[l2]]-- }, "busy=0 but 1 active"},
+		{"stale count on an idle cell", func(m *MAC) { m.cellBusy[m.cellOf[l3]]++ }, "busy=1 but 0 active"},
+		{"per-reason drops", func(m *MAC) { m.stats[l1].DroppedPkts++ }, "per-reason drops sum to 0, total says 1"},
+		{"loss probability", func(m *MAC) { m.lossProb[l3] = 1.5 }, "outside [0,1]"},
+	} {
+		m := build()
+		tc.corrupt(m)
+		err := m.CheckConsistency()
+		if err == nil {
+			t.Errorf("%s: not reported", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: reported as %q, want mention of %q", tc.name, err, tc.want)
+		}
 	}
 }

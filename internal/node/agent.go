@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/graph"
@@ -100,7 +101,17 @@ func newAgent(em *Emulation, id graph.NodeID) *Agent {
 	seen := make([]bool, em.numTechs)
 	for _, l := range a.egress {
 		link := em.Net.Link(l)
-		a.ifaceOut[wire.HashInterface(link.To, link.Tech)] = l
+		iface := wire.HashInterface(link.To, link.Tech)
+		if prev, ok := a.ifaceOut[iface]; ok {
+			// A parallel link to the same interface keeps the last-wins
+			// rule; two different interfaces behind one 16-bit ID would
+			// forward one neighbour's frames to the other.
+			if p := em.Net.Link(prev); p.To != link.To || p.Tech != link.Tech {
+				panic(fmt.Sprintf("node: agent %d: egress interfaces (node %d, %v) and (node %d, %v) share layer-2.5 ID %d",
+					id, p.To, p.Tech, link.To, link.Tech, iface))
+			}
+		}
+		a.ifaceOut[iface] = l
 		a.est[l] = linkest.New(linkest.Config{})
 		if !seen[link.Tech] {
 			seen[link.Tech] = true

@@ -224,6 +224,11 @@ type Emulation struct {
 
 	// priceBuf is the scratch encode buffer of broadcastPrice.
 	priceBuf []byte
+	// listeners[from*numTechs+tech] memoises broadcastPrice's receiver
+	// list (nil until first use, in ascending agent order). It depends
+	// only on what graph.Network fixes at Build — node tech sets, link
+	// endpoints and technologies, interference rows — never on capacity.
+	listeners [][]*Agent
 
 	// Sharded-mode state (see shard.go). A sharded top-level emulation is
 	// a dispatcher: Engine and MAC are nil, doms holds one closed
@@ -359,6 +364,7 @@ func newEmulationOwned(net *graph.Network, cfg Config, seed int64, own []bool) *
 		e.MAC.SetRecorder(rec)
 	}
 	e.Agents = make([]*Agent, net.NumNodes())
+	e.listeners = make([][]*Agent, net.NumNodes()*e.numTechs)
 	for i := range e.Agents {
 		if own != nil && !own[i] {
 			continue
@@ -552,19 +558,7 @@ func deliverPrice(arg any) {
 // buffer, and each delivery rides a pooled priceDelivery.
 func (e *Emulation) broadcastPrice(from graph.NodeID, f *wire.PriceFrame) {
 	e.priceBuf = f.AppendBinary(e.priceBuf[:0])
-	for _, a := range e.Agents {
-		if a == nil || a.id == from {
-			// Foreign nodes of a domain sub-emulation have no agent here;
-			// they are never in earshot anyway (earshot is an interference
-			// relation, and interference never crosses a domain).
-			continue
-		}
-		if !e.Net.Node(a.id).HasTech(f.Tech) && !hasIngress(e.Net, a.id, f.Tech) {
-			continue
-		}
-		if !e.inEarshot(from, a.id, f.Tech) {
-			continue
-		}
+	for _, a := range e.priceListeners(from, f.Tech) {
 		pd := e.newPriceDelivery()
 		if err := pd.frame.UnmarshalBinary(e.priceBuf); err != nil {
 			panic(fmt.Sprintf("node: price frame round-trip: %v", err))
@@ -572,6 +566,35 @@ func (e *Emulation) broadcastPrice(from graph.NodeID, f *wire.PriceFrame) {
 		pd.agent = a
 		e.Engine.ScheduleFunc(1e-4, deliverPrice, pd)
 	}
+}
+
+// priceListeners returns the agents that overhear a broadcast by `from`
+// on technology k, in ascending node order (the order fixes the
+// deliveries' event sequence numbers). The scan runs once per
+// (node, technology); every later price tick reads the memo.
+func (e *Emulation) priceListeners(from graph.NodeID, tech graph.Tech) []*Agent {
+	slot := &e.listeners[int(from)*e.numTechs+int(tech)]
+	if *slot != nil {
+		return *slot
+	}
+	list := []*Agent{} // non-nil even when empty: the scan is done
+	for _, a := range e.Agents {
+		if a == nil || a.id == from {
+			// Foreign nodes of a domain sub-emulation have no agent here;
+			// they are never in earshot anyway (earshot is an interference
+			// relation, and interference never crosses a domain).
+			continue
+		}
+		if !e.Net.Node(a.id).HasTech(tech) && !hasIngress(e.Net, a.id, tech) {
+			continue
+		}
+		if !e.inEarshot(from, a.id, tech) {
+			continue
+		}
+		list = append(list, a)
+	}
+	*slot = list
+	return list
 }
 
 // inEarshot reports whether a broadcast by `from` on technology k is

@@ -1,7 +1,9 @@
 package node
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -333,4 +335,37 @@ func TestSeriesLog(t *testing.T) {
 	if a, b := s.series(0); a != nil || b != nil {
 		t.Error("zero bin should return nil")
 	}
+}
+
+// TestInterfaceIDCollisionDetected: the layer-2.5 interface ID is a
+// 16-bit hash, and (node 420, PLC) and (node 539, PLC) share one. A node
+// with egress links to both could not tell the two next hops apart, so
+// construction must refuse instead of silently forwarding one
+// neighbour's frames to the other.
+func TestInterfaceIDCollisionDetected(t *testing.T) {
+	if a, b := wire.HashInterface(420, graph.TechPLC), wire.HashInterface(539, graph.TechPLC); a != b {
+		t.Fatalf("test premise broken: interface IDs %d and %d no longer collide", a, b)
+	}
+	build := func(second graph.NodeID) *graph.Network {
+		b := graph.NewBuilder(nil)
+		for i := 0; i < 540; i++ {
+			b.AddNode("", float64(i), 0, graph.TechPLC)
+		}
+		b.AddLink(0, 420, graph.TechPLC, 10)
+		b.AddLink(0, second, graph.TechPLC, 10)
+		return b.Build()
+	}
+	NewEmulation(build(421), Config{}, 1) // distinct IDs: fine
+	NewEmulation(build(420), Config{}, 1) // a parallel link to the same interface: fine
+
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, want := range []string{"agent 0", "node 420", "node 539", "PLC"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("collision report %q does not mention %q", msg, want)
+			}
+		}
+	}()
+	NewEmulation(build(539), Config{}, 1)
+	t.Error("colliding egress interfaces accepted")
 }

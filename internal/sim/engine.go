@@ -9,6 +9,13 @@
 // completion before the next event fires, which keeps runs reproducible
 // from a seed without locking.
 //
+// The pending set is a hand-written binary heap over inline
+// (at, seq, *Timer) entries: comparisons read the key from the entry
+// itself instead of chasing a pointer per probe, and there is no
+// interface dispatch per sift step. (at, seq) is a strict total order —
+// seq is unique — so the pop sequence is the sorted order of the keys
+// whatever the heap's internal arrangement.
+//
 // Timers are pooled on a per-engine free list: steady-state workloads
 // (per-packet send timers, MAC transmission completions) schedule and
 // fire millions of timers without a single heap allocation. A fired or
@@ -20,7 +27,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math"
 
 	"repro/internal/obs"
@@ -29,8 +35,6 @@ import (
 // Timer is a scheduled callback slot. Timers are owned by the engine's
 // pool; user code interacts with them through TimerRef handles.
 type Timer struct {
-	at  float64
-	seq uint64
 	// gen increments every time the slot is recycled; TimerRef handles
 	// carry the generation at grant time so stale handles go inert.
 	gen uint64
@@ -39,7 +43,7 @@ type Timer struct {
 	fn    func()
 	hfn   func(any)
 	arg   any
-	index int     // heap index, -1 when fired or cancelled
+	index int     // position in the owner's heap, -1 when fired or cancelled
 	owner *Engine // the engine whose pool owns this slot
 }
 
@@ -62,7 +66,7 @@ func (r TimerRef) Cancel() {
 	if t == nil || t.gen != r.gen || t.index < 0 {
 		return
 	}
-	heap.Remove(&t.owner.heap, t.index)
+	t.owner.remove(t.index)
 	t.owner.recycle(t)
 }
 
@@ -77,36 +81,81 @@ func (r TimerRef) When() float64 {
 	if !r.Active() {
 		return math.NaN()
 	}
-	return r.t.at
+	return r.t.owner.heap[r.t.index].at
 }
 
-type timerHeap []*Timer
+// entry is one heap slot: the ordering key inline next to the timer it
+// schedules. FIFO among simultaneous events comes from seq.
+type entry struct {
+	at  float64
+	seq uint64
+	t   *Timer
+}
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *entry) before(b *entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq // FIFO among simultaneous events
+	return a.seq < b.seq
 }
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// siftUp places x at or above the hole i, moving later parents down into
+// the hole; every moved timer's index follows its entry.
+func (e *Engine) siftUp(i int, x entry) {
+	h := e.heap
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].t.index = i
+		i = p
+	}
+	h[i] = x
+	x.t.index = i
 }
-func (h *timerHeap) Push(x interface{}) {
-	t := x.(*Timer)
-	t.index = len(*h)
-	*h = append(*h, t)
+
+// siftDown places x at or below the hole i, moving the earlier child up
+// into the hole.
+func (e *Engine) siftDown(i int, x entry) {
+	h := e.heap
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&x) {
+			break
+		}
+		h[i] = h[c]
+		h[i].t.index = i
+		i = c
+	}
+	h[i] = x
+	x.t.index = i
 }
-func (h *timerHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	t.index = -1
-	*h = old[:n-1]
-	return t
+
+// remove deletes the entry at position i: the last entry fills the hole
+// and sifts whichever way its key demands (an interior removal can need
+// either). The removed timer's index is left for recycle to reset.
+func (e *Engine) remove(i int) {
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap[n] = entry{}
+	e.heap = e.heap[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(&e.heap[(i-1)/2]) {
+		e.siftUp(i, last)
+	} else {
+		e.siftDown(i, last)
+	}
 }
 
 // Engine is the event loop. The zero value is ready to use, starting at
@@ -114,7 +163,7 @@ func (h *timerHeap) Pop() interface{} {
 type Engine struct {
 	now   float64
 	seq   uint64
-	heap  timerHeap
+	heap  []entry
 	free  []*Timer // recycled timer slots
 	fired uint64   // intrinsic counter: events processed so far
 	rec   *obs.Recorder
@@ -185,9 +234,8 @@ func (e *Engine) push(at float64) *Timer {
 	}
 	e.seq++
 	t := e.alloc()
-	t.at = at
-	t.seq = e.seq
-	heap.Push(&e.heap, t)
+	e.heap = append(e.heap, entry{})
+	e.siftUp(len(e.heap)-1, entry{at: at, seq: e.seq, t: t})
 	return t
 }
 
@@ -273,12 +321,14 @@ func (p *Periodic) Stop() {
 // handler that immediately reschedules reuses it; any TimerRef to the
 // firing timer went stale at the generation bump.
 func (e *Engine) fire() {
-	next := heap.Pop(&e.heap).(*Timer)
-	e.now = next.at
+	root := e.heap[0]
+	e.remove(0)
+	e.now = root.at
 	e.fired++
 	if e.rec != nil {
-		e.rec.Record(next.at, obs.RecTimerFire, 0, 0, 0)
+		e.rec.Record(root.at, obs.RecTimerFire, 0, 0, 0)
 	}
+	next := root.t
 	fn, hfn, arg := next.fn, next.hfn, next.arg
 	e.recycle(next)
 	if hfn != nil {

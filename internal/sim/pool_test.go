@@ -6,147 +6,219 @@ import (
 	"testing"
 )
 
-// naiveEngine is an unpooled, obviously-correct reference: events live in
-// a flat slice and fire in (at, seq) order, scanned linearly. It exists
-// only to pin the pooled engine's semantics event-for-event.
+// naiveEngine is an unpooled, obviously-correct reference: live events
+// sit in a flat slice and the next one is found by a linear scan for the
+// smallest (at, seq). It exists only to pin the pooled engine's
+// semantics event for event.
 type naiveEvent struct {
-	at        float64
-	seq       uint64
-	fn        func()
-	cancelled bool
+	id  int
+	at  float64
+	seq uint64
 }
 
 type naiveEngine struct {
 	now    float64
 	seq    uint64
-	events []*naiveEvent
+	events []naiveEvent
 }
 
-func (n *naiveEngine) schedule(delay float64, fn func()) *naiveEvent {
+func (n *naiveEngine) schedule(id int, delay float64) {
 	if delay < 0 {
 		delay = 0
 	}
 	n.seq++
-	ev := &naiveEvent{at: n.now + delay, seq: n.seq, fn: fn}
-	n.events = append(n.events, ev)
-	return ev
+	n.events = append(n.events, naiveEvent{id: id, at: n.now + delay, seq: n.seq})
 }
 
-func (n *naiveEngine) runUntilIdle() {
-	for {
-		var next *naiveEvent
-		for _, ev := range n.events {
-			if ev.cancelled || ev.fn == nil {
-				continue
-			}
-			if next == nil || ev.at < next.at || (ev.at == next.at && ev.seq < next.seq) {
-				next = ev
-			}
-		}
-		if next == nil {
+func (n *naiveEngine) cancel(id int) {
+	for i := range n.events {
+		if n.events[i].id == id {
+			n.events[i] = n.events[len(n.events)-1]
+			n.events = n.events[:len(n.events)-1]
 			return
 		}
-		n.now = next.at
-		fn := next.fn
-		next.fn = nil
-		fn()
 	}
 }
 
-// storm drives one engine through a deterministic random script of
-// schedule/cancel/fire decisions and records the firing order. The
-// script depends only on the rng seed and the firing order itself, so
-// two semantically equivalent engines driven with the same seed must
-// produce identical traces.
+// fireNext removes and returns the earliest live event, advancing the
+// clock to it.
+func (n *naiveEngine) fireNext() (id int, at float64, ok bool) {
+	best := -1
+	for i := range n.events {
+		ev := &n.events[i]
+		if best < 0 || ev.at < n.events[best].at || (ev.at == n.events[best].at && ev.seq < n.events[best].seq) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return 0, 0, false
+	}
+	ev := n.events[best]
+	n.events[best] = n.events[len(n.events)-1]
+	n.events = n.events[:len(n.events)-1]
+	n.now = ev.at
+	return ev.id, ev.at, true
+}
+
+// checkHeap asserts the engine heap's structural invariants: every
+// timer's index is its entry's position, every entry is live, and no
+// entry sorts before its parent.
+func checkHeap(t *testing.T, e *Engine, op string) {
+	t.Helper()
+	for i := range e.heap {
+		ent := &e.heap[i]
+		if ent.t.index != i {
+			t.Fatalf("after %s: timer at heap position %d has index %d", op, i, ent.t.index)
+		}
+		if ent.t.fn == nil && ent.t.hfn == nil {
+			t.Fatalf("after %s: dead entry at heap position %d", op, i)
+		}
+		if i > 0 && ent.before(&e.heap[(i-1)/2]) {
+			t.Fatalf("after %s: entry %d (at %v seq %d) sorts before its parent", op, i, ent.at, ent.seq)
+		}
+	}
+}
+
+// storm drives the pooled engine and the naive reference in lockstep
+// through one deterministic random script of schedule/cancel/fire
+// decisions. The pooled engine's firing drives the script; every fired
+// event must be the one the reference fires next, at the same virtual
+// time. Cancel victims are picked by heap position — the root, the last
+// entry, or an interior entry — so every removal path of the heap is
+// taken, and the structural invariants are checked after every
+// operation.
 type storm struct {
+	t        *testing.T
 	rng      *rand.Rand
-	fired    []int
-	times    []float64
+	e        Engine
+	n        naiveEngine
+	refs     map[int]TimerRef
+	idOf     map[*Timer]int // scheduled timer slot -> storm id
 	nextID   int
-	live     []int // granted, unfired, uncancelled ids in grant order
-	sched    func(id int, delay float64)
-	cancel   func(id int)
+	depth    int // heap size the script hovers around
 	maxSpawn int
-}
-
-func (s *storm) dropLive(id int) {
-	for i, v := range s.live {
-		if v == id {
-			s.live = append(s.live[:i], s.live[i+1:]...)
-			return
-		}
-	}
+	fired    int
+	peak     int
+	// Interior cancels whose replacement entry had to move up / stay or
+	// move down, predicted from the keys before the removal.
+	siftedUp, siftedDown int
 }
 
 func (s *storm) grant(delay float64) {
 	id := s.nextID
 	s.nextID++
-	s.live = append(s.live, id)
-	s.sched(id, delay)
+	s.refs[id] = s.e.Schedule(delay, func() { s.handler(id) })
+	s.idOf[s.refs[id].t] = id
+	s.n.schedule(id, delay)
+	if len(s.e.heap) > s.peak {
+		s.peak = len(s.e.heap)
+	}
+	checkHeap(s.t, &s.e, "schedule")
 }
 
-// handler is the body every scheduled timer runs: record, maybe spawn,
-// maybe cancel. Delays are quantized so simultaneous events (the FIFO
-// tie-break) occur constantly.
-func (s *storm) handler(id int, now float64) {
-	s.dropLive(id)
-	s.fired = append(s.fired, id)
-	s.times = append(s.times, now)
+func (s *storm) cancelAt(pos int) {
+	h := s.e.heap
+	if last := len(h) - 1; pos > 0 && pos < last {
+		if h[last].before(&h[(pos-1)/2]) {
+			s.siftedUp++
+		} else {
+			s.siftedDown++
+		}
+	}
+	id := s.idOf[h[pos].t]
+	s.refs[id].Cancel()
+	delete(s.refs, id)
+	s.n.cancel(id)
+	checkHeap(s.t, &s.e, "cancel")
+	if s.e.Pending() != len(s.n.events) {
+		s.t.Fatalf("after cancel: Pending = %d, reference holds %d", s.e.Pending(), len(s.n.events))
+	}
+}
+
+// handler is the body every scheduled timer runs: check against the
+// reference, maybe spawn, maybe cancel. Delays are quantized so
+// simultaneous events (the FIFO tie-break) occur constantly.
+func (s *storm) handler(id int) {
+	checkHeap(s.t, &s.e, "fire")
+	wantID, wantAt, ok := s.n.fireNext()
+	if !ok || wantID != id || wantAt != s.e.Now() {
+		s.t.Fatalf("event %d diverged: pooled (id %d, t %v), reference (id %d, t %v, ok %v)",
+			s.fired, id, s.e.Now(), wantID, wantAt, ok)
+	}
+	s.fired++
+	delete(s.refs, id)
 	if s.nextID < s.maxSpawn {
-		for k := 1 + s.rng.Intn(3); k > 0; k-- {
+		// Refill towards the target depth, then hover around it.
+		k := s.rng.Intn(3)
+		if len(s.e.heap) < s.depth {
+			k++
+		}
+		for ; k > 0; k-- {
 			s.grant(float64(s.rng.Intn(8)) * 0.25)
 		}
 	}
-	if len(s.live) > 0 && s.rng.Float64() < 0.35 {
-		victim := s.live[s.rng.Intn(len(s.live))]
-		s.dropLive(victim)
-		s.cancel(victim)
+	if n := len(s.e.heap); n > 0 && s.rng.Float64() < 0.35 {
+		switch s.rng.Intn(4) {
+		case 0:
+			s.cancelAt(0)
+		case 1:
+			s.cancelAt(n - 1)
+		default:
+			s.cancelAt(s.rng.Intn(n))
+		}
 	}
 }
 
-// TestPoolMatchesNaiveReference is the timer-pool property test: a
-// cancel/reschedule/fire storm of thousands of timers must fire in
-// exactly the order the unpooled reference fires them, event for event,
-// at the same virtual times.
+// TestPoolMatchesNaiveReference is the timer-pool and heap property
+// test: a cancel/reschedule/fire storm over heaps of one to several
+// thousand entries, with mass ties on the firing time, must fire in
+// exactly the order the naive reference fires, event for event, at the
+// same virtual times, with Timer.index tracking every entry's position
+// throughout.
 func TestPoolMatchesNaiveReference(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42, 12345} {
-		var e Engine
-		pooled := &storm{rng: rand.New(rand.NewSource(seed)), maxSpawn: 4000}
-		refs := map[int]TimerRef{}
-		pooled.sched = func(id int, delay float64) {
-			refs[id] = e.Schedule(delay, func() { pooled.handler(id, e.Now()) })
-		}
-		pooled.cancel = func(id int) { refs[id].Cancel() }
-
-		var n naiveEngine
-		naive := &storm{rng: rand.New(rand.NewSource(seed)), maxSpawn: 4000}
-		evs := map[int]*naiveEvent{}
-		naive.sched = func(id int, delay float64) {
-			evs[id] = n.schedule(delay, func() { naive.handler(id, n.now) })
-		}
-		naive.cancel = func(id int) { evs[id].cancelled = true }
-
-		for i := 0; i < 50; i++ {
-			pooled.grant(float64(i%10) * 0.5)
-			naive.grant(float64(i%10) * 0.5)
-		}
-		e.RunUntilIdle()
-		n.runUntilIdle()
-
-		if len(pooled.fired) != len(naive.fired) {
-			t.Fatalf("seed %d: pooled fired %d events, reference %d", seed, len(pooled.fired), len(naive.fired))
-		}
-		if len(pooled.fired) < 1000 {
-			t.Fatalf("seed %d: storm too small to be meaningful (%d events)", seed, len(pooled.fired))
-		}
-		for i := range pooled.fired {
-			if pooled.fired[i] != naive.fired[i] || pooled.times[i] != naive.times[i] {
-				t.Fatalf("seed %d: event %d diverged: pooled (id %d, t %v), reference (id %d, t %v)",
-					seed, i, pooled.fired[i], pooled.times[i], naive.fired[i], naive.times[i])
+	for _, size := range []int{1, 2, 3, 50, 700, 5000} {
+		for _, seed := range []int64{1, 7, 42, 12345} {
+			spawn := 4000
+			if size > 50 {
+				// The reference and the checks are O(size) per operation:
+				// one seed, and just enough churn at full depth.
+				if seed != 1 {
+					continue
+				}
+				spawn = 1500
 			}
-		}
-		if len(e.heap) != 0 {
-			t.Fatalf("seed %d: %d timers left in heap after idle", seed, len(e.heap))
+			s := &storm{
+				t: t, rng: rand.New(rand.NewSource(seed)),
+				refs: map[int]TimerRef{}, idOf: map[*Timer]int{},
+				depth: size, maxSpawn: size + spawn,
+			}
+			for i := 0; i < size; i++ {
+				s.grant(float64(i%10) * 0.5)
+			}
+			for {
+				s.e.RunUntilIdle()
+				if s.nextID >= s.maxSpawn {
+					break
+				}
+				// A tiny heap can cancel its last entry and die out.
+				s.grant(0.5)
+			}
+			if len(s.n.events) != 0 {
+				t.Fatalf("size %d seed %d: reference still holds %d events after idle", size, seed, len(s.n.events))
+			}
+			if s.fired < 1000 {
+				t.Fatalf("size %d seed %d: storm too small to be meaningful (%d events)", size, seed, s.fired)
+			}
+			if s.peak < size {
+				t.Fatalf("size %d seed %d: heap peaked at %d", size, seed, s.peak)
+			}
+			if size >= 50 && (s.siftedUp == 0 || s.siftedDown == 0) {
+				t.Fatalf("size %d seed %d: interior cancels sifted up %d times, down %d — both paths must run",
+					size, seed, s.siftedUp, s.siftedDown)
+			}
+			if len(s.e.heap) != 0 {
+				t.Fatalf("size %d seed %d: %d timers left in heap after idle", size, seed, len(s.e.heap))
+			}
 		}
 	}
 }
@@ -210,20 +282,20 @@ func TestHeapEntriesAlwaysLive(t *testing.T) {
 		t.Fatalf("Pending = %d, want %d live timers", e.Pending(), live)
 	}
 	min := math.Inf(1)
-	for _, timer := range e.heap {
-		if timer.fn == nil && timer.hfn == nil {
+	for _, ent := range e.heap {
+		if ent.t.fn == nil && ent.t.hfn == nil {
 			t.Fatal("heap contains a dead entry; Pending/NextEventTime invariant broken")
 		}
-		if timer.at < min {
-			min = timer.at
+		if ent.at < min {
+			min = ent.at
 		}
 	}
 	if e.NextEventTime() != min {
 		t.Fatalf("NextEventTime = %v, want %v", e.NextEventTime(), min)
 	}
 	e.Run(5)
-	for _, timer := range e.heap {
-		if timer.fn == nil && timer.hfn == nil {
+	for _, ent := range e.heap {
+		if ent.t.fn == nil && ent.t.hfn == nil {
 			t.Fatal("dead heap entry after partial run")
 		}
 	}

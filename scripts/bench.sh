@@ -15,7 +15,10 @@
 #                         (tracked since PR 5), and the same second with
 #                         the flight recorder + metrics sampling attached
 #                         (BenchmarkMetricsOverhead — the ≤ 5% ns/op
-#                         observability budget, tracked since PR 8)
+#                         observability budget, tracked since PR 8), and
+#                         the two kernels under them: one MAC completion
+#                         on the testbed network and one event through
+#                         the engine heap (tracked since PR 16)
 #
 # Before overwriting an output file, the previously committed numbers are
 # kept and a delta table (old → new median, with ratios) is printed. A
@@ -201,4 +204,4 @@ print_delta() {
 }
 
 run_bench 'BenchmarkRoutingN5$|BenchmarkAblationNShortest|BenchmarkAblationCSC|BenchmarkControllerSlot$|BenchmarkControllerBatch$|BenchmarkFigure4ParallelSweep|BenchmarkOptimalSolve$|BenchmarkFigure6OptimalRatios$' "$routing_out"
-run_bench 'BenchmarkChurnSweep$|BenchmarkChurnSweepSharded$|BenchmarkEmulationSecond$|BenchmarkEmulationSecondSharded$|BenchmarkMetricsOverhead$' "$scenario_out"
+run_bench 'BenchmarkChurnSweep$|BenchmarkChurnSweepSharded$|BenchmarkEmulationSecond$|BenchmarkEmulationSecondSharded$|BenchmarkMetricsOverhead$|BenchmarkMACCompletion$|BenchmarkEngineHeap$' "$scenario_out"
