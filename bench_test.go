@@ -265,12 +265,12 @@ func BenchmarkAblationCSC(b *testing.B) {
 	}
 }
 
-// BenchmarkControllerSlot measures one congestion-controller time slot on
-// an enterprise instance with three multipath flows.
-func BenchmarkControllerSlot(b *testing.B) {
-	inst := topology.Enterprise(stats.NewRand(5), topology.Config{})
+// controllerBenchProblem draws the controller benchmarks' problem: EMPoWER
+// routes for the given number of random flows (seed 6) on the hybrid view of
+// an instance.
+func controllerBenchProblem(b *testing.B, inst *topology.Instance, flows int) (*Network, []ControllerRoute) {
 	rng := stats.NewRand(6)
-	pairs := make([][2]NodeID, 3)
+	pairs := make([][2]NodeID, flows)
 	for i := range pairs {
 		s, d := inst.RandomFlow(rng)
 		pairs[i] = [2]NodeID{s, d}
@@ -285,7 +285,14 @@ func BenchmarkControllerSlot(b *testing.B) {
 	if len(routes) == 0 {
 		b.Skip("no connected flows on this seed")
 	}
-	ctrl, err := NewController(net.Network, routes, ControllerOptions{})
+	return net.Network, routes
+}
+
+// BenchmarkControllerSlot measures one congestion-controller time slot on
+// an enterprise instance with three multipath flows.
+func BenchmarkControllerSlot(b *testing.B) {
+	net, routes := controllerBenchProblem(b, topology.Enterprise(stats.NewRand(5), topology.Config{}), 3)
+	ctrl, err := NewController(net, routes, ControllerOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -296,44 +303,94 @@ func BenchmarkControllerSlot(b *testing.B) {
 	}
 }
 
-// BenchmarkControllerBatch measures the batch controller API end to end on
-// the BenchmarkControllerSlot problem: one Reset (pooled re-initialization
-// onto the same network and routes) plus a 100-slot RunAppend into a
-// reused trajectory buffer — the §5 sweep's per-evaluation controller
-// cost, amortized per slot by the 100-slot run.
-func BenchmarkControllerBatch(b *testing.B) {
-	inst := topology.Enterprise(stats.NewRand(5), topology.Config{})
-	rng := stats.NewRand(6)
-	pairs := make([][2]NodeID, 3)
-	for i := range pairs {
-		s, d := inst.RandomFlow(rng)
-		pairs[i] = [2]NodeID{s, d}
-	}
-	net := inst.Build(topology.ViewHybrid)
-	var routes []ControllerRoute
-	for f, pr := range pairs {
-		for _, p := range core.RoutesFor(core.SchemeEMPoWER, net.Network, pr[0], pr[1]) {
-			routes = append(routes, ControllerRoute{Links: p, Flow: f})
-		}
-	}
-	if len(routes) == 0 {
-		b.Skip("no connected flows on this seed")
-	}
-	const slots = 100
+// benchControllerRun measures the batch controller API end to end: one
+// Reset (pooled re-initialization onto the same network and routes) plus a
+// RunAppend of the given length into a reused trajectory buffer.
+func benchControllerRun(b *testing.B, net *Network, routes []ControllerRoute, opts ControllerOptions, slots int) {
 	var ctrl Controller
-	if err := ctrl.Reset(net.Network, routes, ControllerOptions{}); err != nil {
+	if err := ctrl.Reset(net, routes, opts); err != nil {
 		b.Fatal(err)
 	}
 	traj := ctrl.RunAppend(slots, nil) // warm-up sizes the buffer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ctrl.Reset(net.Network, routes, ControllerOptions{}); err != nil {
+		if err := ctrl.Reset(net, routes, opts); err != nil {
 			b.Fatal(err)
 		}
 		traj = ctrl.RunAppend(slots, traj[:0])
 	}
 	_ = traj
+}
+
+// BenchmarkControllerBatch is the BenchmarkControllerSlot problem run 100
+// slots at a time: too short for a trajectory to settle, so it meters what
+// RunAppend adds to a slot it has to step (one state compare, one snapshot
+// per 64 slots), amortized with the Reset.
+func BenchmarkControllerBatch(b *testing.B) {
+	net, routes := controllerBenchProblem(b, topology.Enterprise(stats.NewRand(5), topology.Config{}), 3)
+	benchControllerRun(b, net, routes, ControllerOptions{}, 100)
+}
+
+// BenchmarkControllerHorizon is the §5 sweep's per-evaluation controller
+// cost: Reset plus the paper's 4000-slot horizon with core.Evaluate's step
+// size and warm start. How much of the horizon is stepped depends on when
+// (and whether) the trajectory becomes periodic, so there is one problem of
+// each kind: the BenchmarkControllerSlot problem, three multipath flows that
+// never settle exactly (every slot is stepped and compared to the anchor),
+// and a residential flow with a single route, the sweep's common case, whose
+// state recurs after some 200 slots.
+func BenchmarkControllerHorizon(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		inst  *topology.Instance
+		flows int
+	}{
+		{"enterprise-3flows", topology.Enterprise(stats.NewRand(5), topology.Config{}), 3},
+		{"residential-1flow", topology.Residential(stats.NewRand(2), topology.Config{}), 1},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			net, routes := controllerBenchProblem(b, tc.inst, tc.flows)
+			paths := make([]Path, len(routes))
+			for i, r := range routes {
+				paths[i] = r.Links
+			}
+			// Seeded per flow, as core.Evaluate does.
+			var initial []float64
+			for lo := 0; lo < len(routes); {
+				hi := lo
+				for hi < len(routes) && routes[hi].Flow == routes[lo].Flow {
+					hi++
+				}
+				initial = routing.AppendSequentialRates(net, paths[lo:hi], initial)
+				lo = hi
+			}
+			for i := range initial {
+				initial[i] *= 0.7
+			}
+			benchControllerRun(b, net, routes, ControllerOptions{Alpha: 0.05, Delta: 0.05, InitialRates: initial}, 4000)
+		})
+	}
+}
+
+// BenchmarkInstanceBuildViews materializes the three views of one
+// enterprise instance, as a scheme sweep does once per replication: node and
+// link tables, adjacency, and the pairwise interference rows.
+func BenchmarkInstanceBuildViews(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		// A fresh instance per iteration: the node-proximity table is
+		// per-instance state shared by the views, and a replication pays
+		// for it once.
+		b.StopTimer()
+		inst := topology.Enterprise(stats.NewRand(5), topology.Config{})
+		b.StartTimer()
+		for _, view := range []topology.View{topology.ViewHybrid, topology.ViewWiFiSingle, topology.ViewWiFiDual} {
+			if inst.Build(view).NumLinks() == 0 {
+				b.Fatal("empty view")
+			}
+		}
+	}
 }
 
 // BenchmarkHeaderCodec measures the 20-byte layer-2.5 header round trip.

@@ -172,6 +172,9 @@ type Controller struct {
 	rowSum  []float64 // per-row Σ γ (scratch)
 
 	t int
+
+	anchor   []float64 // RunAppend's snapshot of x ‖ x̄ ‖ γ; meaningless between calls
+	replayed int       // slots RunAppend replayed instead of stepping, since Reset
 }
 
 // New creates a controller for the given network and preselected routes.
@@ -229,7 +232,7 @@ func (c *Controller) Reset(net *graph.Network, routes []Route, opts Options) err
 	sameNet := c.net == net && net != nil
 	c.net, c.routes, c.opts = net, routes, opts
 	c.flows = maxFlow + 1
-	c.t = 0
+	c.t, c.replayed = 0, 0
 	nr, nl := len(routes), net.NumLinks()
 
 	// Link-slot arrays: latch capacities and airtime costs; rebuild the
@@ -737,28 +740,119 @@ func (c *Controller) capRate(i int, x float64) float64 {
 	return x
 }
 
+// anchorEvery is how often RunAppend re-takes its anchor snapshot. A
+// recurrence is seen one period after the first anchor taken on the cycle,
+// so a short interval finds early fixed points sooner and a long one admits
+// longer cycles (the period must not exceed it). 64 is where the share of a
+// Figure-4 sweep's slots that are replayed instead of stepped peaks
+// (DESIGN.md, "SoA batch controller").
+const anchorEvery = 64
+
 // RunAppend advances n slots and appends the per-flow total rates after
 // each slot to dst — n·NumFlows values, slot-major — returning the
 // extended slice. With a preallocated dst this is the allocation-free
 // batch form of Run; Evaluate's pooled sweep path uses it.
+//
+// It does not step a trajectory that has become periodic. Step is a
+// deterministic function of (x, x̄, γ): everything else it reads is latched
+// by Reset, SetExternalLoad or SetAlpha, none of which can run inside this
+// call, its scratch arrays are written before they are read, and a Utility
+// is pure. So when the state after a slot equals, bit for bit, the anchor
+// snapshot taken p slots earlier, every later slot repeats the one p before
+// it: the rest of the horizon is filled by copying the last p slots of dst
+// cyclically, whole periods only, which leaves the controller in exactly the
+// state stepping would have, and the fewer than p slots that remain are
+// stepped. Bits, not ==, so ±0 and NaN payloads count as different. The
+// anchor does not outlive the call.
 func (c *Controller) RunAppend(n int, dst []float64) []float64 {
-	for t := 0; t < n; t++ {
+	if n <= 0 {
+		return dst
+	}
+	c.takeAnchor()
+	anchorAt := 0
+	for t := 1; t <= n; t++ {
 		c.Step()
-		for f := 0; f < c.flows; f++ {
-			dst = append(dst, c.FlowRate(f))
+		dst = c.appendFlowRates(dst)
+		if c.atAnchor() {
+			p := t - anchorAt
+			skip := (n - t) / p * p
+			dst = appendCyclic(dst, p*c.flows, skip*c.flows)
+			c.t += skip
+			c.replayed += skip
+			for t += skip; t < n; t++ {
+				c.Step()
+				dst = c.appendFlowRates(dst)
+			}
+			return dst
+		}
+		if t%anchorEvery == 0 {
+			c.takeAnchor()
+			anchorAt = t
 		}
 	}
 	return dst
 }
 
-// Run advances n slots and returns the trajectory of per-flow total rates:
-// out[t][f] is flow f's rate after slot t. The rows share one backing
-// array, so a whole trajectory costs two allocations instead of n+1.
-func (c *Controller) Run(n int) [][]float64 {
-	out := make([][]float64, n)
-	if n <= 0 {
-		return out
+func (c *Controller) appendFlowRates(dst []float64) []float64 {
+	for f := 0; f < c.flows; f++ {
+		dst = append(dst, c.FlowRate(f))
 	}
+	return dst
+}
+
+// takeAnchor snapshots the state Step depends on: x ‖ x̄ ‖ γ.
+func (c *Controller) takeAnchor() {
+	nr := len(c.routes)
+	a := append(c.anchor[:0], c.x[:nr]...)
+	a = append(a, c.xbar[:nr]...)
+	c.anchor = append(a, c.gamma[:c.ncell]...)
+}
+
+// atAnchor reports whether the live state equals the anchor bit for bit.
+// The first mismatch returns, so off a recurrence it costs about one compare.
+func (c *Controller) atAnchor() bool {
+	nr := len(c.routes)
+	return sameBits(c.x[:nr], c.anchor) &&
+		sameBits(c.xbar[:nr], c.anchor[nr:]) &&
+		sameBits(c.gamma[:c.ncell], c.anchor[2*nr:])
+}
+
+// sameBits reports whether b starts with the bit patterns of a.
+func sameBits(a, b []float64) bool {
+	b = b[:len(a)]
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// appendCyclic extends dst by n values that continue its last period values
+// periodically.
+func appendCyclic(dst []float64, period, n int) []float64 {
+	if n == 0 {
+		return dst
+	}
+	start := len(dst) - period
+	dst = slices.Grow(dst, n)[:len(dst)+n]
+	// Each pass copies the periodic prefix onto what follows it, doubling it.
+	for have := period; have < period+n; {
+		have += copy(dst[start+have:], dst[start:start+have])
+	}
+	return dst
+}
+
+// Run advances n slots and returns the trajectory of per-flow total rates:
+// out[t][f] is flow f's rate after slot t (empty for n ≤ 0). The rows share
+// one backing array, so a whole trajectory costs two allocations instead of
+// n+1. Like RunAppend, under which it runs, it replays a periodic trajectory
+// instead of stepping it.
+func (c *Controller) Run(n int) [][]float64 {
+	if n <= 0 {
+		return [][]float64{}
+	}
+	out := make([][]float64, n)
 	flat := c.RunAppend(n, make([]float64, 0, n*c.flows))
 	for t := 0; t < n; t++ {
 		out[t] = flat[t*c.flows : (t+1)*c.flows : (t+1)*c.flows]

@@ -6,11 +6,14 @@ package congestion
 // routing, both controller modes, external load, fair-share floors and
 // non-default utilities — and, slot by slot, every link's γ and every
 // route's q through mid-run changes of the external load and step size.
+// The second half holds RunAppend's replay of periodic trajectories to the
+// plain stepping loop (referenceRunAppend): same trajectory, same end state.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -453,5 +456,352 @@ func TestBatchDeadLinkMatchesReference(t *testing.T) {
 		if !math.IsInf(ctrl.Price(0), 1) {
 			t.Fatalf("mode %v: expected infinite price on dead route, got %v", mode, ctrl.Price(0))
 		}
+	}
+}
+
+// problem is one controller problem; twins builds two batch controllers on
+// it, one to run RunAppend and one to run the stepping oracle.
+type problem struct {
+	net    *graph.Network
+	routes []Route
+	opts   Options
+}
+
+func (p problem) twins(t *testing.T) (got, want *Controller) {
+	t.Helper()
+	got, err := New(p.net, p.routes, p.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err = New(p.net, p.routes, p.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, want
+}
+
+// figure4Problem draws a problem the way a Figure-4 evaluation does: one
+// instance, random flows on its hybrid view, routes seeded at 70 % of their
+// sequential rates, α = δ = 0.05.
+func figure4Problem(enterprise bool, seed int64, flows int, multi bool, opts Options) (problem, bool) {
+	rng := rand.New(rand.NewSource(seed))
+	var inst *topology.Instance
+	if enterprise {
+		inst = topology.Enterprise(rng, topology.Config{})
+	} else {
+		inst = topology.Residential(rng, topology.Config{})
+	}
+	net := inst.BuildCached(topology.ViewHybrid).Network
+	routes := randomRoutes(rng, inst, net, flows, multi, routing.Config{N: 5, UseCSC: true})
+	if len(routes) == 0 {
+		return problem{}, false
+	}
+	paths := make([]graph.Path, len(routes))
+	for i, r := range routes {
+		paths[i] = r.Links
+	}
+	opts.Alpha, opts.Delta = 0.05, 0.05
+	opts.InitialRates = routing.AppendSequentialRates(net, paths, nil)
+	for i := range opts.InitialRates {
+		opts.InitialRates[i] *= 0.7
+	}
+	return problem{net, routes, opts}, true
+}
+
+// stateBits is the controller state Step depends on, as bit patterns.
+func stateBits(c *Controller) string {
+	nr := len(c.routes)
+	var b []byte
+	for _, vs := range [][]float64{c.x[:nr], c.xbar[:nr], c.gamma[:c.ncell]} {
+		for _, v := range vs {
+			b = fmt.Appendf(b, "%016x", math.Float64bits(v))
+		}
+	}
+	return string(b)
+}
+
+// findRecurrence steps a fresh controller on p up to n slots and returns
+// the first slot whose state comes back and after how many slots it does
+// (0, 0 when no state repeats) — by remembering every state, not by the
+// anchor scheme under test.
+func findRecurrence(t *testing.T, p problem, n int) (first, period int) {
+	t.Helper()
+	c, _ := p.twins(t)
+	seen := map[string]int{stateBits(c): 0}
+	for s := 1; s <= n; s++ {
+		c.Step()
+		k := stateBits(c)
+		if at, ok := seen[k]; ok {
+			return at, s - at
+		}
+		seen[k] = s
+	}
+	return 0, 0
+}
+
+func sameBitsAll(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// assertReplayExact runs n slots on got through RunAppend and on want
+// through the stepping loop, each appending to its dst, and fails unless the
+// two trajectories and the two controllers' whole visible state — rates,
+// x̄, every route price, every link's γ, the slot counter — are bit-equal.
+func assertReplayExact(t *testing.T, tag string, got, want *Controller, n int, gotDst, wantDst []float64) (g, w []float64) {
+	t.Helper()
+	g = got.RunAppend(n, gotDst)
+	w = referenceRunAppend(want, n, wantDst)
+	if len(g) != len(w) {
+		t.Fatalf("%s: n=%d: trajectory has %d values, stepping gives %d", tag, n, len(g), len(w))
+	}
+	nf := max(got.NumFlows(), 1)
+	for i := range w {
+		if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+			t.Fatalf("%s: n=%d: value %d (slot %d flow %d) = %v, stepping gives %v", tag, n, i, (i-len(wantDst))/nf, i%nf, g[i], w[i])
+		}
+	}
+	nr := len(want.routes)
+	if !sameBitsAll(got.Rates(), want.Rates()) {
+		t.Fatalf("%s: n=%d: rates %v, stepping gives %v", tag, n, got.Rates(), want.Rates())
+	}
+	if !sameBitsAll(got.xbar[:nr], want.xbar[:nr]) {
+		t.Fatalf("%s: n=%d: x̄ %v, stepping gives %v", tag, n, got.xbar[:nr], want.xbar[:nr])
+	}
+	for r := 0; r < nr; r++ {
+		if a, b := got.Price(r), want.Price(r); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("%s: n=%d: q[%d] = %v, stepping gives %v", tag, n, r, a, b)
+		}
+	}
+	for l := 0; l < want.net.NumLinks(); l++ {
+		if a, b := got.Gamma(graph.LinkID(l)), want.Gamma(graph.LinkID(l)); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("%s: n=%d: gamma[%d] = %v, stepping gives %v", tag, n, l, a, b)
+		}
+	}
+	if got.t != want.t {
+		t.Fatalf("%s: n=%d: slot counter %d, stepping gives %d", tag, n, got.t, want.t)
+	}
+	if want.replayed != 0 {
+		t.Fatalf("%s: the stepping oracle replayed %d slots", tag, want.replayed)
+	}
+	return g, w
+}
+
+// TestReplayMatchesSteppingFigure4 is the replay's equivalence property on
+// the problems the §5 sweeps solve, over the paper's 4000-slot horizon: both
+// topologies, the multipath and the single-path update, default and custom
+// utilities. Each group must actually take the replay path somewhere.
+func TestReplayMatchesSteppingFigure4(t *testing.T) {
+	groups := []struct {
+		name  string
+		flows int
+		multi bool
+		opts  Options
+	}{
+		{"multipath", 1, true, Options{Mode: ModeMultipath}},
+		{"multipath-3flows", 3, true, Options{}},
+		{"multipath-alphafair", 1, true, Options{Mode: ModeMultipath, Utilities: map[int]Utility{0: AlphaFair{A: 0.5}}}},
+		{"singlepath", 1, false, Options{}},
+		{"singlepath-custom", 2, false, Options{Utilities: map[int]Utility{0: AlphaFair{A: 2}, 1: ProportionalFairness{Weight: 1.7}}}},
+	}
+	for _, enterprise := range []bool{false, true} {
+		for _, g := range groups {
+			replayed := 0
+			for seed := int64(1); seed <= 24; seed++ {
+				p, ok := figure4Problem(enterprise, seed, g.flows, g.multi, g.opts)
+				if !ok {
+					continue
+				}
+				tag := fmt.Sprintf("%s enterprise=%v seed %d", g.name, enterprise, seed)
+				got, want := p.twins(t)
+				a, b := assertReplayExact(t, tag, got, want, 4000, nil, nil)
+				// A second call on both continues from the state the first
+				// left, with a fresh anchor.
+				assertReplayExact(t, tag+" (continued)", got, want, 150, a, b)
+				replayed += got.replayed
+			}
+			if replayed == 0 {
+				t.Errorf("%s enterprise=%v: no instance took the replay path", g.name, enterprise)
+			}
+		}
+	}
+}
+
+// replayCase is a problem with its recurrence as findRecurrence measured it.
+type replayCase struct {
+	name          string
+	p             problem
+	first, period int // period 0: no state repeats within 4000 slots
+}
+
+// replayable reports whether RunAppend can see the recurrence: the period
+// must fit between two anchors.
+func (rc replayCase) replayable() bool { return rc.period >= 1 && rc.period <= anchorEvery }
+
+// replayCases returns residential single-flow problems of every kind: an
+// exact fixed point, short cycles under the single-path and under the
+// proximal update, a cycle longer than the anchor interval, and a two-route
+// problem that does not recur. The kinds are checked against findRecurrence,
+// so a generator change cannot silently turn one into another.
+func replayCases(t *testing.T) []replayCase {
+	t.Helper()
+	cases := []struct {
+		name     string
+		seed     int64
+		multi    bool
+		mode     Mode
+		min, max int // admissible period
+	}{
+		{"fixed", 4, false, ModeAuto, 1, 1},
+		{"cycle", 7, false, ModeAuto, 2, anchorEvery},
+		{"cycle-proximal", 18, false, ModeMultipath, 2, anchorEvery},
+		{"long-cycle", 5, false, ModeMultipath, anchorEvery + 1, 4000},
+		{"never", 1, true, ModeAuto, 0, 0},
+	}
+	out := make([]replayCase, len(cases))
+	for i, c := range cases {
+		p, ok := figure4Problem(false, c.seed, 1, c.multi, Options{Mode: c.mode})
+		if !ok {
+			t.Fatalf("%s: residential seed %d has no route", c.name, c.seed)
+		}
+		first, period := findRecurrence(t, p, 4000)
+		if period < c.min || period > c.max {
+			t.Fatalf("%s: period %d, want %d..%d", c.name, period, c.min, c.max)
+		}
+		out[i] = replayCase{c.name, p, first, period}
+	}
+	return out
+}
+
+// TestReplayHorizons runs every kind of trajectory over horizons around the
+// anchor interval and around the slot the recurrence is detected at, so the
+// replay ends on a period boundary, one slot past it, and everywhere in
+// between (a non-empty tail shorter than the period).
+func TestReplayHorizons(t *testing.T) {
+	for _, rc := range replayCases(t) {
+		horizons := []int{-1, 0, 1, anchorEvery - 1, anchorEvery, anchorEvery + 1, 2 * anchorEvery, 4000}
+		if rc.replayable() {
+			// The first anchor on the cycle, one period later the match.
+			detect := (rc.first+anchorEvery-1)/anchorEvery*anchorEvery + rc.period
+			for n := detect - 1; n <= detect+2*rc.period+1; n++ {
+				horizons = append(horizons, n)
+			}
+		}
+		for _, n := range horizons {
+			got, want := rc.p.twins(t)
+			assertReplayExact(t, rc.name, got, want, n, nil, nil)
+			switch {
+			case !rc.replayable() && got.replayed != 0:
+				t.Errorf("%s: n=%d: replayed %d slots, but the period is %d", rc.name, n, got.replayed, rc.period)
+			case rc.replayable() && n == 4000 && got.replayed == 0:
+				t.Errorf("%s: n=%d: period %d from slot %d was not replayed", rc.name, n, rc.period, rc.first)
+			case rc.replayable() && got.replayed%rc.period != 0:
+				t.Errorf("%s: n=%d: replayed %d slots, not a multiple of the period %d", rc.name, n, got.replayed, rc.period)
+			}
+		}
+	}
+}
+
+// TestReplayAnchorDoesNotSurviveCall changes what Step depends on between
+// back-to-back RunAppend calls — external load, step size, a route rate —
+// after the trajectory has become periodic: the next call must start from
+// the changed state, not from the previous call's anchor.
+func TestReplayAnchorDoesNotSurviveCall(t *testing.T) {
+	for _, rc := range replayCases(t) {
+		if !rc.replayable() {
+			continue
+		}
+		got, want := rc.p.twins(t)
+		both := func(f func(c *Controller)) { f(got); f(want) }
+		a, b := assertReplayExact(t, rc.name, got, want, 2000, nil, nil)
+		if got.replayed == 0 {
+			t.Fatalf("%s: first call did not replay", rc.name)
+		}
+
+		ext := make([]float64, rc.p.net.NumLinks())
+		ext[rc.p.routes[0].Links[0]] = 3
+		both(func(c *Controller) { c.SetExternalLoad(ext) })
+		a, b = assertReplayExact(t, rc.name+" after SetExternalLoad", got, want, 1000, a, b)
+
+		both(func(c *Controller) { c.SetAlpha(0.03) })
+		a, b = assertReplayExact(t, rc.name+" after SetAlpha", got, want, 1000, a, b)
+
+		both(func(c *Controller) { c.SetRate(0, c.Rates()[0]/2) })
+		a, b = assertReplayExact(t, rc.name+" after SetRate", got, want, 1000, a, b)
+
+		// Setting a rate to the value it has changes nothing: the call may
+		// replay at once, and must still agree.
+		both(func(c *Controller) { c.SetRate(0, c.Rates()[0]) })
+		assertReplayExact(t, rc.name+" after no-op SetRate", got, want, 300, a, b)
+	}
+}
+
+// TestReplayAppendsToFullBuffer: dst arrives with content and no spare
+// capacity, so the slice is reallocated while the replay extends it; the
+// content must survive and the appended part must match.
+func TestReplayAppendsToFullBuffer(t *testing.T) {
+	for _, rc := range replayCases(t) {
+		if !rc.replayable() {
+			continue
+		}
+		got, want := rc.p.twins(t)
+		prefix := []float64{1.5, math.Copysign(0, -1), math.Inf(1)}
+		g, _ := assertReplayExact(t, rc.name, got, want, 2000, slices.Clip(slices.Clone(prefix)), slices.Clone(prefix))
+		if got.replayed == 0 {
+			t.Fatalf("%s: did not replay", rc.name)
+		}
+		if !sameBitsAll(g[:len(prefix)], prefix) {
+			t.Fatalf("%s: prefix became %v", rc.name, g[:len(prefix)])
+		}
+	}
+}
+
+// TestReplayComparesBitPatterns: a NaN rate is a fixed point of the update
+// (NaN in, the same NaN out) that == would never recognize, and a −0 rate
+// equals the +0 that one slot turns it into under == but is a different
+// state. Both must match stepping; the NaN trajectory must be replayed.
+func TestReplayComparesBitPatterns(t *testing.T) {
+	rc := replayCases(t)[0]
+	for _, v := range []float64{math.NaN(), math.Copysign(0, -1)} {
+		for _, n := range []int{1, 2, 3, 500} {
+			got, want := rc.p.twins(t)
+			got.SetRate(0, v)
+			want.SetRate(0, v)
+			assertReplayExact(t, fmt.Sprintf("rate %v", v), got, want, n, nil, nil)
+			if v != v && n == 500 && got.replayed == 0 {
+				t.Errorf("a NaN fixed point was stepped for %d slots", n)
+			}
+		}
+	}
+}
+
+// TestReplayStateIncludesProximalAverage: on an uncontended link with δ = 0
+// the proximal update pins x at the rate cap with γ = 0 within a few slots,
+// while x̄ keeps creeping towards x for hundreds more. The trajectory looks
+// settled long before the state is: x̄ must be part of what is compared.
+func TestReplayStateIncludesProximalAverage(t *testing.T) {
+	net, path := singleLink(30)
+	p := problem{net, []Route{{Links: path, Flow: 0}}, Options{Mode: ModeMultipath, Alpha: 0.05}}
+	for _, n := range []int{100, 300, 4000} {
+		got, want := p.twins(t)
+		assertReplayExact(t, "capped link", got, want, n, nil, nil)
+		if n == 4000 && got.replayed == 0 {
+			t.Error("capped link: the fixed point x = x̄ = cap was never replayed")
+		}
+	}
+}
+
+// TestRunNonPositive: Run and RunAppend treat n ≤ 0 as "no slots".
+func TestRunNonPositive(t *testing.T) {
+	c, _ := replayCases(t)[0].p.twins(t)
+	for _, n := range []int{0, -1, -4000} {
+		if rows := c.Run(n); rows == nil || len(rows) != 0 {
+			t.Errorf("Run(%d) = %v, want an empty trajectory", n, rows)
+		}
+		if flat := c.RunAppend(n, []float64{7}); !slices.Equal(flat, []float64{7}) {
+			t.Errorf("RunAppend(%d) = %v, want dst unchanged", n, flat)
+		}
+	}
+	if c.t != 0 {
+		t.Errorf("slot counter %d after running no slots", c.t)
 	}
 }

@@ -12,6 +12,19 @@ import (
 	"repro/internal/graph"
 )
 
+// referenceRunAppend is RunAppend's loop as it was before it replayed
+// periodic trajectories, verbatim: every slot is stepped. It drives the
+// batch controller itself, so it is the oracle for the replay alone.
+func referenceRunAppend(c *Controller, n int, dst []float64) []float64 {
+	for t := 0; t < n; t++ {
+		c.Step()
+		for f := 0; f < c.flows; f++ {
+			dst = append(dst, c.FlowRate(f))
+		}
+	}
+	return dst
+}
+
 // refController is the per-flow/per-route scalar implementation the SoA
 // batch core replaced.
 type refController struct {

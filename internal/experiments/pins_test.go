@@ -11,18 +11,21 @@ import (
 // simPins are sha256 digests of `empower-sim -fig F -runs N -seed 3 -json`
 // (both topologies, default slots) for the §5 figures the repository
 // benchmark does not run, at a seed it never uses — and for Figure 6, which
-// it runs at seed 1 on one topology only. Figures 5, 7 and convergence were
-// recorded from the binary of commit 4e58792, before the congestion
-// controller moved its duals onto interference cells; Figure 6 from the
-// binary of commit c15c5c4, before the centralized solver became a CSR
-// kernel with frozen routes. They hold any later controller or solver to
-// those commits' bytes. Like bench/golden.json they are for linux/amd64:
-// float formatting is portable, fused multiply-add is not.
+// it runs at seed 1 on one topology only — as it does Figure 4. Figures 5, 7
+// and convergence were recorded from the binary of commit 4e58792, before
+// the congestion controller moved its duals onto interference cells; Figure
+// 6 from the binary of commit c15c5c4, before the centralized solver became
+// a CSR kernel with frozen routes; Figure 4 from the binary of commit
+// 8341511, before RunAppend began replaying periodic trajectories. They hold
+// any later controller or solver to those commits' bytes. Like
+// bench/golden.json they are for linux/amd64: float formatting is portable,
+// fused multiply-add is not.
 var simPins = []struct {
 	fig    string
 	runs   int
 	sha256 string
 }{
+	{fig: "4", runs: 40, sha256: "829ba930f9356c6d5424133396e5415d35771c13a3e6204c94dd58105d9ebf3f"},
 	{fig: "5", runs: 60, sha256: "03691947d357906aea1bd604180efe0953b4ef78560979d3f22cd4b5e7ad4c30"},
 	{fig: "6", runs: 4, sha256: "29100ddf7fc4c6235e8fd1ad91854b0b43b6b1677ed822bf769d347c128264d4"},
 	{fig: "7", runs: 1, sha256: "0023ea50e42e828bb2a1b3195f803543829c2c842b514d3a55259f657eda1cd0"},
@@ -43,6 +46,8 @@ func TestSimFigureDigests(t *testing.T) {
 			for _, topo := range []Topo{TopoResidential, TopoEnterprise} {
 				var result any
 				switch pin.fig {
+				case "4":
+					result = Figure4(topo, cfg)
 				case "5":
 					result = Figure5(Figure4(topo, cfg))
 				case "6":

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -95,6 +96,12 @@ type Instance struct {
 
 	// built caches one materialization per view for BuildCached.
 	built [3]*Network
+	// near is the node-proximity table every view's interference model
+	// reads: near[u·n+v] reports whether nodes u and v lie within the
+	// carrier-sensing range. Computed by the first Build, so node positions
+	// and Config are fixed from then on.
+	nearOnce sync.Once
+	near     []bool
 }
 
 // View selects which technologies materialize.
@@ -140,12 +147,12 @@ type Network struct {
 // channel); PLC links interfere whenever they share an electrical panel
 // (one IEEE 1901 central coordinator per panel).
 type interferenceModel struct {
-	inst  *Instance
-	sense float64
+	inst *Instance
+	near []bool // inst.proximity()
 }
 
 // Interferes implements graph.InterferenceModel.
-func (m interferenceModel) Interferes(net *graph.Network, a, b *graph.Link) bool {
+func (m interferenceModel) Interferes(_ *graph.Network, a, b *graph.Link) bool {
 	if a.Tech != b.Tech {
 		return false
 	}
@@ -156,14 +163,27 @@ func (m interferenceModel) Interferes(net *graph.Network, a, b *graph.Link) bool
 	if a.From == b.From || a.From == b.To || a.To == b.From || a.To == b.To {
 		return true
 	}
-	for _, u := range []graph.NodeID{a.From, a.To} {
-		for _, v := range []graph.NodeID{b.From, b.To} {
-			if net.Distance(u, v) <= m.sense {
-				return true
+	n := graph.NodeID(len(m.inst.Nodes))
+	af, at := m.near[a.From*n:][:n], m.near[a.To*n:][:n]
+	return af[b.From] || af[b.To] || at[b.From] || at[b.To]
+}
+
+// proximity returns the instance's node-proximity table, computing it on
+// first use: one Hypot per ordered node pair, on the operands
+// graph.Network.Distance would see, instead of up to four per WiFi link
+// pair of every view.
+func (inst *Instance) proximity() []bool {
+	inst.nearOnce.Do(func() {
+		sense := inst.Config.wifiRadius() * inst.Config.senseFactor()
+		n := len(inst.Nodes)
+		inst.near = make([]bool, n*n)
+		for u, a := range inst.Nodes {
+			for v, b := range inst.Nodes {
+				inst.near[u*n+v] = math.Hypot(a.X-b.X, a.Y-b.Y) <= sense
 			}
 		}
-	}
-	return false
+	})
+	return inst.near
 }
 
 // Name implements graph.InterferenceModel.
@@ -171,7 +191,7 @@ func (m interferenceModel) Name() string { return "hybrid-paper-model" }
 
 // Build materializes a view of the instance as a Network.
 func (inst *Instance) Build(view View) *Network {
-	model := interferenceModel{inst: inst, sense: inst.Config.wifiRadius() * inst.Config.senseFactor()}
+	model := interferenceModel{inst: inst, near: inst.proximity()}
 	b := graph.NewBuilder(model)
 	n := len(inst.Nodes)
 	for i, spec := range inst.Nodes {

@@ -8,7 +8,10 @@
 #   BENCH_ROUTING.json  — routing and controller micro-benchmarks plus the
 #                         Figure-4 sweep bench (tracked since PR 2), and the
 #                         centralized baselines: one 512-route solve and
-#                         the Figure-6 sweep bench (tracked since PR 15)
+#                         the Figure-6 sweep bench (tracked since PR 15),
+#                         and what one §5 evaluation pays outside routing:
+#                         the controller over the 4000-slot horizon and
+#                         the three views of an instance (since PR 17)
 #   BENCH_SCENARIO.json — the emulation fast-path benches: the churn sweep
 #                         (scenario engine end to end, tracked since PR 3),
 #                         one emulated second of the flaps scenario
@@ -203,5 +206,5 @@ print_delta() {
   ' "$1" "$2"
 }
 
-run_bench 'BenchmarkRoutingN5$|BenchmarkAblationNShortest|BenchmarkAblationCSC|BenchmarkControllerSlot$|BenchmarkControllerBatch$|BenchmarkFigure4ParallelSweep|BenchmarkOptimalSolve$|BenchmarkFigure6OptimalRatios$' "$routing_out"
+run_bench 'BenchmarkRoutingN5$|BenchmarkAblationNShortest|BenchmarkAblationCSC|BenchmarkControllerSlot$|BenchmarkControllerBatch$|BenchmarkControllerHorizon|BenchmarkInstanceBuildViews$|BenchmarkFigure4ParallelSweep|BenchmarkOptimalSolve$|BenchmarkFigure6OptimalRatios$' "$routing_out"
 run_bench 'BenchmarkChurnSweep$|BenchmarkChurnSweepSharded$|BenchmarkEmulationSecond$|BenchmarkEmulationSecondSharded$|BenchmarkMetricsOverhead$|BenchmarkMACCompletion$|BenchmarkEngineHeap$' "$scenario_out"
