@@ -27,12 +27,9 @@
 //	-frac F          goodput-recovery fraction defining failover (0.8)
 //	-manage          attach the §3.2 route manager with fast failover to
 //	                 multipath CC flows (default true)
-//	-shards N        domain-sharded emulation engine: run up to N parallel
-//	                 workers over the topology's interference domains
-//	                 (default 1; 0 = one worker per core). Never changes
-//	                 the numbers — the trajectory is bit-identical at any
-//	                 shard count; connected single-domain topologies run
-//	                 the classic engine regardless
+//	-shards N        worker cap inside a replication: up to N goroutines
+//	                 over the topology's interference domains (default 1;
+//	                 0 = one per core); never changes results
 //	-invariants      attach the runtime invariant checker (flow
 //	                 conservation, dead-link silence, rate bounds) to
 //	                 every replication, report per-reason drop counters,
@@ -102,7 +99,7 @@ func main() {
 	bin := flag.Float64("bin", 0.2, "failover measurement bin (seconds)")
 	frac := flag.Float64("frac", 0.8, "goodput-recovery fraction defining failover")
 	manage := flag.Bool("manage", true, "attach the route manager (fast failover) to multipath CC flows")
-	shards := flag.Int("shards", 1, "domain-shard workers per emulation (0: one per core)")
+	shards := flag.Int("shards", 1, "worker cap inside a replication (0: one per core); never changes results")
 	invariants := flag.Bool("invariants", false, "attach the runtime invariant checker to every replication; report per-reason drops and fail on any violation")
 	flapRates := flag.String("flaprates", "", "goodput-vs-flap-rate sweep frequencies (cycles/minute)")
 	metrics := flag.String("metrics", "", "Prometheus snapshots: file path, or :port / host:port to serve /metrics")
@@ -246,8 +243,8 @@ func writeTrace(sc *scenario.Scenario, cfg experiments.ChurnConfig, run int, sch
 	return f.Close()
 }
 
-// shardsValue maps the CLI convention (0 = auto) onto node.Config.Shards
-// (where 0 is the classic engine and ShardsAuto requests GOMAXPROCS).
+// shardsValue maps the CLI convention (0 = one worker per core) onto
+// node.Config.Shards, where that is ShardsAuto.
 func shardsValue(n int) int {
 	if n == 0 {
 		return node.ShardsAuto

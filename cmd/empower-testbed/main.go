@@ -20,10 +20,8 @@
 //	-pairs N       random station pairs for figure 10 (paper: 50)
 //	-flows N       flows for figures 11 and 13
 //	-delta D       constraint margin δ
-//	-shards N      domain-shard workers per emulation (default 1; 0 = one
-//	               per core). The testbed floor is one interference
-//	               domain, so this only matters for sharded-engine
-//	               comparisons; it never changes the numbers
+//	-shards N      worker cap inside a replication (default 1; 0 = one
+//	               per core); never changes results
 //	-metrics target  publish Prometheus metric snapshots: a file path is
 //	               rewritten every 2 s (atomic rename), ":8080" or
 //	               "host:port" serves /metrics over HTTP
@@ -73,7 +71,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "replication workers (<= 0: GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "emit results as JSON objects on stdout")
 	delta := flag.Float64("delta", 0.05, "constraint margin δ")
-	shards := flag.Int("shards", 1, "domain-shard workers per emulation (0: one per core)")
+	shards := flag.Int("shards", 1, "worker cap inside a replication (0: one per core); never changes results")
 	metrics := flag.String("metrics", "", "Prometheus snapshots: file path, or :port / host:port to serve /metrics")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address")
 	progress := flag.Bool("progress", false, "live progress line on stderr")
@@ -184,8 +182,8 @@ func main() {
 	}
 }
 
-// shardsValue maps the CLI convention (0 = auto) onto node.Config.Shards
-// (where 0 is the classic engine and ShardsAuto requests GOMAXPROCS).
+// shardsValue maps the CLI convention (0 = one worker per core) onto
+// node.Config.Shards, where that is ShardsAuto.
 func shardsValue(n int) int {
 	if n == 0 {
 		return node.ShardsAuto

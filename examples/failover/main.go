@@ -45,7 +45,7 @@ func main() {
 	}
 	mgr := em.ManageRoutes(flow, routing.DefaultConfig())
 
-	em.Engine.At(*failAt, func() {
+	em.Domain(em.LinkDomain(plcSD)).Engine.At(*failAt, func() {
 		fmt.Printf("t=%.0fs: PLC medium dies\n", *failAt)
 		em.SetLinkCapacity(plcSD, 0)
 	})

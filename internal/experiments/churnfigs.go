@@ -47,12 +47,8 @@ type ChurnConfig struct {
 	// Parallel bounds the replication worker pool (<= 0: GOMAXPROCS).
 	// The worker count never changes results, only wall-clock time.
 	Parallel int
-	// Shards enables the domain-sharded emulation engine inside each
-	// replication (node.Config.Shards): 0 keeps the classic single
-	// engine, n >= 1 decomposes multi-domain topologies and runs up to n
-	// domain workers, node.ShardsAuto uses GOMAXPROCS. Like Parallel, it
-	// never changes results — the trajectory is bit-identical at any
-	// shard count.
+	// Shards is the worker cap inside a replication (node.Config.Shards);
+	// never changes results.
 	Shards int
 	// Invariants attaches the runtime invariant checker to every
 	// replication and surfaces violation counts and per-reason drop

@@ -40,10 +40,8 @@ type TestbedConfig struct {
 	// only the independent per-pair/per-repeat emulations fan out, so
 	// the worker count never changes results.
 	Parallel int
-	// Shards enables the domain-sharded emulation engine inside each
-	// emulation (node.Config.Shards). The testbed topology is connected —
-	// one interference domain — so this is a no-op there; it matters for
-	// custom multi-cluster topologies and never changes results.
+	// Shards is the worker cap inside an emulation (node.Config.Shards);
+	// never changes results.
 	Shards int
 	// Progress, when non-nil, receives (done, total) after every
 	// finished replication of the current figure.
@@ -153,7 +151,7 @@ func Figure9(cfg TestbedConfig) (Figure9Result, error) {
 	if err != nil {
 		return Figure9Result{}, err
 	}
-	em.Engine.At(stop2, f2.Stop)
+	em.Domain(em.NodeDomain(nodeID(4))).Engine.At(stop2, f2.Stop)
 	em.Run(dur)
 	cfg.observe(em)
 
@@ -597,14 +595,14 @@ func Table1Ctx(ctx context.Context, cfg TestbedConfig) (Table1Result, error) {
 					}
 				}
 				for _, s := range em.Agent(nodeID(8)).Sinks() {
-					if s.IdleFor(em.Engine.Now()) < 2 {
+					if s.IdleFor(em.Now()) < 2 {
 						return false
 					}
 				}
 				return true
 			}
 			var last float64
-			for t := em.Engine.Now() + 0.5; t < cap; t += 0.5 {
+			for t := em.Now() + 0.5; t < cap; t += 0.5 {
 				em.Run(t)
 				if allDone() {
 					break

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -639,5 +640,47 @@ func TestFleetCancel(t *testing.T) {
 	}
 	if st3.QueueDepth() != 0 {
 		t.Fatalf("cancelled sweeps requeued: depth %d", st3.QueueDepth())
+	}
+}
+
+// TestFleetMatchesCLIOnMultiDomain: a spec's "shards" is a worker cap and
+// nothing else. On the shipped four-cluster scenario the daemon's results
+// with shards omitted and with "shards": 2 are byte-identical to each
+// other and to what the CLI's default (-shards 1) computes for the same
+// seed and δ.
+func TestFleetMatchesCLIOnMultiDomain(t *testing.T) {
+	scenarioJSON, err := os.ReadFile("../../examples/scenarios/clusters.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specJSON := func(extra string) []byte {
+		return []byte(fmt.Sprintf(`{"scenario":%s,"runs":2,"seed":5,"schemes":"EMPoWER","delta":0.05%s}`,
+			scenarioJSON, extra))
+	}
+	spec, err := ParseSpec(specJSON(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := spec.churnConfig()
+	cli.Shards = 1
+	res, err := experiments.ChurnFailover(spec.Scenario, cli)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, hts, _ := startServer(t, Config{Workers: 2})
+	for _, extra := range []string{"", `,"shards":2`} {
+		st, resp := postSweep(t, hts.URL, specJSON(extra))
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("submit (%q): status %d", extra, resp.StatusCode)
+		}
+		waitState(t, hts.URL, st.ID, StateDone, 120*time.Second)
+		if got := getResults(t, hts.URL, st.ID); !bytes.Equal(got, want) {
+			t.Fatalf("daemon results (spec suffix %q) differ from the CLI's at -shards 1:\n got %s\nwant %s", extra, got, want)
+		}
 	}
 }

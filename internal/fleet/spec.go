@@ -66,7 +66,7 @@ type rawSpec struct {
 	Frac float64 `json:"frac,omitempty"`
 	// Manage attaches the route manager to CC schemes (default true).
 	Manage *bool `json:"manage,omitempty"`
-	// Shards enables the domain-sharded engine inside each replication.
+	// Shards is the worker cap inside a replication; never changes results.
 	Shards int `json:"shards,omitempty"`
 	// Invariants attaches the runtime invariant checker per replication.
 	Invariants bool `json:"invariants,omitempty"`

@@ -499,7 +499,7 @@ func dumpTrace(sc *scenario.Scenario, scSeed, emSeed int64, path string) (string
 
 // Generate draws one randomized adversarial scenario: a clustered
 // custom topology (spatially separated clusters fall into independent
-// interference domains, so the sharded engine has real work), scripted
+// interference domains, so the worker fan-out has real work), scripted
 // flows, correlated failure groups, an adversarial event timeline, and
 // stochastic processes covering every kind the engine knows.
 func Generate(rng *rand.Rand, maxDuration float64) *scenario.Scenario {

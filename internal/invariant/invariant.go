@@ -32,6 +32,7 @@ import (
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/mac"
 	"repro/internal/node"
 )
 
@@ -120,8 +121,9 @@ type linkSnap struct {
 type domChecker struct {
 	c   *Checker
 	d   int
-	em  *node.Emulation // the domain's closed sub-emulation
+	dom *node.Domain
 	eng engineNow
+	mac macView
 
 	links   []graph.LinkID
 	nodes   []graph.NodeID
@@ -132,8 +134,15 @@ type domChecker struct {
 	violations []Violation
 }
 
-// engineNow narrows the engine to what the checker reads.
+// engineNow and macView narrow the engine and the MAC to what the
+// checker reads.
 type engineNow interface{ Now() float64 }
+
+type macView interface {
+	CheckConsistency() error
+	Stats(graph.LinkID) mac.LinkStats
+	Busy(graph.LinkID) bool
+}
 
 // Attach builds a checker over the emulation and registers its periodic
 // tick on every domain engine. The emulation must not have run yet.
@@ -144,10 +153,10 @@ func Attach(em *node.Emulation, cfg Config) *Checker {
 		dc := &domChecker{
 			c:       c,
 			d:       d,
-			em:      em.Domain(d),
+			dom:     em.Domain(d),
 			strikes: map[string]int{},
 		}
-		dc.eng = dc.em.Engine
+		dc.eng, dc.mac = dc.dom.Engine, dc.dom.MAC
 		for l := 0; l < em.Net.NumLinks(); l++ {
 			if em.LinkDomain(graph.LinkID(l)) == d {
 				dc.links = append(dc.links, graph.LinkID(l))
@@ -161,7 +170,7 @@ func Attach(em *node.Emulation, cfg Config) *Checker {
 		dc.prev = make([]linkSnap, len(dc.links))
 		dc.snapshot()
 		c.doms[d] = dc
-		dc.em.Engine.Every(cfg.interval(), dc.tick)
+		dc.dom.Engine.Every(cfg.interval(), dc.tick)
 	}
 	return c
 }
@@ -211,7 +220,7 @@ func (dc *domChecker) tick() {
 		dc.violate("monotone-time", "virtual time went backwards: %.6f after %.6f", now, dc.lastNow)
 	}
 	dc.lastNow = now
-	if err := dc.em.MAC.CheckConsistency(); err != nil {
+	if err := dc.mac.CheckConsistency(); err != nil {
 		dc.violate("mac-consistency", "%v", err)
 	}
 	dc.checkLinks()
@@ -222,7 +231,7 @@ func (dc *domChecker) tick() {
 
 func (dc *domChecker) checkLinks() {
 	for i, l := range dc.links {
-		st := dc.em.MAC.Stats(l)
+		st := dc.mac.Stats(l)
 		prev := dc.prev[i]
 		if st.DeliveredPkts < prev.delivered || st.DroppedPkts < prev.dropped {
 			dc.violate("counter-monotone",
@@ -239,7 +248,7 @@ func (dc *domChecker) checkLinks() {
 		if prev.busy {
 			allow = 1
 		}
-		if prev.dead && prev.epoch == dc.em.CapacityEpoch(l) &&
+		if prev.dead && prev.epoch == dc.c.em.CapacityEpoch(l) &&
 			st.DeliveredPkts > prev.delivered+allow {
 			dc.violate("dead-link-delivery",
 				"link %d delivered %d packets while dead",
@@ -252,7 +261,7 @@ func (dc *domChecker) checkLinks() {
 // agent received is accounted for exactly once.
 func (dc *domChecker) checkAgents() {
 	for _, n := range dc.nodes {
-		a := dc.em.Agents[n]
+		a := dc.dom.Agents[n]
 		if a == nil {
 			continue
 		}
@@ -271,7 +280,7 @@ func (dc *domChecker) checkFlows(now float64) {
 	for _, fi := range dc.c.cfg.Flows(dc.d) {
 		f := fi.Flow
 		// Sink conservation holds whether or not the flow still runs.
-		if s := dc.em.Agent(fi.Dst).PeekSink(fi.Src, f.ID); s != nil {
+		if s := dc.c.em.Agent(fi.Dst).PeekSink(fi.Src, f.ID); s != nil {
 			if s.TotalPackets > f.InjectedPackets() {
 				dc.violate("sink-conservation",
 					"flow %s: sink delivered %d packets of %d injected",
@@ -293,7 +302,7 @@ func (dc *domChecker) checkFlows(now float64) {
 		for _, p := range f.Routes() {
 			cap := -1.0
 			for _, l := range p {
-				if c := dc.em.LinkEstimate(l); cap < 0 || c < cap {
+				if c := dc.c.em.LinkEstimate(l); cap < 0 || c < cap {
 					cap = c
 				}
 			}
@@ -317,13 +326,13 @@ func (dc *domChecker) checkFlows(now float64) {
 
 func (dc *domChecker) snapshot() {
 	for i, l := range dc.links {
-		st := dc.em.MAC.Stats(l)
+		st := dc.mac.Stats(l)
 		dc.prev[i] = linkSnap{
 			delivered: st.DeliveredPkts,
 			dropped:   st.DroppedPkts,
-			epoch:     dc.em.CapacityEpoch(l),
-			dead:      dc.em.Net.Link(l).Capacity <= 0,
-			busy:      dc.em.MAC.Busy(l),
+			epoch:     dc.c.em.CapacityEpoch(l),
+			dead:      dc.dom.Net.Link(l).Capacity <= 0,
+			busy:      dc.mac.Busy(l),
 		}
 	}
 }

@@ -27,7 +27,7 @@ type neighborReport struct {
 // and price paths never touch a map or allocate.
 type Agent struct {
 	id graph.NodeID
-	em *Emulation
+	em *Domain
 
 	// ifaceOut maps the layer-2.5 interface ID of a neighbor's ingress
 	// interface to this node's egress link reaching it.
@@ -82,7 +82,7 @@ type sinkKey struct {
 	flowID uint16
 }
 
-func newAgent(em *Emulation, id graph.NodeID) *Agent {
+func newAgent(em *Domain, id graph.NodeID) *Agent {
 	a := &Agent{
 		id:          id,
 		em:          em,

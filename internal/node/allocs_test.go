@@ -37,7 +37,7 @@ func TestAllocsEmulationReportSlot(t *testing.T) {
 		}
 	}
 
-	now := em.Engine.Now()
+	now := em.Now()
 	slots := 0
 	if avg := testing.AllocsPerRun(10, func() {
 		slots++
@@ -71,11 +71,11 @@ func TestAllocsEmulationInstrumented(t *testing.T) {
 			}
 		}
 	}
-	if em.Engine.Recorder() == nil {
+	if em.DomainRecorder(0) == nil {
 		t.Fatal("recorder not attached")
 	}
 
-	now := em.Engine.Now()
+	now := em.Now()
 	slots := 0
 	if avg := testing.AllocsPerRun(10, func() {
 		slots++
@@ -83,7 +83,7 @@ func TestAllocsEmulationInstrumented(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("instrumented steady-state report slot allocates %v per 100 ms, want 0", avg)
 	}
-	if em.Engine.Recorder().Total() == 0 {
+	if em.DomainRecorder(0).Total() == 0 {
 		t.Error("recorder saw no events during the measured slots")
 	}
 }

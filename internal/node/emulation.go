@@ -21,23 +21,17 @@
 //
 // The steady-state packet path is allocation-free: data frames, ack
 // frames, ack forwarding hops, price deliveries and delay-equalization
-// holds all come from per-emulation free lists and return to them when
+// holds all come from per-domain free lists and return to them when
 // consumed. The ownership rule is strict — whoever takes a pooled object
 // off the MAC or the engine either hands it on or frees it, and nobody
 // holds a pooled pointer across events after freeing it.
 package node
 
 import (
-	"fmt"
-	"math/rand"
+	"runtime"
 
 	"repro/internal/graph"
-	"repro/internal/linkest"
-	"repro/internal/mac"
-	"repro/internal/obs"
 	"repro/internal/optimal"
-	"repro/internal/sim"
-	"repro/internal/wire"
 )
 
 // Config tunes the emulation.
@@ -87,17 +81,10 @@ type Config struct {
 	// rate logs for a run of this many emulated seconds (callers that
 	// know the scenario duration set it; zero means grow on demand).
 	ExpectedDuration float64
-	// Shards enables the sharded engine for topologies that decompose
-	// into several interference domains (optimal.InterferenceDomains):
-	// 0 (the zero value) always runs the classic single engine; n >= 1
-	// runs one pooled engine per domain with up to n worker goroutines
-	// (1 = sequential, still domain-decomposed); ShardsAuto sizes the
-	// worker pool to GOMAXPROCS. The decomposition depends only on the
-	// topology — never on the shard count — and each domain draws from
-	// its own seed split, so the trajectory is bit-identical at any
-	// Shards >= 1. A single-domain topology (every connected network)
-	// always takes the classic engine, making Shards >= 1 byte-identical
-	// to the zero value there.
+	// Shards caps the worker goroutines that run the interference domains
+	// of one emulation in parallel (0 and 1: sequential; ShardsAuto:
+	// GOMAXPROCS). It never changes results: the decomposition and the
+	// per-domain seeds depend only on the topology and the base seed.
 	Shards int
 	// Recorder, when positive, attaches a flight recorder of that many
 	// records (rounded up to a power of two) to every domain engine and
@@ -108,8 +95,8 @@ type Config struct {
 	Recorder int
 }
 
-// ShardsAuto, as Config.Shards, sizes the sharded engine's worker pool
-// to GOMAXPROCS (cmd flags map -shards 0 to it).
+// ShardsAuto, as Config.Shards, sizes the domain worker pool to
+// GOMAXPROCS (cmd flags map -shards 0 to it).
 const ShardsAuto = -1
 
 func (c Config) ackInterval() float64 {
@@ -175,265 +162,57 @@ func (c Config) initialRate() float64 {
 	return c.InitialRate
 }
 
-// dataPkt is the pooled in-flight form of a data frame: the wire frame
-// plus the opaque transport metadata that, on the real testbed, rides in
-// the Ethernet encapsulation. It is owned by exactly one holder at a
-// time (a flow building it, a MAC queue, an agent forwarding it, a sink
-// consuming it) and returns to the emulation's free list when consumed
-// or dropped.
-type dataPkt struct {
-	frame wire.DataFrame
-	meta  interface{}
-}
-
-// Emulation owns the engine, the MAC, and one Agent per network node.
+// Emulation is the emulated network: one closed Domain per interference
+// domain of the topology, and the coordinator state that dispatches every
+// operation to the domain owning its link or node. Net is the caller's
+// network, kept as a mirror of the live link capacities; Agents merges
+// the per-domain agents (Agents[n] lives in node n's domain).
 type Emulation struct {
-	Engine *sim.Engine
 	Net    *graph.Network
-	MAC    *mac.MAC
 	Agents []*Agent
 
-	cfg   Config
-	rng   *rand.Rand
-	flows []*Flow
-
-	// capEpoch[l] counts link l's capacity changes — the invariant
-	// checker's witness that a link stayed dead (or alive) across a
-	// whole sampling interval. Sharded dispatchers leave it nil; the
-	// owning domain's counter is authoritative.
-	capEpoch []uint32
-
-	// Intrinsic observability counters, bumped on the owning domain's
-	// event loop and sampled by internal/obs at barriers (see
-	// node/obs.go). Sharded dispatchers keep them at zero; the accessors
-	// sum over domains.
-	estResets int
-	reroutes  int
-	failovers int
-
-	// numTechs bounds the dense per-technology agent state.
-	numTechs int
-
-	// Free lists for the steady-state packet path. All are LIFO stacks;
-	// see the package comment for the ownership rule.
-	pktFree   []*dataPkt
-	ackFree   []*wire.AckFrame
-	hopFree   []*ackHop
-	priceFree []*priceDelivery
-	holdFree  []*heldFrame
-
-	// priceBuf is the scratch encode buffer of broadcastPrice.
-	priceBuf []byte
-	// listeners[from*numTechs+tech] memoises broadcastPrice's receiver
-	// list (nil until first use, in ascending agent order). It depends
-	// only on what graph.Network fixes at Build — node tech sets, link
-	// endpoints and technologies, interference rows — never on capacity.
-	listeners [][]*Agent
-
-	// Sharded-mode state (see shard.go). A sharded top-level emulation is
-	// a dispatcher: Engine and MAC are nil, doms holds one closed
-	// sub-emulation per interference domain, and Agents merges the
-	// per-domain agents. Inside a sub-emulation, doms is nil and Agents
-	// has nil entries for foreign nodes.
-	doms    []*Emulation
+	doms    []*Domain
 	nodeDom []int
 	linkDom []int
-	sh      *sim.Sharded
+	workers int
+	windows uint64 // completed Run calls
 }
 
-func (e *Emulation) newPkt() *dataPkt {
-	if n := len(e.pktFree); n > 0 {
-		p := e.pktFree[n-1]
-		e.pktFree = e.pktFree[:n-1]
-		return p
-	}
-	return &dataPkt{}
-}
-
-// freePkt returns a consumed or dropped frame to the pool. The frame is
-// cleared here so a reused slot never leaks a stale q_r, route or
-// sequence number into the next packet.
-func (e *Emulation) freePkt(p *dataPkt) {
-	p.frame = wire.DataFrame{}
-	p.meta = nil
-	e.pktFree = append(e.pktFree, p)
-}
-
-func (e *Emulation) newAck() *wire.AckFrame {
-	if n := len(e.ackFree); n > 0 {
-		a := e.ackFree[n-1]
-		e.ackFree = e.ackFree[:n-1]
-		return a
-	}
-	return &wire.AckFrame{}
-}
-
-func (e *Emulation) freeAck(a *wire.AckFrame) {
-	routes := a.Routes[:0] // keep the backing array
-	*a = wire.AckFrame{Routes: routes}
-	e.ackFree = append(e.ackFree, a)
-}
-
-func (e *Emulation) newAckHop() *ackHop {
-	if n := len(e.hopFree); n > 0 {
-		h := e.hopFree[n-1]
-		e.hopFree = e.hopFree[:n-1]
-		return h
-	}
-	return &ackHop{}
-}
-
-func (e *Emulation) freeAckHop(h *ackHop) {
-	*h = ackHop{}
-	e.hopFree = append(e.hopFree, h)
-}
-
-func (e *Emulation) newPriceDelivery() *priceDelivery {
-	if n := len(e.priceFree); n > 0 {
-		pd := e.priceFree[n-1]
-		e.priceFree = e.priceFree[:n-1]
-		return pd
-	}
-	return &priceDelivery{}
-}
-
-func (e *Emulation) freePriceDelivery(pd *priceDelivery) {
-	pd.agent = nil
-	e.priceFree = append(e.priceFree, pd)
-}
-
-func (e *Emulation) newHeldFrame() *heldFrame {
-	if n := len(e.holdFree); n > 0 {
-		h := e.holdFree[n-1]
-		e.holdFree = e.holdFree[:n-1]
-		return h
-	}
-	return &heldFrame{}
-}
-
-func (e *Emulation) freeHeldFrame(h *heldFrame) {
-	*h = heldFrame{}
-	e.holdFree = append(e.holdFree, h)
-}
-
-// NewEmulation builds the emulated network. With Config.Shards set and a
-// topology that decomposes into several interference domains, the result
-// is a sharded emulation running one engine per domain (see shard.go);
-// otherwise it is the classic single-engine emulation.
+// NewEmulation builds the emulated network, decomposed into its
+// interference domains (optimal.InterferenceDomains; a connected topology
+// is the one-domain instance). The decomposition merges links across
+// interference and shared endpoints, which closes each domain under every
+// interaction the emulation has — MAC contention, frame forwarding, price
+// earshot, flow paths — so domains exchange no events at runtime and may
+// run on separate goroutines (Config.Shards) without changing a byte.
 func NewEmulation(net *graph.Network, cfg Config, seed int64) *Emulation {
-	if cfg.Shards != 0 {
-		if dec := optimal.InterferenceDomains(net); dec.Num > 1 {
-			return newSharded(net, cfg, seed, dec)
-		}
-	}
-	return newEmulationOwned(net, cfg, seed, nil)
-}
-
-// newEmulationOwned is the working constructor: own == nil builds the
-// classic emulation over every node; a non-nil ownership mask builds one
-// domain's closed sub-emulation — agents, price ticks and the RNG belong
-// to the owned nodes only, while the network (a per-domain clone) keeps
-// its full shape so global node and link IDs stay valid.
-func newEmulationOwned(net *graph.Network, cfg Config, seed int64, own []bool) *Emulation {
+	dec := optimal.InterferenceDomains(net)
 	e := &Emulation{
-		Engine:   &sim.Engine{},
-		Net:      net,
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(seed)),
-		capEpoch: make([]uint32, net.NumLinks()),
+		Net:     net,
+		Agents:  make([]*Agent, net.NumNodes()),
+		doms:    make([]*Domain, dec.Num),
+		nodeDom: dec.Node,
+		linkDom: dec.Link,
+		workers: cfg.Shards,
 	}
-	e.numTechs = 1
-	for l := 0; l < net.NumLinks(); l++ {
-		if t := int(net.Link(graph.LinkID(l)).Tech); t+1 > e.numTechs {
-			e.numTechs = t + 1
-		}
+	if e.workers == ShardsAuto {
+		e.workers = runtime.GOMAXPROCS(0)
 	}
-	for i := 0; i < net.NumNodes(); i++ {
-		for _, t := range net.Node(graph.NodeID(i)).Techs {
-			if int(t)+1 > e.numTechs {
-				e.numTechs = int(t) + 1
-			}
-		}
+	e.workers = max(1, min(e.workers, dec.Num))
+	for d := range e.doms {
+		// Each domain works on its own clone: links are deep-copied, so
+		// capacity mutations stay domain-local, while the immutable
+		// topology (nodes, interference, adjacency) is shared.
+		e.doms[d] = newDomain(net.Clone(), cfg, domainSeed(seed, d, dec.Num), dec.Node, d)
 	}
-	e.MAC = mac.New(e.Engine, net, e.rng, mac.Options{QueueLimit: cfg.queueLimit(), LossProb: cfg.LossProb})
-	e.MAC.Deliver = e.deliver
-	e.MAC.Drop = e.macDrop
-	if cfg.Recorder > 0 {
-		rec := obs.NewRecorder(cfg.Recorder)
-		e.Engine.SetRecorder(rec)
-		e.MAC.SetRecorder(rec)
-	}
-	e.Agents = make([]*Agent, net.NumNodes())
-	e.listeners = make([][]*Agent, net.NumNodes()*e.numTechs)
-	for i := range e.Agents {
-		if own != nil && !own[i] {
-			continue
-		}
-		e.Agents[i] = newAgent(e, graph.NodeID(i))
-	}
-	// Periodic per-node price broadcasts and dual updates, staggered a
-	// little to avoid artificial synchronization. The offsets use the
-	// global node index and count in every mode, so a node's tick phase
-	// does not depend on how the topology sharded.
-	for i, a := range e.Agents {
-		if a == nil {
-			continue
-		}
-		a := a
-		offset := cfg.priceInterval() * float64(i) / float64(len(e.Agents)+1)
-		e.Engine.Schedule(offset, func() {
-			a.priceTick()
-			e.Engine.Every(cfg.priceInterval(), a.priceTick)
-		})
+	for n := range e.Agents {
+		e.Agents[n] = e.doms[dec.Node[n]].Agents[n]
 	}
 	return e
 }
 
-// Flows returns the registered flows. On a sharded emulation the flows
-// are merged in domain order; note that flow IDs are unique only within
-// a domain (they only ride intra-domain frames).
-func (e *Emulation) Flows() []*Flow {
-	if e.doms == nil {
-		return e.flows
-	}
-	var out []*Flow
-	for _, d := range e.doms {
-		out = append(out, d.flows...)
-	}
-	return out
-}
-
 // Agent returns node id's agent.
 func (e *Emulation) Agent(id graph.NodeID) *Agent { return e.Agents[id] }
-
-// deliver dispatches MAC deliveries to the receiving agent.
-func (e *Emulation) deliver(l graph.LinkID, pkt mac.Packet) {
-	to := e.Net.Link(l).To
-	e.Agents[to].receive(l, pkt)
-}
-
-// macDrop releases the pooled state of frames the MAC dropped (delivered
-// frames release it at their consumer).
-func (e *Emulation) macDrop(_ graph.LinkID, pkt mac.Packet, _ mac.DropReason) {
-	switch p := pkt.Payload.(type) {
-	case *dataPkt:
-		e.freePkt(p)
-	case *ackHop:
-		e.freeAck(p.ack)
-		e.freeAckHop(p)
-	}
-}
-
-// Run advances the emulation to absolute virtual time t (seconds). A
-// sharded emulation advances every domain engine through the
-// conservative-window coordinator.
-func (e *Emulation) Run(t float64) {
-	if e.sh != nil {
-		e.sh.Run(t)
-		return
-	}
-	e.Engine.Run(t)
-}
 
 // SetLinkCapacity mutates link l's capacity at the current virtual time —
 // the scenario-engine hook behind link failure (c = 0), recovery and
@@ -450,38 +229,15 @@ func (e *Emulation) Run(t float64) {
 // (the §6.1 story), never through an oracle shortcut: a failure surfaces
 // when samples stop arriving (linkest.Estimator.Failed, within the
 // failure timeout), a capacity change when the noisy samples move.
+//
+// The owning domain's clone is the live ground truth; the new value is
+// mirrored into Net so external readers keep seeing one consistent
+// capacity map. Concurrent domain goroutines only ever touch their own
+// links, so the mirror writes are element-disjoint.
 func (e *Emulation) SetLinkCapacity(l graph.LinkID, c float64) {
-	if e.doms != nil {
-		// Dispatch to the owning domain (whose clone is the live ground
-		// truth) and mirror into the top-level network, so external
-		// readers keep seeing one consistent capacity map. Concurrent
-		// domain goroutines only ever touch their own links, so the
-		// mirror writes are element-disjoint.
-		d := e.doms[e.linkDom[l]]
-		d.SetLinkCapacity(l, c)
-		e.Net.Link(l).Capacity = d.Net.Link(l).Capacity
-		return
-	}
-	if c < 0 {
-		c = 0
-	}
-	link := e.Net.Link(l)
-	if link.Capacity == c {
-		return
-	}
-	wasDead := link.Capacity <= 0
-	link.Capacity = c
-	e.capEpoch[l]++
-	e.MAC.LinkChanged(l)
-	if e.cfg.Estimation && wasDead && c > 0 && e.Agents[link.From] != nil {
-		if est := e.Agents[link.From].est[l]; est != nil {
-			// The estimator starved while the link was down; the probe
-			// tick only samples ModeProbe links, so switch back explicitly
-			// (an active flow's next send flips it to traffic mode again).
-			est.SetMode(linkest.ModeProbe)
-			e.estResets++
-		}
-	}
+	d := e.doms[e.linkDom[l]]
+	d.setLinkCapacity(l, c)
+	e.Net.Link(l).Capacity = d.Net.Link(l).Capacity
 }
 
 // SetLinkLoss sets link l's channel error probability at the current
@@ -492,21 +248,12 @@ func (e *Emulation) SetLinkCapacity(l graph.LinkID, c float64) {
 // control and routing see the degradation only through the noisy
 // estimates, never through an oracle shortcut.
 func (e *Emulation) SetLinkLoss(l graph.LinkID, p float64) {
-	if e.doms != nil {
-		// Dispatch to the owning domain's MAC; concurrent domain
-		// goroutines only ever touch their own links.
-		e.doms[e.linkDom[l]].SetLinkLoss(l, p)
-		return
-	}
-	e.MAC.SetLossProb(l, p)
+	e.doms[e.linkDom[l]].MAC.SetLossProb(l, p)
 }
 
 // LinkLoss returns link l's current channel error probability.
 func (e *Emulation) LinkLoss(l graph.LinkID) float64 {
-	if e.doms != nil {
-		return e.doms[e.linkDom[l]].LinkLoss(l)
-	}
-	return e.MAC.LossProb(l)
+	return e.doms[e.linkDom[l]].MAC.LossProb(l)
 }
 
 // CapacityEpoch counts link l's capacity changes since construction.
@@ -514,162 +261,12 @@ func (e *Emulation) LinkLoss(l graph.LinkID) float64 {
 // what lets the invariant checker reason about a sampled window instead
 // of just its endpoints.
 func (e *Emulation) CapacityEpoch(l graph.LinkID) uint32 {
-	if e.doms != nil {
-		return e.doms[e.linkDom[l]].capEpoch[l]
-	}
-	return e.capEpoch[l]
-}
-
-// effectiveCapacity is the goodput-bearing capacity the estimator
-// samples: the ground-truth capacity scaled by the channel delivery
-// probability. With zero loss it is exactly the capacity, so the
-// estimation path is bit-identical to the pre-gray-failure behaviour.
-func (e *Emulation) effectiveCapacity(l graph.LinkID) float64 {
-	c := e.Net.Link(l).Capacity
-	if c <= 0 {
-		return c
-	}
-	if p := e.MAC.LossProb(l); p > 0 {
-		c *= 1 - p
-	}
-	return c
-}
-
-// priceDelivery is the pooled in-flight form of a price broadcast: the
-// decoded frame plus its receiver, scheduled through the closure-free
-// engine path.
-type priceDelivery struct {
-	agent *Agent
-	frame wire.PriceFrame
-}
-
-func deliverPrice(arg any) {
-	pd := arg.(*priceDelivery)
-	em := pd.agent.em
-	pd.agent.onPrice(&pd.frame)
-	em.freePriceDelivery(pd)
-}
-
-// broadcastPrice delivers a price frame to every node sharing technology
-// k within interference range of the origin. Price frames are modeled on
-// the control plane (no airtime): the paper reports their overhead as
-// negligible ("a small communication-overhead among the nodes"). The
-// frame round-trips through its wire encoding in a retained scratch
-// buffer, and each delivery rides a pooled priceDelivery.
-func (e *Emulation) broadcastPrice(from graph.NodeID, f *wire.PriceFrame) {
-	e.priceBuf = f.AppendBinary(e.priceBuf[:0])
-	for _, a := range e.priceListeners(from, f.Tech) {
-		pd := e.newPriceDelivery()
-		if err := pd.frame.UnmarshalBinary(e.priceBuf); err != nil {
-			panic(fmt.Sprintf("node: price frame round-trip: %v", err))
-		}
-		pd.agent = a
-		e.Engine.ScheduleFunc(1e-4, deliverPrice, pd)
-	}
-}
-
-// priceListeners returns the agents that overhear a broadcast by `from`
-// on technology k, in ascending node order (the order fixes the
-// deliveries' event sequence numbers). The scan runs once per
-// (node, technology); every later price tick reads the memo.
-func (e *Emulation) priceListeners(from graph.NodeID, tech graph.Tech) []*Agent {
-	slot := &e.listeners[int(from)*e.numTechs+int(tech)]
-	if *slot != nil {
-		return *slot
-	}
-	list := []*Agent{} // non-nil even when empty: the scan is done
-	for _, a := range e.Agents {
-		if a == nil || a.id == from {
-			// Foreign nodes of a domain sub-emulation have no agent here;
-			// they are never in earshot anyway (earshot is an interference
-			// relation, and interference never crosses a domain).
-			continue
-		}
-		if !e.Net.Node(a.id).HasTech(tech) && !hasIngress(e.Net, a.id, tech) {
-			continue
-		}
-		if !e.inEarshot(from, a.id, tech) {
-			continue
-		}
-		list = append(list, a)
-	}
-	*slot = list
-	return list
-}
-
-// inEarshot reports whether a broadcast by `from` on technology k is
-// overheard by `to`: some link of `from` on k interferes with some link of
-// `to` on k (the §4.2 "nodes in the interference domains of the outgoing
-// links" rule).
-func (e *Emulation) inEarshot(from, to graph.NodeID, tech graph.Tech) bool {
-	for _, lf := range e.Net.Out(from) {
-		if e.Net.Link(lf).Tech != tech {
-			continue
-		}
-		for _, i := range e.Net.Interference(lf) {
-			li := e.Net.Link(i)
-			if li.Tech == tech && (li.From == to || li.To == to) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func hasIngress(net *graph.Network, id graph.NodeID, tech graph.Tech) bool {
-	for _, l := range net.In(id) {
-		if net.Link(l).Tech == tech {
-			return true
-		}
-	}
-	return false
-}
-
-// linkEstimate returns the capacity estimate used for price terms: the
-// linkest estimate when estimation is enabled and warmed up, the true
-// capacity otherwise.
-func (e *Emulation) linkEstimate(l graph.LinkID) float64 {
-	if e.cfg.Estimation {
-		a := e.Agents[e.Net.Link(l).From]
-		if a == nil {
-			// A foreign link of a domain sub-emulation: no local estimator.
-			// Fall back to the domain clone's (frozen) capacity — routing
-			// inside the domain can never use a foreign link, so the value
-			// only feeds aggregate signals.
-			return e.Net.Link(l).Capacity
-		}
-		if est := a.est[l]; est != nil {
-			if est.Failed(e.Engine.Now()) {
-				// Samples stopped arriving: the link is down (§6.1's
-				// rapid failure detection). Routing and rate control see
-				// zero capacity.
-				return 0
-			}
-			if v := est.Estimate(); v > 0 {
-				return v
-			}
-		}
-	}
-	return e.Net.Link(l).Capacity
+	return e.doms[e.linkDom[l]].capEpoch[l]
 }
 
 // LinkEstimate exposes the capacity estimate feeding the price terms
-// (the invariant checker bounds controller rates against it). On a
-// sharded emulation it reads the owning domain's estimator through the
-// merged agent view, exactly like the internal price path does.
+// (the invariant checker bounds controller rates against it), read from
+// the owning domain's estimator.
 func (e *Emulation) LinkEstimate(l graph.LinkID) float64 {
-	if e.doms != nil {
-		return e.doms[e.linkDom[l]].linkEstimate(l)
-	}
-	return e.linkEstimate(l)
-}
-
-// dEstimate returns the estimated d_l = 1/ĉ_l (+Inf treated as a huge
-// price on dead links).
-func (e *Emulation) dEstimate(l graph.LinkID) float64 {
-	c := e.linkEstimate(l)
-	if c <= 0 {
-		return 1e9
-	}
-	return 1 / c
+	return e.doms[e.linkDom[l]].linkEstimate(l)
 }

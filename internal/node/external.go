@@ -11,7 +11,6 @@ import (
 // nodes and add the corresponding airtimes in (7)") and converge to the
 // optimal allocation under that external load without disturbing it.
 type ExternalSource struct {
-	em   *Emulation
 	link graph.LinkID
 	rate float64 // Mbps
 	bits float64 // per-packet size
@@ -27,10 +26,11 @@ type ExternalSource struct {
 // the MAC payload — agents ignore payloads they don't recognize, exactly
 // how EMPoWER nodes treat foreign traffic.
 func (e *Emulation) AddExternalSource(l graph.LinkID, rate float64) *ExternalSource {
-	s := &ExternalSource{em: e, link: l, rate: rate, bits: 1500 * 8}
+	s := &ExternalSource{link: l, rate: rate, bits: 1500 * 8}
 	gap := s.bits / (rate * 1e6)
-	s.periodic = e.Engine.Every(gap, func() {
-		e.MAC.Send(l, s.bits, s)
+	d := e.doms[e.linkDom[l]]
+	s.periodic = d.Engine.Every(gap, func() {
+		d.MAC.Send(l, s.bits, s)
 	})
 	return s
 }

@@ -42,7 +42,7 @@ func TestExternalTrafficRespected(t *testing.T) {
 	// The external station keeps its 10 Mbps (within MAC sharing limits).
 	extRate := src.DeliveredBits / 60 / 1e6
 	_ = extRate // DeliveredBits accounting is optional; check MAC stats.
-	st := em.MAC.Stats(ext)
+	st := em.Domain(em.LinkDomain(ext)).MAC.Stats(ext)
 	got := st.DeliveredBits / 60 / 1e6
 	if got < 8.5 {
 		t.Errorf("external station delivered %.2f Mbps, want ~10 (unharmed)", got)

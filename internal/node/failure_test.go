@@ -29,7 +29,7 @@ func TestCapacityDropAdapts(t *testing.T) {
 	if fl.TotalRate() < 30 {
 		t.Fatalf("rate %.2f before the drop, want ~40", fl.TotalRate())
 	}
-	em.Engine.At(30, func() { em.SetLinkCapacity(l, 20) })
+	em.Domain(em.LinkDomain(l)).Engine.At(30, func() { em.SetLinkCapacity(l, 20) })
 	em.Run(90)
 	if r := fl.TotalRate(); r < 14 || r > 22 {
 		t.Errorf("rate %.2f after capacity drop to 20, want ~18-20", r)
@@ -54,7 +54,7 @@ func TestCapacityRecoveryAdaptsUp(t *testing.T) {
 	em := NewEmulation(net, Config{Estimation: true}, 33)
 	fl, _ := em.AddFlow(FlowSpec{Src: s, Dst: d, Routes: []graph.Path{{l}}, Kind: TrafficSaturated}, 0)
 	em.Run(20)
-	em.Engine.At(20, func() { em.SetLinkCapacity(l, 50) })
+	em.Domain(em.LinkDomain(l)).Engine.At(20, func() { em.SetLinkCapacity(l, 50) })
 	em.Run(80)
 	if r := fl.TotalRate(); r < 35 {
 		t.Errorf("rate %.2f after capacity recovery to 50, want > 35", r)

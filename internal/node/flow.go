@@ -52,7 +52,7 @@ type Flow struct {
 	Src, Dst graph.NodeID
 	spec     FlowSpec
 
-	em    *Emulation
+	em    *Domain
 	agent *Agent
 
 	routes    []graph.Path
@@ -99,16 +99,17 @@ type Flow struct {
 }
 
 // AddFlow registers a flow and starts its traffic at virtual time
-// startAt.
+// startAt. A flow lives entirely inside its source's interference domain:
+// there are no cross-domain links, so route validation rejects anything
+// else naturally. Flow IDs are unique only within a domain (they only
+// ride intra-domain frames).
 func (e *Emulation) AddFlow(spec FlowSpec, startAt float64) (*Flow, error) {
+	return e.doms[e.nodeDom[spec.Src]].addFlow(spec, startAt)
+}
+
+func (e *Domain) addFlow(spec FlowSpec, startAt float64) (*Flow, error) {
 	if len(spec.Routes) == 0 {
 		return nil, fmt.Errorf("node: flow needs at least one route")
-	}
-	if e.doms != nil {
-		// A flow lives entirely inside its source's interference domain:
-		// there are no cross-domain links, so route validation in the
-		// sub-emulation rejects anything else naturally.
-		return e.doms[e.nodeDom[spec.Src]].AddFlow(spec, startAt)
 	}
 	f := &Flow{
 		ID:     uint16(len(e.flows) + 1),

@@ -3,7 +3,6 @@ package node
 import (
 	"repro/internal/mac"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // This file is the node layer's face of internal/obs: accessors over the
@@ -14,9 +13,6 @@ import (
 // EstimatorResets counts ModeProbe resets after link recoveries, summed
 // over domains.
 func (e *Emulation) EstimatorResets() int {
-	if e.doms == nil {
-		return e.estResets
-	}
 	n := 0
 	for _, d := range e.doms {
 		n += d.estResets
@@ -26,9 +22,6 @@ func (e *Emulation) EstimatorResets() int {
 
 // Reroutes counts route swaps by managed flows, summed over domains.
 func (e *Emulation) Reroutes() int {
-	if e.doms == nil {
-		return e.reroutes
-	}
 	n := 0
 	for _, d := range e.doms {
 		n += d.reroutes
@@ -39,9 +32,6 @@ func (e *Emulation) Reroutes() int {
 // Failovers counts dead-route detections by fast failover checks,
 // summed over domains.
 func (e *Emulation) Failovers() int {
-	if e.doms == nil {
-		return e.failovers
-	}
 	n := 0
 	for _, d := range e.doms {
 		n += d.failovers
@@ -52,25 +42,16 @@ func (e *Emulation) Failovers() int {
 // EventsFired sums the engine event counters over domains.
 func (e *Emulation) EventsFired() uint64 {
 	var n uint64
-	for d := 0; d < e.NumDomains(); d++ {
-		n += e.Domain(d).Engine.Fired()
+	for _, d := range e.doms {
+		n += d.Engine.Fired()
 	}
 	return n
-}
-
-// ShardStats returns the sharded coordinator's window statistics (zero
-// for the classic single-engine emulation).
-func (e *Emulation) ShardStats() sim.WindowStats {
-	if e.sh == nil {
-		return sim.WindowStats{}
-	}
-	return e.sh.Stats()
 }
 
 // DomainRecorder returns domain d's flight recorder, or nil when
 // recording is off (Config.Recorder == 0).
 func (e *Emulation) DomainRecorder(d int) *obs.Recorder {
-	return e.Domain(d).Engine.Recorder()
+	return e.doms[d].Engine.Recorder()
 }
 
 // SampleMetrics reads the emulation's intrinsic counters into registry
@@ -89,8 +70,7 @@ func (e *Emulation) SampleMetrics(r *obs.Registry) {
 
 	heapDepth, freeTimers, queueDepth := 0, 0, 0
 	var total mac.LinkStats
-	for d := 0; d < e.NumDomains(); d++ {
-		dom := e.Domain(d)
+	for _, dom := range e.doms {
 		if p := dom.Engine.Pending(); p > heapDepth {
 			heapDepth = p
 		}
@@ -128,15 +108,16 @@ func (e *Emulation) SampleMetrics(r *obs.Registry) {
 			Add(float64(total.Dropped[reason]))
 	}
 
-	ws := e.ShardStats()
 	r.Counter("empower_shard_windows_total",
-		"conservative windows executed by the sharded coordinator").Add(float64(ws.Windows))
+		"coordinator runs: barriers at which every domain reached the same virtual time").Add(float64(e.windows))
+	// Domains are closed, so a run never stalls on a lookahead and nothing
+	// crosses a barrier. bench/traced.go still reads these two series;
+	// retire them together with shard.stalls and shard.cross_events via a
+	// `benchmark` issue.
 	r.Counter("empower_shard_lookahead_stalls_total",
-		"windows cut short of the run horizon by the lookahead").Add(float64(ws.Stalls))
+		"always 0: domains are closed under every interaction").Add(0)
 	r.Counter("empower_shard_cross_events_total",
-		"cross-domain events drained at window barriers").Add(float64(ws.CrossDrained))
-	r.Gauge("empower_shard_cross_queue_depth",
-		"deepest cross-domain queue observed at a barrier").Max(float64(ws.MaxCrossDepth))
+		"always 0: domains are closed under every interaction").Add(0)
 	r.Gauge("empower_domains",
 		"interference domains of the emulated topology").Max(float64(e.NumDomains()))
 }

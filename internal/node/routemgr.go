@@ -23,7 +23,7 @@ var ErrNoRoutes = errors.New("node: flow needs at least one route")
 // when a route died or the achievable total moved by more than the
 // threshold, the flow's routes are swapped live.
 type RouteManager struct {
-	em   *Emulation
+	em   *Domain
 	flow *Flow
 	cfg  routing.Config
 
@@ -59,18 +59,15 @@ type RouteManager struct {
 // SelectFn chooses a flow's route set on a network view.
 type SelectFn func(view *graph.Network, src, dst graph.NodeID) []graph.Path
 
-// ManageRoutes starts periodic route maintenance for a flow.
+// ManageRoutes starts periodic route maintenance for a flow, on the
+// engine of the domain that owns it.
 func (e *Emulation) ManageRoutes(f *Flow, cfg routing.Config) *RouteManager {
-	if f.em != e {
-		// Sharded dispatch: the manager's periodic checks must run on the
-		// engine of the domain that owns the flow.
-		return f.em.ManageRoutes(f, cfg)
-	}
-	m := &RouteManager{em: e, flow: f, cfg: cfg, Threshold: 0.3, Interval: 2}
-	view := e.EstimatedNetwork()
+	d := f.em
+	m := &RouteManager{em: d, flow: f, cfg: cfg, Threshold: 0.3, Interval: 2}
+	view := d.estimatedNetwork()
 	m.lastTotal = m.currentTotal(view)
 	m.lastNetTotal = netCapacityTotal(view)
-	m.periodic = e.Engine.Every(m.Interval, m.check)
+	m.periodic = d.Engine.Every(m.Interval, m.check)
 	return m
 }
 
@@ -110,7 +107,7 @@ func (m *RouteManager) failCheck() {
 	if !m.flow.active {
 		return
 	}
-	view := m.em.EstimatedNetwork()
+	view := m.em.estimatedNetwork()
 	for _, p := range m.flow.routes {
 		if routing.RatePath(view, p) <= 0 {
 			m.em.failovers++
@@ -124,11 +121,22 @@ func (m *RouteManager) failCheck() {
 // per-agent capacity estimates: the capacities every EMPoWER node would
 // advertise in its link state. Failed links appear with zero capacity.
 func (e *Emulation) EstimatedNetwork() *graph.Network {
-	est := e.Net.Clone()
-	for l := 0; l < est.NumLinks(); l++ {
-		est.Link(graph.LinkID(l)).Capacity = e.linkEstimate(graph.LinkID(l))
+	return estimatedView(e.Net, e.LinkEstimate)
+}
+
+// estimatedNetwork is the view a source inside the domain routes on: its
+// own links by estimate, foreign links (which no route of the domain can
+// use) at the clone's frozen capacity.
+func (e *Domain) estimatedNetwork() *graph.Network {
+	return estimatedView(e.Net, e.linkEstimate)
+}
+
+func estimatedView(net *graph.Network, estimate func(graph.LinkID) float64) *graph.Network {
+	view := net.Clone()
+	for l := 0; l < view.NumLinks(); l++ {
+		view.Link(graph.LinkID(l)).Capacity = estimate(graph.LinkID(l))
 	}
-	return est
+	return view
 }
 
 // currentTotal evaluates the flow's current routes on a network view:
@@ -150,7 +158,7 @@ func (m *RouteManager) check() {
 	if !m.flow.active {
 		return
 	}
-	m.checkWith(m.em.EstimatedNetwork())
+	m.checkWith(m.em.estimatedNetwork())
 }
 
 // checkWith runs one maintenance round on a prepared network view.
@@ -231,7 +239,7 @@ func netCapacityTotal(view *graph.Network) float64 {
 // sequence space continues, so the destination's reordering is
 // unaffected. Routes longer than the header limit are rejected.
 func (f *Flow) SetRoutes(routes []graph.Path) error {
-	return f.setRoutesOn(f.em.EstimatedNetwork(), routes)
+	return f.setRoutesOn(f.em.estimatedNetwork(), routes)
 }
 
 // setRoutesOn is SetRoutes with the warm-start view supplied by the

@@ -42,7 +42,7 @@ func TestRouteManagerSwapsOnFailure(t *testing.T) {
 		t.Errorf("%d reroutes during steady operation, want ~0", mgr.Reroutes)
 	}
 	// Kill the PLC branch: the manager must move the flow to WiFi.
-	net.Link(plcRoute[0]).Capacity = 0
+	em.SetLinkCapacity(plcRoute[0], 0)
 	em.Run(60)
 	if mgr.Reroutes == 0 {
 		t.Fatal("route manager did not react to the link failure")

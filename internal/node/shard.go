@@ -1,11 +1,10 @@
 package node
 
 import (
-	"runtime"
+	"sync"
 
 	"repro/internal/graph"
-	"repro/internal/optimal"
-	"repro/internal/sim"
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -15,99 +14,63 @@ import (
 // 2_000_000+run).
 const domainSeedBase = 3_000_000
 
-// newSharded builds the sharded form of the emulation: one closed
-// sub-emulation per interference domain, each with its own pooled
-// engine, MAC, agents, free lists, and RNG (split deterministically from
-// the base seed), coordinated by sim.Sharded.
-//
-// The decomposition merges links across interference and shared
-// endpoints (optimal.InterferenceDomains), which closes each domain
-// under every interaction the emulation has — MAC contention, frame
-// forwarding, price earshot, flow paths. Domains therefore exchange no
-// events at runtime and the coordinator's lookahead stays at its
-// infinite default: each Run is a single conservative window. The
-// decomposition and the per-domain seeds depend only on the topology and
-// the base seed — never on Config.Shards, which merely caps the worker
-// pool — so the trajectory is bit-identical at any shard count.
-func newSharded(net *graph.Network, cfg Config, seed int64, dec *optimal.Domains) *Emulation {
-	e := &Emulation{
-		Net:     net,
-		cfg:     cfg,
-		nodeDom: dec.Node,
-		linkDom: dec.Link,
-		doms:    make([]*Emulation, dec.Num),
+// domainSeed is domain d's RNG seed. Both sides are pinned trajectories
+// (bench/golden.json, experiments/pins_test.go): a connected topology has
+// always drawn from the caller's seed, a decomposed one from per-domain
+// splits. Nothing else depends on the domain count.
+func domainSeed(seed int64, d, num int) int64 {
+	if num == 1 {
+		return seed
 	}
-	workers := cfg.Shards
-	if workers == ShardsAuto {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	subCfg := cfg
-	subCfg.Shards = 0
-	engines := make([]*sim.Engine, dec.Num)
-	own := make([]bool, net.NumNodes())
-	for d := range e.doms {
-		for n := range own {
-			own[n] = dec.Node[n] == d
+	return stats.SplitSeed(seed, domainSeedBase+d)
+}
+
+// Run advances every domain to absolute virtual time t (seconds), domain
+// i on worker i mod Workers. Domains share no state during a run, so the
+// assignment never affects the trajectory; one worker runs them in order
+// without spawning a goroutine.
+func (e *Emulation) Run(t float64) {
+	if e.workers == 1 {
+		for _, d := range e.doms {
+			d.Engine.Run(t)
 		}
-		// Each domain works on its own clone: links are deep-copied, so
-		// capacity mutations stay domain-local, while the immutable
-		// topology (nodes, interference, adjacency) is shared.
-		sub := newEmulationOwned(net.Clone(), subCfg, stats.SplitSeed(seed, domainSeedBase+d), own)
-		e.doms[d] = sub
-		engines[d] = sub.Engine
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < e.workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(e.doms); i += e.workers {
+					e.doms[i].Engine.Run(t)
+				}
+			}(w)
+		}
+		wg.Wait()
 	}
-	e.sh = sim.NewSharded(engines, workers)
-	// The merged agent view: Agents[n] is node n's agent in its owning
-	// domain, so Agent() and post-run measurement work unchanged.
-	e.Agents = make([]*Agent, net.NumNodes())
-	for n := range e.Agents {
-		e.Agents[n] = e.doms[dec.Node[n]].Agents[n]
+	e.windows++
+	// Barrier records are written after the join, so each domain's ring
+	// still has a single writer.
+	for _, d := range e.doms {
+		if rec := d.Engine.Recorder(); rec != nil {
+			rec.Record(d.Engine.Now(), obs.RecWindowBarrier, 0, 0, 0)
+		}
 	}
-	return e
 }
 
-// Sharded reports whether this emulation runs the domain-sharded engine.
-func (e *Emulation) Sharded() bool { return e.doms != nil }
+// Now returns the virtual time every domain reached at the last Run.
+func (e *Emulation) Now() float64 { return e.doms[0].Engine.Now() }
 
-// NumDomains returns the number of interference domains (1 for the
-// classic single-engine emulation).
-func (e *Emulation) NumDomains() int {
-	if e.doms == nil {
-		return 1
-	}
-	return len(e.doms)
-}
+// NumDomains returns the number of interference domains.
+func (e *Emulation) NumDomains() int { return len(e.doms) }
 
-// Domain returns domain d's closed sub-emulation. The classic emulation
-// is its own (only) domain.
-func (e *Emulation) Domain(d int) *Emulation {
-	if e.doms == nil {
-		return e
-	}
-	return e.doms[d]
-}
+// Domain returns domain d.
+func (e *Emulation) Domain(d int) *Domain { return e.doms[d] }
 
 // NodeDomain returns the domain owning node n.
-func (e *Emulation) NodeDomain(n graph.NodeID) int {
-	if e.nodeDom == nil {
-		return 0
-	}
-	return e.nodeDom[n]
-}
+func (e *Emulation) NodeDomain(n graph.NodeID) int { return e.nodeDom[n] }
 
 // LinkDomain returns the domain owning link l.
-func (e *Emulation) LinkDomain(l graph.LinkID) int {
-	if e.linkDom == nil {
-		return 0
-	}
-	return e.linkDom[l]
-}
+func (e *Emulation) LinkDomain(l graph.LinkID) int { return e.linkDom[l] }
 
-// Workers returns the worker-goroutine cap of the sharded engine (1 for
-// the classic emulation).
-func (e *Emulation) Workers() int {
-	if e.sh == nil {
-		return 1
-	}
-	return e.sh.Workers()
-}
+// Workers returns the number of goroutines a Run uses.
+func (e *Emulation) Workers() int { return e.workers }

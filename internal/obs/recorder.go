@@ -27,8 +27,9 @@ const (
 	// RecScenarioEvent: a scenario timeline event applied (A = event
 	// kind ordinal, B = subject link or node, -1 when neither).
 	RecScenarioEvent
-	// RecWindowBarrier: the sharded coordinator drained the cross queues
-	// at a window barrier (A = records drained into this domain).
+	// RecWindowBarrier: an Emulation.Run joined its domain workers with
+	// every domain at the same virtual time (A is part of the trace
+	// format and always 0: closed domains exchange no events).
 	RecWindowBarrier
 	// NumRecKinds sizes dense per-kind tables.
 	NumRecKinds

@@ -42,10 +42,9 @@ type Options struct {
 	// sweeps legitimately run scenarios on views that lack some links
 	// (a PLC flap has nothing to kill on a WiFi-only view).
 	Strict bool
-	// OnEvent, when set, observes every applied event (for logs). On a
-	// sharded emulation it is called from the owning domain's worker
-	// goroutine, so a sharded run's observer must be safe for concurrent
-	// calls.
+	// OnEvent, when set, observes every applied event (for logs). It is
+	// called from the owning domain's worker goroutine, so with
+	// node.Config.Shards > 1 it must be safe for concurrent calls.
 	OnEvent func(ev Event)
 	// Invariants attaches a runtime invariant checker to every domain
 	// engine: flow conservation at relays, dead links delivering
@@ -110,9 +109,8 @@ type Transition struct {
 // The runtime mirrors the emulation's domain decomposition: all state an
 // event handler mutates — flow records, failure windows, transitions,
 // departed-node links — lives in per-domain substates, because on a
-// sharded emulation the handlers of different domains run on different
-// worker goroutines. The classic single-engine emulation is simply the
-// one-domain case running the identical code path. The exported
+// multi-domain emulation the handlers of different domains may run on
+// different worker goroutines. The exported
 // observation fields (Transitions, Failures, SkippedFlows) are merged
 // deterministically from the domains by Finish.
 type Runtime struct {
@@ -146,12 +144,11 @@ type Runtime struct {
 }
 
 // rtDomain is the per-domain slice of the runtime: the state the owning
-// domain's event handlers mutate, plus the domain's sub-emulation (whose
-// engine the domain's timeline rides on). In the one-domain case em is
-// the emulation itself.
+// domain's event handlers mutate, plus the emulation domain whose engine
+// the domain's timeline rides on.
 type rtDomain struct {
-	rt *Runtime
-	em *node.Emulation
+	rt  *Runtime
+	dom *node.Domain
 
 	flows map[string]*FlowRecord
 	order []string // flow names in creation order (deterministic iteration)
@@ -197,7 +194,7 @@ func Bind(em *node.Emulation, sc *Scenario, seed int64, opts Options) (*Runtime,
 	for i := range rt.doms {
 		rt.doms[i] = &rtDomain{
 			rt:    rt,
-			em:    em.Domain(i),
+			dom:   em.Domain(i),
 			flows: map[string]*FlowRecord{},
 			left:  map[graph.NodeID][]graph.LinkID{},
 		}
@@ -215,7 +212,7 @@ func Bind(em *node.Emulation, sc *Scenario, seed int64, opts Options) (*Runtime,
 		}
 		d := rt.domainOfNode(src)
 		rt.flowDom[spec.Name] = d.index()
-		d.em.Engine.At(spec.Start, func() { d.startFlow(spec) })
+		d.dom.Engine.At(spec.Start, func() { d.startFlow(spec) })
 	}
 
 	events := append([]Event(nil), sc.Events...)
@@ -242,7 +239,7 @@ func Bind(em *node.Emulation, sc *Scenario, seed int64, opts Options) (*Runtime,
 		// into per-domain slices, each applied at the event time on its
 		// owning engine — atomic within a domain, simultaneous in
 		// virtual time across them.
-		if (be.Kind == GroupFail || be.Kind == GroupRecover) && rt.Em.NumDomains() > 1 {
+		if be.Kind == GroupFail || be.Kind == GroupRecover {
 			for di := 0; di < rt.Em.NumDomains(); di++ {
 				var part []graph.LinkID
 				for _, l := range be.links {
@@ -261,7 +258,7 @@ func Bind(em *node.Emulation, sc *Scenario, seed int64, opts Options) (*Runtime,
 		bound = append(bound, timelineEvent{d: rt.eventDomain(be), be: be})
 	}
 	for i := range bound {
-		bound[i].d.em.Engine.AtFunc(bound[i].be.At, applyTimelineEvent, &bound[i])
+		bound[i].d.dom.Engine.AtFunc(bound[i].be.At, applyTimelineEvent, &bound[i])
 	}
 	if opts.Invariants {
 		rt.checker = invariant.Attach(em, invariant.Config{
@@ -348,7 +345,7 @@ func (rt *Runtime) Run() {
 // It is idempotent (the merge rebuilds from the domain records).
 func (rt *Runtime) Finish() {
 	for _, d := range rt.doms {
-		now := d.em.Engine.Now()
+		now := d.dom.Engine.Now()
 		for _, f := range d.failures {
 			if f.RecoveredAt == 0 {
 				f.RecoveredAt = now
@@ -391,10 +388,9 @@ func (rt *Runtime) DropsByReason() map[string]int {
 // merge rebuilds the exported observation fields from the per-domain
 // records: concatenated in domain order, then stably sorted by time.
 // Within a domain the records are already time-ordered (virtual time is
-// monotone), so for a single domain the merge is the identity and the
-// fields read exactly as the classic engine always produced them; across
+// monotone), so for a single domain the merge is the identity; across
 // domains the (time, domain) order is a pure function of the scenario
-// and seed — never of shard or worker counts.
+// and seed — never of the worker count.
 func (rt *Runtime) merge() {
 	rt.Transitions = rt.Transitions[:0]
 	rt.Failures = rt.Failures[:0]
@@ -422,9 +418,6 @@ func (rt *Runtime) Flow(name string) *FlowRecord {
 // FlowNames lists the started flows in creation order (across domains:
 // by start time, ties in domain order).
 func (rt *Runtime) FlowNames() []string {
-	if len(rt.doms) == 1 {
-		return append([]string(nil), rt.doms[0].order...)
-	}
 	var names []string
 	for _, d := range rt.doms {
 		names = append(names, d.order...)
@@ -483,14 +476,14 @@ func (d *rtDomain) apply(be boundEvent) {
 	if d.rt.opts.OnEvent != nil {
 		d.rt.opts.OnEvent(be.Event)
 	}
-	if rec := d.em.Engine.Recorder(); rec != nil {
+	if rec := d.dom.Engine.Recorder(); rec != nil {
 		subject := int32(-1)
 		if len(be.links) > 0 {
 			subject = int32(be.links[0])
 		} else if be.Kind == NodeLeave || be.Kind == NodeJoin {
 			subject = int32(be.node)
 		}
-		rec.Record(d.em.Engine.Now(), obs.RecScenarioEvent, EventKindOrdinal(be.Kind), subject, 0)
+		rec.Record(d.dom.Engine.Now(), obs.RecScenarioEvent, EventKindOrdinal(be.Kind), subject, 0)
 	}
 	switch be.Kind {
 	case LinkFail:
@@ -511,7 +504,7 @@ func (d *rtDomain) apply(be boundEvent) {
 			// node-leave) stays dead until its own recovery event —
 			// a drift step must not resurrect it, nor close its
 			// failure window as a spurious recovery.
-			if d.em.Net.Link(l).Capacity <= 0 {
+			if d.dom.Net.Link(l).Capacity <= 0 {
 				continue
 			}
 			d.setCapacity(be.Kind, l, d.rt.base[l]*be.Factor)
@@ -541,10 +534,10 @@ func (d *rtDomain) setLinkCapacity(l graph.LinkID, c float64) {
 // fail kills links (saving their capacities) and opens failure windows
 // for the flows whose current routes traverse them.
 func (d *rtDomain) fail(links []graph.LinkID) {
-	now := d.em.Engine.Now()
+	now := d.dom.Engine.Now()
 	var killed []graph.LinkID
 	for _, l := range links {
-		if c := d.em.Net.Link(l).Capacity; c > 0 {
+		if c := d.dom.Net.Link(l).Capacity; c > 0 {
 			d.rt.saved[l] = c
 			d.setLinkCapacity(l, 0)
 			d.transitions = append(d.transitions, Transition{At: now, Kind: LinkFail, Link: l})
@@ -557,9 +550,9 @@ func (d *rtDomain) fail(links []graph.LinkID) {
 // recoverLinks restores dead links to their pre-failure capacity and
 // closes the matching failure windows.
 func (d *rtDomain) recoverLinks(links []graph.LinkID) {
-	now := d.em.Engine.Now()
+	now := d.dom.Engine.Now()
 	for _, l := range links {
-		if d.em.Net.Link(l).Capacity <= 0 {
+		if d.dom.Net.Link(l).Capacity <= 0 {
 			c := d.rt.saved[l]
 			if c <= 0 {
 				c = d.rt.base[l]
@@ -581,8 +574,8 @@ func (d *rtDomain) setCapacities(kind EventKind, links []graph.LinkID, c float64
 // transition through zero as a failure/recovery for the measurement
 // windows.
 func (d *rtDomain) setCapacity(kind EventKind, l graph.LinkID, c float64) {
-	now := d.em.Engine.Now()
-	was := d.em.Net.Link(l).Capacity
+	now := d.dom.Engine.Now()
+	was := d.dom.Net.Link(l).Capacity
 	if was == c {
 		return
 	}
@@ -604,7 +597,7 @@ func (d *rtDomain) setCapacity(kind EventKind, l graph.LinkID, c float64) {
 // capacity it samples, so detection happens through the same noisy
 // channel the paper's schemes rely on — no oracle side-channel.
 func (d *rtDomain) setLoss(links []graph.LinkID, p float64) {
-	now := d.em.Engine.Now()
+	now := d.dom.Engine.Now()
 	for _, l := range links {
 		if d.rt.Em.LinkLoss(l) == p {
 			continue
@@ -653,13 +646,13 @@ func (rt *Runtime) resolveGroup(name string) ([]graph.LinkID, error) {
 // nodeLinks returns the node's live links (both directions).
 func (d *rtDomain) nodeLinks(n graph.NodeID) []graph.LinkID {
 	var out []graph.LinkID
-	for _, l := range d.em.Net.Out(n) {
-		if d.em.Net.Link(l).Capacity > 0 {
+	for _, l := range d.dom.Net.Out(n) {
+		if d.dom.Net.Link(l).Capacity > 0 {
 			out = append(out, l)
 		}
 	}
-	for _, l := range d.em.Net.In(n) {
-		if d.em.Net.Link(l).Capacity > 0 {
+	for _, l := range d.dom.Net.In(n) {
+		if d.dom.Net.Link(l).Capacity > 0 {
 			out = append(out, l)
 		}
 	}
@@ -724,7 +717,7 @@ func (d *rtDomain) closeFailures(links []graph.LinkID, now float64) {
 // links have zero capacity and are avoided); a flow with no routes is
 // recorded in SkippedFlows, as a blocked arrival would be.
 func (d *rtDomain) startFlow(spec FlowSpec) {
-	now := d.em.Engine.Now()
+	now := d.dom.Engine.Now()
 	if d.flows[spec.Name] != nil {
 		// Validate catches duplicates among scripted flows; this guards
 		// the remaining hole (a scripted name colliding with a generated
@@ -732,13 +725,13 @@ func (d *rtDomain) startFlow(spec FlowSpec) {
 		d.skipped = append(d.skipped, spec.Name)
 		return
 	}
-	src, err1 := resolveNode(d.em.Net, spec.Src)
-	dst, err2 := resolveNode(d.em.Net, spec.Dst)
+	src, err1 := resolveNode(d.dom.Net, spec.Src)
+	dst, err2 := resolveNode(d.dom.Net, spec.Dst)
 	if err1 != nil || err2 != nil {
 		d.skipped = append(d.skipped, spec.Name)
 		return
 	}
-	routes := d.rt.opts.routes()(d.em.Net, src, dst)
+	routes := d.rt.opts.routes()(d.dom.Net, src, dst)
 	if max := d.rt.opts.MaxRoutes; max > 0 && len(routes) > max {
 		routes = routes[:max]
 	}
@@ -753,7 +746,7 @@ func (d *rtDomain) startFlow(spec FlowSpec) {
 	if spec.Kind == "file" {
 		kind = node.TrafficFile
 	}
-	f, err := d.em.AddFlow(node.FlowSpec{
+	f, err := d.rt.Em.AddFlow(node.FlowSpec{
 		Src: src, Dst: dst, Routes: routes, Kind: kind, FileBytes: spec.FileBytes,
 	}, now)
 	if err != nil {
@@ -762,7 +755,7 @@ func (d *rtDomain) startFlow(spec FlowSpec) {
 	}
 	rec := &FlowRecord{Spec: spec, Flow: f, Src: src, Dst: dst, StartedAt: now}
 	if d.rt.opts.ManageRoutes {
-		rec.Mgr = d.em.ManageRoutes(f, d.rt.opts.routingConfig())
+		rec.Mgr = d.rt.Em.ManageRoutes(f, d.rt.opts.routingConfig())
 		// Reroutes re-run the same selection the flow started with, so
 		// scheme semantics survive maintenance (a single-path scheme's
 		// manager recomputes a single path).
@@ -773,7 +766,7 @@ func (d *rtDomain) startFlow(spec FlowSpec) {
 	d.order = append(d.order, spec.Name)
 	if spec.Stop > now {
 		name := spec.Name
-		d.em.Engine.At(spec.Stop, func() { d.stopFlow(name) })
+		d.dom.Engine.At(spec.Stop, func() { d.stopFlow(name) })
 	}
 }
 
@@ -783,7 +776,7 @@ func (d *rtDomain) stopFlow(name string) {
 	if rec == nil || rec.StoppedAt > 0 {
 		return
 	}
-	rec.StoppedAt = d.em.Engine.Now()
+	rec.StoppedAt = d.dom.Engine.Now()
 	rec.Flow.Stop()
 	if rec.Mgr != nil {
 		rec.Mgr.Stop()

@@ -28,8 +28,8 @@ type TopologySpec struct {
 	// two same-tech links interfere only when their endpoints come within
 	// the tech's radius (metres). Techs absent from the map keep an
 	// infinite radius. Spatially separated clusters then fall into
-	// independent interference domains, which the sharded emulation
-	// engine (-shards) exploits.
+	// independent interference domains, which -shards can run on
+	// parallel workers.
 	SenseRadius map[string]float64 `json:"sense_radius,omitempty"`
 }
 

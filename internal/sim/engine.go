@@ -353,21 +353,6 @@ func (e *Engine) Run(until float64) int {
 	return processed
 }
 
-// RunBefore processes events strictly before `until`, leaving the clock
-// at the last processed event instead of clamping it forward. It is the
-// window primitive of the sharded coordinator: a shard may only process
-// events below its conservative horizon, and must not advance its clock
-// to the horizon itself — a cross-shard event may still arrive exactly
-// there.
-func (e *Engine) RunBefore(until float64) int {
-	processed := 0
-	for len(e.heap) > 0 && e.heap[0].at < until {
-		e.fire()
-		processed++
-	}
-	return processed
-}
-
 // RunUntilIdle processes every queued event (including ones scheduled by
 // handlers) and returns the count. It guards against runaway schedules
 // with a generous event budget; exceeding it panics, which in practice

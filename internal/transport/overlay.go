@@ -46,7 +46,10 @@ func Dial(em *node.Emulation, src, dst graph.NodeID, routes []graph.Path, totalB
 
 	conn := &Connection{Forward: fwd, Reverse: rev, FinishedAt: -1}
 
-	conn.Sender = NewSender(em.Engine, cfg, totalBytes, func(seg Segment) error {
+	// Both flows validated, so src and dst share one interference domain:
+	// the connection's timers ride that domain's engine.
+	engine := em.Domain(em.NodeDomain(src)).Engine
+	conn.Sender = NewSender(engine, cfg, totalBytes, func(seg Segment) error {
 		return fwd.Push(seg.Len, seg)
 	})
 	conn.Sender.OnDone(func(at float64) { conn.FinishedAt = at })
@@ -70,6 +73,6 @@ func Dial(em *node.Emulation, src, dst graph.NodeID, routes []graph.Path, totalB
 		}
 	}
 
-	em.Engine.At(startAt, func() { conn.Sender.Start() })
+	engine.At(startAt, func() { conn.Sender.Start() })
 	return conn, nil
 }

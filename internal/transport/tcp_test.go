@@ -200,6 +200,40 @@ func TestTCPOverEmulationMultipath(t *testing.T) {
 		conn.FinishedAt, goodput, conn.Sender.Retransmits, conn.Sender.Timeouts)
 }
 
+func TestTCPOverEmulationTwoDomains(t *testing.T) {
+	// Two WiFi pairs far beyond each other's sensing radius: two
+	// interference domains. A bounded TCP transfer inside the second one
+	// must complete on that domain's engine while the first carries a
+	// saturated flow.
+	b := graph.NewBuilder(graph.RangeBased{SenseRadius: map[graph.Tech]float64{graph.TechWiFi: 50}})
+	s := b.AddNode("s", 0, 0, graph.TechWiFi)
+	d := b.AddNode("d", 10, 0, graph.TechWiFi)
+	u := b.AddNode("u", 1000, 0, graph.TechWiFi)
+	v := b.AddNode("v", 1010, 0, graph.TechWiFi)
+	sd, _ := b.AddDuplex(s, d, graph.TechWiFi, 30)
+	uv, _ := b.AddDuplex(u, v, graph.TechWiFi, 20)
+	net := b.Build()
+	em := node.NewEmulation(net, node.Config{Shards: 1}, 23)
+	if em.NumDomains() != 2 {
+		t.Fatalf("NumDomains = %d, want 2", em.NumDomains())
+	}
+	if _, err := em.AddFlow(node.FlowSpec{Src: s, Dst: d, Routes: []graph.Path{{sd}}, Kind: node.TrafficSaturated}, 0); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := Dial(em, u, v, []graph.Path{{uv}}, 2_000_000, Config{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	em.Run(90)
+	if !conn.Sender.Done() || conn.FinishedAt <= 0 || conn.FinishedAt > 60 {
+		t.Fatalf("TCP transfer: done=%v at %.1f s, %d/%d bytes delivered",
+			conn.Sender.Done(), conn.FinishedAt, conn.Receiver.DeliveredBytes, 2_000_000)
+	}
+	if sink := em.Agent(d).Sinks()[0]; sink.MeanRate(30, 90) < 15 {
+		t.Errorf("saturated flow in the other domain got %.2f Mbps, want most of 30", sink.MeanRate(30, 90))
+	}
+}
+
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}
 	if c.mss() != 1460 || c.initCwnd() != 2 || math.Abs(c.rtoMin()-0.2) > 1e-12 || c.maxCwnd() != 512 {
