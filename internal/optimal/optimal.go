@@ -113,24 +113,30 @@ func (rs *routeSet) conservativeRows(net *graph.Network, bound float64) []Constr
 		if net.Link(graph.LinkID(l)).Capacity <= 0 {
 			continue
 		}
-		coef := map[int]float64{}
 		members = members[:0]
 		for _, lp := range net.Interference(graph.LinkID(l)) {
-			link := net.Link(lp)
-			if link.Capacity <= 0 {
+			if net.Link(lp).Capacity <= 0 {
 				continue
 			}
 			members = append(members, lp)
-			for _, r := range rs.routesOnLink[lp] {
-				coef[r] += link.D()
-			}
 		}
+		// The key first: the coefficients of a domain already seen are the
+		// row already built.
 		key := domainKey(members)
-		if len(coef) == 0 || seen[key] {
+		if seen[key] {
 			continue
 		}
 		seen[key] = true
-		rows = append(rows, Constraint{Coef: coef, Bound: bound})
+		coef := map[int]float64{}
+		for _, lp := range members {
+			d := net.Link(lp).D()
+			for _, r := range rs.routesOnLink[lp] {
+				coef[r] += d
+			}
+		}
+		if len(coef) > 0 {
+			rows = append(rows, Constraint{Coef: coef, Bound: bound})
+		}
 	}
 	return rows
 }

@@ -162,6 +162,17 @@ func TestSolveValidation(t *testing.T) {
 	if _, err := Solve(p2, SolveOptions{Iters: 1}); err == nil {
 		t.Error("out-of-range route accepted")
 	}
+	// A route in two flows used to take the last flow's total and both
+	// flows' warm start and gain.
+	p3 := Problem{NumRoutes: 2, Flows: [][]int{{0, 1}, {1}}}
+	if _, err := Solve(p3, SolveOptions{Iters: 1}); err == nil || err.Error() != "optimal: route 1 belongs to flows 0 and 1" {
+		t.Errorf("route shared by two flows: error %v", err)
+	}
+	// Listed twice in one flow it is still one route of that flow.
+	p4 := Problem{NumRoutes: 2, Flows: [][]int{{0, 1, 1}}}
+	if _, err := Solve(p4, SolveOptions{Iters: 1}); err != nil {
+		t.Errorf("route listed twice in its flow: %v", err)
+	}
 }
 
 func TestOptimalFigure1(t *testing.T) {

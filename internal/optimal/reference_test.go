@@ -1,7 +1,9 @@
 package optimal
 
 // The per-iteration solver loop that the CSR kernel in solver.go replaced,
-// kept verbatim (renamed) as an executable specification:
+// kept verbatim (renamed; every product that feeds an add is wrapped in
+// float64(), which rounds it where amd64 rounds it anyway and keeps other
+// architectures from fusing it) as an executable specification:
 // equivalence_test.go asserts that Solve returns the same bits on every
 // field. Mirrors the reference_test.go pattern of routing and congestion.
 
@@ -134,10 +136,10 @@ func referenceSolve(p Problem, opts SolveOptions) (Solution, error) {
 		for c := range conIdx {
 			var u float64
 			for i, r := range conIdx[c] {
-				u += conCoef[c][i] * x[r]
+				u += float64(conCoef[c][i] * x[r])
 			}
 			usage[c] = u
-			l := lambda[c] + alpha*(u-p.Constraints[c].Bound)
+			l := lambda[c] + float64(alpha*(u-p.Constraints[c].Bound))
 			if l < 0 {
 				l = 0
 			}
@@ -154,21 +156,21 @@ func referenceSolve(p Problem, opts SolveOptions) (Solution, error) {
 		for r := 0; r < n; r++ {
 			var q float64
 			for i, c := range routeCons[r] {
-				q += lambda[c] * routeCoef[r][i]
+				q += float64(lambda[c] * routeCoef[r][i])
 			}
 			f := flowOf[r]
-			inner := xbar[r] + perRouteGain[r]*(util[f].Prime(flowRate[f])-q)
+			inner := xbar[r] + float64(perRouteGain[r]*(util[f].Prime(flowRate[f])-q))
 			if inner < 0 {
 				inner = 0
 			}
-			nx := (1-alpha)*x[r] + alpha*inner
+			nx := float64((1-alpha)*x[r]) + float64(alpha*inner)
 			if nx > cap[r] {
 				nx = cap[r]
 			}
 			newX[r] = nx
 		}
 		for r := 0; r < n; r++ {
-			xbar[r] = (1-alpha)*xbar[r] + alpha*x[r]
+			xbar[r] = float64((1-alpha)*xbar[r]) + float64(alpha*x[r])
 		}
 		copy(x, newX)
 		if t >= avgFrom {
@@ -189,7 +191,7 @@ func referenceSolve(p Problem, opts SolveOptions) (Solution, error) {
 	for c := range conIdx {
 		var u float64
 		for i, r := range conIdx[c] {
-			u += conCoef[c][i] * x[r]
+			u += float64(conCoef[c][i] * x[r])
 		}
 		if b := p.Constraints[c].Bound; b > 0 && u/b > worst {
 			worst = u / b
@@ -213,7 +215,7 @@ func referenceSolve(p Problem, opts SolveOptions) (Solution, error) {
 	for c := range conIdx {
 		var u float64
 		for i, r := range conIdx[c] {
-			u += conCoef[c][i] * x[r]
+			u += float64(conCoef[c][i] * x[r])
 		}
 		if v := u - p.Constraints[c].Bound; v > sol.MaxViolation {
 			sol.MaxViolation = v

@@ -101,6 +101,8 @@ run_bench() {
         if ($(i+1) == "ns/op") val[name, "ns", k] = $i
         if ($(i+1) == "B/op") val[name, "b", k] = $i
         if ($(i+1) == "allocs/op") val[name, "a", k] = $i
+        # BenchmarkOptimalSolve reports the share of routes its pass visits
+        if ($(i+1) == "live-share") val[name, "live", k] = $i
       }
     }
     END {
@@ -118,9 +120,10 @@ run_bench() {
         name = order[b]
         ns = column(name, "ns"); nslo = lo; nshi = hi
         if (ns == "null") nslo = nshi = ns
-        printf "    {\"name\":\"%s\",\"samples\":%d,\"iterations\":%s,\"ns_per_op\":%s,\"ns_per_op_min\":%s,\"ns_per_op_max\":%s,\"bytes_per_op\":%s,\"allocs_per_op\":%s}%s\n", \
+        live = column(name, "live")
+        printf "    {\"name\":\"%s\",\"samples\":%d,\"iterations\":%s,\"ns_per_op\":%s,\"ns_per_op_min\":%s,\"ns_per_op_max\":%s,\"bytes_per_op\":%s,\"allocs_per_op\":%s%s}%s\n", \
           name, samples[name], iters[name], ns, nslo, nshi, \
-          column(name, "b"), column(name, "a"), (b < nb ? "," : "")
+          column(name, "b"), column(name, "a"), (live == "null" ? "" : ",\"live_share\":" live), (b < nb ? "," : "")
       }
       printf "  ]\n}\n"
     }
