@@ -8,6 +8,7 @@
 package empower
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -34,9 +35,17 @@ var benchSim = experiments.SimConfig{Runs: 8, Seed: 42, Core: core.Options{Slots
 // benchTestbed is a reduced emulation configuration.
 var benchTestbed = experiments.TestbedConfig{Seed: 42, Duration: 10, Pairs: 3, Flows: 2, Repeats: 1}
 
+// must unwraps a sweep that cannot fail under context.Background().
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func BenchmarkFigure4Residential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Figure4(experiments.TopoResidential, benchSim)
+		r := must(experiments.Figure4Ctx(context.Background(), experiments.TopoResidential, benchSim))
 		if len(r.Samples[core.SchemeEMPoWER]) == 0 {
 			b.Fatal("no samples")
 		}
@@ -45,7 +54,7 @@ func BenchmarkFigure4Residential(b *testing.B) {
 
 func BenchmarkFigure4Enterprise(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Figure4(experiments.TopoEnterprise, benchSim)
+		must(experiments.Figure4Ctx(context.Background(), experiments.TopoEnterprise, benchSim))
 	}
 }
 
@@ -65,7 +74,7 @@ func BenchmarkFigure4ParallelSweep(b *testing.B) {
 		cfg.Parallel = workers
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := experiments.Figure4(experiments.TopoResidential, cfg)
+				r := must(experiments.Figure4Ctx(context.Background(), experiments.TopoResidential, cfg))
 				if len(r.Samples[core.SchemeEMPoWER]) != cfg.Runs {
 					b.Fatal("sample count wrong")
 				}
@@ -75,7 +84,7 @@ func BenchmarkFigure4ParallelSweep(b *testing.B) {
 }
 
 func BenchmarkFigure5WorstFlows(b *testing.B) {
-	f4 := experiments.Figure4(experiments.TopoResidential, benchSim)
+	f4 := must(experiments.Figure4Ctx(context.Background(), experiments.TopoResidential, benchSim))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		experiments.Figure5(f4)
@@ -86,7 +95,7 @@ func BenchmarkFigure6OptimalRatios(b *testing.B) {
 	cfg := benchSim
 	cfg.Runs = 4
 	for i := 0; i < b.N; i++ {
-		experiments.Figure6(experiments.TopoResidential, cfg)
+		must(experiments.Figure6Ctx(context.Background(), experiments.TopoResidential, cfg))
 	}
 }
 
@@ -145,7 +154,7 @@ func BenchmarkFigure7Utility(b *testing.B) {
 	cfg := benchSim
 	cfg.Runs = 3
 	for i := 0; i < b.N; i++ {
-		experiments.Figure7(experiments.TopoResidential, cfg)
+		must(experiments.Figure7Ctx(context.Background(), experiments.TopoResidential, cfg))
 	}
 }
 
@@ -153,7 +162,7 @@ func BenchmarkConvergenceComparison(b *testing.B) {
 	cfg := benchSim
 	cfg.Runs = 2
 	for i := 0; i < b.N; i++ {
-		experiments.Convergence(experiments.TopoResidential, cfg)
+		must(experiments.ConvergenceCtx(context.Background(), experiments.TopoResidential, cfg))
 	}
 }
 
@@ -167,26 +176,26 @@ func BenchmarkFigure9TwoFlowTrace(b *testing.B) {
 
 func BenchmarkFigure10TestbedPairs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Figure10(benchTestbed)
+		must(experiments.Figure10Ctx(context.Background(), benchTestbed))
 	}
 }
 
 func BenchmarkFigure11FlowBars(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Figure11(benchTestbed)
+		must(experiments.Figure11Ctx(context.Background(), benchTestbed))
 	}
 }
 
 func BenchmarkTable1Downloads(b *testing.B) {
 	cfg := benchTestbed
 	for i := 0; i < b.N; i++ {
-		experiments.Table1(cfg)
+		must(experiments.Table1Ctx(context.Background(), cfg))
 	}
 }
 
 func BenchmarkFigure12TCPTrace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure12(benchTestbed); err != nil {
+		if _, err := experiments.Figure12Ctx(context.Background(), benchTestbed); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -194,7 +203,7 @@ func BenchmarkFigure12TCPTrace(b *testing.B) {
 
 func BenchmarkFigure13TCPBars(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Figure13(benchTestbed)
+		must(experiments.Figure13Ctx(context.Background(), benchTestbed))
 	}
 }
 
@@ -642,7 +651,7 @@ func BenchmarkChurnSweep(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ChurnFailover(sc, cfg); err != nil {
+		if _, err := experiments.ChurnFailoverCtx(context.Background(), sc, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -666,7 +675,7 @@ func BenchmarkChurnSweepSharded(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.ChurnFailover(sc, cfg); err != nil {
+				if _, err := experiments.ChurnFailoverCtx(context.Background(), sc, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

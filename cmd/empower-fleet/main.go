@@ -52,14 +52,12 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"io"
 	"log"
 	"net"
 	"os"
-	"os/signal"
-	"syscall"
 
+	"repro/internal/cli"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 )
@@ -74,48 +72,47 @@ func main() {
 	repDelay := flag.Duration("repdelay", 0, "fault-injection: sleep before every replication attempt")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address")
 	quiet := flag.Bool("quiet", false, "suppress supervision logs")
-	flag.Parse()
 
-	logger := log.New(os.Stderr, "", log.LstdFlags)
-	if *quiet {
-		logger = log.New(io.Discard, "", 0)
-	}
-	if *pprofAddr != "" {
-		fail(obs.ServePprof(*pprofAddr))
-	}
+	// The first SIGTERM/SIGINT cancels ctx → graceful drain, exit 0; a
+	// second signal kills the process the ordinary way. Either way the
+	// WAL holds every acknowledged replication.
+	cli.Main("empower-fleet", func(ctx context.Context) error {
+		logger := log.New(os.Stderr, "", log.LstdFlags)
+		if *quiet {
+			logger = log.New(io.Discard, "", 0)
+		}
+		if *pprofAddr != "" {
+			if err := obs.ServePprof(*pprofAddr); err != nil {
+				return err
+			}
+		}
 
-	srv, err := fleet.New(fleet.Config{
-		WALPath:    *wal,
-		QueueBound: *queue,
-		Workers:    *workers,
-		MaxRetries: *retries,
-		RepTimeout: *timeout,
-		RepDelay:   *repDelay,
-		Log:        logger,
+		srv, err := fleet.New(fleet.Config{
+			WALPath:    *wal,
+			QueueBound: *queue,
+			Workers:    *workers,
+			MaxRetries: *retries,
+			RepTimeout: *timeout,
+			RepDelay:   *repDelay,
+			Log:        logger,
+		})
+		if err != nil {
+			return err
+		}
+		if n := srv.Resumable(); n > 0 {
+			logger.Printf("empower-fleet: recovered %d incomplete sweep(s); resuming", n)
+		}
+
+		ln, err := net.Listen("tcp", *addr)
+		if err != nil {
+			return err
+		}
+		logger.Printf("empower-fleet: serving on %s (wal %s)", ln.Addr(), *wal)
+
+		if err := srv.Run(ctx, ln); err != nil {
+			return err
+		}
+		logger.Printf("empower-fleet: drained; all completed replications checkpointed")
+		return nil
 	})
-	fail(err)
-	if n := srv.Resumable(); n > 0 {
-		logger.Printf("empower-fleet: recovered %d incomplete sweep(s); resuming", n)
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	fail(err)
-	logger.Printf("empower-fleet: serving on %s (wal %s)", ln.Addr(), *wal)
-
-	// First SIGTERM/SIGINT cancels the context → graceful drain; the
-	// NotifyContext then restores default handling, so a second signal
-	// kills the process the ordinary way. Either way the WAL holds every
-	// acknowledged replication.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	fail(srv.Run(ctx, ln))
-	logger.Printf("empower-fleet: drained; all completed replications checkpointed")
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "empower-fleet:", err)
-		os.Exit(1)
-	}
 }

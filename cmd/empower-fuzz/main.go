@@ -43,9 +43,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
+	"repro/internal/cli"
 	"repro/internal/fuzz"
 )
 
@@ -56,54 +55,42 @@ func main() {
 	duration := flag.Float64("duration", 12, "max generated scenario length (emulated seconds)")
 	inject := flag.String("inject", "", `seed a deliberate defect: "counter" or "seed"`)
 	verbose := flag.Bool("v", false, "log every run")
-	flag.Parse()
 
-	cfg := fuzz.Config{
-		Runs:        *runs,
-		Seed:        *seed,
-		OutDir:      *out,
-		MaxDuration: *duration,
-	}
-	switch *inject {
-	case "":
-	case string(fuzz.InjectCounter):
-		cfg.Inject = fuzz.InjectCounter
-	case string(fuzz.InjectSeed):
-		cfg.Inject = fuzz.InjectSeed
-	default:
-		fmt.Fprintf(os.Stderr, "empower-fuzz: unknown -inject mode %q\n", *inject)
-		os.Exit(2)
-	}
-	if *verbose {
-		cfg.Log = func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+	cli.Main("empower-fuzz", func(ctx context.Context) error {
+		cfg := fuzz.Config{
+			Runs:        *runs,
+			Seed:        *seed,
+			OutDir:      *out,
+			MaxDuration: *duration,
+			Inject:      fuzz.Inject(*inject),
 		}
-	}
+		switch cfg.Inject {
+		case fuzz.InjectNone, fuzz.InjectCounter, fuzz.InjectSeed:
+		default:
+			return cli.Usagef("unknown -inject mode %q", *inject)
+		}
+		if *verbose {
+			cfg.Log = func(format string, args ...interface{}) {
+				fmt.Fprintf(os.Stderr, format+"\n", args...)
+			}
+		}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	res, err := fuzz.RunCtx(ctx, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "empower-fuzz:", err)
-		// Interruption (SIGINT/SIGTERM between scenarios) exits 130,
-		// shell-style, so wrappers can tell "cancelled" from "failed".
-		if errors.Is(err, context.Canceled) {
-			os.Exit(130)
+		res, err := fuzz.RunCtx(ctx, cfg)
+		if err != nil {
+			return err
 		}
-		os.Exit(1)
-	}
-	if res.Failure != nil {
-		f := res.Failure
-		fmt.Fprintf(os.Stderr, "empower-fuzz: run %d failed check %s\n  %s\n", f.Run, f.Check, f.Detail)
-		if f.Repro != "" {
-			fmt.Fprintf(os.Stderr, "  reproducer: %s (timeline seed %d, emulation seed %d)\n",
-				f.Repro, f.TimelineSeed, f.EmuSeed)
+		if f := res.Failure; f != nil {
+			msg := fmt.Sprintf("run %d failed check %s\n  %s", f.Run, f.Check, f.Detail)
+			if f.Repro != "" {
+				msg += fmt.Sprintf("\n  reproducer: %s (timeline seed %d, emulation seed %d)",
+					f.Repro, f.TimelineSeed, f.EmuSeed)
+			}
+			if f.Trace != "" {
+				msg += fmt.Sprintf("\n  flight-recorder trace: %s (Chrome trace-event JSON; open in Perfetto)", f.Trace)
+			}
+			return errors.New(msg)
 		}
-		if f.Trace != "" {
-			fmt.Fprintf(os.Stderr, "  flight-recorder trace: %s (Chrome trace-event JSON; open in Perfetto)\n", f.Trace)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("empower-fuzz: %d scenarios clean (seed %d)\n", res.Clean, *seed)
+		fmt.Printf("empower-fuzz: %d scenarios clean (seed %d)\n", res.Clean, *seed)
+		return nil
+	})
 }

@@ -1,7 +1,7 @@
 // Command empower-route computes EMPoWER routes for a topology described
-// in a JSON file (see package repro/internal/netio for the format): the
-// single-path procedure, the n shortest paths, and the multipath
-// combination with its total achievable rate.
+// in a JSON file — the "topology" object of the scenario schema (see
+// DESIGN.md), kind "custom": the single-path procedure, the n shortest
+// paths, and the multipath combination with its total achievable rate.
 //
 // Usage:
 //
@@ -11,38 +11,31 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/graph"
-	"repro/internal/netio"
 	"repro/internal/routing"
+	"repro/internal/scenario"
 )
 
-func load(path string) (*graph.Network, map[string]graph.NodeID, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	doc, err := netio.Read(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	return doc.Build(nil)
-}
-
-func exampleNet() (*graph.Network, map[string]graph.NodeID) {
-	b := graph.NewBuilder(nil)
-	ids := map[string]graph.NodeID{}
-	ids["a"] = b.AddNode("a", 0, 0, graph.TechPLC, graph.TechWiFi)
-	ids["b"] = b.AddNode("b", 10, 0, graph.TechPLC, graph.TechWiFi)
-	ids["c"] = b.AddNode("c", 20, 0, graph.TechWiFi)
-	b.AddDuplex(ids["a"], ids["b"], graph.TechPLC, 10)
-	b.AddDuplex(ids["a"], ids["b"], graph.TechWiFi, 15)
-	b.AddDuplex(ids["b"], ids["c"], graph.TechWiFi, 30)
-	return b.Build(), ids
+// example is the paper's Figure 1 scenario.
+var example = scenario.TopologySpec{
+	Kind: "custom",
+	Nodes: []scenario.NodeSpec{
+		{Name: "a", X: 0, Techs: []string{"plc", "wifi"}},
+		{Name: "b", X: 10, Techs: []string{"plc", "wifi"}},
+		{Name: "c", X: 20, Techs: []string{"wifi"}},
+	},
+	Links: []scenario.LinkSpec{
+		{From: "a", To: "b", Tech: "plc", Capacity: 10},
+		{From: "a", To: "b", Tech: "wifi", Capacity: 15},
+		{From: "b", To: "c", Tech: "wifi", Capacity: 30},
+	},
 }
 
 func main() {
@@ -50,58 +43,63 @@ func main() {
 	src := flag.String("src", "a", "source node name")
 	dst := flag.String("dst", "c", "destination node name")
 	n := flag.Int("n", 5, "n for n-shortest")
-	example := flag.Bool("example", false, "use the built-in Figure 1 scenario")
+	useExample := flag.Bool("example", false, "use the built-in Figure 1 scenario")
 	dump := flag.Bool("dump", false, "print the topology as JSON and exit")
-	flag.Parse()
 
-	var net *graph.Network
-	var ids map[string]graph.NodeID
-	var err error
-	if *example || *topoPath == "" {
-		net, ids = exampleNet()
-	} else {
-		net, ids, err = load(*topoPath)
+	cli.Main("empower-route", func(context.Context) error {
+		spec := &example
+		if !*useExample && *topoPath != "" {
+			var err error
+			if spec, err = scenario.LoadTopology(*topoPath); err != nil {
+				return err
+			}
+		}
+		if *dump {
+			enc := json.NewEncoder(os.Stdout)
+			enc.SetIndent("", "  ")
+			return enc.Encode(spec)
+		}
+		net, err := spec.Build(0)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "empower-route:", err)
-			os.Exit(1)
+			return err
 		}
-	}
-	if *dump {
-		if err := netio.FromNetwork(net).Write(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "empower-route:", err)
-			os.Exit(1)
+		node := func(role, name string) (graph.NodeID, error) {
+			for i := range net.Nodes {
+				if net.Nodes[i].Name == name {
+					return graph.NodeID(i), nil
+				}
+			}
+			return 0, fmt.Errorf("unknown %s %q", role, name)
 		}
-		return
-	}
-	s, ok := ids[*src]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "empower-route: unknown source %q\n", *src)
-		os.Exit(1)
-	}
-	d, ok := ids[*dst]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "empower-route: unknown destination %q\n", *dst)
-		os.Exit(1)
-	}
+		s, err := node("source", *src)
+		if err != nil {
+			return err
+		}
+		d, err := node("destination", *dst)
+		if err != nil {
+			return err
+		}
 
-	cfg := routing.DefaultConfig()
-	cfg.N = *n
+		cfg := routing.DefaultConfig()
+		cfg.N = *n
 
-	if p := routing.SinglePath(net, s, d, cfg); p != nil {
-		fmt.Printf("single-path:   %s  (R = %.2f Mbps, weight %.4f)\n",
-			net.PathString(p), routing.RatePath(net, p), routing.PathWeight(net, p, cfg))
-	} else {
-		fmt.Println("single-path:   unreachable")
-	}
+		if p := routing.SinglePath(net, s, d, cfg); p != nil {
+			fmt.Printf("single-path:   %s  (R = %.2f Mbps, weight %.4f)\n",
+				net.PathString(p), routing.RatePath(net, p), routing.PathWeight(net, p, cfg))
+		} else {
+			fmt.Println("single-path:   unreachable")
+		}
 
-	fmt.Printf("%d-shortest:\n", cfg.N)
-	for i, p := range routing.NShortest(net, s, d, cfg) {
-		fmt.Printf("  %d. %s  (R = %.2f Mbps)\n", i+1, net.PathString(p), routing.RatePath(net, p))
-	}
+		fmt.Printf("%d-shortest:\n", cfg.N)
+		for i, p := range routing.NShortest(net, s, d, cfg) {
+			fmt.Printf("  %d. %s  (R = %.2f Mbps)\n", i+1, net.PathString(p), routing.RatePath(net, p))
+		}
 
-	comb := routing.Multipath(net, s, d, cfg)
-	fmt.Printf("multipath combination (total %.2f Mbps):\n", comb.Total)
-	for i, p := range comb.Paths {
-		fmt.Printf("  route %d @ %.2f Mbps: %s\n", i+1, comb.Rates[i], net.PathString(p))
-	}
+		comb := routing.Multipath(net, s, d, cfg)
+		fmt.Printf("multipath combination (total %.2f Mbps):\n", comb.Total)
+		for i, p := range comb.Paths {
+			fmt.Printf("  route %d @ %.2f Mbps: %s\n", i+1, comb.Rates[i], net.PathString(p))
+		}
+		return nil
+	})
 }

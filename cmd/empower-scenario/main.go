@@ -68,154 +68,112 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
-	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/node"
 	"repro/internal/obs"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 )
 
 func main() {
 	scPath := flag.String("scenario", "", "scenario JSON file (required)")
 	runs := flag.Int("runs", 20, "scenario replications per scheme")
-	seed := flag.Int64("seed", 1, "base RNG seed")
-	parallel := flag.Int("parallel", 0, "replication workers (<= 0: GOMAXPROCS)")
 	schemesCSV := flag.String("schemes", "EMPoWER,SP,MP-w/o-CC,SP-w/o-CC",
 		`comma-separated scheme names, or "all"`)
-	jsonOut := flag.Bool("json", false, "emit results as a JSON object on stdout")
-	delta := flag.Float64("delta", 0.05, "constraint margin δ")
 	bin := flag.Float64("bin", 0.2, "failover measurement bin (seconds)")
 	frac := flag.Float64("frac", 0.8, "goodput-recovery fraction defining failover")
 	manage := flag.Bool("manage", true, "attach the route manager (fast failover) to multipath CC flows")
-	shards := flag.Int("shards", 1, "worker cap inside a replication (0: one per core); never changes results")
 	invariants := flag.Bool("invariants", false, "attach the runtime invariant checker to every replication; report per-reason drops and fail on any violation")
 	flapRates := flag.String("flaprates", "", "goodput-vs-flap-rate sweep frequencies (cycles/minute)")
-	metrics := flag.String("metrics", "", "Prometheus snapshots: file path, or :port / host:port to serve /metrics")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address")
-	progress := flag.Bool("progress", false, "live progress line on stderr")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of one replication (see -tracerun)")
 	traceRun := flag.Int("tracerun", 0, "replication index for -trace")
 	recorder := flag.Int("recorder", 0, "flight-recorder ring size per domain (0 disables; -invariants implies 256)")
 	phases := flag.Bool("phases", false, "report the bind/run/collect wall-clock phase breakdown")
-	flag.Parse()
+	sweep := cli.SweepFlags()
+	sweep.EmulationFlags()
 
-	if *scPath == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-	sc, err := scenario.Load(*scPath)
-	fail(err)
-	schemes, err := experiments.ParseSchemes(*schemesCSV)
-	fail(err)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	cfg := experiments.ChurnConfig{
-		Seed: *seed, Runs: *runs, Schemes: schemes, Delta: *delta,
-		Bin: *bin, Frac: *frac, ManageRoutes: *manage, Parallel: *parallel,
-		Shards: shardsValue(*shards), Invariants: *invariants,
-		Recorder: *recorder,
-	}
-
-	if *pprofAddr != "" {
-		fail(obs.ServePprof(*pprofAddr))
-	}
-	var emitter *obs.Emitter
-	if *metrics != "" {
-		cfg.Metrics = obs.NewAggregator()
-		emitter, err = obs.StartEmitter(*metrics, cfg.Metrics, 0)
-		fail(err)
-		// Runner throughput and utilization ride the same snapshots,
-		// refreshed after every finished replication.
-		rs := obs.NewRunnerStats(runner.PoolSize(*parallel))
-		agg := cfg.Metrics
-		cfg.JobTime = func(d time.Duration) {
-			rs.JobTime(d)
-			agg.With(rs.Sample)
+	sweep.Main("empower-scenario", func(ctx context.Context) error {
+		if *scPath == "" {
+			return cli.ErrUsage
 		}
-	}
-	var line *obs.ProgressLine
-	if *progress {
-		line = obs.NewProgressLine(os.Stderr, "replications")
-		cfg.Progress = line.Update
-	}
-	var ph *obs.Phases
-	if *phases {
-		ph = &obs.Phases{}
-		cfg.Phases = ph
-	}
+		sc, err := scenario.Load(*scPath)
+		if err != nil {
+			return err
+		}
+		schemes, err := experiments.ParseSchemes(*schemesCSV)
+		if err != nil {
+			return err
+		}
+		cfg := experiments.ChurnConfig{
+			Seed: sweep.Seed, Runs: *runs, Schemes: schemes, Delta: sweep.Delta,
+			Bin: *bin, Frac: *frac, ManageRoutes: *manage, Parallel: sweep.Parallel,
+			Shards: sweep.Shards(), Invariants: *invariants, Recorder: *recorder,
+			Progress: sweep.Progress("replications"),
+			JobTime:  sweep.JobTime, Metrics: sweep.Metrics,
+		}
+		if *phases {
+			cfg.Phases = &obs.Phases{}
+		}
 
-	enc := json.NewEncoder(os.Stdout)
-	emit := func(experiment string, result any, render func() string) {
-		line.Finish()
-		if *jsonOut {
-			envelope := struct {
-				Experiment string              `json:"experiment"`
-				Scenario   string              `json:"scenario"`
-				Seed       int64               `json:"seed"`
-				Result     any                 `json:"result"`
-				Phases     *obs.PhaseBreakdown `json:"phases,omitempty"`
-			}{Experiment: experiment, Scenario: sc.Name, Seed: *seed, Result: result}
-			if ph != nil {
-				bd := ph.Breakdown()
-				envelope.Phases = &bd
+		var result interface{ Render() string }
+		var violations []experiments.Violation
+		experiment := "churn-failover"
+		if *flapRates != "" {
+			experiment = "churn-flap-sweep"
+			rates, err := parseFloats(*flapRates)
+			if err != nil {
+				return err
 			}
-			fail(enc.Encode(envelope))
-			return
+			result, violations, err = experiments.ChurnFlapSweepCtx(ctx, sc, cfg, rates)
+			if err != nil {
+				return err
+			}
+		} else {
+			res, err := experiments.ChurnFailoverCtx(ctx, sc, cfg)
+			if err != nil {
+				return err
+			}
+			result, violations = res, res.Violations()
 		}
-		fmt.Println(render())
-		if ph != nil {
-			bd := ph.Breakdown()
+
+		// "scenario" is emitted even for an unnamed scenario.
+		envelope := struct {
+			Experiment string              `json:"experiment"`
+			Scenario   string              `json:"scenario"`
+			Seed       int64               `json:"seed"`
+			Result     any                 `json:"result"`
+			Phases     *obs.PhaseBreakdown `json:"phases,omitempty"`
+		}{Experiment: experiment, Scenario: sc.Name, Seed: sweep.Seed, Result: result}
+		if *phases {
+			bd := cfg.Phases.Breakdown()
+			envelope.Phases = &bd
+		}
+		if err := sweep.Emit(envelope, result.Render); err != nil {
+			return err
+		}
+		if *phases && !sweep.JSON {
 			fmt.Fprintf(os.Stderr, "phases: bind %.3fs run %.3fs collect %.3fs (worker time)\n",
-				bd.BindSeconds, bd.RunSeconds, bd.CollectSeconds)
+				envelope.Phases.BindSeconds, envelope.Phases.RunSeconds, envelope.Phases.CollectSeconds)
 		}
-	}
-	finish := func() {
-		fail(emitter.Close())
 		if *tracePath != "" {
-			fail(writeTrace(sc, cfg, *traceRun, schemes[0], *tracePath))
-		}
-	}
-
-	if *flapRates != "" {
-		rates, err := parseFloats(*flapRates)
-		fail(err)
-		res, err := experiments.ChurnFlapSweepCtx(ctx, sc, cfg, rates)
-		fail(err)
-		emit("churn-flap-sweep", res, res.Render)
-		finish()
-		return
-	}
-	res, err := experiments.ChurnFailoverCtx(ctx, sc, cfg)
-	fail(err)
-	emit("churn-failover", res, res.Render)
-	finish()
-	if *invariants {
-		violations := 0
-		for _, row := range res.Rows {
-			violations += row.Violations
-			for _, detail := range row.ViolationDetails {
-				fmt.Fprintf(os.Stderr, "empower-scenario: scheme %s violation:\n%s\n", row.Scheme, detail)
+			if err := writeTrace(sc, cfg, *traceRun, schemes[0], *tracePath); err != nil {
+				return err
 			}
 		}
-		if violations > 0 {
-			fmt.Fprintf(os.Stderr, "empower-scenario: %d invariant violations\n", violations)
-			os.Exit(1)
+		for _, v := range violations {
+			fmt.Fprintf(os.Stderr, "empower-scenario: scheme %s violation:\n%s\n", v.Scheme, v.Detail)
 		}
-	}
+		if len(violations) > 0 {
+			return fmt.Errorf("%d invariant violations", len(violations))
+		}
+		return nil
+	})
 }
 
 // traceRing sizes the per-domain flight-recorder ring of a -trace re-run:
@@ -243,36 +201,14 @@ func writeTrace(sc *scenario.Scenario, cfg experiments.ChurnConfig, run int, sch
 	return f.Close()
 }
 
-// shardsValue maps the CLI convention (0 = one worker per core) onto
-// node.Config.Shards, where that is ShardsAuto.
-func shardsValue(n int) int {
-	if n == 0 {
-		return node.ShardsAuto
-	}
-	return n
-}
-
 func parseFloats(csv string) ([]float64, error) {
 	var out []float64
 	for _, s := range strings.Split(csv, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		if err != nil {
-			return nil, fmt.Errorf("empower-scenario: bad rate %q: %w", s, err)
+			return nil, fmt.Errorf("bad rate %q: %w", s, err)
 		}
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func fail(err error) {
-	if err == nil {
-		return
-	}
-	fmt.Fprintln(os.Stderr, "empower-scenario:", err)
-	// Interruption (SIGINT/SIGTERM cancelling the sweep context) exits
-	// 130, shell-style, so wrappers can tell "cancelled" from "failed".
-	if errors.Is(err, context.Canceled) {
-		os.Exit(130)
-	}
-	os.Exit(1)
 }

@@ -36,188 +36,143 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
-	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/obs"
-	"repro/internal/runner"
-	"repro/internal/trace"
+	"repro/internal/stats"
 )
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 4, 5, 6, 7, convergence, all")
 	topo := flag.String("topo", "both", "topology: residential, enterprise, both")
 	runs := flag.Int("runs", 200, "random instances per figure (paper: 1000)")
-	seed := flag.Int64("seed", 1, "base RNG seed")
-	parallel := flag.Int("parallel", 0, "replication workers (<= 0: GOMAXPROCS)")
-	jsonOut := flag.Bool("json", false, "emit figures as JSON objects on stdout")
-	progress := flag.Bool("progress", false, "report sweep progress on stderr")
 	slots := flag.Int("slots", 0, "controller slots per run (default 4000)")
 	out := flag.String("out", "", "directory for plottable TSV data files (optional)")
-	metrics := flag.String("metrics", "", "Prometheus snapshots: file path, or :port / host:port to serve /metrics")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address")
-	flag.Parse()
+	sweep := cli.SweepFlags()
 
-	if *fig != "all" && !oneOf(*fig, "4", "5", "6", "7", "convergence") {
-		fmt.Fprintf(os.Stderr, "unknown -fig %q\n", *fig)
-		os.Exit(2)
-	}
-	if *out != "" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "empower-sim:", err)
-			os.Exit(1)
+	sweep.Main("empower-sim", func(ctx context.Context) error {
+		switch *fig {
+		case "all", "4", "5", "6", "7", "convergence":
+		default:
+			return cli.Usagef("unknown -fig %q", *fig)
 		}
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	cfg := experiments.SimConfig{
-		Runs: *runs, Seed: *seed, Core: core.Options{Slots: *slots},
-		Parallel: *parallel,
-	}
-
-	if *pprofAddr != "" {
-		fail(obs.ServePprof(*pprofAddr))
-	}
-	if *metrics != "" {
+		var topos []experiments.Topo
+		switch strings.ToLower(*topo) {
+		case "residential":
+			topos = []experiments.Topo{experiments.TopoResidential}
+		case "enterprise":
+			topos = []experiments.Topo{experiments.TopoEnterprise}
+		case "both":
+			topos = []experiments.Topo{experiments.TopoResidential, experiments.TopoEnterprise}
+		default:
+			return cli.Usagef("unknown -topo %q", *topo)
+		}
+		if *out != "" {
+			if err := os.MkdirAll(*out, 0o755); err != nil {
+				return err
+			}
+		}
 		// The simulation figures run flow-level solves, not packet
-		// emulations, so the snapshots carry the runner series only:
+		// emulations, so -metrics snapshots carry the runner series only:
 		// replications completed, completion rate, worker utilization.
-		agg := obs.NewAggregator()
-		emitter, err := obs.StartEmitter(*metrics, agg, 0)
-		fail(err)
-		defer emitter.Close()
-		rs := obs.NewRunnerStats(runner.PoolSize(*parallel))
-		cfg.JobTime = func(d time.Duration) {
-			rs.JobTime(d)
-			agg.With(rs.Sample)
+		cfg := experiments.SimConfig{
+			Runs: *runs, Seed: sweep.Seed, Core: core.Options{Slots: *slots},
+			Parallel: sweep.Parallel, JobTime: sweep.JobTime,
 		}
-	}
+		want := func(f string) bool { return *fig == "all" || *fig == f }
 
-	var topos []experiments.Topo
-	switch strings.ToLower(*topo) {
-	case "residential":
-		topos = []experiments.Topo{experiments.TopoResidential}
-	case "enterprise":
-		topos = []experiments.Topo{experiments.TopoEnterprise}
-	case "both":
-		topos = []experiments.Topo{experiments.TopoResidential, experiments.TopoEnterprise}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -topo %q\n", *topo)
-		os.Exit(2)
-	}
-
-	var line *obs.ProgressLine
-
-	enc := json.NewEncoder(os.Stdout)
-	// emit prints one figure in the selected output mode. The JSON
-	// envelope names the figure and topology so streams of objects stay
-	// self-describing.
-	emit := func(figure string, t fmt.Stringer, result any, render func() string) {
-		line.Finish()
-		if *jsonOut {
-			envelope := struct {
-				Figure string `json:"figure"`
-				Topo   string `json:"topo,omitempty"`
-				Seed   int64  `json:"seed"`
-				Result any    `json:"result"`
-			}{Figure: figure, Seed: *seed, Result: result}
-			if t != nil {
-				envelope.Topo = t.String()
+		// A failed TSV write does not stop the sweep: the figures are
+		// printed, then the command fails with the write errors.
+		var outErr error
+		for _, t := range topos {
+			cfg.Progress = sweep.Progress(t.String())
+			// show prints one figure. The JSON envelope names the figure
+			// and topology so streams of objects stay self-describing.
+			show := func(figure string, res interface{ Render() string }, err error) error {
+				if err != nil {
+					return err
+				}
+				return sweep.Emit(struct {
+					Figure string `json:"figure"`
+					Topo   string `json:"topo,omitempty"`
+					Seed   int64  `json:"seed"`
+					Result any    `json:"result"`
+				}{figure, t.String(), sweep.Seed, res}, res.Render)
 			}
-			if err := enc.Encode(envelope); err != nil {
-				fail(err)
+			dump := func(xs []float64, format string, args ...any) {
+				outErr = errors.Join(outErr, dumpCDF(*out, fmt.Sprintf(format, args...), xs))
 			}
-			return
-		}
-		fmt.Println(render())
-	}
-
-	want := func(f string) bool { return *fig == "all" || *fig == f }
-
-	for _, t := range topos {
-		tcfg := cfg
-		if *progress {
-			line = obs.NewProgressLine(os.Stderr, t.String())
-			tcfg.Progress = line.Update
-		}
-		if want("4") || want("5") {
-			f4, err := experiments.Figure4Ctx(ctx, t, tcfg)
-			fail(err)
-			if want("4") {
-				emit("4", t, f4, f4.Render)
-				for scheme, xs := range f4.Samples {
-					dumpCDF(*out, fmt.Sprintf("fig4-%s-%s.tsv", t, slug(scheme.String())), xs)
+			if want("4") || want("5") {
+				f4, err := experiments.Figure4Ctx(ctx, t, cfg)
+				if err != nil {
+					return err
+				}
+				if want("4") {
+					if err := show("4", f4, nil); err != nil {
+						return err
+					}
+					for scheme, xs := range f4.Samples {
+						dump(xs, "fig4-%s-%s.tsv", t, slug(scheme.String()))
+					}
+				}
+				if want("5") {
+					f5 := experiments.Figure5(f4)
+					if err := show("5", f5, nil); err != nil {
+						return err
+					}
+					dump(f5.Ratios, "fig5-%s.tsv", t)
 				}
 			}
-			if want("5") {
-				f5 := experiments.Figure5(f4)
-				emit("5", t, f5, f5.Render)
-				dumpCDF(*out, fmt.Sprintf("fig5-%s.tsv", t), f5.Ratios)
+			if want("6") {
+				f6, err := experiments.Figure6Ctx(ctx, t, cfg)
+				if err := show("6", f6, err); err != nil {
+					return err
+				}
+				for name, xs := range f6.Ratios {
+					dump(xs, "fig6-%s-%s.tsv", t, slug(name))
+				}
+			}
+			if want("7") {
+				f7, err := experiments.Figure7Ctx(ctx, t, cfg)
+				if err := show("7", f7, err); err != nil {
+					return err
+				}
+				for name, xs := range f7.Ratios {
+					dump(xs, "fig7-%s-%s.tsv", t, slug(name))
+				}
+			}
+			if want("convergence") {
+				cv, err := experiments.ConvergenceCtx(ctx, t, cfg)
+				if err := show("convergence", cv, err); err != nil {
+					return err
+				}
 			}
 		}
-		if want("6") {
-			f6, err := experiments.Figure6Ctx(ctx, t, tcfg)
-			fail(err)
-			emit("6", t, f6, f6.Render)
-			for name, xs := range f6.Ratios {
-				dumpCDF(*out, fmt.Sprintf("fig6-%s-%s.tsv", t, slug(name)), xs)
-			}
-		}
-		if want("7") {
-			f7, err := experiments.Figure7Ctx(ctx, t, tcfg)
-			fail(err)
-			emit("7", t, f7, f7.Render)
-			for name, xs := range f7.Ratios {
-				dumpCDF(*out, fmt.Sprintf("fig7-%s-%s.tsv", t, slug(name)), xs)
-			}
-		}
-		if want("convergence") {
-			cv, err := experiments.ConvergenceCtx(ctx, t, tcfg)
-			fail(err)
-			emit("convergence", t, cv, cv.Render)
-		}
-	}
-}
-
-func fail(err error) {
-	if err == nil {
-		return
-	}
-	fmt.Fprintln(os.Stderr, "empower-sim:", err)
-	// Interruption (SIGINT/SIGTERM cancelling the sweep context) exits
-	// 130, shell-style, so wrappers can tell "cancelled" from "failed".
-	if errors.Is(err, context.Canceled) {
-		os.Exit(130)
-	}
-	os.Exit(1)
+		return outErr
+	})
 }
 
 // dumpCDF writes a sample set's CDF to dir/name when -out is set.
-func dumpCDF(dir, name string, xs []float64) {
+func dumpCDF(dir, name string, xs []float64) error {
 	if dir == "" || len(xs) == 0 {
-		return
+		return nil
 	}
 	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "empower-sim:", err)
-		return
+		return err
 	}
-	defer f.Close()
-	if _, err := trace.WriteCDF(f, xs, 200); err != nil {
-		fmt.Fprintln(os.Stderr, "empower-sim:", err)
+	if err := stats.NewCDF(xs).Points(200).WriteTSV(f); err != nil {
+		f.Close()
+		return err
 	}
+	return f.Close()
 }
 
 // slug makes a scheme name filesystem-friendly.
@@ -225,13 +180,4 @@ func slug(s string) string {
 	s = strings.ToLower(s)
 	s = strings.ReplaceAll(s, " ", "-")
 	return strings.ReplaceAll(s, "/", "")
-}
-
-func oneOf(s string, opts ...string) bool {
-	for _, o := range opts {
-		if s == o {
-			return true
-		}
-	}
-	return false
 }

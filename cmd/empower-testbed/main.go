@@ -44,19 +44,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
-	"repro/internal/node"
-	"repro/internal/obs"
-	"repro/internal/runner"
 )
 
 func main() {
@@ -67,139 +59,64 @@ func main() {
 	flows := flag.Int("flows", 10, "flows for figures 11 and 13")
 	repeats := flag.Int("repeats", 5, "repetitions for table 1 (paper: 40 tiny/short, 10 long/conc)")
 	runs := flag.Int("runs", 0, "alias of -repeats (mirrors empower-sim); takes precedence when set")
-	seed := flag.Int64("seed", 1, "base RNG seed (fixes the channel realization)")
-	parallel := flag.Int("parallel", 0, "replication workers (<= 0: GOMAXPROCS)")
-	jsonOut := flag.Bool("json", false, "emit results as JSON objects on stdout")
-	delta := flag.Float64("delta", 0.05, "constraint margin δ")
-	shards := flag.Int("shards", 1, "worker cap inside a replication (0: one per core); never changes results")
-	metrics := flag.String("metrics", "", "Prometheus snapshots: file path, or :port / host:port to serve /metrics")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address")
-	progress := flag.Bool("progress", false, "live progress line on stderr")
 	drops := flag.Bool("drops", false, "append a per-reason MAC drop report after the figures")
-	flag.Parse()
+	sweep := cli.SweepFlags()
+	sweep.EmulationFlags()
 
-	if *runs > 0 {
-		*repeats = *runs
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	cfg := experiments.TestbedConfig{
-		Seed: *seed, Duration: *duration, Pairs: *pairs,
-		Flows: *flows, Repeats: *repeats, Delta: *delta,
-		Parallel: *parallel, Shards: shardsValue(*shards),
-	}
-
-	if *pprofAddr != "" {
-		fail(obs.ServePprof(*pprofAddr))
-	}
-	if *metrics != "" {
-		cfg.Metrics = obs.NewAggregator()
-		emitter, err := obs.StartEmitter(*metrics, cfg.Metrics, 0)
-		fail(err)
-		defer emitter.Close()
-		// Runner throughput and utilization ride the same snapshots,
-		// refreshed after every finished replication.
-		rs := obs.NewRunnerStats(runner.PoolSize(*parallel))
-		agg := cfg.Metrics
-		cfg.JobTime = func(d time.Duration) {
-			rs.JobTime(d)
-			agg.With(rs.Sample)
+	sweep.Main("empower-testbed", func(ctx context.Context) error {
+		if *runs > 0 {
+			*repeats = *runs
 		}
-	}
-	var line *obs.ProgressLine
-	if *progress {
-		line = obs.NewProgressLine(os.Stderr, "replications")
-		cfg.Progress = line.Update
-	}
-	if *drops {
-		cfg.Drops = &experiments.DropTally{}
-	}
+		cfg := experiments.TestbedConfig{
+			Seed: sweep.Seed, Duration: *duration, Pairs: *pairs,
+			Flows: *flows, Repeats: *repeats, Delta: sweep.Delta,
+			Parallel: sweep.Parallel, Shards: sweep.Shards(),
+			Progress: sweep.Progress("replications"),
+			JobTime:  sweep.JobTime, Metrics: sweep.Metrics,
+		}
+		if *drops {
+			cfg.Drops = &experiments.DropTally{}
+		}
 
-	enc := json.NewEncoder(os.Stdout)
-	emit := func(figure string, result any, render func() string) {
-		line.Finish()
-		if *jsonOut {
-			envelope := struct {
+		// The figures in output order, each with its selection rule.
+		want := func(f string) bool { return *fig == "all" || *fig == f }
+		type figure = interface{ Render() string }
+		ran := false
+		for _, f := range []struct {
+			wanted bool
+			name   string
+			run    func() (figure, error)
+		}{
+			{want("9"), "9", func() (figure, error) { return experiments.Figure9(cfg) }},
+			{want("10"), "10", func() (figure, error) { return experiments.Figure10Ctx(ctx, cfg) }},
+			{want("11"), "11", func() (figure, error) { return experiments.Figure11Ctx(ctx, cfg) }},
+			{*table == 1 || *fig == "all", "table1", func() (figure, error) { return experiments.Table1Ctx(ctx, cfg) }},
+			{want("12"), "12", func() (figure, error) { return experiments.Figure12Ctx(ctx, cfg) }},
+			{want("13"), "13", func() (figure, error) { return experiments.Figure13Ctx(ctx, cfg) }},
+		} {
+			if !f.wanted {
+				continue
+			}
+			ran = true
+			res, err := f.run()
+			if err != nil {
+				return err
+			}
+			err = sweep.Emit(struct {
 				Figure string `json:"figure"`
 				Seed   int64  `json:"seed"`
 				Result any    `json:"result"`
-			}{Figure: figure, Seed: *seed, Result: result}
-			if err := enc.Encode(envelope); err != nil {
-				fail(err)
+			}{f.name, sweep.Seed, res}, res.Render)
+			if err != nil {
+				return err
 			}
-			return
 		}
-		fmt.Println(render())
-	}
-
-	want := func(f string) bool { return *fig == "all" || *fig == f }
-	ran := false
-
-	if want("9") {
-		res, err := experiments.Figure9(cfg)
-		fail(err)
-		emit("9", res, res.Render)
-		ran = true
-	}
-	if want("10") {
-		res, err := experiments.Figure10Ctx(ctx, cfg)
-		fail(err)
-		emit("10", res, res.Render)
-		ran = true
-	}
-	if want("11") {
-		res, err := experiments.Figure11Ctx(ctx, cfg)
-		fail(err)
-		emit("11", res, res.Render)
-		ran = true
-	}
-	if *table == 1 || *fig == "all" {
-		res, err := experiments.Table1Ctx(ctx, cfg)
-		fail(err)
-		emit("table1", res, res.Render)
-		ran = true
-	}
-	if want("12") {
-		res, err := experiments.Figure12Ctx(ctx, cfg)
-		fail(err)
-		emit("12", res, res.Render)
-		ran = true
-	}
-	if want("13") {
-		res, err := experiments.Figure13Ctx(ctx, cfg)
-		fail(err)
-		emit("13", res, res.Render)
-		ran = true
-	}
-	if !ran {
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *drops {
-		fmt.Print(cfg.Drops.Render())
-	}
-}
-
-// shardsValue maps the CLI convention (0 = one worker per core) onto
-// node.Config.Shards, where that is ShardsAuto.
-func shardsValue(n int) int {
-	if n == 0 {
-		return node.ShardsAuto
-	}
-	return n
-}
-
-func fail(err error) {
-	if err == nil {
-		return
-	}
-	fmt.Fprintln(os.Stderr, "empower-testbed:", err)
-	// Interruption (SIGINT/SIGTERM cancelling the sweep context) exits
-	// 130, shell-style, so wrappers can tell "cancelled" from "failed".
-	if errors.Is(err, context.Canceled) {
-		os.Exit(130)
-	}
-	os.Exit(1)
+		if !ran {
+			return cli.ErrUsage
+		}
+		if *drops {
+			fmt.Print(cfg.Drops.Render())
+		}
+		return nil
+	})
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -38,11 +40,11 @@ func TestChurnParallelDeterminism(t *testing.T) {
 	serial.Parallel = 1
 	wide := base
 	wide.Parallel = 8
-	r1, err := ChurnFailover(sc, serial)
+	r1, err := ChurnFailoverCtx(context.Background(), sc, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := ChurnFailover(sc, wide)
+	r8, err := ChurnFailoverCtx(context.Background(), sc, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +76,11 @@ func TestGrayfailParallelDeterminism(t *testing.T) {
 	serial.Parallel = 1
 	wide := base
 	wide.Parallel = 8
-	r1, err := ChurnFailover(sc, serial)
+	r1, err := ChurnFailoverCtx(context.Background(), sc, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := ChurnFailover(sc, wide)
+	r8, err := ChurnFailoverCtx(context.Background(), sc, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestChurnFailoverClaim(t *testing.T) {
 		t.Skip("churn sweeps emulate minutes of virtual time per replication")
 	}
 	sc := loadFlaps(t)
-	res, err := ChurnFailover(sc, ChurnConfig{
+	res, err := ChurnFailoverCtx(context.Background(), sc, ChurnConfig{
 		Seed: 7, Runs: 4, ManageRoutes: true, Parallel: 8,
 		Schemes: []core.Scheme{core.SchemeEMPoWER, core.SchemeSPWoCC},
 	})
@@ -151,7 +153,7 @@ func TestChurnFlapSweepShape(t *testing.T) {
 	}
 	sc := loadFlaps(t)
 	rates := []float64{0.5, 2}
-	res, err := ChurnFlapSweep(sc, ChurnConfig{
+	res, _, err := ChurnFlapSweepCtx(context.Background(), sc, ChurnConfig{
 		Seed: 3, Runs: 1, ManageRoutes: true, Parallel: 8,
 		Schemes: []core.Scheme{core.SchemeEMPoWER, core.SchemeSPWoCC},
 	}, rates)
@@ -190,5 +192,38 @@ func TestParseSchemes(t *testing.T) {
 	}
 	if _, err := ParseSchemes("EMPoWER,NoSuch"); err == nil {
 		t.Fatal("unknown scheme accepted")
+	}
+}
+
+// TestFlapSweepCarriesViolations folds hand-built replication outputs,
+// one of them violating: the sweep must hand the violation out beside
+// the result — a flap sweep run with Invariants used to drop it — and
+// keep it out of the result's JSON.
+func TestFlapSweepCarriesViolations(t *testing.T) {
+	cfg := ChurnConfig{Runs: 2, Invariants: true,
+		Schemes: []core.Scheme{core.SchemeEMPoWER, core.SchemeSP}}
+	rates := []float64{1, 4}
+	outs := make([]*ChurnRepOut, len(rates)*ChurnReps(cfg))
+	for i := range outs {
+		outs[i] = &ChurnRepOut{Goodput: float64(i), Drops: map[string]int{}}
+	}
+	// Rate-major, then run, then scheme: rate 4, run 1, SP.
+	outs[1*4+1*2+1].Violations = 1
+	outs[1*4+1*2+1].ViolationDetails = []string{"dead-link silence: l3 carried a frame"}
+
+	res, violations := mergeFlapSweep("s", cfg, rates, outs)
+	if want := [][]float64{{1, 5}, {2, 6}}; !reflect.DeepEqual(res.Goodput, want) {
+		t.Errorf("goodput = %v, want %v (mean over runs per scheme and rate)", res.Goodput, want)
+	}
+	want := []Violation{{Scheme: "SP", Detail: "dead-link silence: l3 carried a frame"}}
+	if !reflect.DeepEqual(violations, want) {
+		t.Errorf("violations = %v, want %v", violations, want)
+	}
+	data, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(data), `{"scenario":"s","rates_per_min":[1,4],"schemes":["EMPoWER","SP"],"goodput":[[1,5],[2,6]]}`; got != want {
+		t.Errorf("result JSON = %s, want %s", got, want)
 	}
 }

@@ -169,6 +169,24 @@ type ChurnResult struct {
 	Rows     []ChurnRow `json:"rows"`
 }
 
+// Violation is one invariant breach of a sweep run with
+// ChurnConfig.Invariants: the scheme it fired under and the violation
+// line with the owning domain's flight-recorder tail.
+type Violation struct {
+	Scheme, Detail string
+}
+
+// Violations lists the sweep's invariant breaches in row order.
+func (r ChurnResult) Violations() []Violation {
+	var out []Violation
+	for _, row := range r.Rows {
+		for _, detail := range row.ViolationDetails {
+			out = append(out, Violation{Scheme: row.Scheme, Detail: detail})
+		}
+	}
+	return out
+}
+
 // ChurnRepOut is one (run, scheme) replication outcome — the unit of
 // work a churn failover sweep checkpoints. It is deliberately a plain
 // JSON-serializable record with no omitempty tags: a round trip through
@@ -293,23 +311,20 @@ func ChurnTrace(sc *scenario.Scenario, cfg ChurnConfig, run int, scheme core.Sch
 	return doms, nil
 }
 
-// ChurnFailover runs the failover experiment: Runs replications of the
-// scenario per scheme, collecting failover-latency distributions and
-// goodput under churn.
-func ChurnFailover(sc *scenario.Scenario, cfg ChurnConfig) (ChurnResult, error) {
-	return ChurnFailoverCtx(context.Background(), sc, cfg)
+// runnerConfig maps the sweep configuration onto the shared runner.
+func (c ChurnConfig) runnerConfig() runner.Config {
+	return runner.Config{Workers: c.Parallel, BaseSeed: c.Seed, OnProgress: c.Progress, OnJobTime: c.JobTime}
 }
 
-// ChurnFailoverCtx is ChurnFailover with cancellation. Replications fan
-// out over (run, scheme) on the parallel runner and fold back in run
-// order per scheme. It is exactly ChurnReps + ChurnRepJob + a full
-// runner.Run + MergeChurnReps — the same primitives a checkpointing
-// service composes with runner.RunFrom, so a resumed sweep reproduces
-// this function's output bit for bit.
+// ChurnFailoverCtx runs the failover experiment: Runs replications of the
+// scenario per scheme, collecting failover-latency distributions and
+// goodput under churn. Replications fan out over (run, scheme) on the
+// parallel runner and fold back in run order per scheme. It is exactly
+// ChurnReps + ChurnRepJob + a full runner.Run + MergeChurnReps — the same
+// primitives a checkpointing service composes with runner.RunFrom, so a
+// resumed sweep reproduces this function's output bit for bit.
 func ChurnFailoverCtx(ctx context.Context, sc *scenario.Scenario, cfg ChurnConfig) (ChurnResult, error) {
-	outs, err := runner.Run(ctx, ChurnReps(cfg),
-		runner.Config{Workers: cfg.Parallel, BaseSeed: cfg.Seed, OnProgress: cfg.Progress, OnJobTime: cfg.JobTime},
-		ChurnRepJob(sc, cfg))
+	outs, err := runner.Run(ctx, ChurnReps(cfg), cfg.runnerConfig(), ChurnRepJob(sc, cfg))
 	if err != nil {
 		return ChurnResult{Scenario: sc.Name, Runs: cfg.runs()}, err
 	}
@@ -444,58 +459,56 @@ type FlapSweepResult struct {
 	Goodput [][]float64 `json:"goodput"`
 }
 
-// ChurnFlapSweep sweeps the scenario's flap processes across flap
-// frequencies and measures goodput per scheme.
-func ChurnFlapSweep(sc *scenario.Scenario, cfg ChurnConfig, ratesPerMin []float64) (FlapSweepResult, error) {
-	return ChurnFlapSweepCtx(context.Background(), sc, cfg, ratesPerMin)
-}
-
-// ChurnFlapSweepCtx is ChurnFlapSweep with cancellation. For each swept
-// rate, every flap process keeps its down-time fraction but changes its
-// cycle length to 60/rate seconds; everything else about the scenario is
+// ChurnFlapSweepCtx sweeps the scenario's flap processes across flap
+// frequencies and measures goodput per scheme. For each swept rate,
+// every flap process keeps its down-time fraction but changes its cycle
+// length to 60/rate seconds; everything else about the scenario is
 // untouched. All (rate, run, scheme) replications run on the parallel
-// runner and fold back in index order.
-func ChurnFlapSweepCtx(ctx context.Context, sc *scenario.Scenario, cfg ChurnConfig, ratesPerMin []float64) (FlapSweepResult, error) {
-	schemes := cfg.schemes()
-	runs := cfg.runs()
-	res := FlapSweepResult{Scenario: sc.Name, RatesPerMin: ratesPerMin}
-	for _, s := range schemes {
-		res.Schemes = append(res.Schemes, s.String())
-	}
-
-	scaled := make([]*scenario.Scenario, len(ratesPerMin))
+// runner, rate-major, each rate's block being one churn failover sweep
+// (ChurnRepJob) of the scaled scenario. With ChurnConfig.Invariants the
+// checker's findings come back beside the result.
+func ChurnFlapSweepCtx(ctx context.Context, sc *scenario.Scenario, cfg ChurnConfig, ratesPerMin []float64) (FlapSweepResult, []Violation, error) {
+	jobs := make([]runner.Job[*ChurnRepOut], len(ratesPerMin))
 	for i, rate := range ratesPerMin {
 		if rate <= 0 {
-			return res, fmt.Errorf("experiments: flap rate must be positive, got %g", rate)
+			return FlapSweepResult{}, nil, fmt.Errorf("experiments: flap rate must be positive, got %g", rate)
 		}
-		scaled[i] = flapScaled(sc, rate)
+		jobs[i] = ChurnRepJob(flapScaled(sc, rate), cfg)
 	}
-
-	perRate := runs * len(schemes)
-	outs, err := runner.Run(ctx, len(ratesPerMin)*perRate,
-		runner.Config{Workers: cfg.Parallel, BaseSeed: cfg.Seed, OnProgress: cfg.Progress, OnJobTime: cfg.JobTime},
-		func(_ context.Context, rep runner.Rep) (*ChurnRepOut, error) {
-			ri := rep.Index / perRate
-			rem := rep.Index % perRate
-			run, si := rem/len(schemes), rem%len(schemes)
-			return churnReplication(scaled[ri], schemes[si], cfg, run, rep.Seed)
+	perRate := ChurnReps(cfg)
+	outs, err := runner.Run(ctx, len(jobs)*perRate, cfg.runnerConfig(),
+		func(ctx context.Context, rep runner.Rep) (*ChurnRepOut, error) {
+			// The seed stays the flat index's; the job sees its block's.
+			job := jobs[rep.Index/perRate]
+			rep.Index %= perRate
+			return job(ctx, rep)
 		})
 	if err != nil {
-		return res, err
+		return FlapSweepResult{}, nil, err
 	}
+	res, violations := mergeFlapSweep(sc.Name, cfg, ratesPerMin, outs)
+	return res, violations, nil
+}
 
-	res.Goodput = make([][]float64, len(schemes))
-	for si := range schemes {
-		res.Goodput[si] = make([]float64, len(ratesPerMin))
-		for ri := range ratesPerMin {
-			var g []float64
-			for run := 0; run < runs; run++ {
-				g = append(g, outs[ri*perRate+run*len(schemes)+si].Goodput)
-			}
-			res.Goodput[si][ri] = stats.Mean(g)
-		}
+// mergeFlapSweep folds the rate-major replication set: each rate's block
+// merges like a failover sweep, of which the sweep keeps the per-scheme
+// mean goodput and the invariant violations.
+func mergeFlapSweep(name string, cfg ChurnConfig, ratesPerMin []float64, outs []*ChurnRepOut) (FlapSweepResult, []Violation) {
+	res := FlapSweepResult{Scenario: name, RatesPerMin: ratesPerMin}
+	for _, s := range cfg.schemes() {
+		res.Schemes = append(res.Schemes, s.String())
+		res.Goodput = append(res.Goodput, make([]float64, len(ratesPerMin)))
 	}
-	return res, nil
+	var violations []Violation
+	perRate := ChurnReps(cfg)
+	for ri := range ratesPerMin {
+		block := MergeChurnReps(name, cfg, outs[ri*perRate:][:perRate])
+		for si, row := range block.Rows {
+			res.Goodput[si][ri] = row.MeanGoodput
+		}
+		violations = append(violations, block.Violations()...)
+	}
+	return res, violations
 }
 
 // flapScaled derives a scenario whose flap processes run at the given

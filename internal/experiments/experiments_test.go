@@ -1,11 +1,20 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 )
+
+// must unwraps a sweep that cannot fail under context.Background().
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 // fastSim keeps the Monte-Carlo smoke tests quick.
 var fastSim = SimConfig{Runs: 12, Seed: 7, Core: core.Options{Slots: 1500}}
@@ -14,7 +23,7 @@ var fastSim = SimConfig{Runs: 12, Seed: 7, Core: core.Options{Slots: 1500}}
 var fastTestbed = TestbedConfig{Seed: 7, Duration: 12, Pairs: 4, Flows: 2, Repeats: 1}
 
 func TestFigure4ShapesHold(t *testing.T) {
-	res := Figure4(TopoResidential, fastSim)
+	res := must(Figure4Ctx(context.Background(), TopoResidential, fastSim))
 	for _, s := range []core.Scheme{core.SchemeEMPoWER, core.SchemeSP, core.SchemeSPWiFi, core.SchemeMPmWiFi} {
 		if len(res.Samples[s]) != fastSim.Runs {
 			t.Fatalf("%v has %d samples, want %d", s, len(res.Samples[s]), fastSim.Runs)
@@ -34,7 +43,7 @@ func TestFigure4ShapesHold(t *testing.T) {
 }
 
 func TestFigure4Enterprise(t *testing.T) {
-	res := Figure4(TopoEnterprise, SimConfig{Runs: 6, Seed: 3, Core: core.Options{Slots: 1500}})
+	res := must(Figure4Ctx(context.Background(), TopoEnterprise, SimConfig{Runs: 6, Seed: 3, Core: core.Options{Slots: 1500}}))
 	if len(res.Samples[core.SchemeEMPoWER]) != 6 {
 		t.Fatal("sample count wrong")
 	}
@@ -44,7 +53,7 @@ func TestFigure4Enterprise(t *testing.T) {
 }
 
 func TestFigure5FromFigure4(t *testing.T) {
-	f4 := Figure4(TopoResidential, fastSim)
+	f4 := must(Figure4Ctx(context.Background(), TopoResidential, fastSim))
 	res := Figure5(f4)
 	if len(res.Ratios) == 0 {
 		t.Fatal("no worst-flow ratios")
@@ -65,7 +74,7 @@ func TestFigure6RatiosBounded(t *testing.T) {
 	if testing.Short() {
 		runs = 2 // the optimal-baseline solver dominates this sweep
 	}
-	res := Figure6(TopoResidential, SimConfig{Runs: runs, Seed: 11, Core: core.Options{Slots: 1500}})
+	res := must(Figure6Ctx(context.Background(), TopoResidential, SimConfig{Runs: runs, Seed: 11, Core: core.Options{Slots: 1500}}))
 	names := []string{"conservative opt", "EMPoWER", "MP-2bp", "MP-w/o-CC", "SP"}
 	for _, n := range names {
 		for _, v := range res.Ratios[n] {
@@ -88,7 +97,7 @@ func TestFigure7UtilityRatios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3-flow optimal baseline is ~10 s per instance")
 	}
-	res := Figure7(TopoResidential, SimConfig{Runs: 5, Seed: 17, Core: core.Options{Slots: 1500}})
+	res := must(Figure7Ctx(context.Background(), TopoResidential, SimConfig{Runs: 5, Seed: 17, Core: core.Options{Slots: 1500}}))
 	if len(res.Ratios["EMPoWER"]) == 0 {
 		t.Skip("no connected 3-flow instances in this tiny sweep")
 	}
@@ -101,7 +110,7 @@ func TestFigure7UtilityRatios(t *testing.T) {
 }
 
 func TestConvergenceComparison(t *testing.T) {
-	res := Convergence(TopoEnterprise, SimConfig{Runs: 8, Seed: 23, Core: core.Options{Slots: 3000}})
+	res := must(ConvergenceCtx(context.Background(), TopoEnterprise, SimConfig{Runs: 8, Seed: 23, Core: core.Options{Slots: 3000}}))
 	if res.EMPoWERSlots <= 0 || res.BackpressureSlots <= 0 {
 		t.Skip("no connected instances in this tiny sweep")
 	}
@@ -135,7 +144,7 @@ func TestFigure10Ratios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("per-pair packet emulation plus five analytic schemes is slow")
 	}
-	res := Figure10(fastTestbed)
+	res := must(Figure10Ctx(context.Background(), fastTestbed))
 	if len(res.Ratios["SP"]) == 0 {
 		t.Skip("no connected pairs in this tiny run")
 	}
@@ -152,7 +161,7 @@ func TestFigure10Ratios(t *testing.T) {
 }
 
 func TestFigure11Table(t *testing.T) {
-	res := Figure11(fastTestbed)
+	res := must(Figure11Ctx(context.Background(), fastTestbed))
 	if len(res.Pairs) != fastTestbed.Flows {
 		t.Fatalf("pairs = %d, want %d", len(res.Pairs), fastTestbed.Flows)
 	}
@@ -169,7 +178,7 @@ func TestTable1SmallFiles(t *testing.T) {
 		t.Skip("file-download emulation is slow")
 	}
 	cfg := fastTestbed
-	res := Table1(cfg)
+	res := must(Table1Ctx(context.Background(), cfg))
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(res.Rows))
 	}
@@ -185,7 +194,7 @@ func TestTable1SmallFiles(t *testing.T) {
 }
 
 func TestFigure12TCPPhases(t *testing.T) {
-	res, err := Figure12(fastTestbed)
+	res, err := Figure12Ctx(context.Background(), fastTestbed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +205,7 @@ func TestFigure12TCPPhases(t *testing.T) {
 }
 
 func TestFigure13Comparison(t *testing.T) {
-	res := Figure13(fastTestbed)
+	res := must(Figure13Ctx(context.Background(), fastTestbed))
 	if len(res.Pairs) != fastTestbed.Flows {
 		t.Fatalf("pairs = %d, want %d", len(res.Pairs), fastTestbed.Flows)
 	}

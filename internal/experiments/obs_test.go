@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -35,11 +36,11 @@ func TestMetricsByteIdenticalOnOff(t *testing.T) {
 	instrumented.Progress = func(done, total int) {}
 	instrumented.JobTime = func(d time.Duration) {}
 
-	off, err := ChurnFailover(sc, plain)
+	off, err := ChurnFailoverCtx(context.Background(), sc, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := ChurnFailover(sc, instrumented)
+	on, err := ChurnFailoverCtx(context.Background(), sc, instrumented)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,8 @@ func TestFigure4ParallelDeterminism(t *testing.T) {
 	wide := base
 	wide.Parallel = 8
 
-	r1 := Figure4(TopoResidential, serial)
-	r8 := Figure4(TopoResidential, wide)
+	r1 := must(Figure4Ctx(context.Background(), TopoResidential, serial))
+	r8 := must(Figure4Ctx(context.Background(), TopoResidential, wide))
 	if !reflect.DeepEqual(r1.Samples, r8.Samples) {
 		t.Fatal("Figure4 samples differ between parallel=1 and parallel=8")
 	}
@@ -43,8 +43,8 @@ func TestFigure6ParallelDeterminism(t *testing.T) {
 	serial.Parallel = 1
 	wide := base
 	wide.Parallel = 8
-	r1 := Figure6(TopoResidential, serial)
-	r8 := Figure6(TopoResidential, wide)
+	r1 := must(Figure6Ctx(context.Background(), TopoResidential, serial))
+	r8 := must(Figure6Ctx(context.Background(), TopoResidential, wide))
 	if !reflect.DeepEqual(r1.Ratios, r8.Ratios) {
 		t.Fatalf("Figure6 ratios differ across worker counts:\n  parallel=1: %+v\n  parallel=8: %+v", r1.Ratios, r8.Ratios)
 	}
@@ -63,8 +63,8 @@ func TestFigure7ParallelDeterminism(t *testing.T) {
 	serial.Parallel = 1
 	wide := base
 	wide.Parallel = 8
-	r1 := Figure7(TopoResidential, serial)
-	r8 := Figure7(TopoResidential, wide)
+	r1 := must(Figure7Ctx(context.Background(), TopoResidential, serial))
+	r8 := must(Figure7Ctx(context.Background(), TopoResidential, wide))
 	if !reflect.DeepEqual(r1.Ratios, r8.Ratios) {
 		t.Fatalf("Figure7 ratios differ across worker counts:\n  parallel=1: %+v\n  parallel=8: %+v", r1.Ratios, r8.Ratios)
 	}
@@ -82,8 +82,8 @@ func TestConvergenceParallelDeterminism(t *testing.T) {
 	serial.Parallel = 1
 	wide := base
 	wide.Parallel = 8
-	r1 := Convergence(TopoResidential, serial)
-	r8 := Convergence(TopoResidential, wide)
+	r1 := must(ConvergenceCtx(context.Background(), TopoResidential, serial))
+	r8 := must(ConvergenceCtx(context.Background(), TopoResidential, wide))
 	if r1 != r8 {
 		t.Fatalf("Convergence differs across worker counts:\n  parallel=1: %+v\n  parallel=8: %+v", r1, r8)
 	}
@@ -100,8 +100,8 @@ func TestFigure10ParallelDeterminism(t *testing.T) {
 	serial.Parallel = 1
 	wide := base
 	wide.Parallel = 8
-	r1 := Figure10(serial)
-	r8 := Figure10(wide)
+	r1 := must(Figure10Ctx(context.Background(), serial))
+	r8 := must(Figure10Ctx(context.Background(), wide))
 	if !reflect.DeepEqual(r1, r8) {
 		t.Fatalf("Figure10 differs across worker counts:\n  parallel=1: %+v\n  parallel=8: %+v", r1, r8)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -47,15 +48,15 @@ func TestSimFigureDigests(t *testing.T) {
 				var result any
 				switch pin.fig {
 				case "4":
-					result = Figure4(topo, cfg)
+					result = must(Figure4Ctx(context.Background(), topo, cfg))
 				case "5":
-					result = Figure5(Figure4(topo, cfg))
+					result = Figure5(must(Figure4Ctx(context.Background(), topo, cfg)))
 				case "6":
-					result = Figure6(topo, cfg)
+					result = must(Figure6Ctx(context.Background(), topo, cfg))
 				case "7":
-					result = Figure7(topo, cfg)
+					result = must(Figure7Ctx(context.Background(), topo, cfg))
 				case "convergence":
-					result = Convergence(topo, cfg)
+					result = must(ConvergenceCtx(context.Background(), topo, cfg))
 				}
 				// cmd/empower-sim's -json envelope, field for field.
 				if err := enc.Encode(struct {

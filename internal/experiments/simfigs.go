@@ -2,8 +2,8 @@
 // evaluation (§5 by Monte-Carlo simulation over random topologies, §6 by
 // packet-level emulation of the 22-node testbed). Each function returns a
 // structured result with a printable text rendering, and the cmd/
-// binaries expose them behind flags. EXPERIMENTS.md records the measured
-// outputs against the paper's claims.
+// binaries expose them behind flags. The renderings print the paper's
+// headline numbers next to the measured ones.
 package experiments
 
 import (
@@ -105,16 +105,11 @@ type Figure4Result struct {
 	GainVsWiFi, GainVsSP float64
 }
 
-// Figure4 reproduces Figure 4: the distribution of single-flow throughput
-// under EMPoWER, SP, SP-WiFi, MP-WiFi and MP-mWiFi over random instances.
-func Figure4(t Topo, cfg SimConfig) Figure4Result {
-	res, _ := Figure4Ctx(context.Background(), t, cfg)
-	return res
-}
-
-// Figure4Ctx is Figure4 with cancellation; the replications run on the
-// shared parallel runner and are aggregated in replication order, so the
-// result is identical for every worker count.
+// Figure4Ctx reproduces Figure 4: the distribution of single-flow
+// throughput under EMPoWER, SP, SP-WiFi, MP-WiFi and MP-mWiFi over random
+// instances. The replications run on the shared parallel runner and are
+// aggregated in replication order, so the result is identical for every
+// worker count.
 func Figure4Ctx(ctx context.Context, t Topo, cfg SimConfig) (Figure4Result, error) {
 	schemes := []core.Scheme{core.SchemeEMPoWER, core.SchemeSP, core.SchemeSPWiFi,
 		core.SchemeMPWiFi, core.SchemeMPmWiFi}
@@ -156,7 +151,9 @@ func (r Figure4Result) Render() string {
 	fmt.Fprintf(&b, "Figure 4 (%s): CDF of flow throughput T_X (Mbps)\n", r.Topo)
 	order := []core.Scheme{core.SchemeEMPoWER, core.SchemeSP, core.SchemeSPWiFi,
 		core.SchemeMPWiFi, core.SchemeMPmWiFi}
-	renderCDFs(&b, order, r.Samples, "Mbps")
+	for _, s := range order {
+		writeCDF(&b, s.String(), r.Samples[s])
+	}
 	fmt.Fprintf(&b, "mean gain EMPoWER vs SP-WiFi: %.0f%%  (paper: 59%% res / 68%% ent)\n", 100*r.GainVsWiFi)
 	fmt.Fprintf(&b, "mean gain EMPoWER vs SP:      %.0f%%  (paper: 39%% res / 31%% ent)\n", 100*r.GainVsSP)
 	return b.String()
@@ -233,13 +230,6 @@ type Figure6Result struct {
 	Ratios map[string][]float64
 }
 
-// Figure6 reproduces Figure 6: the distribution of T_X/T_optimal for
-// conservative-opt, EMPoWER, MP-2bp, MP-w/o-CC and SP on single flows.
-func Figure6(t Topo, cfg SimConfig) Figure6Result {
-	res, _ := Figure6Ctx(context.Background(), t, cfg)
-	return res
-}
-
 // f6run is one Figure 6 replication: the conservative-opt ratio followed
 // by one ratio per scheme. A nil run is a disconnected or unsolvable
 // instance (the serial loops skipped those with continue).
@@ -248,7 +238,8 @@ type f6run struct {
 	ratios []float64
 }
 
-// Figure6Ctx is Figure6 with cancellation on the shared parallel runner.
+// Figure6Ctx reproduces Figure 6: the distribution of T_X/T_optimal for
+// conservative-opt, EMPoWER, MP-2bp, MP-w/o-CC and SP on single flows.
 func Figure6Ctx(ctx context.Context, t Topo, cfg SimConfig) (Figure6Result, error) {
 	schemes := []core.Scheme{core.SchemeEMPoWER, core.SchemeMP2bp, core.SchemeMPWoCC, core.SchemeSP}
 	// Bound the baselines' path enumeration: local-network routes are a
@@ -325,14 +316,8 @@ type Figure7Result struct {
 	Ratios map[string][]float64
 }
 
-// Figure7 reproduces Figure 7: total network utility with three
+// Figure7Ctx reproduces Figure 7: total network utility with three
 // contending flows, as a fraction of the optimal utility.
-func Figure7(t Topo, cfg SimConfig) Figure7Result {
-	res, _ := Figure7Ctx(context.Background(), t, cfg)
-	return res
-}
-
-// Figure7Ctx is Figure7 with cancellation on the shared parallel runner.
 func Figure7Ctx(ctx context.Context, t Topo, cfg SimConfig) (Figure7Result, error) {
 	schemes := []core.Scheme{core.SchemeEMPoWER, core.SchemeMP2bp, core.SchemeMPWoCC, core.SchemeSP}
 	res := Figure7Result{Topo: t, Ratios: map[string][]float64{}}
@@ -398,7 +383,13 @@ type ConvergenceResult struct {
 	Runs              int
 }
 
-// Convergence reproduces the §5.2.2 convergence comparison on a reduced
+// convRun is one accepted convergence measurement; nil marks a candidate
+// instance the regime filters rejected.
+type convRun struct {
+	emp, bp float64
+}
+
+// ConvergenceCtx reproduces the §5.2.2 convergence comparison on a reduced
 // number of instances (backpressure simulation is expensive by design —
 // that is the point being reproduced). Both systems are measured with
 // the same criterion — slots until the flow first reaches 90 % of its
@@ -406,20 +397,10 @@ type ConvergenceResult struct {
 // backpressure's convergence penalty is a routing-exploration phenomenon
 // (good routes are used only after queues on bad routes fill up), which
 // single-hop or line-rate flows do not exhibit.
-func Convergence(t Topo, cfg SimConfig) ConvergenceResult {
-	res, _ := ConvergenceCtx(context.Background(), t, cfg)
-	return res
-}
-
-// convRun is one accepted convergence measurement; nil marks a candidate
-// instance the regime filters rejected.
-type convRun struct {
-	emp, bp float64
-}
-
-// ConvergenceCtx is Convergence with cancellation. The serial loop
-// stopped as soon as it had accepted `runs` instances out of at most
-// 4×runs candidates; to keep that early-stop semantics deterministic
+//
+// The serial loop stopped as soon as it had accepted `runs` instances
+// out of at most 4×runs candidates; to keep that early-stop semantics
+// deterministic
 // under parallelism, candidates are dispatched in index-ordered waves and
 // the aggregate takes the first `runs` accepted candidates by index —
 // the exact set the serial loop measured, for every worker count.
@@ -543,14 +524,6 @@ func (r ConvergenceResult) Render() string {
 		r.Topo, r.Runs, r.EMPoWERSlots, r.BackpressureSlots)
 }
 
-// renderCDFs writes compact CDF tables for several schemes.
-func renderCDFs(b *strings.Builder, order []core.Scheme, samples map[core.Scheme][]float64, unit string) {
-	for _, s := range order {
-		writeCDF(b, s.String(), samples[s])
-	}
-	_ = unit
-}
-
 // writeCDF renders a down-sampled CDF as one row of quantiles.
 func writeCDF(b *strings.Builder, name string, xs []float64) {
 	if len(xs) == 0 {
@@ -563,9 +536,4 @@ func writeCDF(b *strings.Builder, name string, xs []float64) {
 		fmt.Fprintf(b, " p%02.0f=%7.2f", q*100, stats.Quantile(xs, q))
 	}
 	fmt.Fprintf(b, "  mean=%7.2f n=%d\n", stats.Mean(xs), len(xs))
-}
-
-// CDFOf exposes the full empirical CDF of a sample set for plotting.
-func CDFOf(xs []float64, points int) stats.CDF {
-	return stats.NewCDF(xs).Points(points)
 }

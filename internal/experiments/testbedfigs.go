@@ -21,7 +21,8 @@ import (
 // TestbedConfig tunes the §6 testbed-emulation experiments. The paper's
 // wall-clock durations (1000-5000 s per run) are scaled down by default;
 // the dynamics converge in tens of seconds, so the scaled runs show the
-// same behaviour. Pass -full on the CLI for paper-duration runs.
+// same behaviour. Pass -duration 1000 to empower-testbed for
+// paper-duration runs.
 type TestbedConfig struct {
 	Seed int64
 	// Duration is the per-run emulated duration in seconds (default 60).
@@ -208,33 +209,6 @@ func at(xs []float64, i int) float64 {
 	return 0
 }
 
-// Figure10Result holds the testbed scheme-ratio CDFs (left plot) and the
-// convergence fractions (right plot).
-type Figure10Result struct {
-	// Ratios[s] is T_s/T_EMPoWER over the station pairs.
-	Ratios map[string][]float64
-	// Frac10_20 and Frac190_200 are T(window)/T_final per pair for
-	// EMPoWER (right plot).
-	Frac10_20, Frac190_200 []float64
-	// EMPoWERBetterThanMWiFi is the fraction of pairs where EMPoWER beats
-	// MP-mWiFi (paper: 75 %).
-	EMPoWERBetterThanMWiFi float64
-}
-
-// Figure10 reproduces Figure 10 on the emulated testbed. The ratio CDF
-// (left panel) compares all schemes with one evaluator — the analytic
-// steady state on the same channel realization — so the ratios measure
-// scheme differences rather than evaluator differences; the packet
-// emulation of EMPoWER supplies the convergence fractions (right panel)
-// and is cross-checked against the analytic steady state elsewhere
-// (TestAnalyticMatchesPacketEmulation). The brute-force baselines SP-bf
-// and SP-WiFi-bf are the exact maximum sustainable rate R(P) of the
-// corresponding single path.
-func Figure10(cfg TestbedConfig) Figure10Result {
-	res, _ := Figure10Ctx(context.Background(), cfg)
-	return res
-}
-
 // f10run is one Figure 10 station pair: the convergence fractions (when
 // the packet emulation delivered) and the ordered ratio-panel entries
 // (when the analytic EMPoWER throughput is positive).
@@ -248,10 +222,32 @@ type f10run struct {
 	counted, mwBetter bool
 }
 
-// Figure10Ctx is Figure10 with cancellation. The station pairs are drawn
-// serially first (they consume one shared RNG stream), then the per-pair
-// emulations — the dominant cost — run on the parallel runner and are
-// folded back in pair order.
+// Figure10Result holds the testbed scheme-ratio CDFs (left plot) and the
+// convergence fractions (right plot).
+type Figure10Result struct {
+	// Ratios[s] is T_s/T_EMPoWER over the station pairs.
+	Ratios map[string][]float64
+	// Frac10_20 and Frac190_200 are T(window)/T_final per pair for
+	// EMPoWER (right plot).
+	Frac10_20, Frac190_200 []float64
+	// EMPoWERBetterThanMWiFi is the fraction of pairs where EMPoWER beats
+	// MP-mWiFi (paper: 75 %).
+	EMPoWERBetterThanMWiFi float64
+}
+
+// Figure10Ctx reproduces Figure 10 on the emulated testbed. The ratio CDF
+// (left panel) compares all schemes with one evaluator — the analytic
+// steady state on the same channel realization — so the ratios measure
+// scheme differences rather than evaluator differences; the packet
+// emulation of EMPoWER supplies the convergence fractions (right panel)
+// and is cross-checked against the analytic steady state elsewhere
+// (TestAnalyticMatchesPacketEmulation). The brute-force baselines SP-bf
+// and SP-WiFi-bf are the exact maximum sustainable rate R(P) of the
+// corresponding single path.
+//
+// The station pairs are drawn serially first (they consume one shared
+// RNG stream), then the per-pair emulations — the dominant cost — run on
+// the parallel runner and are folded back in pair order.
 func Figure10Ctx(ctx context.Context, cfg TestbedConfig) (Figure10Result, error) {
 	inst := testbedInstance(cfg.Seed + 10)
 	hybrid := inst.Build(topology.ViewHybrid)
@@ -387,19 +383,13 @@ type Figure11Result struct {
 	Schemes []string
 }
 
-// Figure11 reproduces Figure 11: for each selected pair, the steady-state
+// Figure11Ctx reproduces Figure 11: for each selected pair, the steady-state
 // mean and standard deviation of per-second throughput measurements under
 // EMPoWER, MP-mWiFi and SP (packet emulation for EMPoWER/SP on the hybrid
-// view and for MP-mWiFi on the dual-channel view).
-func Figure11(cfg TestbedConfig) Figure11Result {
-	res, _ := Figure11Ctx(context.Background(), cfg)
-	return res
-}
-
-// Figure11Ctx is Figure11 with cancellation: the flow pairs are selected
-// serially (the draw stream is shared and the validity check is cheap
-// next to an emulation), then every (pair, scheme) emulation runs on the
-// parallel runner and is folded back in pair-then-scheme order.
+// view and for MP-mWiFi on the dual-channel view). The flow pairs are
+// selected serially (the draw stream is shared and the validity check is
+// cheap next to an emulation), then every (pair, scheme) emulation runs
+// on the parallel runner and is folded back in pair-then-scheme order.
 func Figure11Ctx(ctx context.Context, cfg TestbedConfig) (Figure11Result, error) {
 	inst := testbedInstance(cfg.Seed + 11)
 	rng := stats.NewRand(cfg.Seed + 110)
@@ -487,6 +477,12 @@ func (r Figure11Result) Render() string {
 	return b.String()
 }
 
+// t1run is one Table 1 download measurement; nil marks a repetition that
+// failed to complete within the cap.
+type t1run struct {
+	f613, f128 float64
+}
+
 // Table1Result holds the download-time table of §6.3.
 type Table1Result struct {
 	Rows []Table1Row
@@ -503,28 +499,17 @@ type Table1Row struct {
 	Repeats       int
 }
 
-// Table1 reproduces Table 1: download times for Tiny (100 kB), Short
+// Table1Ctx reproduces Table 1: download times for Tiny (100 kB), Short
 // (5 MB), Long and Conc file transfers on Flow 6-13, with Conc adding a
 // concurrent Flow 12-8 of five 5 MB files with Poisson starting times,
 // comparing EMPoWER with MP-w/o-CC. The Long/Conc file is scaled from
 // 2 GB to 200 MB by default (wall-clock honesty; same contention
 // behaviour) — the scale is recorded in the row name.
-func Table1(cfg TestbedConfig) Table1Result {
-	res, _ := Table1Ctx(context.Background(), cfg)
-	return res
-}
-
-// t1run is one Table 1 download measurement; nil marks a repetition that
-// failed to complete within the cap.
-type t1run struct {
-	f613, f128 float64
-}
-
-// Table1Ctx is Table1 with cancellation. Every (row, repetition, scheme)
-// download is independent — the emulation seed depends only on those
-// coordinates — so all of them run on the parallel runner; the per-row
-// summaries are folded in repetition order, exactly as the serial loop
-// appended them.
+//
+// Every (row, repetition, scheme) download is independent — the
+// emulation seed depends only on those coordinates — so all of them run
+// on the parallel runner; the per-row summaries are folded in repetition
+// order, exactly as the serial loop appended them.
 func Table1Ctx(ctx context.Context, cfg TestbedConfig) (Table1Result, error) {
 	inst := testbedInstance(cfg.Seed + 1)
 	net := inst.Build(topology.ViewHybrid)
@@ -691,17 +676,11 @@ type Figure12Result struct {
 	Routes         []string
 }
 
-// Figure12 reproduces Figure 12: a TCP flow 9→13 running over a single
+// Figure12Ctx reproduces Figure 12: a TCP flow 9→13 running over a single
 // route without congestion control for the first half, then over
 // EMPoWER's two routes with δ = 0.3 and delay equalization for the
-// second half.
-func Figure12(cfg TestbedConfig) (Figure12Result, error) {
-	return Figure12Ctx(context.Background(), cfg)
-}
-
-// Figure12Ctx is Figure12 with cancellation. The two phases are separate
-// emulations with their own seeds, so they run as two replications on
-// the parallel runner.
+// second half. The two phases are separate emulations with their own
+// seeds, so they run as two replications on the parallel runner.
 func Figure12Ctx(ctx context.Context, cfg TestbedConfig) (Figure12Result, error) {
 	inst := testbedInstance(cfg.Seed + 12)
 	net := inst.Build(topology.ViewHybrid)
@@ -798,18 +777,12 @@ type Figure13Result struct {
 	SPMean, SPStd           []float64
 }
 
-// Figure13 reproduces Figure 13: average TCP rate with standard
+// Figure13Ctx reproduces Figure 13: average TCP rate with standard
 // deviation for random flows that use two routes under EMPoWER (δ = 0.3)
-// versus single-path TCP without congestion control.
-func Figure13(cfg TestbedConfig) Figure13Result {
-	res, _ := Figure13Ctx(context.Background(), cfg)
-	return res
-}
-
-// Figure13Ctx is Figure13 with cancellation. Route computation doubles as
-// the pair filter and consumes a shared RNG stream, so selection stays
-// serial; the TCP emulations — two per selected pair, by far the
-// dominant cost — run on the parallel runner.
+// versus single-path TCP without congestion control. Route computation
+// doubles as the pair filter and consumes a shared RNG stream, so
+// selection stays serial; the TCP emulations — two per selected pair, by
+// far the dominant cost — run on the parallel runner.
 func Figure13Ctx(ctx context.Context, cfg TestbedConfig) (Figure13Result, error) {
 	inst := testbedInstance(cfg.Seed + 13)
 	net := inst.Build(topology.ViewHybrid)

@@ -65,7 +65,7 @@ func referenceResults(t *testing.T, specJSON []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := experiments.ChurnFailover(spec.Scenario, spec.churnConfig())
+	res, err := experiments.ChurnFailoverCtx(context.Background(), spec.Scenario, spec.Churn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,9 +661,9 @@ func TestFleetMatchesCLIOnMultiDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := spec.churnConfig()
+	cli := spec.Churn
 	cli.Shards = 1
-	res, err := experiments.ChurnFailover(spec.Scenario, cli)
+	res, err := experiments.ChurnFailoverCtx(context.Background(), spec.Scenario, cli)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/scenario"
 )
@@ -79,15 +78,9 @@ type SweepSpec struct {
 	Raw      []byte
 	Name     string
 	Scenario *scenario.Scenario
-	Schemes  []core.Scheme
-	Runs     int
-	Seed     int64
-	Delta    float64
-	Bin      float64
-	Frac     float64
-	Manage   bool
-	Shards   int
-	Invars   bool
+	// Churn holds the knobs that influence results; the supervisor
+	// attaches the observability hooks to a copy per execution.
+	Churn experiments.ChurnConfig
 	// Total is the flat replication count: runs × schemes.
 	Total int
 }
@@ -147,39 +140,18 @@ func ParseSpec(data []byte) (*SweepSpec, error) {
 		Raw:      append([]byte(nil), data...),
 		Name:     raw.Name,
 		Scenario: sc,
-		Schemes:  schemes,
-		Runs:     raw.Runs,
-		Seed:     raw.Seed,
-		Delta:    raw.Delta,
-		Bin:      raw.Bin,
-		Frac:     raw.Frac,
-		Manage:   raw.Manage == nil || *raw.Manage,
-		Shards:   raw.Shards,
-		Invars:   raw.Invariants,
+		Churn: experiments.ChurnConfig{
+			Seed: raw.Seed, Runs: raw.Runs, Schemes: schemes, Delta: raw.Delta,
+			Bin: raw.Bin, Frac: raw.Frac, ManageRoutes: raw.Manage == nil || *raw.Manage,
+			Shards: raw.Shards, Invariants: raw.Invariants,
+		},
 	}
-	spec.Total = experiments.ChurnReps(spec.churnConfig())
+	spec.Total = experiments.ChurnReps(spec.Churn)
 	if spec.Total > maxSweepReps {
 		return nil, specErr("runs", "%d replications (runs × schemes) exceed the per-sweep cap %d",
 			spec.Total, maxSweepReps)
 	}
 	return spec, nil
-}
-
-// churnConfig derives the experiment configuration. Only fields that
-// influence results live here; observability hooks are attached by the
-// supervisor per execution.
-func (s *SweepSpec) churnConfig() experiments.ChurnConfig {
-	return experiments.ChurnConfig{
-		Seed:         s.Seed,
-		Runs:         s.Runs,
-		Schemes:      s.Schemes,
-		Delta:        s.Delta,
-		Bin:          s.Bin,
-		Frac:         s.Frac,
-		ManageRoutes: s.Manage,
-		Shards:       s.Shards,
-		Invariants:   s.Invars,
-	}
 }
 
 // decodeSpecError maps an encoding/json error onto the offending field

@@ -193,7 +193,7 @@ func (sw *Sweep) Results() ([]byte, error) {
 		}
 		outs[i] = &out
 	}
-	res := experiments.MergeChurnReps(sw.Spec.Scenario.Name, sw.Spec.churnConfig(), outs)
+	res := experiments.MergeChurnReps(sw.Spec.Scenario.Name, sw.Spec.Churn, outs)
 	data, err := json.Marshal(res)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: sweep %s: encode results: %w", sw.ID, err)

@@ -155,14 +155,9 @@ func (s *Supervisor) runSweep(ctx context.Context, sw *Sweep) {
 	sw.cancel = cancel
 	sw.mu.Unlock()
 
-	ccfg := sw.Spec.churnConfig()
+	ccfg := sw.Spec.Churn
 	ccfg.Parallel = s.cfg.Workers
 	ccfg.Metrics = sw.Agg
-	rs := obs.NewRunnerStats(runner.PoolSize(s.cfg.Workers))
-	jobTime := func(d time.Duration) {
-		rs.JobTime(d)
-		sw.Agg.With(rs.Sample)
-	}
 
 	job := experiments.ChurnRepJob(sw.Spec.Scenario, ccfg)
 	if s.wrapJob != nil {
@@ -187,7 +182,8 @@ func (s *Supervisor) runSweep(ctx context.Context, sw *Sweep) {
 	}
 
 	_, err := runner.RunFrom(sweepCtx, sw.Spec.Total, done,
-		runner.Config{Workers: s.cfg.Workers, BaseSeed: sw.Spec.Seed, OnJobTime: jobTime},
+		runner.Config{Workers: s.cfg.Workers, BaseSeed: ccfg.Seed,
+			OnJobTime: obs.JobTimeHook(sw.Agg, runner.PoolSize(s.cfg.Workers))},
 		supervised)
 
 	s.mu.Lock()

@@ -26,6 +26,18 @@ func NewRunnerStats(workers int) *RunnerStats {
 	return s
 }
 
+// JobTimeHook returns a runner.Config.OnJobTime callback that tracks a
+// sweep on `workers` workers and refreshes the runner series in agg
+// after every finished replication — the -metrics wiring of the sweep
+// CLIs and of the fleet supervisor.
+func JobTimeHook(agg *Aggregator, workers int) func(time.Duration) {
+	rs := NewRunnerStats(workers)
+	return func(d time.Duration) {
+		rs.JobTime(d)
+		agg.With(rs.Sample)
+	}
+}
+
 // JobTime records one replication's wall-clock duration — wire it to
 // runner.Config.OnJobTime.
 func (s *RunnerStats) JobTime(d time.Duration) {

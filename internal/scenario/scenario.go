@@ -25,9 +25,9 @@ package scenario
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/graph"
-	"repro/internal/netio"
 )
 
 // Scenario is a declarative dynamic-workload description: an optional
@@ -551,10 +551,17 @@ func (s *Scenario) Validate() error {
 	return nil
 }
 
-// ParseTech maps a technology name to its graph.Tech value. It defers
-// to netio.ParseTech — the codebase's one JSON tech parser — so both
-// JSON dialects accept the same case-insensitive names ("PLC", "wifi",
-// "WiFi2", ...).
+// ParseTech maps a technology name to its graph.Tech value,
+// case-insensitively ("PLC", "wifi", "WiFi2", ...).
 func ParseTech(name string) (graph.Tech, error) {
-	return netio.ParseTech(name)
+	switch strings.ToLower(name) {
+	case "plc":
+		return graph.TechPLC, nil
+	case "wifi", "wifi1":
+		return graph.TechWiFi, nil
+	case "wifi2":
+		return graph.TechWiFi2, nil
+	default:
+		return 0, fmt.Errorf("scenario: unknown technology %q", name)
+	}
 }

@@ -73,6 +73,9 @@ func (t *TopologySpec) validate() error {
 			if !seen[l.From] || !seen[l.To] {
 				return fmt.Errorf("custom topology: link %d references unknown node (%q -> %q)", i, l.From, l.To)
 			}
+			if l.From == l.To {
+				return fmt.Errorf("custom topology: link %d is a self-link at %q", i, l.From)
+			}
 			if l.Capacity <= 0 {
 				return fmt.Errorf("custom topology: link %d needs positive capacity", i)
 			}

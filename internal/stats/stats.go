@@ -9,9 +9,11 @@ package stats
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 )
 
 // Summary holds the usual first and second moment statistics of a sample.
@@ -143,6 +145,21 @@ func (c CDF) String() string {
 		b = append(b, fmt.Sprintf("%.4f\t%.4f\n", c.X[i], c.P[i])...)
 	}
 	return string(b)
+}
+
+// WriteTSV writes the CDF as a plottable two-column table: a
+// "# value<TAB>cdf" header, then one "x<TAB>p" row per point at six
+// significant digits.
+func (c CDF) WriteTSV(w io.Writer) error {
+	b := []byte("# value\tcdf\n")
+	for i := range c.X {
+		b = strconv.AppendFloat(b, c.X[i], 'g', 6, 64)
+		b = append(b, '\t')
+		b = strconv.AppendFloat(b, c.P[i], 'g', 6, 64)
+		b = append(b, '\n')
+	}
+	_, err := w.Write(b)
+	return err
 }
 
 // Ratios returns elementwise a[i]/b[i], skipping pairs where both are zero

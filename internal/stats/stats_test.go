@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -234,5 +235,30 @@ func TestMeanStd(t *testing.T) {
 	}
 	if !almostEqual(Std([]float64{1, 2, 3}), 1, 1e-12) {
 		t.Error("Std wrong")
+	}
+}
+
+// TestCDFWriteTSV pins the plottable TSV to the bytes the former
+// trace.WriteCDF wrote for the same inputs: sorted values, six
+// significant digits, and the down-sampled form -out files use.
+func TestCDFWriteTSV(t *testing.T) {
+	var b strings.Builder
+	if err := NewCDF([]float64{3, 1, 2}).WriteTSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# value\tcdf\n1\t0.333333\n2\t0.666667\n3\t1\n"; b.String() != want {
+		t.Errorf("TSV = %q, want %q", b.String(), want)
+	}
+	xs := make([]float64, 100)
+	for i := range xs {
+		xs[i] = float64(i)
+	}
+	b.Reset()
+	if err := NewCDF(xs).Points(10).WriteTSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "# value\tcdf\n0\t0.01\n11\t0.12\n22\t0.23\n33\t0.34\n44\t0.45\n55\t0.56\n66\t0.67\n77\t0.78\n88\t0.89\n99\t1\n"
+	if b.String() != want {
+		t.Errorf("down-sampled TSV = %q, want %q", b.String(), want)
 	}
 }

@@ -70,6 +70,55 @@ if [[ -d "$bindir/fuzz-failures" ]] && [[ -n "$(ls -A "$bindir/fuzz-failures" 2>
   exit 1
 fi
 
+# expect_exit WANT CMD... — asserts CMD's exit status (output discarded).
+expect_exit() {
+  local want="$1" got=0
+  shift
+  "$@" > /dev/null 2>&1 || got=$?
+  if [[ "$got" != "$want" ]]; then
+    echo "e2e: exit status $got, want $want: $*" >&2
+    exit 1
+  fi
+}
+
+echo "== exit statuses (0 ok, 2 bad invocation, 1 failure, 130 interrupted)" >&2
+expect_exit 2 "$bindir/empower-sim" -fig 99
+expect_exit 2 "$bindir/empower-sim" -topo mars
+expect_exit 2 "$bindir/empower-testbed"
+expect_exit 2 "$bindir/empower-testbed" -fig 99
+expect_exit 2 "$bindir/empower-scenario"
+expect_exit 1 "$bindir/empower-scenario" -scenario "$bindir/no-such.json"
+expect_exit 1 "$bindir/empower-route" -topo "$bindir/no-such.json"
+expect_exit 1 "$bindir/empower-route" -example -src nowhere
+expect_exit 2 "$bindir/empower-fuzz" -inject bogus
+expect_exit 1 "$bindir/empower-fleet" -addr 256.0.0.1:1 -wal "$bindir/unused.wal" -quiet
+# An interrupted sweep exits 130 and still leaves its last -metrics snapshot.
+"$bindir/empower-sim" -fig 6 -runs 100000 -metrics "$bindir/interrupted.prom" > /dev/null 2>&1 &
+sim_pid=$!
+sleep 1
+kill -INT "$sim_pid"
+sim_status=0
+wait "$sim_pid" || sim_status=$?
+if [[ "$sim_status" != 130 || ! -s "$bindir/interrupted.prom" ]]; then
+  echo "e2e: interrupted empower-sim: exit $sim_status (want 130), snapshot: $(ls -l "$bindir/interrupted.prom" 2>&1)" >&2
+  exit 1
+fi
+
+echo "== -json and text runs of each sweep command agree" >&2
+"$bindir/empower-sim" -fig 5 -topo residential -runs 3 -slots 300 > "$bindir/sim5.txt"
+"$bindir/empower-sim" -fig 5 -topo residential -runs 3 -slots 300 -json > "$bindir/sim5.json"
+grep -q "^ratio .* n=$(jq -r '.result.Ratios | length' "$bindir/sim5.json")\$" "$bindir/sim5.txt"
+"$bindir/empower-testbed" -fig 12 -duration 2 > "$bindir/tb12.txt"
+"$bindir/empower-testbed" -fig 12 -duration 2 -json > "$bindir/tb12.json"
+grep -qF "  EMPoWER route: $(jq -r '.result.Routes[0]' "$bindir/tb12.json")" "$bindir/tb12.txt"
+"$bindir/empower-scenario" -scenario examples/scenarios/flaps.json -runs 1 -schemes SP > "$bindir/flaps.txt"
+"$bindir/empower-scenario" -scenario examples/scenarios/flaps.json -runs 1 -schemes SP -json > "$bindir/flaps.json"
+grep -q "^SP  *$(jq -r '.result.rows[0].episodes' "$bindir/flaps.json")  *$(jq -r '.result.rows[0].censored' "$bindir/flaps.json") " "$bindir/flaps.txt"
+
+echo "== empower-route reads back what it dumps" >&2
+"$bindir/empower-route" -example -dump > "$bindir/fig1.json"
+"$bindir/empower-route" -topo "$bindir/fig1.json" -n 3 | cmp - "$bindir/route.out"
+
 echo "== empower-fleet (daemon: submit, poll, results, SIGTERM drain)" >&2
 fleet_port=18080
 "$bindir/empower-fleet" -addr "127.0.0.1:$fleet_port" -wal "$bindir/fleet.wal" -quiet &
