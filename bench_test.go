@@ -683,6 +683,42 @@ func BenchmarkChurnSweepSharded(b *testing.B) {
 	}
 }
 
+// BenchmarkChurnCollect measures the collect reads of one finished 150 s
+// replication of the shipped flaps scenario (EMPoWER with route
+// management): per iteration, the failover latencies, aggregate goodput
+// and degraded goodput a churn replication reads after its run. The run
+// itself happens once, outside the timer. The delivery logs do not change
+// across iterations, so from the second one on every binning is a memo
+// read — the cost of each further read of a finished run; a
+// replication's first read also pays one binning per bin width.
+// scripts/bench.sh records it in BENCH_SCENARIO.json.
+func BenchmarkChurnCollect(b *testing.B) {
+	sc, err := scenario.Load("examples/scenarios/flaps.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	net, err := sc.Topology.BuildView(stats.SplitSeed(42, 2_000_000), core.SchemeEMPoWER.View())
+	if err != nil {
+		b.Fatal(err)
+	}
+	em := NewEmulation(net, EmulationConfig{Estimation: true, ExpectedDuration: sc.Duration}, 7)
+	rt, err := scenario.Bind(em, sc, stats.SplitSeed(42, 1_000_000), scenario.Options{ManageRoutes: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt.Run()
+	if len(rt.Failures) == 0 {
+		b.Fatal("no failure episode to measure")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.FailoverLatencies(0.2, 0.8)
+		rt.AggregateGoodput()
+		rt.DegradedGoodput()
+	}
+}
+
 func benchName(prefix string, n int) string {
 	return prefix + "=" + strconv.Itoa(n)
 }

@@ -7,6 +7,9 @@ import (
 	"encoding/json"
 	"runtime"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/scenario"
 )
 
 // simPins are sha256 digests of `empower-sim -fig F -runs N -seed 3 -json`
@@ -70,6 +73,52 @@ func TestSimFigureDigests(t *testing.T) {
 			}
 			if got := hex.EncodeToString(h.Sum(nil)); got != pin.sha256 {
 				t.Errorf("empower-sim -fig %s -runs %d -seed %d -json: sha256 %s, pinned %s", pin.fig, pin.runs, seed, got, pin.sha256)
+			}
+		})
+	}
+}
+
+// scenarioPins are sha256 digests of the ChurnFailoverCtx JSON for the
+// shipped §6 scenarios at seed 3, cut to a short duration: two runs of
+// EMPoWER, SP and SP-w/o-CC with route management, δ = 0.05 and the
+// invariant checker on, so failover latencies, degraded goodput, drop
+// counters and reroutes all reach the digest. Recorded from commit
+// 5b127a2, before the sink's reorder buffer, the agent's flow and
+// interface lookups and the delivery-log binning lost their maps and
+// rescans; they hold the §6 agent layer to that commit's bytes in plain
+// `go test` (bench/golden.json pins the same quantities only under the
+// benchmark harness). linux/amd64 only, like simPins.
+var scenarioPins = []struct {
+	file     string
+	duration float64
+	sha256   string
+}{
+	{file: "flaps.json", duration: 60, sha256: "d1643bc6f42ac10d57bde4a7ad1af45adb88899651c6902dd4eb36ce550f1c04"},
+	{file: "clusters.json", duration: 30, sha256: "68436aae4a678a78907b2a70526244abe00109eb24e059df332dd06ce31382b0"},
+}
+
+func TestScenarioDigests(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skipf("pins are for linux/amd64, this is %s/%s", runtime.GOOS, runtime.GOARCH)
+	}
+	for _, pin := range scenarioPins {
+		t.Run(pin.file, func(t *testing.T) {
+			t.Parallel()
+			sc, err := scenario.Load("../../examples/scenarios/" + pin.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Duration = pin.duration
+			res := must(ChurnFailoverCtx(context.Background(), sc, ChurnConfig{
+				Seed: 3, Runs: 2, Delta: 0.05, ManageRoutes: true, Invariants: true,
+				Schemes: []core.Scheme{core.SchemeEMPoWER, core.SchemeSP, core.SchemeSPWoCC},
+			}))
+			h := sha256.New()
+			if err := json.NewEncoder(h).Encode(res); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != pin.sha256 {
+				t.Errorf("%s (%g s, seed 3): sha256 %s, pinned %s", pin.file, pin.duration, got, pin.sha256)
 			}
 		})
 	}

@@ -22,16 +22,18 @@ type neighborReport struct {
 
 // Agent is the per-node EMPoWER daemon: forwarding, price accounting, and
 // the endpoints of any flows sourced at or destined to this node. Its
-// per-packet state — γ duals, offered bits, neighbor reports, estimators
-// — is dense (indexed by link, technology and node), so the forwarding
+// per-packet state — γ duals, offered bits, neighbor reports, estimators,
+// next hops, sinks — is dense (indexed by link, technology, node and flow
+// ID, or scanned over the node's egress degree), so the forwarding, sink
 // and price paths never touch a map or allocate.
 type Agent struct {
 	id graph.NodeID
 	em *Domain
 
-	// ifaceOut maps the layer-2.5 interface ID of a neighbor's ingress
-	// interface to this node's egress link reaching it.
-	ifaceOut map[wire.InterfaceID]graph.LinkID
+	// ifaceOut pairs the layer-2.5 interface ID of each neighbor's ingress
+	// interface with this node's egress link reaching it, one entry per
+	// distinct ID in egress order (nextHop scans it).
+	ifaceOut []ifaceLink
 
 	// egress caches the node's egress links (the Net.Out order every
 	// iteration below follows), techs the first-seen egress technologies.
@@ -63,9 +65,12 @@ type Agent struct {
 	priceFrame wire.PriceFrame
 
 	// Flow endpoints.
-	source  map[uint16]*Flow  // flows sourced here, by flow ID
-	sinks   map[sinkKey]*Sink // flows terminating here
-	tcpSeen bool              // a TCP flow touches this node (δ signal)
+	source map[uint16]*Flow // flows sourced here, by flow ID
+	// sinks holds the flows terminating here, indexed by flow ID (nil
+	// for IDs that never delivered here). Flow IDs are dense and unique
+	// within a domain, so one ID names one source.
+	sinks   []*Sink
+	tcpSeen bool // a TCP flow touches this node (δ signal)
 
 	// Forwarding statistics. Every data frame this agent ingests is
 	// counted in DataIn and ends up in exactly one of Consumed (local
@@ -77,16 +82,17 @@ type Agent struct {
 	RouteDrops int
 }
 
-type sinkKey struct {
-	src    graph.NodeID
-	flowID uint16
+// ifaceLink is one next-hop entry: a neighbor's ingress interface ID and
+// the egress link reaching it.
+type ifaceLink struct {
+	iface wire.InterfaceID
+	link  graph.LinkID
 }
 
 func newAgent(em *Domain, id graph.NodeID) *Agent {
 	a := &Agent{
 		id:          id,
 		em:          em,
-		ifaceOut:    map[wire.InterfaceID]graph.LinkID{},
 		gamma:       make([]float64, em.Net.NumLinks()),
 		offeredBits: make([]float64, em.Net.NumLinks()),
 		est:         make([]*linkest.Estimator, em.Net.NumLinks()),
@@ -95,23 +101,12 @@ func newAgent(em *Domain, id graph.NodeID) *Agent {
 		sense:       make([][]graph.LinkID, em.numTechs),
 		busyScratch: make([]float64, em.Net.NumNodes()),
 		source:      map[uint16]*Flow{},
-		sinks:       map[sinkKey]*Sink{},
 	}
 	a.egress = em.Net.Out(id)
 	seen := make([]bool, em.numTechs)
 	for _, l := range a.egress {
 		link := em.Net.Link(l)
-		iface := wire.HashInterface(link.To, link.Tech)
-		if prev, ok := a.ifaceOut[iface]; ok {
-			// A parallel link to the same interface keeps the last-wins
-			// rule; two different interfaces behind one 16-bit ID would
-			// forward one neighbour's frames to the other.
-			if p := em.Net.Link(prev); p.To != link.To || p.Tech != link.Tech {
-				panic(fmt.Sprintf("node: agent %d: egress interfaces (node %d, %v) and (node %d, %v) share layer-2.5 ID %d",
-					id, p.To, p.Tech, link.To, link.Tech, iface))
-			}
-		}
-		a.ifaceOut[iface] = l
+		a.addNextHop(wire.HashInterface(link.To, link.Tech), l)
 		a.est[l] = linkest.New(linkest.Config{})
 		if !seen[link.Tech] {
 			seen[link.Tech] = true
@@ -131,6 +126,37 @@ func newAgent(em *Domain, id graph.NodeID) *Agent {
 		em.Engine.Every(a.est0ProbeInterval(), a.probeTick)
 	}
 	return a
+}
+
+// addNextHop records egress link l as the next hop towards interface
+// iface. A parallel link to the same interface keeps the last-wins rule;
+// two different interfaces behind one 16-bit ID would forward one
+// neighbour's frames to the other, so construction refuses them.
+func (a *Agent) addNextHop(iface wire.InterfaceID, l graph.LinkID) {
+	for i := range a.ifaceOut {
+		if a.ifaceOut[i].iface != iface {
+			continue
+		}
+		p, link := a.em.Net.Link(a.ifaceOut[i].link), a.em.Net.Link(l)
+		if p.To != link.To || p.Tech != link.Tech {
+			panic(fmt.Sprintf("node: agent %d: egress interfaces (node %d, %v) and (node %d, %v) share layer-2.5 ID %d",
+				a.id, p.To, p.Tech, link.To, link.Tech, iface))
+		}
+		a.ifaceOut[i].link = l
+		return
+	}
+	a.ifaceOut = append(a.ifaceOut, ifaceLink{iface, l})
+}
+
+// nextHop returns the egress link reaching the neighbor interface iface,
+// if this node has one.
+func (a *Agent) nextHop(iface wire.InterfaceID) (graph.LinkID, bool) {
+	for _, e := range a.ifaceOut {
+		if e.iface == iface {
+			return e.link, true
+		}
+	}
+	return 0, false
 }
 
 func (a *Agent) est0ProbeInterval() float64 {
@@ -210,7 +236,7 @@ func (a *Agent) onData(p *dataPkt) {
 		a.em.freePkt(p)
 		return // malformed route; drop
 	}
-	next, ok := a.ifaceOut[f.Header.Route[f.Hop]]
+	next, ok := a.nextHop(f.Header.Route[f.Hop])
 	if !ok {
 		a.RouteDrops++
 		a.em.freePkt(p)
@@ -386,15 +412,21 @@ func (a *Agent) onAck(f *wire.AckFrame) {
 }
 
 // sinkFor returns (creating on demand) the sink state of a flow
-// terminating here.
+// terminating here. A flow ID names one source within a domain, so a
+// lookup under another source is a caller bug and panics.
 func (a *Agent) sinkFor(src graph.NodeID, flowID uint16) *Sink {
-	k := sinkKey{src, flowID}
-	s := a.sinks[k]
-	if s == nil {
-		s = newSink(a, src, flowID)
-		a.sinks[k] = s
-		a.em.Engine.Every(a.em.cfg.ackInterval(), s.ackTick)
+	if s := a.PeekSink(src, flowID); s != nil {
+		return s
 	}
+	for int(flowID) >= len(a.sinks) {
+		a.sinks = append(a.sinks, nil)
+	}
+	if s := a.sinks[flowID]; s != nil {
+		panic(fmt.Sprintf("node: agent %d: flow %d terminates from node %d, looked up from node %d", a.id, flowID, s.src, src))
+	}
+	s := newSink(a, src, flowID)
+	a.sinks[flowID] = s
+	a.em.Engine.Every(a.em.cfg.ackInterval(), s.ackTick)
 	return s
 }
 
@@ -406,18 +438,26 @@ func (a *Agent) SinkFor(src graph.NodeID, flowID uint16) *Sink {
 
 // PeekSink returns the sink of the identified flow without creating it —
 // the read-only form for observers (SinkFor schedules an ack tick on
-// creation, which would perturb the trajectory under observation).
+// creation, which would perturb the trajectory under observation). It is
+// nil until the flow delivered here (or SinkFor created it).
 func (a *Agent) PeekSink(src graph.NodeID, flowID uint16) *Sink {
-	return a.sinks[sinkKey{src, flowID}]
+	if int(flowID) < len(a.sinks) {
+		if s := a.sinks[flowID]; s != nil && s.src == src {
+			return s
+		}
+	}
+	return nil
 }
 
 // Sinks lists the sinks terminating at this node (for measurements),
 // ordered by (source node, flow ID) so callers that index into the
 // result select the same sink every run.
 func (a *Agent) Sinks() []*Sink {
-	out := make([]*Sink, 0, len(a.sinks))
+	var out []*Sink
 	for _, s := range a.sinks {
-		out = append(out, s)
+		if s != nil {
+			out = append(out, s)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].src != out[j].src {

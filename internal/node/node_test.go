@@ -313,7 +313,7 @@ func TestInterfaceMapMatchesWireHashes(t *testing.T) {
 		for _, l := range net.Out(ag.id) {
 			link := net.Link(l)
 			id := wire.HashInterface(link.To, link.Tech)
-			if got, ok := ag.ifaceOut[id]; !ok || got != l {
+			if got, ok := ag.nextHop(id); !ok || got != l {
 				t.Fatalf("agent %d iface map missing link %d", ag.id, l)
 			}
 		}

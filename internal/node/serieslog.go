@@ -7,9 +7,15 @@ package node
 // log ~20 times over a long run, which dominated the emulation's byte
 // churn). The chunk-pointer slice is presized from the configured
 // duration when the emulation knows it.
+//
+// The log is append-only, so its point count is its version: memo keeps
+// the last binning per bin width together with the count it was taken
+// at, and a read at an unchanged count returns it instead of re-binning
+// the whole log.
 type seriesLog struct {
 	chunks []*seriesChunk
 	n      int // total points
+	memo   []seriesMemo
 }
 
 const seriesChunkPoints = 4096
@@ -17,6 +23,13 @@ const seriesChunkPoints = 4096
 type seriesChunk struct {
 	times [seriesChunkPoints]float64
 	bits  [seriesChunkPoints]float64
+}
+
+// seriesMemo is one binning of the log's first n points.
+type seriesMemo struct {
+	bin       float64
+	n         int
+	ts, rates []float64
 }
 
 // newSeriesLog builds a log, presizing the chunk directory for
@@ -43,12 +56,43 @@ func (s *seriesLog) add(t, b float64) {
 }
 
 // series bins the log into rates: returns bin midpoints (s) and rates
-// (Mbps). Points are visited in insertion (chronological) order, so the
-// per-bin float sums match the flat-slice implementation bit for bit.
+// (Mbps), as slices the caller owns.
 func (s *seriesLog) series(bin float64) ([]float64, []float64) {
+	ts, rates := s.binned(bin)
+	if ts == nil {
+		return nil, nil
+	}
+	return append([]float64(nil), ts...), append([]float64(nil), rates...)
+}
+
+// binned is series without the copy: the returned slices are the memo's
+// and must not be modified.
+func (s *seriesLog) binned(bin float64) ([]float64, []float64) {
 	if s.n == 0 || bin <= 0 {
 		return nil, nil
 	}
+	var m *seriesMemo
+	for i := range s.memo {
+		if s.memo[i].bin == bin {
+			m = &s.memo[i]
+			break
+		}
+	}
+	if m == nil {
+		s.memo = append(s.memo, seriesMemo{bin: bin})
+		m = &s.memo[len(s.memo)-1]
+	} else if m.n == s.n {
+		return m.ts, m.rates
+	}
+	m.n = s.n
+	m.ts, m.rates = s.rebin(bin)
+	return m.ts, m.rates
+}
+
+// rebin bins the whole log. Points are visited in insertion
+// (chronological) order, so the per-bin float sums match the flat-slice
+// implementation bit for bit.
+func (s *seriesLog) rebin(bin float64) ([]float64, []float64) {
 	last := s.chunks[(s.n-1)/seriesChunkPoints]
 	end := last.times[(s.n-1)%seriesChunkPoints]
 	n := int(end/bin) + 1

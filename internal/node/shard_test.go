@@ -251,13 +251,7 @@ func TestAllocsShardedRunSlot(t *testing.T) {
 	em.Run(5.05) // drain in-flight frames
 
 	// Pin the cached reverse paths, as in TestAllocsEmulationReportSlot.
-	for _, ag := range em.Agents {
-		for _, s := range ag.sinks {
-			if s.reverse != nil {
-				s.reverseAt = 1e18
-			}
-		}
-	}
+	pinReversePaths(em)
 
 	slots := 0
 	if avg := testing.AllocsPerRun(10, func() {

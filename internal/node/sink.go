@@ -26,9 +26,10 @@ type routeState struct {
 // Sink is the destination-side state of one flow: per-route price and
 // sequence tracking, the reordering buffer, loss detection, delay
 // equalization, and acknowledgement generation. The per-packet path is
-// allocation-free: route state is dense, the reorder buffer holds plain
-// values, and the frames themselves return to the emulation's pool the
-// moment their fields are extracted.
+// allocation-free and map-free: route state is dense, the reorder buffer
+// is a ring of plain values indexed by sequence number, and the frames
+// themselves return to the emulation's pool the moment their fields are
+// extracted.
 type Sink struct {
 	agent  *Agent
 	src    graph.NodeID
@@ -38,9 +39,12 @@ type Sink struct {
 	// first sight of a route).
 	routes []routeState
 
-	// Reordering.
+	// Reordering: ring holds the packets admitted ahead of nextSeq, each
+	// at slot seq & (len(ring)-1). Every present slot's sequence number
+	// lies in [nextSeq, nextSeq+len(ring)), so a slot names exactly one
+	// sequence number of the live window.
 	nextSeq uint32
-	buffer  map[uint32]bufEntry
+	ring    []bufEntry
 	// Loss counters.
 	Lost int
 
@@ -61,18 +65,23 @@ type Sink struct {
 
 // bufEntry is one reordered packet waiting for its predecessors: the
 // fields deliver needs, held by value (the frame is long since back in
-// the pool).
+// the pool). present marks an occupied ring slot.
 type bufEntry struct {
 	payloadLen uint16
+	present    bool
 	meta       interface{}
 }
+
+// sinkRingInit is the initial reorder-ring length (a power of two); the
+// ring doubles whenever an admitted packet lies beyond the window.
+const sinkRingInit = 64
 
 func newSink(a *Agent, src graph.NodeID, flowID uint16) *Sink {
 	return &Sink{
 		agent:     a,
 		src:       src,
 		flowID:    flowID,
-		buffer:    map[uint32]bufEntry{},
+		ring:      make([]bufEntry, sinkRingInit),
 		log:       newSeriesLog(a.em.cfg.ExpectedDuration),
 		firstSeen: a.em.Engine.Now(),
 		lastData:  a.em.Engine.Now(),
@@ -171,19 +180,40 @@ func (s *Sink) onData(p *dataPkt) {
 // admit places the packet into the reorder buffer and flushes whatever is
 // now deliverable, applying the paper's loss rule: a missing sequence
 // number S is declared lost (and skipped) once every route has delivered
-// a packet with sequence greater than S.
+// a packet with sequence greater than S. A duplicate of a buffered
+// sequence number replaces it.
 func (s *Sink) admit(seq uint32, payloadLen uint16, meta interface{}) {
 	if seq >= s.nextSeq {
-		s.buffer[seq] = bufEntry{payloadLen: payloadLen, meta: meta}
+		if seq-s.nextSeq >= uint32(len(s.ring)) {
+			s.grow(seq - s.nextSeq)
+		}
+		s.ring[seq&uint32(len(s.ring)-1)] = bufEntry{payloadLen: payloadLen, present: true, meta: meta}
 	}
 	s.flush()
 }
 
+// grow doubles the ring until a packet d ahead of nextSeq fits, re-seating
+// the live window [nextSeq, nextSeq+len) at its slots in the new ring.
+func (s *Sink) grow(d uint32) {
+	n := 2 * len(s.ring)
+	for uint64(n) <= uint64(d) {
+		n *= 2
+	}
+	ring := make([]bufEntry, n)
+	oldMask, mask := uint32(len(s.ring)-1), uint32(n-1)
+	for k := uint32(0); k < uint32(len(s.ring)); k++ {
+		seq := s.nextSeq + k
+		ring[seq&mask] = s.ring[seq&oldMask]
+	}
+	s.ring = ring
+}
+
 func (s *Sink) flush() {
 	for {
-		if e, ok := s.buffer[s.nextSeq]; ok {
+		i := s.nextSeq & uint32(len(s.ring)-1)
+		if e := s.ring[i]; e.present {
 			s.deliver(s.nextSeq, e)
-			delete(s.buffer, s.nextSeq)
+			s.ring[i] = bufEntry{}
 			s.nextSeq++
 			continue
 		}
@@ -239,7 +269,7 @@ func (s *Sink) RateSeries(binSeconds float64) ([]float64, []float64) {
 
 // MeanRate returns average goodput (Mbps) between two absolute times.
 func (s *Sink) MeanRate(from, to float64) float64 {
-	ts, rates := s.log.series(0.5)
+	ts, rates := s.log.binned(0.5)
 	if len(ts) == 0 || to <= from {
 		return 0
 	}
@@ -283,12 +313,20 @@ func (s *Sink) ackTick() {
 	ack.Dst = s.agent.id
 	ack.FlowID = s.flowID
 	ack.SentAt = now
-	for i := range s.routes {
-		rs := &s.routes[i]
+	ack.Routes = appendRouteAcks(ack.Routes, s.routes)
+	s.sendAck(ack)
+}
+
+// appendRouteAcks appends one acknowledgement entry per route seen so far
+// (q_r, max sequence, payload bytes delivered since the last ack) and
+// restarts the routes' delivered counters.
+func appendRouteAcks(dst []wire.RouteAck, routes []routeState) []wire.RouteAck {
+	for i := range routes {
+		rs := &routes[i]
 		if !rs.seen {
 			continue
 		}
-		ack.Routes = append(ack.Routes, wire.RouteAck{
+		dst = append(dst, wire.RouteAck{
 			RouteIdx:  uint8(i),
 			QR:        rs.qr,
 			MaxSeq:    rs.maxSeq,
@@ -296,7 +334,7 @@ func (s *Sink) ackTick() {
 		})
 		rs.delivered = 0
 	}
-	s.sendAck(ack)
+	return dst
 }
 
 // sendAck transmits the ack over the cached best reverse path, refreshing

@@ -796,9 +796,20 @@ func (rt *Runtime) Reroutes() int {
 	return n
 }
 
-// sink returns a flow's destination sink.
+// sink returns a flow's destination sink, nil while the flow has
+// delivered nothing. It only peeks: creating the sink would schedule its
+// ack tick and perturb a run that continues after the query.
 func (rt *Runtime) sink(rec *FlowRecord) *node.Sink {
-	return rt.Em.Agent(rec.Dst).SinkFor(rec.Src, rec.Flow.ID)
+	return rt.Em.Agent(rec.Dst).PeekSink(rec.Src, rec.Flow.ID)
+}
+
+// meanRate is the flow's delivered goodput (Mbps) over [from, to]; zero
+// for a flow without a sink.
+func (rt *Runtime) meanRate(rec *FlowRecord, from, to float64) float64 {
+	if s := rt.sink(rec); s != nil {
+		return s.MeanRate(from, to)
+	}
+	return 0
 }
 
 // FlowGoodput returns the delivered goodput (Mbps) of a named flow over
@@ -808,7 +819,7 @@ func (rt *Runtime) FlowGoodput(name string, from, to float64) float64 {
 	if rec == nil {
 		return 0
 	}
-	return rt.sink(rec).MeanRate(from, to)
+	return rt.meanRate(rec, from, to)
 }
 
 // AggregateGoodput returns the total delivered goodput of all scenario
@@ -817,7 +828,9 @@ func (rt *Runtime) AggregateGoodput() float64 {
 	var bits float64
 	for _, d := range rt.doms {
 		for _, name := range d.order {
-			bits += float64(rt.sink(d.flows[name]).TotalBytes) * 8
+			if s := rt.sink(d.flows[name]); s != nil {
+				bits += float64(s.TotalBytes) * 8
+			}
 		}
 	}
 	if rt.Scenario.Duration <= 0 {
@@ -853,6 +866,9 @@ func (rt *Runtime) FailoverLatencies(bin, frac float64) (latencies []float64, ce
 			continue
 		}
 		sink := rt.sink(rec)
+		if sink == nil {
+			continue // the flow never delivered; nothing to fail over
+		}
 		preFrom := f.At - 5
 		if preFrom < rec.StartedAt {
 			preFrom = rec.StartedAt
@@ -901,7 +917,7 @@ func (rt *Runtime) DegradedGoodput() []float64 {
 		if rec == nil || f.RecoveredAt <= f.At {
 			continue
 		}
-		out = append(out, rt.sink(rec).MeanRate(f.At, f.RecoveredAt))
+		out = append(out, rt.meanRate(rec, f.At, f.RecoveredAt))
 	}
 	return out
 }

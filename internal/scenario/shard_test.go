@@ -131,3 +131,57 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectReadsDoNotPerturb: the goodput reads only peek at sinks. A
+// query on a flow that has not delivered anything yet must not create the
+// flow's sink — creation schedules the sink's ack tick at the query
+// instant — so a run continued after a mid-run query digests to the same
+// value as a run never queried.
+func TestCollectReadsDoNotPerturb(t *testing.T) {
+	digest := func(query bool) string {
+		sc, err := Load("../../examples/scenarios/flaps.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Duration = 30
+		net, err := sc.Topology.Build(11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		em := node.NewEmulation(net, node.Config{Estimation: true, ExpectedDuration: sc.Duration}, 13)
+		rt, err := Bind(em, sc, 17, Options{ManageRoutes: true, Strict: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if query {
+			em.Run(0) // the flow has started; no frame has reached its sink
+			rec := rt.Flow("main")
+			if rec == nil {
+				t.Fatal("flow main did not start at t=0")
+			}
+			if g := rt.FlowGoodput("main", 0, 1); g != 0 {
+				t.Fatalf("goodput before any delivery = %v", g)
+			}
+			if g := rt.AggregateGoodput(); g != 0 {
+				t.Fatalf("aggregate goodput before any delivery = %v", g)
+			}
+			rt.FailoverLatencies(0.2, 0.8)
+			rt.DegradedGoodput()
+			if em.Agent(rec.Dst).PeekSink(rec.Src, rec.Flow.ID) != nil {
+				t.Fatal("a collect read created the sink")
+			}
+		}
+		rt.Run()
+		h := sha256.New()
+		for _, tr := range rt.Transitions {
+			fmt.Fprintf(h, "tr %+v\n", tr)
+		}
+		lat, cens := rt.FailoverLatencies(0.2, 0.8)
+		fmt.Fprintf(h, "lat %v %d agg %v deg %v events %d\n",
+			lat, cens, rt.AggregateGoodput(), rt.DegradedGoodput(), em.Domain(0).Engine.Fired())
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	if queried, plain := digest(true), digest(false); queried != plain {
+		t.Errorf("a mid-run query changed the run: digest %s, unqueried %s", queried, plain)
+	}
+}

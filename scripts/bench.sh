@@ -22,6 +22,9 @@
 #                         the two kernels under them: one MAC completion
 #                         on the testbed network and one event through
 #                         the engine heap (tracked since PR 16)
+#                         — plus BenchmarkChurnCollect, the collect reads
+#                         (failover latencies, goodputs) of a finished
+#                         flaps replication
 #
 # Before overwriting an output file, the previously committed numbers are
 # kept and a delta table (old → new median, with ratios) is printed. A
@@ -210,4 +213,4 @@ print_delta() {
 }
 
 run_bench 'BenchmarkRoutingN5$|BenchmarkAblationNShortest|BenchmarkAblationCSC|BenchmarkControllerSlot$|BenchmarkControllerBatch$|BenchmarkControllerHorizon|BenchmarkInstanceBuildViews$|BenchmarkFigure4ParallelSweep|BenchmarkOptimalSolve$|BenchmarkFigure6OptimalRatios$' "$routing_out"
-run_bench 'BenchmarkChurnSweep$|BenchmarkChurnSweepSharded$|BenchmarkEmulationSecond$|BenchmarkEmulationSecondSharded$|BenchmarkMetricsOverhead$|BenchmarkMACCompletion$|BenchmarkEngineHeap$' "$scenario_out"
+run_bench 'BenchmarkChurnSweep$|BenchmarkChurnSweepSharded$|BenchmarkChurnCollect$|BenchmarkEmulationSecond$|BenchmarkEmulationSecondSharded$|BenchmarkMetricsOverhead$|BenchmarkMACCompletion$|BenchmarkEngineHeap$' "$scenario_out"
