@@ -21,6 +21,8 @@
 //     falsely accused);
 //   - relay conservation: every data packet entering an agent is
 //     consumed locally, forwarded, or dropped with a recorded reason;
+//   - every agent's cached price sums equal a fresh recompute, bit for
+//     bit (node.Agent.CheckConsistency);
 //   - a sink never delivers more packets than its flow injected;
 //   - a congestion-controlled flow's rate stays within a slack bound of
 //     its routes' estimated capacity (multi-strike, ack-fresh flows
@@ -124,6 +126,9 @@ type domChecker struct {
 	dom *node.Domain
 	eng engineNow
 	mac macView
+	// priceCache checks an agent's price-sum cache
+	// ((*node.Agent).CheckConsistency; a test may break it).
+	priceCache func(*node.Agent) error
 
 	links   []graph.LinkID
 	nodes   []graph.NodeID
@@ -151,10 +156,11 @@ func Attach(em *node.Emulation, cfg Config) *Checker {
 	c.doms = make([]*domChecker, em.NumDomains())
 	for d := range c.doms {
 		dc := &domChecker{
-			c:       c,
-			d:       d,
-			dom:     em.Domain(d),
-			strikes: map[string]int{},
+			c:          c,
+			d:          d,
+			dom:        em.Domain(d),
+			strikes:    map[string]int{},
+			priceCache: (*node.Agent).CheckConsistency,
 		}
 		dc.eng, dc.mac = dc.dom.Engine, dc.dom.MAC
 		for l := 0; l < em.Net.NumLinks(); l++ {
@@ -257,8 +263,9 @@ func (dc *domChecker) checkLinks() {
 	}
 }
 
-// checkAgents verifies relay flow conservation: every data packet an
-// agent received is accounted for exactly once.
+// checkAgents verifies relay flow conservation — every data packet an
+// agent received is accounted for exactly once — and the agents' cached
+// price sums.
 func (dc *domChecker) checkAgents() {
 	for _, n := range dc.nodes {
 		a := dc.dom.Agents[n]
@@ -269,6 +276,9 @@ func (dc *domChecker) checkAgents() {
 			dc.violate("flow-conservation",
 				"node %d: %d data packets in, %d accounted (%d consumed + %d forwarded + %d route-dropped)",
 				n, a.DataIn, out, a.Consumed, a.Forwarded, a.RouteDrops)
+		}
+		if err := dc.priceCache(a); err != nil {
+			dc.violate("price-cache", "%v", err)
 		}
 	}
 }

@@ -135,6 +135,10 @@ func TestChecksFire(t *testing.T) {
 			}
 			h.em.Run(4)
 		}},
+		{check: "price-cache", cfg: node.Config{Estimation: true}, violate: func(h *harness, dc *domChecker) {
+			warm(h)
+			dc.priceCache = func(*node.Agent) error { return errors.New("hand-built stale price sum") }
+		}},
 		{check: "flow-conservation", cfg: node.Config{Estimation: true}, violate: func(h *harness, dc *domChecker) {
 			warm(h)
 			h.em.Agent(h.relay[dc.d]).Forwarded++ // a packet forwarded that never came in

@@ -105,6 +105,13 @@ type Estimator struct {
 	haveSample bool
 	lastSample float64 // virtual time of the last sample
 	mode       Mode
+
+	// gain memoises Observe's EWMA gain 1 − exp(−dt/window) for the last
+	// (gainDt, gainWindow) pair: a pure function of its two operands, so a
+	// repeated pair — back-to-back frames at one airtime — reuses the
+	// bits exp would return again. The zero pair never matches: dt is
+	// clamped positive and every window default is positive.
+	gain, gainDt, gainWindow float64
 }
 
 // New returns an estimator with the given configuration.
@@ -140,8 +147,10 @@ func (e *Estimator) Observe(sample, now float64) {
 	if e.mode == ModeProbe {
 		window = e.cfg.probeWindow()
 	}
-	a := 1 - math.Exp(-dt/window)
-	e.estimate += a * (sample - e.estimate)
+	if dt != e.gainDt || window != e.gainWindow {
+		e.gain, e.gainDt, e.gainWindow = 1-math.Exp(-dt/window), dt, window
+	}
+	e.estimate += e.gain * (sample - e.estimate)
 	e.lastSample = now
 }
 

@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/graph"
@@ -20,12 +21,33 @@ type neighborReport struct {
 	heardAt  float64
 }
 
+// gammaCache is one technology's memoised price sum: sum is
+// ownGammaSum + freshGammaSum as computed at the call that filled it, and
+// oldest the smallest heardAt among the reports that sum included (+Inf
+// when it included none).
+type gammaCache struct {
+	sum, oldest float64
+	valid       bool
+}
+
+// serves reports whether the entry still holds the sum a scan at now
+// would return (see Agent.gammaSum).
+func (c *gammaCache) serves(now, stale float64) bool {
+	return c.valid && now-c.oldest <= stale
+}
+
 // Agent is the per-node EMPoWER daemon: forwarding, price accounting, and
 // the endpoints of any flows sourced at or destined to this node. Its
 // per-packet state — γ duals, offered bits, neighbor reports, estimators,
-// next hops, sinks — is dense (indexed by link, technology, node and flow
-// ID, or scanned over the node's egress degree), so the forwarding, sink
-// and price paths never touch a map or allocate.
+// next hops, sources, sinks — is dense (indexed by link, technology, node
+// and flow ID, or scanned over the node's egress degree), so the
+// forwarding, ack, sink and price paths never touch a map or allocate.
+//
+// The per-frame price term d_l·Σγ recomputes only what changed: d_l is
+// read from the agent's own estimator, and the γ sum of each technology is
+// cached (gsum) behind a freshness horizon — reused while the oldest
+// report it included is still fresh, dropped by the only two writers of
+// its inputs, onPrice and priceTick. CheckConsistency recomputes it.
 type Agent struct {
 	id graph.NodeID
 	em *Domain
@@ -48,6 +70,8 @@ type Agent struct {
 
 	// reports[tech][origin] caches overheard price broadcasts.
 	reports [][]neighborReport
+	// gsum[tech] memoises priceTerm's γ sum, dense by technology.
+	gsum []gammaCache
 
 	// est tracks per-egress-link capacity estimators, dense by LinkID
 	// (nil for links not owned by this node).
@@ -64,11 +88,11 @@ type Agent struct {
 	// priceFrame is the scratch frame priceTick broadcasts from.
 	priceFrame wire.PriceFrame
 
-	// Flow endpoints.
-	source map[uint16]*Flow // flows sourced here, by flow ID
-	// sinks holds the flows terminating here, indexed by flow ID (nil
-	// for IDs that never delivered here). Flow IDs are dense and unique
-	// within a domain, so one ID names one source.
+	// Flow endpoints. source holds the flows sourced here and sinks the
+	// flows terminating here, both indexed by flow ID (nil for IDs that
+	// are not sourced here or never delivered here). Flow IDs are dense
+	// and unique within a domain, so one ID names one flow.
+	source  []*Flow
 	sinks   []*Sink
 	tcpSeen bool // a TCP flow touches this node (δ signal)
 
@@ -97,10 +121,10 @@ func newAgent(em *Domain, id graph.NodeID) *Agent {
 		offeredBits: make([]float64, em.Net.NumLinks()),
 		est:         make([]*linkest.Estimator, em.Net.NumLinks()),
 		reports:     make([][]neighborReport, em.numTechs),
+		gsum:        make([]gammaCache, em.numTechs),
 		extBusy:     make([]externalBusy, em.numTechs),
 		sense:       make([][]graph.LinkID, em.numTechs),
 		busyScratch: make([]float64, em.Net.NumNodes()),
-		source:      map[uint16]*Flow{},
 	}
 	a.egress = em.Net.Out(id)
 	seen := make([]bool, em.numTechs)
@@ -254,31 +278,80 @@ func (a *Agent) addPrice(l graph.LinkID, h *wire.Header) {
 
 // priceTerm computes d_l · Σ_{i∈I_l} γ_i from local state: the node's own
 // γ over its egress links of the link's technology plus the γ sums
-// reported by neighbors on that technology.
+// reported by neighbors on that technology. l is one of the agent's
+// egress links, so its capacity estimate comes from the agent's own
+// estimator; a dead link's d_l = 1/0 is priced as 1e9.
 func (a *Agent) priceTerm(l graph.LinkID) float64 {
-	tech := a.em.Net.Link(l).Tech
-	gsum := a.ownGammaSum(tech) + a.freshGammaSum(tech, a.em.Engine.Now())
-	return a.em.dEstimate(l) * gsum
+	c := a.em.capacityEstimate(a.est[l], l)
+	d := 1 / c
+	if c <= 0 {
+		d = 1e9
+	}
+	return d * a.gammaSum(a.em.Net.Link(l).Tech, a.em.Engine.Now())
+}
+
+// gammaSum returns ownGammaSum(tech) + freshGammaSum(tech, now), from the
+// cache while that is provably the same value. The inputs are γ (written
+// only by priceTick) and the reports (written only by onPrice), and both
+// drop the entries they affect, so a valid entry can go out of date only
+// through time. It cannot while the oldest report it included is fresh
+// (now − oldest ≤ stale): virtual time never decreases and float
+// subtraction rounds monotonically, so every report it included (heardAt ≥
+// oldest) is still fresh, every report it left out as stale stays stale,
+// and unheard slots change only through onPrice. The sum is then over the
+// same reports in the same order — the same bits.
+func (a *Agent) gammaSum(tech graph.Tech, now float64) float64 {
+	c := &a.gsum[tech]
+	if !c.serves(now, a.em.cfg.reportStale()) {
+		*c = a.scanGammaSum(tech, now)
+	}
+	return c.sum
+}
+
+// scanGammaSum computes the entry gammaSum caches for tech at now.
+func (a *Agent) scanGammaSum(tech graph.Tech, now float64) gammaCache {
+	fresh, oldest := a.freshGammaSum(tech, now)
+	return gammaCache{sum: a.ownGammaSum(tech) + fresh, oldest: oldest, valid: true}
 }
 
 // freshGammaSum accumulates the unexpired neighbor reports' γ sums in
-// ascending node order. Float addition is not associative, so the order
-// must be reproducible for runs to be seed-deterministic; the dense
-// table gives ascending order for free. This runs per forwarded packet —
-// a plain loop, no callback, no allocation.
-func (a *Agent) freshGammaSum(tech graph.Tech, now float64) float64 {
+// ascending node order, and returns the oldest included report's heardAt
+// (+Inf if none) for gammaSum's freshness horizon. Float addition is not
+// associative, so the order must be reproducible for runs to be
+// seed-deterministic; the dense table gives ascending order for free.
+func (a *Agent) freshGammaSum(tech graph.Tech, now float64) (s, oldest float64) {
+	oldest = math.Inf(1)
 	if int(tech) >= len(a.reports) {
-		return 0
+		return 0, oldest
 	}
-	var s float64
 	stale := a.em.cfg.reportStale()
 	reps := a.reports[tech]
 	for n := range reps {
 		if rep := &reps[n]; rep.heardAt >= 0 && now-rep.heardAt <= stale {
 			s += rep.gammaSum
+			oldest = min(oldest, rep.heardAt)
 		}
 	}
-	return s
+	return s, oldest
+}
+
+// CheckConsistency recomputes every γ-sum cache entry that gammaSum would
+// serve now — valid and inside its freshness horizon — and reports the
+// first whose sum or oldest report differs in a single bit from a fresh
+// scan. It only reads (the invariant checker calls it mid-run).
+func (a *Agent) CheckConsistency() error {
+	now := a.em.Engine.Now()
+	for t, c := range a.gsum {
+		if !c.serves(now, a.em.cfg.reportStale()) {
+			continue
+		}
+		w := a.scanGammaSum(graph.Tech(t), now)
+		if math.Float64bits(w.sum) != math.Float64bits(c.sum) || math.Float64bits(w.oldest) != math.Float64bits(c.oldest) {
+			return fmt.Errorf("node %d, %v: cached γ sum %v (oldest report %v), recomputed %v (oldest %v)",
+				a.id, graph.Tech(t), c.sum, c.oldest, w.sum, w.oldest)
+		}
+	}
+	return nil
 }
 
 // freshAirtimeSum is freshGammaSum for the reports' airtime claims.
@@ -359,6 +432,7 @@ func (a *Agent) priceTick() {
 		}
 		a.em.broadcastPrice(a.id, &a.priceFrame)
 	}
+	clear(a.gsum) // γ moved: every cached price sum is out of date
 	// Idle egress links fall back to probe-mode estimation (checked
 	// before the counters reset).
 	if a.em.cfg.Estimation {
@@ -396,6 +470,7 @@ func (a *Agent) onPrice(f *wire.PriceFrame) {
 	rep.gammaSum = f.GammaSum
 	rep.tcp = f.TCPPresent
 	rep.heardAt = a.em.Engine.Now()
+	a.gsum[f.Tech].valid = false
 	if f.TCPPresent {
 		a.tcpSeen = true
 	}
@@ -403,12 +478,34 @@ func (a *Agent) onPrice(f *wire.PriceFrame) {
 
 // onAck feeds an acknowledgement back into the flow it belongs to.
 func (a *Agent) onAck(f *wire.AckFrame) {
-	if f.Src != a.id {
-		return // not ours (acks are source-routed; shouldn't happen)
-	}
-	if fl := a.source[f.FlowID]; fl != nil {
+	if fl := a.sourceFlow(f.Src, f.FlowID); fl != nil {
 		fl.onAck(f)
 	}
+}
+
+// addSource registers a flow sourced here under its flow ID. IDs are
+// unique within a domain, so a second flow under one ID is a caller bug
+// and panics.
+func (a *Agent) addSource(f *Flow) {
+	for int(f.ID) >= len(a.source) {
+		a.source = append(a.source, nil)
+	}
+	if prev := a.source[f.ID]; prev != nil {
+		panic(fmt.Sprintf("node: agent %d: flow ID %d registered twice", a.id, f.ID))
+	}
+	a.source[f.ID] = f
+}
+
+// sourceFlow returns the flow identified by its source node and flow ID
+// if it is sourced here, else nil (acks are source-routed, so an ack
+// naming another source cannot arrive on a correct path).
+func (a *Agent) sourceFlow(src graph.NodeID, flowID uint16) *Flow {
+	if int(flowID) < len(a.source) {
+		if fl := a.source[flowID]; fl != nil && fl.Src == src {
+			return fl
+		}
+	}
+	return nil
 }
 
 // sinkFor returns (creating on demand) the sink state of a flow

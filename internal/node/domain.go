@@ -349,40 +349,35 @@ func hasIngress(net *graph.Network, id graph.NodeID, tech graph.Tech) bool {
 	return false
 }
 
-// linkEstimate returns the capacity estimate used for price terms: the
-// linkest estimate when estimation is enabled and warmed up, the true
-// capacity otherwise.
+// linkEstimate returns the capacity estimate used for price terms, read
+// from the estimator of the link's owner (see capacityEstimate).
 func (e *Domain) linkEstimate(l graph.LinkID) float64 {
-	if e.cfg.Estimation {
-		a := e.Agents[e.Net.Link(l).From]
-		if a == nil {
-			// A foreign link: no local estimator. Fall back to the domain
-			// clone's (frozen) capacity — routing inside the domain can
-			// never use a foreign link, so the value only feeds aggregate
-			// signals.
-			return e.Net.Link(l).Capacity
+	var est *linkest.Estimator
+	if a := e.Agents[e.Net.Link(l).From]; a != nil {
+		est = a.est[l]
+	}
+	// A foreign link has no local estimator and falls back to the domain
+	// clone's (frozen) capacity — routing inside the domain can never use
+	// a foreign link, so the value only feeds aggregate signals.
+	return e.capacityEstimate(est, l)
+}
+
+// capacityEstimate is the one capacity rule behind price terms, route
+// caps and the estimated routing view: link l's linkest estimate when
+// estimation is enabled and est (its owner's estimator, or nil) has
+// warmed up, zero once est declares the link failed, the true capacity
+// otherwise. Agents pass their own estimator directly (Agent.priceTerm).
+func (e *Domain) capacityEstimate(est *linkest.Estimator, l graph.LinkID) float64 {
+	if e.cfg.Estimation && est != nil {
+		if est.Failed(e.Engine.Now()) {
+			// Samples stopped arriving: the link is down (§6.1's rapid
+			// failure detection). Routing and rate control see zero
+			// capacity.
+			return 0
 		}
-		if est := a.est[l]; est != nil {
-			if est.Failed(e.Engine.Now()) {
-				// Samples stopped arriving: the link is down (§6.1's
-				// rapid failure detection). Routing and rate control see
-				// zero capacity.
-				return 0
-			}
-			if v := est.Estimate(); v > 0 {
-				return v
-			}
+		if v := est.Estimate(); v > 0 {
+			return v
 		}
 	}
 	return e.Net.Link(l).Capacity
-}
-
-// dEstimate returns the estimated d_l = 1/ĉ_l (+Inf treated as a huge
-// price on dead links).
-func (e *Domain) dEstimate(l graph.LinkID) float64 {
-	c := e.linkEstimate(l)
-	if c <= 0 {
-		return 1e9
-	}
-	return 1 / c
 }

@@ -99,63 +99,63 @@ type Config struct {
 // GOMAXPROCS (cmd flags map -shards 0 to it).
 const ShardsAuto = -1
 
-func (c Config) ackInterval() float64 {
+func (c *Config) ackInterval() float64 {
 	if c.AckInterval <= 0 {
 		return 0.1
 	}
 	return c.AckInterval
 }
 
-func (c Config) priceInterval() float64 {
+func (c *Config) priceInterval() float64 {
 	if c.PriceInterval <= 0 {
 		return 0.1
 	}
 	return c.PriceInterval
 }
 
-func (c Config) gammaAlpha() float64 {
+func (c *Config) gammaAlpha() float64 {
 	if c.GammaAlpha <= 0 {
 		return 0.1
 	}
 	return c.GammaAlpha
 }
 
-func (c Config) flowAlphaBase() float64 {
+func (c *Config) flowAlphaBase() float64 {
 	if c.FlowAlphaBase <= 0 {
 		return 0.02
 	}
 	return c.FlowAlphaBase
 }
 
-func (c Config) utilityScale() float64 {
+func (c *Config) utilityScale() float64 {
 	if c.UtilityScale <= 0 {
 		return 50
 	}
 	return c.UtilityScale
 }
 
-func (c Config) packetBytes() int {
+func (c *Config) packetBytes() int {
 	if c.PacketBytes <= 0 {
 		return 1500
 	}
 	return c.PacketBytes
 }
 
-func (c Config) queueLimit() int {
+func (c *Config) queueLimit() int {
 	if c.QueueLimit <= 0 {
 		return 100
 	}
 	return c.QueueLimit
 }
 
-func (c Config) reportStale() float64 {
+func (c *Config) reportStale() float64 {
 	if c.ReportStale <= 0 {
 		return 0.5
 	}
 	return c.ReportStale
 }
 
-func (c Config) initialRate() float64 {
+func (c *Config) initialRate() float64 {
 	if c.InitialRate <= 0 {
 		return 0.5
 	}

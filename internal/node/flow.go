@@ -157,7 +157,7 @@ func (e *Domain) addFlow(spec FlowSpec, startAt float64) (*Flow, error) {
 	f.seedRates()
 	f.tuner = congestion.NewAlphaTuner(e.cfg.flowAlphaBase(), n, longest)
 	e.flows = append(e.flows, f)
-	f.agent.source[f.ID] = f
+	f.agent.addSource(f)
 	if spec.TCP {
 		f.agent.tcpSeen = true
 	}

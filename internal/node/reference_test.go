@@ -1,14 +1,17 @@
 package node
 
 // The map-based destination pipeline that the reorder ring, the flow-ID
-// sink table, the next-hop scan and the memoised rate binning replaced,
-// kept verbatim (renamed) as an executable specification:
+// sink and source tables, the next-hop scan and the memoised rate binning
+// replaced, and the price term that scanned every report per frame, kept
+// verbatim (renamed) as an executable specification:
 // TestSinkMatchesReference drives refSink and the live Sink through the
 // same scripted arrivals on one engine and demands the same deliveries,
-// losses, acknowledgements and rate-series bits, and
-// TestAgentLookupsMatchReference holds the next-hop and sink tables to the
-// maps. Same pattern as the reference_test.go oracles in mac, routing,
-// congestion and optimal.
+// losses, acknowledgements and rate-series bits,
+// TestAgentLookupsMatchReference holds the next-hop, sink and source
+// tables to the maps, and TestPriceTermMatchesReference holds the cached
+// price term to refPriceTerm on every call. Same pattern as the
+// reference_test.go oracles in mac, linkest, routing, congestion and
+// optimal.
 
 import (
 	"fmt"
@@ -17,6 +20,56 @@ import (
 	"repro/internal/graph"
 	"repro/internal/wire"
 )
+
+// refPriceTerm is priceTerm recomputing everything per call: both γ sums
+// by scan and d_l through the domain's owner lookup.
+func refPriceTerm(a *Agent, l graph.LinkID) float64 {
+	tech := a.em.Net.Link(l).Tech
+	gsum := a.ownGammaSum(tech) + refFreshGammaSum(a, tech, a.em.Engine.Now())
+	return refDEstimate(a.em, l) * gsum
+}
+
+func refFreshGammaSum(a *Agent, tech graph.Tech, now float64) float64 {
+	if int(tech) >= len(a.reports) {
+		return 0
+	}
+	var s float64
+	stale := a.em.cfg.reportStale()
+	reps := a.reports[tech]
+	for n := range reps {
+		if rep := &reps[n]; rep.heardAt >= 0 && now-rep.heardAt <= stale {
+			s += rep.gammaSum
+		}
+	}
+	return s
+}
+
+// refLinkEstimate is linkEstimate with the capacity rule inline.
+func refLinkEstimate(e *Domain, l graph.LinkID) float64 {
+	if e.cfg.Estimation {
+		a := e.Agents[e.Net.Link(l).From]
+		if a == nil {
+			return e.Net.Link(l).Capacity
+		}
+		if est := a.est[l]; est != nil {
+			if est.Failed(e.Engine.Now()) {
+				return 0
+			}
+			if v := est.Estimate(); v > 0 {
+				return v
+			}
+		}
+	}
+	return e.Net.Link(l).Capacity
+}
+
+func refDEstimate(e *Domain, l graph.LinkID) float64 {
+	c := refLinkEstimate(e, l)
+	if c <= 0 {
+		return 1e9
+	}
+	return 1 / c
+}
 
 // refSink is the map-buffered Sink: its reorder buffer is a
 // map[uint32]bufEntry and its rates re-bin the whole log on every read.
@@ -232,6 +285,20 @@ func refIfaceOut(em *Domain, id graph.NodeID) map[wire.InterfaceID]graph.LinkID 
 		ifaceOut[iface] = l
 	}
 	return ifaceOut
+}
+
+// refSourceTable is the agent's flow-ID-keyed source map with onAck's
+// lookup.
+type refSourceTable struct {
+	id     graph.NodeID
+	source map[uint16]*Flow
+}
+
+func (t *refSourceTable) lookup(src graph.NodeID, flowID uint16) *Flow {
+	if src != t.id {
+		return nil
+	}
+	return t.source[flowID]
 }
 
 type sinkKey struct {

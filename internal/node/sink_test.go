@@ -245,9 +245,9 @@ func sameBits(a, b []float64) bool {
 
 // TestAgentLookupsMatchReference holds the agents' next-hop scan to the
 // interface map it replaced on every 16-bit interface ID (on the
-// testbed topology and on parallel links to one interface), and the
-// flow-ID sink table to the struct-keyed map through a scripted sequence
-// of creations and lookups.
+// testbed topology and on parallel links to one interface), the flow-ID
+// sink table to the struct-keyed map through a scripted sequence of
+// creations and lookups, and the flow-ID source table to the source map.
 func TestAgentLookupsMatchReference(t *testing.T) {
 	inst := topology.Testbed(stats.NewRand(20), topology.Config{})
 	b := graph.NewBuilder(nil)
@@ -312,6 +312,33 @@ func TestAgentLookupsMatchReference(t *testing.T) {
 			t.Fatalf("Sinks()[%d] = (%d, %d), reference (%d, %d)", i, ls[i].src, ls[i].flowID, rs[i].src, rs[i].flowID)
 		}
 	}
+
+	// Sources: flows registered out of ID order, then onAck's lookup at
+	// every ID up to past the table, from the agent and from another node.
+	const src = 3
+	sa := live.Agents[src]
+	refSrc := &refSourceTable{id: src, source: map[uint16]*Flow{}}
+	for _, id := range []uint16{5, 2, 9} {
+		f := &Flow{ID: id, Src: src}
+		sa.addSource(f)
+		refSrc.source[id] = f
+	}
+	for _, from := range []graph.NodeID{src, 4} {
+		for id := uint16(0); id <= 12; id++ {
+			if got, want := sa.sourceFlow(from, id), refSrc.lookup(from, id); got != want {
+				t.Fatalf("ack (%d, %d): live flow %p, reference %p", from, id, got, want)
+			}
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("registering flow ID 2 twice did not panic")
+			}
+		}()
+		sa.addSource(&Flow{ID: 2, Src: src})
+	}()
+
 	// A flow ID names one source: a lookup of flow 4 from another source
 	// misses instead of returning flow 4's sink, and creating it panics.
 	if s := la.PeekSink(8, 4); s != nil {
