@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // macEvent is one Deliver or Drop callback as the upper layer sees it.
@@ -48,8 +49,9 @@ func (s *scripted) drop(l graph.LinkID, pkt Packet, reason DropReason) {
 }
 
 func newScriptedLive(net *graph.Network, seed int64, opts Options) *scripted {
-	s := &scripted{net: net.Clone(), rng: rng(seed)}
-	m := New(&s.eng, s.net, s.rng, opts)
+	s := &scripted{net: net.Clone()}
+	m := New(&s.eng, s.net, rng(seed), opts)
+	s.rng = m.Rand()
 	m.Deliver, m.Drop = s.deliver, s.drop
 	s.send, s.changed, s.setLoss = m.Send, m.LinkChanged, m.SetLossProb
 	s.stats, s.busy, s.check = m.Stats, m.Busy, m.CheckConsistency
@@ -219,12 +221,13 @@ var equivalenceNets = []struct {
 }
 
 // TestMatchesReferenceMAC is the exact-equivalence property of the
-// contender-flag / cell-count / inline-shuffle kernels: driven by the
-// same seeds and the same script, the live MAC and the retained
+// contender-flag / cell-count / fused shuffle-and-pick kernels: driven by
+// the same seeds and the same script, the live MAC and the retained
 // reference produce the same (time, link, deliver | drop reason, bits)
 // callback sequence, the same per-link statistics, and leave their RNG
-// streams at the same point. The live MAC's consistency check stays
-// silent throughout.
+// streams at the same point (the live one read through MAC.Rand, the
+// continuation of the stream New was handed). The live MAC's consistency
+// check stays silent throughout.
 func TestMatchesReferenceMAC(t *testing.T) {
 	for _, tc := range equivalenceNets {
 		for _, seed := range []int64{1, 2, 3} {
@@ -323,13 +326,13 @@ func TestInterferenceCells(t *testing.T) {
 // index is listed in zeroAt return 0 — which the Lemire draw rejects for
 // every bound that is not a power of two.
 type scriptedSource struct {
-	src    rand.Source
+	src    rand.Source64
 	zeroAt map[int]bool
 	calls  int
 }
 
-func (s *scriptedSource) Int63() int64 {
-	v := s.src.Int63()
+func (s *scriptedSource) Uint64() uint64 {
+	v := s.src.Uint64()
 	if s.zeroAt[s.calls] {
 		v = 0
 	}
@@ -337,8 +340,13 @@ func (s *scriptedSource) Int63() int64 {
 	return v
 }
 
+func (s *scriptedSource) Int63() int64 { return int64(s.Uint64() &^ (1 << 63)) }
+
 func (s *scriptedSource) Seed(seed int64) { s.src.Seed(seed) }
 
+func mathRandSource(seed int64) rand.Source64 { return rand.NewSource(seed).(rand.Source64) }
+
+// shuffleInput is a row of n links with ids 3i+1.
 func shuffleInput(n int) []graph.LinkID {
 	order := make([]graph.LinkID, n)
 	for i := range order {
@@ -347,7 +355,26 @@ func shuffleInput(n int) []graph.LinkID {
 	return order
 }
 
-// TestShuffleLinksMatchesRandShuffle pins the inline draw sequence to
+// contenders is a contender table covering shuffleInput(n)'s ids, with
+// the given ones flagged.
+func contenders(n int, ids ...graph.LinkID) []bool {
+	flags := make([]bool, 3*n+1)
+	for _, id := range ids {
+		flags[id] = true
+	}
+	return flags
+}
+
+// kernelPicks runs the live kernel over row with the given flags and
+// stream, and returns its picks first to last, as complete offers them.
+func kernelPicks(src *stats.Source, row []graph.LinkID, contender []bool) []graph.LinkID {
+	m := &MAC{src: src, contender: contender}
+	picks := slices.Clone(m.shuffledContenders(row))
+	slices.Reverse(picks)
+	return picks
+}
+
+// TestShuffleLinksMatchesRandShuffle pins the oracle's draw sequence to
 // math/rand's: for every length the MAC can meet, shuffleLinks yields
 // the permutation rng.Shuffle yields and consumes the same number of
 // values.
@@ -368,9 +395,49 @@ func TestShuffleLinksMatchesRandShuffle(t *testing.T) {
 	}
 }
 
-// TestShuffleLinksRejectionLoop forces the `low < thresh` rejection at
-// chosen steps. By chance it fires a handful of times per million
-// draws — too rarely for the trajectory tests to notice a slip there.
+// TestShuffledContendersMatchesReference: for every row length the MAC
+// can meet and for no, one, all and a random third of the links
+// contending, the fused kernel offers the medium to the links the
+// shuffle-then-scan oracle offered it to, in the same order, and leaves
+// the stream where the oracle left math/rand's.
+func TestShuffledContendersMatchesReference(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 99, 1 << 40} {
+		twin, ref := stats.Continue(mathRandSource(seed)), rand.New(mathRandSource(seed))
+		pick := rng(seed + 7)
+		for n := 0; n <= 512; n++ {
+			row := shuffleInput(n)
+			var ids []graph.LinkID
+			switch n % 4 {
+			case 1:
+				ids = row[pick.Intn(n):][:1]
+			case 2:
+				ids = row
+			case 3:
+				for _, id := range row {
+					if pick.Intn(3) == 0 {
+						ids = append(ids, id)
+					}
+				}
+			}
+			flags := contenders(n, ids...)
+			got, want := kernelPicks(twin, row, flags), referencePicks(ref, row, flags)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d n %d (%d contending): kernel offers %v, oracle %v", seed, n, len(ids), got, want)
+			}
+			if x, y := twin.Uint64(), ref.Uint64(); x != y {
+				t.Fatalf("seed %d n %d: streams diverged after the shuffle", seed, n)
+			}
+		}
+	}
+}
+
+// TestShuffleLinksRejectionLoop forces the `low < thresh` rejection
+// at chosen steps of the kernel. By chance it fires a handful of times
+// per million draws — too rarely for the trajectory tests to notice a
+// slip there. The twin continues a scripted source, so its first 607
+// outputs are the scripted values, zeros included; every case draws
+// fewer than that. With every link contending, the picks are the whole
+// permutation.
 func TestShuffleLinksRejectionLoop(t *testing.T) {
 	for _, tc := range []struct {
 		n      int
@@ -389,20 +456,77 @@ func TestShuffleLinksRejectionLoop(t *testing.T) {
 		for _, i := range tc.zeroAt {
 			zero[i] = true
 		}
-		srcA := &scriptedSource{src: rand.NewSource(5), zeroAt: zero}
-		srcB := &scriptedSource{src: rand.NewSource(5), zeroAt: zero}
-		got, want := shuffleInput(tc.n), shuffleInput(tc.n)
-		shuffleLinks(rand.New(srcA), got)
+		twin := stats.Continue(&scriptedSource{src: mathRandSource(5), zeroAt: zero})
+		srcB := &scriptedSource{src: mathRandSource(5), zeroAt: zero}
+		row := shuffleInput(tc.n)
+		got := kernelPicks(twin, row, contenders(tc.n, row...))
+		want := shuffleInput(tc.n)
 		rand.New(srcB).Shuffle(tc.n, func(i, j int) { want[i], want[j] = want[j], want[i] })
 		if !slices.Equal(got, want) {
 			t.Errorf("n %d zeroAt %v: permutation differs from rand.Shuffle", tc.n, tc.zeroAt)
-		}
-		if srcA.calls != srcB.calls {
-			t.Errorf("n %d zeroAt %v: consumed %d draws, rand.Shuffle %d", tc.n, tc.zeroAt, srcA.calls, srcB.calls)
 		}
 		if want := tc.n - 1 + tc.extra; srcB.calls != want {
 			t.Errorf("n %d zeroAt %v: rand.Shuffle consumed %d draws, the case was built for %d — the rejection loop did not run as scripted",
 				tc.n, tc.zeroAt, srcB.calls, want)
 		}
+		if next, want := twin.Uint64(), srcB.Uint64(); next != want {
+			t.Errorf("n %d zeroAt %v: the kernel consumed a different number of draws than rand.Shuffle", tc.n, tc.zeroAt)
+		}
+	}
+}
+
+// TestEarlyStartBlocksLaterContender: three same-medium links form one
+// cell. While the first is on the air the other two queue behind it; at
+// its completion both contend, the one the shuffle places first starts
+// and its cellBusy count turns the other away — which stays a flagged
+// contender. Which one wins is read off the oracle from the stream as it
+// stood at the hand-off, and over the seeds both must win sometimes.
+func TestEarlyStartBlocksLaterContender(t *testing.T) {
+	b := graph.NewBuilder(nil)
+	var links [3]graph.LinkID
+	for i := range links {
+		u := b.AddNode(fmt.Sprint("s", i), float64(i), 0, graph.TechWiFi)
+		v := b.AddNode(fmt.Sprint("r", i), float64(i), 1, graph.TechWiFi)
+		links[i] = b.AddLink(u, v, graph.TechWiFi, 10)
+	}
+	net := b.Build()
+	first, a, c := links[0], links[1], links[2]
+	wins := map[graph.LinkID]int{}
+	for seed := int64(1); seed <= 40; seed++ {
+		var e sim.Engine
+		m := New(&e, net, rng(seed), Options{})
+		var atHandOff stats.Source
+		var flags []bool
+		m.Deliver = func(graph.LinkID, Packet) { atHandOff, flags = *m.src, slices.Clone(m.contender) }
+		m.Send(first, 12000, nil) // 1.2 ms on the air
+		m.Send(a, 12000, nil)
+		m.Send(c, 12000, nil)
+		if !m.Busy(first) || !m.contender[a] || !m.contender[c] {
+			t.Fatal("setup: the first link must be on the air with the other two contending")
+		}
+		e.Run(0.0018) // past the first completion, before the next
+		if flags == nil {
+			t.Fatal("the first frame was not delivered")
+		}
+		oracle := rand.New(&atHandOff)
+		order := referencePicks(oracle, net.Interference(first), flags)
+		if !slices.Equal(order, []graph.LinkID{a, c}) && !slices.Equal(order, []graph.LinkID{c, a}) {
+			t.Fatalf("seed %d: the oracle offers %v, want both contenders", seed, order)
+		}
+		winner, blocked := order[0], order[1]
+		if !m.Busy(winner) || m.Busy(blocked) || !m.contender[blocked] || m.contender[winner] {
+			t.Fatalf("seed %d: %d should have started and blocked %d: busy %v/%v, contender %v/%v",
+				seed, winner, blocked, m.Busy(winner), m.Busy(blocked), m.contender[winner], m.contender[blocked])
+		}
+		if err := m.CheckConsistency(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if x, y := m.src.Uint64(), oracle.Uint64(); x != y {
+			t.Fatalf("seed %d: streams diverged at the hand-off", seed)
+		}
+		wins[winner]++
+	}
+	if wins[a] == 0 || wins[c] == 0 {
+		t.Errorf("one contender always won (%v): the test never saw an early start block the other order", wins)
 	}
 }

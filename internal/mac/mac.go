@@ -15,13 +15,17 @@
 // Packet's address; the value they receive is theirs, the queue slot it
 // came from is not.
 //
-// A completion costs what it can start, not what it frees: the freed
-// row is still shuffled in full (the draw sequence is part of the seeded
-// trajectory), but only links flagged as contenders — backlogged and
-// idle — are offered the medium, and the carrier-sense state is one
-// busy count per interference cell (links with identical interference
-// rows) instead of one per link. DESIGN.md's "allocation-free emulation
-// fast path" section has the exactness arguments.
+// A completion costs what it can start, not what it frees. The freed row
+// is still shuffled in full — the draw sequence is part of the seeded
+// trajectory — but in one pass that draws straight from a concrete
+// stats.Source (a bit-exact twin of the math/rand stream the MAC was
+// handed, shared with its owner through Rand) and picks out the links
+// flagged as contenders, backlogged and idle, as their final positions
+// settle. Only those are offered the medium, and the carrier-sense state
+// is one busy count per interference cell (links with identical
+// interference rows) instead of one per link. DESIGN.md's
+// "allocation-free emulation fast path" section has the exactness
+// arguments.
 //
 // The package also provides a fluid approximation (FluidDelivered) used by
 // the analytic no-congestion-control baselines: it reproduces the
@@ -37,6 +41,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // Packet is one MAC-layer frame in flight. Packets live inline in the
@@ -135,9 +140,11 @@ func (r *ring) len() int { return r.n }
 
 func (r *ring) at(i int) *Packet { return &r.buf[(r.head+i)%len(r.buf)] }
 
-func (r *ring) push(p Packet) {
+// push appends p; limit is the queue limit the ring's growth stops at
+// (a push past it still finds room).
+func (r *ring) push(p Packet, limit int) {
 	if r.n == len(r.buf) {
-		r.grow()
+		r.grow(limit)
 	}
 	r.buf[(r.head+r.n)%len(r.buf)] = p
 	r.n++
@@ -160,8 +167,8 @@ func (r *ring) truncate(keep int) {
 	r.n = keep
 }
 
-func (r *ring) grow() {
-	next := make([]Packet, max(8, 2*len(r.buf)))
+func (r *ring) grow(limit int) {
+	next := make([]Packet, min(max(8, 2*len(r.buf)), max(limit, r.n+1)))
 	for i := 0; i < r.n; i++ {
 		next[i] = *r.at(i)
 	}
@@ -186,8 +193,11 @@ func macComplete(arg any) {
 type MAC struct {
 	engine *sim.Engine
 	net    *graph.Network
-	rng    *rand.Rand
-	opts   Options
+	// src continues the stream New was handed; the contender shuffle
+	// draws from it directly, everything else through rng over it.
+	src  *stats.Source
+	rng  *rand.Rand
+	opts Options
 
 	queues       []ring
 	transmitting []bool
@@ -210,9 +220,10 @@ type MAC struct {
 	lossProb []float64
 
 	// completion[l] is the preallocated argument of link l's completion
-	// timers; shuffleScratch backs the contender shuffle in complete.
-	completion     []completeArg
-	shuffleScratch []graph.LinkID
+	// timers; order and picks back the contender shuffle in complete.
+	completion []completeArg
+	order      []graph.LinkID
+	picks      []graph.LinkID
 
 	// Deliver is invoked when a packet crosses a link (after channel-loss
 	// filtering). Drop is invoked on losses. Either may be nil.
@@ -225,13 +236,18 @@ type MAC struct {
 	rec *obs.Recorder
 }
 
-// New creates a MAC over the network's links.
+// New creates a MAC over the network's links. rng must run math/rand's
+// default generator (stats.NewRand): the MAC takes its stream over —
+// the caller draws through Rand from here on, and sees the values it
+// would have drawn from rng.
 func New(engine *sim.Engine, net *graph.Network, rng *rand.Rand, opts Options) *MAC {
 	n := net.NumLinks()
+	src := stats.Continue(rng)
 	m := &MAC{
 		engine:       engine,
 		net:          net,
-		rng:          rng,
+		src:          src,
+		rng:          rand.New(src),
 		opts:         opts,
 		queues:       make([]ring, n),
 		transmitting: make([]bool, n),
@@ -305,6 +321,10 @@ func interferenceCells(net *graph.Network) (cellOf []int32, rowCells [][]int32) 
 // SetRecorder attaches a flight recorder for tx-start, deliver and drop
 // records. A nil recorder (the default) disables recording.
 func (m *MAC) SetRecorder(r *obs.Recorder) { m.rec = r }
+
+// Rand is the MAC's random stream — the continuation of the one New was
+// handed — for everything else on the owning event loop to draw from.
+func (m *MAC) Rand() *rand.Rand { return m.rng }
 
 // QueueLen returns the backlog of link l in packets (including the packet
 // currently on the air).
@@ -422,7 +442,7 @@ func (m *MAC) Send(l graph.LinkID, bits float64, payload interface{}) bool {
 		m.drop(l, pkt, DropQueueOverflow)
 		return false
 	}
-	m.queues[l].push(pkt)
+	m.queues[l].push(pkt, m.opts.queueLimit())
 	m.contender[l] = !m.transmitting[l]
 	m.tryStart(l)
 	return true
@@ -523,38 +543,56 @@ func (m *MAC) complete(l graph.LinkID) {
 	// back-off, no collisions). The whole row is shuffled — the draws are
 	// part of the trajectory — but only contenders are offered the
 	// medium: tryStart returns at its first test for every other link.
-	order := append(m.shuffleScratch[:0], m.net.Interference(l)...)
-	shuffleLinks(m.rng, order)
-	for _, c := range order {
-		if m.contender[c] {
-			m.tryStart(c)
-		}
+	picks := m.shuffledContenders(m.net.Interference(l))
+	for k := len(picks) - 1; k >= 0; k-- {
+		m.tryStart(picks[k])
 	}
-	m.shuffleScratch = order[:0]
 }
 
-// shuffleLinks permutes order exactly as
+// shuffledContenders shuffles a copy of row exactly as
 //
 //	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 //
-// does, consuming the same values from rng: math/rand's Fisher-Yates
-// from the top, each index drawn by the Lemire multiply-shift over
-// uint32(Int63()>>31) with its rejection loop. Interference rows are far
+// does, consuming the same values of the stream, and returns the
+// contenders of the shuffled row from its last position to its first.
+// The shuffle is math/rand's Fisher–Yates from the top: step i draws
+// j = int31n(i+1) — Lemire's multiply-shift over uint32(Int63()>>31),
+// with its rejection loop — and swaps positions i and j. Rows are far
 // shorter than 2³¹, so Shuffle's Int63n branch for longer inputs does
-// not exist here. What is saved is the swap closure and two call levels
-// per draw.
-func shuffleLinks(rng *rand.Rand, order []graph.LinkID) {
+// not exist here. Later steps touch only positions below i, so position
+// i is final after step i: its contender test is made there, and the
+// swap need not write it back.
+//
+// Offering the medium in the reverse of the returned order is the
+// shuffle-then-scan it replaces (reference_test.go keeps that form): no
+// flag changes while the list is walked, since tryStart clears only the
+// flag of the link it starts.
+func (m *MAC) shuffledContenders(row []graph.LinkID) []graph.LinkID {
+	src, contender := m.src, m.contender
+	order := append(m.order[:0], row...)
+	picks := m.picks[:0]
 	for i := len(order) - 1; i > 0; i-- {
 		n := uint32(i + 1)
-		prod := uint64(uint32(rng.Int63()>>31)) * uint64(n)
+		// uint32(Uint64()>>31) is uint32(Int63()>>31): the bit Int63
+		// clears falls off the top.
+		prod := uint64(uint32(src.Uint64()>>31)) * uint64(n)
 		if low := uint32(prod); low < n {
 			thresh := -n % n
 			for low < thresh {
-				prod = uint64(uint32(rng.Int63()>>31)) * uint64(n)
+				prod = uint64(uint32(src.Uint64()>>31)) * uint64(n)
 				low = uint32(prod)
 			}
 		}
-		j := int(prod >> 32)
-		order[i], order[j] = order[j], order[i]
+		j := prod >> 32
+		c := order[j]
+		order[j] = order[i]
+		if contender[c] {
+			picks = append(picks, c)
+		}
 	}
+	if len(order) > 0 && contender[order[0]] {
+		picks = append(picks, order[0])
+	}
+	m.order, m.picks = order[:0], picks[:0]
+	return picks
 }

@@ -127,6 +127,31 @@ func TestQueueOverflowDrops(t *testing.T) {
 	}
 }
 
+// TestRingGrowthStopsAtQueueLimit saturates a link far past its queue
+// limit and checks the ring never holds more slots than the limit: the
+// doubling is capped there (it once went 64 → 128 under the default
+// limit of 100).
+func TestRingGrowthStopsAtQueueLimit(t *testing.T) {
+	net, l1, _, _ := twoContenders()
+	for _, limit := range []int{0, 1, 3, 8, 9, 64, 65, 250} {
+		var e sim.Engine
+		m := New(&e, net, rng(1), Options{QueueLimit: limit})
+		for i := 0; i < 3*m.QueueLimit()+20; i++ {
+			m.Send(l1, 12000, nil)
+		}
+		if m.QueueLen(l1) != m.QueueLimit() {
+			t.Fatalf("limit %d: queue holds %d, want it full", limit, m.QueueLen(l1))
+		}
+		if c := cap(m.queues[l1].buf); c > m.QueueLimit() {
+			t.Errorf("limit %d: ring grew to %d slots", m.QueueLimit(), c)
+		}
+		e.RunUntilIdle()
+		if err := m.CheckConsistency(); err != nil {
+			t.Errorf("limit %d: %v", limit, err)
+		}
+	}
+}
+
 func TestDeadLinkRejects(t *testing.T) {
 	var e sim.Engine
 	net, l1, _, _ := twoContenders()
@@ -331,7 +356,7 @@ func TestCheckConsistencyFires(t *testing.T) {
 		corrupt func(m *MAC)
 		want    string
 	}{
-		{"queue over limit", func(m *MAC) { m.queues[l2].push(Packet{}); m.queues[l2].push(Packet{}) }, "exceeds limit"},
+		{"queue over limit", func(m *MAC) { m.queues[l2].push(Packet{}, 2); m.queues[l2].push(Packet{}, 2) }, "exceeds limit"},
 		{"transmitting with empty queue", func(m *MAC) { m.transmitting[l3] = true }, "transmitting with empty queue"},
 		{"flag set on an empty queue", func(m *MAC) { m.contender[l3] = true }, "link 2 contender flag true with backlog 0"},
 		{"flag set on a transmitting link", func(m *MAC) { m.contender[l1] = true }, "link 0 contender flag true with backlog 1, transmitting true"},

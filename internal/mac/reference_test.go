@@ -5,7 +5,8 @@ package mac
 // specification: equivalence_test.go drives it and the live MAC from
 // identical seeds and scripts and demands the same callback sequence, the
 // same LinkStats and the same next RNG value. Same pattern as the
-// reference_test.go oracles in routing, congestion and optimal.
+// reference_test.go oracles in routing, congestion and optimal. Below it,
+// the shuffle-then-scan tail the fused kernel replaced.
 
 import (
 	"math/rand"
@@ -89,7 +90,7 @@ func (m *referenceMAC) Send(l graph.LinkID, bits float64, payload interface{}) b
 		m.drop(l, pkt, DropQueueOverflow)
 		return false
 	}
-	m.queues[l].push(pkt)
+	m.queues[l].push(pkt, m.opts.queueLimit())
 	m.tryStart(l)
 	return true
 }
@@ -190,4 +191,45 @@ func (m *referenceMAC) complete(l graph.LinkID) {
 		m.tryStart(c)
 	}
 	m.shuffleScratch = order[:0]
+}
+
+// The live MAC's completion tail before the fused shuffle-and-pick kernel
+// (shuffledContenders), kept as its oracle: copy the row, shuffle the
+// copy in full, then scan it for contenders.
+
+// shuffleLinks permutes order exactly as
+//
+//	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+//
+// does, consuming the same values from rng: math/rand's Fisher-Yates
+// from the top, each index drawn by the Lemire multiply-shift over
+// uint32(Int63()>>31) with its rejection loop.
+func shuffleLinks(rng *rand.Rand, order []graph.LinkID) {
+	for i := len(order) - 1; i > 0; i-- {
+		n := uint32(i + 1)
+		prod := uint64(uint32(rng.Int63()>>31)) * uint64(n)
+		if low := uint32(prod); low < n {
+			thresh := -n % n
+			for low < thresh {
+				prod = uint64(uint32(rng.Int63()>>31)) * uint64(n)
+				low = uint32(prod)
+			}
+		}
+		j := int(prod >> 32)
+		order[i], order[j] = order[j], order[i]
+	}
+}
+
+// referencePicks is the order in which the two-pass tail offered the
+// medium: the flagged entries of the fully shuffled row, first to last.
+func referencePicks(rng *rand.Rand, row []graph.LinkID, contender []bool) []graph.LinkID {
+	order := append([]graph.LinkID(nil), row...)
+	shuffleLinks(rng, order)
+	var picks []graph.LinkID
+	for _, c := range order {
+		if contender[c] {
+			picks = append(picks, c)
+		}
+	}
+	return picks
 }

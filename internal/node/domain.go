@@ -9,6 +9,7 @@ import (
 	"repro/internal/mac"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -153,7 +154,6 @@ func newDomain(net *graph.Network, cfg Config, seed int64, nodeDom []int, d int)
 		Engine:   &sim.Engine{},
 		Net:      net,
 		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(seed)),
 		capEpoch: make([]uint32, net.NumLinks()),
 	}
 	e.numTechs = 1
@@ -169,7 +169,8 @@ func newDomain(net *graph.Network, cfg Config, seed int64, nodeDom []int, d int)
 			}
 		}
 	}
-	e.MAC = mac.New(e.Engine, net, e.rng, mac.Options{QueueLimit: cfg.queueLimit(), LossProb: cfg.LossProb})
+	e.MAC = mac.New(e.Engine, net, stats.NewRand(seed), mac.Options{QueueLimit: cfg.queueLimit(), LossProb: cfg.LossProb})
+	e.rng = e.MAC.Rand()
 	e.MAC.Deliver = e.deliver
 	e.MAC.Drop = e.macDrop
 	if cfg.Recorder > 0 {

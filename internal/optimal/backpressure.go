@@ -78,7 +78,9 @@ func (b *Backpressure) Step() {
 		if x > capOut {
 			x = capOut
 		}
-		amount := x * b.SlotSeconds
+		// The explicit rounding keeps both sums below unfused on every
+		// GOARCH (Go fuses x*y + z on arm64 and friends otherwise).
+		amount := float64(x * b.SlotSeconds)
 		b.queues[spec.Src][spec.Dst] += amount
 		b.admitted[f] += amount
 	}
