@@ -135,7 +135,7 @@ func FindSinglePath(net *Network, src, dst NodeID, cfg RoutingConfig) Path {
 	return routing.SinglePath(net, src, dst, cfg)
 }
 
-// FindRoutes runs the §3.2 multipath procedure and returns the best
+// FindCombination runs the §3.2 multipath procedure and returns the best
 // combination of simultaneously usable paths.
 func FindCombination(net *Network, src, dst NodeID, cfg RoutingConfig) Combination {
 	return routing.Multipath(net, src, dst, cfg)

@@ -14,7 +14,6 @@ import (
 
 	empower "repro"
 	"repro/internal/node"
-	"repro/internal/routing"
 )
 
 func main() {
@@ -43,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mgr := em.ManageRoutes(flow, routing.DefaultConfig())
+	mgr := em.ManageRoutes(flow)
 
 	em.Domain(em.LinkDomain(plcSD)).Engine.At(*failAt, func() {
 		fmt.Printf("t=%.0fs: PLC medium dies\n", *failAt)

@@ -36,7 +36,7 @@ func main() {
 
 	run := func(name string, emCfg node.Config, paths []empower.Path) {
 		em := empower.NewEmulation(net, emCfg, 99)
-		conn, err := transport.Dial(em, a, c, paths, -1, transport.Config{}, 0)
+		conn, err := transport.Dial(em, a, c, paths, -1)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -79,6 +79,23 @@ type Options struct {
 	UtilityScale float64
 }
 
+// DefaultUtilityScale is Options.UtilityScale's default, and the gain of
+// the packet-level emulation's per-ack updates.
+const DefaultUtilityScale = 50
+
+// ProximalUpdate is one route's §4.3 proximal step with gain scale and
+// step size alpha, given the route's rate x, its auxiliary variable xbar,
+// its flow's marginal utility and its price q. It returns the next rate,
+// (1−α)x + α·max(0, x̄ + S(U′−q)), before any cap, and the next
+// auxiliary variable, (1−α)x̄ + αx.
+func ProximalUpdate(x, xbar, scale, alpha, marginal, q float64) (nx, nxbar float64) {
+	inner := xbar + scale*(marginal-q)
+	if inner < 0 {
+		inner = 0
+	}
+	return (1-alpha)*x + alpha*inner, (1-alpha)*xbar + alpha*x
+}
+
 // Controller is the discrete-time congestion controller. Each Step invokes
 // one time slot t → t+1 (100 ms in the paper's implementation): it updates
 // the dual variables γ_l (congestion prices per link), the route prices
@@ -200,7 +217,7 @@ func (c *Controller) Reset(net *graph.Network, routes []Route, opts Options) err
 		opts.Alpha = 0.02
 	}
 	if opts.UtilityScale == 0 {
-		opts.UtilityScale = 50
+		opts.UtilityScale = DefaultUtilityScale
 	}
 	if opts.UtilityScale < 0 {
 		return fmt.Errorf("congestion: utility scale %v must be positive", opts.UtilityScale)
@@ -712,15 +729,9 @@ func (c *Controller) Step() {
 			}
 		}
 		for r := 0; r < nr; r++ {
-			inner := c.xbar[r] + scale*(c.fprime[c.flowOf[r]]-c.q[r])
-			if inner < 0 {
-				inner = 0
-			}
-			nx := (1-alpha)*c.x[r] + alpha*inner
+			nx, nxbar := ProximalUpdate(c.x[r], c.xbar[r], scale, alpha, c.fprime[c.flowOf[r]], c.q[r])
 			c.newX[r] = c.capRate(r, nx)
-		}
-		for r := 0; r < nr; r++ {
-			c.xbar[r] = (1-alpha)*c.xbar[r] + alpha*c.x[r]
+			c.xbar[r] = nxbar
 		}
 		copy(c.x[:nr], c.newX[:nr])
 	}

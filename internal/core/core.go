@@ -157,23 +157,17 @@ type Options struct {
 	Delta float64
 	// Slots is the number of controller iterations (default 4000).
 	Slots int
-	// Alpha is the controller step size (default 0.05 — the effective
-	// value after the paper's α heuristic for short routes).
-	Alpha float64
 }
+
+// controllerAlpha is the controller step size: the effective value after
+// the paper's α heuristic for short routes.
+const controllerAlpha = 0.05
 
 func (o Options) slots() int {
 	if o.Slots <= 0 {
 		return 4000
 	}
 	return o.Slots
-}
-
-func (o Options) alpha() float64 {
-	if o.Alpha <= 0 {
-		return 0.05
-	}
-	return o.Alpha
 }
 
 // FlowResult reports one flow's outcome.
@@ -188,9 +182,9 @@ type Result struct {
 	Flows   []FlowResult
 	Utility float64
 	// ConvergenceSlots is the slots-to-steady-state of the total-rate
-	// trajectory at the paper's 1 %% band (CC schemes only; 0 otherwise).
+	// trajectory at the paper's 1 % band (CC schemes only; 0 otherwise).
 	ConvergenceSlots int
-	// ConvergenceSlots5 uses a 5 %% band, appropriate for the fixed-step
+	// ConvergenceSlots5 uses a 5 % band, appropriate for the fixed-step
 	// controller whose iterates hover around the optimizer.
 	ConvergenceSlots5 int
 }
@@ -263,7 +257,7 @@ func Evaluate(inst *topology.Instance, s Scheme, pairs [][2]graph.NodeID, opts O
 		}
 		ev.initial = initial
 		if err := ev.ctrl.Reset(net.Network, ccRoutes, congestion.Options{
-			Alpha:        opts.alpha(),
+			Alpha:        controllerAlpha,
 			Delta:        opts.Delta,
 			InitialRates: initial,
 		}); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -122,6 +123,21 @@ func TestConvergenceComparison(t *testing.T) {
 			res.BackpressureSlots, res.EMPoWERSlots)
 	}
 	t.Log(res.Render())
+}
+
+// TestConvergenceReportsJobTime checks that the convergence sweep, which
+// dispatches candidates in waves, hands every candidate's duration to the
+// JobTime hook — once per candidate, as the other sweeps do.
+func TestConvergenceReportsJobTime(t *testing.T) {
+	var jobs, dispatched int
+	cfg := SimConfig{Runs: 2, Seed: 23, Parallel: 2,
+		Progress: func(done, _ int) { dispatched = max(dispatched, done) },
+		JobTime:  func(time.Duration) { jobs++ },
+	}
+	must(ConvergenceCtx(context.Background(), TopoResidential, cfg))
+	if dispatched == 0 || jobs != dispatched {
+		t.Errorf("JobTime fired %d times for %d dispatched candidates", jobs, dispatched)
+	}
 }
 
 func TestFigure9Trace(t *testing.T) {

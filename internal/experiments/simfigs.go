@@ -483,7 +483,7 @@ func ConvergenceCtx(ctx context.Context, t Topo, cfg SimConfig) (ConvergenceResu
 		if hi > total {
 			hi = total
 		}
-		rcfg := runner.Config{Workers: cfg.Parallel, BaseSeed: cfg.Seed}
+		rcfg := cfg.runnerConfig()
 		if cfg.Progress != nil {
 			// Report against the candidate upper bound; the sweep may
 			// stop early once enough instances are accepted.

@@ -714,7 +714,7 @@ func Figure12Ctx(ctx context.Context, cfg TestbedConfig) (Figure12Result, error)
 				}, cfg.Seed+121)
 				routes = mpRoutes
 			}
-			c, err := transport.Dial(em, nodeID(9), nodeID(13), routes, -1, transport.Config{}, 0)
+			c, err := transport.Dial(em, nodeID(9), nodeID(13), routes, -1)
 			if err != nil {
 				return nil, err
 			}
@@ -829,7 +829,7 @@ func Figure13Ctx(ctx context.Context, cfg TestbedConfig) (Figure13Result, error)
 			if emp {
 				rs = p.mp
 			}
-			conn, err := transport.Dial(em, p.src, p.dst, rs, -1, transport.Config{}, 0)
+			conn, err := transport.Dial(em, p.src, p.dst, rs, -1)
 			if err != nil {
 				return cell{}
 			}

@@ -79,10 +79,6 @@ type Config struct {
 	MaxDuration float64
 	// Inject seeds a deliberate defect (see Inject).
 	Inject Inject
-	// MinimizeBudget caps the re-runs spent shrinking a failing
-	// scenario (default 48; 0 uses the default, negative disables
-	// minimization).
-	MinimizeBudget int
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...interface{})
 }
@@ -106,13 +102,6 @@ func (c Config) maxDuration() float64 {
 		return 12
 	}
 	return c.MaxDuration
-}
-
-func (c Config) minimizeBudget() int {
-	if c.MinimizeBudget == 0 {
-		return 48
-	}
-	return c.MinimizeBudget
 }
 
 func (c Config) logf(format string, args ...interface{}) {
@@ -365,13 +354,10 @@ func sigDiff(a, b string) string {
 
 // minimize greedily shrinks the failing scenario: drop one event,
 // process, flow or group at a time, keep the removal whenever the same
-// check still fails, stop when a full pass removes nothing or the
-// re-run budget is spent.
+// check still fails, stop when a full pass removes nothing or the budget
+// of 48 re-runs is spent.
 func minimize(sc *scenario.Scenario, scSeed, emSeed int64, cfg Config, check0 string) *scenario.Scenario {
-	budget := cfg.minimizeBudget()
-	if budget < 0 {
-		return sc
-	}
+	budget := 48
 	stillFails := func(cand *scenario.Scenario) bool {
 		if budget <= 0 || cand.Validate() != nil {
 			return false

@@ -33,48 +33,27 @@ const (
 	ModeTraffic
 )
 
-// Config tunes an Estimator.
+// Config tunes an Estimator's EWMA windows.
 type Config struct {
-	// ProbeInterval is the probing period in seconds when no traffic
-	// flows (default 0.25 s ≈ 1 kB/s of 256 B probes).
-	ProbeInterval float64
-	// ProbeNoise is the relative standard deviation of a probe-mode
-	// sample (default 0.08).
-	ProbeNoise float64
-	// TrafficNoise is the relative standard deviation of a traffic-mode
-	// sample (default 0.01).
-	TrafficNoise float64
 	// TrafficWindow is the EWMA time constant in traffic mode in seconds
 	// (default 0.1, the paper's "order of hundred of milliseconds").
 	TrafficWindow float64
 	// ProbeWindow is the EWMA time constant in probe mode (default 2 s,
 	// "a few seconds").
 	ProbeWindow float64
-	// FailureTimeout declares the link failed when no sample arrives for
-	// this long (default 1 s).
-	FailureTimeout float64
 }
 
-func (c Config) probeInterval() float64 {
-	if c.ProbeInterval <= 0 {
-		return 0.25
-	}
-	return c.ProbeInterval
-}
+// ProbeInterval is the probing period in seconds when no traffic flows
+// (≈ 1 kB/s of 256 B probes).
+const ProbeInterval = 0.25
 
-func (c Config) probeNoise() float64 {
-	if c.ProbeNoise <= 0 {
-		return 0.08
-	}
-	return c.ProbeNoise
-}
-
-func (c Config) trafficNoise() float64 {
-	if c.TrafficNoise <= 0 {
-		return 0.01
-	}
-	return c.TrafficNoise
-}
+// The sampling constants: the relative standard deviation of a sample in
+// each mode, and the silence after which a link is declared failed.
+const (
+	probeNoise     float64 = 0.08
+	trafficNoise   float64 = 0.01
+	failureTimeout float64 = 1.0
+)
 
 func (c Config) trafficWindow() float64 {
 	if c.TrafficWindow <= 0 {
@@ -88,13 +67,6 @@ func (c Config) probeWindow() float64 {
 		return 2.0
 	}
 	return c.ProbeWindow
-}
-
-func (c Config) failureTimeout() float64 {
-	if c.FailureTimeout <= 0 {
-		return 1.0
-	}
-	return c.FailureTimeout
 }
 
 // Estimator tracks one link's capacity.
@@ -166,7 +138,7 @@ func (e *Estimator) Estimate() float64 {
 // Failed reports whether the link should be considered down at time now:
 // samples stopped arriving for longer than the failure timeout.
 func (e *Estimator) Failed(now float64) bool {
-	return e.haveSample && now-e.lastSample > e.cfg.failureTimeout()
+	return e.haveSample && now-e.lastSample > failureTimeout
 }
 
 // Reset clears the estimator (e.g. after a detected failure recovers).
@@ -180,12 +152,9 @@ func (e *Estimator) Reset() {
 // current mode, using the supplied RNG. It stands in for the MCS/BLE
 // decoding of real frames.
 func (e *Estimator) Sample(trueCapacity float64, rng *rand.Rand) float64 {
-	noise := e.cfg.trafficNoise()
+	noise := trafficNoise
 	if e.mode == ModeProbe {
-		noise = e.cfg.probeNoise()
+		noise = probeNoise
 	}
 	return trueCapacity * math.Exp(rng.NormFloat64()*noise)
 }
-
-// ProbeInterval exposes the configured probing period for schedulers.
-func (e *Estimator) ProbeInterval() float64 { return e.cfg.probeInterval() }

@@ -47,7 +47,7 @@ func TestProbeModeSlowerButConverges(t *testing.T) {
 	now := 0.0
 	// Probes every 250 ms for 20 s.
 	for i := 0; i < 80; i++ {
-		now += e.ProbeInterval()
+		now += ProbeInterval
 		e.Observe(e.Sample(40, rng), now)
 	}
 	if got := e.Estimate(); math.Abs(got-40) > 4 {

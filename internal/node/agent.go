@@ -32,8 +32,8 @@ type gammaCache struct {
 
 // serves reports whether the entry still holds the sum a scan at now
 // would return (see Agent.gammaSum).
-func (c *gammaCache) serves(now, stale float64) bool {
-	return c.valid && now-c.oldest <= stale
+func (c *gammaCache) serves(now float64) bool {
+	return c.valid && now-c.oldest <= reportStale
 }
 
 // Agent is the per-node EMPoWER daemon: forwarding, price accounting, and
@@ -147,7 +147,7 @@ func newAgent(em *Domain, id graph.NodeID) *Agent {
 	}
 	// Probe-mode estimation keeps estimates fresh on idle links.
 	if em.cfg.Estimation {
-		em.Engine.Every(a.est0ProbeInterval(), a.probeTick)
+		em.Engine.Every(linkest.ProbeInterval, a.probeTick)
 	}
 	return a
 }
@@ -181,15 +181,6 @@ func (a *Agent) nextHop(iface wire.InterfaceID) (graph.LinkID, bool) {
 		}
 	}
 	return 0, false
-}
-
-func (a *Agent) est0ProbeInterval() float64 {
-	for _, e := range a.est {
-		if e != nil {
-			return e.ProbeInterval()
-		}
-	}
-	return 0.25
 }
 
 // probeTick samples every idle egress link at probe precision. Links are
@@ -295,14 +286,14 @@ func (a *Agent) priceTerm(l graph.LinkID) float64 {
 // only by priceTick) and the reports (written only by onPrice), and both
 // drop the entries they affect, so a valid entry can go out of date only
 // through time. It cannot while the oldest report it included is fresh
-// (now − oldest ≤ stale): virtual time never decreases and float
+// (now − oldest ≤ reportStale): virtual time never decreases and float
 // subtraction rounds monotonically, so every report it included (heardAt ≥
 // oldest) is still fresh, every report it left out as stale stays stale,
 // and unheard slots change only through onPrice. The sum is then over the
 // same reports in the same order — the same bits.
 func (a *Agent) gammaSum(tech graph.Tech, now float64) float64 {
 	c := &a.gsum[tech]
-	if !c.serves(now, a.em.cfg.reportStale()) {
+	if !c.serves(now) {
 		*c = a.scanGammaSum(tech, now)
 	}
 	return c.sum
@@ -324,10 +315,9 @@ func (a *Agent) freshGammaSum(tech graph.Tech, now float64) (s, oldest float64) 
 	if int(tech) >= len(a.reports) {
 		return 0, oldest
 	}
-	stale := a.em.cfg.reportStale()
 	reps := a.reports[tech]
 	for n := range reps {
-		if rep := &reps[n]; rep.heardAt >= 0 && now-rep.heardAt <= stale {
+		if rep := &reps[n]; rep.heardAt >= 0 && now-rep.heardAt <= reportStale {
 			s += rep.gammaSum
 			oldest = min(oldest, rep.heardAt)
 		}
@@ -342,7 +332,7 @@ func (a *Agent) freshGammaSum(tech graph.Tech, now float64) (s, oldest float64) 
 func (a *Agent) CheckConsistency() error {
 	now := a.em.Engine.Now()
 	for t, c := range a.gsum {
-		if !c.serves(now, a.em.cfg.reportStale()) {
+		if !c.serves(now) {
 			continue
 		}
 		w := a.scanGammaSum(graph.Tech(t), now)
@@ -360,10 +350,9 @@ func (a *Agent) freshAirtimeSum(tech graph.Tech, now float64) float64 {
 		return 0
 	}
 	var s float64
-	stale := a.em.cfg.reportStale()
 	reps := a.reports[tech]
 	for n := range reps {
-		if rep := &reps[n]; rep.heardAt >= 0 && now-rep.heardAt <= stale {
+		if rep := &reps[n]; rep.heardAt >= 0 && now-rep.heardAt <= reportStale {
 			s += rep.airtime
 		}
 	}
@@ -417,7 +406,7 @@ func (a *Agent) priceTick() {
 			if a.em.Net.Link(l).Tech != tech {
 				continue
 			}
-			g := a.gamma[l] + a.em.cfg.gammaAlpha()*(y-limit)
+			g := a.gamma[l] + gammaAlpha*(y-limit)
 			if g < 0 {
 				g = 0
 			}
@@ -523,7 +512,7 @@ func (a *Agent) sinkFor(src graph.NodeID, flowID uint16) *Sink {
 	}
 	s := newSink(a, src, flowID)
 	a.sinks[flowID] = s
-	a.em.Engine.Every(a.em.cfg.ackInterval(), s.ackTick)
+	a.em.Engine.Every(ackInterval, s.ackTick)
 	return s
 }
 

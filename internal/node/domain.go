@@ -169,7 +169,7 @@ func newDomain(net *graph.Network, cfg Config, seed int64, nodeDom []int, d int)
 			}
 		}
 	}
-	e.MAC = mac.New(e.Engine, net, stats.NewRand(seed), mac.Options{QueueLimit: cfg.queueLimit(), LossProb: cfg.LossProb})
+	e.MAC = mac.New(e.Engine, net, stats.NewRand(seed), mac.Options{})
 	e.rng = e.MAC.Rand()
 	e.MAC.Deliver = e.deliver
 	e.MAC.Drop = e.macDrop

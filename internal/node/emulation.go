@@ -36,38 +36,15 @@ import (
 
 // Config tunes the emulation.
 type Config struct {
-	// AckInterval is the destination acknowledgement period (default
-	// 0.1 s — at most 10 acks per second as in the paper).
-	AckInterval float64
 	// PriceInterval is the price-broadcast and γ-update period (default
 	// 0.1 s).
 	PriceInterval float64
-	// GammaAlpha is the dual step size for the per-link γ updates
-	// (default 0.1).
-	GammaAlpha float64
-	// FlowAlphaBase is the base α of the per-flow rate updates, adapted
-	// by the paper's heuristic (default 0.02).
-	FlowAlphaBase float64
 	// Delta is the constraint margin δ (default 0; §6.3 uses 0.05, §6.4
 	// uses 0.3 for TCP).
 	Delta float64
-	// UtilityScale is the proximal gain (see congestion.Options).
-	UtilityScale float64
-	// PacketBytes is the application payload per packet (default 1500).
-	PacketBytes int
-	// QueueLimit is the per-link MAC queue in packets (default 100).
-	QueueLimit int
-	// LossProb[l] is an optional static per-link channel error
-	// probability, indexed by LinkID (the gray-failure model for
-	// non-scenario runs; scenarios mutate loss mid-run through
-	// SetLinkLoss). Missing entries and absent slices mean lossless.
-	LossProb []float64
 	// DelayEqualize enables destination-side delay equalization across
 	// routes (§6.4; default off).
 	DelayEqualize bool
-	// ReportStale expires neighbor price reports after this many seconds
-	// (default 0.5).
-	ReportStale float64
 	// DisableCC turns congestion control off (the w/o-CC baselines):
 	// sources keep their first hops backlogged and no shaping occurs.
 	DisableCC bool
@@ -99,60 +76,29 @@ type Config struct {
 // GOMAXPROCS (cmd flags map -shards 0 to it).
 const ShardsAuto = -1
 
-func (c *Config) ackInterval() float64 {
-	if c.AckInterval <= 0 {
-		return 0.1
-	}
-	return c.AckInterval
-}
+// The §6.1 node-stack constants. Each MAC queue holds mac.Options'
+// default 100 packets; the proximal gain is congestion.DefaultUtilityScale.
+const (
+	// ackInterval is the destination acknowledgement period: at most 10
+	// acks per second, as in the paper.
+	ackInterval float64 = 0.1
+	// gammaAlpha is the dual step size of the per-link γ updates.
+	gammaAlpha float64 = 0.1
+	// flowAlphaBase is the base α of the per-flow rate updates, adapted
+	// by the paper's heuristic (congestion.AlphaTuner).
+	flowAlphaBase float64 = 0.02
+	// packetBytes is the application payload per packet.
+	packetBytes = 1500
+	// reportStale expires neighbour price reports after this many
+	// seconds.
+	reportStale float64 = 0.5
+)
 
 func (c *Config) priceInterval() float64 {
 	if c.PriceInterval <= 0 {
 		return 0.1
 	}
 	return c.PriceInterval
-}
-
-func (c *Config) gammaAlpha() float64 {
-	if c.GammaAlpha <= 0 {
-		return 0.1
-	}
-	return c.GammaAlpha
-}
-
-func (c *Config) flowAlphaBase() float64 {
-	if c.FlowAlphaBase <= 0 {
-		return 0.02
-	}
-	return c.FlowAlphaBase
-}
-
-func (c *Config) utilityScale() float64 {
-	if c.UtilityScale <= 0 {
-		return 50
-	}
-	return c.UtilityScale
-}
-
-func (c *Config) packetBytes() int {
-	if c.PacketBytes <= 0 {
-		return 1500
-	}
-	return c.PacketBytes
-}
-
-func (c *Config) queueLimit() int {
-	if c.QueueLimit <= 0 {
-		return 100
-	}
-	return c.QueueLimit
-}
-
-func (c *Config) reportStale() float64 {
-	if c.ReportStale <= 0 {
-		return 0.5
-	}
-	return c.ReportStale
 }
 
 func (c *Config) initialRate() float64 {

@@ -112,7 +112,7 @@ func (a *Agent) measureExternal(tech graph.Tech) float64 {
 		var claimed float64
 		if n == a.id {
 			claimed = a.ownAirtime(tech)
-		} else if rep := &a.reports[tech][n]; rep.heardAt >= 0 && now-rep.heardAt <= a.em.cfg.reportStale() {
+		} else if rep := &a.reports[tech][n]; rep.heardAt >= 0 && now-rep.heardAt <= reportStale {
 			claimed = rep.airtime
 		}
 		if busy[ni] > claimed {

@@ -155,7 +155,7 @@ func (e *Domain) addFlow(spec FlowSpec, startAt float64) (*Flow, error) {
 	f.rateLog = newSeriesLog(e.cfg.ExpectedDuration)
 	f.lastAckAt = -1
 	f.seedRates()
-	f.tuner = congestion.NewAlphaTuner(e.cfg.flowAlphaBase(), n, longest)
+	f.tuner = congestion.NewAlphaTuner(flowAlphaBase, n, longest)
 	e.flows = append(e.flows, f)
 	f.agent.addSource(f)
 	if spec.TCP {
@@ -248,7 +248,7 @@ func (f *Flow) scheduleNext() {
 	if !f.fileSendable() {
 		return
 	}
-	pktBits := float64(f.em.cfg.packetBytes()) * 8
+	pktBits := float64(packetBytes) * 8
 	var gap float64
 	if f.em.cfg.DisableCC {
 		// Without congestion control the source keeps its first hops
@@ -283,7 +283,7 @@ func (f *Flow) emitOne() {
 				if !f.fileSendable() {
 					return
 				}
-				f.sendPacket(r, f.em.cfg.packetBytes(), nil)
+				f.sendPacket(r, packetBytes, nil)
 			}
 		}
 		return
@@ -292,7 +292,7 @@ func (f *Flow) emitOne() {
 		return
 	}
 	r := f.pickRoute()
-	f.sendPacket(r, f.em.cfg.packetBytes(), nil)
+	f.sendPacket(r, packetBytes, nil)
 }
 
 // pickRoute samples a route with probability proportional to x_r (§6.1:
@@ -440,7 +440,7 @@ func (f *Flow) sendPacket(r int, payloadBytes int, meta interface{}) {
 	}
 }
 
-// seedRates warm-starts the per-route rates at 85 %% of the sequential
+// seedRates warm-starts the per-route rates at 85 % of the sequential
 // residual achievable rate R(P) (the §3.2 exploration-tree loading the
 // source computed during route selection), floored at the configured
 // initial rate. Warm starting reproduces the paper's behaviour of
@@ -469,7 +469,6 @@ func (f *Flow) onAck(ack *wire.AckFrame) {
 		return
 	}
 	alpha := f.tuner.Alpha()
-	scale := f.em.cfg.utilityScale()
 	total := f.TotalRate()
 	for _, ra := range ack.Routes {
 		r := int(ra.RouteIdx)
@@ -478,16 +477,12 @@ func (f *Flow) onAck(ack *wire.AckFrame) {
 		}
 		q := ra.QR
 		f.lastQR[r] = q
-		inner := f.xbar[r] + scale*(f.util.Prime(total)-q)
-		if inner < 0 {
-			inner = 0
-		}
-		nx := (1-alpha)*f.x[r] + alpha*inner
+		nx, nxbar := congestion.ProximalUpdate(f.x[r], f.xbar[r], congestion.DefaultUtilityScale, alpha, f.util.Prime(total), q)
 		// Cap at the route's estimated bottleneck to suppress transients.
 		if cap := f.routeCap(r); nx > cap {
 			nx = cap
 		}
-		f.xbar[r] = (1-alpha)*f.xbar[r] + alpha*f.x[r]
+		f.xbar[r] = nxbar
 		f.x[r] = nx
 	}
 	f.tuner.Observe(f.TotalRate())

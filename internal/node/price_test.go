@@ -29,7 +29,7 @@ func (pc *priceChecker) check(label string, d *Domain) {
 		}
 		for _, l := range a.egress {
 			want := refPriceTerm(a, l)
-			if a.gsum[d.Net.Link(l).Tech].serves(d.Engine.Now(), d.cfg.reportStale()) {
+			if a.gsum[d.Net.Link(l).Tech].serves(d.Engine.Now()) {
 				pc.hits++
 			} else {
 				pc.misses++
@@ -82,7 +82,7 @@ func TestPriceTermMatchesReference(t *testing.T) {
 		}
 		d0, d1 := em.Domain(em.NodeDomain(a)), em.Domain(em.NodeDomain(dn))
 		ag, agD := em.Agent(a), em.Agent(dn)
-		stale := d0.cfg.reportStale()
+		stale := reportStale
 		hear := func(to *Agent, from graph.NodeID, tech graph.Tech, gamma, airtime float64) {
 			to.onPrice(&wire.PriceFrame{Origin: from, Tech: tech, GammaSum: gamma, Airtime: airtime})
 		}
@@ -217,7 +217,7 @@ func TestCheckConsistencyFires(t *testing.T) {
 	}
 	*g = clean
 	g.sum++
-	g.oldest = em.Now() - 2*em.Domain(0).cfg.reportStale()
+	g.oldest = em.Now() - 2*reportStale
 	if err := ag.CheckConsistency(); err != nil {
 		t.Errorf("an entry past its horizon was checked: %v", err)
 	}

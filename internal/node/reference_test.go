@@ -34,7 +34,7 @@ func refFreshGammaSum(a *Agent, tech graph.Tech, now float64) float64 {
 		return 0
 	}
 	var s float64
-	stale := a.em.cfg.reportStale()
+	stale := reportStale
 	reps := a.reports[tech]
 	for n := range reps {
 		if rep := &reps[n]; rep.heardAt >= 0 && now-rep.heardAt <= stale {
@@ -319,7 +319,7 @@ func (t *refSinkTable) sinkFor(src graph.NodeID, flowID uint16) *Sink {
 	if s == nil {
 		s = newSink(a, src, flowID)
 		t.sinks[k] = s
-		a.em.Engine.Every(a.em.cfg.ackInterval(), s.ackTick)
+		a.em.Engine.Every(ackInterval, s.ackTick)
 	}
 	return s
 }

@@ -20,23 +20,17 @@ var ErrNoRoutes = errors.New("node: flow needs at least one route")
 // rebuilds the source's view of the network from the capacity estimates
 // (on the real system these are disseminated link-state style; here the
 // estimates live at each agent) and recomputes the multipath combination;
-// when a route died or the achievable total moved by more than the
-// threshold, the flow's routes are swapped live.
+// when a route died or the achievable total moved by more than
+// rerouteThreshold, the flow's routes are swapped live.
 type RouteManager struct {
 	em   *Domain
 	flow *Flow
-	cfg  routing.Config
 
-	// Threshold is the relative change of the combination total that
-	// triggers a reroute (default 0.3).
-	Threshold float64
-	// Interval is the check period in seconds (default 2; route checks
-	// are cheap relative to their ~minutes-scale trigger frequency).
-	Interval float64
 	// Select overrides the route-selection procedure run on a reroute
-	// (default: the §3.2 multipath combination with the manager's
-	// routing configuration). Scheme sweeps use this so a single-path
-	// scheme's manager recomputes a single path, not a combination.
+	// (default: the §3.2 multipath combination under the paper's
+	// routing parameters, routing.DefaultConfig). Scheme sweeps use this
+	// so a single-path scheme's manager recomputes a single path, not a
+	// combination.
 	Select SelectFn
 
 	// Reroutes counts route swaps (for tests and logs).
@@ -59,34 +53,43 @@ type RouteManager struct {
 // SelectFn chooses a flow's route set on a network view.
 type SelectFn func(view *graph.Network, src, dst graph.NodeID) []graph.Path
 
+// The route-maintenance constants.
+const (
+	// rerouteThreshold is the relative change of the combination total
+	// that triggers a reroute.
+	rerouteThreshold float64 = 0.3
+	// checkInterval is the maintenance period in seconds (route checks
+	// are cheap relative to their ~minutes-scale trigger frequency).
+	checkInterval float64 = 2
+	// failCheckInterval is the period of the fast dead-route check.
+	failCheckInterval float64 = 0.25
+)
+
 // ManageRoutes starts periodic route maintenance for a flow, on the
 // engine of the domain that owns it.
-func (e *Emulation) ManageRoutes(f *Flow, cfg routing.Config) *RouteManager {
+func (e *Emulation) ManageRoutes(f *Flow) *RouteManager {
 	d := f.em
-	m := &RouteManager{em: d, flow: f, cfg: cfg, Threshold: 0.3, Interval: 2}
+	m := &RouteManager{em: d, flow: f}
 	view := d.estimatedNetwork()
 	m.lastTotal = m.currentTotal(view)
 	m.lastNetTotal = netCapacityTotal(view)
-	m.periodic = d.Engine.Every(m.Interval, m.check)
+	m.periodic = d.Engine.Every(checkInterval, m.check)
 	return m
 }
 
-// EnableFastFailover adds a lightweight dead-route check every `interval`
-// seconds (default 0.25 when <= 0) on top of the periodic maintenance:
+// EnableFastFailover adds a lightweight dead-route check every
+// failCheckInterval seconds on top of the periodic maintenance:
 // the full §3.2 recomputation stays infrequent, but a route whose
 // capacity estimate collapsed to zero — the estimator's failure signal —
 // triggers an immediate reroute, so failover latency is governed by the
 // estimation timeout (§6.1's hundreds of milliseconds) rather than the
 // maintenance interval. Scenario engines enable this on the flows they
 // manage.
-func (m *RouteManager) EnableFastFailover(interval float64) {
-	if interval <= 0 {
-		interval = 0.25
-	}
+func (m *RouteManager) EnableFastFailover() {
 	if m.fast != nil {
 		m.fast.Stop()
 	}
-	m.fast = m.em.Engine.Every(interval, m.failCheck)
+	m.fast = m.em.Engine.Every(failCheckInterval, m.failCheck)
 }
 
 // Stop ends maintenance.
@@ -182,7 +185,7 @@ func (m *RouteManager) checkWith(view *graph.Network) {
 		// variation. The variation is watched both on the current routes
 		// and network-wide — a recovered link elsewhere (e.g. the medium
 		// that failed a minute ago coming back) moves only the latter.
-		if relRoutes < m.Threshold && relNet < m.Threshold/2 {
+		if relRoutes < rerouteThreshold && relNet < rerouteThreshold/2 {
 			return
 		}
 	}
@@ -197,7 +200,7 @@ func (m *RouteManager) checkWith(view *graph.Network) {
 			total += r
 		}
 	}
-	if !dead && total <= cur*(1+m.Threshold/2) {
+	if !dead && total <= cur*(1+rerouteThreshold/2) {
 		// A variation occurred but the recomputed routes are not
 		// materially better; avoid churning.
 		m.lastTotal = cur
@@ -221,7 +224,7 @@ func (m *RouteManager) selectRoutes(view *graph.Network) []graph.Path {
 	if m.Select != nil {
 		return m.Select(view, m.flow.Src, m.flow.Dst)
 	}
-	return routing.Multipath(view, m.flow.Src, m.flow.Dst, m.cfg).Paths
+	return routing.Multipath(view, m.flow.Src, m.flow.Dst, routing.DefaultConfig()).Paths
 }
 
 // netCapacityTotal sums the view's link capacities — the cheap O(L)
@@ -298,6 +301,6 @@ func (f *Flow) setRoutesOn(view *graph.Network, routes []graph.Path) error {
 			longest = len(r)
 		}
 	}
-	f.tuner = congestion.NewAlphaTuner(f.em.cfg.flowAlphaBase(), n, longest)
+	f.tuner = congestion.NewAlphaTuner(flowAlphaBase, n, longest)
 	return nil
 }

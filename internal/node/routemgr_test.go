@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/routing"
 )
 
 // diamond builds s->d with two disjoint 2-hop branches: via m1 (PLC) and
@@ -36,7 +35,7 @@ func TestRouteManagerSwapsOnFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := em.ManageRoutes(fl, routing.DefaultConfig())
+	mgr := em.ManageRoutes(fl)
 	em.Run(20)
 	if mgr.Reroutes > 1 {
 		t.Errorf("%d reroutes during steady operation, want ~0", mgr.Reroutes)
@@ -76,7 +75,7 @@ func TestRouteManagerStableWithoutChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := em.ManageRoutes(fl, routing.DefaultConfig())
+	mgr := em.ManageRoutes(fl)
 	em.Run(60)
 	if mgr.Reroutes > 1 {
 		t.Errorf("%d reroutes on a stable network (estimation noise should not churn routes)", mgr.Reroutes)

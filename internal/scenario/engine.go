@@ -30,31 +30,18 @@ type Options struct {
 	// ManageRoutes attaches a route manager (§3.2 maintenance) with fast
 	// failover to every flow the scenario starts.
 	ManageRoutes bool
-	// RoutingConfig is the route manager's configuration (zero value:
-	// routing.DefaultConfig).
-	RoutingConfig routing.Config
-	// FastFailover is the manager's dead-route check period in seconds
-	// (0: 0.25).
-	FastFailover float64
 	// Strict makes Bind fail on event references that don't resolve
 	// against the network. The default is lenient — unresolvable events
 	// are dropped and counted in Runtime.Unresolved — because scheme
 	// sweeps legitimately run scenarios on views that lack some links
 	// (a PLC flap has nothing to kill on a WiFi-only view).
 	Strict bool
-	// OnEvent, when set, observes every applied event (for logs). It is
-	// called from the owning domain's worker goroutine, so with
-	// node.Config.Shards > 1 it must be safe for concurrent calls.
-	OnEvent func(ev Event)
 	// Invariants attaches a runtime invariant checker to every domain
 	// engine: flow conservation at relays, dead links delivering
 	// nothing, controller rates within estimated capacity, monotone
 	// virtual time, per-reason drop accounting. Violations accumulate
 	// in Runtime.Violations once Finish runs.
 	Invariants bool
-	// InvariantInterval is the checker's tick period in seconds (0:
-	// the checker's default).
-	InvariantInterval float64
 }
 
 func (o Options) routes() RouteFn {
@@ -64,13 +51,6 @@ func (o Options) routes() RouteFn {
 	return func(net *graph.Network, src, dst graph.NodeID) []graph.Path {
 		return routing.Multipath(net, src, dst, routing.DefaultConfig()).Paths
 	}
-}
-
-func (o Options) routingConfig() routing.Config {
-	if o.RoutingConfig == (routing.Config{}) {
-		return routing.DefaultConfig()
-	}
-	return o.RoutingConfig
 }
 
 // FlowRecord is the runtime state of one scenario flow.
@@ -261,10 +241,7 @@ func Bind(em *node.Emulation, sc *Scenario, seed int64, opts Options) (*Runtime,
 		bound[i].d.dom.Engine.AtFunc(bound[i].be.At, applyTimelineEvent, &bound[i])
 	}
 	if opts.Invariants {
-		rt.checker = invariant.Attach(em, invariant.Config{
-			Interval: opts.InvariantInterval,
-			Flows:    rt.domainFlows,
-		})
+		rt.checker = invariant.Attach(em, invariant.Config{Flows: rt.domainFlows})
 	}
 	return rt, nil
 }
@@ -473,9 +450,6 @@ func (rt *Runtime) bindFlowSpec(spec *FlowSpec) (graph.NodeID, error) {
 // apply executes one event at its scheduled virtual time, on the owning
 // domain's engine.
 func (d *rtDomain) apply(be boundEvent) {
-	if d.rt.opts.OnEvent != nil {
-		d.rt.opts.OnEvent(be.Event)
-	}
 	if rec := d.dom.Engine.Recorder(); rec != nil {
 		subject := int32(-1)
 		if len(be.links) > 0 {
@@ -755,12 +729,12 @@ func (d *rtDomain) startFlow(spec FlowSpec) {
 	}
 	rec := &FlowRecord{Spec: spec, Flow: f, Src: src, Dst: dst, StartedAt: now}
 	if d.rt.opts.ManageRoutes {
-		rec.Mgr = d.rt.Em.ManageRoutes(f, d.rt.opts.routingConfig())
+		rec.Mgr = d.rt.Em.ManageRoutes(f)
 		// Reroutes re-run the same selection the flow started with, so
 		// scheme semantics survive maintenance (a single-path scheme's
 		// manager recomputes a single path).
 		rec.Mgr.Select = node.SelectFn(d.rt.opts.routes())
-		rec.Mgr.EnableFastFailover(d.rt.opts.FastFailover)
+		rec.Mgr.EnableFastFailover()
 	}
 	d.flows[spec.Name] = rec
 	d.order = append(d.order, spec.Name)

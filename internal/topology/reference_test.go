@@ -56,7 +56,7 @@ func TestProximityTableMatchesDistancePredicate(t *testing.T) {
 		for _, cfg := range cfgs {
 			for seed := int64(1); seed <= 8; seed++ {
 				inst := g.gen(seed, cfg)
-				ref := referenceInterferenceModel{inst: inst, sense: cfg.wifiRadius() * cfg.senseFactor()}
+				ref := referenceInterferenceModel{inst: inst, sense: wifiRadius * cfg.senseFactor()}
 				for _, view := range []View{ViewHybrid, ViewWiFiSingle, ViewWiFiDual} {
 					net := inst.Build(view)
 					nl := net.NumLinks()

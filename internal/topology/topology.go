@@ -34,45 +34,26 @@ import (
 
 // Config holds generation parameters; zero values select the paper's.
 type Config struct {
-	// WiFiRadius is the WiFi connection radius in meters (default 35).
-	WiFiRadius float64
-	// PLCRadius is the PLC connection radius in meters (default 50).
-	PLCRadius float64
 	// WiFiSenseFactor scales the WiFi carrier-sensing radius relative to
 	// the connection radius (default 1.5; sensing reaches further than
 	// decoding).
 	WiFiSenseFactor float64
-	// MaxCapacity is the per-link capacity ceiling in Mbps (default 100,
-	// the paper's reported maximum for both 802.11n 40 MHz and HPAV 200).
-	MaxCapacity float64
 }
 
-func (c Config) wifiRadius() float64 {
-	if c.WiFiRadius <= 0 {
-		return 35
-	}
-	return c.WiFiRadius
-}
-
-func (c Config) plcRadius() float64 {
-	if c.PLCRadius <= 0 {
-		return 50
-	}
-	return c.PLCRadius
-}
+// The paper's link parameters: the connection radii in meters, and the
+// per-link capacity ceiling in Mbps (the reported maximum of both 802.11n
+// 40 MHz and HPAV 200).
+const (
+	wifiRadius  float64 = 35
+	plcRadius   float64 = 50
+	maxCapacity float64 = 100
+)
 
 func (c Config) senseFactor() float64 {
 	if c.WiFiSenseFactor <= 0 {
 		return 1.5
 	}
 	return c.WiFiSenseFactor
-}
-
-func (c Config) maxCap() float64 {
-	if c.MaxCapacity <= 0 {
-		return 100
-	}
-	return c.MaxCapacity
 }
 
 // NodeSpec describes one station of an instance.
@@ -174,7 +155,7 @@ func (m interferenceModel) Interferes(_ *graph.Network, a, b *graph.Link) bool {
 // pair of every view.
 func (inst *Instance) proximity() []bool {
 	inst.nearOnce.Do(func() {
-		sense := inst.Config.wifiRadius() * inst.Config.senseFactor()
+		sense := wifiRadius * inst.Config.senseFactor()
 		n := len(inst.Nodes)
 		inst.near = make([]bool, n*n)
 		for u, a := range inst.Nodes {
@@ -323,18 +304,17 @@ func (inst *Instance) fillCaps(rng *rand.Rand) {
 	n := len(inst.Nodes)
 	inst.WiFiCap = matrix(n)
 	inst.PLCCap = matrix(n)
-	cfg := inst.Config
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			d := math.Hypot(inst.Nodes[i].X-inst.Nodes[j].X, inst.Nodes[i].Y-inst.Nodes[j].Y)
-			if c := wifiCapacity(rng, d, cfg.wifiRadius(), cfg.maxCap()); c > 0 {
+			if c := wifiCapacity(rng, d, wifiRadius, maxCapacity); c > 0 {
 				inst.WiFiCap[i][j] = c
-				inst.WiFiCap[j][i] = clamp(c*math.Exp(rng.NormFloat64()*0.1), 2, cfg.maxCap())
+				inst.WiFiCap[j][i] = clamp(c*math.Exp(rng.NormFloat64()*0.1), 2, maxCapacity)
 			}
 			if inst.Nodes[i].Hybrid && inst.Nodes[j].Hybrid && inst.Nodes[i].Panel == inst.Nodes[j].Panel {
-				if c := plcCapacity(rng, d, cfg.plcRadius(), cfg.maxCap()); c > 0 {
+				if c := plcCapacity(rng, d, plcRadius, maxCapacity); c > 0 {
 					inst.PLCCap[i][j] = c
-					inst.PLCCap[j][i] = clamp(c*math.Exp(rng.NormFloat64()*0.15), 2, cfg.maxCap())
+					inst.PLCCap[j][i] = clamp(c*math.Exp(rng.NormFloat64()*0.15), 2, maxCapacity)
 				}
 			}
 		}

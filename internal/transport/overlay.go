@@ -25,11 +25,11 @@ type Connection struct {
 
 // Dial establishes a TCP connection from src to dst over the emulation,
 // transferring totalBytes (-1 = unbounded) on the supplied routes,
-// starting at virtual time startAt.
-func Dial(em *node.Emulation, src, dst graph.NodeID, routes []graph.Path, totalBytes int64, cfg Config, startAt float64) (*Connection, error) {
+// starting at virtual time 0.
+func Dial(em *node.Emulation, src, dst graph.NodeID, routes []graph.Path, totalBytes int64) (*Connection, error) {
 	fwd, err := em.AddFlow(node.FlowSpec{
 		Src: src, Dst: dst, Routes: routes, Kind: node.TrafficExternal, TCP: true,
-	}, startAt)
+	}, 0)
 	if err != nil {
 		return nil, fmt.Errorf("transport: forward flow: %w", err)
 	}
@@ -39,7 +39,7 @@ func Dial(em *node.Emulation, src, dst graph.NodeID, routes []graph.Path, totalB
 	}
 	rev, err := em.AddFlow(node.FlowSpec{
 		Src: dst, Dst: src, Routes: []graph.Path{back}, Kind: node.TrafficExternal, TCP: true,
-	}, startAt)
+	}, 0)
 	if err != nil {
 		return nil, fmt.Errorf("transport: reverse flow: %w", err)
 	}
@@ -49,7 +49,7 @@ func Dial(em *node.Emulation, src, dst graph.NodeID, routes []graph.Path, totalB
 	// Both flows validated, so src and dst share one interference domain:
 	// the connection's timers ride that domain's engine.
 	engine := em.Domain(em.NodeDomain(src)).Engine
-	conn.Sender = NewSender(engine, cfg, totalBytes, func(seg Segment) error {
+	conn.Sender = NewSender(engine, totalBytes, func(seg Segment) error {
 		return fwd.Push(seg.Len, seg)
 	})
 	conn.Sender.OnDone(func(at float64) { conn.FinishedAt = at })
@@ -73,6 +73,6 @@ func Dial(em *node.Emulation, src, dst graph.NodeID, routes []graph.Path, totalB
 		}
 	}
 
-	engine.At(startAt, func() { conn.Sender.Start() })
+	engine.At(0, func() { conn.Sender.Start() })
 	return conn, nil
 }

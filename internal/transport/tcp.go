@@ -32,46 +32,18 @@ type Ack struct {
 	CumAck int64
 }
 
-// Config tunes the mini-TCP sender.
-type Config struct {
-	// MSS is the maximum segment size in bytes (default 1460).
-	MSS int
-	// InitCwnd is the initial window in segments (default 2).
-	InitCwnd float64
-	// RTOMin is the minimum retransmission timeout in seconds (default
-	// 0.2, Linux's value).
-	RTOMin float64
-	// MaxCwndSegments caps the window (default 512 segments).
-	MaxCwndSegments float64
-}
-
-func (c Config) mss() int {
-	if c.MSS <= 0 {
-		return 1460
-	}
-	return c.MSS
-}
-
-func (c Config) initCwnd() float64 {
-	if c.InitCwnd <= 0 {
-		return 2
-	}
-	return c.InitCwnd
-}
-
-func (c Config) rtoMin() float64 {
-	if c.RTOMin <= 0 {
-		return 0.2
-	}
-	return c.RTOMin
-}
-
-func (c Config) maxCwnd() float64 {
-	if c.MaxCwndSegments <= 0 {
-		return 512
-	}
-	return c.MaxCwndSegments
-}
+// The mini-TCP sender's constants.
+const (
+	// mssBytes is the maximum segment size.
+	mssBytes = 1460
+	// initCwndSegments is the initial window.
+	initCwndSegments = 2
+	// rtoMin is the minimum retransmission timeout in seconds (Linux's
+	// value).
+	rtoMin = 0.2
+	// maxCwndSegments caps the window.
+	maxCwndSegments = 512
+)
 
 // SendFunc pushes one segment toward the receiver; it returns an error
 // when the packet was dropped at the source (rate shaping or inactive
@@ -81,7 +53,6 @@ type SendFunc func(seg Segment) error
 // Sender is the TCP sender state machine.
 type Sender struct {
 	engine *sim.Engine
-	cfg    Config
 	send   SendFunc
 
 	// totalBytes is the amount of application data to transfer;
@@ -116,13 +87,12 @@ type Sender struct {
 
 // NewSender creates a sender transferring totalBytes (-1 = unbounded)
 // using send to emit segments.
-func NewSender(engine *sim.Engine, cfg Config, totalBytes int64, send SendFunc) *Sender {
+func NewSender(engine *sim.Engine, totalBytes int64, send SendFunc) *Sender {
 	s := &Sender{
 		engine:     engine,
-		cfg:        cfg,
 		send:       send,
 		totalBytes: totalBytes,
-		cwnd:       cfg.initCwnd() * float64(cfg.mss()),
+		cwnd:       initCwndSegments * mssBytes,
 		ssthresh:   1e12,
 		rto:        1.0,
 		sendTimes:  map[int64]float64{},
@@ -148,7 +118,7 @@ func (s *Sender) pump() {
 	if s.done {
 		return
 	}
-	mss := int64(s.cfg.mss())
+	mss := int64(mssBytes)
 	for {
 		inflight := s.sndNxt - s.sndUna
 		if float64(inflight)+float64(mss) > s.cwnd+1e-9 {
@@ -199,8 +169,8 @@ func (s *Sender) onTimeout() {
 	}
 	s.Timeouts++
 	// RFC 5681: collapse to one segment, back off the timer.
-	s.ssthresh = maxf(float64(s.sndNxt-s.sndUna)/2, 2*float64(s.cfg.mss()))
-	s.cwnd = float64(s.cfg.mss())
+	s.ssthresh = maxf(float64(s.sndNxt-s.sndUna)/2, 2*mssBytes)
+	s.cwnd = mssBytes
 	s.rto = minf(s.rto*2, 60)
 	s.dupAcks = 0
 	s.inFastRecovery = false
@@ -234,7 +204,7 @@ func (s *Sender) OnAck(a Ack) {
 		acked := a.CumAck - s.sndUna
 		s.sndUna = a.CumAck
 		s.dupAcks = 0
-		mss := float64(s.cfg.mss())
+		mss := float64(mssBytes)
 		if s.inFastRecovery {
 			// Exit fast recovery: deflate to ssthresh.
 			s.cwnd = s.ssthresh
@@ -244,8 +214,8 @@ func (s *Sender) OnAck(a Ack) {
 		} else {
 			s.cwnd += mss * mss / s.cwnd // congestion avoidance
 		}
-		if s.cwnd > s.cfg.maxCwnd()*mss {
-			s.cwnd = s.cfg.maxCwnd() * mss
+		if s.cwnd > maxCwndSegments*mss {
+			s.cwnd = maxCwndSegments * mss
 		}
 		if s.totalBytes >= 0 && s.sndUna >= s.totalBytes {
 			s.done = true
@@ -259,7 +229,7 @@ func (s *Sender) OnAck(a Ack) {
 		s.pump()
 	case a.CumAck == s.sndUna && s.sndNxt > s.sndUna:
 		s.dupAcks++
-		mss := float64(s.cfg.mss())
+		mss := float64(mssBytes)
 		if s.inFastRecovery {
 			s.cwnd += mss // window inflation per extra dupack
 			s.pump()
@@ -269,7 +239,7 @@ func (s *Sender) OnAck(a Ack) {
 			s.ssthresh = maxf(float64(s.sndNxt-s.sndUna)/2, 2*mss)
 			s.cwnd = s.ssthresh + 3*mss
 			s.inFastRecovery = true
-			s.transmit(s.sndUna, s.cfg.mss(), true)
+			s.transmit(s.sndUna, mssBytes, true)
 			s.armRTO()
 		}
 	}
@@ -289,7 +259,7 @@ func (s *Sender) rttSample(r float64) {
 		s.rttvar = (1-beta)*s.rttvar + beta*absf(s.srtt-r)
 		s.srtt = (1-alpha)*s.srtt + alpha*r
 	}
-	s.rto = maxf(s.srtt+4*s.rttvar, s.cfg.rtoMin())
+	s.rto = maxf(s.srtt+4*s.rttvar, rtoMin)
 }
 
 // AckFunc emits an acknowledgement toward the sender.

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -38,7 +37,7 @@ func loop(engine *sim.Engine, total int64, loss map[int]bool) (*Sender, *Receive
 		engine.Schedule(p.delay, func() { snd.OnAck(a) })
 		return nil
 	})
-	snd = NewSender(engine, Config{}, total, p.send)
+	snd = NewSender(engine, total, p.send)
 	return snd, p.recv, p
 }
 
@@ -150,7 +149,7 @@ func TestTCPOverEmulationSinglePath(t *testing.T) {
 	b.AddLink(v, u, graph.TechWiFi, 20)
 	net := b.Build()
 	em := node.NewEmulation(net, node.Config{}, 21)
-	conn, err := Dial(em, u, v, []graph.Path{{l}}, 2_000_000, Config{}, 0)
+	conn, err := Dial(em, u, v, []graph.Path{{l}}, 2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +178,7 @@ func TestTCPOverEmulationMultipath(t *testing.T) {
 	net := b.Build()
 	em := node.NewEmulation(net, node.Config{DelayEqualize: true}, 22)
 	routes := []graph.Path{{plcAB, wifiBC}, {wifiAB, wifiBC}}
-	conn, err := Dial(em, a, c, routes, 5_000_000, Config{}, 0)
+	conn, err := Dial(em, a, c, routes, 5_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +219,7 @@ func TestTCPOverEmulationTwoDomains(t *testing.T) {
 	if _, err := em.AddFlow(node.FlowSpec{Src: s, Dst: d, Routes: []graph.Path{{sd}}, Kind: node.TrafficSaturated}, 0); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := Dial(em, u, v, []graph.Path{{uv}}, 2_000_000, Config{}, 0)
+	conn, err := Dial(em, u, v, []graph.Path{{uv}}, 2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,12 +230,5 @@ func TestTCPOverEmulationTwoDomains(t *testing.T) {
 	}
 	if sink := em.Agent(d).Sinks()[0]; sink.MeanRate(30, 90) < 15 {
 		t.Errorf("saturated flow in the other domain got %.2f Mbps, want most of 30", sink.MeanRate(30, 90))
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}
-	if c.mss() != 1460 || c.initCwnd() != 2 || math.Abs(c.rtoMin()-0.2) > 1e-12 || c.maxCwnd() != 512 {
-		t.Error("defaults wrong")
 	}
 }
