@@ -202,8 +202,10 @@ func TestSolveMatchesReferenceOnRandomProblems(t *testing.T) {
 
 // TestSolveMatchesReferenceWhenAllButOneRouteDies gives one flow a good
 // route and seven that cost ten times the airtime: the optimum uses the
-// good one alone. The four routes after it park behind it; the three before
-// it have no earlier term to hide behind and freeze in the pass.
+// good one alone. The four routes after it park behind it, and the three
+// before it park ahead of it, where nothing live is left. Next to a second
+// flow whose one route runs at a small steady rate ahead of them in the row,
+// the routes ahead of the good one stay visible and freeze in the pass.
 func TestSolveMatchesReferenceWhenAllButOneRouteDies(t *testing.T) {
 	p := Problem{NumRoutes: 8, Flows: [][]int{{0, 1, 2, 3, 4, 5, 6, 7}}}
 	coef := map[int]float64{3: 0.02}
@@ -214,11 +216,27 @@ func TestSolveMatchesReferenceWhenAllButOneRouteDies(t *testing.T) {
 	}
 	p.Constraints = []Constraint{{Coef: coef, Bound: 1}}
 	sol := checkAgainstReference(t, p, SolveOptions{Step: 0.5, Iters: 3000})
-	if sol.parks-sol.wakes != 4 || sol.freezes != 3 || sol.thaws != 0 {
-		t.Errorf("parks = %d, wakes = %d, freezes = %d, thaws = %d; want routes 4–7 parked and routes 0–2 frozen at the end", sol.parks, sol.wakes, sol.freezes, sol.thaws)
+	if sol.parks-sol.wakes != 7 || sol.freezes != 0 || sol.thaws != 0 {
+		t.Errorf("parks = %d, wakes = %d, freezes = %d, thaws = %d; want routes 0–2 and 4–7 parked at the end, none frozen", sol.parks, sol.wakes, sol.freezes, sol.thaws)
 	}
 	if sol.X[3] < 40 {
 		t.Errorf("surviving route carries %v, want ≈ 50", sol.X[3])
+	}
+
+	// Route 0 is a flow of its own with a weight of 10⁻⁴: its term is ≈ 10⁻³
+	// of the good route's, too small to anchor the row, far too large to
+	// hide the dead routes between them.
+	p = Problem{NumRoutes: 8, Flows: [][]int{{0}, {1, 2, 3, 4, 5, 6, 7}}, Utilities: []congestion.Utility{scaledLog(1e-4), nil}}
+	coef = map[int]float64{0: 0.02, 5: 0.02}
+	for r := 1; r < 8; r++ {
+		if r != 5 {
+			coef[r] = 0.2 + 0.01*float64(r)
+		}
+	}
+	p.Constraints = []Constraint{{Coef: coef, Bound: 1}}
+	sol = checkAgainstReference(t, p, SolveOptions{Step: 0.5, Iters: 3000})
+	if sol.parks-sol.wakes != 2 || sol.freezes != 4 || sol.X[0] <= 0 {
+		t.Errorf("parks = %d, wakes = %d, freezes = %d, X[0] = %v; want routes 6–7 parked and routes 1–4 frozen at the end next to a live route 0", sol.parks, sol.wakes, sol.freezes, sol.X[0])
 	}
 }
 

@@ -1,9 +1,10 @@
 package optimal
 
 // Problems built to drive the kernel through each transition of a parked
-// route — park, wake by the wake test, wake by a re-anchor, never parking —
-// every one compared with the reference loop bit for bit, and the
-// unexported counters read to prove the transition ran.
+// route — park behind or ahead of the anchor, wake by the wake test, by a
+// re-anchor or by a prefix test, never parking — every one compared with the
+// reference loop bit for bit, and the unexported counters read to prove the
+// transition ran.
 //
 // Mutations of the kernel this suite was checked to fail on, with the tests
 // that catch them first: absorbShare 2⁻⁵⁶ → 2⁻⁴⁰ (the figure and random
@@ -13,13 +14,21 @@ package optimal
 // the frontier tested on its own x̄ (TestWakeTestUsesTheFlowBound);
 // addRepeated without its range check (the figure sweep,
 // TestAddRepeatedIsTheLoop); round-half-up in mulGrid (nearly everything);
-// settle without addSums (TestSettleAddsWokenTermsAgain). Four of them change
-// no whole solve found so far — a parked term decays at least as fast as its
-// anchor, so the actual terms stay absorbed even where the bound fails —
-// which is why the kernel-level tests at the end of this file exist.
+// settle without addSums (TestSettleAddsWokenTermsAgain); preShare 2⁻⁵⁷ →
+// 2⁻⁵³ (TestTryParkNeedsEveryBound, TestSettleTestsThePrefix); no live
+// prefix test, N·B′ alone (the same, and the counters of
+// TestSolveMatchesReferenceWhenAllButOneRouteDies and TestAnchorDiesMidRun);
+// no N·B′ test in reanchorFlow (TestReanchorKeepsThePrefixWhole); settle
+// without the second round of prefix tests (TestSettleRetestsAfterWaking);
+// finish without addRepeated at the fixed point (TestFinishMatchesAdvance).
+// Several of them change no whole solve found so far — a parked term decays
+// at least as fast as its anchor, so the actual terms stay absorbed even
+// where the bound fails — which is why the kernel-level tests at the end of
+// this file exist.
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/congestion"
@@ -78,14 +87,19 @@ func TestParkedRoutesWakeWhenThePriceUnwinds(t *testing.T) {
 // TestAnchorDiesMidRun parks routes 1, 3 and 4 behind route 0, which costs
 // 2.5 % more airtime than route 2 and so loses to it slowly: it is the
 // anchor for ≈ 1 000 iterations and then dies. The kernel must re-anchor on
-// route 2, wake route 1 — no longer behind an anchor — and keep 3 and 4.
+// route 2 and wake route 1, now ahead of the anchor next to the dying route
+// 0, whose term is still far from tiny; it must keep 3 and 4 behind route 2.
+// Once route 0 has decayed, it and route 1 park ahead of route 2 for good.
 func TestAnchorDiesMidRun(t *testing.T) {
 	p := Problem{NumRoutes: 5, Flows: [][]int{{0, 1, 2, 3, 4}}}
 	p.Constraints = []Constraint{{Coef: map[int]float64{0: 0.0205, 1: 0.2, 2: 0.02, 3: 0.2, 4: 0.25}, Bound: 1}}
 	p.RateCap = []float64{3, 60, 60, 60, 60}
 	sol := checkAgainstReference(t, p, SolveOptions{Step: 0.5, Iters: 3000})
-	if sol.parks != 3 || sol.wakes != 1 || sol.reanchors == 0 {
-		t.Fatalf("parks = %d, wakes = %d, reanchors = %d; want three parked and exactly route 1 woken by a re-anchor", sol.parks, sol.wakes, sol.reanchors)
+	if sol.wakes != 1 || sol.reanchors == 0 {
+		t.Fatalf("wakes = %d, reanchors = %d; want exactly route 1 woken by a re-anchor, routes 3 and 4 kept", sol.wakes, sol.reanchors)
+	}
+	if sol.parks != 5 {
+		t.Errorf("parks = %d; want routes 1, 3, 4, then 0 and 1 ahead of route 2", sol.parks)
 	}
 }
 
@@ -152,18 +166,18 @@ func TestOddCoefficientsNeverPark(t *testing.T) {
 	}
 }
 
-// reciprocal is U = log x: U′(0) = +Inf.
-type reciprocal struct{}
+// scaledLog is U = w·log x: U′(0) = +Inf, and w/q the rate at price q.
+type scaledLog float64
 
-func (reciprocal) Value(x float64) float64    { return math.Log(x) }
-func (reciprocal) Prime(x float64) float64    { return 1 / x }
-func (reciprocal) PrimeInv(q float64) float64 { return 1 / q }
+func (w scaledLog) Value(x float64) float64    { return float64(w) * math.Log(x) }
+func (w scaledLog) Prime(x float64) float64    { return float64(w) / x }
+func (w scaledLog) PrimeInv(q float64) float64 { return float64(w) / q }
 
 // TestInfiniteMarginalUtility winds flow 0 down to a rate of exactly zero,
 // where its utility answers U′ = +Inf and every route jumps to its cap,
 // while flow 1 parks and wakes routes next to it.
 func TestInfiniteMarginalUtility(t *testing.T) {
-	p := Problem{NumRoutes: 7, Flows: [][]int{{0, 1, 2, 3}, {4, 5, 6}}, Utilities: []congestion.Utility{reciprocal{}, nil}}
+	p := Problem{NumRoutes: 7, Flows: [][]int{{0, 1, 2, 3}, {4, 5, 6}}, Utilities: []congestion.Utility{scaledLog(1), nil}}
 	wound := map[int]float64{}
 	for r := 0; r < 4; r++ {
 		wound[r] = 2 + 0.5*float64(r)
@@ -282,9 +296,28 @@ func TestTryParkNeedsEveryBound(t *testing.T) {
 	if k.tryPark(2) {
 		t.Error("a route that anchors its flow parked")
 	}
-	k = kernelFor(t, p, []float64{1e4, 1e-21, 0.2}, []int{0, 2})
-	if k.tryPark(1) {
-		t.Error("a route ahead of its flow's anchor parked")
+	// Ahead of its flow's anchor a route parks when N = 4 times its x is
+	// tiny, 4·10⁻²¹ against 0.2·2⁻⁶⁵ = 5.4·10⁻²¹, and not at twice that.
+	for _, c := range []struct {
+		x1   float64
+		want bool
+	}{{1e-21, true}, {2e-21, false}} {
+		k = kernelFor(t, p, []float64{1e4, c.x1, 0.2}, []int{0, 2})
+		if got := k.tryPark(1); got != c.want {
+			t.Errorf("ahead of the anchor, x = %v: tryPark = %v, want %v", c.x1, got, c.want)
+		}
+	}
+	// So does the live sum ahead of the anchor, which here holds route 1.
+	p = Problem{NumRoutes: 4, Flows: [][]int{{0}, {1, 2, 3}}}
+	p.Constraints = []Constraint{{Coef: map[int]float64{0: 0.01, 1: 0.1, 2: 0.1, 3: 0.2}, Bound: 100}}
+	for _, c := range []struct {
+		x1   float64
+		want bool
+	}{{1e-22, true}, {1e-20, false}} {
+		k = kernelFor(t, p, []float64{1e4, c.x1, 1e-22, 0.2}, []int{0, 3})
+		if got := k.tryPark(2); got != c.want {
+			t.Errorf("live prefix %v: tryPark = %v, want %v", c.x1, got, c.want)
+		}
 	}
 }
 
@@ -344,5 +377,124 @@ func TestSettleAddsWokenTermsAgain(t *testing.T) {
 	k.m.sums(x, want)
 	if !sameBits(k.usage[0], want[0]) || !sameBits(k.flowRate[0], 50+0.3+0.7) {
 		t.Errorf("usage %v, flow rate %v after settling; want %v and %v", k.usage[0], k.flowRate[0], want[0], 50+0.3+0.7)
+	}
+}
+
+// anchorRow moves row c's anchor, which kernelFor put on route 0, to route r.
+func anchorRow(t *testing.T, k *kernel, c, r int) {
+	t.Helper()
+	for e := k.m.start[c]; e < k.m.start[c+1]; e++ {
+		if k.m.route[e] == r {
+			k.pin(k.rowAnchorRoute[c], r)
+			k.rowAnchor[c], k.rowAnchorRoute[c] = k.entry[e], r
+			k.addSums()
+			return
+		}
+	}
+	t.Fatalf("row %d has no entry for route %d", c, r)
+}
+
+// parkRoutes takes the given routes out of the pass at iterate 7 and leaves
+// the sums, with their live prefix sums, that a pass without them adds up.
+func parkRoutes(k *kernel, rs ...int) {
+	for _, r := range rs {
+		k.live = slices.DeleteFunc(k.live, func(l int32) bool { return int(l) == r })
+		k.park(r, 7)
+	}
+	k.addSums()
+}
+
+// TestSettleTestsThePrefix parks route 1 ahead of route 2, which anchors the
+// flow and the row with a term of 1, and settles. Where the sum is 1 without
+// route 1 and 1 + 2⁻⁵² with it — the live prefix at half an ulp of 1, a tie
+// that rounds to even, or route 1's own term at an ulp — settle must wake
+// it; where the prefix is tiny it must not. Either way the sums settle
+// leaves are the full ones, bit for bit.
+func TestSettleTestsThePrefix(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		x0, x1 float64
+		coef   []float64 // the row's coefficients; nil for no row
+		wake   bool
+	}{
+		{"flow, tiny prefix", 0x1p-60, 0x1p-70, nil, false},
+		{"flow, live prefix at a tie", 0x1p-53, 0x1p-60, nil, true},
+		{"row, tiny prefix", 0x1p-70, 0x1p-80, []float64{1, 1, 1}, false},
+		{"row, live prefix at a tie", 0x1p-70, 0x1p-80, []float64{0x1p17, 1, 1}, true},
+		{"row, parked prefix at an ulp", 0, 0x1p-70, []float64{1, 0x1p18, 1}, true},
+	} {
+		p := Problem{NumRoutes: 3, Flows: [][]int{{0, 1, 2}}}
+		if c.coef != nil {
+			p.Constraints = []Constraint{{Coef: map[int]float64{0: c.coef[0], 1: c.coef[1], 2: c.coef[2]}, Bound: 1}}
+		}
+		x := []float64{c.x0, c.x1, 1}
+		k := kernelFor(t, p, x, []int{2})
+		if c.coef != nil {
+			anchorRow(t, k, 0, 2)
+		}
+		parkRoutes(k, 1)
+		k.settle(7, false)
+		if woke := k.state[1] != parked; woke != c.wake {
+			t.Errorf("%s: route 1 woken = %v, want %v", c.name, woke, c.wake)
+		}
+		want := make([]float64, len(k.usage))
+		k.m.sums(x, want)
+		if !slices.EqualFunc(k.usage, want, sameBits) || !sameBits(k.flowRate[0], x[0]+x[1]+x[2]) {
+			t.Errorf("%s: usage %v, flow rate %v; want %v and %v", c.name, k.usage, k.flowRate[0], want, x[0]+x[1]+x[2])
+		}
+	}
+}
+
+// TestSettleRetestsAfterWaking: row 0 fails its prefix test and wakes route
+// 1, whose term then joins row 1's live prefix. Row 1 passed its test on the
+// prefix the pass added up (2⁻⁵⁷ live, 8 · 2⁻⁶⁰ parked) and fails it on the
+// prefix added up again, so route 2, parked in row 1 alone, must wake too.
+func TestSettleRetestsAfterWaking(t *testing.T) {
+	p := Problem{NumRoutes: 4, Flows: [][]int{{0, 1, 2, 3}}}
+	p.Constraints = []Constraint{
+		{Coef: map[int]float64{0: 1, 1: 0x1p22, 3: 1}, Bound: 1},
+		{Coef: map[int]float64{0: 0x1p23, 1: 0x1p20, 2: 0x1p10, 3: 1}, Bound: 1},
+	}
+	k := kernelFor(t, p, []float64{0x1p-80, 0x1p-80, 0x1p-80, 1}, []int{3})
+	anchorRow(t, k, 0, 3)
+	anchorRow(t, k, 1, 3)
+	parkRoutes(k, 1, 2)
+	k.settle(7, false)
+	if k.state[1] == parked || k.state[2] == parked || k.wakes != 2 {
+		t.Errorf("states %v, wakes %d; want routes 1 and 2 woken", k.state, k.wakes)
+	}
+}
+
+// TestReanchorKeepsThePrefixWhole re-anchors a flow whose routes 0 and 1, or
+// 0 and 2, are parked: the routes parked ahead of the new anchor stay parked
+// together when the test holds for all of them and the live routes between
+// them, and wake together when it fails for any, here at 4 · 2⁻⁶² or at a
+// live route of 0.5.
+func TestReanchorKeepsThePrefixWhole(t *testing.T) {
+	p := Problem{NumRoutes: 4, Flows: [][]int{{0, 1, 2, 3}}}
+	for _, c := range []struct {
+		name          string
+		x             []float64
+		anchor        int
+		park          []int
+		wantAnchor    int
+		wantPre, wake int
+	}{
+		{"earlier anchor, kept", []float64{0x1p-80, 0x1p-81, 1, 1}, 3, []int{0, 1}, 2, 2, 0},
+		{"earlier anchor, one visible", []float64{0x1p-80, 0x1p-62, 1, 1}, 3, []int{0, 1}, 2, 0, 2},
+		{"later anchor, kept", []float64{0x1p-80, 0x1p-90, 0x1p-81, 1}, 1, []int{0, 2}, 3, 2, 0},
+		{"later anchor, live route visible", []float64{0x1p-80, 0.5, 0x1p-81, 1}, 1, []int{0, 2}, 3, 0, 2},
+	} {
+		k := kernelFor(t, p, c.x, []int{c.anchor})
+		k.unclipped[1] = false // clipped where it is live, so it cannot anchor
+		parkRoutes(k, c.park...)
+		k.reanchorFlow(0, 7, true)
+		if k.flowAnchor[0] != c.wantAnchor || k.flowPre[0] != c.wantPre || k.wakes != c.wake {
+			t.Errorf("%s: anchor %d, %d parked ahead of it, %d woken; want %d, %d, %d", c.name, k.flowAnchor[0], k.flowPre[0], k.wakes, c.wantAnchor, c.wantPre, c.wake)
+		}
+		k.addSums()
+		if want := c.x[0] + c.x[1] + c.x[2] + c.x[3]; !sameBits(k.flowRate[0], want) {
+			t.Errorf("%s: flow rate %v, want %v", c.name, k.flowRate[0], want)
+		}
 	}
 }

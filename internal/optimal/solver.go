@@ -3,6 +3,7 @@ package optimal
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -46,8 +47,8 @@ type SolveOptions struct {
 	Iters int
 	// Step is the dual/primal step size (default 0.05).
 	Step float64
-	// Gain is the primal gain on (U' − q) (default 50; see
-	// congestion.Options.UtilityScale).
+	// Gain is the primal gain on (U' − q) (default
+	// congestion.DefaultUtilityScale, the controller's).
 	Gain float64
 }
 
@@ -71,7 +72,7 @@ func (o SolveOptions) step() float64 {
 
 func (o SolveOptions) gain() float64 {
 	if o.Gain <= 0 {
-		return 50
+		return congestion.DefaultUtilityScale
 	}
 	return o.Gain
 }
@@ -194,16 +195,20 @@ const (
 	parked
 )
 
-// The sums may omit a parked term while it is at most 2⁻⁵⁶ of an earlier
-// term of the same sum, which settle tests on the live values after every
-// pass; that share is the one constant a result depends on being small
-// enough, and 2⁻⁵⁴ would already do. The others only decide when a route
-// parks and which entry serves as the witness.
+// The sums may omit a parked term after the anchor while it is at most
+// 2⁻⁵⁶ of the anchor's term, and the parked terms before the anchor while
+// they and the live terms before it pass prefixAbsorbed with 2⁻⁵⁷; settle
+// tests both on the live values after every pass. Those two shares are the
+// constants a result depends on being small enough, and 2⁻⁵⁴ and 2⁻⁵⁶
+// would already do. The others only decide when a route parks and which
+// entry serves as the witness.
 const (
 	absorbShare = 0x1p-56
-	// parkShare leaves a parked term 2⁸ of slack under the anchor, so an
-	// anchor that hovers does not fail the test.
-	parkShare = absorbShare / 256
+	preShare    = absorbShare / 2
+	// parkShare and preParkShare leave a parked term 2⁸ of slack under the
+	// anchor, so an anchor that hovers does not fail the test.
+	parkShare    = absorbShare / 256
+	preParkShare = preShare / 256
 	// An anchor is the first unclipped entry within anchorSpan of the
 	// largest one: early, so that more routes sit behind it.
 	anchorSpan = 0x1p10
@@ -218,6 +223,18 @@ const (
 func absorbed(bound, anchor, share float64) bool {
 	s := anchor * share
 	return bound == 0 || s >= 0x1p-1022 && bound <= s
+}
+
+// prefixAbsorbed reports whether the entries before the anchor of a sum of n
+// entries — live terms the pass added up to q, parked terms each at most b —
+// vanish against the anchor's term a: q ≤ share·a and N·b ≤ share·a, with N
+// the power of two above n, so that both tests are exact. With share 2⁻⁵⁷
+// the prefix summed with its parked terms is at most
+// (1+2⁻⁵³)ⁿ/(1−2⁻⁵³)ⁿ·(q + N·b) ≤ 2·2⁻⁵⁶·a (n < 2⁵⁰), under half an ulp of
+// a, so fl(prefix + a) = a with or without the parked terms, and from the
+// anchor on the sum is the live-only sum.
+func prefixAbsorbed(q, b, a float64, n int, share float64) bool {
+	return absorbed(q, a, share) && absorbed(float64(uint64(1)<<bits.Len(uint(n)))*b, a, share)
 }
 
 // kernel is the state of one solve that the rare transitions — park, wake,
@@ -247,18 +264,26 @@ type kernel struct {
 	lambda, usage   []float64 // per row: price, and Σ coef·x of the iterate read next
 	prime, flowRate []float64 // per flow: U′, and Σ x likewise
 
-	// The absorption invariant, per row sum and per flow sum: every parked
-	// route comes after the anchor, and bound ≤ absorbShare · the
-	// anchor's term, where bound is at least every parked term.
+	// The absorption invariant, per row sum and per flow sum. A parked route
+	// after the anchor has its term below bound ≤ absorbShare · the anchor's
+	// term. The routes parked before it, pre of them, have their terms below
+	// preBound, and prefixAbsorbed holds for preBound and q, the live sum
+	// the pass had accumulated when it reached the anchor.
 	rowAnchor      []int // index into term, −1 for none
 	rowAnchorRoute []int
 	rowBound       []float64
-	rowParked      []int
+	rowParked      []int // after and before the anchor
+	rowPre         []int
+	rowPreBound    []float64
+	rowQ           []float64
 	flowAnchor     []int
 	flowParked     []int
+	flowPre        []int
+	flowPreBound   []float64
+	flowQ          []float64
 	// bx and bxbar run the clipped recurrence from the largest parked x
 	// and x̄ of a flow: by monotonicity of fl(×) and fl(+) they stay above
-	// every parked route's. bx is the flow sum's bound.
+	// every parked route's. bx is the flow sum's bound after the anchor.
 	bx, bxbar []float64
 	pinned    []int // route → sums anchored on it; a pinned route stays live
 	// frontier lists the parked routes of a flow that no other parked
@@ -290,6 +315,34 @@ func (k *kernel) advance(r, to int) {
 		}
 	}
 	k.x[r], k.xbar[r], k.avg[r], k.at[r] = x, xbar, avg, to
+}
+
+// finish is advance(r, iters) for avg alone, all the read-out takes from a
+// parked route. From tinyFactor up fl(keep·x) < x, so x there is a bare
+// multiply with no fixed-point test; below it x's fixed point ends the
+// replay, and addRepeated finishes avg. So does the first term that
+// fl(avg + x) leaves at avg: x never grows and rounding is monotone, so no
+// later term moves avg either.
+func (k *kernel) finish(r int) {
+	keep, x, avg := k.keep, k.x[r], k.avg[r]
+	for t := k.at[r]; t < k.iters; t++ {
+		if x >= tinyFactor {
+			x = float64(keep * x)
+		} else if nx := mulGrid(keep, x); nx != x {
+			x = nx
+		} else {
+			avg = addRepeated(avg, x, k.iters-max(t, k.avgFrom))
+			break
+		}
+		if t >= k.avgFrom {
+			s := avg + x
+			if s == avg {
+				break
+			}
+			avg = s
+		}
+	}
+	k.avg[r] = avg
 }
 
 // price is route r's q = Σ λ·coef, added in ascending row order.
@@ -345,7 +398,12 @@ func (k *kernel) park(r, it int) {
 	for j := k.rtStart[r]; j < k.rtStart[r+1]; j++ {
 		c := k.rtRow[j]
 		k.rowParked[c]++
-		k.rowBound[c] = max(k.rowBound[c], k.term[j])
+		if r < k.rowAnchorRoute[c] {
+			k.rowPre[c]++
+			k.rowPreBound[c] = max(k.rowPreBound[c], k.term[j])
+		} else {
+			k.rowBound[c] = max(k.rowBound[c], k.term[j])
+		}
 	}
 	f := k.flowOf[r]
 	if k.flowParked[f] == 0 {
@@ -353,6 +411,10 @@ func (k *kernel) park(r, it int) {
 		k.frontier[f], k.frontierStale[f] = k.frontier[f][:0], false
 	}
 	k.flowParked[f]++
+	if r < k.flowAnchor[f] {
+		k.flowPre[f]++
+		k.flowPreBound[f] = max(k.flowPreBound[f], k.x[r])
+	}
 	k.bx[f], k.bxbar[f] = max(k.bx[f], k.x[r]), max(k.bxbar[f], k.xbar[r])
 	if !k.frontierStale[f] {
 		k.cover(r)
@@ -361,21 +423,33 @@ func (k *kernel) park(r, it int) {
 }
 
 // tryPark reports whether live route r, just clipped, may leave the pass: it
-// anchors no sum, and in its flow and in each of its rows it comes after the
-// anchor and its term is tiny against the anchor's new one, which the
-// ascending pass has already written.
+// anchors no sum, and each of its terms is tiny against the anchor of the
+// flow or row: after the anchor against the anchor's new term, which the
+// ascending pass has already written; before it, together with the live
+// terms before it, against the anchor's term and live prefix sum of the last
+// pass.
 func (k *kernel) tryPark(r int) bool {
-	a := k.flowAnchor[k.flowOf[r]]
-	if a < 0 || a >= r || !absorbed(k.x[r], k.x[a], parkShare) || k.pinned[r] > 0 {
+	f := k.flowOf[r]
+	a := k.flowAnchor[f]
+	if a < 0 || k.pinned[r] > 0 || !hides(r, a, k.x[r], k.x[a], k.flowQ[f], len(k.flows[f])) {
 		return false
 	}
 	for j := k.rtStart[r]; j < k.rtStart[r+1]; j++ {
 		c := k.rtRow[j]
-		if a := k.rowAnchor[c]; a < 0 || k.rowAnchorRoute[c] >= r || !absorbed(k.term[j], k.term[a], parkShare) {
+		if a := k.rowAnchor[c]; a < 0 || !hides(r, k.rowAnchorRoute[c], k.term[j], k.term[a], k.rowQ[c], k.m.start[c+1]-k.m.start[c]) {
 			return false
 		}
 	}
 	return true
+}
+
+// hides is tryPark's test of route r's term v in a sum of n entries anchored
+// on route a, whose term is av and whose live prefix summed to q.
+func hides(r, a int, v, av, q float64, n int) bool {
+	if r > a {
+		return absorbed(v, av, parkShare)
+	}
+	return prefixAbsorbed(q, v, av, n, preParkShare)
 }
 
 // wake brings parked route r back into the pass at the given iterate.
@@ -385,11 +459,21 @@ func (k *kernel) wake(r, it int) {
 	for j := k.rtStart[r]; j < k.rtStart[r+1]; j++ {
 		k.term[j] = mulTiny(k.rtCoef[j], k.x[r])
 		c := k.rtRow[j]
+		if r < k.rowAnchorRoute[c] {
+			if k.rowPre[c]--; k.rowPre[c] == 0 {
+				k.rowPreBound[c] = 0
+			}
+		}
 		if k.rowParked[c]--; k.rowParked[c] == 0 {
 			k.rowBound[c] = 0
 		}
 	}
 	f := k.flowOf[r]
+	if r < k.flowAnchor[f] {
+		if k.flowPre[f]--; k.flowPre[f] == 0 {
+			k.flowPreBound[f] = 0
+		}
+	}
 	k.flowParked[f]--
 	if slices.Contains(k.frontier[f], r) {
 		k.frontierStale[f] = true
@@ -446,12 +530,14 @@ func (k *kernel) stillClipped(t int, finite bool) {
 }
 
 // settle tests the absorption invariant on the iterate the pass has just
-// written, it, and restores it where it fails: the sum takes a new anchor,
-// the parked routes that anchor does not cover wake, and the sums of the
-// pass, which lack their terms, are added again. On a retry round a sum may
-// also move on: freely while nothing is parked in it, and from an anchor
-// that was clipped, so that a late or dying anchor does not keep routes from
-// parking.
+// written, it, and restores it where it fails. Where the part after the
+// anchor fails, the sum takes a new anchor and the parked routes that anchor
+// does not cover wake; where the part before it fails, its parked routes
+// wake. The sums of the pass, which lack the woken terms, are then added
+// again — which may raise another sum's live prefix — and the prefixes
+// tested again, until a round wakes nothing. On a retry round a sum may also
+// move on: freely while nothing is parked in it, and from an anchor that was
+// clipped, so that a late or dying anchor does not keep routes from parking.
 func (k *kernel) settle(it int, retry bool) {
 	before := k.wakes
 	for c, a := range k.rowAnchor {
@@ -468,8 +554,39 @@ func (k *kernel) settle(it int, retry bool) {
 			k.reanchorFlow(f, it, false)
 		}
 	}
-	if k.wakes != before {
+	for {
+		k.wakePrefixes(it)
+		if k.wakes == before {
+			return
+		}
+		before = k.wakes
 		k.addSums()
+	}
+}
+
+// wakePrefixes wakes the routes parked before the anchor of every sum whose
+// prefix test fails.
+func (k *kernel) wakePrefixes(it int) {
+	for c, a := range k.rowAnchor {
+		lo, hi := k.m.start[c], k.m.start[c+1]
+		if k.rowPre[c] == 0 || prefixAbsorbed(k.rowQ[c], k.rowPreBound[c], k.term[a], hi-lo, preShare) {
+			continue
+		}
+		for e := lo; e < hi && k.m.route[e] < k.rowAnchorRoute[c]; e++ {
+			if r := k.m.route[e]; k.state[r] == parked {
+				k.wake(r, it)
+			}
+		}
+	}
+	for f, a := range k.flowAnchor {
+		if k.flowPre[f] == 0 || prefixAbsorbed(k.flowQ[f], k.flowPreBound[f], k.x[a], len(k.flows[f]), preShare) {
+			continue
+		}
+		for _, r := range k.flows[f] {
+			if r < a && k.state[r] == parked {
+				k.wake(r, it)
+			}
+		}
 	}
 }
 
@@ -484,12 +601,14 @@ func (k *kernel) pin(old, new int) {
 }
 
 // reanchorRow anchors row c on its first live, unclipped entry within
-// anchorSpan of the largest such term, and wakes the parked routes of the
-// row that do not sit behind it with parkShare to spare. A parked route's
-// stored x is the one it parked with or was last caught up to, and x only
-// decays while parked, so coef·x bounds its term. Unless forced by a failed
-// test, an anchor that routes are parked behind stays while it is within
-// anchorSpan itself.
+// anchorSpan of the largest such term. It keeps the parked routes after the
+// new anchor that are tiny against it with parkShare to spare, and the
+// parked routes before it together if the prefix test holds with
+// preParkShare, on the live prefix sum added up again; it wakes the others.
+// A parked route's stored x is the one it parked with or was last caught up
+// to, and x only decays while parked, so coef·x bounds its term. Unless
+// forced by a failed test, an anchor that routes are parked behind stays
+// while it is within anchorSpan itself.
 func (k *kernel) reanchorRow(c, it int, forced bool) {
 	lo, hi := k.m.start[c], k.m.start[c+1]
 	var largest float64
@@ -513,18 +632,34 @@ func (k *kernel) reanchorRow(c, it int, forced bool) {
 	}
 	k.pin(k.rowAnchorRoute[c], route)
 	k.rowAnchor[c], k.rowAnchorRoute[c] = anchor, route
+	var q, pre float64
+	for e := lo; e < hi && k.m.route[e] < route; e++ {
+		if r := k.m.route[e]; k.state[r] == parked {
+			pre = max(pre, mulTiny(k.m.coef[e], k.x[r]))
+		} else {
+			q += k.term[k.entry[e]]
+		}
+	}
+	keepPre := anchor >= 0 && prefixAbsorbed(q, pre, k.term[anchor], hi-lo, preParkShare)
 	var bound float64
+	n := 0
 	for e := lo; e < hi; e++ {
 		r := k.m.route[e]
 		if k.state[r] != parked {
 			continue
 		}
-		if b := mulTiny(k.m.coef[e], k.x[r]); anchor >= 0 && r > route && absorbed(b, k.term[anchor], parkShare) {
+		if b := mulTiny(k.m.coef[e], k.x[r]); r < route && keepPre {
+			n++
+		} else if anchor >= 0 && r > route && absorbed(b, k.term[anchor], parkShare) {
 			bound = max(bound, b)
 		} else {
 			k.wake(r, it)
 		}
 	}
+	if !keepPre {
+		pre = 0
+	}
+	k.rowQ[c], k.rowPre[c], k.rowPreBound[c] = q, n, pre
 	if k.rowParked[c] > 0 {
 		k.rowBound[c] = bound
 	}
@@ -552,17 +687,36 @@ func (k *kernel) reanchorFlow(f, it int, forced bool) {
 	}
 	k.pin(k.flowAnchor[f], anchor)
 	k.flowAnchor[f] = anchor
+	var q, pre float64
+	for _, r := range k.flows[f] {
+		if r >= anchor {
+			break
+		} else if k.state[r] == parked {
+			pre = max(pre, min(k.x[r], k.bx[f]))
+		} else {
+			q += k.x[r]
+		}
+	}
+	keepPre := anchor >= 0 && prefixAbsorbed(q, pre, k.x[anchor], len(k.flows[f]), preParkShare)
 	var bound float64
+	n := 0
 	for _, r := range k.flows[f] {
 		if k.state[r] != parked {
 			continue
 		}
-		if b := min(k.x[r], k.bx[f]); anchor >= 0 && r > anchor && absorbed(b, k.x[anchor], parkShare) {
+		if b := min(k.x[r], k.bx[f]); r < anchor && keepPre {
+			n++
+			bound = max(bound, b)
+		} else if anchor >= 0 && r > anchor && absorbed(b, k.x[anchor], parkShare) {
 			bound = max(bound, b)
 		} else {
 			k.wake(r, it)
 		}
 	}
+	if !keepPre {
+		pre = 0
+	}
+	k.flowQ[f], k.flowPre[f], k.flowPreBound[f] = q, n, pre
 	if k.flowParked[f] > 0 {
 		k.bx[f] = bound
 	}
@@ -600,7 +754,7 @@ func routeFlows(p Problem) ([]int, error) {
 func newKernel(p Problem, m rows, flowOf []int, opts SolveOptions) *kernel {
 	n, rows, flows := p.NumRoutes, len(m.bound), len(p.Flows)
 	k := &kernel{
-		m: m, flows: p.Flows, flowOf: flowOf,
+		m: m, flows: make([][]int, flows), flowOf: flowOf,
 		alpha: opts.step(), iters: opts.itersFor(n),
 		entry: make([]int, len(m.route)), rtStart: make([]int, n+1),
 		rtRow: make([]int, len(m.route)), rtCoef: make([]float64, len(m.route)),
@@ -612,11 +766,19 @@ func newKernel(p Problem, m rows, flowOf []int, opts SolveOptions) *kernel {
 		prime: make([]float64, flows), flowRate: make([]float64, flows),
 		rowAnchor: make([]int, rows), rowAnchorRoute: make([]int, rows),
 		rowBound: make([]float64, rows), rowParked: make([]int, rows),
+		rowPre: make([]int, rows), rowPreBound: make([]float64, rows), rowQ: make([]float64, rows),
 		flowAnchor: make([]int, flows), flowParked: make([]int, flows),
+		flowPre: make([]int, flows), flowPreBound: make([]float64, flows), flowQ: make([]float64, flows),
 		bx: make([]float64, flows), bxbar: make([]float64, flows),
 		pinned: make([]int, n), frontier: make([][]int, flows), frontierStale: make([]bool, flows),
 	}
 	k.keep = 1 - k.alpha
+	// The flows' routes ascending, once each: the order of their sums.
+	for f, rs := range p.Flows {
+		k.flows[f] = slices.Clone(rs)
+		slices.Sort(k.flows[f])
+		k.flows[f] = slices.Compact(k.flows[f])
+	}
 	// Ergodic averaging over the last third of the run: with a fixed
 	// step the iterates hover around the optimizer, and the average is
 	// the reliable read-out.
@@ -696,16 +858,32 @@ func newKernel(p Problem, m rows, flowOf []int, opts SolveOptions) *kernel {
 }
 
 // addSums recomputes usage and flowRate from the live routes' stored terms,
-// every term in its place of the ascending sum.
+// every term in its place of the ascending sum, and the live prefix sums.
 func (k *kernel) addSums() {
 	clear(k.usage)
 	clear(k.flowRate)
 	for _, r32 := range k.live {
 		r := int(r32)
+		if k.pinned[r] > 0 {
+			k.notePrefix(r)
+		}
 		for j := k.rtStart[r]; j < k.rtStart[r+1]; j++ {
 			k.usage[k.rtRow[j]] += k.term[j]
 		}
 		k.flowRate[k.flowOf[r]] += k.x[r]
+	}
+}
+
+// notePrefix records, for every sum anchored on route r, the live prefix sum
+// the ascending pass has added up before r's term.
+func (k *kernel) notePrefix(r int) {
+	for j := k.rtStart[r]; j < k.rtStart[r+1]; j++ {
+		if c := k.rtRow[j]; k.rowAnchor[c] == j {
+			k.rowQ[c] = k.usage[c]
+		}
+	}
+	if f := k.flowOf[r]; k.flowAnchor[f] == r {
+		k.flowQ[f] = k.flowRate[f]
 	}
 }
 
@@ -807,6 +985,9 @@ func solve(p Problem, m rows, opts SolveOptions) (Solution, error) {
 				k.park(r, t+1)
 				continue
 			}
+			if k.pinned[r] > 0 {
+				k.notePrefix(r)
+			}
 			live[w] = r32
 			w++
 			for j := lo; j < hi; j++ {
@@ -821,7 +1002,7 @@ func solve(p Problem, m rows, opts SolveOptions) (Solution, error) {
 	}
 	for r := range state {
 		if state[r] == parked {
-			k.advance(r, iters)
+			k.finish(r)
 		}
 	}
 	sol.parks, sol.wakes, sol.reanchors = k.parks, k.wakes, k.reanchors

@@ -91,3 +91,40 @@ func TestAddRepeatedIsTheLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestFinishMatchesAdvance holds the read-out's replay of x alone to
+// advance's avg, bit for bit: from x above, at and below tinyFactor, at its
+// fixed point and at 0, from iterates before, at and after avgFrom, and for
+// factors that reach the fixed point fast, slowly, and one ulp at a time.
+func TestFinishMatchesAdvance(t *testing.T) {
+	const iters, avgFrom = 3000, 2000
+	for _, keep := range []float64{0.5, 0.95, 1 - 0x1p-53} {
+		fixed := 1e-310
+		for mulTiny(keep, fixed) != fixed {
+			fixed = mulTiny(keep, fixed)
+		}
+		starts := []float64{
+			1, 1e-300, tinyFactor, math.Nextafter(tinyFactor, 0), math.Nextafter(tinyFactor, 1),
+			0x1p-1022, 3 * math.SmallestNonzeroFloat64, fixed, math.Nextafter(fixed, 1), 0,
+		}
+		for _, x := range starts {
+			for _, at := range []int{0, avgFrom - 5, avgFrom, avgFrom + 1, avgFrom + 700, iters - 1, iters} {
+				for _, avg := range []float64{0, 1e-3 * x, 3 * x} {
+					if at <= avgFrom && avg != 0 {
+						continue
+					}
+					route := func() *kernel {
+						return &kernel{keep: keep, alpha: 1 - keep, iters: iters, avgFrom: avgFrom,
+							x: []float64{x}, xbar: []float64{2 * x}, avg: []float64{avg}, at: []int{at}}
+					}
+					want, got := route(), route()
+					want.advance(0, iters)
+					got.finish(0)
+					if !sameBits(got.avg[0], want.avg[0]) {
+						t.Fatalf("keep %v, x %v from iterate %d, avg %v: finish gives %v, advance %v", keep, x, at, avg, got.avg[0], want.avg[0])
+					}
+				}
+			}
+		}
+	}
+}
