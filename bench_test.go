@@ -33,7 +33,7 @@ import (
 var benchSim = experiments.SimConfig{Runs: 8, Seed: 42, Core: core.Options{Slots: 1200}}
 
 // benchTestbed is a reduced emulation configuration.
-var benchTestbed = experiments.TestbedConfig{Seed: 42, Duration: 10, Pairs: 3, Flows: 2, Repeats: 1}
+var benchTestbed = experiments.TestbedConfig{Seed: 42, Duration: 10, Pairs: 3, Flows: 2, Repeats: 1, Delta: 0.05}
 
 // must unwraps a sweep that cannot fail under context.Background().
 func must[T any](v T, err error) T {

@@ -3,6 +3,16 @@
 // DESIGN.md), kind "custom": the single-path procedure, the n shortest
 // paths, and the multipath combination with its total achievable rate.
 //
+// Flags:
+//
+//	-topo file   topology JSON file (the scenario schema's "topology"
+//	             object); without it, the built-in Figure 1 example
+//	-src name    source node name (default "a")
+//	-dst name    destination node name (default "c")
+//	-n N         n for the n-shortest paths (default 5)
+//	-example     use the built-in Figure 1 example even when -topo is set
+//	-dump        print the topology as JSON and exit
+//
 // Usage:
 //
 //	empower-route -topo net.json -src a -dst c

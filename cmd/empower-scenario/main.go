@@ -50,9 +50,6 @@
 //	                 in Perfetto); -tracerun picks the replication
 //	-tracerun N      replication index for -trace (default 0; the scheme
 //	                 is the first of -schemes)
-//	-recorder N      attach an N-record flight recorder to every domain of
-//	                 every replication (0 disables; -invariants implies
-//	                 256 so violation reports carry their event tail)
 //	-phases          report the bind/run/collect wall-clock breakdown
 //	                 (a "phases" object with -json, a stderr line without)
 //
@@ -75,7 +72,6 @@ import (
 	"strings"
 
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -93,7 +89,6 @@ func main() {
 	flapRates := flag.String("flaprates", "", "goodput-vs-flap-rate sweep frequencies (cycles/minute)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of one replication (see -tracerun)")
 	traceRun := flag.Int("tracerun", 0, "replication index for -trace")
-	recorder := flag.Int("recorder", 0, "flight-recorder ring size per domain (0 disables; -invariants implies 256)")
 	phases := flag.Bool("phases", false, "report the bind/run/collect wall-clock phase breakdown")
 	sweep := cli.SweepFlags()
 	sweep.EmulationFlags()
@@ -113,7 +108,7 @@ func main() {
 		cfg := experiments.ChurnConfig{
 			Seed: sweep.Seed, Runs: *runs, Schemes: schemes, Delta: sweep.Delta,
 			Bin: *bin, Frac: *frac, ManageRoutes: *manage, Parallel: sweep.Parallel,
-			Shards: sweep.Shards(), Invariants: *invariants, Recorder: *recorder,
+			Shards: sweep.Shards(), Invariants: *invariants,
 			Progress: sweep.Progress("replications"),
 			JobTime:  sweep.JobTime, Metrics: sweep.Metrics,
 		}
@@ -162,7 +157,13 @@ func main() {
 				envelope.Phases.BindSeconds, envelope.Phases.RunSeconds, envelope.Phases.CollectSeconds)
 		}
 		if *tracePath != "" {
-			if err := writeTrace(sc, cfg, *traceRun, schemes[0], *tracePath); err != nil {
+			// The re-run reuses the sweep's seed derivations, so the
+			// trace shows the trajectory the sweep measured.
+			doms, err := experiments.ChurnTrace(sc, cfg, *traceRun, schemes[0], traceRing)
+			if err != nil {
+				return err
+			}
+			if err := obs.WriteChromeTraceFile(*tracePath, doms); err != nil {
 				return err
 			}
 		}
@@ -180,26 +181,6 @@ func main() {
 // large enough to hold a full replication of the example scenarios rather
 // than just a tail.
 const traceRing = 1 << 16
-
-// writeTrace re-runs replication `run` under `scheme` with the flight
-// recorder attached and writes the per-domain records as Chrome
-// trace-event JSON. The re-run reuses the sweep's exact seed derivations,
-// so the trace shows the trajectory the sweep measured.
-func writeTrace(sc *scenario.Scenario, cfg experiments.ChurnConfig, run int, scheme core.Scheme, path string) error {
-	doms, err := experiments.ChurnTrace(sc, cfg, run, scheme, traceRing)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteChromeTrace(f, doms); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
 
 func parseFloats(csv string) ([]float64, error) {
 	var out []float64

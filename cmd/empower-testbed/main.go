@@ -11,8 +11,8 @@
 //
 //	-fig 9|10|11|12|13|all   figure to regenerate
 //	-table 1       table to regenerate
-//	-runs N        repetitions for Table 1; alias of -repeats, mirroring
-//	               empower-sim (paper: 40 tiny/short, 10 long/conc)
+//	-runs N        repetitions for Table 1 (default 5; paper: 40
+//	               tiny/short, 10 long/conc)
 //	-seed N        base RNG seed (fixes the channel realization)
 //	-parallel N    worker pool size (<= 0: GOMAXPROCS)
 //	-json          emit one JSON object per figure on stdout instead of text
@@ -27,12 +27,11 @@
 //	               "host:port" serves /metrics over HTTP
 //	-pprof addr    serve net/http/pprof on addr (e.g. ":6060")
 //	-progress      live progress line (done/total, reps/sec, ETA) on stderr
-//	-drops         append a per-reason MAC drop report (queue overflow,
-//	               link down, channel loss, dead link) after the figures
 //
 // The observability flags are purely observational: figure output stays
-// byte-identical with them on or off at the same seed and worker count
-// (-drops appends its report after the figures without altering them).
+// byte-identical with them on or off at the same seed and worker count.
+// The -metrics snapshot carries the per-reason MAC drop totals
+// (empower_mac_dropped_packets_total{reason}).
 //
 // Usage:
 //
@@ -45,7 +44,6 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 
 	"repro/internal/cli"
 	"repro/internal/experiments"
@@ -57,25 +55,17 @@ func main() {
 	duration := flag.Float64("duration", 60, "emulated seconds per run (paper runs are 1000 s)")
 	pairs := flag.Int("pairs", 20, "random station pairs for figure 10 (paper: 50)")
 	flows := flag.Int("flows", 10, "flows for figures 11 and 13")
-	repeats := flag.Int("repeats", 5, "repetitions for table 1 (paper: 40 tiny/short, 10 long/conc)")
-	runs := flag.Int("runs", 0, "alias of -repeats (mirrors empower-sim); takes precedence when set")
-	drops := flag.Bool("drops", false, "append a per-reason MAC drop report after the figures")
+	runs := flag.Int("runs", 5, "repetitions for table 1 (paper: 40 tiny/short, 10 long/conc)")
 	sweep := cli.SweepFlags()
 	sweep.EmulationFlags()
 
 	sweep.Main("empower-testbed", func(ctx context.Context) error {
-		if *runs > 0 {
-			*repeats = *runs
-		}
 		cfg := experiments.TestbedConfig{
 			Seed: sweep.Seed, Duration: *duration, Pairs: *pairs,
-			Flows: *flows, Repeats: *repeats, Delta: sweep.Delta,
+			Flows: *flows, Repeats: *runs, Delta: sweep.Delta,
 			Parallel: sweep.Parallel, Shards: sweep.Shards(),
 			Progress: sweep.Progress("replications"),
 			JobTime:  sweep.JobTime, Metrics: sweep.Metrics,
-		}
-		if *drops {
-			cfg.Drops = &experiments.DropTally{}
 		}
 
 		// The figures in output order, each with its selection rule.
@@ -113,9 +103,6 @@ func main() {
 		}
 		if !ran {
 			return cli.ErrUsage
-		}
-		if *drops {
-			fmt.Print(cfg.Drops.Render())
 		}
 		return nil
 	})

@@ -55,12 +55,6 @@ type ChurnConfig struct {
 	// totals in the result rows. Off, the output stays byte-identical
 	// to a build without the checker.
 	Invariants bool
-	// Recorder sizes the per-domain flight recorder of each
-	// replication's emulation (node.Config.Recorder; 0 disables). With
-	// Invariants set, a zero Recorder defaults to 256 records so
-	// violation reports carry their domain's event tail. Recording is
-	// observational: results are bit-identical with it on or off.
-	Recorder int
 	// Progress, when non-nil, receives (done, total) after every
 	// finished replication (serialized, completion order).
 	Progress func(done, total int)
@@ -73,13 +67,6 @@ type ChurnConfig struct {
 	// Phases, when non-nil, accumulates the bind/run/collect wall-clock
 	// breakdown across replications.
 	Phases *obs.Phases
-}
-
-func (c ChurnConfig) recorder() int {
-	if c.Recorder == 0 && c.Invariants {
-		return 256
-	}
-	return c.Recorder
 }
 
 func (c ChurnConfig) runs() int {
@@ -206,18 +193,20 @@ type ChurnRepOut struct {
 	ViolationDetails []string       `json:"violation_details"`
 }
 
-// bindChurn builds one (run, scheme) replication's emulation and binds
-// the scenario to it — shared by the sweep replications and the trace
-// re-runs, so both see the identical trajectory for a given seed pair.
-func bindChurn(sc *scenario.Scenario, scheme core.Scheme, cfg ChurnConfig, run int, emSeed int64, recorder int) (*scenario.Runtime, error) {
+// BindReplication is the one place a §6 replication is bound: it builds
+// the scenario's topology under the scheme's view, the packet emulation
+// under the scheme's policy (congestion control on or off, capacity
+// estimation, cfg's δ and Shards, a flight recorder of `recorder` records
+// per domain, 0 for none) and binds the scenario to it with the scheme's
+// route selection, the route manager on CC schemes when cfg.ManageRoutes,
+// and the invariant checker when cfg.Invariants. The seeds are explicit
+// because callers own their seed domains: the churn sweep derives them
+// from (Seed, run), the fuzzer from its own. Given the same arguments, a
+// replication follows the same trajectory at any Shards and recorder.
+func BindReplication(sc *scenario.Scenario, scheme core.Scheme, cfg ChurnConfig, recorder int, topoSeed, timelineSeed, emuSeed int64) (*scenario.Runtime, error) {
 	if sc.Topology == nil {
 		return nil, fmt.Errorf("experiments: scenario %q has no topology; churn sweeps need self-contained scenarios", sc.Name)
 	}
-	// The topology and timeline seed domains are offset away from the
-	// runner's per-replication SplitSeed(Seed, index) domain: replication
-	// index `run` must not share an RNG stream with run `run`'s channel
-	// realization, or replications would be statistically correlated.
-	topoSeed := stats.SplitSeed(cfg.Seed, 2_000_000+run)
 	net, err := sc.Topology.BuildView(topoSeed, scheme.View())
 	if err != nil {
 		return nil, err
@@ -225,7 +214,7 @@ func bindChurn(sc *scenario.Scenario, scheme core.Scheme, cfg ChurnConfig, run i
 	em := node.NewEmulation(net, node.Config{
 		Delta: cfg.Delta, DisableCC: !scheme.CC(), Estimation: true,
 		ExpectedDuration: sc.Duration, Shards: cfg.Shards, Recorder: recorder,
-	}, emSeed)
+	}, emuSeed)
 	opts := scenario.Options{
 		Routes: func(n *graph.Network, src, dst graph.NodeID) []graph.Path {
 			return core.RoutesFor(scheme, n, src, dst)
@@ -233,8 +222,19 @@ func bindChurn(sc *scenario.Scenario, scheme core.Scheme, cfg ChurnConfig, run i
 		ManageRoutes: cfg.ManageRoutes && scheme.CC(),
 		Invariants:   cfg.Invariants,
 	}
-	scSeed := stats.SplitSeed(cfg.Seed, 1_000_000+run)
-	return scenario.Bind(em, sc, scSeed, opts)
+	return scenario.Bind(em, sc, timelineSeed, opts)
+}
+
+// bindChurn binds one (run, scheme) replication of the churn sweep —
+// shared by the sweep replications and the trace re-runs, so both see the
+// identical trajectory. The topology and timeline seed domains are
+// offset away from the runner's per-replication SplitSeed(Seed, index)
+// domain: replication index `run` must not share an RNG stream with run
+// `run`'s channel realization, or replications would be statistically
+// correlated.
+func bindChurn(sc *scenario.Scenario, scheme core.Scheme, cfg ChurnConfig, run int, emSeed int64, recorder int) (*scenario.Runtime, error) {
+	return BindReplication(sc, scheme, cfg, recorder,
+		stats.SplitSeed(cfg.Seed, 2_000_000+run), stats.SplitSeed(cfg.Seed, 1_000_000+run), emSeed)
 }
 
 // churnReplication executes one scenario replication under one scheme.
@@ -243,8 +243,14 @@ func bindChurn(sc *scenario.Scenario, scheme core.Scheme, cfg ChurnConfig, run i
 // and the expanded event timeline depend only on the run, so schemes are
 // compared on paired instances.
 func churnReplication(sc *scenario.Scenario, scheme core.Scheme, cfg ChurnConfig, run int, emSeed int64) (*ChurnRepOut, error) {
+	// With the checker on, each domain keeps the flight-recorder tail a
+	// violation report prints; off, nothing records.
+	recorder := 0
+	if cfg.Invariants {
+		recorder = violationTail
+	}
 	bindStart := time.Now()
-	rt, err := bindChurn(sc, scheme, cfg, run, emSeed, cfg.recorder())
+	rt, err := bindChurn(sc, scheme, cfg, run, emSeed, recorder)
 	if err != nil {
 		return nil, err
 	}
@@ -304,11 +310,7 @@ func ChurnTrace(sc *scenario.Scenario, cfg ChurnConfig, run int, scheme core.Sch
 		return nil, err
 	}
 	rt.Run()
-	doms := make([][]obs.Record, rt.Em.NumDomains())
-	for d := range doms {
-		doms[d] = rt.RecorderTail(d, size)
-	}
-	return doms, nil
+	return rt.RecorderTails(size), nil
 }
 
 // runnerConfig maps the sweep configuration onto the shared runner.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +22,7 @@ func must[T any](v T, err error) T {
 var fastSim = SimConfig{Runs: 12, Seed: 7, Core: core.Options{Slots: 1500}}
 
 // fastTestbed keeps the emulation smoke tests quick.
-var fastTestbed = TestbedConfig{Seed: 7, Duration: 12, Pairs: 4, Flows: 2, Repeats: 1}
+var fastTestbed = TestbedConfig{Seed: 7, Duration: 12, Pairs: 4, Flows: 2, Repeats: 1, Delta: 0.05}
 
 func TestFigure4ShapesHold(t *testing.T) {
 	res := must(Figure4Ctx(context.Background(), TopoResidential, fastSim))
@@ -174,6 +175,19 @@ func TestFigure10Ratios(t *testing.T) {
 		}
 	}
 	_ = res.Render()
+}
+
+// TestTestbedDeltaUsedAsGiven checks that an explicit δ = 0 reaches the
+// controllers rather than being replaced by §6.3's 0.05: Figure 10 at the
+// two margins must differ.
+func TestTestbedDeltaUsedAsGiven(t *testing.T) {
+	cfg := TestbedConfig{Seed: 7, Duration: 4, Pairs: 2, Parallel: 1}
+	zero := must(Figure10Ctx(context.Background(), cfg))
+	cfg.Delta = 0.05
+	margin := must(Figure10Ctx(context.Background(), cfg))
+	if reflect.DeepEqual(zero, margin) {
+		t.Fatalf("Figure 10 is identical at δ = 0 and δ = 0.05: %+v", zero)
+	}
 }
 
 func TestFigure11Table(t *testing.T) {

@@ -13,11 +13,12 @@ import (
 )
 
 // TestMetricsByteIdenticalOnOff pins the observability layer's central
-// contract: metrics sampling, the flight recorder, phase timing and the
-// progress/job-time callbacks are purely observational. The same sweep at
-// the same seed must produce byte-identical rendered output — and
-// bit-identical result structs — with the full instrumentation attached
-// and with none of it.
+// contract: metrics sampling, phase timing and the progress/job-time
+// callbacks are purely observational. The same sweep at the same seed
+// must produce byte-identical rendered output — and bit-identical result
+// structs — with the full instrumentation attached and with none of it.
+// (The flight recorder's half of the contract is pinned at the node
+// layer by TestShardedDeterminismAcrossShardCounts.)
 func TestMetricsByteIdenticalOnOff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn sweeps emulate minutes of virtual time per replication")
@@ -30,7 +31,6 @@ func TestMetricsByteIdenticalOnOff(t *testing.T) {
 
 	plain := base
 	instrumented := base
-	instrumented.Recorder = 512
 	instrumented.Metrics = obs.NewAggregator()
 	instrumented.Phases = &obs.Phases{}
 	instrumented.Progress = func(done, total int) {}
@@ -73,10 +73,10 @@ func TestMetricsByteIdenticalOnOff(t *testing.T) {
 
 // TestChurnTraceMatchesSweep checks the -trace export path: re-running a
 // sweep replication with a recorder attached yields records for every
-// domain, and the re-run is bit-identical to the sweep's own replication
-// (the sweep result with and without a trace-sized recorder agrees, which
-// TestMetricsByteIdenticalOnOff already pins; here the trace itself must
-// be non-empty and time-ordered).
+// domain, non-empty and time-ordered. The re-run binds through the
+// sweep's own seed derivations, and a recorder never changes a
+// trajectory (TestShardedDeterminismAcrossShardCounts), so the trace is the
+// sweep's replication.
 func TestChurnTraceMatchesSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn sweeps emulate minutes of virtual time per replication")

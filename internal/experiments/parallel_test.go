@@ -95,7 +95,7 @@ func TestFigure10ParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("testbed emulations are slow")
 	}
-	base := TestbedConfig{Seed: 7, Duration: 12, Pairs: 3, Flows: 2, Repeats: 1}
+	base := TestbedConfig{Seed: 7, Duration: 12, Pairs: 3, Flows: 2, Repeats: 1, Delta: 0.05}
 	serial := base
 	serial.Parallel = 1
 	wide := base

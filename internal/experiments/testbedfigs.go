@@ -34,7 +34,8 @@ type TestbedConfig struct {
 	Flows int
 	// Repeats for Table 1 (defaults 5; the paper uses 40/10).
 	Repeats int
-	// Delta is the constraint margin (§6.3 uses 0.05).
+	// Delta is the constraint margin δ, used as given (§6.3 uses 0.05;
+	// empower-testbed's -delta defaults to it).
 	Delta float64
 	// Parallel bounds the replication worker pool (<= 0: GOMAXPROCS).
 	// Pair selection stays serial (it consumes a shared RNG stream);
@@ -50,9 +51,6 @@ type TestbedConfig struct {
 	// JobTime, when non-nil, receives each replication's wall-clock
 	// duration (serialized with Progress).
 	JobTime func(d time.Duration)
-	// Drops, when non-nil, tallies every emulation's per-reason MAC drop
-	// counters for the -drops report (see DropTally).
-	Drops *DropTally
 	// Metrics, when non-nil, aggregates every emulation's sampled
 	// registry — the -metrics plumbing.
 	Metrics *obs.Aggregator
@@ -86,16 +84,19 @@ func (c TestbedConfig) repeats() int {
 	return c.Repeats
 }
 
-func (c TestbedConfig) delta() float64 {
-	if c.Delta <= 0 {
-		return 0.05
-	}
-	return c.Delta
-}
-
 // runnerConfig maps the emulation configuration onto the shared runner.
 func (c TestbedConfig) runnerConfig() runner.Config {
 	return runner.Config{Workers: c.Parallel, BaseSeed: c.Seed, OnProgress: c.Progress, OnJobTime: c.JobTime}
+}
+
+// observe folds one finished emulation's sampled registry into the
+// -metrics aggregator. Inert when Metrics is nil.
+func (c TestbedConfig) observe(em *node.Emulation) {
+	if c.Metrics != nil {
+		reg := obs.NewRegistry()
+		em.SampleMetrics(reg)
+		c.Metrics.Add(reg)
+	}
 }
 
 // testbedInstance builds the 22-node testbed with a fixed channel
@@ -128,7 +129,7 @@ func Figure9(cfg TestbedConfig) (Figure9Result, error) {
 	dur := cfg.duration() * 5 // the trace needs three phases
 	start2, stop2 := dur*0.39, dur*0.79
 
-	em := node.NewEmulation(net.Network, node.Config{Delta: cfg.delta(), Estimation: true, Shards: cfg.Shards}, cfg.Seed+90)
+	em := node.NewEmulation(net.Network, node.Config{Delta: cfg.Delta, Estimation: true, Shards: cfg.Shards}, cfg.Seed+90)
 	routes1 := core.RoutesFor(core.SchemeEMPoWER, net.Network, nodeID(1), nodeID(13))
 	if len(routes1) == 0 {
 		return Figure9Result{}, fmt.Errorf("experiments: no route 1->13 on this channel realization")
@@ -254,7 +255,7 @@ func Figure10Ctx(ctx context.Context, cfg TestbedConfig) (Figure10Result, error)
 	wifi := inst.Build(topology.ViewWiFiSingle)
 	rng := stats.NewRand(cfg.Seed + 100)
 	res := Figure10Result{Ratios: map[string][]float64{}}
-	copts := core.Options{Delta: cfg.delta()}
+	copts := core.Options{Delta: cfg.Delta}
 
 	pairs := make([][2]graph.NodeID, cfg.pairs())
 	for p := range pairs {
@@ -272,7 +273,7 @@ func Figure10Ctx(ctx context.Context, cfg TestbedConfig) (Figure10Result, error)
 			}
 			out := &f10run{}
 			// Packet emulation of EMPoWER for this pair: convergence panel.
-			em := node.NewEmulation(hybrid.Network, node.Config{Delta: cfg.delta(), Estimation: true, Shards: cfg.Shards}, cfg.Seed+int64(p))
+			em := node.NewEmulation(hybrid.Network, node.Config{Delta: cfg.Delta, Estimation: true, Shards: cfg.Shards}, cfg.Seed+int64(p))
 			_, err := em.AddFlow(node.FlowSpec{Src: src, Dst: dst, Routes: routes, Kind: node.TrafficSaturated}, 0)
 			if err != nil {
 				return nil
@@ -430,7 +431,7 @@ func Figure11Ctx(ctx context.Context, cfg TestbedConfig) (Figure11Result, error)
 			}
 			// The emulation seed keeps the serial loop's derivation:
 			// 1-based pair ordinal × 31 plus the scheme-name length.
-			em := node.NewEmulation(view.Network, node.Config{Delta: cfg.delta(), Estimation: true, Shards: cfg.Shards},
+			em := node.NewEmulation(view.Network, node.Config{Delta: cfg.Delta, Estimation: true, Shards: cfg.Shards},
 				cfg.Seed+int64(pair+1)*31+int64(len(sr.name)))
 			_, err := em.AddFlow(node.FlowSpec{Src: src, Dst: dst, Routes: routes, Kind: node.TrafficSaturated}, 0)
 			if err != nil {
@@ -526,7 +527,7 @@ func Table1Ctx(ctx context.Context, cfg TestbedConfig) (Table1Result, error) {
 
 	measure := func(disableCC bool, rep int, row int) (f613 float64, f128 float64, ok bool) {
 		em := node.NewEmulation(net.Network, node.Config{
-			Delta: cfg.delta(), DisableCC: disableCC, Estimation: true, Shards: cfg.Shards,
+			Delta: cfg.Delta, DisableCC: disableCC, Estimation: true, Shards: cfg.Shards,
 		}, cfg.Seed+int64(rep)*997+int64(row))
 		conc := rows[row].Name[:4] == "Conc"
 		fileBytes := rows[row].FileBytes

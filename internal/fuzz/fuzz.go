@@ -29,8 +29,8 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/graph"
-	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/stats"
@@ -191,12 +191,8 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 // scenario passed; a non-nil error means the harness itself broke (a
 // generated scenario that cannot bind is a generator bug, not a finding).
 func check(sc *scenario.Scenario, scSeed, emSeed int64, inject Inject) (*Failure, error) {
-	empower, err := core.ParseScheme("EMPoWER")
-	if err != nil {
-		return nil, err
-	}
 	// Oracle 1+2: the invariant arm (shards=1, checker attached).
-	a, err := runArm(sc, empower, scSeed, emSeed, 1, true, inject == InjectCounter)
+	a, err := runArm(sc, core.SchemeEMPoWER, scSeed, emSeed, 1, true, inject == InjectCounter)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +209,7 @@ func check(sc *scenario.Scenario, scSeed, emSeed int64, inject Inject) (*Failure
 	if inject == InjectSeed {
 		bScSeed, bEmSeed = scSeed+1, emSeed+1
 	}
-	b, err := runArm(sc, empower, bScSeed, bEmSeed, 4, false, false)
+	b, err := runArm(sc, core.SchemeEMPoWER, bScSeed, bEmSeed, 4, false, false)
 	if err != nil {
 		return nil, err
 	}
@@ -221,11 +217,7 @@ func check(sc *scenario.Scenario, scSeed, emSeed int64, inject Inject) (*Failure
 		return &Failure{Check: "differential", Detail: sigDiff(a.sig, b.sig)}, nil
 	}
 	// Oracle 4: a contrast scheme on the same scenario stays physical.
-	sp, err := core.ParseScheme("SP")
-	if err != nil {
-		return nil, err
-	}
-	c, err := runArm(sc, sp, scSeed, emSeed, 1, true, false)
+	c, err := runArm(sc, core.SchemeSP, scSeed, emSeed, 1, true, false)
 	if err != nil {
 		return nil, err
 	}
@@ -256,28 +248,22 @@ type violation struct {
 
 func (v violation) String() string { return v.Check + ": " + v.Detail }
 
+// bindArm binds the scenario under one arm's (scheme, shards, checker)
+// configuration at δ = 0.05 with the route manager on CC schemes. The
+// timeline seed doubles as the topology seed.
+func bindArm(sc *scenario.Scenario, scheme core.Scheme, scSeed, emSeed int64, shards int, invariants bool, recorder int) (*scenario.Runtime, error) {
+	cfg := experiments.ChurnConfig{Delta: 0.05, ManageRoutes: true, Shards: shards, Invariants: invariants}
+	return experiments.BindReplication(sc, scheme, cfg, recorder, scSeed, scSeed, emSeed)
+}
+
 // runArm binds and runs the scenario under one (scheme, shards)
 // configuration and extracts the full observable signature.
 func runArm(sc *scenario.Scenario, scheme core.Scheme, scSeed, emSeed int64, shards int, invariants, injectCounter bool) (*armResult, error) {
-	net, err := sc.Topology.BuildView(scSeed, scheme.View())
+	rt, err := bindArm(sc, scheme, scSeed, emSeed, shards, invariants, 0)
 	if err != nil {
 		return nil, err
 	}
-	em := node.NewEmulation(net, node.Config{
-		Delta: 0.05, DisableCC: !scheme.CC(), Estimation: true,
-		ExpectedDuration: sc.Duration, Shards: shards,
-	}, emSeed)
-	opts := scenario.Options{
-		Routes: func(n *graph.Network, src, dst graph.NodeID) []graph.Path {
-			return core.RoutesFor(scheme, n, src, dst)
-		},
-		ManageRoutes: scheme.CC(),
-		Invariants:   invariants,
-	}
-	rt, err := scenario.Bind(em, sc, scSeed, opts)
-	if err != nil {
-		return nil, err
-	}
+	em, net := rt.Em, rt.Em.Net
 	if injectCounter {
 		// Corrupt a relay counter mid-run, on the owning domain's
 		// engine. Nothing but the invariant checker reads the counter,
@@ -441,43 +427,12 @@ func writeRepro(sc *scenario.Scenario, dir string, run int) (string, error) {
 // purely observational, so the replay follows the exact trajectory the
 // oracles flagged.
 func dumpTrace(sc *scenario.Scenario, scSeed, emSeed int64, path string) (string, error) {
-	empower, err := core.ParseScheme("EMPoWER")
-	if err != nil {
-		return "", err
-	}
-	net, err := sc.Topology.BuildView(scSeed, empower.View())
-	if err != nil {
-		return "", err
-	}
-	em := node.NewEmulation(net, node.Config{
-		Delta: 0.05, DisableCC: !empower.CC(), Estimation: true,
-		ExpectedDuration: sc.Duration, Shards: 1, Recorder: traceRing,
-	}, emSeed)
-	opts := scenario.Options{
-		Routes: func(n *graph.Network, src, dst graph.NodeID) []graph.Path {
-			return core.RoutesFor(empower, n, src, dst)
-		},
-		ManageRoutes: empower.CC(),
-		Invariants:   true,
-	}
-	rt, err := scenario.Bind(em, sc, scSeed, opts)
+	rt, err := bindArm(sc, core.SchemeEMPoWER, scSeed, emSeed, 1, true, traceRing)
 	if err != nil {
 		return "", err
 	}
 	rt.Run()
-	domains := make([][]obs.Record, em.NumDomains())
-	for d := range domains {
-		domains[d] = rt.RecorderTail(d, traceRing)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	if err := obs.WriteChromeTrace(f, domains); err != nil {
-		f.Close()
-		return "", err
-	}
-	if err := f.Close(); err != nil {
+	if err := obs.WriteChromeTraceFile(path, rt.RecorderTails(traceRing)); err != nil {
 		return "", err
 	}
 	return path, nil

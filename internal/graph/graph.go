@@ -107,8 +107,6 @@ type Network struct {
 	out [][]LinkID
 	// in[n] lists the ingress links of node n.
 	in [][]LinkID
-
-	model InterferenceModel
 }
 
 // InterferenceModel decides which pairs of links interfere. Two links
@@ -258,7 +256,6 @@ func (b *Builder) Build() *Network {
 	net := &Network{
 		Nodes: b.nodes,
 		Links: b.links,
-		model: b.model,
 	}
 	nn, nl := len(net.Nodes), len(net.Links)
 
@@ -336,13 +333,9 @@ func (n *Network) Clone() *Network {
 		interference: n.interference,
 		out:          n.out,
 		in:           n.in,
-		model:        n.model,
 	}
 	return c
 }
-
-// Model returns the interference model the network was built with.
-func (n *Network) Model() InterferenceModel { return n.model }
 
 // Link returns the link with the given ID.
 func (n *Network) Link(id LinkID) *Link { return &n.Links[id] }

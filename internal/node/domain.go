@@ -47,7 +47,7 @@ type Domain struct {
 	capEpoch []uint32
 
 	// Intrinsic observability counters, bumped on the domain's event loop
-	// and summed by the Emulation accessors at barriers (see node/obs.go).
+	// and summed over domains at barriers (see node/obs.go).
 	estResets int
 	reroutes  int
 	failovers int

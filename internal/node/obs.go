@@ -10,31 +10,11 @@ import (
 // and SampleMetrics, which reads them into registry slots at a barrier —
 // after a Run returns, never concurrently with it.
 
-// EstimatorResets counts ModeProbe resets after link recoveries, summed
-// over domains.
-func (e *Emulation) EstimatorResets() int {
-	n := 0
-	for _, d := range e.doms {
-		n += d.estResets
-	}
-	return n
-}
-
 // Reroutes counts route swaps by managed flows, summed over domains.
 func (e *Emulation) Reroutes() int {
 	n := 0
 	for _, d := range e.doms {
 		n += d.reroutes
-	}
-	return n
-}
-
-// Failovers counts dead-route detections by fast failover checks,
-// summed over domains.
-func (e *Emulation) Failovers() int {
-	n := 0
-	for _, d := range e.doms {
-		n += d.failovers
 	}
 	return n
 }
@@ -59,18 +39,11 @@ func (e *Emulation) DomainRecorder(d int) *obs.Recorder {
 // after Run returns (end of a replication); it only reads, so a
 // trajectory with sampling is identical to one without.
 func (e *Emulation) SampleMetrics(r *obs.Registry) {
-	r.Counter("empower_events_fired_total",
-		"discrete events processed by the engines").Add(float64(e.EventsFired()))
-	r.Counter("empower_reroutes_total",
-		"route swaps by managed flows").Add(float64(e.Reroutes()))
-	r.Counter("empower_failovers_total",
-		"dead-route detections by fast failover checks").Add(float64(e.Failovers()))
-	r.Counter("empower_estimator_resets_total",
-		"link estimators reset to probe mode after recovery").Add(float64(e.EstimatorResets()))
-
-	heapDepth, freeTimers, queueDepth := 0, 0, 0
+	heapDepth, freeTimers, queueDepth, failovers, estResets := 0, 0, 0, 0, 0
 	var total mac.LinkStats
 	for _, dom := range e.doms {
+		failovers += dom.failovers
+		estResets += dom.estResets
 		if p := dom.Engine.Pending(); p > heapDepth {
 			heapDepth = p
 		}
@@ -89,6 +62,14 @@ func (e *Emulation) SampleMetrics(r *obs.Registry) {
 		}
 		total.BusySeconds += st.BusySeconds
 	}
+	r.Counter("empower_events_fired_total",
+		"discrete events processed by the engines").Add(float64(e.EventsFired()))
+	r.Counter("empower_reroutes_total",
+		"route swaps by managed flows").Add(float64(e.Reroutes()))
+	r.Counter("empower_failovers_total",
+		"dead-route detections by fast failover checks").Add(float64(failovers))
+	r.Counter("empower_estimator_resets_total",
+		"link estimators reset to probe mode after recovery").Add(float64(estResets))
 	r.Gauge("empower_engine_heap_depth",
 		"peak sampled pending-timer count of any domain engine").Max(float64(heapDepth))
 	r.Gauge("empower_engine_timer_pool",

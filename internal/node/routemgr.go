@@ -100,10 +100,6 @@ func (m *RouteManager) Stop() {
 	}
 }
 
-// CheckNow runs one maintenance round immediately (outside the periodic
-// cadence) — for tests and event-driven callers.
-func (m *RouteManager) CheckNow() { m.check() }
-
 // failCheck is the fast path: recompute only when some current route is
 // dead on the estimated view.
 func (m *RouteManager) failCheck() {

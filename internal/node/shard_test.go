@@ -53,14 +53,15 @@ func clusterNet(k int) (*graph.Network, []clusterFlow) {
 	return net, flows
 }
 
-// shardedFingerprint runs the cluster workload at a shard count, in the
-// given number of equal Run calls, and folds the full observable
-// trajectory — delivered bytes, exact congestion-control rates,
-// forwarding counters — into a string.
-func shardedFingerprint(t *testing.T, shards, chunks int, seconds float64) string {
+// shardedFingerprint runs the cluster workload under cfg (capacity
+// estimation on), in the given number of equal Run calls, and folds the
+// full observable trajectory — delivered bytes, exact congestion-control
+// rates, forwarding counters — into a string.
+func shardedFingerprint(t *testing.T, cfg Config, chunks int, seconds float64) string {
 	t.Helper()
 	net, cflows := clusterNet(4)
-	em := NewEmulation(net, Config{Estimation: true, Shards: shards}, 77)
+	cfg.Estimation = true
+	em := NewEmulation(net, cfg, 77)
 	var flows []*Flow
 	for _, cf := range cflows {
 		fl, err := em.AddFlow(FlowSpec{Src: cf.src, Dst: cf.dst, Routes: cf.routes, Kind: TrafficSaturated}, 0)
@@ -93,23 +94,27 @@ func shardedFingerprint(t *testing.T, shards, chunks int, seconds float64) strin
 // TestShardedDeterminismAcrossShardCounts is the contract at the node
 // layer: the same seed yields a bit-identical trajectory at any Shards
 // value, because the domain decomposition and the per-domain seed splits
-// depend only on the topology — Shards merely caps the worker pool.
+// depend only on the topology — Shards merely caps the worker pool. A
+// flight recorder only observes, so attaching one (also on domains
+// recording concurrently) changes nothing either.
 func TestShardedDeterminismAcrossShardCounts(t *testing.T) {
 	seconds := 12.0
 	if testing.Short() {
 		seconds = 4.0
 	}
-	ref := shardedFingerprint(t, 1, 1, seconds)
-	for _, shards := range []int{0, 2, 4, ShardsAuto} {
-		if got := shardedFingerprint(t, shards, 1, seconds); got != ref {
-			t.Fatalf("shards=%d diverged from shards=1:\n--- shards=1\n%s--- shards=%d\n%s", shards, ref, shards, got)
+	ref := shardedFingerprint(t, Config{Shards: 1}, 1, seconds)
+	for _, cfg := range []Config{{Shards: 0}, {Shards: 2}, {Shards: 4}, {Shards: ShardsAuto},
+		{Shards: 1, Recorder: 512}, {Shards: 4, Recorder: 64}} {
+		if got := shardedFingerprint(t, cfg, 1, seconds); got != ref {
+			t.Fatalf("shards=%d recorder=%d diverged from shards=1:\n--- shards=1\n%s--- shards=%d recorder=%d\n%s",
+				cfg.Shards, cfg.Recorder, ref, cfg.Shards, cfg.Recorder, got)
 		}
 	}
-	if rerun := shardedFingerprint(t, 4, 1, seconds); rerun != ref {
+	if rerun := shardedFingerprint(t, Config{Shards: 4}, 1, seconds); rerun != ref {
 		t.Fatalf("shards=4 rerun diverged (nondeterminism within a shard count)")
 	}
 	// Where the caller places its barriers is not part of the trajectory.
-	if chunked := shardedFingerprint(t, 2, 3, seconds); chunked != ref {
+	if chunked := shardedFingerprint(t, Config{Shards: 2}, 3, seconds); chunked != ref {
 		t.Fatalf("three Run calls diverged from one:\n--- one\n%s--- three\n%s", ref, chunked)
 	}
 }

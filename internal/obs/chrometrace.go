@@ -4,7 +4,22 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 )
+
+// WriteChromeTraceFile writes WriteChromeTrace's rendering of the
+// per-domain records to a new file at path.
+func WriteChromeTraceFile(path string, domains [][]Record) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteChromeTrace(f, domains); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
 // WriteChromeTrace renders per-domain flight-recorder records as Chrome
 // trace-event JSON (the JSON-array format), readable in Perfetto or

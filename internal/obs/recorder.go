@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -134,10 +133,4 @@ func FormatTail(domain int, recs []Record) string {
 		fmt.Fprintf(&b, "  dom=%d %s\n", domain, FormatRecord(rec))
 	}
 	return b.String()
-}
-
-// WriteTail writes FormatTail to w.
-func WriteTail(w io.Writer, domain int, recs []Record) error {
-	_, err := io.WriteString(w, FormatTail(domain, recs))
-	return err
 }

@@ -176,14 +176,6 @@ func (b *Backpressure) Run(n, f, window int) []float64 {
 	return series
 }
 
-// DeliveredRate returns flow f's average delivered throughput so far.
-func (b *Backpressure) DeliveredRate(f int) float64 {
-	if b.t == 0 {
-		return 0
-	}
-	return b.delivered[f] / (float64(b.t) * b.SlotSeconds)
-}
-
 // TotalQueue returns the aggregate backlog in the network (Mb), a measure
 // of the large queues backpressure needs before converging.
 func (b *Backpressure) TotalQueue() float64 {

@@ -37,9 +37,6 @@ func NewConflictGraph(net *graph.Network) *ConflictGraph {
 	return cg
 }
 
-// Adjacent reports whether links a and b conflict.
-func (cg *ConflictGraph) Adjacent(a, b int) bool { return cg.adj[a][b] }
-
 // MaximalCliques enumerates all maximal cliques using Bron–Kerbosch with
 // pivoting. Isolated vertices yield singleton cliques. The result is
 // deterministic (cliques sorted by their sorted member lists).

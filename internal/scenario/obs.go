@@ -89,6 +89,17 @@ func (rt *Runtime) RecorderTail(domain, n int) []obs.Record {
 	return rec.Tail(n)
 }
 
+// RecorderTails returns every domain's last n flight-recorder records
+// (oldest first, one slice per domain, nil slices when recording is off)
+// — the per-domain input of obs.WriteChromeTraceFile after a run.
+func (rt *Runtime) RecorderTails(n int) [][]obs.Record {
+	doms := make([][]obs.Record, rt.Em.NumDomains())
+	for d := range doms {
+		doms[d] = rt.RecorderTail(d, n)
+	}
+	return doms
+}
+
 // ViolationReport renders a violation together with the owning domain's
 // recorder tail (up to tail records) — the -invariants failure payload.
 // Without a recorder it degrades to the bare violation line.

@@ -47,28 +47,9 @@ func TestEventKindOrdinalRoundTrip(t *testing.T) {
 // owning domain's event tail; without one it degrades to the bare
 // violation line.
 func TestViolationReportCarriesTail(t *testing.T) {
-	run := func(recorder int) *Runtime {
-		b := graph.NewBuilder(nil)
-		s := b.AddNode("s", 0, 0, graph.TechPLC, graph.TechWiFi)
-		d := b.AddNode("d", 1, 0, graph.TechPLC, graph.TechWiFi)
-		b.AddDuplex(s, d, graph.TechPLC, 40)
-		b.AddDuplex(s, d, graph.TechWiFi, 40)
-		net := b.Build()
-		sc := New("tail", 10)
-		sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-		sc.FailLink(4, Link("s", "d", graph.TechPLC))
-		em := node.NewEmulation(net, node.Config{Estimation: true, Recorder: recorder}, 31)
-		rt, err := Bind(em, sc, 7, Options{Strict: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt.Run()
-		return rt
-	}
-
 	v := invariant.Violation{At: 5, Domain: 0, Check: "flow-conservation", Detail: "synthetic"}
 
-	with := run(256).ViolationReport(v, 8)
+	with := tailRun(t, 256).ViolationReport(v, 8)
 	if !strings.Contains(with, v.String()) {
 		t.Errorf("report does not contain the violation line:\n%s", with)
 	}
@@ -79,10 +60,47 @@ func TestViolationReportCarriesTail(t *testing.T) {
 		t.Errorf("report tail has no records:\n%s", with)
 	}
 
-	without := run(0).ViolationReport(v, 8)
+	without := tailRun(t, 0).ViolationReport(v, 8)
 	if without != v.String() {
 		t.Errorf("report without recorder must be the bare violation line, got:\n%s", without)
 	}
+}
+
+// TestViolationReportRingSize: a report of the last 64 records reads the
+// same from a 64-record ring as from a 256-record one once both have
+// wrapped — the churn sweep's -invariants ring is sized to exactly the
+// tail its reports print.
+func TestViolationReportRingSize(t *testing.T) {
+	small, large := tailRun(t, 64), tailRun(t, 256)
+	if n := small.Em.DomainRecorder(0).Total(); n <= 256 {
+		t.Fatalf("only %d records written; both rings must wrap", n)
+	}
+	v := invariant.Violation{At: 5, Domain: 0, Check: "flow-conservation", Detail: "synthetic"}
+	if a, b := small.ViolationReport(v, 64), large.ViolationReport(v, 64); a != b {
+		t.Fatalf("64-record report differs by ring size:\n--- ring 64\n%s\n--- ring 256\n%s", a, b)
+	}
+}
+
+// tailRun runs a two-node flow with a mid-run PLC failure and a flight
+// recorder of the given size (0: none).
+func tailRun(t *testing.T, recorder int) *Runtime {
+	t.Helper()
+	b := graph.NewBuilder(nil)
+	s := b.AddNode("s", 0, 0, graph.TechPLC, graph.TechWiFi)
+	d := b.AddNode("d", 1, 0, graph.TechPLC, graph.TechWiFi)
+	b.AddDuplex(s, d, graph.TechPLC, 40)
+	b.AddDuplex(s, d, graph.TechWiFi, 40)
+	net := b.Build()
+	sc := New("tail", 10)
+	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
+	sc.FailLink(4, Link("s", "d", graph.TechPLC))
+	em := node.NewEmulation(net, node.Config{Estimation: true, Recorder: recorder}, 31)
+	rt, err := Bind(em, sc, 7, Options{Strict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Run()
+	return rt
 }
 
 // TestRuntimeSampleMetrics checks the scenario layer's registry slots:

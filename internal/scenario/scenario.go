@@ -313,36 +313,12 @@ func (s *Scenario) NodeJoin(t float64, node string) *Scenario {
 	return s
 }
 
-// StopFlow schedules stopping the named flow at time t.
-func (s *Scenario) StopFlow(t float64, name string) *Scenario {
-	s.Events = append(s.Events, Event{At: t, Kind: FlowStop, FlowName: name})
-	return s
-}
-
 // Flap adds a link-flapping process: first failure at firstAt, then
 // exponential down/up holding times with the given means.
 func (s *Scenario) Flap(ref LinkRef, firstAt, downMean, upMean float64) *Scenario {
 	r := ref
 	s.Processes = append(s.Processes, Process{
 		Kind: ProcFlap, Link: &r, FirstAt: firstAt, DownMean: downMean, UpMean: upMean,
-	})
-	return s
-}
-
-// FlapNode adds a node-churn process (the node leaves and rejoins with
-// exponential holding times).
-func (s *Scenario) FlapNode(node string, firstAt, downMean, upMean float64) *Scenario {
-	s.Processes = append(s.Processes, Process{
-		Kind: ProcFlap, Node: node, FirstAt: firstAt, DownMean: downMean, UpMean: upMean,
-	})
-	return s
-}
-
-// FlapGroup adds a correlated flapping process: the whole named group
-// fails and recovers atomically with exponential holding times.
-func (s *Scenario) FlapGroup(group string, firstAt, downMean, upMean float64) *Scenario {
-	s.Processes = append(s.Processes, Process{
-		Kind: ProcFlap, Group: group, FirstAt: firstAt, DownMean: downMean, UpMean: upMean,
 	})
 	return s
 }

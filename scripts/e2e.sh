@@ -23,6 +23,21 @@ for c in "${clis[@]}"; do
   go build -o "$bindir/$c" "./cmd/$c"
 done
 
+# Each binary's package doc lists its flags in a "Flags:" block, one
+# "<tab>-name ..." line per flag; the names must be exactly those -h prints.
+echo "== flag docs match -h (${clis[*]})" >&2
+for c in "${clis[@]}"; do
+  documented="$(awk '/^package main/ { exit } /^\/\/\t-[A-Za-z0-9]/ { sub(/^\/\/\t-/, ""); sub(/[^A-Za-z0-9].*/, ""); print }' \
+    "cmd/$c/main.go" | sort)"
+  printed="$({ "$bindir/$c" -h 2>&1 || true; } \
+    | awk '/^  -[A-Za-z0-9]/ { sub(/^  -/, ""); sub(/[^A-Za-z0-9].*/, ""); print }' | sort)"
+  if [[ "$documented" != "$printed" ]]; then
+    echo "e2e: $c: flags in the package doc differ from -h" >&2
+    diff <(echo "$documented") <(echo "$printed") >&2 || true
+    exit 1
+  fi
+done
+
 # jq_check DESC FILE FILTER — asserts FILTER evaluates truthy on FILE.
 jq_check() {
   local desc="$1" file="$2" filter="$3"
