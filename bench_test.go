@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/congestion"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/graph"
@@ -282,18 +283,18 @@ func BenchmarkAblationCSC(b *testing.B) {
 // controllerBenchProblem draws the controller benchmarks' problem: EMPoWER
 // routes for the given number of random flows (seed 6) on the hybrid view of
 // an instance.
-func controllerBenchProblem(b *testing.B, inst *topology.Instance, flows int) (*Network, []ControllerRoute) {
+func controllerBenchProblem(b *testing.B, inst *topology.Instance, flows int) (*graph.Network, []congestion.Route) {
 	rng := stats.NewRand(6)
-	pairs := make([][2]NodeID, flows)
+	pairs := make([][2]graph.NodeID, flows)
 	for i := range pairs {
 		s, d := inst.RandomFlow(rng)
-		pairs[i] = [2]NodeID{s, d}
+		pairs[i] = [2]graph.NodeID{s, d}
 	}
 	net := inst.Build(topology.ViewHybrid)
-	var routes []ControllerRoute
+	var routes []congestion.Route
 	for f, pr := range pairs {
 		for _, p := range core.RoutesFor(core.SchemeEMPoWER, net.Network, pr[0], pr[1]) {
-			routes = append(routes, ControllerRoute{Links: p, Flow: f})
+			routes = append(routes, congestion.Route{Links: p, Flow: f})
 		}
 	}
 	if len(routes) == 0 {
@@ -306,7 +307,7 @@ func controllerBenchProblem(b *testing.B, inst *topology.Instance, flows int) (*
 // an enterprise instance with three multipath flows.
 func BenchmarkControllerSlot(b *testing.B) {
 	net, routes := controllerBenchProblem(b, topology.Enterprise(stats.NewRand(5), topology.Config{}), 3)
-	ctrl, err := NewController(net, routes, ControllerOptions{})
+	ctrl, err := congestion.New(net, routes, congestion.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -320,8 +321,8 @@ func BenchmarkControllerSlot(b *testing.B) {
 // benchControllerRun measures the batch controller API end to end: one
 // Reset (pooled re-initialization onto the same network and routes) plus a
 // RunAppend of the given length into a reused trajectory buffer.
-func benchControllerRun(b *testing.B, net *Network, routes []ControllerRoute, opts ControllerOptions, slots int) {
-	var ctrl Controller
+func benchControllerRun(b *testing.B, net *graph.Network, routes []congestion.Route, opts congestion.Options, slots int) {
+	var ctrl congestion.Controller
 	if err := ctrl.Reset(net, routes, opts); err != nil {
 		b.Fatal(err)
 	}
@@ -343,7 +344,7 @@ func benchControllerRun(b *testing.B, net *Network, routes []ControllerRoute, op
 // per 64 slots), amortized with the Reset.
 func BenchmarkControllerBatch(b *testing.B) {
 	net, routes := controllerBenchProblem(b, topology.Enterprise(stats.NewRand(5), topology.Config{}), 3)
-	benchControllerRun(b, net, routes, ControllerOptions{}, 100)
+	benchControllerRun(b, net, routes, congestion.Options{}, 100)
 }
 
 // BenchmarkControllerHorizon is the §5 sweep's per-evaluation controller
@@ -365,7 +366,7 @@ func BenchmarkControllerHorizon(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			net, routes := controllerBenchProblem(b, tc.inst, tc.flows)
-			paths := make([]Path, len(routes))
+			paths := make([]graph.Path, len(routes))
 			for i, r := range routes {
 				paths[i] = r.Links
 			}
@@ -382,7 +383,7 @@ func BenchmarkControllerHorizon(b *testing.B) {
 			for i := range initial {
 				initial[i] *= 0.7
 			}
-			benchControllerRun(b, net, routes, ControllerOptions{Alpha: 0.05, Delta: 0.05, InitialRates: initial}, 4000)
+			benchControllerRun(b, net, routes, congestion.Options{Alpha: 0.05, Delta: 0.05, InitialRates: initial}, 4000)
 		})
 	}
 }
@@ -521,7 +522,7 @@ func BenchmarkEmulationSecond(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		em = NewEmulation(net, EmulationConfig{Estimation: true, ExpectedDuration: sc.Duration}, 7)
+		em = node.NewEmulation(net, node.Config{Estimation: true, ExpectedDuration: sc.Duration}, 7)
 		if _, err := scenario.Bind(em, sc, stats.SplitSeed(42, 1_000_000), scenario.Options{ManageRoutes: true}); err != nil {
 			b.Fatal(err)
 		}
@@ -562,7 +563,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		em = NewEmulation(net, EmulationConfig{Estimation: true, ExpectedDuration: sc.Duration, Recorder: 256}, 7)
+		em = node.NewEmulation(net, node.Config{Estimation: true, ExpectedDuration: sc.Duration, Recorder: 256}, 7)
 		if _, err := scenario.Bind(em, sc, stats.SplitSeed(42, 1_000_000), scenario.Options{ManageRoutes: true}); err != nil {
 			b.Fatal(err)
 		}
@@ -607,7 +608,7 @@ func BenchmarkEmulationSecondSharded(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				em = NewEmulation(net, EmulationConfig{
+				em = node.NewEmulation(net, node.Config{
 					Estimation: true, ExpectedDuration: sc.Duration, Shards: shards,
 				}, 7)
 				if em.NumDomains() < 4 {
@@ -701,7 +702,7 @@ func BenchmarkChurnCollect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	em := NewEmulation(net, EmulationConfig{Estimation: true, ExpectedDuration: sc.Duration}, 7)
+	em := node.NewEmulation(net, node.Config{Estimation: true, ExpectedDuration: sc.Duration}, 7)
 	rt, err := scenario.Bind(em, sc, stats.SplitSeed(42, 1_000_000), scenario.Options{ManageRoutes: true})
 	if err != nil {
 		b.Fatal(err)

@@ -24,8 +24,7 @@ import (
 //
 // The census parses but does not type-check, so it matches writes to
 // fields by name. Only a composite literal whose type is spelled out
-// (`node.Config{…}`, or a facade alias of it) is tied to its struct. Every
-// other write — an assignment, an address, a key of a literal whose type
+// (`node.Config{…}`) is tied to its struct. Every other write — an assignment, an address, a key of a literal whose type
 // is elided — counts for every same-named field of every package the
 // writing file can reach through its imports. A write to an unrelated
 // same-named field can therefore hide an unset one; the census never
@@ -72,18 +71,12 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 	// The census, keyed "pkg.Type.Field".
 	type field struct{ pos, pkg, name string }
 	fields := map[string]field{}
-	aliases := map[string]string{} // pkg.Alias → pkg.Type
 	for _, fl := range files {
 		declares := strings.HasPrefix(fl.pkg, module+"/internal/") && !strings.HasSuffix(fset.File(fl.f.Pos()).Name(), "_test.go")
 		ast.Inspect(fl.f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
 			if !ok {
 				return true
-			}
-			if ts.Assign.IsValid() {
-				if target := typeName(fl.pkg, localImports(fl.f), ts.Type); target != "" {
-					aliases[fl.pkg+"."+ts.Name.Name] = target
-				}
 			}
 			st, ok := ts.Type.(*ast.StructType)
 			if !declares || !ok || !(strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Options")) {
@@ -129,9 +122,6 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 			switch n := n.(type) {
 			case *ast.CompositeLit:
 				typ := typeName(fl.pkg, local, n.Type)
-				for typ != "" && aliases[typ] != "" {
-					typ = aliases[typ]
-				}
 				for _, elt := range n.Elts {
 					kv, ok := elt.(*ast.KeyValueExpr)
 					if !ok {

@@ -90,11 +90,13 @@ func main() {
 		srv, err := fleet.New(fleet.Config{
 			WALPath:    *wal,
 			QueueBound: *queue,
-			Workers:    *workers,
-			MaxRetries: *retries,
-			RepTimeout: *timeout,
-			RepDelay:   *repDelay,
-			Log:        logger,
+			SupervisorConfig: fleet.SupervisorConfig{
+				Workers:    *workers,
+				MaxRetries: *retries,
+				RepTimeout: *timeout,
+				RepDelay:   *repDelay,
+				Log:        logger,
+			},
 		})
 		if err != nil {
 			return err

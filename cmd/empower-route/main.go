@@ -10,14 +10,13 @@
 //	-src name    source node name (default "a")
 //	-dst name    destination node name (default "c")
 //	-n N         n for the n-shortest paths (default 5)
-//	-example     use the built-in Figure 1 example even when -topo is set
 //	-dump        print the topology as JSON and exit
 //
 // Usage:
 //
 //	empower-route -topo net.json -src a -dst c
-//	empower-route -example          # the paper's Figure 1 scenario
-//	empower-route -example -dump    # print the example topology as JSON
+//	empower-route           # the paper's Figure 1 scenario
+//	empower-route -dump     # print the example topology as JSON
 package main
 
 import (
@@ -53,12 +52,11 @@ func main() {
 	src := flag.String("src", "a", "source node name")
 	dst := flag.String("dst", "c", "destination node name")
 	n := flag.Int("n", 5, "n for n-shortest")
-	useExample := flag.Bool("example", false, "use the built-in Figure 1 scenario")
 	dump := flag.Bool("dump", false, "print the topology as JSON and exit")
 
 	cli.Main("empower-route", func(context.Context) error {
 		spec := &example
-		if !*useExample && *topoPath != "" {
+		if *topoPath != "" {
 			var err error
 			if spec, err = scenario.LoadTopology(*topoPath); err != nil {
 				return err

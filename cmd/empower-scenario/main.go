@@ -48,13 +48,16 @@
 //	-trace file      re-run one replication with the flight recorder
 //	                 attached and write a Chrome trace-event JSON (open
 //	                 in Perfetto); -tracerun picks the replication
-//	-tracerun N      replication index for -trace (default 0; the scheme
-//	                 is the first of -schemes)
+//	-tracerun N      replication index for -trace, in [0, -runs)
+//	                 (default 0; the scheme is the first of -schemes)
 //	-phases          report the bind/run/collect wall-clock breakdown
 //	                 (a "phases" object with -json, a stderr line without)
 //
 // Every observability flag is purely observational: stdout stays
 // byte-identical with them on or off at the same seed and shard count.
+// -runs, -delta, -bin, -frac and -shards have the ranges of the fleet
+// sweep spec's fields of the same names; a value outside them, like a
+// non-finite flap rate, exits 2 before anything runs.
 //
 // Usage:
 //
@@ -97,6 +100,9 @@ func main() {
 		if *scPath == "" {
 			return cli.ErrUsage
 		}
+		if err := cli.CheckRanges(experiments.ChurnConfig{Runs: *runs, Bin: *bin, Frac: *frac}); err != nil {
+			return err
+		}
 		sc, err := scenario.Load(*scPath)
 		if err != nil {
 			return err
@@ -112,6 +118,9 @@ func main() {
 			Progress: sweep.Progress("replications"),
 			JobTime:  sweep.JobTime, Metrics: sweep.Metrics,
 		}
+		if n := experiments.ChurnReps(cfg) / len(schemes); *traceRun < 0 || *traceRun >= n {
+			return cli.Usagef("-tracerun: must be in [0, %d), one of the -runs replications, got %d", n, *traceRun)
+		}
 		if *phases {
 			cfg.Phases = &obs.Phases{}
 		}
@@ -122,8 +131,11 @@ func main() {
 		if *flapRates != "" {
 			experiment = "churn-flap-sweep"
 			rates, err := parseFloats(*flapRates)
+			if err == nil {
+				err = experiments.CheckFlapRates(rates)
+			}
 			if err != nil {
-				return err
+				return cli.Usagef("-flaprates: %v", err)
 			}
 			result, violations, err = experiments.ChurnFlapSweepCtx(ctx, sc, cfg, rates)
 			if err != nil {

@@ -4,26 +4,33 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/congestion"
+	"repro/internal/graph"
+	"repro/internal/node"
+	"repro/internal/optimal"
+	"repro/internal/routing"
+	"repro/internal/topology"
 )
 
-// figure1Net builds the paper's running example through the public API.
-func figure1Net() (*Network, NodeID, NodeID) {
-	b := NewNetworkBuilder(nil)
-	a := b.AddNode("gateway", 0, 0, TechPLC, TechWiFi)
-	ext := b.AddNode("extender", 10, 0, TechPLC, TechWiFi)
-	c := b.AddNode("laptop", 20, 0, TechWiFi)
-	b.AddDuplex(a, ext, TechPLC, 10)
-	b.AddDuplex(a, ext, TechWiFi, 15)
-	b.AddDuplex(ext, c, TechWiFi, 30)
+// figure1Net builds the paper's running example.
+func figure1Net() (*graph.Network, graph.NodeID, graph.NodeID) {
+	b := graph.NewBuilder(nil)
+	a := b.AddNode("gateway", 0, 0, graph.TechPLC, graph.TechWiFi)
+	ext := b.AddNode("extender", 10, 0, graph.TechPLC, graph.TechWiFi)
+	c := b.AddNode("laptop", 20, 0, graph.TechWiFi)
+	b.AddDuplex(a, ext, graph.TechPLC, 10)
+	b.AddDuplex(a, ext, graph.TechWiFi, 15)
+	b.AddDuplex(ext, c, graph.TechWiFi, 30)
 	return b.Build(), a, c
 }
 
-// TestFigure1Scenario reproduces the paper's Figure 1 example end to end
-// through the public API: the multipath combination carries 10 Mbps on
-// the hybrid route plus 6.67 Mbps on the two-hop WiFi route.
+// TestFigure1Scenario reproduces the paper's Figure 1 example end to end:
+// the multipath combination carries 10 Mbps on the hybrid route plus
+// 6.67 Mbps on the two-hop WiFi route.
 func TestFigure1Scenario(t *testing.T) {
 	net, a, c := figure1Net()
-	comb := FindCombination(net, a, c, DefaultRoutingConfig())
+	comb := routing.Multipath(net, a, c, routing.DefaultConfig())
 	if math.Abs(comb.Total-50.0/3) > 1e-6 {
 		t.Fatalf("combination total = %v, want 16.667", comb.Total)
 	}
@@ -31,11 +38,11 @@ func TestFigure1Scenario(t *testing.T) {
 		t.Fatalf("combination paths = %d, want 2", len(comb.Paths))
 	}
 	// The controller converges to the same split.
-	var routes []ControllerRoute
+	var routes []congestion.Route
 	for _, p := range comb.Paths {
-		routes = append(routes, ControllerRoute{Links: p, Flow: 0})
+		routes = append(routes, congestion.Route{Links: p, Flow: 0})
 	}
-	ctrl, err := NewController(net, routes, ControllerOptions{Alpha: 0.05})
+	ctrl, err := congestion.New(net, routes, congestion.Options{Alpha: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,33 +51,33 @@ func TestFigure1Scenario(t *testing.T) {
 		t.Errorf("controller total = %v, want ~16.67", got)
 	}
 	// And the centralized optimum agrees.
-	opt, err := OptimalRates(net, [][2]NodeID{{a, c}})
+	opt, err := optimal.Optimal(net, []optimal.FlowSpec{{Src: a, Dst: c}}, optimal.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(opt[0]-50.0/3) > 0.5 {
-		t.Errorf("optimal = %v, want 16.67", opt[0])
+	if math.Abs(opt.FlowRates[0]-50.0/3) > 0.5 {
+		t.Errorf("optimal = %v, want 16.67", opt.FlowRates[0])
 	}
 }
 
 func TestPublicSinglePathAndRate(t *testing.T) {
 	net, a, c := figure1Net()
-	p := FindSinglePath(net, a, c, DefaultRoutingConfig())
+	p := routing.SinglePath(net, a, c, routing.DefaultConfig())
 	if p == nil {
 		t.Fatal("no path")
 	}
-	if r := PathRate(net, p); math.Abs(r-10) > 1e-9 {
+	if r := routing.RatePath(net, p); math.Abs(r-10) > 1e-9 {
 		t.Errorf("R(P) = %v, want 10", r)
 	}
 }
 
 func TestPublicEmulation(t *testing.T) {
 	net, a, c := figure1Net()
-	em := NewEmulation(net, EmulationConfig{}, 1)
-	fl, err := em.AddFlow(FlowSpec{
+	em := node.NewEmulation(net, node.Config{}, 1)
+	fl, err := em.AddFlow(node.FlowSpec{
 		Src: a, Dst: c,
-		Routes: FindRoutes(net, a, c, DefaultRoutingConfig()),
-		Kind:   TrafficSaturated,
+		Routes: routing.Multipath(net, a, c, routing.DefaultConfig()).Paths,
+		Kind:   node.TrafficSaturated,
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -83,17 +90,17 @@ func TestPublicEmulation(t *testing.T) {
 
 func TestPublicTopologies(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	if n := len(Residential(rng, TopologyConfig{}).Nodes); n != 10 {
+	if n := len(topology.Residential(rng, topology.Config{}).Nodes); n != 10 {
 		t.Errorf("residential nodes = %d", n)
 	}
-	if n := len(Enterprise(rng, TopologyConfig{}).Nodes); n != 20 {
+	if n := len(topology.Enterprise(rng, topology.Config{}).Nodes); n != 20 {
 		t.Errorf("enterprise nodes = %d", n)
 	}
-	inst := Testbed(rng, TopologyConfig{})
+	inst := topology.Testbed(rng, topology.Config{})
 	if n := len(inst.Nodes); n != 22 {
 		t.Errorf("testbed nodes = %d", n)
 	}
-	net := inst.Build(ViewHybrid)
+	net := inst.Build(topology.ViewHybrid)
 	if net.NumLinks() == 0 {
 		t.Error("testbed has no links")
 	}
@@ -101,9 +108,10 @@ func TestPublicTopologies(t *testing.T) {
 
 func TestConservativeBelowOptimal(t *testing.T) {
 	net, a, c := figure1Net()
-	opt, _ := OptimalRates(net, [][2]NodeID{{a, c}})
-	cons, _ := ConservativeOptimalRates(net, [][2]NodeID{{a, c}})
-	if cons[0] > opt[0]+0.5 {
-		t.Errorf("conservative %v exceeds optimal %v", cons[0], opt[0])
+	flows := []optimal.FlowSpec{{Src: a, Dst: c}}
+	opt, _ := optimal.Optimal(net, flows, optimal.Config{})
+	cons, _ := optimal.ConservativeOpt(net, flows, optimal.Config{})
+	if cons.FlowRates[0] > opt.FlowRates[0]+0.5 {
+		t.Errorf("conservative %v exceeds optimal %v", cons.FlowRates[0], opt.FlowRates[0])
 	}
 }

@@ -11,8 +11,10 @@ import (
 	"math"
 	"math/rand"
 
-	empower "repro"
 	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/optimal"
+	"repro/internal/topology"
 )
 
 func main() {
@@ -21,22 +23,24 @@ func main() {
 	flag.Parse()
 
 	rng := rand.New(rand.NewSource(*seed))
-	inst := empower.Enterprise(rng, empower.TopologyConfig{})
-	pairs := make([][2]empower.NodeID, *flows)
+	inst := topology.Enterprise(rng, topology.Config{})
+	pairs := make([][2]graph.NodeID, *flows)
+	specs := make([]optimal.FlowSpec, *flows)
 	for i := range pairs {
 		s, d := inst.RandomFlow(rng)
-		pairs[i] = [2]empower.NodeID{s, d}
+		pairs[i] = [2]graph.NodeID{s, d}
+		specs[i] = optimal.FlowSpec{Src: s, Dst: d}
 	}
 	fmt.Printf("enterprise instance (seed %d), %d contending flows\n\n", *seed, *flows)
 
-	net := inst.Build(empower.ViewHybrid)
-	opt, err := empower.OptimalRates(net.Network, pairs)
+	net := inst.Build(topology.ViewHybrid)
+	opt, err := optimal.Optimal(net.Network, specs, optimal.Config{})
 	if err != nil {
 		fmt.Println("optimal baseline failed:", err)
 		return
 	}
 	var optUtil float64
-	for _, x := range opt {
+	for _, x := range opt.FlowRates {
 		optUtil += math.Log1p(x)
 	}
 
@@ -49,7 +53,7 @@ func main() {
 		fmt.Println(" Mbps")
 	}
 	fmt.Printf("%-10s utility %6.3f              rates:", "optimal", optUtil)
-	for _, x := range opt {
+	for _, x := range opt.FlowRates {
 		fmt.Printf(" %6.2f", x)
 	}
 	fmt.Println(" Mbps")

@@ -12,8 +12,9 @@ import (
 	"fmt"
 	"log"
 
-	empower "repro"
+	"repro/internal/graph"
 	"repro/internal/node"
+	"repro/internal/routing"
 )
 
 func main() {
@@ -21,17 +22,17 @@ func main() {
 	duration := flag.Float64("duration", 60, "total emulated seconds")
 	flag.Parse()
 
-	b := empower.NewNetworkBuilder(nil)
-	s := b.AddNode("src", 0, 0, empower.TechPLC, empower.TechWiFi)
-	r := b.AddNode("relay", 10, 0, empower.TechPLC, empower.TechWiFi)
-	d := b.AddNode("dst", 20, 0, empower.TechPLC, empower.TechWiFi)
-	plcSD, _ := b.AddDuplex(s, d, empower.TechPLC, 40)
-	b.AddDuplex(s, r, empower.TechWiFi, 60)
-	b.AddDuplex(r, d, empower.TechWiFi, 60)
+	b := graph.NewBuilder(nil)
+	s := b.AddNode("src", 0, 0, graph.TechPLC, graph.TechWiFi)
+	r := b.AddNode("relay", 10, 0, graph.TechPLC, graph.TechWiFi)
+	d := b.AddNode("dst", 20, 0, graph.TechPLC, graph.TechWiFi)
+	plcSD, _ := b.AddDuplex(s, d, graph.TechPLC, 40)
+	b.AddDuplex(s, r, graph.TechWiFi, 60)
+	b.AddDuplex(r, d, graph.TechWiFi, 60)
 	net := b.Build()
 
-	em := empower.NewEmulation(net, node.Config{Estimation: true}, 7)
-	routes := empower.FindRoutes(net, s, d, empower.DefaultRoutingConfig())
+	em := node.NewEmulation(net, node.Config{Estimation: true}, 7)
+	routes := routing.Multipath(net, s, d, routing.DefaultConfig()).Paths
 	fmt.Println("initial routes:")
 	for _, p := range routes {
 		fmt.Printf("  %s\n", net.PathString(p))

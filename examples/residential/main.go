@@ -10,8 +10,9 @@ import (
 	"fmt"
 	"math/rand"
 
-	empower "repro"
 	"repro/internal/core"
+	"repro/internal/routing"
+	"repro/internal/topology"
 )
 
 func main() {
@@ -19,13 +20,13 @@ func main() {
 	flag.Parse()
 
 	rng := rand.New(rand.NewSource(*seed))
-	inst := empower.Residential(rng, empower.TopologyConfig{})
+	inst := topology.Residential(rng, topology.Config{})
 	src, dst := inst.RandomFlow(rng)
 	fmt.Printf("residential instance (seed %d): flow n%d -> n%d\n\n", *seed, src+1, dst+1)
 
-	net := inst.Build(empower.ViewHybrid)
+	net := inst.Build(topology.ViewHybrid)
 	fmt.Println("EMPoWER routes:")
-	for _, p := range empower.FindRoutes(net.Network, src, dst, empower.DefaultRoutingConfig()) {
+	for _, p := range routing.Multipath(net.Network, src, dst, routing.DefaultConfig()).Paths {
 		fmt.Printf("  %s\n", net.PathString(p))
 	}
 	fmt.Println()

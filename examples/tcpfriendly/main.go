@@ -11,8 +11,9 @@ import (
 	"fmt"
 	"log"
 
-	empower "repro"
+	"repro/internal/graph"
 	"repro/internal/node"
+	"repro/internal/routing"
 	"repro/internal/transport"
 )
 
@@ -21,21 +22,21 @@ func main() {
 	flag.Parse()
 
 	// Figure 1-style scenario with enough WiFi capacity for TCP to bite.
-	b := empower.NewNetworkBuilder(nil)
-	a := b.AddNode("a", 0, 0, empower.TechPLC, empower.TechWiFi)
-	mid := b.AddNode("b", 10, 0, empower.TechPLC, empower.TechWiFi)
-	c := b.AddNode("c", 20, 0, empower.TechWiFi)
-	b.AddDuplex(a, mid, empower.TechPLC, 20)
-	b.AddDuplex(a, mid, empower.TechWiFi, 30)
-	b.AddDuplex(mid, c, empower.TechWiFi, 60)
+	b := graph.NewBuilder(nil)
+	a := b.AddNode("a", 0, 0, graph.TechPLC, graph.TechWiFi)
+	mid := b.AddNode("b", 10, 0, graph.TechPLC, graph.TechWiFi)
+	c := b.AddNode("c", 20, 0, graph.TechWiFi)
+	b.AddDuplex(a, mid, graph.TechPLC, 20)
+	b.AddDuplex(a, mid, graph.TechWiFi, 30)
+	b.AddDuplex(mid, c, graph.TechWiFi, 60)
 	net := b.Build()
 
-	cfg := empower.DefaultRoutingConfig()
-	single := empower.FindSinglePath(net, a, c, cfg)
-	routes := empower.FindRoutes(net, a, c, cfg)
+	cfg := routing.DefaultConfig()
+	single := routing.SinglePath(net, a, c, cfg)
+	routes := routing.Multipath(net, a, c, cfg).Paths
 
-	run := func(name string, emCfg node.Config, paths []empower.Path) {
-		em := empower.NewEmulation(net, emCfg, 99)
+	run := func(name string, emCfg node.Config, paths []graph.Path) {
+		em := node.NewEmulation(net, emCfg, 99)
 		conn, err := transport.Dial(em, a, c, paths, -1)
 		if err != nil {
 			log.Fatal(err)
@@ -48,6 +49,6 @@ func main() {
 	}
 
 	fmt.Printf("TCP over EMPoWER (%g s per phase)\n\n", *duration)
-	run("SP-w/o-CC (1 route)", node.Config{DisableCC: true, Estimation: true}, []empower.Path{single})
+	run("SP-w/o-CC (1 route)", node.Config{DisableCC: true, Estimation: true}, []graph.Path{single})
 	run("EMPoWER δ=0.3 (multi)", node.Config{Delta: 0.3, DelayEqualize: true, Estimation: true}, routes)
 }

@@ -15,6 +15,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/runner"
@@ -33,6 +34,16 @@ var ErrUsage error = usageError("")
 // exits 2.
 func Usagef(format string, args ...any) error {
 	return usageError(fmt.Sprintf(format, args...))
+}
+
+// CheckRanges returns a bad-invocation error naming the flag of the first
+// knob of c outside its range (experiments.ChurnConfig.CheckRanges), or
+// nil. The caller fills c with the flag values as given.
+func CheckRanges(c experiments.ChurnConfig) error {
+	if knob, reason := c.CheckRanges(); knob != "" {
+		return Usagef("-%s: %s", knob, reason)
+	}
+	return nil
 }
 
 // Main parses the command line, runs body under a context that SIGINT
@@ -107,7 +118,7 @@ func SweepFlags() *Sweep {
 }
 
 // EmulationFlags adds the two knobs of the §6 packet emulation, -shards
-// and -delta.
+// and -delta; Main rejects a value outside its range.
 func (s *Sweep) EmulationFlags() {
 	flag.IntVar(&s.shards, "shards", 1, "worker cap inside a replication (0: one per core); never changes results")
 	flag.Float64Var(&s.Delta, "delta", 0.05, "constraint margin δ")
@@ -130,6 +141,9 @@ func (s *Sweep) Main(name string, body func(ctx context.Context) error) {
 }
 
 func (s *Sweep) run(ctx context.Context, body func(ctx context.Context) error) error {
+	if err := CheckRanges(experiments.ChurnConfig{Delta: s.Delta, Shards: s.shards}); err != nil {
+		return err
+	}
 	if s.pprof != "" {
 		if err := obs.ServePprof(s.pprof); err != nil {
 			return err

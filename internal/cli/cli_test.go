@@ -155,3 +155,31 @@ func TestMetricsSnapshotSurvivesFailure(t *testing.T) {
 		t.Errorf("snapshot misses the runner series:\n%s", data)
 	}
 }
+
+// TestOutOfRangeKnobsAreUsageErrors: -delta and -shards are checked as
+// given, before the body runs and before -shards 0 becomes ShardsAuto.
+func TestOutOfRangeKnobsAreUsageErrors(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-delta", "NaN"}, "-delta: must be in [0, 1), got NaN"},
+		{[]string{"-delta", "1"}, "-delta: must be in [0, 1), got 1"},
+		{[]string{"-shards", "-1"}, "-shards: must be >= 0, got -1"},
+	} {
+		s := sweepWith(t, c.args...)
+		err := s.run(context.Background(), func(context.Context) error {
+			t.Errorf("%v: body ran", c.args)
+			return nil
+		})
+		var usage usageError
+		if !errors.As(err, &usage) || err.Error() != c.want {
+			t.Errorf("%v: error %v, want the usage error %q", c.args, err, c.want)
+		}
+	}
+	for _, args := range [][]string{{"-delta", "0"}, {"-shards", "0"}} {
+		if err := sweepWith(t, args...).run(context.Background(), func(context.Context) error { return nil }); err != nil {
+			t.Errorf("%v: %v", args, err)
+		}
+	}
+}

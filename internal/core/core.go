@@ -321,7 +321,7 @@ func Evaluate(inst *topology.Instance, s Scheme, pairs [][2]graph.NodeID, opts O
 		}
 	}
 	ev.allRoutes, ev.inject = allRoutes, inject
-	delivered := mac.FluidDelivered(net.Network, allRoutes, inject, 0)
+	delivered := mac.FluidDelivered(net.Network, allRoutes, inject)
 	pos := 0
 	for f, routes := range routesPerFlow {
 		var sum float64

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -225,5 +226,16 @@ func TestFlapSweepCarriesViolations(t *testing.T) {
 	}
 	if got, want := string(data), `{"scenario":"s","rates_per_min":[1,4],"schemes":["EMPoWER","SP"],"goodput":[[1,5],[2,6]]}`; got != want {
 		t.Errorf("result JSON = %s, want %s", got, want)
+	}
+}
+
+func TestCheckFlapRates(t *testing.T) {
+	if err := CheckFlapRates([]float64{0.5, 4}); err != nil {
+		t.Error(err)
+	}
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if CheckFlapRates([]float64{1, bad}) == nil {
+			t.Errorf("flap rate %g accepted", bad)
+		}
 	}
 }

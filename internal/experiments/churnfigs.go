@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -95,6 +96,27 @@ func (c ChurnConfig) frac() float64 {
 		return 0.8
 	}
 	return c.Frac
+}
+
+// CheckRanges names the first range-checked knob of c that is outside
+// its range, with the reason, or returns two empty strings. The sweep
+// spec's field and the CLI flag that set a knob share its name, so the
+// fleet's 400 bodies and the CLIs' usage errors both come from here. A
+// zero knob is always in range.
+func (c ChurnConfig) CheckRanges() (knob, reason string) {
+	switch {
+	case c.Runs < 0:
+		return "runs", fmt.Sprintf("must be >= 0 (0 = default 20), got %d", c.Runs)
+	case !(c.Delta >= 0 && c.Delta < 1):
+		return "delta", fmt.Sprintf("must be in [0, 1), got %g", c.Delta)
+	case !(c.Bin >= 0):
+		return "bin", fmt.Sprintf("must be >= 0, got %g", c.Bin)
+	case !(c.Frac >= 0 && c.Frac <= 1):
+		return "frac", fmt.Sprintf("must be in [0, 1], got %g", c.Frac)
+	case c.Shards < 0:
+		return "shards", fmt.Sprintf("must be >= 0, got %d", c.Shards)
+	}
+	return "", ""
 }
 
 // ParseSchemes maps a comma-separated list of paper scheme names
@@ -461,6 +483,17 @@ type FlapSweepResult struct {
 	Goodput [][]float64 `json:"goodput"`
 }
 
+// CheckFlapRates rejects the flap frequencies ChurnFlapSweepCtx cannot
+// sweep: each must be positive and finite.
+func CheckFlapRates(ratesPerMin []float64) error {
+	for _, rate := range ratesPerMin {
+		if !(rate > 0) || math.IsInf(rate, 1) {
+			return fmt.Errorf("flap rate must be positive and finite, got %g", rate)
+		}
+	}
+	return nil
+}
+
 // ChurnFlapSweepCtx sweeps the scenario's flap processes across flap
 // frequencies and measures goodput per scheme. For each swept rate,
 // every flap process keeps its down-time fraction but changes its cycle
@@ -470,11 +503,11 @@ type FlapSweepResult struct {
 // (ChurnRepJob) of the scaled scenario. With ChurnConfig.Invariants the
 // checker's findings come back beside the result.
 func ChurnFlapSweepCtx(ctx context.Context, sc *scenario.Scenario, cfg ChurnConfig, ratesPerMin []float64) (FlapSweepResult, []Violation, error) {
+	if err := CheckFlapRates(ratesPerMin); err != nil {
+		return FlapSweepResult{}, nil, fmt.Errorf("experiments: %w", err)
+	}
 	jobs := make([]runner.Job[*ChurnRepOut], len(ratesPerMin))
 	for i, rate := range ratesPerMin {
-		if rate <= 0 {
-			return FlapSweepResult{}, nil, fmt.Errorf("experiments: flap rate must be positive, got %g", rate)
-		}
 		jobs[i] = ChurnRepJob(flapScaled(sc, rate), cfg)
 	}
 	perRate := ChurnReps(cfg)

@@ -123,3 +123,67 @@ func TestScenarioDigests(t *testing.T) {
 		})
 	}
 }
+
+// testbedPins are sha256 digests of `empower-testbed -fig F -duration 4
+// -pairs 2 -flows 2 -runs 1 -seed 3 -json` (default δ and shards) for the
+// §6 testbed figures and Table 1 (-table 1), recorded from the binary of
+// commit d998428. At these sizes every figure's emulations are seconds
+// long, so the pins hold the MAC, agent and controller layers under each
+// figure's own workload — paired flows, TCP, downloads — to that commit's
+// bytes. Table 1 takes most of the time and runs outside -short only.
+// linux/amd64 only, like simPins.
+var testbedPins = []struct {
+	fig    string
+	sha256 string
+}{
+	{fig: "9", sha256: "e6fa743ebfa3a22322fda3ce6318fe6c534de6fdde304a1b66dfff03f76c118c"},
+	{fig: "10", sha256: "c3a712c7716a9403eb8fd1afa10c3bdef14f92eaddb244d0eb325c5ef06c9e4a"},
+	{fig: "11", sha256: "d8e201a268da24060a445cf1cfbb749ee82cca22b53b1c9a0ef50ddbb055808e"},
+	{fig: "table1", sha256: "37254efebe0a1ec980595e33a9eb041464234f8ffd885bdf068832bef29c49f9"},
+	{fig: "12", sha256: "fb7a02e47d3ef1aa2420cb0d08e088ca132d959193a181be9251998e690919d8"},
+	{fig: "13", sha256: "9d8ad05dc7c495dfd8ca93f08fd1aabd115b745a81940169aa434b290de79ffc"},
+}
+
+func TestTestbedFigureDigests(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skipf("pins are for linux/amd64, this is %s/%s", runtime.GOOS, runtime.GOARCH)
+	}
+	const seed = 3
+	cfg := TestbedConfig{Seed: seed, Duration: 4, Pairs: 2, Flows: 2, Repeats: 1, Delta: 0.05, Shards: 1}
+	ctx := context.Background()
+	for _, pin := range testbedPins {
+		t.Run("fig="+pin.fig, func(t *testing.T) {
+			if pin.fig == "table1" && testing.Short() {
+				t.Skip("Table 1 is the slow one")
+			}
+			t.Parallel()
+			var result any
+			switch pin.fig {
+			case "9":
+				result = must(Figure9(cfg))
+			case "10":
+				result = must(Figure10Ctx(ctx, cfg))
+			case "11":
+				result = must(Figure11Ctx(ctx, cfg))
+			case "table1":
+				result = must(Table1Ctx(ctx, cfg))
+			case "12":
+				result = must(Figure12Ctx(ctx, cfg))
+			case "13":
+				result = must(Figure13Ctx(ctx, cfg))
+			}
+			// cmd/empower-testbed's -json envelope, field for field.
+			h := sha256.New()
+			if err := json.NewEncoder(h).Encode(struct {
+				Figure string `json:"figure"`
+				Seed   int64  `json:"seed"`
+				Result any    `json:"result"`
+			}{pin.fig, seed, result}); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != pin.sha256 {
+				t.Errorf("empower-testbed %s at the pinned sizes: sha256 %s, pinned %s", pin.fig, got, pin.sha256)
+			}
+		})
+	}
+}

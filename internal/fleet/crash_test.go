@@ -41,12 +41,11 @@ func runHelperDaemon(wal string) {
 		os.Exit(1)
 	}
 	repDelay, _ := time.ParseDuration(os.Getenv("FLEET_HELPER_REPDELAY"))
-	srv, err := New(Config{
-		WALPath:  wal,
+	srv, err := New(Config{WALPath: wal, SupervisorConfig: SupervisorConfig{
 		Workers:  2,
 		RepDelay: repDelay,
 		Log:      log.New(os.Stderr, "fleet helper: ", 0),
-	})
+	}})
 	if err != nil {
 		die(err)
 	}

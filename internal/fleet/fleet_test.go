@@ -184,7 +184,7 @@ func TestFleetEndToEnd(t *testing.T) {
 	spec := testSpecJSON(2, 7, "EMPoWER,SP-w/o-CC")
 	want := referenceResults(t, spec)
 
-	_, hts, _ := startServer(t, Config{Workers: 4})
+	_, hts, _ := startServer(t, Config{SupervisorConfig: SupervisorConfig{Workers: 4}})
 	st, resp := postSweep(t, hts.URL, spec)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit: status %d", resp.StatusCode)
@@ -228,7 +228,7 @@ func TestFleetDrainAndResume(t *testing.T) {
 
 	// Phase 1: run with a per-rep delay so the drain catches the sweep
 	// mid-flight, stop after a few completions.
-	srv1, hts1, stop1 := startServer(t, Config{WALPath: wal, Workers: 2, RepDelay: 30 * time.Millisecond})
+	srv1, hts1, stop1 := startServer(t, Config{WALPath: wal, SupervisorConfig: SupervisorConfig{Workers: 2, RepDelay: 30 * time.Millisecond}})
 	st, _ := postSweep(t, hts1.URL, spec)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -253,7 +253,7 @@ func TestFleetDrainAndResume(t *testing.T) {
 	// byte-identical results without re-running them.
 	executed := make(map[int]bool)
 	var mu sync.Mutex
-	srv2, err := New(Config{WALPath: wal, Workers: 3})
+	srv2, err := New(Config{WALPath: wal, SupervisorConfig: SupervisorConfig{Workers: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,14 +304,13 @@ func TestFleetSupervisionFaults(t *testing.T) {
 	want := referenceResults(t, spec)
 
 	wal := filepath.Join(t.TempDir(), "fleet.wal")
-	srv, err := New(Config{
-		WALPath:     wal,
+	srv, err := New(Config{WALPath: wal, SupervisorConfig: SupervisorConfig{
 		Workers:     2,
 		MaxRetries:  3,
 		RepTimeout:  20 * time.Second,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  5 * time.Millisecond,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,13 +359,12 @@ func TestFleetPoisonedSweepFailsAlone(t *testing.T) {
 		t.Skip("runs real emulation replications")
 	}
 	wal := filepath.Join(t.TempDir(), "fleet.wal")
-	srv, err := New(Config{
-		WALPath:     wal,
+	srv, err := New(Config{WALPath: wal, SupervisorConfig: SupervisorConfig{
 		Workers:     2,
 		MaxRetries:  1,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  2 * time.Millisecond,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +430,7 @@ func TestFleetSSEStream(t *testing.T) {
 		t.Skip("runs real emulation replications")
 	}
 	spec := testSpecJSON(2, 9, "EMPoWER")
-	_, hts, _ := startServer(t, Config{Workers: 2})
+	_, hts, _ := startServer(t, Config{SupervisorConfig: SupervisorConfig{Workers: 2}})
 	st, _ := postSweep(t, hts.URL, spec)
 
 	resp, err := http.Get(hts.URL + "/sweeps/" + st.ID + "/results?stream=1")
@@ -601,7 +599,7 @@ func TestFleetCancel(t *testing.T) {
 
 	// Running cancellation: slow reps, cancel mid-sweep, reopen the WAL
 	// and require the cancelled state to have survived.
-	srv2, hts2, stop2 := startServer(t, Config{WALPath: wal, Workers: 1, RepDelay: 50 * time.Millisecond})
+	srv2, hts2, stop2 := startServer(t, Config{WALPath: wal, SupervisorConfig: SupervisorConfig{Workers: 1, RepDelay: 50 * time.Millisecond}})
 	st2, _ := postSweep(t, hts2.URL, testSpecJSON(4, 2, "EMPoWER,SP-w/o-CC"))
 	deadline := time.Now().Add(30 * time.Second)
 	for getStatus(t, hts2.URL, st2.ID).State != string(StateRunning) {
@@ -672,7 +670,7 @@ func TestFleetMatchesCLIOnMultiDomain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, hts, _ := startServer(t, Config{Workers: 2})
+	_, hts, _ := startServer(t, Config{SupervisorConfig: SupervisorConfig{Workers: 2}})
 	for _, extra := range []string{"", `,"shards":2`} {
 		st, resp := postSweep(t, hts.URL, specJSON(extra))
 		if resp.StatusCode != http.StatusCreated {

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"log"
 	"net"
 	"net/http"
 	"sync"
@@ -22,16 +21,8 @@ type Config struct {
 	// QueueBound caps the pending sweep queue; POST /sweeps answers 429
 	// beyond it (default DefaultQueueBound).
 	QueueBound int
-	// Workers, MaxRetries, RepTimeout, BackoffBase, BackoffMax,
-	// RepDelay: see SupervisorConfig.
-	Workers     int
-	MaxRetries  int
-	RepTimeout  time.Duration
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	RepDelay    time.Duration
-	// Log receives daemon events; nil silences them.
-	Log *log.Logger
+	// SupervisorConfig tunes how the daemon executes sweeps.
+	SupervisorConfig
 }
 
 func (c Config) walPath() string {
@@ -61,15 +52,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	agg := obs.NewAggregator()
-	sup := NewSupervisor(st, SupervisorConfig{
-		Workers:     cfg.Workers,
-		MaxRetries:  cfg.MaxRetries,
-		RepTimeout:  cfg.RepTimeout,
-		BackoffBase: cfg.BackoffBase,
-		BackoffMax:  cfg.BackoffMax,
-		RepDelay:    cfg.RepDelay,
-		Log:         cfg.Log,
-	}, agg)
+	sup := NewSupervisor(st, cfg.SupervisorConfig, agg)
 	return &Server{cfg: cfg, st: st, sup: sup, gw: NewGateway(st, agg), agg: agg}, nil
 }
 

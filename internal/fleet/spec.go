@@ -120,22 +120,6 @@ func ParseSpec(data []byte) (*SweepSpec, error) {
 	if err != nil {
 		return nil, specErr("schemes", "%v", err)
 	}
-	if raw.Runs < 0 {
-		return nil, specErr("runs", "must be >= 0 (0 = default 20), got %d", raw.Runs)
-	}
-	if raw.Delta < 0 || raw.Delta >= 1 {
-		return nil, specErr("delta", "must be in [0, 1), got %g", raw.Delta)
-	}
-	if raw.Bin < 0 {
-		return nil, specErr("bin", "must be >= 0, got %g", raw.Bin)
-	}
-	if raw.Frac < 0 || raw.Frac > 1 {
-		return nil, specErr("frac", "must be in [0, 1], got %g", raw.Frac)
-	}
-	if raw.Shards < 0 {
-		return nil, specErr("shards", "must be >= 0, got %d", raw.Shards)
-	}
-
 	spec := &SweepSpec{
 		Raw:      append([]byte(nil), data...),
 		Name:     raw.Name,
@@ -145,6 +129,9 @@ func ParseSpec(data []byte) (*SweepSpec, error) {
 			Bin: raw.Bin, Frac: raw.Frac, ManageRoutes: raw.Manage == nil || *raw.Manage,
 			Shards: raw.Shards, Invariants: raw.Invariants,
 		},
+	}
+	if field, reason := spec.Churn.CheckRanges(); field != "" {
+		return nil, &SpecError{Field: field, Reason: reason}
 	}
 	spec.Total = experiments.ChurnReps(spec.Churn)
 	if spec.Total > maxSweepReps {

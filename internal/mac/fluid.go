@@ -9,17 +9,15 @@ import (
 // injects traffic at inject[r] Mbps at its first hop; at every link the
 // served fraction is the link's airtime share when its interference
 // domain is overloaded, and traffic not served at a hop never reaches the
-// next hop (queues overflow). The fixed point is computed by damped
-// iteration.
+// next hop (queues overflow). The fixed point is computed by 60 rounds
+// of damped iteration.
 //
 // This reproduces the congestion-collapse behaviour of saturated multihop
 // paths (§1: "saturating multihop paths is inefficient and can lead to
 // congestion collapse") and backs the analytic MP-w/o-CC and SP-w/o-CC
 // baselines.
-func FluidDelivered(net *graph.Network, routes []graph.Path, inject []float64, iters int) []float64 {
-	if iters <= 0 {
-		iters = 60
-	}
+func FluidDelivered(net *graph.Network, routes []graph.Path, inject []float64) []float64 {
+	const iters = 60
 	nl := net.NumLinks()
 	// offered[r][h]: rate offered to hop h of route r.
 	offered := make([][]float64, len(routes))

@@ -53,7 +53,7 @@ func randomFluidScenario(seed int64) (*graph.Network, []graph.Path, []float64) {
 func TestFluidPropertyConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		net, routes, inject := randomFluidScenario(seed)
-		out := FluidDelivered(net, routes, inject, 0)
+		out := FluidDelivered(net, routes, inject)
 		for r, p := range routes {
 			if out[r] < -1e-9 || out[r] > inject[r]+1e-6 {
 				return false
@@ -84,10 +84,10 @@ func TestFluidPropertyMonotoneUnderLoad(t *testing.T) {
 		if len(routes) < 2 {
 			return true
 		}
-		base := FluidDelivered(net, routes, inject, 0)
+		base := FluidDelivered(net, routes, inject)
 		reduced := append([]float64(nil), inject...)
 		reduced[0] = reduced[0] / 2
-		after := FluidDelivered(net, routes, reduced, 0)
+		after := FluidDelivered(net, routes, reduced)
 		for r := 1; r < len(routes); r++ {
 			if after[r] < base[r]-0.5 { // allow fixed-point wiggle
 				return false
@@ -110,7 +110,7 @@ func TestFluidPropertyAirtimeFeasible(t *testing.T) {
 		// accumulating per-hop deliveries.
 		nl := net.NumLinks()
 		served := make([]float64, nl)
-		out := FluidDelivered(net, routes, inject, 0)
+		out := FluidDelivered(net, routes, inject)
 		for r, p := range routes {
 			// The delivered rate traverses every hop; upstream hops carry
 			// at least that much.

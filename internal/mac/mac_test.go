@@ -258,12 +258,12 @@ func TestFluidSingleLink(t *testing.T) {
 	net, l1, _, _ := twoContenders()
 	routes := []graph.Path{{l1}}
 	// Under-loaded: everything delivered.
-	got := FluidDelivered(net, routes, []float64{4}, 0)
+	got := FluidDelivered(net, routes, []float64{4})
 	if math.Abs(got[0]-4) > 1e-6 {
 		t.Errorf("underload delivery = %v, want 4", got[0])
 	}
 	// Overloaded single link: delivery equals capacity.
-	got = FluidDelivered(net, routes, []float64{50}, 0)
+	got = FluidDelivered(net, routes, []float64{50})
 	if math.Abs(got[0]-10) > 0.2 {
 		t.Errorf("overload delivery = %v, want ~10", got[0])
 	}
@@ -281,14 +281,14 @@ func TestFluidTwoHopCollapse(t *testing.T) {
 	l2 := b.AddLink(v, w, graph.TechWiFi, 10)
 	net := b.Build()
 	route := graph.Path{l1, l2}
-	got := FluidDelivered(net, []graph.Path{route}, []float64{100}, 0)
+	got := FluidDelivered(net, []graph.Path{route}, []float64{100})
 	// The ideal coordinated rate is 5 (Lemma 1); saturation must do
 	// strictly worse but still deliver something.
 	if got[0] <= 0.5 || got[0] >= 5 {
 		t.Errorf("saturated 2-hop delivery = %v, want in (0.5, 5)", got[0])
 	}
 	// A well-chosen injection of 5 passes through unharmed.
-	got = FluidDelivered(net, []graph.Path{route}, []float64{5}, 0)
+	got = FluidDelivered(net, []graph.Path{route}, []float64{5})
 	if math.Abs(got[0]-5) > 0.3 {
 		t.Errorf("balanced 2-hop delivery = %v, want ~5", got[0])
 	}
@@ -304,7 +304,7 @@ func TestFluidHybridPathUnaffected(t *testing.T) {
 	l1 := b.AddLink(u, v, graph.TechPLC, 10)
 	l2 := b.AddLink(v, w, graph.TechWiFi, 30)
 	net := b.Build()
-	got := FluidDelivered(net, []graph.Path{{l1, l2}}, []float64{10}, 0)
+	got := FluidDelivered(net, []graph.Path{{l1, l2}}, []float64{10})
 	if math.Abs(got[0]-10) > 0.3 {
 		t.Errorf("hybrid path delivery = %v, want 10", got[0])
 	}
@@ -314,7 +314,7 @@ func TestFluidMatchesPacketMAC(t *testing.T) {
 	// Cross-check the fluid model against the packet MAC on a contended
 	// scenario: two single-hop routes on one medium.
 	net, l1, l2, _ := twoContenders()
-	fluid := FluidDelivered(net, []graph.Path{{l1}, {l2}}, []float64{8, 8}, 0)
+	fluid := FluidDelivered(net, []graph.Path{{l1}, {l2}}, []float64{8, 8})
 
 	var e sim.Engine
 	m := New(&e, net, rng(8), Options{})

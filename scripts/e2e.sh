@@ -3,7 +3,8 @@
 # exit codes plus output shape. This is the check that the six binaries
 # stay wired together — flags parse, JSON envelopes keep their fields,
 # figures actually produce samples, the fleet daemon serves and drains —
-# independent of the unit suites.
+# independent of the unit suites. It also runs the five examples/
+# walkthroughs at their default flags.
 #
 # Usage: scripts/e2e.sh [bin-dir]
 #   bin-dir defaults to a temporary directory that is removed on exit.
@@ -72,7 +73,7 @@ jq_check "empower-scenario scheme rows" "$bindir/scenario.json" \
   '[.result.rows[].scheme] | contains(["EMPoWER", "SP"])'
 
 echo "== empower-route (built-in Figure 1 example)" >&2
-"$bindir/empower-route" -example -n 3 > "$bindir/route.out"
+"$bindir/empower-route" -n 3 > "$bindir/route.out"
 grep -q '^single-path:' "$bindir/route.out"
 grep -q '^3-shortest:' "$bindir/route.out"
 grep -q '^multipath combination' "$bindir/route.out"
@@ -104,8 +105,18 @@ expect_exit 2 "$bindir/empower-testbed" -fig 99
 expect_exit 2 "$bindir/empower-scenario"
 expect_exit 1 "$bindir/empower-scenario" -scenario "$bindir/no-such.json"
 expect_exit 1 "$bindir/empower-route" -topo "$bindir/no-such.json"
-expect_exit 1 "$bindir/empower-route" -example -src nowhere
+expect_exit 1 "$bindir/empower-route" -src nowhere
 expect_exit 2 "$bindir/empower-fuzz" -inject bogus
+# Sweep knobs outside the ranges the fleet's sweep spec enforces, checked
+# before any replication runs.
+flaps=(-scenario examples/scenarios/flaps.json -runs 1 -schemes SP)
+for bad in "-delta NaN" "-delta 1.5" "-frac 1.5" "-bin -1" "-runs -1" "-shards -1" \
+  "-flaprates NaN" "-flaprates Inf" "-tracerun 7"; do
+  # shellcheck disable=SC2086 # each case is a flag and its value
+  expect_exit 2 "$bindir/empower-scenario" "${flaps[@]}" $bad
+done
+expect_exit 2 "$bindir/empower-testbed" -fig 10 -duration 2 -pairs 1 -delta NaN
+expect_exit 2 "$bindir/empower-testbed" -fig 10 -duration 2 -pairs 1 -shards -1
 expect_exit 1 "$bindir/empower-fleet" -addr 256.0.0.1:1 -wal "$bindir/unused.wal" -quiet
 # An interrupted sweep exits 130 and still leaves its last -metrics snapshot.
 "$bindir/empower-sim" -fig 6 -runs 100000 -metrics "$bindir/interrupted.prom" > /dev/null 2>&1 &
@@ -130,8 +141,27 @@ grep -qF "  EMPoWER route: $(jq -r '.result.Routes[0]' "$bindir/tb12.json")" "$b
 "$bindir/empower-scenario" -scenario examples/scenarios/flaps.json -runs 1 -schemes SP -json > "$bindir/flaps.json"
 grep -q "^SP  *$(jq -r '.result.rows[0].episodes' "$bindir/flaps.json")  *$(jq -r '.result.rows[0].censored' "$bindir/flaps.json") " "$bindir/flaps.txt"
 
+# run_example NAME TEXT — runs examples/NAME at its default flags and
+# asserts exit 0 plus one characteristic output line, containing TEXT.
+run_example() {
+  go build -o "$bindir/example-$1" "./examples/$1"
+  "$bindir/example-$1" > "$bindir/example-$1.out"
+  grep -qF -- "$2" "$bindir/example-$1.out" || {
+    echo "e2e: example $1: no \"$2\" in its output" >&2
+    cat "$bindir/example-$1.out" >&2
+    exit 1
+  }
+}
+
+echo "== examples (five walkthroughs, default flags)" >&2
+run_example quickstart "multipath combination: total 16.67 Mbps"
+run_example failover "t=20s: PLC medium dies"
+run_example tcpfriendly "EMPoWER δ=0.3 (multi)  goodput"
+run_example residential "EMPoWER routes:"
+run_example enterprise "optimal    utility"
+
 echo "== empower-route reads back what it dumps" >&2
-"$bindir/empower-route" -example -dump > "$bindir/fig1.json"
+"$bindir/empower-route" -dump > "$bindir/fig1.json"
 "$bindir/empower-route" -topo "$bindir/fig1.json" -n 3 | cmp - "$bindir/route.out"
 
 echo "== empower-fleet (daemon: submit, poll, results, SIGTERM drain)" >&2
