@@ -87,13 +87,15 @@ const DefaultUtilityScale = 50
 // step size alpha, given the route's rate x, its auxiliary variable xbar,
 // its flow's marginal utility and its price q. It returns the next rate,
 // (1−α)x + α·max(0, x̄ + S(U′−q)), before any cap, and the next
-// auxiliary variable, (1−α)x̄ + αx.
+// auxiliary variable, (1−α)x̄ + αx. Every product is rounded on its own
+// (the float64 conversions), so no target fuses a multiply-add and the
+// bits are the same on every architecture.
 func ProximalUpdate(x, xbar, scale, alpha, marginal, q float64) (nx, nxbar float64) {
-	inner := xbar + scale*(marginal-q)
+	inner := xbar + float64(scale*(marginal-q))
 	if inner < 0 {
 		inner = 0
 	}
-	return (1-alpha)*x + alpha*inner, (1-alpha)*xbar + alpha*x
+	return float64((1-alpha)*x) + float64(alpha*inner), float64((1-alpha)*xbar) + float64(alpha*x)
 }
 
 // Controller is the discrete-time congestion controller. Each Step invokes
@@ -181,12 +183,17 @@ type Controller struct {
 	// Distinct interference rows of the used links: used links whose rows
 	// are identical share one price sum. rowOff/rowCell lists each distinct
 	// row's cell ids in ascending link order — the operand order of the
-	// reference's Σ_{i∈I_l} γ_i.
-	rowOf   []int32 // used link → row slot (by LinkID; valid on used links)
-	rowRep  []int32 // row slot → a used link with that row
-	rowOff  []int32
-	rowCell []int32
-	rowSum  []float64 // per-row Σ γ (scratch)
+	// reference's Σ_{i∈I_l} γ_i — and distOff/distCell each row's distinct
+	// cells. rowSum caches each row's sum at the current γ: rebuildCells
+	// fills it, and Step re-sums only the rows with a cell whose γ moved.
+	rowOf    []int32 // used link → row slot (by LinkID; valid on used links)
+	rowRep   []int32 // row slot → a used link with that row
+	rowOff   []int32
+	rowCell  []int32
+	distOff  []int32
+	distCell []int32
+	rowSum   []float64 // per-row Σ γ, a pure function of γ
+	moved    []bool    // per cell: γ changed bits in the last slot (cell 0 never moves)
 
 	t int
 
@@ -397,6 +404,8 @@ func (c *Controller) Reset(net *graph.Network, routes []Route, opts Options) err
 	// Cells: every link starts in cell 0; each used link's row splits off
 	// the links that see it. At most nl non-empty cells plus cell 0.
 	c.gamma = growF(c.gamma, nl+1)
+	c.moved = growB(c.moved, nl+1)
+	c.moved[0] = false
 	c.budget = growF(c.budget, nl+1)
 	c.cellRep = growI(c.cellRep, nl+1)
 	c.cellSize = growI(c.cellSize, nl+1)
@@ -473,7 +482,8 @@ func (c *Controller) refine(s int32) {
 
 // rebuildCells recomputes what Step reads from the cells after they were
 // refined or the external load changed: each cell's ascending source list
-// and airtime budget, and each distinct row's cell-id sequence.
+// and airtime budget, each distinct row's cell-id sequence and distinct
+// cells, and each row's price sum at the current γ.
 func (c *Controller) rebuildCells() {
 	for l := len(c.cellOf) - 1; l >= 0; l-- {
 		c.cellRep[c.cellOf[l]] = int32(l)
@@ -513,6 +523,34 @@ func (c *Controller) rebuildCells() {
 		}
 	}
 	c.rowOff[len(c.rowRep)] = int32(len(c.rowCell))
+	// Each row's distinct cells, marked in cellHit (refine's scratch, 0
+	// between calls) and unmarked again once the row is listed.
+	c.distOff = growI(c.distOff, len(c.rowRep)+1)
+	c.distCell = c.distCell[:0]
+	for j := range c.rowRep {
+		c.distOff[j] = int32(len(c.distCell))
+		for _, k := range c.rowCell[c.rowOff[j]:c.rowOff[j+1]] {
+			if c.cellHit[k] == 0 {
+				c.cellHit[k] = 1
+				c.distCell = append(c.distCell, k)
+			}
+		}
+		for _, k := range c.distCell[c.distOff[j]:] {
+			c.cellHit[k] = 0
+		}
+		c.rowSum[j] = c.sumRow(j)
+	}
+	c.distOff[len(c.rowRep)] = int32(len(c.distCell))
+}
+
+// sumRow returns Σ_{i∈I_l} γ_i for row slot j: the row's cell ids in link
+// order, the same operands in the same order as the reference's gather.
+func (c *Controller) sumRow(j int) float64 {
+	var s float64
+	for _, k := range c.rowCell[c.rowOff[j]:c.rowOff[j+1]] {
+		s += c.gamma[k]
+	}
+	return s
 }
 
 // SetExternalLoad sets the per-link rates (Mbps) injected by non-EMPoWER
@@ -607,8 +645,8 @@ func (c *Controller) SetRate(r int, x float64) { c.x[r] = x }
 
 // Step advances the controller by one time slot — offered load on the used
 // links, one γ update per interference cell, one price sum per distinct
-// used row, rate update — allocation-free, and independent of how many
-// links the network has.
+// used row whose cells moved, rate update — allocation-free, and
+// independent of how many links the network has.
 func (c *Controller) Step() {
 	alpha := c.opts.Alpha
 	nr := len(c.routes)
@@ -646,23 +684,26 @@ func (c *Controller) Step() {
 		for _, s := range c.srcIdx[c.srcOff[k]:c.srcOff[k+1]] {
 			y += airtime[s]
 		}
-		g := c.gamma[k] + alpha*(y-c.budget[k])
+		g := c.gamma[k] + float64(alpha*(y-c.budget[k]))
 		if g < 0 {
 			g = 0
 		}
+		c.moved[k] = math.Float64bits(g) != math.Float64bits(c.gamma[k])
 		c.gamma[k] = g
 	}
 
 	// q_r[t] = Σ_{l∈r} d_l Σ_{i∈I_l} γ_i (eq. 9). The inner sum walks the
 	// row's cell ids in link order (same operands, same order as the
 	// reference), once per distinct row; routes and links sharing a row
-	// reuse it.
+	// reuse it. A row none of whose cells moved keeps its cached sum: the
+	// same γ bits in the same order give the same sum.
 	for j := range c.rowSum {
-		var s float64
-		for _, k := range c.rowCell[c.rowOff[j]:c.rowOff[j+1]] {
-			s += c.gamma[k]
+		for _, k := range c.distCell[c.distOff[j]:c.distOff[j+1]] {
+			if c.moved[k] {
+				c.rowSum[j] = c.sumRow(j)
+				break
+			}
 		}
-		c.rowSum[j] = s
 	}
 	for r := 0; r < nr; r++ {
 		var qr float64
@@ -671,7 +712,7 @@ func (c *Controller) Step() {
 				qr = math.Inf(1)
 				break
 			}
-			qr += c.dl[l] * c.rowSum[c.rowOf[l]]
+			qr += float64(c.dl[l] * c.rowSum[c.rowOf[l]])
 		}
 		c.q[r] = qr
 	}
@@ -695,12 +736,12 @@ func (c *Controller) Step() {
 					}
 				}
 				x := c.capRate(r, inv)
-				c.x[r] = (1-beta)*c.x[r] + beta*x
+				c.x[r] = float64((1-beta)*c.x[r]) + float64(beta*x)
 			}
 		} else {
 			for r := 0; r < nr; r++ {
 				x := c.capRate(r, c.util[c.flowOf[r]].PrimeInv(c.q[r]))
-				c.x[r] = (1-beta)*c.x[r] + beta*x
+				c.x[r] = float64((1-beta)*c.x[r]) + float64(beta*x)
 			}
 		}
 	} else {
@@ -767,14 +808,15 @@ const anchorEvery = 64
 // It does not step a trajectory that has become periodic. Step is a
 // deterministic function of (x, x̄, γ): everything else it reads is latched
 // by Reset, SetExternalLoad or SetAlpha, none of which can run inside this
-// call, its scratch arrays are written before they are read, and a Utility
-// is pure. So when the state after a slot equals, bit for bit, the anchor
-// snapshot taken p slots earlier, every later slot repeats the one p before
-// it: the rest of the horizon is filled by copying the last p slots of dst
-// cyclically, whole periods only, which leaves the controller in exactly the
-// state stepping would have, and the fewer than p slots that remain are
-// stepped. Bits, not ==, so ±0 and NaN payloads count as different. The
-// anchor does not outlive the call.
+// call, its scratch arrays are written before they are read, the row sums
+// it keeps are a pure function of γ, and a Utility is pure. So when the
+// state after a slot equals, bit for bit, the anchor snapshot taken p slots
+// earlier, every later slot repeats the one p before it: the rest of the
+// horizon is filled by copying the last p slots of dst cyclically, whole
+// periods only, which leaves the controller in exactly the state stepping
+// would have, and the fewer than p slots that remain are stepped. Bits, not
+// ==, so ±0 and NaN payloads count as different. The anchor does not
+// outlive the call.
 func (c *Controller) RunAppend(n int, dst []float64) []float64 {
 	if n <= 0 {
 		return dst

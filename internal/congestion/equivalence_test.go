@@ -210,32 +210,44 @@ func TestBatchMatchesReferenceTrajectories(t *testing.T) {
 // TestBatchMatchesReferenceMidRun steps both controllers slot by slot and
 // compares every link's γ — including links with no source in range — and
 // every route's q after each slot, while the external load is replaced
-// (new links loaded, others cleared) and the step size changed at random
-// slots, and MaxAirtimeViolation, which shares Step's offered scratch, is
-// called in between.
+// (new links loaded, others cleared, the first load put back) and the step
+// size changed at random slots, and MaxAirtimeViolation, which shares
+// Step's offered scratch, is called in between. One pooled controller
+// serves every case, so the row sums it keeps cross Resets, and the load
+// schedule makes duals clip to 0 and rise again (counted, and required).
 func TestBatchMatchesReferenceMidRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	cases := 40
 	if testing.Short() {
 		cases = 10
 	}
+	ctrl := &Controller{}
+	rose := 0 // links whose γ was positive, clipped to 0, and rose again
 	for it := 0; it < cases; it++ {
 		net, routes := randomScenario(rng)
 		if net == nil {
 			continue
 		}
 		opts := randomOptions(rng, routes)
-		ctrl, ref := newPair(t, net, routes, opts)
+		if err := ctrl.Reset(net, routes, opts); err != nil {
+			t.Fatalf("case %d: Reset: %v", it, err)
+		}
+		ref, err := newRef(net, routes, opts)
+		if err != nil {
+			t.Fatalf("case %d: newRef: %v", it, err)
+		}
 		slots := 60 + rng.Intn(120)
-		loadAt := [2]int{rng.Intn(slots), rng.Intn(slots)}
+		loadAt := [3]int{rng.Intn(slots), rng.Intn(slots), rng.Intn(slots)}
 		alphaAt := rng.Intn(slots)
 		// Dense loads reach every domain; sparse ones leave links with no
 		// source in range.
 		oneIn := []int{4, 40, 400}[rng.Intn(3)]
-		loads := [2][]float64{randomLoad(rng, net.NumLinks(), oneIn), nil}
+		loads := [3][]float64{randomLoad(rng, net.NumLinks(), oneIn), nil, nil}
 		if rng.Intn(2) == 0 {
 			loads[1] = randomLoad(rng, net.NumLinks(), oneIn)
 		}
+		loads[2] = loads[0]
+		phase := make([]int8, net.NumLinks()) // 0 never positive, 1 positive, 2 clipped since
 		for s := 0; s < slots; s++ {
 			for i, at := range loadAt {
 				if s != at {
@@ -261,7 +273,21 @@ func TestBatchMatchesReferenceMidRun(t *testing.T) {
 			ctrl.Step()
 			ref.Step()
 			assertSameState(t, fmt.Sprintf("case %d (opts=%+v) slot %d", it, opts, s), ctrl, ref)
+			for l := range phase {
+				switch g := ctrl.Gamma(graph.LinkID(l)); {
+				case g > 0 && phase[l] == 2:
+					rose++
+					phase[l] = 1
+				case g > 0:
+					phase[l] = 1
+				case phase[l] == 1:
+					phase[l] = 2
+				}
+			}
 		}
+	}
+	if rose == 0 {
+		t.Fatal("no dual clipped to 0 and rose again: the schedule no longer covers a row whose sum is reused and then re-summed")
 	}
 }
 
@@ -360,24 +386,53 @@ func TestResetSameNetworkNewRoutes(t *testing.T) {
 
 // TestResetMatchesFreshController: a controller Reset onto a new problem
 // must behave exactly like a freshly allocated one — the pooled sweep path
-// depends on this.
+// depends on this. One pooled controller is Reset onto other networks and
+// onto new routes on the same network, and external load arrives between
+// slots (new sources split cells); at every slot its rates, every link's γ
+// and every route's q equal a fresh controller's and the reference's, and
+// so do the trajectories and end states of a following Run.
 func TestResetMatchesFreshController(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ctrl := &Controller{}
+	var inst *topology.Instance
+	var net *graph.Network
+	sameNet := 0
 	for it := 0; it < 25; it++ {
-		net, routes := randomScenario(rng)
-		if net == nil {
+		if it%3 == 2 && net != nil {
+			sameNet++
+		} else if rng.Intn(2) == 0 {
+			inst = topology.Residential(rng, topology.Config{})
+			net = inst.BuildCached(topology.View(rng.Intn(3))).Network
+		} else {
+			inst = topology.Enterprise(rng, topology.Config{})
+			net = inst.BuildCached(topology.View(rng.Intn(3))).Network
+		}
+		cfg := routing.Config{N: 2 + rng.Intn(4), UseCSC: rng.Intn(2) == 0}
+		routes := randomRoutes(rng, inst, net, 1+rng.Intn(4), rng.Intn(2) == 0, cfg)
+		if len(routes) == 0 {
 			continue
 		}
 		opts := randomOptions(rng, routes)
 		if err := ctrl.Reset(net, routes, opts); err != nil {
 			t.Fatalf("case %d: Reset: %v", it, err)
 		}
-		fresh, err := New(net, routes, opts)
-		if err != nil {
-			t.Fatalf("case %d: New: %v", it, err)
-		}
+		fresh, ref := newPair(t, net, routes, opts)
 		slots := 30 + rng.Intn(100)
+		loadAt := rng.Intn(slots)
+		ext := randomLoad(rng, net.NumLinks(), []int{4, 40}[rng.Intn(2)])
+		for s := 0; s < slots; s++ {
+			if s == loadAt {
+				ctrl.SetExternalLoad(ext)
+				fresh.SetExternalLoad(ext)
+				ref.ExternalLoad = ext
+			}
+			ctrl.Step()
+			fresh.Step()
+			ref.Step()
+			tag := fmt.Sprintf("case %d slot %d", it, s)
+			assertSameState(t, tag, ctrl, ref)
+			assertSameState(t, tag+" (fresh)", fresh, ref)
+		}
 		got := ctrl.Run(slots)
 		want := fresh.Run(slots)
 		for s := range want {
@@ -387,6 +442,11 @@ func TestResetMatchesFreshController(t *testing.T) {
 				}
 			}
 		}
+		ref.Run(slots)
+		assertSameState(t, fmt.Sprintf("case %d after Run", it), ctrl, ref)
+	}
+	if sameNet == 0 {
+		t.Fatal("no Reset onto the same network")
 	}
 }
 

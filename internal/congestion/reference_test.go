@@ -184,7 +184,7 @@ func (c *refController) Step() {
 			budget = f * limit
 		}
 		c.y[l] = yOwn
-		g := c.gamma[l] + alpha*(yOwn-budget)
+		g := c.gamma[l] + float64(alpha*(yOwn-budget))
 		if g < 0 {
 			g = 0
 		}
@@ -203,7 +203,7 @@ func (c *refController) Step() {
 			for _, il := range c.net.Interference(l) {
 				gsum += c.gamma[il]
 			}
-			q += link.D() * gsum
+			q += float64(link.D() * gsum)
 		}
 		c.q[i] = q
 	}
@@ -212,7 +212,7 @@ func (c *refController) Step() {
 		const beta = 0.3
 		for i := range c.routes {
 			x := c.capRate(i, c.util[c.flowOf[i]].PrimeInv(c.q[i]))
-			c.x[i] = (1-beta)*c.x[i] + beta*x
+			c.x[i] = float64((1-beta)*c.x[i]) + float64(beta*x)
 		}
 	} else {
 		scale := c.opts.UtilityScale
@@ -221,15 +221,15 @@ func (c *refController) Step() {
 		}
 		for i := range c.routes {
 			f := c.flowOf[i]
-			inner := c.xbar[i] + scale*(c.util[f].Prime(c.frate[f])-c.q[i])
+			inner := c.xbar[i] + float64(scale*(c.util[f].Prime(c.frate[f])-c.q[i]))
 			if inner < 0 {
 				inner = 0
 			}
-			nx := (1-alpha)*c.x[i] + alpha*inner
+			nx := float64((1-alpha)*c.x[i]) + float64(alpha*inner)
 			c.newX[i] = c.capRate(i, nx)
 		}
 		for i := range c.xbar {
-			c.xbar[i] = (1-alpha)*c.xbar[i] + alpha*c.x[i]
+			c.xbar[i] = float64((1-alpha)*c.xbar[i]) + float64(alpha*c.x[i])
 		}
 		copy(c.x, c.newX)
 	}

@@ -13,6 +13,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Tech identifies a link technology (a medium), e.g. PLC, a WiFi channel,
@@ -251,7 +252,9 @@ func (b *Builder) AddDuplex(u, v NodeID, tech Tech, capacity float64) (LinkID, L
 // and the per-list append growth plus sort.Slice dominated their allocation
 // profile. The fill orders reproduce the original appended-then-sorted
 // lists exactly: adjacency in link order, interference ascending by LinkID
-// with the link itself included.
+// with the link itself included. Interference rows are symmetric
+// (j ∈ I_i ⟺ i ∈ I_j) whatever the model answers, because each unordered
+// pair is asked once; routing's scatter update relies on it.
 func (b *Builder) Build() *Network {
 	net := &Network{
 		Nodes: b.nodes,
@@ -282,43 +285,35 @@ func (b *Builder) Build() *Network {
 	}
 
 	// Interference: one Interferes call per unordered pair, recorded in a
-	// bitmap (bit i*nl+j for i<j) alongside per-link domain sizes, then an
-	// ascending fill over the flat backing.
-	net.interference = make([][]LinkID, nl)
-	bits := make([]uint64, (nl*nl+63)/64)
-	count := make([]int, nl)
-	total := nl // every domain contains the link itself
+	// symmetric nl×⌈nl/64⌉ bit matrix — both (i,j) and (j,i), and the
+	// diagonal, since every domain contains the link itself — then each
+	// row read out ascending, a word at a time, over the flat backing.
+	words := (nl + 63) / 64
+	matrix := make([]uint64, nl*words)
+	total := nl
 	for i := 0; i < nl; i++ {
-		count[i]++
+		rowI := matrix[i*words : (i+1)*words]
+		rowI[i>>6] |= 1 << (i & 63)
 		for j := i + 1; j < nl; j++ {
 			if b.model.Interferes(net, &net.Links[i], &net.Links[j]) {
-				p := i*nl + j
-				bits[p>>6] |= 1 << (p & 63)
-				count[i]++
-				count[j]++
+				rowI[j>>6] |= 1 << (j & 63)
+				matrix[j*words+(i>>6)] |= 1 << (i & 63)
 				total += 2
 			}
 		}
 	}
+	net.interference = make([][]LinkID, nl)
 	intFlat := make([]LinkID, total)
 	pos = 0
 	for i := 0; i < nl; i++ {
-		row := intFlat[pos : pos : pos+count[i]]
-		for j := 0; j < i; j++ {
-			p := j*nl + i
-			if bits[p>>6]&(1<<(p&63)) != 0 {
-				row = append(row, LinkID(j))
+		start := pos
+		for w, word := range matrix[i*words : (i+1)*words] {
+			for ; word != 0; word &= word - 1 {
+				intFlat[pos] = LinkID(w<<6 + bits.TrailingZeros64(word))
+				pos++
 			}
 		}
-		row = append(row, LinkID(i))
-		for j := i + 1; j < nl; j++ {
-			p := i*nl + j
-			if bits[p>>6]&(1<<(p&63)) != 0 {
-				row = append(row, LinkID(j))
-			}
-		}
-		net.interference[i] = row
-		pos += count[i]
+		net.interference[i] = intFlat[start:pos:pos]
 	}
 	return net
 }

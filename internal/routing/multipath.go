@@ -102,42 +102,46 @@ func Update(net *graph.Network, p graph.Path) *graph.Network {
 }
 
 // update applies update(P,G) to a capacity overlay in place, given
-// r = R(P) > 0 computed on the same overlay. The pre-update d_l of the
-// path's links are latched at mark time (ws.dPath), so the in-place
-// mutation observes exactly the capacities the reference implementation's
-// cloned-network version observes.
+// r = R(P) > 0 computed on the same overlay. It scatters rather than
+// gathers: each distinct path link p, in ascending LinkID order, adds its
+// load r·d_p once to consumed[i] of every i ∈ I_p, and only then are the
+// affected capacities rewritten, so every d_p is the pre-update one. Build
+// makes interference rows symmetric (p ∈ I_i ⟺ i ∈ I_p) and ascending, so
+// each affected link i receives exactly the terms of
+// Σ_{l'∈ I_i ∩ P} R(P)·d_{l'} in the ascending order the gather over I_i
+// adds them — the same sum, bit for bit, for O(Σ_p |I_p|) work instead of
+// O(|affected|·|I|).
 func (ws *workspace) update(capv []float64, p graph.Path, r float64) {
-	ws.pathEpoch++
-	ep := ws.pathEpoch
-	for _, id := range p {
-		ws.inPathMark[id] = ep
-		if c := capv[id]; c > 0 {
-			ws.dPath[id] = 1 / c
-		} else {
-			ws.dPath[id] = math.Inf(1)
+	sorted := append(ws.sortedPath[:0], p...)
+	for i := 1; i < len(sorted); i++ {
+		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
+			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
 		}
 	}
-	// Collect the union of interference domains of the path's links.
 	ws.affEpoch++
 	aep := ws.affEpoch
 	aff := ws.affList[:0]
-	for _, id := range p {
+	for k, id := range sorted {
+		if k > 0 && id == sorted[k-1] {
+			continue // a repeated link is one member of I_i ∩ P
+		}
+		d := math.Inf(1)
+		if c := capv[id]; c > 0 {
+			d = 1 / c
+		}
+		t := float64(r * d) // rounded: the sum must not fuse it into an FMA
 		for _, i := range ws.net.Interference(id) {
 			if ws.affMark[i] != aep {
 				ws.affMark[i] = aep
 				aff = append(aff, i)
+				ws.consumed[i] = 0
 			}
+			ws.consumed[i] += t
 		}
 	}
 	for _, id := range aff {
-		// r(l,P) = 1 - Σ_{l'∈ I_l ∩ P} R(P)·d_{l'} with pre-update d.
-		var consumed float64
-		for _, i := range ws.net.Interference(id) {
-			if ws.inPathMark[i] == ep {
-				consumed += r * ws.dPath[i]
-			}
-		}
-		frac := 1 - consumed
+		// r(l,P) = 1 − Σ_{l'∈ I_l ∩ P} R(P)·d_{l'}.
+		frac := 1 - ws.consumed[id]
 		if frac < 0 {
 			frac = 0
 		}
@@ -147,6 +151,7 @@ func (ws *workspace) update(capv []float64, p graph.Path, r float64) {
 		}
 		capv[id] = nc
 	}
+	ws.sortedPath = sorted[:0]
 	ws.affList = aff[:0]
 }
 

@@ -277,11 +277,17 @@ func refRatePath(net *graph.Network, p graph.Path) float64 {
 }
 
 func refUpdate(net *graph.Network, p graph.Path) *graph.Network {
-	out := net.Clone()
 	r := refRatePath(net, p)
 	if r <= 0 {
-		return out
+		return net.Clone()
 	}
+	return refUpdateAt(net, p, r)
+}
+
+// refUpdateAt is refUpdate's gather at a given rate r > 0: each affected
+// link sums R(P)·d over its own interference row.
+func refUpdateAt(net *graph.Network, p graph.Path, r float64) *graph.Network {
+	out := net.Clone()
 	inPath := make(map[graph.LinkID]bool, len(p))
 	for _, id := range p {
 		inPath[id] = true
@@ -296,7 +302,7 @@ func refUpdate(net *graph.Network, p graph.Path) *graph.Network {
 		var consumed float64
 		for _, i := range net.Interference(id) {
 			if inPath[i] {
-				consumed += r * net.Link(i).D()
+				consumed += float64(r * net.Link(i).D())
 			}
 		}
 		frac := 1 - consumed

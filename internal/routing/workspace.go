@@ -40,18 +40,18 @@ type workspace struct {
 	banLinkMark []uint64
 	banNodeMark []uint64
 
-	// Link-membership set for R(P) / R(l,P) / update(P,G) (by LinkID).
-	// dPath[l] caches d_l of the marked links at mark time, i.e. before
-	// update mutates the capacities in place.
+	// Link-membership set for R(P) / R(l,P) (by LinkID).
 	pathEpoch  uint64
 	inPathMark []uint64
-	dPath      []float64
 
-	// Affected-link set for update(P,G): the union of the interference
-	// domains of the path's links, collected once per update.
-	affEpoch uint64
-	affMark  []uint64
-	affList  []graph.LinkID
+	// update(P,G) scratch: the path's links in ascending order, the
+	// affected-link set (the union of the interference domains of the
+	// path's links) and each affected link's consumed airtime share.
+	sortedPath []graph.LinkID
+	affEpoch   uint64
+	affMark    []uint64
+	affList    []graph.LinkID
+	consumed   []float64
 
 	// Node marks for loop removal and path validation (by NodeID).
 	nodeEpoch uint64
@@ -136,7 +136,7 @@ func getWS(net *graph.Network) *workspace {
 	nl, nn := net.NumLinks(), net.NumNodes()
 	ws.banLinkMark = growU64(ws.banLinkMark, nl)
 	ws.inPathMark = growU64(ws.inPathMark, nl)
-	ws.dPath = growF64(ws.dPath, nl)
+	ws.consumed = growF64(ws.consumed, nl)
 	ws.affMark = growU64(ws.affMark, nl)
 	ws.banNodeMark = growU64(ws.banNodeMark, nn)
 	ws.nodeMark = growU64(ws.nodeMark, nn)
