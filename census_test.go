@@ -14,13 +14,18 @@ import (
 )
 
 // TestEveryConfigFieldIsSet is the census behind DESIGN.md's rule that a
-// settable field must have a setter: every exported field of a struct
-// named *Config or *Options, declared in a non-test file under internal/,
-// must be written somewhere in the repository's Go files, tests included.
+// settable field must have a program that sets it: every exported field of
+// a struct named *Config or *Options, declared in a non-test file under
+// internal/, must be written by a program — a non-test Go file outside
+// examples/ (cmd/, internal/, bench/). Writes from tests and examples do
+// not count: a knob only tests turn is a second code path no program runs.
 // A write is a composite-literal key (`Config{F: v}`), the left side of an
 // assignment or ++/-- (`c.F = v`), or an address taken (`&c.F`, as flag
-// registration does). A field nothing writes only ever holds its default;
-// make it a constant at its use instead.
+// registration does). A field no program writes only ever holds its
+// default in every program; make it a constant at its use instead, or —
+// where a test must still reach it — list it in testOnlyFields with the
+// reason. The census fails on an unlisted field without a program writer,
+// and on a listed field that has gained one or no longer exists.
 //
 // The census parses but does not type-check, so it matches writes to
 // fields by name. Only a composite literal whose type is spelled out
@@ -98,6 +103,10 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 	// byName[pkg.Field] for every package the writing file can reach.
 	typed, byName := map[string]bool{}, map[string]bool{}
 	for _, fl := range files {
+		name := filepath.ToSlash(fset.File(fl.f.Pos()).Name())
+		if strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, "examples/") {
+			continue
+		}
 		local := localImports(fl.f)
 		reach := map[string]bool{}
 		var visit func(string)
@@ -150,20 +159,50 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 		})
 	}
 
-	var unset []string
+	var bad []string
+	listed := map[string]bool{}
 	for key, f := range fields {
-		if !typed[key] && !byName[f.pkg+f.name[strings.IndexByte(f.name, '.'):]] {
-			unset = append(unset, f.pos+": "+f.name)
+		short := path.Base(f.pkg) + "." + f.name
+		written := typed[key] || byName[f.pkg+f.name[strings.IndexByte(f.name, '.'):]]
+		_, allowed := testOnlyFields[short]
+		listed[short] = allowed
+		switch {
+		case allowed && written:
+			bad = append(bad, f.pos+": "+short+" is in testOnlyFields but a program writes it: drop the entry")
+		case !allowed && !written:
+			bad = append(bad, f.pos+": no program writes "+short)
 		}
 	}
-	sort.Strings(unset)
-	for _, u := range unset {
-		t.Errorf("no write site anywhere in the repository: %s", u)
+	for short := range testOnlyFields {
+		if !listed[short] {
+			bad = append(bad, "testOnlyFields lists "+short+", which no longer exists: drop the entry")
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
 	}
 	if len(fields) == 0 {
 		t.Fatal("census found no Config/Options fields under internal/")
 	}
-	t.Logf("%d exported Config/Options fields, %d never written", len(fields), len(unset))
+	t.Logf("%d exported Config/Options fields, %d of them in testOnlyFields", len(fields), len(testOnlyFields))
+}
+
+// testOnlyFields are the Config/Options fields no program writes that stay
+// settable anyway, each with its reason. Keys are "package.Type.Field".
+var testOnlyFields = map[string]string{
+	"optimal.Config.Solver":              "the centralized solver is to be replaced whole (ROADMAP item 6)",
+	"optimal.SolveOptions.Iters":         "the centralized solver is to be replaced whole (ROADMAP item 6)",
+	"optimal.SolveOptions.Step":          "the centralized solver is to be replaced whole (ROADMAP item 6)",
+	"optimal.SolveOptions.Gain":          "the centralized solver is to be replaced whole (ROADMAP item 6)",
+	"mac.Options.QueueLimit":             "bench/layers.go builds mac.Options with an empty literal and is frozen",
+	"mac.Options.LossProb":               "bench/layers.go builds mac.Options with an empty literal and is frozen",
+	"topology.Config.WiFiSenseFactor":    "bench/layers.go builds topology.Config with an empty literal and is frozen",
+	"node.Config.PriceInterval":          "TestPriceTermMatchesReference scripts its price reports between the automatic ticks",
+	"fleet.SupervisorConfig.BackoffBase": "the retry tests run on the wall clock and shorten the backoff",
+	"fleet.SupervisorConfig.BackoffMax":  "the retry tests run on the wall clock and shorten the backoff",
+	"invariant.Config.Limit":             "TestViolationLimit sets the cap on recorded violations",
+	"scenario.Options.Strict":            "an input-validation mode: scenario tests fail on unresolvable event references",
 }
 
 func importPath(im *ast.ImportSpec) string {

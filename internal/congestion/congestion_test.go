@@ -195,7 +195,7 @@ func TestMultipathAvoidsCongestedMedium(t *testing.T) {
 		{Links: graph.Path{plc}, Flow: 0},
 		{Links: graph.Path{wifi}, Flow: 0},
 		{Links: graph.Path{wifi2}, Flow: 1},
-	}, Options{Alpha: 0.05, Mode: ModeMultipath})
+	}, Options{Alpha: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,18 +212,6 @@ func TestMultipathAvoidsCongestedMedium(t *testing.T) {
 	}
 	if v := c.MaxAirtimeViolation(); v > 0.05 {
 		t.Errorf("airtime violation %v", v)
-	}
-}
-
-func TestExternalLoadRespected(t *testing.T) {
-	net, p := singleLink(10)
-	c, _ := New(net, []Route{{Links: p, Flow: 0}}, Options{Alpha: 0.05})
-	ext := make([]float64, net.NumLinks())
-	ext[p[0]] = 5 // an external station consumes half the medium
-	c.SetExternalLoad(ext)
-	c.Run(3000)
-	if got := c.FlowRate(0); math.Abs(got-5) > 0.5 {
-		t.Errorf("rate with external load = %v, want ~5", got)
 	}
 }
 
@@ -255,7 +243,7 @@ func TestAirtimeConstraintProperty(t *testing.T) {
 func TestFlowRatesAndUtility(t *testing.T) {
 	net, p := singleLink(10)
 	c, _ := New(net, []Route{{Links: p, Flow: 0}}, Options{})
-	c.SetRate(0, 4)
+	c.x[0] = 4
 	if got := c.FlowRates(); len(got) != 1 || got[0] != 4 {
 		t.Errorf("FlowRates = %v", got)
 	}

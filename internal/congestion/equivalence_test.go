@@ -2,10 +2,10 @@ package congestion
 
 // Property tests asserting the SoA batch controller is exact-== equivalent
 // to the scalar reference (reference_test.go): same trajectories, bit for
-// bit, across random topologies, flow sets, alpha values, CSC on/off
-// routing, both controller modes, external load, fair-share floors and
-// non-default utilities — and, slot by slot, every link's γ and every
-// route's q through mid-run changes of the external load and step size.
+// bit, across random topologies, flow sets, alpha and δ values, initial
+// rates, CSC on/off routing and both update rules — and, slot by slot,
+// every link's γ and every route's q across Resets of one pooled
+// controller.
 // The second half holds RunAppend's replay of periodic trajectories to the
 // plain stepping loop (referenceRunAppend): same trajectory, same end state.
 
@@ -58,18 +58,6 @@ func randomRoutes(rng *rand.Rand, inst *topology.Instance, net *graph.Network, f
 		}
 	}
 	return routes
-}
-
-// randomLoad draws an external load vector with about one link in oneIn
-// loaded.
-func randomLoad(rng *rand.Rand, nl, oneIn int) []float64 {
-	ext := make([]float64, nl)
-	for l := range ext {
-		if rng.Intn(oneIn) == 0 {
-			ext[l] = rng.Float64() * 20
-		}
-	}
-	return ext
 }
 
 // assertSameState fails unless the batch controller and the reference agree
@@ -132,29 +120,10 @@ func randomOptions(rng *rand.Rand, routes []Route) Options {
 	if rng.Intn(2) == 0 {
 		opts.Delta = rng.Float64() * 0.3
 	}
-	opts.Mode = Mode(rng.Intn(3))
-	opts.DisableRateCap = rng.Intn(4) == 0
-	if rng.Intn(3) == 0 {
-		opts.FairShareFloor = 0.1 + rng.Float64()*0.5
-	}
-	if rng.Intn(3) == 0 {
-		opts.UtilityScale = 1 + rng.Float64()*99
-	}
 	if rng.Intn(3) == 0 {
 		opts.InitialRates = make([]float64, len(routes))
 		for i := range opts.InitialRates {
 			opts.InitialRates[i] = rng.Float64() * 30
-		}
-	}
-	if rng.Intn(4) == 0 {
-		opts.Utilities = map[int]Utility{}
-		for f := 0; f < 4; f++ {
-			switch rng.Intn(3) {
-			case 0:
-				opts.Utilities[f] = ProportionalFairness{Weight: 1 + rng.Float64()}
-			case 1:
-				opts.Utilities[f] = AlphaFair{A: 2}
-			}
 		}
 	}
 	return opts
@@ -186,12 +155,6 @@ func TestBatchMatchesReferenceTrajectories(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: newRef: %v", it, err)
 		}
-		if rng.Intn(3) == 0 {
-			ext := randomLoad(rng, net.NumLinks(), 4)
-			ctrl.SetExternalLoad(ext)
-			ref.ExternalLoad = ext
-		}
-
 		got := ctrl.Run(slots)
 		want := ref.Run(slots)
 		for s := range want {
@@ -209,12 +172,11 @@ func TestBatchMatchesReferenceTrajectories(t *testing.T) {
 
 // TestBatchMatchesReferenceMidRun steps both controllers slot by slot and
 // compares every link's γ — including links with no source in range — and
-// every route's q after each slot, while the external load is replaced
-// (new links loaded, others cleared, the first load put back) and the step
-// size changed at random slots, and MaxAirtimeViolation, which shares
-// Step's offered scratch, is called in between. One pooled controller
-// serves every case, so the row sums it keeps cross Resets, and the load
-// schedule makes duals clip to 0 and rise again (counted, and required).
+// every route's q after each slot, with MaxAirtimeViolation, which shares
+// Step's offered scratch, called in between. One pooled controller serves
+// every case, so the row sums it keeps cross Resets, and duals must clip to
+// 0 and rise again somewhere (counted, and required): a row whose sum is
+// reused while its cells sit at 0 is then re-summed.
 func TestBatchMatchesReferenceMidRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	cases := 40
@@ -237,36 +199,8 @@ func TestBatchMatchesReferenceMidRun(t *testing.T) {
 			t.Fatalf("case %d: newRef: %v", it, err)
 		}
 		slots := 60 + rng.Intn(120)
-		loadAt := [3]int{rng.Intn(slots), rng.Intn(slots), rng.Intn(slots)}
-		alphaAt := rng.Intn(slots)
-		// Dense loads reach every domain; sparse ones leave links with no
-		// source in range.
-		oneIn := []int{4, 40, 400}[rng.Intn(3)]
-		loads := [3][]float64{randomLoad(rng, net.NumLinks(), oneIn), nil, nil}
-		if rng.Intn(2) == 0 {
-			loads[1] = randomLoad(rng, net.NumLinks(), oneIn)
-		}
-		loads[2] = loads[0]
 		phase := make([]int8, net.NumLinks()) // 0 never positive, 1 positive, 2 clipped since
 		for s := 0; s < slots; s++ {
-			for i, at := range loadAt {
-				if s != at {
-					continue
-				}
-				// The controller copies; the reference aliases. Scribbling
-				// on the caller's slice afterwards must not reach the copy.
-				mine := append([]float64(nil), loads[i]...)
-				ctrl.SetExternalLoad(mine)
-				for l := range mine {
-					mine[l] = 1e9
-				}
-				ref.ExternalLoad = loads[i]
-			}
-			if s == alphaAt {
-				a := 0.005 + rng.Float64()*0.2
-				ctrl.SetAlpha(a)
-				ref.opts.Alpha = a
-			}
 			if rng.Intn(8) == 0 {
 				ctrl.MaxAirtimeViolation()
 			}
@@ -287,14 +221,13 @@ func TestBatchMatchesReferenceMidRun(t *testing.T) {
 		}
 	}
 	if rose == 0 {
-		t.Fatal("no dual clipped to 0 and rose again: the schedule no longer covers a row whose sum is reused and then re-summed")
+		t.Fatal("no dual clipped to 0 and rose again: the cases no longer cover a row whose sum is reused and then re-summed")
 	}
 }
 
 // TestBatchSourcelessLinksMatchReference pins the links no source reaches:
-// with routes on WiFi only, the PLC links sit in the γ ≡ 0 cell; a
-// saturating external PLC station then drives their budget negative, so
-// their γ grows without any own traffic, and decays once it leaves.
+// with routes on WiFi only, the PLC links sit in the γ ≡ 0 cell, and their
+// duals must stay 0, as the reference's, while the WiFi duals move.
 func TestBatchSourcelessLinksMatchReference(t *testing.T) {
 	b := graph.NewBuilder(nil)
 	n0 := b.AddNode("a", 0, 0, graph.TechWiFi, graph.TechPLC)
@@ -307,26 +240,17 @@ func TestBatchSourcelessLinksMatchReference(t *testing.T) {
 	net := b.Build()
 	routes := []Route{{Links: graph.Path{w0, w1}, Flow: 0}}
 	ctrl, ref := newPair(t, net, routes, Options{})
-	stepBoth(t, "no load", ctrl, ref, 40)
+	stepBoth(t, "wifi only", ctrl, ref, 200)
 	if g := ctrl.Gamma(p0) + ctrl.Gamma(p1); g != 0 {
 		t.Fatalf("PLC duals %v with no source in range, want 0", g)
 	}
-	ext := make([]float64, net.NumLinks())
-	ext[p1] = 50 // twice the link's capacity
-	ctrl.SetExternalLoad(ext)
-	ref.ExternalLoad = ext
-	stepBoth(t, "saturated", ctrl, ref, 40)
-	if ctrl.Gamma(p0) <= 0 {
-		t.Fatalf("PLC dual %v under a saturating external station, want > 0", ctrl.Gamma(p0))
+	if ctrl.Gamma(w0) <= 0 {
+		t.Fatalf("WiFi dual %v on a saturated route, want > 0", ctrl.Gamma(w0))
 	}
-	ctrl.SetExternalLoad(nil)
-	ref.ExternalLoad = nil
-	stepBoth(t, "cleared", ctrl, ref, 200)
 }
 
 // TestBatchMatchesReferenceManyFlows covers problems with more than 64 used
-// links (cells are a partition, not a bitmask over sources), with and
-// without external load.
+// links (cells are a partition, not a bitmask over sources).
 func TestBatchMatchesReferenceManyFlows(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	inst := topology.Enterprise(rng, topology.Config{})
@@ -341,20 +265,13 @@ func TestBatchMatchesReferenceManyFlows(t *testing.T) {
 	if len(used) <= 64 {
 		t.Fatalf("only %d used links, want > 64: pick another seed", len(used))
 	}
-	for _, withLoad := range []bool{false, true} {
-		ctrl, ref := newPair(t, net, routes, Options{Delta: 0.05, FairShareFloor: 0.2})
-		if withLoad {
-			ext := randomLoad(rng, net.NumLinks(), 4)
-			ctrl.SetExternalLoad(ext)
-			ref.ExternalLoad = ext
-		}
-		stepBoth(t, fmt.Sprintf("load=%v", withLoad), ctrl, ref, 150)
-	}
+	ctrl, ref := newPair(t, net, routes, Options{Delta: 0.05})
+	stepBoth(t, "40 flows", ctrl, ref, 150)
 }
 
 // TestResetSameNetworkNewRoutes: Reset onto a different route set on the
 // same *graph.Network reuses the interference CSR but must leave nothing of
-// the previous problem's cells, sources or external load behind.
+// the previous problem's cells or sources behind.
 func TestResetSameNetworkNewRoutes(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	inst := topology.Residential(rng, topology.Config{})
@@ -373,13 +290,6 @@ func TestResetSameNetworkNewRoutes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: newRef: %v", it, err)
 		}
-		// Every other problem leaves external load behind for the next
-		// Reset to clear.
-		if it%2 == 0 {
-			ext := randomLoad(rng, net.NumLinks(), 4)
-			ctrl.SetExternalLoad(ext)
-			ref.ExternalLoad = ext
-		}
 		stepBoth(t, fmt.Sprintf("case %d", it), ctrl, ref, 60)
 	}
 }
@@ -387,10 +297,10 @@ func TestResetSameNetworkNewRoutes(t *testing.T) {
 // TestResetMatchesFreshController: a controller Reset onto a new problem
 // must behave exactly like a freshly allocated one — the pooled sweep path
 // depends on this. One pooled controller is Reset onto other networks and
-// onto new routes on the same network, and external load arrives between
-// slots (new sources split cells); at every slot its rates, every link's γ
-// and every route's q equal a fresh controller's and the reference's, and
-// so do the trajectories and end states of a following Run.
+// onto new routes on the same network; at every slot its rates, every
+// link's γ and every route's q equal a fresh controller's and the
+// reference's, and so do the trajectories and end states of a following
+// Run.
 func TestResetMatchesFreshController(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ctrl := &Controller{}
@@ -418,14 +328,7 @@ func TestResetMatchesFreshController(t *testing.T) {
 		}
 		fresh, ref := newPair(t, net, routes, opts)
 		slots := 30 + rng.Intn(100)
-		loadAt := rng.Intn(slots)
-		ext := randomLoad(rng, net.NumLinks(), []int{4, 40}[rng.Intn(2)])
 		for s := 0; s < slots; s++ {
-			if s == loadAt {
-				ctrl.SetExternalLoad(ext)
-				fresh.SetExternalLoad(ext)
-				ref.ExternalLoad = ext
-			}
 			ctrl.Step()
 			fresh.Step()
 			ref.Step()
@@ -485,7 +388,9 @@ func TestRunAppendMatchesRun(t *testing.T) {
 }
 
 // TestBatchDeadLinkMatchesReference pins the cap<=0 edge cases (infinite
-// prices, zero-capacity bottlenecks) that the SoA rewrite restructured.
+// prices, zero-capacity bottlenecks) that the SoA rewrite restructured,
+// under the single-path update (one route per flow) and the proximal one
+// (flow 0 also gets the direct link).
 func TestBatchDeadLinkMatchesReference(t *testing.T) {
 	b := graph.NewBuilder(nil)
 	n0 := b.AddNode("a", 0, 0, graph.TechWiFi)
@@ -493,28 +398,25 @@ func TestBatchDeadLinkMatchesReference(t *testing.T) {
 	n2 := b.AddNode("c", 2, 0, graph.TechWiFi)
 	l0 := b.AddLink(n0, n1, graph.TechWiFi, 0) // dead link
 	l1 := b.AddLink(n1, n2, graph.TechWiFi, 30)
+	l2 := b.AddLink(n0, n2, graph.TechWiFi, 10)
 	net := b.Build()
-	routes := []Route{{Links: graph.Path{l0, l1}, Flow: 0}, {Links: graph.Path{l1}, Flow: 1}}
-	for _, mode := range []Mode{ModeAuto, ModeMultipath} {
-		opts := Options{Mode: mode}
-		ctrl, err := New(net, routes, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := newRef(net, routes, opts)
-		if err != nil {
-			t.Fatal(err)
+	single := []Route{{Links: graph.Path{l0, l1}, Flow: 0}, {Links: graph.Path{l1}, Flow: 1}}
+	multi := append(slices.Clone(single), Route{Links: graph.Path{l2}, Flow: 0})
+	for _, routes := range [][]Route{single, multi} {
+		ctrl, ref := newPair(t, net, routes, Options{})
+		if ctrl.single != (len(routes) == 2) {
+			t.Fatalf("%d routes: single-path update %v", len(routes), ctrl.single)
 		}
 		got, want := ctrl.Run(120), ref.Run(120)
 		for s := range want {
 			for f := range want[s] {
 				if got[s][f] != want[s][f] {
-					t.Fatalf("mode %v slot %d flow %d: %v != %v", mode, s, f, got[s][f], want[s][f])
+					t.Fatalf("%d routes: slot %d flow %d: %v != %v", len(routes), s, f, got[s][f], want[s][f])
 				}
 			}
 		}
 		if !math.IsInf(ctrl.Price(0), 1) {
-			t.Fatalf("mode %v: expected infinite price on dead route, got %v", mode, ctrl.Price(0))
+			t.Fatalf("%d routes: expected infinite price on dead route, got %v", len(routes), ctrl.Price(0))
 		}
 	}
 }
@@ -648,26 +550,24 @@ func assertReplayExact(t *testing.T, tag string, got, want *Controller, n int, g
 
 // TestReplayMatchesSteppingFigure4 is the replay's equivalence property on
 // the problems the §5 sweeps solve, over the paper's 4000-slot horizon: both
-// topologies, the multipath and the single-path update, default and custom
-// utilities. Each group must actually take the replay path somewhere.
+// topologies, single-path and multipath routes, one flow and several. Each
+// group must actually take the replay path somewhere.
 func TestReplayMatchesSteppingFigure4(t *testing.T) {
 	groups := []struct {
 		name  string
 		flows int
 		multi bool
-		opts  Options
 	}{
-		{"multipath", 1, true, Options{Mode: ModeMultipath}},
-		{"multipath-3flows", 3, true, Options{}},
-		{"multipath-alphafair", 1, true, Options{Mode: ModeMultipath, Utilities: map[int]Utility{0: AlphaFair{A: 0.5}}}},
-		{"singlepath", 1, false, Options{}},
-		{"singlepath-custom", 2, false, Options{Utilities: map[int]Utility{0: AlphaFair{A: 2}, 1: ProportionalFairness{Weight: 1.7}}}},
+		{"multipath", 1, true},
+		{"multipath-3flows", 3, true},
+		{"singlepath", 1, false},
+		{"singlepath-2flows", 2, false},
 	}
 	for _, enterprise := range []bool{false, true} {
 		for _, g := range groups {
 			replayed := 0
 			for seed := int64(1); seed <= 24; seed++ {
-				p, ok := figure4Problem(enterprise, seed, g.flows, g.multi, g.opts)
+				p, ok := figure4Problem(enterprise, seed, g.flows, g.multi, Options{})
 				if !ok {
 					continue
 				}
@@ -697,31 +597,37 @@ type replayCase struct {
 // must fit between two anchors.
 func (rc replayCase) replayable() bool { return rc.period >= 1 && rc.period <= anchorEvery }
 
-// replayCases returns residential single-flow problems of every kind: an
-// exact fixed point, short cycles under the single-path and under the
-// proximal update, a cycle longer than the anchor interval, and a two-route
-// problem that does not recur. The kinds are checked against findRecurrence,
-// so a generator change cannot silently turn one into another.
+// replayCases returns Figure-4 problems of every kind: an exact fixed point
+// and a short cycle under the single-path update, a short cycle under the
+// proximal update (three enterprise flows, one of them route-less), a
+// two-route cycle longer than the anchor interval, and a two-route problem
+// that does not recur. The kinds — period and update rule — are checked
+// against findRecurrence and the controller, so a generator change cannot
+// silently turn one into another.
 func replayCases(t *testing.T) []replayCase {
 	t.Helper()
 	cases := []struct {
-		name     string
-		seed     int64
-		multi    bool
-		mode     Mode
-		min, max int // admissible period
+		name       string
+		enterprise bool
+		seed       int64
+		flows      int
+		multi      bool
+		min, max   int // admissible period
 	}{
-		{"fixed", 4, false, ModeAuto, 1, 1},
-		{"cycle", 7, false, ModeAuto, 2, anchorEvery},
-		{"cycle-proximal", 18, false, ModeMultipath, 2, anchorEvery},
-		{"long-cycle", 5, false, ModeMultipath, anchorEvery + 1, 4000},
-		{"never", 1, true, ModeAuto, 0, 0},
+		{"fixed", false, 4, 1, false, 1, 1},
+		{"cycle", false, 7, 1, false, 2, anchorEvery},
+		{"cycle-proximal", true, 82, 3, true, 2, anchorEvery},
+		{"long-cycle", true, 71, 1, true, anchorEvery + 1, 4000},
+		{"never", false, 1, 1, true, 0, 0},
 	}
 	out := make([]replayCase, len(cases))
 	for i, c := range cases {
-		p, ok := figure4Problem(false, c.seed, 1, c.multi, Options{Mode: c.mode})
+		p, ok := figure4Problem(c.enterprise, c.seed, c.flows, c.multi, Options{})
 		if !ok {
-			t.Fatalf("%s: residential seed %d has no route", c.name, c.seed)
+			t.Fatalf("%s: seed %d has no route", c.name, c.seed)
+		}
+		if got, _ := p.twins(t); got.single == c.multi {
+			t.Fatalf("%s: single-path update %v, want %v", c.name, got.single, !c.multi)
 		}
 		first, period := findRecurrence(t, p, 4000)
 		if period < c.min || period > c.max {
@@ -762,9 +668,10 @@ func TestReplayHorizons(t *testing.T) {
 }
 
 // TestReplayAnchorDoesNotSurviveCall changes what Step depends on between
-// back-to-back RunAppend calls — external load, step size, a route rate —
-// after the trajectory has become periodic: the next call must start from
-// the changed state, not from the previous call's anchor.
+// back-to-back RunAppend calls — the step size, a route rate; no public call
+// does, so the test writes the fields — after the trajectory has become
+// periodic: the next call must start from the changed state, not from the
+// previous call's anchor.
 func TestReplayAnchorDoesNotSurviveCall(t *testing.T) {
 	for _, rc := range replayCases(t) {
 		if !rc.replayable() {
@@ -777,21 +684,16 @@ func TestReplayAnchorDoesNotSurviveCall(t *testing.T) {
 			t.Fatalf("%s: first call did not replay", rc.name)
 		}
 
-		ext := make([]float64, rc.p.net.NumLinks())
-		ext[rc.p.routes[0].Links[0]] = 3
-		both(func(c *Controller) { c.SetExternalLoad(ext) })
-		a, b = assertReplayExact(t, rc.name+" after SetExternalLoad", got, want, 1000, a, b)
+		both(func(c *Controller) { c.opts.Alpha = 0.03 })
+		a, b = assertReplayExact(t, rc.name+" after a new step size", got, want, 1000, a, b)
 
-		both(func(c *Controller) { c.SetAlpha(0.03) })
-		a, b = assertReplayExact(t, rc.name+" after SetAlpha", got, want, 1000, a, b)
-
-		both(func(c *Controller) { c.SetRate(0, c.Rates()[0]/2) })
-		a, b = assertReplayExact(t, rc.name+" after SetRate", got, want, 1000, a, b)
+		both(func(c *Controller) { c.x[0] /= 2 })
+		a, b = assertReplayExact(t, rc.name+" after a new rate", got, want, 1000, a, b)
 
 		// Setting a rate to the value it has changes nothing: the call may
 		// replay at once, and must still agree.
-		both(func(c *Controller) { c.SetRate(0, c.Rates()[0]) })
-		assertReplayExact(t, rc.name+" after no-op SetRate", got, want, 300, a, b)
+		both(func(c *Controller) { c.x[0] = c.Rates()[0] })
+		assertReplayExact(t, rc.name+" after a no-op rate", got, want, 300, a, b)
 	}
 }
 
@@ -818,14 +720,14 @@ func TestReplayAppendsToFullBuffer(t *testing.T) {
 // TestReplayComparesBitPatterns: a NaN rate is a fixed point of the update
 // (NaN in, the same NaN out) that == would never recognize, and a −0 rate
 // equals the +0 that one slot turns it into under == but is a different
-// state. Both must match stepping; the NaN trajectory must be replayed.
+// state. No public call sets a rate, so the test writes x in-package. Both
+// must match stepping; the NaN trajectory must be replayed.
 func TestReplayComparesBitPatterns(t *testing.T) {
 	rc := replayCases(t)[0]
 	for _, v := range []float64{math.NaN(), math.Copysign(0, -1)} {
 		for _, n := range []int{1, 2, 3, 500} {
 			got, want := rc.p.twins(t)
-			got.SetRate(0, v)
-			want.SetRate(0, v)
+			got.x[0], want.x[0] = v, v
 			assertReplayExact(t, fmt.Sprintf("rate %v", v), got, want, n, nil, nil)
 			if v != v && n == 500 && got.replayed == 0 {
 				t.Errorf("a NaN fixed point was stepped for %d slots", n)
@@ -834,18 +736,25 @@ func TestReplayComparesBitPatterns(t *testing.T) {
 	}
 }
 
-// TestReplayStateIncludesProximalAverage: on an uncontended link with δ = 0
-// the proximal update pins x at the rate cap with γ = 0 within a few slots,
-// while x̄ keeps creeping towards x for hundreds more. The trajectory looks
-// settled long before the state is: x̄ must be part of what is compared.
+// TestReplayStateIncludesProximalAverage: on two uncontended links — a
+// WiFi and a PLC link between the same pair, which do not interfere — with
+// δ = 0 the proximal update pins each route's x at its cap with γ = 0
+// within a few slots, while x̄ keeps creeping towards x for hundreds more.
+// The trajectory looks settled long before the state is: x̄ must be part of
+// what is compared.
 func TestReplayStateIncludesProximalAverage(t *testing.T) {
-	net, path := singleLink(30)
-	p := problem{net, []Route{{Links: path, Flow: 0}}, Options{Mode: ModeMultipath, Alpha: 0.05}}
+	b := graph.NewBuilder(nil)
+	u := b.AddNode("u", 0, 0, graph.TechWiFi, graph.TechPLC)
+	v := b.AddNode("v", 1, 0, graph.TechWiFi, graph.TechPLC)
+	wifi := b.AddLink(u, v, graph.TechWiFi, 4)
+	plc := b.AddLink(u, v, graph.TechPLC, 3)
+	routes := []Route{{Links: graph.Path{wifi}, Flow: 0}, {Links: graph.Path{plc}, Flow: 0}}
+	p := problem{b.Build(), routes, Options{Alpha: 0.05}}
 	for _, n := range []int{100, 300, 4000} {
 		got, want := p.twins(t)
-		assertReplayExact(t, "capped link", got, want, n, nil, nil)
+		assertReplayExact(t, "capped links", got, want, n, nil, nil)
 		if n == 4000 && got.replayed == 0 {
-			t.Error("capped link: the fixed point x = x̄ = cap was never replayed")
+			t.Error("capped links: the fixed point x = x̄ = cap was never replayed")
 		}
 	}
 }

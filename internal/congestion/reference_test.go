@@ -26,16 +26,16 @@ func referenceRunAppend(c *Controller, n int, dst []float64) []float64 {
 }
 
 // refController is the per-flow/per-route scalar implementation the SoA
-// batch core replaced.
+// batch core replaced, reduced to what the controller still does: the
+// proportional-fairness utility, the 1−δ budget and the capped rates.
 type refController struct {
 	net    *graph.Network
 	routes []Route
 	opts   Options
 
 	flows      int
-	flowOf     []int     // route -> flow
-	util       []Utility // per flow
-	flowRoutes [][]int   // flow -> route indices
+	flowOf     []int   // route -> flow
+	flowRoutes [][]int // flow -> route indices
 
 	linkRoutes [][]int
 	routeCap   []float64
@@ -51,8 +51,6 @@ type refController struct {
 	newX  []float64
 	frate []float64
 
-	ExternalLoad []float64
-
 	t int
 }
 
@@ -60,20 +58,11 @@ func newRef(net *graph.Network, routes []Route, opts Options) (*refController, e
 	if opts.Alpha == 0 {
 		opts.Alpha = 0.02
 	}
-	if opts.UtilityScale == 0 {
-		opts.UtilityScale = 50
-	}
-	if opts.UtilityScale < 0 {
-		return nil, fmt.Errorf("congestion: utility scale %v must be positive", opts.UtilityScale)
-	}
 	if opts.Alpha < 0 || opts.Alpha > 1 {
 		return nil, fmt.Errorf("congestion: alpha %v out of (0,1]", opts.Alpha)
 	}
 	if opts.Delta < 0 || opts.Delta >= 1 {
 		return nil, fmt.Errorf("congestion: delta %v out of [0,1)", opts.Delta)
-	}
-	if opts.FairShareFloor < 0 || opts.FairShareFloor >= 1 {
-		return nil, fmt.Errorf("congestion: fair-share floor %v out of [0,1)", opts.FairShareFloor)
 	}
 	c := &refController{net: net, routes: routes, opts: opts}
 	maxFlow := -1
@@ -105,25 +94,11 @@ func newRef(net *graph.Network, routes []Route, opts Options) (*refController, e
 		}
 		c.routeCap[i] = cap
 	}
-	c.util = make([]Utility, c.flows)
-	for f := 0; f < c.flows; f++ {
-		if u, ok := opts.Utilities[f]; ok && u != nil {
-			c.util[f] = u
-		} else {
-			c.util[f] = ProportionalFairness{}
-		}
-	}
 	c.single = true
 	for f := 0; f < c.flows; f++ {
 		if len(c.flowRoutes[f]) != 1 {
 			c.single = false
 		}
-	}
-	switch opts.Mode {
-	case ModeSinglePath:
-		c.single = true
-	case ModeMultipath:
-		c.single = false
 	}
 	c.x = make([]float64, len(routes))
 	c.xbar = make([]float64, len(routes))
@@ -166,25 +141,15 @@ func (c *refController) Step() {
 	}
 
 	for l := 0; l < c.net.NumLinks(); l++ {
-		var yOwn, yExt float64
+		var yOwn float64
 		for _, lp := range c.net.Interference(graph.LinkID(l)) {
 			link := c.net.Link(lp)
-			if link.Capacity <= 0 {
-				continue
-			}
-			if c.load[lp] > 0 {
+			if link.Capacity > 0 && c.load[lp] > 0 {
 				yOwn += c.load[lp] / link.Capacity
 			}
-			if c.ExternalLoad != nil && c.ExternalLoad[lp] > 0 {
-				yExt += c.ExternalLoad[lp] / link.Capacity
-			}
-		}
-		budget := limit - yExt
-		if f := c.opts.FairShareFloor; f > 0 && budget < f*limit {
-			budget = f * limit
 		}
 		c.y[l] = yOwn
-		g := c.gamma[l] + float64(alpha*(yOwn-budget))
+		g := c.gamma[l] + float64(alpha*(yOwn-limit))
 		if g < 0 {
 			g = 0
 		}
@@ -211,17 +176,17 @@ func (c *refController) Step() {
 	if c.single {
 		const beta = 0.3
 		for i := range c.routes {
-			x := c.capRate(i, c.util[c.flowOf[i]].PrimeInv(c.q[i]))
+			x := c.capRate(i, ProportionalFairness{}.PrimeInv(c.q[i]))
 			c.x[i] = float64((1-beta)*c.x[i]) + float64(beta*x)
 		}
 	} else {
-		scale := c.opts.UtilityScale
+		const scale = 50
 		for f := 0; f < c.flows; f++ {
 			c.frate[f] = c.FlowRate(f)
 		}
 		for i := range c.routes {
 			f := c.flowOf[i]
-			inner := c.xbar[i] + float64(scale*(c.util[f].Prime(c.frate[f])-c.q[i]))
+			inner := c.xbar[i] + float64(scale*(ProportionalFairness{}.Prime(c.frate[f])-c.q[i]))
 			if inner < 0 {
 				inner = 0
 			}
@@ -240,7 +205,7 @@ func (c *refController) capRate(i int, x float64) float64 {
 	if x < 0 {
 		return 0
 	}
-	if !c.opts.DisableRateCap && x > c.routeCap[i] {
+	if x > c.routeCap[i] {
 		return c.routeCap[i]
 	}
 	if math.IsInf(x, 1) {

@@ -287,15 +287,16 @@ func Evaluate(inst *topology.Instance, s Scheme, pairs [][2]graph.NodeID, opts O
 		if tail < 1 {
 			tail = 1
 		}
+		// The controller reports flows 0..nf−1, nf being the highest
+		// routed flow + 1: the route-less pairs past it keep 0 Mbps.
 		avg := growFloats(ev.avg, len(pairs))
 		ev.avg = avg
 		for f := range avg {
 			avg[f] = 0
 		}
 		for t := slots - tail; t < slots; t++ {
-			row := traj[t*nf : (t+1)*nf]
-			for f := range avg {
-				avg[f] += row[f]
+			for f, v := range traj[t*nf : (t+1)*nf] {
+				avg[f] += v
 			}
 		}
 		var util float64

@@ -2,12 +2,15 @@ package experiments
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/stats"
 )
 
 // must unwraps a sweep that cannot fail under context.Background().
@@ -109,6 +112,37 @@ func TestFigure7UtilityRatios(t *testing.T) {
 		}
 	}
 	_ = res.Render()
+}
+
+// TestFigure7RoutelessLastPair rebuilds replication 63 of the enterprise
+// Figure 7 sweep at seed 1 the way Figure7Ctx draws it: its third pair has
+// no hybrid route, so the controller's trajectory rows are two flows wide
+// under the CC schemes. Every scheme must report three flows, the
+// route-less one at 0 Mbps.
+func TestFigure7RoutelessLastPair(t *testing.T) {
+	const seed, rep = 1, 63
+	inst := generate(TopoEnterprise, seed+rep)
+	rng := stats.NewRand(seed + rep + 1_000_000)
+	pairs := make([][2]graph.NodeID, 3)
+	for i := range pairs {
+		s, d := inst.RandomFlow(rng)
+		pairs[i] = [2]graph.NodeID{s, d}
+	}
+	for _, s := range figure7Schemes {
+		ev := core.Evaluate(inst, s, pairs, core.Options{Delta: 0.05})
+		if len(ev.Flows) != len(pairs) {
+			t.Fatalf("%v: %d flow results for %d pairs", s, len(ev.Flows), len(pairs))
+		}
+		last := ev.Flows[len(pairs)-1]
+		if len(last.Routes) != 0 || last.Throughput != 0 {
+			t.Fatalf("%v: last pair has %d routes and %v Mbps, want none and 0", s, len(last.Routes), last.Throughput)
+		}
+		for f, fr := range ev.Flows[:len(pairs)-1] {
+			if fr.Throughput <= 0 || math.IsInf(fr.Throughput, 0) {
+				t.Errorf("%v: flow %d reports %v Mbps", s, f, fr.Throughput)
+			}
+		}
+	}
 }
 
 func TestConvergenceComparison(t *testing.T) {

@@ -316,10 +316,12 @@ type Figure7Result struct {
 	Ratios map[string][]float64
 }
 
+// figure7Schemes are the schemes Figure 7 compares with the optimum.
+var figure7Schemes = []core.Scheme{core.SchemeEMPoWER, core.SchemeMP2bp, core.SchemeMPWoCC, core.SchemeSP}
+
 // Figure7Ctx reproduces Figure 7: total network utility with three
 // contending flows, as a fraction of the optimal utility.
 func Figure7Ctx(ctx context.Context, t Topo, cfg SimConfig) (Figure7Result, error) {
-	schemes := []core.Scheme{core.SchemeEMPoWER, core.SchemeMP2bp, core.SchemeMPWoCC, core.SchemeSP}
 	res := Figure7Result{Topo: t, Ratios: map[string][]float64{}}
 	runs, err := runner.Collect(ctx, cfg.runs(), cfg.runnerConfig(),
 		func(_ context.Context, rep runner.Rep) *f6run {
@@ -339,7 +341,7 @@ func Figure7Ctx(ctx context.Context, t Topo, cfg SimConfig) (Figure7Result, erro
 				return nil
 			}
 			out := &f6run{cons: clampRatio(cons.Utility / opt.Utility)}
-			for _, s := range schemes {
+			for _, s := range figure7Schemes {
 				ev := core.Evaluate(inst, s, pairs, cfg.Core)
 				out.ratios = append(out.ratios, clampRatio(ev.Utility/opt.Utility))
 			}
@@ -353,7 +355,7 @@ func Figure7Ctx(ctx context.Context, t Topo, cfg SimConfig) (Figure7Result, erro
 			continue
 		}
 		res.Ratios["conservative opt"] = append(res.Ratios["conservative opt"], r.cons)
-		for i, s := range schemes {
+		for i, s := range figure7Schemes {
 			res.Ratios[s.String()] = append(res.Ratios[s.String()], r.ratios[i])
 		}
 	}

@@ -455,17 +455,3 @@ func (n *Network) PathString(p Path) string {
 	}
 	return s
 }
-
-// TotalAirtime returns Σ_{l'∈I_l} d_{l'}·x_{l'} for the given per-link rate
-// vector: the airtime demand in link l's interference domain. rates is
-// indexed by LinkID.
-func (n *Network) TotalAirtime(l LinkID, rates []float64) float64 {
-	var sum float64
-	for _, i := range n.interference[l] {
-		link := &n.Links[i]
-		if rates[i] > 0 && link.Capacity > 0 {
-			sum += rates[i] / link.Capacity
-		}
-	}
-	return sum
-}

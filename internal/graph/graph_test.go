@@ -258,24 +258,6 @@ func TestDistance(t *testing.T) {
 	}
 }
 
-func TestTotalAirtime(t *testing.T) {
-	net, a, bb, c := buildFigure1()
-	rates := make([]float64, net.NumLinks())
-	wifiAB := net.FindLink(a, bb, TechWiFi)
-	wifiBC := net.FindLink(bb, c, TechWiFi)
-	rates[wifiAB] = 15 // µ = 0.5
-	rates[wifiBC] = 7.5
-	// Airtime in the WiFi domain: 15/30 + 7.5/15 = 1.0
-	if got := net.TotalAirtime(wifiAB, rates); math.Abs(got-1.0) > 1e-9 {
-		t.Errorf("TotalAirtime = %v, want 1.0", got)
-	}
-	// PLC domain sees none of it.
-	plc := net.FindLink(a, bb, TechPLC)
-	if got := net.TotalAirtime(plc, rates); got != 0 {
-		t.Errorf("PLC TotalAirtime = %v, want 0", got)
-	}
-}
-
 func TestPathString(t *testing.T) {
 	net, a, bb, c := buildFigure1()
 	p := Path{net.FindLink(a, bb, TechPLC), net.FindLink(bb, c, TechWiFi)}

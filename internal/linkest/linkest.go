@@ -33,46 +33,24 @@ const (
 	ModeTraffic
 )
 
-// Config tunes an Estimator's EWMA windows.
-type Config struct {
-	// TrafficWindow is the EWMA time constant in traffic mode in seconds
-	// (default 0.1, the paper's "order of hundred of milliseconds").
-	TrafficWindow float64
-	// ProbeWindow is the EWMA time constant in probe mode (default 2 s,
-	// "a few seconds").
-	ProbeWindow float64
-}
-
 // ProbeInterval is the probing period in seconds when no traffic flows
 // (≈ 1 kB/s of 256 B probes).
 const ProbeInterval = 0.25
 
-// The sampling constants: the relative standard deviation of a sample in
+// The sampling constants: the EWMA time constant of each mode in seconds
+// (the paper's "order of hundred of milliseconds" in traffic mode, "a few
+// seconds" in probe mode), the relative standard deviation of a sample in
 // each mode, and the silence after which a link is declared failed.
 const (
+	trafficWindow  float64 = 0.1
+	probeWindow    float64 = 2.0
 	probeNoise     float64 = 0.08
 	trafficNoise   float64 = 0.01
 	failureTimeout float64 = 1.0
 )
 
-func (c Config) trafficWindow() float64 {
-	if c.TrafficWindow <= 0 {
-		return 0.1
-	}
-	return c.TrafficWindow
-}
-
-func (c Config) probeWindow() float64 {
-	if c.ProbeWindow <= 0 {
-		return 2.0
-	}
-	return c.ProbeWindow
-}
-
 // Estimator tracks one link's capacity.
 type Estimator struct {
-	cfg Config
-
 	estimate   float64
 	haveSample bool
 	lastSample float64 // virtual time of the last sample
@@ -82,13 +60,13 @@ type Estimator struct {
 	// (gainDt, gainWindow) pair: a pure function of its two operands, so a
 	// repeated pair — back-to-back frames at one airtime — reuses the
 	// bits exp would return again. The zero pair never matches: dt is
-	// clamped positive and every window default is positive.
+	// clamped positive and both windows are positive.
 	gain, gainDt, gainWindow float64
 }
 
-// New returns an estimator with the given configuration.
-func New(cfg Config) *Estimator {
-	return &Estimator{cfg: cfg}
+// New returns an estimator with no sample yet, in probe mode.
+func New() *Estimator {
+	return &Estimator{}
 }
 
 // Mode returns the current regime.
@@ -115,9 +93,9 @@ func (e *Estimator) Observe(sample, now float64) {
 	if dt <= 0 {
 		dt = 1e-6
 	}
-	window := e.cfg.trafficWindow()
+	window := trafficWindow
 	if e.mode == ModeProbe {
-		window = e.cfg.probeWindow()
+		window = probeWindow
 	}
 	if dt != e.gainDt || window != e.gainWindow {
 		e.gain, e.gainDt, e.gainWindow = 1-math.Exp(-dt/window), dt, window

@@ -7,7 +7,7 @@ import (
 )
 
 func TestEstimatorConvergesInTrafficMode(t *testing.T) {
-	e := New(Config{})
+	e := New()
 	e.SetMode(ModeTraffic)
 	rng := rand.New(rand.NewSource(1))
 	// High-rate samples every 1 ms of a 50 Mbps link.
@@ -22,7 +22,7 @@ func TestEstimatorConvergesInTrafficMode(t *testing.T) {
 }
 
 func TestTrafficModeReactsWithin100ms(t *testing.T) {
-	e := New(Config{})
+	e := New()
 	e.SetMode(ModeTraffic)
 	rng := rand.New(rand.NewSource(2))
 	now := 0.0
@@ -41,7 +41,7 @@ func TestTrafficModeReactsWithin100ms(t *testing.T) {
 }
 
 func TestProbeModeSlowerButConverges(t *testing.T) {
-	e := New(Config{})
+	e := New()
 	e.SetMode(ModeProbe)
 	rng := rand.New(rand.NewSource(3))
 	now := 0.0
@@ -58,9 +58,9 @@ func TestProbeModeSlowerButConverges(t *testing.T) {
 func TestProbeModeNoisierThanTraffic(t *testing.T) {
 	// Empirical spread of samples should be wider in probe mode.
 	rng := rand.New(rand.NewSource(4))
-	probe := New(Config{})
+	probe := New()
 	probe.SetMode(ModeProbe)
-	traffic := New(Config{})
+	traffic := New()
 	traffic.SetMode(ModeTraffic)
 	var probeVar, trafficVar float64
 	n := 3000
@@ -76,7 +76,7 @@ func TestProbeModeNoisierThanTraffic(t *testing.T) {
 }
 
 func TestFirstSampleInitializes(t *testing.T) {
-	e := New(Config{})
+	e := New()
 	if e.Estimate() != 0 {
 		t.Error("estimate before samples should be 0")
 	}
@@ -87,7 +87,7 @@ func TestFirstSampleInitializes(t *testing.T) {
 }
 
 func TestFailureDetection(t *testing.T) {
-	e := New(Config{})
+	e := New()
 	e.Observe(50, 1)
 	if e.Failed(1.5) {
 		t.Error("failed too early")
@@ -96,14 +96,14 @@ func TestFailureDetection(t *testing.T) {
 		t.Error("failure not detected after timeout")
 	}
 	// No samples ever: not failed (nothing to fail).
-	f := New(Config{})
+	f := New()
 	if f.Failed(100) {
 		t.Error("virgin estimator cannot fail")
 	}
 }
 
 func TestReset(t *testing.T) {
-	e := New(Config{})
+	e := New()
 	e.Observe(50, 1)
 	e.Reset()
 	if e.Estimate() != 0 {
@@ -115,7 +115,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestNegativeSampleClamped(t *testing.T) {
-	e := New(Config{})
+	e := New()
 	e.Observe(-5, 1)
 	if e.Estimate() != 0 {
 		t.Errorf("negative sample should clamp to 0, got %v", e.Estimate())
@@ -123,7 +123,7 @@ func TestNegativeSampleClamped(t *testing.T) {
 }
 
 func TestModeSwitching(t *testing.T) {
-	e := New(Config{})
+	e := New()
 	if e.Mode() != ModeProbe {
 		t.Error("default mode should be probe")
 	}

@@ -27,9 +27,9 @@ func refObserve(e *Estimator, sample, now float64) {
 	if dt <= 0 {
 		dt = 1e-6
 	}
-	window := e.cfg.trafficWindow()
+	window := trafficWindow
 	if e.mode == ModeProbe {
-		window = e.cfg.probeWindow()
+		window = probeWindow
 	}
 	a := 1 - math.Exp(-dt/window)
 	e.estimate += a * (sample - e.estimate)
@@ -89,37 +89,35 @@ func TestObserveGainMemo(t *testing.T) {
 		script = append(script, s)
 	}
 
-	for _, cfg := range []Config{{}, {TrafficWindow: 0.05, ProbeWindow: 3}} {
-		live, ref := New(cfg), New(cfg)
-		hits := 0
-		for i, s := range script {
-			live.SetMode(s.mode)
-			ref.SetMode(s.mode)
-			if s.reset {
-				live.Reset()
-				ref.Reset()
-			}
-			before := [2]float64{live.gainDt, live.gainWindow}
-			live.Observe(s.sample, s.now)
-			refObserve(ref, s.sample, s.now)
-			hit := live.haveSample && before == [2]float64{live.gainDt, live.gainWindow} && !s.reset && i > 0
-			if hit {
-				hits++
-			}
-			if s.hit == 1 && !hit || s.hit == -1 && hit {
-				t.Errorf("cfg %+v step %d %+v: memo hit %v", cfg, i, s, hit)
-			}
-			if g, w := live.Estimate(), ref.Estimate(); math.Float64bits(g) != math.Float64bits(w) {
-				t.Fatalf("cfg %+v step %d %+v: estimate %v (%#x), reference %v (%#x)",
-					cfg, i, s, g, math.Float64bits(g), w, math.Float64bits(w))
-			}
-			if live.lastSample != ref.lastSample || live.haveSample != ref.haveSample {
-				t.Fatalf("cfg %+v step %d: sample clock (%v, %v), reference (%v, %v)",
-					cfg, i, live.lastSample, live.haveSample, ref.lastSample, ref.haveSample)
-			}
+	live, ref := New(), New()
+	hits := 0
+	for i, s := range script {
+		live.SetMode(s.mode)
+		ref.SetMode(s.mode)
+		if s.reset {
+			live.Reset()
+			ref.Reset()
 		}
-		if hits < len(script)/10 {
-			t.Errorf("cfg %+v: %d memo hits over %d steps: the script does not exercise the memo", cfg, hits, len(script))
+		before := [2]float64{live.gainDt, live.gainWindow}
+		live.Observe(s.sample, s.now)
+		refObserve(ref, s.sample, s.now)
+		hit := live.haveSample && before == [2]float64{live.gainDt, live.gainWindow} && !s.reset && i > 0
+		if hit {
+			hits++
 		}
+		if s.hit == 1 && !hit || s.hit == -1 && hit {
+			t.Errorf("step %d %+v: memo hit %v", i, s, hit)
+		}
+		if g, w := live.Estimate(), ref.Estimate(); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("step %d %+v: estimate %v (%#x), reference %v (%#x)",
+				i, s, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+		if live.lastSample != ref.lastSample || live.haveSample != ref.haveSample {
+			t.Fatalf("step %d: sample clock (%v, %v), reference (%v, %v)",
+				i, live.lastSample, live.haveSample, ref.lastSample, ref.haveSample)
+		}
+	}
+	if hits < len(script)/10 {
+		t.Errorf("%d memo hits over %d steps: the script does not exercise the memo", hits, len(script))
 	}
 }

@@ -131,7 +131,7 @@ func newAgent(em *Domain, id graph.NodeID) *Agent {
 	for _, l := range a.egress {
 		link := em.Net.Link(l)
 		a.addNextHop(wire.HashInterface(link.To, link.Tech), l)
-		a.est[l] = linkest.New(linkest.Config{})
+		a.est[l] = linkest.New()
 		if !seen[link.Tech] {
 			seen[link.Tech] = true
 			a.techs = append(a.techs, link.Tech)

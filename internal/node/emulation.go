@@ -48,8 +48,6 @@ type Config struct {
 	// DisableCC turns congestion control off (the w/o-CC baselines):
 	// sources keep their first hops backlogged and no shaping occurs.
 	DisableCC bool
-	// InitialRate bootstraps each route's rate in Mbps (default 0.5).
-	InitialRate float64
 	// Estimation enables noisy link-capacity estimation (package
 	// linkest) instead of oracle capacities for the price terms
 	// (default true in testbed experiments; tests may disable it).
@@ -92,6 +90,8 @@ const (
 	// reportStale expires neighbour price reports after this many
 	// seconds.
 	reportStale float64 = 0.5
+	// initialRate floors each route's warm-start rate in Mbps.
+	initialRate float64 = 0.5
 )
 
 func (c *Config) priceInterval() float64 {
@@ -99,13 +99,6 @@ func (c *Config) priceInterval() float64 {
 		return 0.1
 	}
 	return c.PriceInterval
-}
-
-func (c *Config) initialRate() float64 {
-	if c.InitialRate <= 0 {
-		return 0.5
-	}
-	return c.InitialRate
 }
 
 // Emulation is the emulated network: one closed Domain per interference

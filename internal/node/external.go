@@ -11,12 +11,7 @@ import (
 // nodes and add the corresponding airtimes in (7)") and converge to the
 // optimal allocation under that external load without disturbing it.
 type ExternalSource struct {
-	link graph.LinkID
-	rate float64 // Mbps
 	bits float64 // per-packet size
-
-	// DeliveredBits counts what the external receiver got.
-	DeliveredBits float64
 
 	periodic interface{ Stop() }
 }
@@ -26,7 +21,7 @@ type ExternalSource struct {
 // the MAC payload — agents ignore payloads they don't recognize, exactly
 // how EMPoWER nodes treat foreign traffic.
 func (e *Emulation) AddExternalSource(l graph.LinkID, rate float64) *ExternalSource {
-	s := &ExternalSource{link: l, rate: rate, bits: 1500 * 8}
+	s := &ExternalSource{bits: 1500 * 8}
 	gap := s.bits / (rate * 1e6)
 	d := e.doms[e.linkDom[l]]
 	s.periodic = d.Engine.Every(gap, func() {
@@ -37,9 +32,6 @@ func (e *Emulation) AddExternalSource(l graph.LinkID, rate float64) *ExternalSou
 
 // Stop halts the source.
 func (s *ExternalSource) Stop() { s.periodic.Stop() }
-
-// Rate returns the configured sending rate (Mbps).
-func (s *ExternalSource) Rate() float64 { return s.rate }
 
 // externalBusy tracks carrier-sensed airtime for one agent and
 // technology. Busy time is attributed to the transmitting node (WiFi and

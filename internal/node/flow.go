@@ -40,8 +40,6 @@ type FlowSpec struct {
 	Kind   TrafficKind
 	// FileBytes is the download size for TrafficFile.
 	FileBytes int64
-	// Utility defaults to proportional fairness.
-	Utility congestion.Utility
 	// TCP marks the flow as TCP for the §6.4 δ signalling.
 	TCP bool
 }
@@ -63,7 +61,6 @@ type Flow struct {
 	x, xbar []float64
 	lastQR  []float64
 	tuner   *congestion.AlphaTuner
-	util    congestion.Utility
 	// seqBuf is scratch for the sequential-rate warm starts (seedRates,
 	// setRoutesOn): reroutes and flow churn stay allocation-free.
 	seqBuf []float64
@@ -119,10 +116,6 @@ func (e *Domain) addFlow(spec FlowSpec, startAt float64) (*Flow, error) {
 		em:     e,
 		agent:  e.Agents[spec.Src],
 		routes: spec.Routes,
-		util:   spec.Utility,
-	}
-	if f.util == nil {
-		f.util = congestion.ProportionalFairness{}
 	}
 	longest := 0
 	for _, r := range spec.Routes {
@@ -442,16 +435,16 @@ func (f *Flow) sendPacket(r int, payloadBytes int, meta interface{}) {
 
 // seedRates warm-starts the per-route rates at 85 % of the sequential
 // residual achievable rate R(P) (the §3.2 exploration-tree loading the
-// source computed during route selection), floored at the configured
-// initial rate. Warm starting reproduces the paper's behaviour of
-// reaching near-target rates within seconds (Figure 9/10-right); the
-// controller then trims against the measured prices.
+// source computed during route selection), floored at initialRate. Warm
+// starting reproduces the paper's behaviour of reaching near-target rates
+// within seconds (Figure 9/10-right); the controller then trims against the
+// measured prices.
 func (f *Flow) seedRates() {
 	f.seqBuf = routing.AppendSequentialRates(f.em.Net, f.routes, f.seqBuf[:0])
 	for i, r := range f.seqBuf {
 		x := 0.85 * r
-		if x < f.em.cfg.initialRate() {
-			x = f.em.cfg.initialRate()
+		if x < initialRate {
+			x = initialRate
 		}
 		f.x[i] = x
 		f.xbar[i] = x
@@ -477,7 +470,7 @@ func (f *Flow) onAck(ack *wire.AckFrame) {
 		}
 		q := ra.QR
 		f.lastQR[r] = q
-		nx, nxbar := congestion.ProximalUpdate(f.x[r], f.xbar[r], congestion.DefaultUtilityScale, alpha, f.util.Prime(total), q)
+		nx, nxbar := congestion.ProximalUpdate(f.x[r], f.xbar[r], congestion.DefaultUtilityScale, alpha, congestion.ProportionalFairness{}.Prime(total), q)
 		// Cap at the route's estimated bottleneck to suppress transients.
 		if cap := f.routeCap(r); nx > cap {
 			nx = cap

@@ -285,8 +285,8 @@ func (f *Flow) setRoutesOn(view *graph.Network, routes []graph.Path) error {
 	f.seqBuf = routing.AppendSequentialRates(view, f.routes, f.seqBuf[:0])
 	for i, r := range f.seqBuf {
 		x := 0.85 * r
-		if x < f.em.cfg.initialRate() {
-			x = f.em.cfg.initialRate()
+		if x < initialRate {
+			x = initialRate
 		}
 		f.x[i] = x
 		f.xbar[i] = x

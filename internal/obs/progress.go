@@ -70,20 +70,6 @@ func (p *ProgressLine) Finish() {
 	}
 }
 
-// Rate returns replications per second of wall clock so far.
-func (p *ProgressLine) Rate(done int) float64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	elapsed := p.now().Sub(p.start).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(done) / elapsed
-}
-
 func formatETA(sec float64) string {
 	if sec < 0 {
 		sec = 0

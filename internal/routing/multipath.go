@@ -211,7 +211,7 @@ func Multipath(net *graph.Network, src, dst graph.NodeID, cfg Config) Combinatio
 	ws := getWS(net)
 	ws.prepareSearch()
 	var best Combination
-	ws.explore(ws.capRoot, src, dst, cfg, 0, 0, &best)
+	ws.explore(ws.capRoot, src, dst, cfg, 0, &best)
 	best.Paths = copyPaths(best.Paths) // winner escapes the workspace arena
 	putWS(ws)
 	return best
@@ -222,12 +222,8 @@ func Multipath(net *graph.Network, src, dst graph.NodeID, cfg Config) Combinatio
 // capacities, apply update(P,G) in place — rather than a Network clone.
 // The branch from the root to the current vertex lives on the workspace
 // branch stacks instead of per-vertex Combination copies; only an improving
-// leaf (or depth cutoff) copies the stacks into best.
-func (ws *workspace) explore(capv []float64, src, dst graph.NodeID, cfg Config, depth int, total float64, best *Combination) {
-	if cfg.MaxDepth > 0 && depth >= cfg.MaxDepth {
-		ws.captureBest(total, best)
-		return
-	}
+// leaf copies the stacks into best.
+func (ws *workspace) explore(capv []float64, src, dst graph.NodeID, cfg Config, total float64, best *Combination) {
 	paths := ws.nShortest(capv, src, dst, cfg)
 	// Keep only paths with strictly positive achievable rate.
 	leaf := true
@@ -242,7 +238,7 @@ func (ws *workspace) explore(capv []float64, src, dst graph.NodeID, cfg Config, 
 		ws.update(child, p, r)
 		ws.branchPaths = append(ws.branchPaths, p)
 		ws.branchRates = append(ws.branchRates, r)
-		ws.explore(child, src, dst, cfg, depth+1, total+r, best)
+		ws.explore(child, src, dst, cfg, total+r, best)
 		ws.branchPaths = ws.branchPaths[:len(ws.branchPaths)-1]
 		ws.branchRates = ws.branchRates[:len(ws.branchRates)-1]
 		ws.putOverlay(child)

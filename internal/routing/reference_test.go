@@ -319,17 +319,11 @@ func refUpdateAt(net *graph.Network, p graph.Path, r float64) *graph.Network {
 
 func refMultipath(net *graph.Network, src, dst graph.NodeID, cfg Config) Combination {
 	var best Combination
-	refExplore(net, src, dst, cfg, 0, Combination{}, &best)
+	refExplore(net, src, dst, cfg, Combination{}, &best)
 	return best
 }
 
-func refExplore(g *graph.Network, src, dst graph.NodeID, cfg Config, depth int, cur Combination, best *Combination) {
-	if cfg.MaxDepth > 0 && depth >= cfg.MaxDepth {
-		if cur.Total > best.Total {
-			*best = cur
-		}
-		return
-	}
+func refExplore(g *graph.Network, src, dst graph.NodeID, cfg Config, cur Combination, best *Combination) {
 	paths := refNShortest(g, src, dst, cfg)
 	leaf := true
 	for _, p := range paths {
@@ -344,7 +338,7 @@ func refExplore(g *graph.Network, src, dst graph.NodeID, cfg Config, depth int, 
 			Rates: append(append([]float64(nil), cur.Rates...), r),
 			Total: cur.Total + r,
 		}
-		refExplore(child, src, dst, cfg, depth+1, next, best)
+		refExplore(child, src, dst, cfg, next, best)
 	}
 	if leaf && cur.Total > best.Total {
 		*best = cur

@@ -358,19 +358,6 @@ func TestMultipathSingleLink(t *testing.T) {
 	}
 }
 
-func TestMultipathDepthLimit(t *testing.T) {
-	net, a, _, c := figure1()
-	cfg := DefaultConfig()
-	cfg.MaxDepth = 1
-	comb := Multipath(net, a, c, cfg)
-	if len(comb.Paths) != 1 {
-		t.Errorf("depth-1 combination uses %d paths, want 1", len(comb.Paths))
-	}
-	if math.Abs(comb.Total-10) > 1e-6 {
-		t.Errorf("depth-1 total = %v, want 10", comb.Total)
-	}
-}
-
 func TestTwoBestPaths(t *testing.T) {
 	net, a, _, c := figure1()
 	paths := TwoBestPaths(net, a, c, DefaultConfig())

@@ -26,19 +26,17 @@ type Config struct {
 	// UseCSC enables the channel-switching cost. The paper disables it
 	// (CSC = 0) for single-technology (WiFi-only) scenarios.
 	UseCSC bool
-	// MaxDepth bounds the exploration-tree depth; 0 means unbounded. The
-	// paper reports depths of 1–3 in practice, so the bound exists only as
-	// a safety valve for adversarial inputs.
-	MaxDepth int
 	// MaxHops bounds the path length in links; 0 means the wire-format
 	// limit of 6 (the EMPoWER header stores at most 6 hops).
 	MaxHops int
 }
 
 // DefaultConfig returns the configuration used throughout the paper's
-// evaluation: n = 5, CSC on, unbounded depth, 6-hop routes.
+// evaluation: n = 5, CSC on, 6-hop routes. The exploration tree has no
+// depth bound: every edge consumes capacity, so every branch ends (the
+// paper reports depths of 1–3 in practice).
 func DefaultConfig() Config {
-	return Config{N: 5, UseCSC: true, MaxDepth: 0, MaxHops: 6}
+	return Config{N: 5, UseCSC: true, MaxHops: 6}
 }
 
 func (c Config) maxHops() int {

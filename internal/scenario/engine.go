@@ -24,9 +24,6 @@ type Options struct {
 	// Routes selects routes for starting flows (default: the §3.2
 	// multipath combination with the default routing configuration).
 	Routes RouteFn
-	// MaxRoutes caps every flow's route count (0: no cap). A flow's own
-	// FlowSpec.MaxRoutes still applies on top.
-	MaxRoutes int
 	// ManageRoutes attaches a route manager (§3.2 maintenance) with fast
 	// failover to every flow the scenario starts.
 	ManageRoutes bool
@@ -706,9 +703,6 @@ func (d *rtDomain) startFlow(spec FlowSpec) {
 		return
 	}
 	routes := d.rt.opts.routes()(d.dom.Net, src, dst)
-	if max := d.rt.opts.MaxRoutes; max > 0 && len(routes) > max {
-		routes = routes[:max]
-	}
 	if max := spec.MaxRoutes; max > 0 && len(routes) > max {
 		routes = routes[:max]
 	}

@@ -362,7 +362,7 @@ func TestManagedRerouteOnFailure(t *testing.T) {
 	sc.RecoverLink(90, Link("s", "d", graph.TechPLC))
 
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 17)
-	rt, err := Bind(em, sc, 5, Options{Strict: true, ManageRoutes: true, MaxRoutes: 1})
+	rt, err := Bind(em, sc, 5, Options{Strict: true, ManageRoutes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

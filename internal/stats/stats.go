@@ -110,18 +110,6 @@ func (c CDF) At(x float64) float64 {
 	return float64(i) / float64(len(c.X))
 }
 
-// InvAt returns the smallest sample value x such that At(x) ≥ p.
-func (c CDF) InvAt(p float64) float64 {
-	if len(c.X) == 0 {
-		return math.NaN()
-	}
-	i := sort.Search(len(c.P), func(i int) bool { return c.P[i] >= p })
-	if i >= len(c.X) {
-		i = len(c.X) - 1
-	}
-	return c.X[i]
-}
-
 // Points down-samples the CDF to at most n points for printing, always
 // keeping the first and last point.
 func (c CDF) Points(n int) CDF {
@@ -235,20 +223,6 @@ func SplitSeed(base int64, index int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// TruncNormal draws from a normal distribution with the given mean and
-// standard deviation, truncated to [lo, hi] by resampling (with a bounded
-// number of attempts, falling back to clamping).
-func TruncNormal(rng *rand.Rand, mean, std, lo, hi float64) float64 {
-	for i := 0; i < 64; i++ {
-		x := rng.NormFloat64()*std + mean
-		if x >= lo && x <= hi {
-			return x
-		}
-	}
-	x := rng.NormFloat64()*std + mean
-	return math.Min(hi, math.Max(lo, x))
-}
-
 // Mean is a convenience over Summarize for the common case.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -260,6 +234,3 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Std returns the sample standard deviation of xs.
-func Std(xs []float64) float64 { return Summarize(xs).Std }

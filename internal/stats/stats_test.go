@@ -91,19 +91,6 @@ func TestCDFBasic(t *testing.T) {
 	}
 }
 
-func TestCDFInvAt(t *testing.T) {
-	c := NewCDF([]float64{10, 20, 30, 40})
-	if got := c.InvAt(0.5); got != 20 {
-		t.Errorf("InvAt(0.5) = %v, want 20", got)
-	}
-	if got := c.InvAt(1.0); got != 40 {
-		t.Errorf("InvAt(1.0) = %v, want 40", got)
-	}
-	if got := c.InvAt(0.01); got != 10 {
-		t.Errorf("InvAt(0.01) = %v, want 10", got)
-	}
-}
-
 func TestCDFPoints(t *testing.T) {
 	xs := make([]float64, 100)
 	for i := range xs {
@@ -207,16 +194,6 @@ func TestBottomFractionFull(t *testing.T) {
 	}
 }
 
-func TestTruncNormalBounds(t *testing.T) {
-	rng := NewRand(42)
-	for i := 0; i < 1000; i++ {
-		x := TruncNormal(rng, 50, 30, 0, 100)
-		if x < 0 || x > 100 {
-			t.Fatalf("TruncNormal out of bounds: %v", x)
-		}
-	}
-}
-
 func TestNewRandDeterministic(t *testing.T) {
 	a, b := NewRand(7), NewRand(7)
 	for i := 0; i < 10; i++ {
@@ -233,7 +210,7 @@ func TestMeanStd(t *testing.T) {
 	if !almostEqual(Mean([]float64{1, 2, 3}), 2, 1e-12) {
 		t.Error("Mean wrong")
 	}
-	if !almostEqual(Std([]float64{1, 2, 3}), 1, 1e-12) {
+	if !almostEqual(Summarize([]float64{1, 2, 3}).Std, 1, 1e-12) {
 		t.Error("Std wrong")
 	}
 }
