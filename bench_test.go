@@ -390,13 +390,11 @@ func BenchmarkControllerHorizon(b *testing.B) {
 
 // BenchmarkInstanceBuildViews materializes the three views of one
 // enterprise instance, as a scheme sweep does once per replication: node and
-// link tables, adjacency, and the pairwise interference rows.
+// link tables, adjacency, and the interference rows.
 func BenchmarkInstanceBuildViews(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		// A fresh instance per iteration: the node-proximity table is
-		// per-instance state shared by the views, and a replication pays
-		// for it once.
+		// A fresh instance per iteration, as a replication generates one.
 		b.StopTimer()
 		inst := topology.Enterprise(stats.NewRand(5), topology.Config{})
 		b.StartTimer()

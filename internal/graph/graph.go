@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Tech identifies a link technology (a medium), e.g. PLC, a WiFi channel,
@@ -110,15 +111,17 @@ type Network struct {
 	in [][]LinkID
 }
 
-// InterferenceModel decides which pairs of links interfere. Two links
-// interfere when they cannot transmit simultaneously (a transmission on one
-// would collide at a receiver of the other, or carrier sensing blocks it).
+// InterferenceModel is the node-level protocol model of §5.1 (after Jain,
+// Padhye, Padmanabhan and Qiu, MobiCom 2003): two links interfere when
+// they use the same technology and either share an endpoint (a node has
+// one radio per technology) or an endpoint of one senses an endpoint of
+// the other.
 type InterferenceModel interface {
-	// Interferes reports whether links a and b cannot transmit
-	// simultaneously. It must be symmetric and is never called with a == b.
-	Interferes(net *Network, a, b *Link) bool
-	// Name identifies the model in logs and docs.
-	Name() string
+	// Senses reports whether nodes u and v hear each other's
+	// technology-t transmissions (carrier sensing, or one collision
+	// domain). It must be symmetric; Build asks it once per unordered pair
+	// u ≠ v of nodes carrying technology-t links.
+	Senses(net *Network, t Tech, u, v NodeID) bool
 }
 
 // SingleDomainPerTech is the interference model used by the paper's
@@ -127,16 +130,13 @@ type InterferenceModel interface {
 // links of different technologies never do.
 type SingleDomainPerTech struct{}
 
-// Interferes implements InterferenceModel.
-func (SingleDomainPerTech) Interferes(_ *Network, a, b *Link) bool { return a.Tech == b.Tech }
-
-// Name implements InterferenceModel.
-func (SingleDomainPerTech) Name() string { return "single-domain-per-tech" }
+// Senses implements InterferenceModel.
+func (SingleDomainPerTech) Senses(*Network, Tech, NodeID, NodeID) bool { return true }
 
 // RangeBased models carrier sensing with a sensing radius per technology:
-// two same-technology links interfere when any endpoint of one is within
-// the sensing range of any endpoint of the other. Links sharing an endpoint
-// always interfere (a node has one radio per technology).
+// two nodes sense each other within the radius, so two same-technology
+// links interfere when any endpoint of one is within the sensing range of
+// any endpoint of the other.
 type RangeBased struct {
 	// SenseRadius maps each technology to its carrier-sensing radius in
 	// meters. Technologies absent from the map fall back to infinite radius
@@ -144,28 +144,11 @@ type RangeBased struct {
 	SenseRadius map[Tech]float64
 }
 
-// Interferes implements InterferenceModel.
-func (m RangeBased) Interferes(net *Network, a, b *Link) bool {
-	if a.Tech != b.Tech {
-		return false
-	}
-	if a.From == b.From || a.From == b.To || a.To == b.From || a.To == b.To {
-		return true
-	}
-	r, ok := m.SenseRadius[a.Tech]
-	if !ok {
-		return true
-	}
-	// The four endpoint pairs spelled out: this runs inside Build's O(L²)
-	// loop, so it must not allocate.
-	return net.Distance(a.From, b.From) <= r ||
-		net.Distance(a.From, b.To) <= r ||
-		net.Distance(a.To, b.From) <= r ||
-		net.Distance(a.To, b.To) <= r
+// Senses implements InterferenceModel.
+func (m RangeBased) Senses(net *Network, t Tech, u, v NodeID) bool {
+	r, ok := m.SenseRadius[t]
+	return !ok || net.Distance(u, v) <= r
 }
-
-// Name implements InterferenceModel.
-func (m RangeBased) Name() string { return "range-based" }
 
 // Builder accumulates nodes and links and produces an immutable-topology
 // Network.
@@ -247,14 +230,12 @@ func (b *Builder) AddDuplex(u, v NodeID, tech Tech, capacity float64) (LinkID, L
 }
 
 // Build computes the interference domains and adjacency and returns the
-// Network. Both structures are built in two passes (count, then fill) over
-// single flat backing arrays: the §5 sweeps rebuild thousands of topologies
-// and the per-list append growth plus sort.Slice dominated their allocation
-// profile. The fill orders reproduce the original appended-then-sorted
-// lists exactly: adjacency in link order, interference ascending by LinkID
-// with the link itself included. Interference rows are symmetric
-// (j ∈ I_i ⟺ i ∈ I_j) whatever the model answers, because each unordered
-// pair is asked once; routing's scatter update relies on it.
+// Network, each over one flat backing array: the §5 sweeps rebuild
+// thousands of topologies. Adjacency lists follow link order; interference
+// rows are ascending by LinkID with the link itself included. Rows are
+// symmetric (j ∈ I_i ⟺ i ∈ I_j) whatever the model answers, because each
+// unordered node pair is asked once and recorded both ways; routing's
+// scatter update relies on it.
 func (b *Builder) Build() *Network {
 	net := &Network{
 		Nodes: b.nodes,
@@ -284,36 +265,96 @@ func (b *Builder) Build() *Network {
 		net.in[l.To] = append(net.in[l.To], l.ID)
 	}
 
-	// Interference: one Interferes call per unordered pair, recorded in a
-	// symmetric nl×⌈nl/64⌉ bit matrix — both (i,j) and (j,i), and the
-	// diagonal, since every domain contains the link itself — then each
-	// row read out ascending, a word at a time, over the flat backing.
-	words := (nl + 63) / 64
-	matrix := make([]uint64, nl*words)
-	total := nl
-	for i := 0; i < nl; i++ {
-		rowI := matrix[i*words : (i+1)*words]
-		rowI[i>>6] |= 1 << (i & 63)
-		for j := i + 1; j < nl; j++ {
-			if b.model.Interferes(net, &net.Links[i], &net.Links[j]) {
-				rowI[j>>6] |= 1 << (j & 63)
-				matrix[j*words+(i>>6)] |= 1 << (i & 63)
-				total += 2
+	// Interference, one technology at a time: inc[w] is the bitset of the
+	// technology's links touching node w, and sense[u] the node bitset of
+	// u and the nodes u senses. A link's row is the OR of inc over the
+	// nodes its endpoints sense, so links whose endpoints sense the same
+	// node set share a row: each distinct set (a class) is expanded once
+	// and read out ascending, a word at a time, over one flat backing.
+	words, nodeWords := (nl+63)/64, (nn+63)/64
+	n, m := nn*(words+nodeWords), nl*nodeWords
+	scratch := make([]uint64, n+m+nl*words)
+	inc, sense := scratch[:nn*words], scratch[nn*words:n]
+	// Per class, at most one per link: sensed-node set, link bitset.
+	masks, rows := scratch[n:n:n+m], scratch[n+m:n+m]
+	class := make([]int, nl)
+	members := make([]NodeID, 0, nn)
+	var techs []Tech
+	for _, l := range net.Links {
+		if !slices.Contains(techs, l.Tech) {
+			techs = append(techs, l.Tech)
+		}
+	}
+	total := 0
+	for _, t := range techs {
+		clear(inc)
+		clear(sense)
+		members = members[:0]
+		for i, l := range net.Links {
+			if l.Tech != t {
+				continue
+			}
+			for _, w := range [2]int{int(l.From), int(l.To)} {
+				inc[w*words+i>>6] |= 1 << (i & 63)
+				if self := &sense[w*nodeWords+w>>6]; *self&(1<<(w&63)) == 0 {
+					*self |= 1 << (w & 63)
+					members = append(members, NodeID(w))
+				}
+			}
+		}
+		for i, u := range members {
+			for _, v := range members[i+1:] {
+				if b.model.Senses(net, t, u, v) {
+					sense[int(u)*nodeWords+int(v)>>6] |= 1 << (v & 63)
+					sense[int(v)*nodeWords+int(u)>>6] |= 1 << (u & 63)
+				}
+			}
+		}
+		first := len(masks)
+		for i, l := range net.Links {
+			if l.Tech != t {
+				continue
+			}
+			k := len(masks)
+			for w := 0; w < nodeWords; w++ {
+				masks = append(masks, sense[int(l.From)*nodeWords+w]|sense[int(l.To)*nodeWords+w])
+			}
+			c := first
+			for c < k && !slices.Equal(masks[c:c+nodeWords], masks[k:]) {
+				c += nodeWords
+			}
+			if class[i] = c / nodeWords; c < k {
+				masks = masks[:k]
+				continue
+			}
+			rows = append(rows, make([]uint64, words)...)
+			row := rows[len(rows)-words:]
+			for w, word := range masks[k:] {
+				for ; word != 0; word &= word - 1 {
+					for x, y := range inc[(w<<6+bits.TrailingZeros64(word))*words:][:words] {
+						row[x] |= y
+					}
+				}
+			}
+			for _, word := range row {
+				total += bits.OnesCount64(word)
 			}
 		}
 	}
-	net.interference = make([][]LinkID, nl)
-	intFlat := make([]LinkID, total)
-	pos = 0
-	for i := 0; i < nl; i++ {
-		start := pos
-		for w, word := range matrix[i*words : (i+1)*words] {
+	flat := make([]LinkID, 0, total)
+	shared := make([][]LinkID, len(rows)/max(words, 1))
+	for c := range shared {
+		start := len(flat)
+		for w, word := range rows[c*words:][:words] {
 			for ; word != 0; word &= word - 1 {
-				intFlat[pos] = LinkID(w<<6 + bits.TrailingZeros64(word))
-				pos++
+				flat = append(flat, LinkID(w<<6+bits.TrailingZeros64(word)))
 			}
 		}
-		net.interference[i] = intFlat[start:pos:pos]
+		shared[c] = flat[start:len(flat):len(flat)]
+	}
+	net.interference = make([][]LinkID, nl)
+	for i, c := range class {
+		net.interference[i] = shared[c]
 	}
 	return net
 }

@@ -64,22 +64,9 @@ func checkBuild(t *testing.T, tag string, b *graph.Builder) *graph.Network {
 	return net
 }
 
-// rowModel answers Interferes from the rows of an already built network,
-// so a network whose Builder the test never held (a topology view) can be
-// built again on the same relation.
-type rowModel struct{ net *graph.Network }
-
-func (m rowModel) Interferes(_ *graph.Network, a, b *graph.Link) bool {
-	_, ok := slices.BinarySearch(m.net.Interference(a.ID), b.ID)
-	return ok
-}
-
-func (rowModel) Name() string { return "rows-of-a-built-network" }
-
-// rebuild copies net's nodes and links into a Builder over net's own
-// interference relation.
-func rebuild(net *graph.Network) *graph.Builder {
-	b := graph.NewBuilder(rowModel{net})
+// rebuild copies net's nodes and links into a Builder over model m.
+func rebuild(net *graph.Network, m graph.InterferenceModel) *graph.Builder {
+	b := graph.NewBuilder(m)
 	for _, n := range net.Nodes {
 		b.AddNode(n.Name, n.X, n.Y, n.Techs...)
 	}
@@ -91,7 +78,10 @@ func rebuild(net *graph.Network) *graph.Builder {
 
 // TestInterferenceRowsOfTopologies covers every view of residential,
 // enterprise and testbed instances, at the default carrier-sensing range
-// and at a short one.
+// and at a short one: the rows topology builds equal the reference's on the
+// instance's own model, and the same nodes and links also build like the
+// reference under one collision domain per technology and under a radius
+// for WiFi only (PLC then has none).
 func TestInterferenceRowsOfTopologies(t *testing.T) {
 	gens := []struct {
 		name string
@@ -102,65 +92,79 @@ func TestInterferenceRowsOfTopologies(t *testing.T) {
 		{"testbed", topology.Testbed},
 	}
 	for _, g := range gens {
-		for _, cfg := range []topology.Config{{}, {WiFiSenseFactor: 0.4}} {
+		for _, factor := range []float64{1.5, 0.4} {
 			for seed := int64(1); seed <= 6; seed++ {
-				inst := g.gen(rand.New(rand.NewSource(seed)), cfg)
+				inst := g.gen(rand.New(rand.NewSource(seed)), topology.Config{WiFiSenseFactor: factor})
 				for _, view := range []topology.View{topology.ViewHybrid, topology.ViewWiFiSingle, topology.ViewWiFiDual} {
-					tag := fmt.Sprintf("%s seed %d sense %v %v", g.name, seed, cfg.WiFiSenseFactor, view)
+					tag := fmt.Sprintf("%s seed %d sense×%v %v", g.name, seed, factor, view)
 					net := inst.Build(view).Network
 					checkRows(t, tag, net)
-					sameRows(t, tag+" rebuilt", checkBuild(t, tag+" rebuilt", rebuild(net)), net)
+					sameRows(t, tag+" vs reference", net, graph.ReferenceBuild(rebuild(net, inst)))
+					checkBuild(t, tag+" single domain", rebuild(net, graph.SingleDomainPerTech{}))
+					checkBuild(t, tag+" WiFi radius only", rebuild(net, graph.RangeBased{SenseRadius: map[graph.Tech]float64{graph.TechWiFi: 20}}))
 				}
 			}
 		}
 	}
 }
 
-// randomRangeBased draws nodes with random interface sets and exactly
-// links links over shared technologies, under a RangeBased model whose
-// sensing radius is random per technology and, for some, absent (one
-// collision domain).
-func randomRangeBased(rng *rand.Rand, links int) *graph.Builder {
-	techs := []graph.Tech{graph.TechPLC, graph.TechWiFi, graph.TechWiFi2}
+// randomNetwork draws nodes nodes with random interface sets over PLC,
+// WiFi, WiFi2 and an unconventional Tech(5), and up to links links between
+// nodes sharing a technology, under a RangeBased model whose sensing radius
+// is random per technology except where bit k of unbounded is set (the
+// k-th technology is then one collision domain).
+func randomNetwork(rng *rand.Rand, nodes, links int, unbounded uint8) *graph.Builder {
+	techs := []graph.Tech{graph.TechPLC, graph.TechWiFi, graph.TechWiFi2, 5}
 	radius := map[graph.Tech]float64{}
-	for _, k := range techs {
-		if rng.Intn(4) != 0 {
-			radius[k] = 5 + rng.Float64()*40
+	for k, t := range techs {
+		if unbounded&(1<<k) == 0 {
+			radius[t] = 5 + rng.Float64()*40
 		}
 	}
 	b := graph.NewBuilder(graph.RangeBased{SenseRadius: radius})
-	n := 2 + rng.Intn(30)
-	has := make([][]graph.Tech, n)
-	for i := range has {
-		for _, k := range techs {
+	carriers := make([][]graph.NodeID, len(techs))
+	for i := 0; i < nodes; i++ {
+		var has []graph.Tech
+		for k, t := range techs {
 			if rng.Intn(2) == 0 {
-				has[i] = append(has[i], k)
+				has = append(has, t)
+				carriers[k] = append(carriers[k], graph.NodeID(i))
 			}
 		}
-		if len(has[i]) == 0 {
-			has[i] = []graph.Tech{graph.TechWiFi}
-		}
-		b.AddNode("", rng.Float64()*100, rng.Float64()*60, has[i]...)
+		b.AddNode("", rng.Float64()*100, rng.Float64()*60, has...)
 	}
-	for added := 0; added < links; {
-		u, v := rng.Intn(n), rng.Intn(n)
-		k := has[u][rng.Intn(len(has[u]))]
-		if u == v || !slices.Contains(has[v], k) {
+	var usable []int
+	for k, c := range carriers {
+		if len(c) >= 2 {
+			usable = append(usable, k)
+		}
+	}
+	for added := 0; added < links && len(usable) > 0; {
+		k := usable[rng.Intn(len(usable))]
+		c := carriers[k]
+		u, v := c[rng.Intn(len(c))], c[rng.Intn(len(c))]
+		if u == v {
 			continue
 		}
-		b.AddLink(graph.NodeID(u), graph.NodeID(v), k, 1+rng.Float64()*99)
+		b.AddLink(u, v, techs[k], 1+rng.Float64()*99)
 		added++
 	}
 	return b
 }
 
 // TestInterferenceRowsOfRandomRangeBased covers random networks whose
-// link counts sit on and around the bit matrix's 64-link word boundaries.
+// link counts sit on and around the 64-link words of a row bitset, and
+// whose node counts reach past the 64-node words of a sensed-node set, each
+// also rebuilt under one collision domain per technology.
 func TestInterferenceRowsOfRandomRangeBased(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for _, links := range []int{0, 1, 2, 7, 63, 64, 65, 127, 128, 129, 200} {
-		for it := 0; it < 4; it++ {
-			checkBuild(t, fmt.Sprintf("%d links, case %d", links, it), randomRangeBased(rng, links))
+	for _, nodes := range []int{2, 17, 63, 64, 65, 130} {
+		for _, links := range []int{0, 1, 2, 7, 63, 64, 65, 127, 128, 129, 200} {
+			for it := 0; it < 4; it++ {
+				tag := fmt.Sprintf("%d nodes, %d links, case %d", nodes, links, it)
+				net := checkBuild(t, tag, randomNetwork(rng, nodes, links, uint8(rng.Intn(16))))
+				checkBuild(t, tag+" single domain", rebuild(net, graph.SingleDomainPerTech{}))
+			}
 		}
 	}
 }

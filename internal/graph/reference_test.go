@@ -1,9 +1,11 @@
 package graph
 
-// Build as it was before the symmetric bit matrix — interference recorded
-// in a lower-triangle bitmap and each row filled by a strided column scan
-// below the diagonal — kept verbatim (renamed) as the oracle for Build's
-// interference rows (interference_test.go).
+// Build as it was before node-level interference — one pairwise predicate
+// call per unordered link pair, recorded in a lower-triangle bitmap and
+// each row filled by a strided column scan below the diagonal — kept
+// (renamed) as the oracle for Build's interference rows
+// (interference_test.go). The pairwise predicate is interferes below,
+// spelled out from the model's Senses.
 
 // ReferenceBuild exposes referenceBuild to the external test package,
 // which imports topology (an internal test of graph cannot: topology
@@ -39,7 +41,7 @@ func (b *Builder) referenceBuild() *Network {
 		net.in[l.To] = append(net.in[l.To], l.ID)
 	}
 
-	// Interference: one Interferes call per unordered pair, recorded in a
+	// Interference: one interferes call per unordered pair, recorded in a
 	// bitmap (bit i*nl+j for i<j) alongside per-link domain sizes, then an
 	// ascending fill over the flat backing.
 	net.interference = make([][]LinkID, nl)
@@ -49,7 +51,7 @@ func (b *Builder) referenceBuild() *Network {
 	for i := 0; i < nl; i++ {
 		count[i]++
 		for j := i + 1; j < nl; j++ {
-			if b.model.Interferes(net, &net.Links[i], &net.Links[j]) {
+			if interferes(b.model, net, &net.Links[i], &net.Links[j]) {
 				p := i*nl + j
 				bits[p>>6] |= 1 << (p & 63)
 				count[i]++
@@ -79,4 +81,21 @@ func (b *Builder) referenceBuild() *Network {
 		pos += count[i]
 	}
 	return net
+}
+
+// interferes is the link-pair relation the node-level model defines: the
+// same technology, and a shared endpoint or an endpoint of one that senses
+// an endpoint of the other.
+func interferes(m InterferenceModel, net *Network, a, b *Link) bool {
+	if a.Tech != b.Tech {
+		return false
+	}
+	for _, u := range [2]NodeID{a.From, a.To} {
+		for _, v := range [2]NodeID{b.From, b.To} {
+			if u == v || m.Senses(net, a.Tech, u, v) {
+				return true
+			}
+		}
+	}
+	return false
 }

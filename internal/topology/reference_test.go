@@ -1,8 +1,9 @@
 package topology
 
-// The interference predicate as it was before the per-instance proximity
-// table — up to four net.Distance calls per WiFi link pair — kept verbatim
-// (renamed) as the oracle for the table.
+// The link-pair interference predicate as it was before the node-level
+// model — up to four net.Distance calls per WiFi link pair, PLC decided by
+// the panels of the two senders — kept verbatim (renamed) as the oracle
+// for Instance.Senses.
 
 import (
 	"slices"
@@ -37,10 +38,10 @@ func (m referenceInterferenceModel) Interferes(net *graph.Network, a, b *graph.L
 	return false
 }
 
-// TestProximityTableMatchesDistancePredicate rebuilds every interference
-// row of every view from the old predicate, pair by pair in Build's i<j
-// order, and requires the rows the table produced to be the same.
-func TestProximityTableMatchesDistancePredicate(t *testing.T) {
+// TestSensesMatchesDistancePredicate rebuilds every interference row of
+// every view from the old predicate, pair by pair in i<j order, and
+// requires the rows Build produced from Senses to be the same.
+func TestSensesMatchesDistancePredicate(t *testing.T) {
 	gens := []struct {
 		name string
 		gen  func(seed int64, cfg Config) *Instance
@@ -50,7 +51,7 @@ func TestProximityTableMatchesDistancePredicate(t *testing.T) {
 		{"testbed", func(seed int64, cfg Config) *Instance { return Testbed(rng(seed), cfg) }},
 	}
 	// The default carrier-sensing range, and one short enough that most
-	// WiFi pairs without a shared endpoint are decided by the table.
+	// WiFi pairs without a shared endpoint are decided by distance.
 	cfgs := []Config{{}, {WiFiSenseFactor: 0.4}}
 	for _, g := range gens {
 		for _, cfg := range cfgs {

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -77,12 +76,6 @@ type Instance struct {
 
 	// built caches one materialization per view for BuildCached.
 	built [3]*Network
-	// near is the node-proximity table every view's interference model
-	// reads: near[u·n+v] reports whether nodes u and v lie within the
-	// carrier-sensing range. Computed by the first Build, so node positions
-	// and Config are fixed from then on.
-	nearOnce sync.Once
-	near     []bool
 }
 
 // View selects which technologies materialize.
@@ -123,57 +116,23 @@ type Network struct {
 	HybridNodes []graph.NodeID
 }
 
-// interferenceModel implements graph.InterferenceModel for generated
-// instances: WiFi links interfere within the carrier-sensing radius (per
-// channel); PLC links interfere whenever they share an electrical panel
-// (one IEEE 1901 central coordinator per panel).
-type interferenceModel struct {
-	inst *Instance
-	near []bool // inst.proximity()
-}
-
-// Interferes implements graph.InterferenceModel.
-func (m interferenceModel) Interferes(_ *graph.Network, a, b *graph.Link) bool {
-	if a.Tech != b.Tech {
-		return false
+// Senses implements graph.InterferenceModel, so an instance is the
+// interference model of its views: WiFi nodes sense each other within the
+// carrier-sensing radius (per channel); PLC nodes share a collision domain
+// whenever they share an electrical panel (one IEEE 1901 central
+// coordinator per panel). fillCaps never creates a cross-panel PLC link,
+// so two PLC links interfere exactly when they share a panel.
+func (inst *Instance) Senses(_ *graph.Network, t graph.Tech, u, v graph.NodeID) bool {
+	a, b := &inst.Nodes[u], &inst.Nodes[v]
+	if t == graph.TechPLC {
+		return a.Panel == b.Panel
 	}
-	if a.Tech == graph.TechPLC {
-		return m.inst.Nodes[a.From].Panel == m.inst.Nodes[b.From].Panel
-	}
-	// WiFi channels: shared endpoint or proximity.
-	if a.From == b.From || a.From == b.To || a.To == b.From || a.To == b.To {
-		return true
-	}
-	n := graph.NodeID(len(m.inst.Nodes))
-	af, at := m.near[a.From*n:][:n], m.near[a.To*n:][:n]
-	return af[b.From] || af[b.To] || at[b.From] || at[b.To]
+	return math.Hypot(a.X-b.X, a.Y-b.Y) <= wifiRadius*inst.Config.senseFactor()
 }
-
-// proximity returns the instance's node-proximity table, computing it on
-// first use: one Hypot per ordered node pair, on the operands
-// graph.Network.Distance would see, instead of up to four per WiFi link
-// pair of every view.
-func (inst *Instance) proximity() []bool {
-	inst.nearOnce.Do(func() {
-		sense := wifiRadius * inst.Config.senseFactor()
-		n := len(inst.Nodes)
-		inst.near = make([]bool, n*n)
-		for u, a := range inst.Nodes {
-			for v, b := range inst.Nodes {
-				inst.near[u*n+v] = math.Hypot(a.X-b.X, a.Y-b.Y) <= sense
-			}
-		}
-	})
-	return inst.near
-}
-
-// Name implements graph.InterferenceModel.
-func (m interferenceModel) Name() string { return "hybrid-paper-model" }
 
 // Build materializes a view of the instance as a Network.
 func (inst *Instance) Build(view View) *Network {
-	model := interferenceModel{inst: inst, near: inst.proximity()}
-	b := graph.NewBuilder(model)
+	b := graph.NewBuilder(inst)
 	n := len(inst.Nodes)
 	for i, spec := range inst.Nodes {
 		techs := []graph.Tech{graph.TechWiFi}
