@@ -584,56 +584,6 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkEmulationSecondSharded measures one emulated second of the
-// shipped multi-cluster scenario (four disjoint interference domains,
-// one managed flow plus a flapping link per cluster) on the
-// domain-sharded engine at 1, 2 and 4 workers. The trajectory is
-// bit-identical across the shard counts (TestScenarioShardedDeterminism);
-// only the wall-clock differs, and only when GOMAXPROCS > 1 — on a
-// single-core runner the sub-benchmarks measure the coordinator's
-// overhead instead. scripts/bench.sh records it in BENCH_SCENARIO.json.
-func BenchmarkEmulationSecondSharded(b *testing.B) {
-	sc, err := scenario.Load("examples/scenarios/clusters.json")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			var em *node.Emulation
-			var t float64
-			setup := func() {
-				net, err := sc.Topology.Build(3)
-				if err != nil {
-					b.Fatal(err)
-				}
-				em = node.NewEmulation(net, node.Config{
-					Estimation: true, ExpectedDuration: sc.Duration, Shards: shards,
-				}, 7)
-				if em.NumDomains() < 4 {
-					b.Fatalf("clusters scenario decomposed into %d domains, want >= 4", em.NumDomains())
-				}
-				if _, err := scenario.Bind(em, sc, stats.SplitSeed(42, 1_000_000), scenario.Options{ManageRoutes: true}); err != nil {
-					b.Fatal(err)
-				}
-				em.Run(5) // warm up past the ramp
-				t = 5
-			}
-			setup()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if t+1 > sc.Duration {
-					b.StopTimer()
-					setup()
-					b.StartTimer()
-				}
-				t++
-				em.Run(t)
-			}
-		})
-	}
-}
-
 // BenchmarkChurnSweep measures one reduced churn-failover sweep on the
 // shipped flap scenario: per iteration, 2 replications × 2 schemes of
 // the full scenario pipeline (topology build, bind, expansion, 150
@@ -653,32 +603,6 @@ func BenchmarkChurnSweep(b *testing.B) {
 		if _, err := experiments.ChurnFailoverCtx(context.Background(), sc, cfg); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkChurnSweepSharded is the churn sweep on the multi-cluster
-// scenario with the domain-sharded engine inside each replication: per
-// iteration, 2 replications × 2 schemes of the full pipeline over four
-// interference domains. Results are bit-identical across shard counts;
-// the wall-clock gain needs GOMAXPROCS > 1.
-func BenchmarkChurnSweepSharded(b *testing.B) {
-	sc, err := scenario.Load("examples/scenarios/clusters.json")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, shards := range []int{1, 4} {
-		cfg := experiments.ChurnConfig{
-			Seed: 42, Runs: 2, ManageRoutes: true, Shards: shards,
-			Schemes: []core.Scheme{core.SchemeEMPoWER, core.SchemeSPWoCC},
-		}
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.ChurnFailoverCtx(context.Background(), sc, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

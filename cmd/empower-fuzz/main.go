@@ -6,9 +6,10 @@
 //   - the runtime invariant checker (flow conservation at relays,
 //     dead-link silence, controller rates within estimated capacity,
 //     monotone virtual time, per-reason drop accounting);
-//   - the determinism contract, differentially: shards=1 and shards=4
-//     must produce bit-identical trajectory signatures for the same
-//     (scenario, seed) pair;
+//   - the determinism contract, differentially: a second run of the
+//     same (scenario, seed) pair, with the invariant checker off and
+//     the flight recorder on, must produce a bit-identical trajectory
+//     signature, so neither checking nor recording changes a run;
 //   - cross-scheme sanity: a second scheme runs the same scenario and
 //     must stay finite and physical.
 //

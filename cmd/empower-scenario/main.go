@@ -27,9 +27,6 @@
 //	-frac F          goodput-recovery fraction defining failover (0.8)
 //	-manage          attach the §3.2 route manager with fast failover to
 //	                 multipath CC flows (default true)
-//	-shards N        worker cap inside a replication: up to N goroutines
-//	                 over the topology's interference domains (default 1;
-//	                 0 = one per core); never changes results
 //	-invariants      attach the runtime invariant checker (flow
 //	                 conservation, dead-link silence, rate bounds) to
 //	                 every replication, report per-reason drop counters,
@@ -54,8 +51,8 @@
 //	                 (a "phases" object with -json, a stderr line without)
 //
 // Every observability flag is purely observational: stdout stays
-// byte-identical with them on or off at the same seed and shard count.
-// -runs, -delta, -bin, -frac and -shards have the ranges of the fleet
+// byte-identical with them on or off at the same seed.
+// -runs, -delta, -bin and -frac have the ranges of the fleet
 // sweep spec's fields of the same names; a value outside them, like a
 // non-finite flap rate, exits 2 before anything runs.
 //
@@ -114,9 +111,8 @@ func main() {
 		cfg := experiments.ChurnConfig{
 			Seed: sweep.Seed, Runs: *runs, Schemes: schemes, Delta: sweep.Delta,
 			Bin: *bin, Frac: *frac, ManageRoutes: *manage, Parallel: sweep.Parallel,
-			Shards: sweep.Shards(), Invariants: *invariants,
-			Progress: sweep.Progress("replications"),
-			JobTime:  sweep.JobTime, Metrics: sweep.Metrics,
+			Invariants: *invariants, Progress: sweep.Progress("replications"),
+			JobTime: sweep.JobTime, Metrics: sweep.Metrics,
 		}
 		if n := experiments.ChurnReps(cfg) / len(schemes); *traceRun < 0 || *traceRun >= n {
 			return cli.Usagef("-tracerun: must be in [0, %d), one of the -runs replications, got %d", n, *traceRun)

@@ -20,8 +20,6 @@
 //	-pairs N       random station pairs for figure 10 (paper: 50)
 //	-flows N       flows for figures 11 and 13
 //	-delta D       constraint margin δ
-//	-shards N      worker cap inside a replication (default 1; 0 = one
-//	               per core); never changes results
 //	-metrics target  publish Prometheus metric snapshots: a file path is
 //	               rewritten every 2 s (atomic rename), ":8080" or
 //	               "host:port" serves /metrics over HTTP
@@ -63,7 +61,7 @@ func main() {
 		cfg := experiments.TestbedConfig{
 			Seed: sweep.Seed, Duration: *duration, Pairs: *pairs,
 			Flows: *flows, Repeats: *runs, Delta: sweep.Delta,
-			Parallel: sweep.Parallel, Shards: sweep.Shards(),
+			Parallel: sweep.Parallel,
 			Progress: sweep.Progress("replications"),
 			JobTime:  sweep.JobTime, Metrics: sweep.Metrics,
 		}

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/runner"
 )
@@ -99,7 +98,6 @@ type Sweep struct {
 
 	progress       bool
 	metrics, pprof string
-	shards         int
 	emitter        *obs.Emitter
 	line           *obs.ProgressLine
 }
@@ -117,20 +115,10 @@ func SweepFlags() *Sweep {
 	return s
 }
 
-// EmulationFlags adds the two knobs of the §6 packet emulation, -shards
-// and -delta; Main rejects a value outside its range.
+// EmulationFlags adds -delta, the constraint margin of the §6 packet
+// emulation; Main rejects a value outside its range.
 func (s *Sweep) EmulationFlags() {
-	flag.IntVar(&s.shards, "shards", 1, "worker cap inside a replication (0: one per core); never changes results")
 	flag.Float64Var(&s.Delta, "delta", 0.05, "constraint margin δ")
-}
-
-// Shards maps the -shards convention (0 = one worker per core) onto
-// node.Config.Shards, where that is ShardsAuto.
-func (s *Sweep) Shards() int {
-	if s.shards == 0 {
-		return node.ShardsAuto
-	}
-	return s.shards
 }
 
 // Main is cli.Main for a sweep command: body runs between the start of
@@ -141,7 +129,7 @@ func (s *Sweep) Main(name string, body func(ctx context.Context) error) {
 }
 
 func (s *Sweep) run(ctx context.Context, body func(ctx context.Context) error) error {
-	if err := CheckRanges(experiments.ChurnConfig{Delta: s.Delta, Shards: s.shards}); err != nil {
+	if err := CheckRanges(experiments.ChurnConfig{Delta: s.Delta}); err != nil {
 		return err
 	}
 	if s.pprof != "" {

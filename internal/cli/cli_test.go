@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/node"
 	"repro/internal/obs"
 )
 
@@ -101,17 +100,11 @@ func sweepWith(t *testing.T, args ...string) *Sweep {
 	return s
 }
 
-func TestSweepDefaultsAndShardsMapping(t *testing.T) {
+func TestSweepDefaults(t *testing.T) {
 	s := sweepWith(t)
-	if s.Seed != 1 || s.Parallel != 0 || s.JSON || s.Delta != 0.05 || s.Shards() != 1 {
-		t.Errorf("defaults = seed %d parallel %d json %v delta %g shards %d",
-			s.Seed, s.Parallel, s.JSON, s.Delta, s.Shards())
-	}
-	if got := sweepWith(t, "-shards", "0").Shards(); got != node.ShardsAuto {
-		t.Errorf("-shards 0 maps to %d, want node.ShardsAuto (%d)", got, node.ShardsAuto)
-	}
-	if got := sweepWith(t, "-shards", "4").Shards(); got != 4 {
-		t.Errorf("-shards 4 maps to %d", got)
+	if s.Seed != 1 || s.Parallel != 0 || s.JSON || s.Delta != 0.05 {
+		t.Errorf("defaults = seed %d parallel %d json %v delta %g",
+			s.Seed, s.Parallel, s.JSON, s.Delta)
 	}
 }
 
@@ -156,8 +149,8 @@ func TestMetricsSnapshotSurvivesFailure(t *testing.T) {
 	}
 }
 
-// TestOutOfRangeKnobsAreUsageErrors: -delta and -shards are checked as
-// given, before the body runs and before -shards 0 becomes ShardsAuto.
+// TestOutOfRangeKnobsAreUsageErrors: -delta is checked as given, before
+// the body runs.
 func TestOutOfRangeKnobsAreUsageErrors(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -165,7 +158,6 @@ func TestOutOfRangeKnobsAreUsageErrors(t *testing.T) {
 	}{
 		{[]string{"-delta", "NaN"}, "-delta: must be in [0, 1), got NaN"},
 		{[]string{"-delta", "1"}, "-delta: must be in [0, 1), got 1"},
-		{[]string{"-shards", "-1"}, "-shards: must be >= 0, got -1"},
 	} {
 		s := sweepWith(t, c.args...)
 		err := s.run(context.Background(), func(context.Context) error {
@@ -177,9 +169,7 @@ func TestOutOfRangeKnobsAreUsageErrors(t *testing.T) {
 			t.Errorf("%v: error %v, want the usage error %q", c.args, err, c.want)
 		}
 	}
-	for _, args := range [][]string{{"-delta", "0"}, {"-shards", "0"}} {
-		if err := sweepWith(t, args...).run(context.Background(), func(context.Context) error { return nil }); err != nil {
-			t.Errorf("%v: %v", args, err)
-		}
+	if err := sweepWith(t, "-delta", "0").run(context.Background(), func(context.Context) error { return nil }); err != nil {
+		t.Errorf("-delta 0: %v", err)
 	}
 }

@@ -58,7 +58,7 @@ func TestChurnParallelDeterminism(t *testing.T) {
 // every event and process kind this PR added: the shipped grayfail
 // scenario exercises link groups (group-fail/group-recover), gray-loss
 // windows, and a flash crowd, with the invariant checker attached and
-// the sharded engine underneath. Same seed, parallel=1 vs parallel=8:
+// the domain-decomposed engine underneath. Same seed, parallel=1 vs parallel=8:
 // bit-identical results — including the per-reason drop counters and
 // the (empty) violation counts the checker adds to each row.
 func TestGrayfailParallelDeterminism(t *testing.T) {
@@ -70,7 +70,7 @@ func TestGrayfailParallelDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := ChurnConfig{
-		Seed: 11, Runs: 2, ManageRoutes: true, Shards: 1, Invariants: true,
+		Seed: 11, Runs: 2, ManageRoutes: true, Invariants: true,
 		Schemes: []core.Scheme{core.SchemeEMPoWER, core.SchemeSPWoCC},
 	}
 	serial := base

@@ -48,8 +48,10 @@ type ChurnConfig struct {
 	// Parallel bounds the replication worker pool (<= 0: GOMAXPROCS).
 	// The worker count never changes results, only wall-clock time.
 	Parallel int
-	// Shards is the worker cap inside a replication (node.Config.Shards);
-	// never changes results.
+	// Shards is read by nothing: every replication runs its interference
+	// domains in order, so its values 0 and 1 (the only ones set) run the
+	// same sequential engine. It stays only because the benchmark harness
+	// still sets it.
 	Shards int
 	// Invariants attaches the runtime invariant checker to every
 	// replication and surfaces violation counts and per-reason drop
@@ -113,8 +115,6 @@ func (c ChurnConfig) CheckRanges() (knob, reason string) {
 		return "bin", fmt.Sprintf("must be >= 0, got %g", c.Bin)
 	case !(c.Frac >= 0 && c.Frac <= 1):
 		return "frac", fmt.Sprintf("must be in [0, 1], got %g", c.Frac)
-	case c.Shards < 0:
-		return "shards", fmt.Sprintf("must be >= 0, got %d", c.Shards)
 	}
 	return "", ""
 }
@@ -218,13 +218,13 @@ type ChurnRepOut struct {
 // BindReplication is the one place a §6 replication is bound: it builds
 // the scenario's topology under the scheme's view, the packet emulation
 // under the scheme's policy (congestion control on or off, capacity
-// estimation, cfg's δ and Shards, a flight recorder of `recorder` records
+// estimation, cfg's δ, a flight recorder of `recorder` records
 // per domain, 0 for none) and binds the scenario to it with the scheme's
 // route selection, the route manager on CC schemes when cfg.ManageRoutes,
 // and the invariant checker when cfg.Invariants. The seeds are explicit
 // because callers own their seed domains: the churn sweep derives them
 // from (Seed, run), the fuzzer from its own. Given the same arguments, a
-// replication follows the same trajectory at any Shards and recorder.
+// replication follows the same trajectory with or without a recorder.
 func BindReplication(sc *scenario.Scenario, scheme core.Scheme, cfg ChurnConfig, recorder int, topoSeed, timelineSeed, emuSeed int64) (*scenario.Runtime, error) {
 	if sc.Topology == nil {
 		return nil, fmt.Errorf("experiments: scenario %q has no topology; churn sweeps need self-contained scenarios", sc.Name)
@@ -235,7 +235,7 @@ func BindReplication(sc *scenario.Scenario, scheme core.Scheme, cfg ChurnConfig,
 	}
 	em := node.NewEmulation(net, node.Config{
 		Delta: cfg.Delta, DisableCC: !scheme.CC(), Estimation: true,
-		ExpectedDuration: sc.Duration, Shards: cfg.Shards, Recorder: recorder,
+		ExpectedDuration: sc.Duration, Recorder: recorder,
 	}, emuSeed)
 	opts := scenario.Options{
 		Routes: func(n *graph.Network, src, dst graph.NodeID) []graph.Path {

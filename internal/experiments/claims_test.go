@@ -23,8 +23,9 @@ import (
 // model, applied in-test, that must fail it: a claim check that cannot
 // fail checks nothing.
 //
-// The Figure 4 rows are measured over claimRuns instances at seed 1.
-// Their tolerances are the spread (max − min, rounded up) over the five
+// The Figure 4 rows, and the Figure 5 rows computed from the same
+// samples, are measured over claimRuns instances at seed 1. Their
+// tolerances are the spread (max − min, rounded up) over the five
 // disjoint seed blocks 1, 201, 401, 601 and 801 at the same size. The
 // blocks must be disjoint: run r of a sweep draws its instance from
 // Seed+r, so sweeps at seeds 1, 2 and 3 share all but two of their
@@ -34,6 +35,10 @@ import (
 //	EMPoWER/SP-WiFi − 1   residential 0.990–1.264   enterprise 1.168–1.358
 //	EMPoWER/SP − 1        residential 0.292–0.313   enterprise 0.243–0.263
 //	MP-WiFi = SP-WiFi     residential 1.000 of the instances in every block
+//	Figure 5 rescue       residential 0.000 in every block
+//	                      enterprise 0.025–0.150 (0.050 at seed 1)
+//
+// PAPER.md carries the same ledger in prose.
 
 // claimRuns is the number of instances per Figure 4 row.
 const claimRuns = 200
@@ -121,6 +126,7 @@ func equalShare(r Figure4Result, a, b core.Scheme) float64 {
 
 // Instance mutations.
 func halveWiFi(inst *topology.Instance) { scale(inst.WiFiCap, 0.5) }
+func dropWiFi(inst *topology.Instance)  { scale(inst.WiFiCap, 0) }
 func dropPLC(inst *topology.Instance)   { scale(inst.PLCCap, 0) }
 func shortSense(inst *topology.Instance) {
 	inst.Config.WiFiSenseFactor = 0.4
@@ -136,8 +142,9 @@ func scale(caps [][]float64, f float64) {
 
 func gainVsWiFi(r Figure4Result) float64 { return r.GainVsWiFi }
 func gainVsSP(r Figure4Result) float64   { return r.GainVsSP }
+func rescue(r Figure4Result) float64     { return Figure5(r).RescueFrac }
 
-var figure4Claims = []claim{
+var claims = []claim{
 	{name: "Fig 4 residential: EMPoWER/SP-WiFi − 1, ratio of means", topo: TopoResidential, value: gainVsWiFi,
 		paper: 0.59, measured: 1.0357, tol: 0.275, status: deviates,
 		mutation: "halve every WiFi capacity", mutate: halveWiFi},
@@ -154,6 +161,14 @@ var figure4Claims = []claim{
 		value: func(r Figure4Result) float64 { return equalShare(r, core.SchemeMPWiFi, core.SchemeSPWiFi) },
 		paper: 1, measured: 1, tol: 0, status: matches,
 		mutation: "WiFi carrier sensing at 0.4× the connection radius", mutate: shortSense},
+	// Neither "drop every PLC link" nor "halve every WiFi capacity" fails
+	// the rescue rows: both leave the worst flows without a rescue.
+	{name: "Fig 5 residential: share of the worst-20 % flows (by min throughput) that only EMPoWER connects", topo: TopoResidential, value: rescue,
+		paper: 0.06, measured: 0, tol: 0, status: deviates,
+		mutation: "drop every WiFi link", mutate: dropWiFi},
+	{name: "Fig 5 enterprise: share of the worst-20 % flows (by min throughput) that only EMPoWER connects", topo: TopoEnterprise, value: rescue,
+		paper: 0.19, measured: 0.05, tol: 0.125, status: deviates,
+		mutation: "drop every WiFi link", mutate: dropWiFi},
 }
 
 // TestPaperClaims checks every row of the ledger on the reproduction and
@@ -172,7 +187,7 @@ func TestPaperClaims(t *testing.T) {
 			t.Fatalf("%v: the mutation sweep does not reproduce Figure4Ctx", topo)
 		}
 	}
-	for _, c := range figure4Claims {
+	for _, c := range claims {
 		v := c.value(figure4[c.topo])
 		t.Logf("%-90s paper %.3f  measured %.4f  tol %.3f  %v", c.name, c.paper, v, c.tol, c.status)
 		if err := c.check(v); err != nil {

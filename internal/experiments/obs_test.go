@@ -18,7 +18,7 @@ import (
 // must produce byte-identical rendered output — and bit-identical result
 // structs — with the full instrumentation attached and with none of it.
 // (The flight recorder's half of the contract is pinned at the node
-// layer by TestShardedDeterminismAcrossShardCounts.)
+// layer by TestShardedDeterminism.)
 func TestMetricsByteIdenticalOnOff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn sweeps emulate minutes of virtual time per replication")
@@ -75,7 +75,7 @@ func TestMetricsByteIdenticalOnOff(t *testing.T) {
 // sweep replication with a recorder attached yields records for every
 // domain, non-empty and time-ordered. The re-run binds through the
 // sweep's own seed derivations, and a recorder never changes a
-// trajectory (TestShardedDeterminismAcrossShardCounts), so the trace is the
+// trajectory (TestShardedDeterminism), so the trace is the
 // sweep's replication.
 func TestChurnTraceMatchesSweep(t *testing.T) {
 	if testing.Short() {

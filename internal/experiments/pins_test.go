@@ -125,7 +125,7 @@ func TestScenarioDigests(t *testing.T) {
 }
 
 // testbedPins are sha256 digests of `empower-testbed -fig F -duration 4
-// -pairs 2 -flows 2 -runs 1 -seed 3 -json` (default δ and shards) for the
+// -pairs 2 -flows 2 -runs 1 -seed 3 -json` (default δ) for the
 // §6 testbed figures and Table 1 (-table 1), recorded from the binary of
 // commit d998428. At these sizes every figure's emulations are seconds
 // long, so the pins hold the MAC, agent and controller layers under each
@@ -149,7 +149,7 @@ func TestTestbedFigureDigests(t *testing.T) {
 		t.Skipf("pins are for linux/amd64, this is %s/%s", runtime.GOOS, runtime.GOARCH)
 	}
 	const seed = 3
-	cfg := TestbedConfig{Seed: seed, Duration: 4, Pairs: 2, Flows: 2, Repeats: 1, Delta: 0.05, Shards: 1}
+	cfg := TestbedConfig{Seed: seed, Duration: 4, Pairs: 2, Flows: 2, Repeats: 1, Delta: 0.05}
 	ctx := context.Background()
 	for _, pin := range testbedPins {
 		t.Run("fig="+pin.fig, func(t *testing.T) {

@@ -42,9 +42,6 @@ type TestbedConfig struct {
 	// only the independent per-pair/per-repeat emulations fan out, so
 	// the worker count never changes results.
 	Parallel int
-	// Shards is the worker cap inside an emulation (node.Config.Shards);
-	// never changes results.
-	Shards int
 	// Progress, when non-nil, receives (done, total) after every
 	// finished replication of the current figure.
 	Progress func(done, total int)
@@ -129,7 +126,7 @@ func Figure9(cfg TestbedConfig) (Figure9Result, error) {
 	dur := cfg.duration() * 5 // the trace needs three phases
 	start2, stop2 := dur*0.39, dur*0.79
 
-	em := node.NewEmulation(net.Network, node.Config{Delta: cfg.Delta, Estimation: true, Shards: cfg.Shards}, cfg.Seed+90)
+	em := node.NewEmulation(net.Network, node.Config{Delta: cfg.Delta, Estimation: true}, cfg.Seed+90)
 	routes1 := core.RoutesFor(core.SchemeEMPoWER, net.Network, nodeID(1), nodeID(13))
 	if len(routes1) == 0 {
 		return Figure9Result{}, fmt.Errorf("experiments: no route 1->13 on this channel realization")
@@ -273,7 +270,7 @@ func Figure10Ctx(ctx context.Context, cfg TestbedConfig) (Figure10Result, error)
 			}
 			out := &f10run{}
 			// Packet emulation of EMPoWER for this pair: convergence panel.
-			em := node.NewEmulation(hybrid.Network, node.Config{Delta: cfg.Delta, Estimation: true, Shards: cfg.Shards}, cfg.Seed+int64(p))
+			em := node.NewEmulation(hybrid.Network, node.Config{Delta: cfg.Delta, Estimation: true}, cfg.Seed+int64(p))
 			_, err := em.AddFlow(node.FlowSpec{Src: src, Dst: dst, Routes: routes, Kind: node.TrafficSaturated}, 0)
 			if err != nil {
 				return nil
@@ -431,7 +428,7 @@ func Figure11Ctx(ctx context.Context, cfg TestbedConfig) (Figure11Result, error)
 			}
 			// The emulation seed keeps the serial loop's derivation:
 			// 1-based pair ordinal × 31 plus the scheme-name length.
-			em := node.NewEmulation(view.Network, node.Config{Delta: cfg.Delta, Estimation: true, Shards: cfg.Shards},
+			em := node.NewEmulation(view.Network, node.Config{Delta: cfg.Delta, Estimation: true},
 				cfg.Seed+int64(pair+1)*31+int64(len(sr.name)))
 			_, err := em.AddFlow(node.FlowSpec{Src: src, Dst: dst, Routes: routes, Kind: node.TrafficSaturated}, 0)
 			if err != nil {
@@ -527,7 +524,7 @@ func Table1Ctx(ctx context.Context, cfg TestbedConfig) (Table1Result, error) {
 
 	measure := func(disableCC bool, rep int, row int) (f613 float64, f128 float64, ok bool) {
 		em := node.NewEmulation(net.Network, node.Config{
-			Delta: cfg.Delta, DisableCC: disableCC, Estimation: true, Shards: cfg.Shards,
+			Delta: cfg.Delta, DisableCC: disableCC, Estimation: true,
 		}, cfg.Seed+int64(rep)*997+int64(row))
 		conc := rows[row].Name[:4] == "Conc"
 		fileBytes := rows[row].FileBytes
@@ -705,13 +702,13 @@ func Figure12Ctx(ctx context.Context, cfg TestbedConfig) (Figure12Result, error)
 			var routes []graph.Path
 			if rep.Index == 0 {
 				// Phase 1: TCP over the single path without CC.
-				em = node.NewEmulation(net.Network, node.Config{DisableCC: true, Estimation: true, Shards: cfg.Shards}, cfg.Seed+120)
+				em = node.NewEmulation(net.Network, node.Config{DisableCC: true, Estimation: true}, cfg.Seed+120)
 				routes = spRoutes[:1]
 			} else {
 				// Phase 2: TCP over EMPoWER multipath with δ=0.3 + delay
 				// equalization.
 				em = node.NewEmulation(net.Network, node.Config{
-					Delta: 0.3, DelayEqualize: true, Estimation: true, Shards: cfg.Shards,
+					Delta: 0.3, DelayEqualize: true, Estimation: true,
 				}, cfg.Seed+121)
 				routes = mpRoutes
 			}
@@ -819,9 +816,9 @@ func Figure13Ctx(ctx context.Context, cfg TestbedConfig) (Figure13Result, error)
 			p, emp := sel[rep.Index/2], rep.Index%2 == 0
 			var cfgN node.Config
 			if emp {
-				cfgN = node.Config{Delta: 0.3, DelayEqualize: true, Estimation: true, Shards: cfg.Shards}
+				cfgN = node.Config{Delta: 0.3, DelayEqualize: true, Estimation: true}
 			} else {
-				cfgN = node.Config{DisableCC: true, Estimation: true, Shards: cfg.Shards}
+				cfgN = node.Config{DisableCC: true, Estimation: true}
 			}
 			// The emulation seed keeps the serial loop's derivation:
 			// 1-based pair ordinal × 71 plus the scheme bit.

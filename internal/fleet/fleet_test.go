@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
@@ -491,6 +492,7 @@ func TestFleetSpecRejections(t *testing.T) {
 		{"negative-runs", `{"scenario":` + testScenario + `,"runs":-1}`, "runs"},
 		{"bad-delta", `{"scenario":` + testScenario + `,"delta":1.5}`, "delta"},
 		{"bad-frac", `{"scenario":` + testScenario + `,"frac":2}`, "frac"},
+		{"retired-shards", `{"scenario":` + testScenario + `,"shards":2}`, "shards"},
 		{"wrong-type", `{"scenario":` + testScenario + `,"runs":"three"}`, "runs"},
 		{"trailing", `{"scenario":` + testScenario + `} {"again":1}`, ""},
 	}
@@ -641,27 +643,20 @@ func TestFleetCancel(t *testing.T) {
 	}
 }
 
-// TestFleetMatchesCLIOnMultiDomain: a spec's "shards" is a worker cap and
-// nothing else. On the shipped four-cluster scenario the daemon's results
-// with shards omitted and with "shards": 2 are byte-identical to each
-// other and to what the CLI's default (-shards 1) computes for the same
-// seed and δ.
+// TestFleetMatchesCLIOnMultiDomain: on the shipped four-cluster scenario
+// the daemon's results are byte-identical to what the CLI computes for
+// the same seed and δ.
 func TestFleetMatchesCLIOnMultiDomain(t *testing.T) {
 	scenarioJSON, err := os.ReadFile("../../examples/scenarios/clusters.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	specJSON := func(extra string) []byte {
-		return []byte(fmt.Sprintf(`{"scenario":%s,"runs":2,"seed":5,"schemes":"EMPoWER","delta":0.05%s}`,
-			scenarioJSON, extra))
-	}
-	spec, err := ParseSpec(specJSON(""))
+	specJSON := []byte(fmt.Sprintf(`{"scenario":%s,"runs":2,"seed":5,"schemes":"EMPoWER","delta":0.05}`, scenarioJSON))
+	spec, err := ParseSpec(specJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := spec.Churn
-	cli.Shards = 1
-	res, err := experiments.ChurnFailoverCtx(context.Background(), spec.Scenario, cli)
+	res, err := experiments.ChurnFailoverCtx(context.Background(), spec.Scenario, spec.Churn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,14 +666,127 @@ func TestFleetMatchesCLIOnMultiDomain(t *testing.T) {
 	}
 
 	_, hts, _ := startServer(t, Config{SupervisorConfig: SupervisorConfig{Workers: 2}})
-	for _, extra := range []string{"", `,"shards":2`} {
-		st, resp := postSweep(t, hts.URL, specJSON(extra))
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("submit (%q): status %d", extra, resp.StatusCode)
+	st, resp := postSweep(t, hts.URL, specJSON)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	waitState(t, hts.URL, st.ID, StateDone, 120*time.Second)
+	if got := getResults(t, hts.URL, st.ID); !bytes.Equal(got, want) {
+		t.Fatalf("daemon results differ from the CLI's:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestDaemonGaugesMatchList: the daemon gauges come from Store.Tally,
+// which counts sweeps under the store lock instead of building a Status
+// per sweep. With sweeps in every lifecycle state and partly completed,
+// the gauges must equal the counts derived from List.
+func TestDaemonGaugesMatchList(t *testing.T) {
+	st, err := OpenStore(filepath.Join(t.TempDir(), "fleet.wal"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sweeps := make([]*Sweep, 6)
+	for i := range sweeps {
+		if sweeps[i], err = st.Submit(testSpecJSON(2, int64(i+1), "EMPoWER,SP")); err != nil {
+			t.Fatal(err)
 		}
-		waitState(t, hts.URL, st.ID, StateDone, 120*time.Second)
-		if got := getResults(t, hts.URL, st.ID); !bytes.Equal(got, want) {
-			t.Fatalf("daemon results (spec suffix %q) differ from the CLI's at -shards 1:\n got %s\nwant %s", extra, got, want)
+	}
+	next := func() *Sweep {
+		sw, ok := st.NextPending(context.Background())
+		if !ok {
+			t.Fatal("no pending sweep")
 		}
+		return sw
+	}
+	complete := func(sw *Sweep, reps ...int) {
+		for _, i := range reps {
+			if err := st.CompleteRep(sw, i, json.RawMessage(`{}`)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	complete(next(), 0, 3) // sweeps[0] running, two replications in
+	done := next()
+	complete(done, 0, 1, 2, 3)
+	failed := next()
+	complete(failed, 1)
+	for _, err := range []error{st.Finish(done, StateDone, ""), st.Finish(failed, StateFailed, "boom")} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ok, err := st.Cancel(sweeps[3]); !ok || err != nil {
+		t.Fatalf("cancel queued sweep: %v %v", ok, err)
+	}
+
+	agg := obs.NewAggregator()
+	NewSupervisor(st, SupervisorConfig{}, agg).sampleDaemon()
+	var buf bytes.Buffer
+	if err := agg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	byState := map[string]int{}
+	completed := 0
+	for _, s := range st.List() {
+		byState[s.State]++
+		completed += s.Completed
+	}
+	want := []string{fmt.Sprintf("fleet_reps_completed_total %d\n", completed)}
+	for _, state := range sweepStates {
+		if byState[string(state)] == 0 {
+			t.Fatalf("the setup left no sweep %s", state)
+		}
+		want = append(want, fmt.Sprintf("fleet_sweeps{state=%q} %d\n", state, byState[string(state)]))
+	}
+	for _, line := range want {
+		if !strings.Contains(buf.String(), line) {
+			t.Errorf("/metrics misses %q:\n%s", line, buf.String())
+		}
+	}
+}
+
+// TestRetiredFieldReplaysAsFailed: a WAL written when the spec schema
+// still had a field (here "shards") replays that sweep as failed, with
+// the reason, instead of running it or refusing to open the log — also
+// when the sweep had finished before the restart, and its results
+// endpoint answers an error rather than merging against no scenario.
+func TestRetiredFieldReplaysAsFailed(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "fleet.wal")
+	st, err := OpenStore(wal, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := json.RawMessage(`{"scenario":` + testScenario + `,"runs":1,"schemes":"SP","shards":2}`)
+	for _, rec := range []walRecord{
+		{Kind: "sweep", ID: "sweep-000001", Spec: old},
+		{Kind: "rep", ID: "sweep-000001", Rep: 0, Out: json.RawMessage(`{}`)},
+		{Kind: "state", ID: "sweep-000001", State: StateDone},
+	} {
+		if err := st.appendRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+	st, err = OpenStore(wal, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sw, ok := st.Get("sweep-000001")
+	if !ok {
+		t.Fatal("sweep lost on replay")
+	}
+	if s := sw.Status(); s.State != string(StateFailed) || !strings.Contains(s.Error, "spec no longer parses after restart") ||
+		!strings.Contains(s.Error, `"shards"`) {
+		t.Fatalf("replayed as %s (%q), want failed: spec no longer parses", s.State, s.Error)
+	}
+	if st.QueueDepth() != 0 {
+		t.Fatalf("the unparsable sweep was queued: depth %d", st.QueueDepth())
+	}
+	rec := httptest.NewRecorder()
+	NewGateway(st, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/sweeps/sweep-000001/results", nil))
+	if rec.Code != http.StatusConflict {
+		t.Fatalf("GET results: %d %s, want 409", rec.Code, rec.Body)
 	}
 }

@@ -65,8 +65,6 @@ type rawSpec struct {
 	Frac float64 `json:"frac,omitempty"`
 	// Manage attaches the route manager to CC schemes (default true).
 	Manage *bool `json:"manage,omitempty"`
-	// Shards is the worker cap inside a replication; never changes results.
-	Shards int `json:"shards,omitempty"`
 	// Invariants attaches the runtime invariant checker per replication.
 	Invariants bool `json:"invariants,omitempty"`
 }
@@ -127,7 +125,7 @@ func ParseSpec(data []byte) (*SweepSpec, error) {
 		Churn: experiments.ChurnConfig{
 			Seed: raw.Seed, Runs: raw.Runs, Schemes: schemes, Delta: raw.Delta,
 			Bin: raw.Bin, Frac: raw.Frac, ManageRoutes: raw.Manage == nil || *raw.Manage,
-			Shards: raw.Shards, Invariants: raw.Invariants,
+			Invariants: raw.Invariants,
 		},
 	}
 	if field, reason := spec.Churn.CheckRanges(); field != "" {

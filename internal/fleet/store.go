@@ -27,6 +27,10 @@ const (
 	StateCancelled SweepState = "cancelled"
 )
 
+// sweepStates lists every lifecycle state, in the order the daemon
+// gauges report them.
+var sweepStates = [...]SweepState{StatePending, StateRunning, StateDone, StateFailed, StateCancelled}
+
 func (s SweepState) terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
@@ -295,7 +299,11 @@ func (st *Store) replay(payload []byte) error {
 		sw.mu.Unlock()
 	case "state":
 		sw := st.sweeps[rec.ID]
-		if sw == nil || !rec.State.terminal() {
+		// A sweep whose spec no longer parses stays failed with that
+		// reason: a terminal record written before the schema moved
+		// (done, say) would otherwise leave it done with no scenario to
+		// merge results against.
+		if sw == nil || !rec.State.terminal() || sw.Spec.Scenario == nil {
 			return nil
 		}
 		sw.mu.Lock()
@@ -413,6 +421,28 @@ func (st *Store) List() []Status {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// Tally counts the stored sweeps in each of sweepStates (same order) and
+// sums their completed replications. It builds no Status and copies no
+// slice, so the daemon gauges that call it after every replication cost
+// no garbage. byAge only ever grows by append, so the header taken under
+// the store lock stays valid while the sweeps are read outside it.
+func (st *Store) Tally() (byState [len(sweepStates)]int, completed int) {
+	st.mu.Lock()
+	sweeps := st.byAge
+	st.mu.Unlock()
+	for _, sw := range sweeps {
+		sw.mu.Lock()
+		for i, s := range sweepStates {
+			if sw.state == s {
+				byState[i]++
+			}
+		}
+		completed += sw.done.Count()
+		sw.mu.Unlock()
+	}
+	return byState, completed
 }
 
 // CompleteRep makes one replication's output durable and visible. It is

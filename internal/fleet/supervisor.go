@@ -313,13 +313,7 @@ func (s *Supervisor) sampleDaemon() {
 	if s.agg == nil {
 		return
 	}
-	statuses := s.st.List()
-	byState := map[string]int{}
-	var completed int
-	for _, st := range statuses {
-		byState[st.State]++
-		completed += st.Completed
-	}
+	byState, completed := s.st.Tally()
 	records, bytes := s.st.WALStats()
 	s.mu.Lock()
 	resumed, finished := s.resumed, s.finished
@@ -327,10 +321,10 @@ func (s *Supervisor) sampleDaemon() {
 	s.agg.With(func(r *obs.Registry) {
 		r.Gauge("fleet_queue_depth", "sweeps queued and not yet running").
 			Set(float64(s.st.QueueDepth()))
-		for _, state := range []SweepState{StatePending, StateRunning, StateDone, StateFailed, StateCancelled} {
+		for i, state := range sweepStates {
 			r.Gauge("fleet_sweeps", "sweeps by lifecycle state",
 				obs.Label{Key: "state", Value: string(state)}).
-				Set(float64(byState[string(state)]))
+				Set(float64(byState[i]))
 		}
 		r.Counter("fleet_reps_completed_total", "replications completed and checkpointed").
 			Set(float64(completed))

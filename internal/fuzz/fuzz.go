@@ -6,10 +6,12 @@
 //   - the runtime invariant checker (internal/invariant) rides the run:
 //     flow conservation, dead-link silence, rate-vs-capacity bounds,
 //     drop accounting;
-//   - the determinism contract: the same (scenario, seed) pair must
-//     yield a bit-identical trajectory at shards=1 and shards=4, so the
-//     full observable signature (transitions, failures, per-flow
-//     delivery, drops) is compared across worker counts;
+//   - the determinism contract, differentially: a second run of the
+//     same (scenario, seed) pair, with the invariant checker off and a
+//     flight recorder on, must yield the same full observable signature
+//     (transitions, failures, per-flow delivery, drops) — two runs
+//     agree, and neither checking nor recording ever changes the
+//     trajectory;
 //   - cross-scheme sanity: a second scheme runs the same scenario and
 //     its aggregates must stay finite, non-negative and physical.
 //
@@ -61,8 +63,8 @@ const (
 	// InjectCounter corrupts a relay conservation counter mid-run on
 	// the invariant arm — the checker must flag flow-conservation.
 	InjectCounter Inject = "counter"
-	// InjectSeed perturbs the comparison arm's seeds — the differential
-	// oracle must flag the trajectory divergence.
+	// InjectSeed perturbs the differential arm's seeds — the
+	// differential oracle must flag the trajectory divergence.
 	InjectSeed Inject = "seed"
 )
 
@@ -191,8 +193,8 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 // scenario passed; a non-nil error means the harness itself broke (a
 // generated scenario that cannot bind is a generator bug, not a finding).
 func check(sc *scenario.Scenario, scSeed, emSeed int64, inject Inject) (*Failure, error) {
-	// Oracle 1+2: the invariant arm (shards=1, checker attached).
-	a, err := runArm(sc, core.SchemeEMPoWER, scSeed, emSeed, 1, true, inject == InjectCounter)
+	// Oracle 1+2: the invariant arm (checker attached).
+	a, err := runArm(sc, core.SchemeEMPoWER, scSeed, emSeed, true, 0, inject == InjectCounter)
 	if err != nil {
 		return nil, err
 	}
@@ -203,13 +205,13 @@ func check(sc *scenario.Scenario, scSeed, emSeed int64, inject Inject) (*Failure
 	if f := sanity(sc, "EMPoWER", a); f != nil {
 		return f, nil
 	}
-	// Oracle 3: the differential arm (shards=4, same seeds) must
-	// reproduce the exact trajectory signature.
+	// Oracle 3: the differential arm (same seeds, checker off, flight
+	// recorder on) must reproduce the exact trajectory signature.
 	bScSeed, bEmSeed := scSeed, emSeed
 	if inject == InjectSeed {
 		bScSeed, bEmSeed = scSeed+1, emSeed+1
 	}
-	b, err := runArm(sc, core.SchemeEMPoWER, bScSeed, bEmSeed, 4, false, false)
+	b, err := runArm(sc, core.SchemeEMPoWER, bScSeed, bEmSeed, false, traceRing, false)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +219,7 @@ func check(sc *scenario.Scenario, scSeed, emSeed int64, inject Inject) (*Failure
 		return &Failure{Check: "differential", Detail: sigDiff(a.sig, b.sig)}, nil
 	}
 	// Oracle 4: a contrast scheme on the same scenario stays physical.
-	c, err := runArm(sc, core.SchemeSP, scSeed, emSeed, 1, true, false)
+	c, err := runArm(sc, core.SchemeSP, scSeed, emSeed, true, 0, false)
 	if err != nil {
 		return nil, err
 	}
@@ -248,18 +250,18 @@ type violation struct {
 
 func (v violation) String() string { return v.Check + ": " + v.Detail }
 
-// bindArm binds the scenario under one arm's (scheme, shards, checker)
-// configuration at δ = 0.05 with the route manager on CC schemes. The
-// timeline seed doubles as the topology seed.
-func bindArm(sc *scenario.Scenario, scheme core.Scheme, scSeed, emSeed int64, shards int, invariants bool, recorder int) (*scenario.Runtime, error) {
-	cfg := experiments.ChurnConfig{Delta: 0.05, ManageRoutes: true, Shards: shards, Invariants: invariants}
+// bindArm binds the scenario under one arm's (scheme, checker, flight
+// recorder) configuration at δ = 0.05 with the route manager on CC
+// schemes. The timeline seed doubles as the topology seed.
+func bindArm(sc *scenario.Scenario, scheme core.Scheme, scSeed, emSeed int64, invariants bool, recorder int) (*scenario.Runtime, error) {
+	cfg := experiments.ChurnConfig{Delta: 0.05, ManageRoutes: true, Invariants: invariants}
 	return experiments.BindReplication(sc, scheme, cfg, recorder, scSeed, scSeed, emSeed)
 }
 
-// runArm binds and runs the scenario under one (scheme, shards)
-// configuration and extracts the full observable signature.
-func runArm(sc *scenario.Scenario, scheme core.Scheme, scSeed, emSeed int64, shards int, invariants, injectCounter bool) (*armResult, error) {
-	rt, err := bindArm(sc, scheme, scSeed, emSeed, shards, invariants, 0)
+// runArm binds and runs the scenario under one arm's configuration and
+// extracts the full observable signature.
+func runArm(sc *scenario.Scenario, scheme core.Scheme, scSeed, emSeed int64, invariants bool, recorder int, injectCounter bool) (*armResult, error) {
+	rt, err := bindArm(sc, scheme, scSeed, emSeed, invariants, recorder)
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +334,7 @@ func sigDiff(a, b string) string {
 	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
 	for i := 0; i < len(al) && i < len(bl); i++ {
 		if al[i] != bl[i] {
-			return fmt.Sprintf("line %d: shards=1 %q vs shards=4 %q", i, al[i], bl[i])
+			return fmt.Sprintf("line %d: invariant arm %q vs recorded arm %q", i, al[i], bl[i])
 		}
 	}
 	return fmt.Sprintf("signature lengths differ: %d vs %d lines", len(al), len(bl))
@@ -427,7 +429,7 @@ func writeRepro(sc *scenario.Scenario, dir string, run int) (string, error) {
 // purely observational, so the replay follows the exact trajectory the
 // oracles flagged.
 func dumpTrace(sc *scenario.Scenario, scSeed, emSeed int64, path string) (string, error) {
-	rt, err := bindArm(sc, core.SchemeEMPoWER, scSeed, emSeed, 1, true, traceRing)
+	rt, err := bindArm(sc, core.SchemeEMPoWER, scSeed, emSeed, true, traceRing)
 	if err != nil {
 		return "", err
 	}
@@ -440,9 +442,10 @@ func dumpTrace(sc *scenario.Scenario, scSeed, emSeed int64, path string) (string
 
 // Generate draws one randomized adversarial scenario: a clustered
 // custom topology (spatially separated clusters fall into independent
-// interference domains, so the worker fan-out has real work), scripted
-// flows, correlated failure groups, an adversarial event timeline, and
-// stochastic processes covering every kind the engine knows.
+// interference domains, so the multi-domain engine has real work),
+// scripted flows, correlated failure groups, an adversarial event
+// timeline, and stochastic processes covering every kind the engine
+// knows.
 func Generate(rng *rand.Rand, maxDuration float64) *scenario.Scenario {
 	duration := 6 + rng.Float64()*(maxDuration-6)
 	sc := scenario.New("fuzz", duration)

@@ -77,8 +77,8 @@ func TestInjectCounterCaught(t *testing.T) {
 }
 
 // TestInjectSeedCaught perturbs the differential arm's seeds and
-// demands the shards=1 vs shards=4 signature comparison flag the
-// divergence.
+// demands the signature comparison between the invariant arm and the
+// recorded arm flag the divergence.
 func TestInjectSeedCaught(t *testing.T) {
 	if testing.Short() {
 		t.Skip("each fuzz run emulates three full trajectories")

@@ -1,10 +1,9 @@
 // Package invariant checks runtime invariants of a running emulation:
 // properties that hold for every correct trajectory regardless of
-// scenario, seed, or shard count. The checker rides the emulation's own
-// engines — one periodic tick per interference domain, on the domain's
-// worker goroutine — so it observes exactly the state the handlers see,
-// with no synchronization and no perturbation of the trajectory beyond
-// its own timer (which never reorders the existing timeline: timer
+// scenario or seed. The checker rides the emulation's own engines — one
+// periodic tick per interference domain, on that domain's engine — so it
+// observes exactly the state the handlers see, with no synchronization
+// and no perturbation of the trajectory beyond its own timer (which never reorders the existing timeline: timer
 // sequence numbers are assigned at scheduling time, and the checker
 // only reads).
 //
@@ -65,8 +64,8 @@ type Config struct {
 	// the domain stops recording (the run is already broken).
 	Limit int
 	// Flows lists the running flows a domain owns, in creation order.
-	// The checker calls it on the domain's worker goroutine at every
-	// tick; it may be nil (flow-level checks are then skipped).
+	// The checker calls it from the domain's engine at every tick; it
+	// may be nil (flow-level checks are then skipped).
 	Flows func(domain int) []FlowInfo
 }
 
@@ -119,7 +118,7 @@ type linkSnap struct {
 }
 
 // domChecker is the per-domain checker state, touched only by the
-// owning domain's goroutine until Final.
+// owning domain's engine until Final.
 type domChecker struct {
 	c   *Checker
 	d   int

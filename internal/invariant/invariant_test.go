@@ -41,7 +41,6 @@ func start(t *testing.T, k int, ncfg node.Config, interval float64) *harness {
 		ln.route = graph.Path{ab, bc}
 		lines[i] = ln
 	}
-	ncfg.Shards = k // one goroutine per domain: -race sees the real sharing
 	h := &harness{
 		em:    node.NewEmulation(b.Build(), ncfg, 31),
 		flows: make([][]FlowInfo, k),

@@ -29,8 +29,8 @@ type dataPkt struct {
 // domain's clone of the network — full shape, so global node and link IDs
 // stay valid, with private link capacities — and Agents is indexed by
 // global NodeID with nil entries for foreign nodes. Nothing a domain does
-// at runtime touches another domain (see NewEmulation), so each one is
-// driven by a single goroutine at a time.
+// at runtime touches another domain (see NewEmulation), so Run may
+// advance them one after another in any order.
 type Domain struct {
 	Engine *sim.Engine
 	Net    *graph.Network

@@ -28,8 +28,6 @@
 package node
 
 import (
-	"runtime"
-
 	"repro/internal/graph"
 	"repro/internal/optimal"
 )
@@ -56,11 +54,6 @@ type Config struct {
 	// rate logs for a run of this many emulated seconds (callers that
 	// know the scenario duration set it; zero means grow on demand).
 	ExpectedDuration float64
-	// Shards caps the worker goroutines that run the interference domains
-	// of one emulation in parallel (0 and 1: sequential; ShardsAuto:
-	// GOMAXPROCS). It never changes results: the decomposition and the
-	// per-domain seeds depend only on the topology and the base seed.
-	Shards int
 	// Recorder, when positive, attaches a flight recorder of that many
 	// records (rounded up to a power of two) to every domain engine and
 	// its MAC. Recording costs one ring-index write per event and is
@@ -69,10 +62,6 @@ type Config struct {
 	// recording entirely (the default; also the zero-alloc-guard path).
 	Recorder int
 }
-
-// ShardsAuto, as Config.Shards, sizes the domain worker pool to
-// GOMAXPROCS (cmd flags map -shards 0 to it).
-const ShardsAuto = -1
 
 // The §6.1 node-stack constants. Each MAC queue holds mac.Options'
 // default 100 packets; the proximal gain is congestion.DefaultUtilityScale.
@@ -113,7 +102,6 @@ type Emulation struct {
 	doms    []*Domain
 	nodeDom []int
 	linkDom []int
-	workers int
 	windows uint64 // completed Run calls
 }
 
@@ -122,8 +110,8 @@ type Emulation struct {
 // is the one-domain instance). The decomposition merges links across
 // interference and shared endpoints, which closes each domain under every
 // interaction the emulation has — MAC contention, frame forwarding, price
-// earshot, flow paths — so domains exchange no events at runtime and may
-// run on separate goroutines (Config.Shards) without changing a byte.
+// earshot, flow paths — so domains exchange no events at runtime, and the
+// order Run advances them in never changes a byte.
 func NewEmulation(net *graph.Network, cfg Config, seed int64) *Emulation {
 	dec := optimal.InterferenceDomains(net)
 	e := &Emulation{
@@ -132,12 +120,7 @@ func NewEmulation(net *graph.Network, cfg Config, seed int64) *Emulation {
 		doms:    make([]*Domain, dec.Num),
 		nodeDom: dec.Node,
 		linkDom: dec.Link,
-		workers: cfg.Shards,
 	}
-	if e.workers == ShardsAuto {
-		e.workers = runtime.GOMAXPROCS(0)
-	}
-	e.workers = max(1, min(e.workers, dec.Num))
 	for d := range e.doms {
 		// Each domain works on its own clone: links are deep-copied, so
 		// capacity mutations stay domain-local, while the immutable
@@ -171,8 +154,7 @@ func (e *Emulation) Agent(id graph.NodeID) *Agent { return e.Agents[id] }
 //
 // The owning domain's clone is the live ground truth; the new value is
 // mirrored into Net so external readers keep seeing one consistent
-// capacity map. Concurrent domain goroutines only ever touch their own
-// links, so the mirror writes are element-disjoint.
+// capacity map.
 func (e *Emulation) SetLinkCapacity(l graph.LinkID, c float64) {
 	d := e.doms[e.linkDom[l]]
 	d.setLinkCapacity(l, c)

@@ -1,8 +1,6 @@
 package node
 
 import (
-	"sync"
-
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -25,36 +23,18 @@ func domainSeed(seed int64, d, num int) int64 {
 	return stats.SplitSeed(seed, domainSeedBase+d)
 }
 
-// Run advances every domain to absolute virtual time t (seconds), domain
-// i on worker i mod Workers. Domains share no state during a run, so the
-// assignment never affects the trajectory; one worker runs them in order
-// without spawning a goroutine.
+// Run advances every domain to absolute virtual time t (seconds), one
+// after another in domain order, and closes the window with a barrier
+// record in each domain's flight recorder. Domains share no state during
+// a run, so the order never affects the trajectory.
 func (e *Emulation) Run(t float64) {
-	if e.workers == 1 {
-		for _, d := range e.doms {
-			d.Engine.Run(t)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < e.workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(e.doms); i += e.workers {
-					e.doms[i].Engine.Run(t)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	e.windows++
-	// Barrier records are written after the join, so each domain's ring
-	// still has a single writer.
 	for _, d := range e.doms {
+		d.Engine.Run(t)
 		if rec := d.Engine.Recorder(); rec != nil {
 			rec.Record(d.Engine.Now(), obs.RecWindowBarrier, 0, 0, 0)
 		}
 	}
+	e.windows++
 }
 
 // Now returns the virtual time every domain reached at the last Run.
@@ -71,6 +51,3 @@ func (e *Emulation) NodeDomain(n graph.NodeID) int { return e.nodeDom[n] }
 
 // LinkDomain returns the domain owning link l.
 func (e *Emulation) LinkDomain(l graph.LinkID) int { return e.linkDom[l] }
-
-// Workers returns the number of goroutines a Run uses.
-func (e *Emulation) Workers() int { return e.workers }

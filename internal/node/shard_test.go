@@ -91,30 +91,27 @@ func shardedFingerprint(t *testing.T, cfg Config, chunks int, seconds float64) s
 	return out
 }
 
-// TestShardedDeterminismAcrossShardCounts is the contract at the node
-// layer: the same seed yields a bit-identical trajectory at any Shards
-// value, because the domain decomposition and the per-domain seed splits
-// depend only on the topology — Shards merely caps the worker pool. A
-// flight recorder only observes, so attaching one (also on domains
-// recording concurrently) changes nothing either.
-func TestShardedDeterminismAcrossShardCounts(t *testing.T) {
+// TestShardedDeterminism is the contract at the node layer: the same
+// seed yields a bit-identical trajectory on a rerun, because the domain
+// decomposition and the per-domain seed splits depend only on the
+// topology. A flight recorder only observes, so attaching one changes
+// nothing, and where the caller places its Run barriers is not part of
+// the trajectory either.
+func TestShardedDeterminism(t *testing.T) {
 	seconds := 12.0
 	if testing.Short() {
 		seconds = 4.0
 	}
-	ref := shardedFingerprint(t, Config{Shards: 1}, 1, seconds)
-	for _, cfg := range []Config{{Shards: 0}, {Shards: 2}, {Shards: 4}, {Shards: ShardsAuto},
-		{Shards: 1, Recorder: 512}, {Shards: 4, Recorder: 64}} {
-		if got := shardedFingerprint(t, cfg, 1, seconds); got != ref {
-			t.Fatalf("shards=%d recorder=%d diverged from shards=1:\n--- shards=1\n%s--- shards=%d recorder=%d\n%s",
-				cfg.Shards, cfg.Recorder, ref, cfg.Shards, cfg.Recorder, got)
+	ref := shardedFingerprint(t, Config{}, 1, seconds)
+	if rerun := shardedFingerprint(t, Config{}, 1, seconds); rerun != ref {
+		t.Fatalf("rerun diverged:\n--- first\n%s--- rerun\n%s", ref, rerun)
+	}
+	for _, size := range []int{64, 512} {
+		if got := shardedFingerprint(t, Config{Recorder: size}, 1, seconds); got != ref {
+			t.Fatalf("recorder=%d diverged:\n--- off\n%s--- on\n%s", size, ref, got)
 		}
 	}
-	if rerun := shardedFingerprint(t, Config{Shards: 4}, 1, seconds); rerun != ref {
-		t.Fatalf("shards=4 rerun diverged (nondeterminism within a shard count)")
-	}
-	// Where the caller places its barriers is not part of the trajectory.
-	if chunked := shardedFingerprint(t, Config{Shards: 2}, 3, seconds); chunked != ref {
+	if chunked := shardedFingerprint(t, Config{}, 3, seconds); chunked != ref {
 		t.Fatalf("three Run calls diverged from one:\n--- one\n%s--- three\n%s", ref, chunked)
 	}
 }
@@ -122,8 +119,8 @@ func TestShardedDeterminismAcrossShardCounts(t *testing.T) {
 // TestShardedSingleDomainFallsBack: a topology that does not decompose
 // is the one-domain instance of the same engine and keeps the caller's
 // seed, so a connected network reproduces the trajectory recorded from
-// commit 66d524b's single-engine construction (Shards 0, figure1, seed
-// 21, 6 s) at any worker cap. The degenerate rows — no links at all, an
+// commit 66d524b's single-engine construction (figure1, seed 21, 6 s).
+// The degenerate rows — no links at all, an
 // isolated node beside a connected component — must build and run as one
 // domain too.
 func TestShardedSingleDomainFallsBack(t *testing.T) {
@@ -149,39 +146,35 @@ func TestShardedSingleDomainFallsBack(t *testing.T) {
 		{"no-links", noLinks},
 		{"isolated-node", isolated},
 	} {
-		for _, shards := range []int{0, 4} {
-			net := tc.net()
-			em := NewEmulation(net, Config{Estimation: true, Shards: shards}, 21)
-			if em.NumDomains() != 1 || em.Workers() != 1 {
-				t.Fatalf("%s shards=%d: domains=%d workers=%d, want 1/1", tc.name, shards, em.NumDomains(), em.Workers())
+		net := tc.net()
+		em := NewEmulation(net, Config{Estimation: true}, 21)
+		if em.NumDomains() != 1 {
+			t.Fatalf("%s: domains=%d, want 1", tc.name, em.NumDomains())
+		}
+		em.Run(2)
+		for n := 0; n < net.NumNodes(); n++ {
+			if em.Agent(graph.NodeID(n)) == nil {
+				t.Fatalf("%s: node %d has no agent", tc.name, n)
 			}
-			em.Run(2)
-			for n := 0; n < net.NumNodes(); n++ {
-				if em.Agent(graph.NodeID(n)) == nil {
-					t.Fatalf("%s: node %d has no agent", tc.name, n)
-				}
-			}
-			if em.Now() != 2 || em.EventsFired() == 0 {
-				t.Fatalf("%s: now=%v events=%d after Run(2)", tc.name, em.Now(), em.EventsFired())
-			}
+		}
+		if em.Now() != 2 || em.EventsFired() == 0 {
+			t.Fatalf("%s: now=%v events=%d after Run(2)", tc.name, em.Now(), em.EventsFired())
 		}
 	}
-	for _, shards := range []int{0, 1, 4, ShardsAuto} {
-		net, a, c, routes := figure1()
-		em := NewEmulation(net, Config{Estimation: true, Shards: shards}, 21)
-		if em.NumDomains() != 1 {
-			t.Fatalf("NumDomains = %d, want 1", em.NumDomains())
-		}
-		fl, err := em.AddFlow(FlowSpec{Src: a, Dst: c, Routes: routes, Kind: TrafficSaturated}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		em.Run(6)
-		s := em.Agent(c).SinkFor(a, fl.ID)
-		got := fmt.Sprintf("bytes=%d rates=%v", s.TotalBytes, fl.Rates())
-		if runtime.GOARCH == "amd64" && got != figure1Pin {
-			t.Fatalf("shards=%d trajectory %q, pinned %q", shards, got, figure1Pin)
-		}
+	net, a, c, routes := figure1()
+	em := NewEmulation(net, Config{Estimation: true}, 21)
+	if em.NumDomains() != 1 {
+		t.Fatalf("NumDomains = %d, want 1", em.NumDomains())
+	}
+	fl, err := em.AddFlow(FlowSpec{Src: a, Dst: c, Routes: routes, Kind: TrafficSaturated}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	em.Run(6)
+	s := em.Agent(c).SinkFor(a, fl.ID)
+	got := fmt.Sprintf("bytes=%d rates=%v", s.TotalBytes, fl.Rates())
+	if runtime.GOARCH == "amd64" && got != figure1Pin {
+		t.Fatalf("trajectory %q, pinned %q", got, figure1Pin)
 	}
 }
 
@@ -190,12 +183,9 @@ func TestShardedSingleDomainFallsBack(t *testing.T) {
 // agent view.
 func TestShardedDispatch(t *testing.T) {
 	net, cflows := clusterNet(3)
-	em := NewEmulation(net, Config{Estimation: true, Shards: 2}, 5)
+	em := NewEmulation(net, Config{Estimation: true}, 5)
 	if em.NumDomains() != 3 {
 		t.Fatalf("domains=%d, want 3", em.NumDomains())
-	}
-	if em.Workers() != 2 {
-		t.Fatalf("workers = %d, want 2", em.Workers())
 	}
 	// Node/link ownership is cluster-contiguous by construction.
 	for i, cf := range cflows {
@@ -234,13 +224,12 @@ func TestShardedDispatch(t *testing.T) {
 }
 
 // TestAllocsShardedRunSlot extends the zero-alloc steady-state guard to
-// several domains: with a sequential worker (Shards=1 spawns no
-// goroutines), a warm multi-domain emulation runs a full report slot
+// several domains: a warm multi-domain emulation runs a full report slot
 // without a single heap allocation — each domain's pools are its own, and
-// the fan-out in Run is allocation-free.
+// the loop over domains in Run is allocation-free.
 func TestAllocsShardedRunSlot(t *testing.T) {
 	net, cflows := clusterNet(2)
-	em := NewEmulation(net, Config{Estimation: true, Shards: 1}, 21)
+	em := NewEmulation(net, Config{Estimation: true}, 21)
 	var flows []*Flow
 	for _, cf := range cflows {
 		fl, err := em.AddFlow(FlowSpec{Src: cf.src, Dst: cf.dst, Routes: cf.routes, Kind: TrafficSaturated}, 0)
@@ -273,7 +262,7 @@ func TestAllocsShardedRunSlot(t *testing.T) {
 func twoClusters(t *testing.T) (*Emulation, []clusterFlow) {
 	t.Helper()
 	net, cflows := clusterNet(2)
-	em := NewEmulation(net, Config{Estimation: true, Shards: 1}, 5)
+	em := NewEmulation(net, Config{Estimation: true}, 5)
 	for _, cf := range cflows {
 		if _, err := em.AddFlow(FlowSpec{Src: cf.src, Dst: cf.dst, Routes: cf.routes, Kind: TrafficSaturated}, 0); err != nil {
 			t.Fatal(err)

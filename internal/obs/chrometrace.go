@@ -25,8 +25,8 @@ func WriteChromeTraceFile(path string, domains [][]Record) error {
 // trace-event JSON (the JSON-array format), readable in Perfetto or
 // chrome://tracing: one thread track per domain, every record an instant
 // event at its virtual time (microsecond timestamps = virtual seconds ×
-// 1e6). Window barriers render as their own named events, so a sharded
-// run's conservative windows are visible across the domain tracks.
+// 1e6). Window barriers render as their own named events, so a
+// multi-domain run's Run windows are visible across the domain tracks.
 func WriteChromeTrace(w io.Writer, domains [][]Record) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("[\n"); err != nil {

@@ -26,9 +26,9 @@ const (
 	// RecScenarioEvent: a scenario timeline event applied (A = event
 	// kind ordinal, B = subject link or node, -1 when neither).
 	RecScenarioEvent
-	// RecWindowBarrier: an Emulation.Run joined its domain workers with
-	// every domain at the same virtual time (A is part of the trace
-	// format and always 0: closed domains exchange no events).
+	// RecWindowBarrier: an Emulation.Run brought this domain to the
+	// run's target time, which every domain reaches (A is part of the
+	// trace format and always 0: closed domains exchange no events).
 	RecWindowBarrier
 	// NumRecKinds sizes dense per-kind tables.
 	NumRecKinds

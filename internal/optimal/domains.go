@@ -16,7 +16,7 @@ import (
 //
 // The partition is capacity-independent: a failed (zero-capacity) link
 // keeps its domain, so dynamic scenarios cannot migrate links between
-// shards mid-run.
+// domains mid-run.
 type Domains struct {
 	// Num is the number of domains (at least 1, even for an empty
 	// network).

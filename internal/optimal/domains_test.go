@@ -62,7 +62,7 @@ func TestInterferenceDomainsCapacityIndependent(t *testing.T) {
 	net := clusteredNet(2)
 	before := InterferenceDomains(net)
 	// Kill a whole cluster's links: the partition must not change, or a
-	// dynamic scenario could migrate links between shards mid-run.
+	// dynamic scenario could migrate links between domains mid-run.
 	for l := 0; l < 4; l++ {
 		net.Link(graph.LinkID(l)).Capacity = 0
 	}

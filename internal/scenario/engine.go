@@ -86,10 +86,10 @@ type Transition struct {
 // The runtime mirrors the emulation's domain decomposition: all state an
 // event handler mutates — flow records, failure windows, transitions,
 // departed-node links — lives in per-domain substates, because on a
-// multi-domain emulation the handlers of different domains may run on
-// different worker goroutines. The exported
-// observation fields (Transitions, Failures, SkippedFlows) are merged
-// deterministically from the domains by Finish.
+// multi-domain emulation each domain runs to the barrier in turn, so the
+// handlers of different domains do not fire in virtual-time order. The
+// exported observation fields (Transitions, Failures, SkippedFlows) are
+// merged deterministically from the domains by Finish.
 type Runtime struct {
 	Scenario *Scenario
 	Em       *node.Emulation
@@ -212,7 +212,7 @@ func Bind(em *node.Emulation, sc *Scenario, seed int64, opts Options) (*Runtime,
 			continue
 		}
 		// A group event may span interference domains. Each domain's
-		// handlers run on their own worker goroutine, so split the group
+		// handlers run on its own engine, so split the group
 		// into per-domain slices, each applied at the event time on its
 		// owning engine — atomic within a domain, simultaneous in
 		// virtual time across them.
@@ -244,9 +244,9 @@ func Bind(em *node.Emulation, sc *Scenario, seed int64, opts Options) (*Runtime,
 }
 
 // domainFlows feeds the invariant checker the flows a domain owns, in
-// creation order. The checker calls it on the owning domain's worker
-// goroutine — the same goroutine that mutates d.flows — so the read
-// needs no synchronization.
+// creation order. The checker calls it from the owning domain's engine,
+// which is also what mutates d.flows, so the read needs no
+// synchronization.
 func (rt *Runtime) domainFlows(dom int) []invariant.FlowInfo {
 	d := rt.doms[dom]
 	out := make([]invariant.FlowInfo, 0, len(d.order))

@@ -10,11 +10,11 @@ import (
 	"repro/internal/node"
 )
 
-// clustersFingerprint runs the shipped multi-cluster scenario end to end
-// at a shard count and folds every observable output — transitions,
-// failure windows, per-flow goodput, failover measurement, reroutes —
-// into a string.
-func clustersFingerprint(t *testing.T, shards int) string {
+// clustersFingerprint runs the shipped multi-cluster scenario end to end,
+// with a flight recorder of `recorder` records per domain (0: none), and
+// folds every observable output — transitions, failure windows, per-flow
+// goodput, failover measurement, reroutes — into a string.
+func clustersFingerprint(t *testing.T, recorder int) string {
 	t.Helper()
 	sc, err := Load("../../examples/scenarios/clusters.json")
 	if err != nil {
@@ -28,7 +28,7 @@ func clustersFingerprint(t *testing.T, shards int) string {
 		t.Fatal(err)
 	}
 	em := node.NewEmulation(net, node.Config{
-		Estimation: true, ExpectedDuration: sc.Duration, Shards: shards,
+		Estimation: true, ExpectedDuration: sc.Duration, Recorder: recorder,
 	}, 9)
 	rt, err := Bind(em, sc, 41, Options{ManageRoutes: true, Strict: true})
 	if err != nil {
@@ -55,8 +55,8 @@ func clustersFingerprint(t *testing.T, shards int) string {
 // TestScenarioShardedDeterminism is the contract at the scenario layer:
 // the shipped multi-cluster scenario decomposes into four interference
 // domains, and the complete run — event timeline, failure windows,
-// goodput, failover measurement — is bit-identical at Shards 0, 1, 2
-// and 4.
+// goodput, failover measurement — is bit-identical on a rerun and with a
+// flight recorder on every domain.
 func TestScenarioShardedDeterminism(t *testing.T) {
 	// Confirm the example really decomposes.
 	sc, err := Load("../../examples/scenarios/clusters.json")
@@ -67,16 +67,16 @@ func TestScenarioShardedDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em := node.NewEmulation(net, node.Config{Shards: 4}, 9)
-	if em.NumDomains() != 4 {
+	if em := node.NewEmulation(net, node.Config{}, 9); em.NumDomains() != 4 {
 		t.Fatalf("clusters.json: domains=%d, want 4", em.NumDomains())
 	}
 
-	ref := clustersFingerprint(t, 1)
-	for _, shards := range []int{0, 2, 4} {
-		if got := clustersFingerprint(t, shards); got != ref {
-			t.Fatalf("shards=%d diverged from shards=1:\n--- shards=1\n%s--- shards=%d\n%s", shards, ref, shards, got)
-		}
+	ref := clustersFingerprint(t, 0)
+	if got := clustersFingerprint(t, 0); got != ref {
+		t.Fatalf("rerun diverged:\n--- first\n%s--- rerun\n%s", ref, got)
+	}
+	if got := clustersFingerprint(t, 256); got != ref {
+		t.Fatalf("a flight recorder changed the run:\n--- off\n%s--- on\n%s", ref, got)
 	}
 }
 
@@ -84,8 +84,8 @@ func TestScenarioShardedDeterminism(t *testing.T) {
 // contract: the shipped flaps scenario runs on a connected topology —
 // one interference domain, the caller's seed — and its transitions,
 // failure windows and aggregate goodput digest to the value recorded from
-// commit 66d524b's single-engine construction (Shards 0, topology seed
-// 11, emulation seed 13, scenario seed 17), at any worker cap.
+// commit 66d524b's single-engine construction (topology seed 11,
+// emulation seed 13, scenario seed 17).
 func TestShardedMatchesSingleEngine(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digest is for amd64 (fused multiply-add moves the low bits), this is %s", runtime.GOARCH)
@@ -94,41 +94,37 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 	if testing.Short() {
 		want = "15fb1b00bfef3471a250029391baddb0289e9f6c9c3b79fe6c2bdb4f8a43e1cc"
 	}
-	for _, shards := range []int{0, 4} {
-		sc, err := Load("../../examples/scenarios/flaps.json")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if testing.Short() {
-			sc.Duration = 30
-		}
-		net, err := sc.Topology.Build(11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		em := node.NewEmulation(net, node.Config{
-			Estimation: true, ExpectedDuration: sc.Duration, Shards: shards,
-		}, 13)
-		if em.NumDomains() != 1 {
-			t.Fatalf("flaps.json topology is connected; NumDomains = %d", em.NumDomains())
-		}
-		rt, err := Bind(em, sc, 17, Options{ManageRoutes: true, Strict: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt.Run()
-		h := sha256.New()
-		for _, tr := range rt.Transitions {
-			fmt.Fprintf(h, "tr %+v\n", tr)
-		}
-		for _, f := range rt.Failures {
-			fmt.Fprintf(h, "fail %s %v %v %v\n", f.Flow, f.At, f.RecoveredAt, f.Links)
-		}
-		fmt.Fprintf(h, "agg %v\n", rt.AggregateGoodput())
-		if got := hex.EncodeToString(h.Sum(nil)); got != want {
-			t.Fatalf("shards=%d: %d transitions, %d failures digest to %s, pinned %s",
-				shards, len(rt.Transitions), len(rt.Failures), got, want)
-		}
+	sc, err := Load("../../examples/scenarios/flaps.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if testing.Short() {
+		sc.Duration = 30
+	}
+	net, err := sc.Topology.Build(11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	em := node.NewEmulation(net, node.Config{Estimation: true, ExpectedDuration: sc.Duration}, 13)
+	if em.NumDomains() != 1 {
+		t.Fatalf("flaps.json topology is connected; NumDomains = %d", em.NumDomains())
+	}
+	rt, err := Bind(em, sc, 17, Options{ManageRoutes: true, Strict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Run()
+	h := sha256.New()
+	for _, tr := range rt.Transitions {
+		fmt.Fprintf(h, "tr %+v\n", tr)
+	}
+	for _, f := range rt.Failures {
+		fmt.Fprintf(h, "fail %s %v %v %v\n", f.Flow, f.At, f.RecoveredAt, f.Links)
+	}
+	fmt.Fprintf(h, "agg %v\n", rt.AggregateGoodput())
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("%d transitions, %d failures digest to %s, pinned %s",
+			len(rt.Transitions), len(rt.Failures), got, want)
 	}
 }
 

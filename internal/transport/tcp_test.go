@@ -212,7 +212,7 @@ func TestTCPOverEmulationTwoDomains(t *testing.T) {
 	sd, _ := b.AddDuplex(s, d, graph.TechWiFi, 30)
 	uv, _ := b.AddDuplex(u, v, graph.TechWiFi, 20)
 	net := b.Build()
-	em := node.NewEmulation(net, node.Config{Shards: 1}, 23)
+	em := node.NewEmulation(net, node.Config{}, 23)
 	if em.NumDomains() != 2 {
 		t.Fatalf("NumDomains = %d, want 2", em.NumDomains())
 	}

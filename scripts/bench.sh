@@ -213,4 +213,4 @@ print_delta() {
 }
 
 run_bench 'BenchmarkRoutingN5$|BenchmarkAblationNShortest|BenchmarkAblationCSC|BenchmarkControllerSlot$|BenchmarkControllerBatch$|BenchmarkControllerHorizon|BenchmarkInstanceBuildViews$|BenchmarkFigure4ParallelSweep|BenchmarkOptimalSolve$|BenchmarkFigure6OptimalRatios$' "$routing_out"
-run_bench 'BenchmarkChurnSweep$|BenchmarkChurnSweepSharded$|BenchmarkChurnCollect$|BenchmarkEmulationSecond$|BenchmarkEmulationSecondSharded$|BenchmarkMetricsOverhead$|BenchmarkMACCompletion$|BenchmarkEngineHeap$' "$scenario_out"
+run_bench 'BenchmarkChurnSweep$|BenchmarkChurnCollect$|BenchmarkEmulationSecond$|BenchmarkMetricsOverhead$|BenchmarkMACCompletion$|BenchmarkEngineHeap$' "$scenario_out"

@@ -110,13 +110,21 @@ expect_exit 2 "$bindir/empower-fuzz" -inject bogus
 # Sweep knobs outside the ranges the fleet's sweep spec enforces, checked
 # before any replication runs.
 flaps=(-scenario examples/scenarios/flaps.json -runs 1 -schemes SP)
-for bad in "-delta NaN" "-delta 1.5" "-frac 1.5" "-bin -1" "-runs -1" "-shards -1" \
+for bad in "-delta NaN" "-delta 1.5" "-frac 1.5" "-bin -1" "-runs -1" \
   "-flaprates NaN" "-flaprates Inf" "-tracerun 7"; do
   # shellcheck disable=SC2086 # each case is a flag and its value
   expect_exit 2 "$bindir/empower-scenario" "${flaps[@]}" $bad
 done
 expect_exit 2 "$bindir/empower-testbed" -fig 10 -duration 2 -pairs 1 -delta NaN
-expect_exit 2 "$bindir/empower-testbed" -fig 10 -duration 2 -pairs 1 -shards -1
+# -shards is retired: both emulation CLIs reject it as an undefined flag.
+for c in empower-scenario empower-testbed; do
+  expect_exit 2 "$bindir/$c" -shards 1
+  out="$("$bindir/$c" -shards 1 2>&1 || true)"
+  if [[ "$out" != *"flag provided but not defined: -shards"* ]]; then
+    echo "e2e: $c -shards 1 did not report an undefined flag: $out" >&2
+    exit 1
+  fi
+done
 expect_exit 1 "$bindir/empower-fleet" -addr 256.0.0.1:1 -wal "$bindir/unused.wal" -quiet
 # An interrupted sweep exits 130 and still leaves its last -metrics snapshot.
 "$bindir/empower-sim" -fig 6 -runs 100000 -metrics "$bindir/interrupted.prom" > /dev/null 2>&1 &
