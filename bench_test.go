@@ -520,7 +520,7 @@ func BenchmarkEmulationSecond(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		em = node.NewEmulation(net, node.Config{Estimation: true, ExpectedDuration: sc.Duration}, 7)
+		em = node.NewEmulation(net, node.Config{Estimation: true}, 7)
 		if _, err := scenario.Bind(em, sc, stats.SplitSeed(42, 1_000_000), scenario.Options{ManageRoutes: true}); err != nil {
 			b.Fatal(err)
 		}
@@ -561,7 +561,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		em = node.NewEmulation(net, node.Config{Estimation: true, ExpectedDuration: sc.Duration, Recorder: 256}, 7)
+		em = node.NewEmulation(net, node.Config{Estimation: true, Recorder: 256}, 7)
 		if _, err := scenario.Bind(em, sc, stats.SplitSeed(42, 1_000_000), scenario.Options{ManageRoutes: true}); err != nil {
 			b.Fatal(err)
 		}
@@ -624,7 +624,7 @@ func BenchmarkChurnCollect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	em := node.NewEmulation(net, node.Config{Estimation: true, ExpectedDuration: sc.Duration}, 7)
+	em := node.NewEmulation(net, node.Config{Estimation: true}, 7)
 	rt, err := scenario.Bind(em, sc, stats.SplitSeed(42, 1_000_000), scenario.Options{ManageRoutes: true})
 	if err != nil {
 		b.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -237,5 +238,46 @@ func TestCheckFlapRates(t *testing.T) {
 		if CheckFlapRates([]float64{1, bad}) == nil {
 			t.Errorf("flap rate %g accepted", bad)
 		}
+	}
+}
+
+// TestDeclaredDurationSizesNoMemory: nothing in a replication may be
+// sized from the scenario's declared duration, which is outside input
+// (rate logs presized for `duration: 1e12` would ask AddFlow for a ~2 TB
+// chunk directory). Binding such a scenario through the churn sweep's
+// path and emulating its first second must cost what any first second
+// costs.
+func TestDeclaredDurationSizesNoMemory(t *testing.T) {
+	sc, err := scenario.Parse([]byte(`{
+	  "name": "forever",
+	  "duration": 1e12,
+	  "topology": {
+	    "kind": "custom",
+	    "nodes": [
+	      { "name": "s", "x": 0, "y": 0, "techs": ["PLC", "WiFi"] },
+	      { "name": "d", "x": 10, "y": 0, "techs": ["PLC", "WiFi"] }
+	    ],
+	    "links": [
+	      { "from": "s", "to": "d", "tech": "PLC", "capacity": 40 },
+	      { "from": "s", "to": "d", "tech": "WiFi", "capacity": 60 }
+	    ]
+	  },
+	  "flows": [ { "name": "f", "src": "s", "dst": "d", "start": 0 } ]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rt, err := BindReplication(sc, core.SchemeEMPoWER, ChurnConfig{}, 0, 1, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Em.Run(1)
+	runtime.ReadMemStats(&after)
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("bind + first emulated second allocated %d KB", grew>>10)
+	if grew > 4<<20 {
+		t.Errorf("bind + first emulated second allocated %d KB, want under 4 MB", grew>>10)
 	}
 }

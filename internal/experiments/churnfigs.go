@@ -234,8 +234,7 @@ func BindReplication(sc *scenario.Scenario, scheme core.Scheme, cfg ChurnConfig,
 		return nil, err
 	}
 	em := node.NewEmulation(net, node.Config{
-		Delta: cfg.Delta, DisableCC: !scheme.CC(), Estimation: true,
-		ExpectedDuration: sc.Duration, Recorder: recorder,
+		Delta: cfg.Delta, DisableCC: !scheme.CC(), Estimation: true, Recorder: recorder,
 	}, emuSeed)
 	opts := scenario.Options{
 		Routes: func(n *graph.Network, src, dst graph.NodeID) []graph.Path {

@@ -423,6 +423,34 @@ func TestFleetPoisonedSweepFailsAlone(t *testing.T) {
 	}
 }
 
+// TestFleetHostileTimelineFailsSweep: a scenario whose timeline would
+// expand past the event budget (a billion seconds of one-second flaps)
+// fails its sweep with the budget error, and the daemon stays up.
+func TestFleetHostileTimelineFailsSweep(t *testing.T) {
+	_, hts, _ := startServer(t, Config{SupervisorConfig: SupervisorConfig{
+		Workers: 1, MaxRetries: -1,
+	}})
+	hostile := strings.NewReplacer(`"duration": 20`, `"duration": 1e9`,
+		`"down_mean": 5`, `"down_mean": 1`, `"up_mean": 6`, `"up_mean": 1`).Replace(testScenario)
+	spec := []byte(fmt.Sprintf(`{"name":"t","scenario":%s,"runs":1,"seed":5,"schemes":"SP"}`, hostile))
+	st, resp := postSweep(t, hts.URL, spec)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	st = waitState(t, hts.URL, st.ID, StateFailed, 30*time.Second)
+	if !strings.Contains(st.Error, "budget of 65536 timeline events") {
+		t.Errorf("failure error %q does not name the timeline budget", st.Error)
+	}
+	health, err := http.Get(hts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Errorf("/healthz after the failed sweep: status %d", health.StatusCode)
+	}
+}
+
 // TestFleetSSEStream consumes the results stream: per-replication
 // events followed by a final done event whose payload equals the
 // non-streamed results document byte for byte.

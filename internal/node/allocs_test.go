@@ -100,7 +100,7 @@ func TestAllocsEmulationInstrumented(t *testing.T) {
 func TestAllocsEmulationDataPlane(t *testing.T) {
 	for _, eq := range []bool{false, true} {
 		net, a, c, routes := figure1()
-		em := NewEmulation(net, Config{Estimation: true, DelayEqualize: eq, ExpectedDuration: 60}, 21)
+		em := NewEmulation(net, Config{Estimation: true, DelayEqualize: eq}, 21)
 		fl, err := em.AddFlow(FlowSpec{Src: a, Dst: c, Routes: routes, Kind: TrafficSaturated}, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -108,7 +108,7 @@ func TestAllocsEmulationDataPlane(t *testing.T) {
 		em.Run(20) // warm: pools, rings, report tables, reverse-path caches
 		pinReversePaths(em)
 		sink := em.Agent(c).PeekSink(a, fl.ID)
-		logs := append([]*seriesLog{sink.log, fl.rateLog}, fl.routeLogs...)
+		logs := append([]*seriesLog{sink.log}, fl.routeLogs...)
 		chunks0, chunks := make([]int, len(logs)), make([]int, len(logs))
 		var delivered0, lost0 int
 		now, step := em.Now(), 0

@@ -55,13 +55,13 @@ type Domain struct {
 	// numTechs bounds the dense per-technology agent state.
 	numTechs int
 
-	// Free lists for the steady-state packet path. All are LIFO stacks;
-	// see the package comment for the ownership rule.
-	pktFree   []*dataPkt
-	ackFree   []*wire.AckFrame
-	hopFree   []*ackHop
-	priceFree []*priceDelivery
-	holdFree  []*heldFrame
+	// Free lists for the steady-state packet path; see the package
+	// comment for the ownership rule.
+	pkts   freeList[dataPkt]
+	acks   freeList[wire.AckFrame]
+	hops   freeList[ackHop]
+	prices freeList[priceDelivery]
+	holds  freeList[heldFrame]
 
 	// priceBuf is the scratch encode buffer of broadcastPrice.
 	priceBuf []byte
@@ -72,14 +72,21 @@ type Domain struct {
 	listeners [][]*Agent
 }
 
-func (e *Domain) newPkt() *dataPkt {
-	if n := len(e.pktFree); n > 0 {
-		p := e.pktFree[n-1]
-		e.pktFree = e.pktFree[:n-1]
-		return p
+// freeList is a LIFO stack of recycled values: get pops one (or
+// allocates when empty), put pushes one back. Each free* method below
+// applies its type's reset rule before put.
+type freeList[T any] []*T
+
+func (l *freeList[T]) get() *T {
+	if n := len(*l); n > 0 {
+		v := (*l)[n-1]
+		*l = (*l)[:n-1]
+		return v
 	}
-	return &dataPkt{}
+	return new(T)
 }
+
+func (l *freeList[T]) put(v *T) { *l = append(*l, v) }
 
 // freePkt returns a consumed or dropped frame to the pool. The frame is
 // cleared here so a reused slot never leaks a stale q_r, route or
@@ -87,64 +94,28 @@ func (e *Domain) newPkt() *dataPkt {
 func (e *Domain) freePkt(p *dataPkt) {
 	p.frame = wire.DataFrame{}
 	p.meta = nil
-	e.pktFree = append(e.pktFree, p)
-}
-
-func (e *Domain) newAck() *wire.AckFrame {
-	if n := len(e.ackFree); n > 0 {
-		a := e.ackFree[n-1]
-		e.ackFree = e.ackFree[:n-1]
-		return a
-	}
-	return &wire.AckFrame{}
+	e.pkts.put(p)
 }
 
 func (e *Domain) freeAck(a *wire.AckFrame) {
 	routes := a.Routes[:0] // keep the backing array
 	*a = wire.AckFrame{Routes: routes}
-	e.ackFree = append(e.ackFree, a)
-}
-
-func (e *Domain) newAckHop() *ackHop {
-	if n := len(e.hopFree); n > 0 {
-		h := e.hopFree[n-1]
-		e.hopFree = e.hopFree[:n-1]
-		return h
-	}
-	return &ackHop{}
+	e.acks.put(a)
 }
 
 func (e *Domain) freeAckHop(h *ackHop) {
 	*h = ackHop{}
-	e.hopFree = append(e.hopFree, h)
-}
-
-func (e *Domain) newPriceDelivery() *priceDelivery {
-	if n := len(e.priceFree); n > 0 {
-		pd := e.priceFree[n-1]
-		e.priceFree = e.priceFree[:n-1]
-		return pd
-	}
-	return &priceDelivery{}
+	e.hops.put(h)
 }
 
 func (e *Domain) freePriceDelivery(pd *priceDelivery) {
 	pd.agent = nil
-	e.priceFree = append(e.priceFree, pd)
-}
-
-func (e *Domain) newHeldFrame() *heldFrame {
-	if n := len(e.holdFree); n > 0 {
-		h := e.holdFree[n-1]
-		e.holdFree = e.holdFree[:n-1]
-		return h
-	}
-	return &heldFrame{}
+	e.prices.put(pd)
 }
 
 func (e *Domain) freeHeldFrame(h *heldFrame) {
 	*h = heldFrame{}
-	e.holdFree = append(e.holdFree, h)
+	e.holds.put(h)
 }
 
 // newDomain builds the closed emulation of the nodes that nodeDom maps to
@@ -284,7 +255,7 @@ func deliverPrice(arg any) {
 func (e *Domain) broadcastPrice(from graph.NodeID, f *wire.PriceFrame) {
 	e.priceBuf = f.AppendBinary(e.priceBuf[:0])
 	for _, a := range e.priceListeners(from, f.Tech) {
-		pd := e.newPriceDelivery()
+		pd := e.prices.get()
 		if err := pd.frame.UnmarshalBinary(e.priceBuf); err != nil {
 			panic(fmt.Sprintf("node: price frame round-trip: %v", err))
 		}

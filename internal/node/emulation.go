@@ -50,10 +50,6 @@ type Config struct {
 	// linkest) instead of oracle capacities for the price terms
 	// (default true in testbed experiments; tests may disable it).
 	Estimation bool
-	// ExpectedDuration, when positive, presizes per-flow and per-sink
-	// rate logs for a run of this many emulated seconds (callers that
-	// know the scenario duration set it; zero means grow on demand).
-	ExpectedDuration float64
 	// Recorder, when positive, attaches a flight recorder of that many
 	// records (rounded up to a power of two) to every domain engine and
 	// its MAC. Recording costs one ring-index write per event and is

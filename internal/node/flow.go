@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/congestion"
 	"repro/internal/graph"
@@ -72,8 +73,7 @@ type Flow struct {
 	shapeQ     []shapedPkt
 	drainTimer sim.TimerRef
 
-	seq      uint32
-	sentBits float64
+	seq uint32
 	// lastAckAt is the virtual time of the most recent acknowledgement
 	// (-1 before the first): the freshness signal the invariant checker
 	// gates its rate-vs-capacity bound on (a flow whose acks stopped
@@ -83,16 +83,16 @@ type Flow struct {
 	// the source keeps sending until the destination has confirmed
 	// FileBytes of payload through the 100 ms acknowledgements (lost
 	// packets are covered by fresh ones, as a reliable transport would).
-	sentPayload    int64
 	confirmedBytes int64
 	active         bool
 	sendTimer      sim.TimerRef
 
-	// RouteSentBits tracks per-route injected bits (Figure 9's
-	// "rate sent on Route i" series).
-	RouteSentBits []float64
-	rateLog       *seriesLog
-	routeLogs     []*seriesLog
+	// routeLogs[r] logs what the flow sent on route r (Figure 9's "rate
+	// sent on Route i" series); retired holds the logs of route sets a
+	// reroute replaced, so the union of both covers every packet the flow
+	// ever sent.
+	routeLogs []*seriesLog
+	retired   []*seriesLog
 }
 
 // AddFlow registers a flow and starts its traffic at virtual time
@@ -140,12 +140,7 @@ func (e *Domain) addFlow(spec FlowSpec, startAt float64) (*Flow, error) {
 	f.x = make([]float64, n)
 	f.xbar = make([]float64, n)
 	f.lastQR = make([]float64, n)
-	f.RouteSentBits = make([]float64, n)
-	f.routeLogs = make([]*seriesLog, n)
-	for i := range f.routeLogs {
-		f.routeLogs[i] = newSeriesLog(e.cfg.ExpectedDuration)
-	}
-	f.rateLog = newSeriesLog(e.cfg.ExpectedDuration)
+	f.routeLogs = newRouteLogs(n)
 	f.lastAckAt = -1
 	f.seedRates()
 	f.tuner = congestion.NewAlphaTuner(flowAlphaBase, n, longest)
@@ -156,6 +151,15 @@ func (e *Domain) addFlow(spec FlowSpec, startAt float64) (*Flow, error) {
 	}
 	e.Engine.AtFunc(startAt, flowStart, f)
 	return f, nil
+}
+
+// newRouteLogs returns one empty sent-packet log per route.
+func newRouteLogs(n int) []*seriesLog {
+	logs := make([]*seriesLog, n)
+	for i := range logs {
+		logs[i] = &seriesLog{}
+	}
+	return logs
 }
 
 func flowStart(arg any) { arg.(*Flow).start() }
@@ -406,7 +410,7 @@ func (f *Flow) refillTokens() {
 // handed to sendOnLink: a failed send already released it through the
 // MAC's drop callback.
 func (f *Flow) sendPacket(r int, payloadBytes int, meta interface{}) {
-	p := f.em.newPkt()
+	p := f.em.pkts.get()
 	df := &p.frame
 	df.Src = f.Src
 	df.Dst = f.Dst
@@ -425,11 +429,7 @@ func (f *Flow) sendPacket(r int, payloadBytes int, meta interface{}) {
 	f.agent.addPrice(first, &df.Header)
 	bits := frameBits(df)
 	if f.agent.sendOnLink(first, bits, p) {
-		f.sentBits += bits
-		f.sentPayload += int64(payloadBytes)
-		f.RouteSentBits[r] += bits
 		f.routeLogs[r].add(f.em.Engine.Now(), bits)
-		f.rateLog.add(f.em.Engine.Now(), bits)
 	}
 }
 
@@ -491,9 +491,10 @@ func (f *Flow) routeCap(r int) float64 {
 	return cap
 }
 
-// SentRateSeries returns the injected rate (Mbps) in bins of binSeconds.
+// SentRateSeries returns the injected rate (Mbps) in bins of binSeconds,
+// over every route the flow ever sent on.
 func (f *Flow) SentRateSeries(binSeconds float64) ([]float64, []float64) {
-	return f.rateLog.series(binSeconds)
+	return rebin(slices.Concat(f.retired, f.routeLogs), binSeconds)
 }
 
 // RouteRateSeries returns the per-route injected rate series.

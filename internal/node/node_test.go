@@ -321,7 +321,7 @@ func TestInterfaceMapMatchesWireHashes(t *testing.T) {
 }
 
 func TestSeriesLog(t *testing.T) {
-	s := newSeriesLog(0)
+	s := &seriesLog{}
 	s.add(0.1, 1e6)
 	s.add(0.9, 1e6)
 	s.add(1.5, 2e6)

@@ -102,7 +102,7 @@ func newRefSink(a *Agent, src graph.NodeID, flowID uint16) *refSink {
 		src:      src,
 		flowID:   flowID,
 		buffer:   map[uint32]bufEntry{},
-		log:      newSeriesLog(a.em.cfg.ExpectedDuration),
+		log:      &seriesLog{},
 		lastData: a.em.Engine.Now(),
 	}
 }

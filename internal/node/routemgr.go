@@ -272,11 +272,8 @@ func (f *Flow) setRoutesOn(view *graph.Network, routes []graph.Path) error {
 	f.x = make([]float64, n)
 	f.xbar = make([]float64, n)
 	f.lastQR = make([]float64, n)
-	f.RouteSentBits = make([]float64, n)
-	f.routeLogs = make([]*seriesLog, n)
-	for i := range f.routeLogs {
-		f.routeLogs[i] = newSeriesLog(f.em.cfg.ExpectedDuration)
-	}
+	f.retired = append(f.retired, f.routeLogs...)
+	f.routeLogs = newRouteLogs(n)
 	// Warm-start the rates from the estimated network — the link state
 	// the source actually knows — like seedRates does at flow creation
 	// from ground truth. A reroute then costs tens of controller slots

@@ -5,8 +5,9 @@ package node
 // logs millions of packets allocates one 64 KB chunk per 4096 points and
 // never copies old data (the doubling slice used to re-copy the whole
 // log ~20 times over a long run, which dominated the emulation's byte
-// churn). The chunk-pointer slice is presized from the configured
-// duration when the emulation knows it.
+// churn). The chunk directory grows by append as chunks fill, so a log
+// costs memory in proportion to what it holds, never to how long a run
+// is declared to last.
 //
 // The log is append-only, so its point count is its version: memo keeps
 // the last binning per bin width together with the count it was taken
@@ -30,18 +31,6 @@ type seriesMemo struct {
 	bin       float64
 	n         int
 	ts, rates []float64
-}
-
-// newSeriesLog builds a log, presizing the chunk directory for
-// expectedDuration emulated seconds (a saturated 1500 B source at tens
-// of Mbps logs on the order of a thousand points per second).
-func newSeriesLog(expectedDuration float64) *seriesLog {
-	s := &seriesLog{}
-	if expectedDuration > 0 {
-		est := int(expectedDuration*1000)/seriesChunkPoints + 1
-		s.chunks = make([]*seriesChunk, 0, est)
-	}
-	return s
 }
 
 func (s *seriesLog) add(t, b float64) {
@@ -85,29 +74,35 @@ func (s *seriesLog) binned(bin float64) ([]float64, []float64) {
 		return m.ts, m.rates
 	}
 	m.n = s.n
-	m.ts, m.rates = s.rebin(bin)
+	m.ts, m.rates = rebin([]*seriesLog{s}, bin)
 	return m.ts, m.rates
 }
 
-// rebin bins the whole log. Points are visited in insertion
-// (chronological) order, so the per-bin float sums match the flat-slice
-// implementation bit for bit.
-func (s *seriesLog) rebin(bin float64) ([]float64, []float64) {
-	last := s.chunks[(s.n-1)/seriesChunkPoints]
-	end := last.times[(s.n-1)%seriesChunkPoints]
+// rebin bins the union of logs into rates over [0, last point]: bin
+// midpoints (s) and rates (Mbps), or nil for no points. Every value the
+// emulation logs is a whole number of bits and every bin sum stays far
+// below 2^53, so the float sums are exact and the union bins the same,
+// bit for bit, as one log holding all its points in any order would.
+func rebin(logs []*seriesLog, bin float64) ([]float64, []float64) {
+	end, points := 0.0, 0
+	for _, s := range logs {
+		if s.n > 0 {
+			end = max(end, s.chunks[(s.n-1)/seriesChunkPoints].times[(s.n-1)%seriesChunkPoints])
+			points += s.n
+		}
+	}
+	if points == 0 || bin <= 0 {
+		return nil, nil
+	}
 	n := int(end/bin) + 1
 	sums := make([]float64, n)
-	for ci, c := range s.chunks {
-		limit := seriesChunkPoints
-		if rem := s.n - ci*seriesChunkPoints; rem < limit {
-			limit = rem
-		}
-		for i := 0; i < limit; i++ {
-			idx := int(c.times[i] / bin)
-			if idx >= n {
-				idx = n - 1
+	for _, s := range logs {
+		for ci, c := range s.chunks {
+			limit := min(seriesChunkPoints, s.n-ci*seriesChunkPoints)
+			for i := 0; i < limit; i++ {
+				idx := min(int(c.times[i]/bin), n-1)
+				sums[idx] += c.bits[i]
 			}
-			sums[idx] += c.bits[i]
 		}
 	}
 	ts := make([]float64, n)

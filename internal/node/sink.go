@@ -82,7 +82,7 @@ func newSink(a *Agent, src graph.NodeID, flowID uint16) *Sink {
 		src:       src,
 		flowID:    flowID,
 		ring:      make([]bufEntry, sinkRingInit),
-		log:       newSeriesLog(a.em.cfg.ExpectedDuration),
+		log:       &seriesLog{},
 		firstSeen: a.em.Engine.Now(),
 		lastData:  a.em.Engine.Now(),
 	}
@@ -168,7 +168,7 @@ func (s *Sink) onData(p *dataPkt) {
 		}
 		if hold := target - rs.delayEWMA; hold > 1e-6 {
 			em := s.agent.em
-			h := em.newHeldFrame()
+			h := em.holds.get()
 			h.sink, h.seq, h.payloadLen, h.meta = s, seq, payloadLen, meta
 			em.Engine.ScheduleFunc(hold, admitHeld, h)
 			return
@@ -308,7 +308,7 @@ func (s *Sink) ackTick() {
 	if now-s.lastData > 2 {
 		return
 	}
-	ack := s.agent.em.newAck()
+	ack := s.agent.em.acks.get()
 	ack.Src = s.src
 	ack.Dst = s.agent.id
 	ack.FlowID = s.flowID
@@ -369,7 +369,7 @@ func (s *Sink) forwardAck(ack *wire.AckFrame, path graph.Path, hop int) {
 	l := path[hop]
 	from := em.Net.Link(l).From
 	bits := ackBits(ack)
-	h := em.newAckHop()
+	h := em.hops.get()
 	h.ack, h.sink, h.path, h.hop = ack, s, path, hop
 	em.Agents[from].sendOnLink(l, bits, h)
 }

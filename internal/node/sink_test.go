@@ -137,7 +137,7 @@ func TestSinkMatchesReference(t *testing.T) {
 
 			arrivals, end := sc.arrivals()
 			frame := func(ar *sinkArrival) *dataPkt {
-				p := d.newPkt()
+				p := d.pkts.get()
 				p.frame.Src, p.frame.Dst, p.frame.FlowID = u, v, 1
 				p.frame.RouteIdx = ar.route
 				p.frame.SentAt = ar.sentAt
@@ -208,7 +208,7 @@ func TestSinkMatchesReference(t *testing.T) {
 			if sc.wantLoss && live.Lost == 0 {
 				t.Error("the loss rule never skipped a gap")
 			}
-			if sc.wantHolds && len(d.holdFree) == 0 {
+			if sc.wantHolds && len(d.holds) == 0 {
 				t.Error("delay equalization held no packet")
 			}
 			if sc.wantDups {

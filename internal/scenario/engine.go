@@ -150,9 +150,14 @@ type boundEvent struct {
 // whole timeline on the emulation's engines — each event on the engine
 // of the domain that owns its link, node or flow source. The emulation
 // must be at virtual time 0. Run the result with Runtime.Run (or advance
-// the emulation manually and call Finish at the end).
+// the emulation manually and call Finish at the end). A timeline whose
+// processes draw more than maxTimelineEvents events is an error.
 func Bind(em *node.Emulation, sc *Scenario, seed int64, opts Options) (*Runtime, error) {
 	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	realized, err := expandProcesses(sc, em.Net, seed)
+	if err != nil {
 		return nil, err
 	}
 	rt := &Runtime{
@@ -192,8 +197,7 @@ func Bind(em *node.Emulation, sc *Scenario, seed int64, opts Options) (*Runtime,
 		d.dom.Engine.At(spec.Start, func() { d.startFlow(spec) })
 	}
 
-	events := append([]Event(nil), sc.Events...)
-	events = append(events, expandProcesses(sc, em.Net, seed)...)
+	events := append(append([]Event(nil), sc.Events...), realized...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 	// Timeline events ride the engine's closure-free scheduling: the
 	// bound events live in one slice allocated here, and each timer

@@ -16,30 +16,59 @@ import (
 // position), never of scheduling — so the realized timeline is
 // bit-identical across runs and worker counts, and adding a process at
 // the end never perturbs the ones before it.
-func expandProcesses(sc *Scenario, net *graph.Network, seed int64) []Event {
-	var out []Event
+//
+// A timeline's size is O(duration ÷ mean), and validation bounds
+// neither, so expansion stops once the expanders have drawn more than
+// maxTimelineEvents events: a hostile duration, mean or interval fails
+// the bind with an error instead of exhausting memory.
+func expandProcesses(sc *Scenario, net *graph.Network, seed int64) ([]Event, error) {
+	var tl timeline
 	for i, p := range sc.Processes {
 		rng := stats.NewRand(stats.SplitSeed(seed, i))
 		switch p.Kind {
 		case ProcFlap:
-			out = append(out, expandFlap(p, sc.Duration, rng)...)
+			expandFlap(&tl, p, sc.Duration, rng)
 		case ProcDrift:
-			out = append(out, expandDrift(p, sc.Duration, rng)...)
+			expandDrift(&tl, p, sc.Duration, rng)
 		case ProcPoissonFlows:
-			out = append(out, expandPoisson(p, i, sc.Duration, net, rng)...)
+			expandPoisson(&tl, p, i, sc.Duration, net, rng)
 		case ProcGrayLoss:
-			out = append(out, expandGrayLoss(p, sc.Duration, rng)...)
+			expandGrayLoss(&tl, p, sc.Duration, rng)
 		case ProcFlashCrowd:
-			out = append(out, expandFlashCrowd(p, i, sc.Duration, net, rng)...)
+			expandFlashCrowd(&tl, p, i, sc.Duration, net, rng)
+		}
+		if tl.over() {
+			return nil, fmt.Errorf("scenario %q: process %d (%s) expands past the budget of %d timeline events over %g s; lengthen its means or intervals, or shorten the duration",
+				sc.Name, i, p.Kind, maxTimelineEvents, sc.Duration)
 		}
 	}
-	return out
+	return tl.events, nil
 }
+
+// maxTimelineEvents bounds the events one replication's processes may
+// realize (the shipped scenarios realize at most a few dozen).
+const maxTimelineEvents = 1 << 16
+
+// timeline is what the expanders realize: the events, and the number of
+// events they drew — emitted, or dropped as a flash-crowd flow past the
+// end — which maxTimelineEvents bounds.
+type timeline struct {
+	events []Event
+	drawn  int
+}
+
+// draw charges one event to the budget and reports whether it fits.
+func (tl *timeline) draw() bool {
+	tl.drawn++
+	return !tl.over()
+}
+
+func (tl *timeline) over() bool { return tl.drawn > maxTimelineEvents }
 
 // expandFlap alternates fail/recover (or leave/join for a node target,
 // group-fail/group-recover for a group target) with exponential holding
 // times.
-func expandFlap(p Process, duration float64, rng *rand.Rand) []Event {
+func expandFlap(tl *timeline, p Process, duration float64, rng *rand.Rand) {
 	fail, recover := LinkFail, LinkRecover
 	switch {
 	case p.Node != "":
@@ -51,39 +80,35 @@ func expandFlap(p Process, duration float64, rng *rand.Rand) []Event {
 	if t <= 0 {
 		t = rng.ExpFloat64() * p.UpMean
 	}
-	var out []Event
-	for t < duration {
-		out = append(out, Event{At: t, Kind: fail, Link: p.Link, Node: p.Node, Group: p.Group})
+	for t < duration && tl.draw() {
+		tl.events = append(tl.events, Event{At: t, Kind: fail, Link: p.Link, Node: p.Node, Group: p.Group})
 		t += rng.ExpFloat64() * p.DownMean
-		if t >= duration {
+		if t >= duration || !tl.draw() {
 			break
 		}
-		out = append(out, Event{At: t, Kind: recover, Link: p.Link, Node: p.Node, Group: p.Group})
+		tl.events = append(tl.events, Event{At: t, Kind: recover, Link: p.Link, Node: p.Node, Group: p.Group})
 		t += rng.ExpFloat64() * p.UpMean
 	}
-	return out
 }
 
 // expandGrayLoss alternates the link between a lossy phase (set-loss at
 // p.Loss) and a clean phase (set-loss 0), mirroring expandFlap's timing
 // structure: first lossy phase at FirstAt (or an exponential draw into
 // the clean phase), exponential holding times.
-func expandGrayLoss(p Process, duration float64, rng *rand.Rand) []Event {
+func expandGrayLoss(tl *timeline, p Process, duration float64, rng *rand.Rand) {
 	t := p.FirstAt
 	if t <= 0 {
 		t = rng.ExpFloat64() * p.UpMean
 	}
-	var out []Event
-	for t < duration {
-		out = append(out, Event{At: t, Kind: SetLoss, Link: p.Link, Loss: p.Loss})
+	for t < duration && tl.draw() {
+		tl.events = append(tl.events, Event{At: t, Kind: SetLoss, Link: p.Link, Loss: p.Loss})
 		t += rng.ExpFloat64() * p.DownMean
-		if t >= duration {
+		if t >= duration || !tl.draw() {
 			break
 		}
-		out = append(out, Event{At: t, Kind: SetLoss, Link: p.Link})
+		tl.events = append(tl.events, Event{At: t, Kind: SetLoss, Link: p.Link})
 		t += rng.ExpFloat64() * p.UpMean
 	}
-	return out
 }
 
 // expandDrift emits a multiplicative lognormal random walk as
@@ -91,7 +116,7 @@ func expandGrayLoss(p Process, duration float64, rng *rand.Rand) []Event {
 // bind-time capacity (clamped to [floor, ceil] of it), so the realized
 // trajectory never depends on what other events did to the link in
 // between.
-func expandDrift(p Process, duration float64, rng *rand.Rand) []Event {
+func expandDrift(tl *timeline, p Process, duration float64, rng *rand.Rand) {
 	floor, ceil := p.Floor, p.Ceil
 	if floor <= 0 {
 		floor = 0.1
@@ -104,8 +129,7 @@ func expandDrift(p Process, duration float64, rng *rand.Rand) []Event {
 		t = p.Interval
 	}
 	factor := 1.0
-	var out []Event
-	for ; t < duration; t += p.Interval {
+	for ; t < duration && tl.draw(); t += p.Interval {
 		factor *= math.Exp(rng.NormFloat64() * p.Std)
 		if factor < floor {
 			factor = floor
@@ -113,9 +137,8 @@ func expandDrift(p Process, duration float64, rng *rand.Rand) []Event {
 		if factor > ceil {
 			factor = ceil
 		}
-		out = append(out, Event{At: t, Kind: ScaleCapacity, Link: p.Link, Factor: factor})
+		tl.events = append(tl.events, Event{At: t, Kind: ScaleCapacity, Link: p.Link, Factor: factor})
 	}
-	return out
 }
 
 // expandPoisson emits flow-start events with Poisson arrival times; each
@@ -124,17 +147,16 @@ func expandDrift(p Process, duration float64, rng *rand.Rand) []Event {
 // egress links and the destination among the remaining nodes, mirroring
 // topology.Instance.RandomFlow; whether a route exists is decided at the
 // event time, on the network as it then is.
-func expandPoisson(p Process, index int, duration float64, net *graph.Network, rng *rand.Rand) []Event {
+func expandPoisson(tl *timeline, p Process, index int, duration float64, net *graph.Network, rng *rand.Rand) {
 	sources := egressSources(net)
 	if p.Src == "" && len(sources) == 0 {
-		return nil
+		return
 	}
 	t := p.FirstAt
-	var out []Event
 	for n := 0; ; n++ {
 		t += rng.ExpFloat64() / p.Rate
-		if t >= duration {
-			return out
+		if t >= duration || !tl.draw() {
+			return
 		}
 		spec := FlowSpec{
 			Name:  fmt.Sprintf("arrival-%d-%d", index, n),
@@ -152,7 +174,7 @@ func expandPoisson(p Process, index int, duration float64, net *graph.Network, r
 			spec.Stop = t + rng.ExpFloat64()*p.HoldMean
 		}
 		f := spec
-		out = append(out, Event{At: t, Kind: FlowStart, Flow: &f})
+		tl.events = append(tl.events, Event{At: t, Kind: FlowStart, Flow: &f})
 	}
 }
 
@@ -162,18 +184,17 @@ func expandPoisson(p Process, index int, duration float64, net *graph.Network, r
 // produce (everyone starting a stream when the match kicks off). Burst
 // times follow expandPoisson's arrival structure when Rate is positive;
 // Rate 0 is a single scripted burst at FirstAt.
-func expandFlashCrowd(p Process, index int, duration float64, net *graph.Network, rng *rand.Rand) []Event {
+func expandFlashCrowd(tl *timeline, p Process, index int, duration float64, net *graph.Network, rng *rand.Rand) {
 	sources := egressSources(net)
 	if p.Src == "" && len(sources) == 0 {
-		return nil
+		return
 	}
 	spread := p.Spread
 	if spread <= 0 {
 		spread = 1
 	}
-	var out []Event
 	burst := func(b int, at float64) {
-		for k := 0; k < p.Count; k++ {
+		for k := 0; k < p.Count && tl.draw(); k++ {
 			t := at + rng.Float64()*spread
 			if t >= duration {
 				continue
@@ -194,20 +215,20 @@ func expandFlashCrowd(p Process, index int, duration float64, net *graph.Network
 				spec.Stop = t + rng.ExpFloat64()*p.HoldMean
 			}
 			f := spec
-			out = append(out, Event{At: t, Kind: FlowStart, Flow: &f})
+			tl.events = append(tl.events, Event{At: t, Kind: FlowStart, Flow: &f})
 		}
 	}
 	if p.Rate <= 0 {
 		if p.FirstAt < duration {
 			burst(0, p.FirstAt)
 		}
-		return out
+		return
 	}
 	t := p.FirstAt
 	for b := 0; ; b++ {
 		t += rng.ExpFloat64() / p.Rate
-		if t >= duration {
-			return out
+		if t >= duration || tl.over() {
+			return
 		}
 		burst(b, t)
 	}

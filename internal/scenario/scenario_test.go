@@ -23,6 +23,16 @@ func twoRouteNet(t *testing.T) (*graph.Network, graph.NodeID, graph.NodeID) {
 	return b.Build(), s, d
 }
 
+// mustExpand realizes sc's processes, failing the test on a budget error.
+func mustExpand(t *testing.T, sc *Scenario, net *graph.Network, seed int64) []Event {
+	t.Helper()
+	events, err := expandProcesses(sc, net, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
 // TestFlapFailoverMeasurement drives the canonical §6.1 case through the
 // scenario engine: PLC dies mid-run and comes back. The congestion
 // controller must move traffic to WiFi (a finite measured failover
@@ -157,12 +167,12 @@ func TestPoissonArrivalsDeterministic(t *testing.T) {
 	sc := New("arrivals", 120)
 	sc.PoissonFlows(0.1, 15, "s", "d")
 
-	e1 := expandProcesses(sc, net, 42)
-	e2 := expandProcesses(sc, net, 42)
+	e1 := mustExpand(t, sc, net, 42)
+	e2 := mustExpand(t, sc, net, 42)
 	if !reflect.DeepEqual(e1, e2) {
 		t.Fatal("same seed expanded to different timelines")
 	}
-	e3 := expandProcesses(sc, net, 43)
+	e3 := mustExpand(t, sc, net, 43)
 	if reflect.DeepEqual(e1, e3) {
 		t.Fatal("different seeds expanded to identical timelines (suspicious)")
 	}
@@ -522,8 +532,8 @@ func TestFlashCrowdExpansion(t *testing.T) {
 	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
 	sc.FlashCrowd(10, 0, 4, 2, 5, "s", "d")
 
-	e1 := expandProcesses(sc, net, 42)
-	e2 := expandProcesses(sc, net, 42)
+	e1 := mustExpand(t, sc, net, 42)
+	e2 := mustExpand(t, sc, net, 42)
 	if !reflect.DeepEqual(e1, e2) {
 		t.Fatal("same seed expanded to different crowd timelines")
 	}

@@ -28,7 +28,7 @@ func clustersFingerprint(t *testing.T, recorder int) string {
 		t.Fatal(err)
 	}
 	em := node.NewEmulation(net, node.Config{
-		Estimation: true, ExpectedDuration: sc.Duration, Recorder: recorder,
+		Estimation: true, Recorder: recorder,
 	}, 9)
 	rt, err := Bind(em, sc, 41, Options{ManageRoutes: true, Strict: true})
 	if err != nil {
@@ -105,7 +105,7 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em := node.NewEmulation(net, node.Config{Estimation: true, ExpectedDuration: sc.Duration}, 13)
+	em := node.NewEmulation(net, node.Config{Estimation: true}, 13)
 	if em.NumDomains() != 1 {
 		t.Fatalf("flaps.json topology is connected; NumDomains = %d", em.NumDomains())
 	}
@@ -144,7 +144,7 @@ func TestCollectReadsDoNotPerturb(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		em := node.NewEmulation(net, node.Config{Estimation: true, ExpectedDuration: sc.Duration}, 13)
+		em := node.NewEmulation(net, node.Config{Estimation: true}, 13)
 		rt, err := Bind(em, sc, 17, Options{ManageRoutes: true, Strict: true})
 		if err != nil {
 			t.Fatal(err)

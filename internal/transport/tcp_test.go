@@ -187,9 +187,15 @@ func TestTCPOverEmulationMultipath(t *testing.T) {
 		t.Fatalf("multipath TCP incomplete: %d bytes", conn.Receiver.DeliveredBytes)
 	}
 	// Both routes must have carried data.
-	sent := conn.Forward.RouteSentBits
+	sent := make([]float64, 2)
+	for r := range sent {
+		_, rates := conn.Forward.RouteRateSeries(r, 1)
+		for _, v := range rates {
+			sent[r] += v
+		}
+	}
 	if sent[0] == 0 || sent[1] == 0 {
-		t.Errorf("route usage %v: both routes should carry TCP", sent)
+		t.Errorf("route usage %v Mbps·s: both routes should carry TCP", sent)
 	}
 	goodput := 5_000_000 * 8 / conn.FinishedAt / 1e6
 	if goodput < 5 {

@@ -126,6 +126,18 @@ for c in empower-scenario empower-testbed; do
   fi
 done
 expect_exit 1 "$bindir/empower-fleet" -addr 256.0.0.1:1 -wal "$bindir/unused.wal" -quiet
+# A timeline past the event budget (a billion seconds of one-second flaps)
+# exits 1 within seconds, naming the budget. The address-space cap makes a
+# regression to unbounded expansion die at once instead of swapping.
+jq '.duration = 1e9 | .processes[0] += {"first_at": 1, "down_mean": 1, "up_mean": 1}' \
+  examples/scenarios/flaps.json > "$bindir/forever.json"
+hostile_status=0
+hostile_out="$( (ulimit -v 4194304; timeout 20 "$bindir/empower-scenario" \
+  -scenario "$bindir/forever.json" -runs 1 -schemes SP) 2>&1 > /dev/null)" || hostile_status=$?
+if [[ "$hostile_status" != 1 || "$hostile_out" != *"budget of 65536 timeline events"* ]]; then
+  echo "e2e: over-budget timeline: exit $hostile_status (want 1): $hostile_out" >&2
+  exit 1
+fi
 # An interrupted sweep exits 130 and still leaves its last -metrics snapshot.
 "$bindir/empower-sim" -fig 6 -runs 100000 -metrics "$bindir/interrupted.prom" > /dev/null 2>&1 &
 sim_pid=$!
