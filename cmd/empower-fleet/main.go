@@ -30,8 +30,6 @@
 //	-retries N       per-replication retries before a sweep fails (2)
 //	-timeout D       per-replication attempt timeout (0 = none)
 //	-queue N         pending-sweep bound before 429s (default 64)
-//	-repdelay D      fault-injection: sleep D before every replication
-//	                 attempt (testing aid; widens the crash window)
 //	-pprof addr      serve net/http/pprof on addr
 //	-quiet           suppress supervision logs
 //
@@ -69,7 +67,6 @@ func main() {
 	retries := flag.Int("retries", 2, "per-replication retries before the sweep fails")
 	timeout := flag.Duration("timeout", 0, "per-replication attempt timeout (0 = none)")
 	queue := flag.Int("queue", fleet.DefaultQueueBound, "pending-sweep queue bound (429 beyond it)")
-	repDelay := flag.Duration("repdelay", 0, "fault-injection: sleep before every replication attempt")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address")
 	quiet := flag.Bool("quiet", false, "suppress supervision logs")
 
@@ -94,7 +91,6 @@ func main() {
 				Workers:    *workers,
 				MaxRetries: *retries,
 				RepTimeout: *timeout,
-				RepDelay:   *repDelay,
 				Log:        logger,
 			},
 		})

@@ -40,14 +40,15 @@ func runHelperDaemon(wal string) {
 		fmt.Fprintln(os.Stderr, "fleet helper:", err)
 		os.Exit(1)
 	}
-	repDelay, _ := time.ParseDuration(os.Getenv("FLEET_HELPER_REPDELAY"))
 	srv, err := New(Config{WALPath: wal, SupervisorConfig: SupervisorConfig{
-		Workers:  2,
-		RepDelay: repDelay,
-		Log:      log.New(os.Stderr, "fleet helper: ", 0),
+		Workers: 2,
+		Log:     log.New(os.Stderr, "fleet helper: ", 0),
 	}})
 	if err != nil {
 		die(err)
+	}
+	if d, _ := time.ParseDuration(os.Getenv("FLEET_HELPER_REPDELAY")); d > 0 {
+		srv.sup.wrapJob = delayJobs(d)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

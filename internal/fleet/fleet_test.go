@@ -77,6 +77,18 @@ func referenceResults(t *testing.T, specJSON []byte) []byte {
 	return data
 }
 
+// delayJobs wraps every replication job to sleep d first — the fault
+// injection that widens the window in which a drain, a cancel or a crash
+// catches a sweep mid-flight.
+func delayJobs(d time.Duration) func(runner.Job[*experiments.ChurnRepOut]) runner.Job[*experiments.ChurnRepOut] {
+	return func(job runner.Job[*experiments.ChurnRepOut]) runner.Job[*experiments.ChurnRepOut] {
+		return func(ctx context.Context, rep runner.Rep) (*experiments.ChurnRepOut, error) {
+			time.Sleep(d)
+			return job(ctx, rep)
+		}
+	}
+}
+
 // startServer runs a fleet server (store + supervisor) and its HTTP
 // gateway; the returned stop func drains and waits for Run to return.
 func startServer(t *testing.T, cfg Config) (*Server, *httptest.Server, func()) {
@@ -229,7 +241,8 @@ func TestFleetDrainAndResume(t *testing.T) {
 
 	// Phase 1: run with a per-rep delay so the drain catches the sweep
 	// mid-flight, stop after a few completions.
-	srv1, hts1, stop1 := startServer(t, Config{WALPath: wal, SupervisorConfig: SupervisorConfig{Workers: 2, RepDelay: 30 * time.Millisecond}})
+	srv1, hts1, stop1 := startServer(t, Config{WALPath: wal, SupervisorConfig: SupervisorConfig{Workers: 2}})
+	srv1.sup.wrapJob = delayJobs(30 * time.Millisecond)
 	st, _ := postSweep(t, hts1.URL, spec)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -629,7 +642,8 @@ func TestFleetCancel(t *testing.T) {
 
 	// Running cancellation: slow reps, cancel mid-sweep, reopen the WAL
 	// and require the cancelled state to have survived.
-	srv2, hts2, stop2 := startServer(t, Config{WALPath: wal, SupervisorConfig: SupervisorConfig{Workers: 1, RepDelay: 50 * time.Millisecond}})
+	srv2, hts2, stop2 := startServer(t, Config{WALPath: wal, SupervisorConfig: SupervisorConfig{Workers: 1}})
+	srv2.sup.wrapJob = delayJobs(50 * time.Millisecond)
 	st2, _ := postSweep(t, hts2.URL, testSpecJSON(4, 2, "EMPoWER,SP-w/o-CC"))
 	deadline := time.Now().Add(30 * time.Second)
 	for getStatus(t, hts2.URL, st2.ID).State != string(StateRunning) {

@@ -40,11 +40,6 @@ type SupervisorConfig struct {
 	// outputs are pure functions of (spec, seed, index).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// RepDelay injects a fixed sleep before every replication attempt —
-	// a fault-injection/testing aid (it widens the window in which a
-	// crash catches a sweep mid-flight) in the spirit of the scenario
-	// fuzzer's -inject modes. Zero in production.
-	RepDelay time.Duration
 	// Log receives supervision events (retries, timeouts, sweep
 	// transitions); nil silences them.
 	Log *log.Logger
@@ -271,9 +266,6 @@ func (s *Supervisor) attemptRep(ctx context.Context, sw *Sweep, job runner.Job[*
 				ch <- result{nil, fmt.Errorf("replication %d panicked: %v\n%s", rep.Index, r, debug.Stack())}
 			}
 		}()
-		if s.cfg.RepDelay > 0 {
-			time.Sleep(s.cfg.RepDelay)
-		}
 		out, err := job(ctx, rep)
 		ch <- result{out, err}
 	}()

@@ -26,11 +26,12 @@ type dataPkt struct {
 
 // Domain is one interference domain's closed emulation: its own engine,
 // MAC, RNG, free lists and the agents of the nodes it owns. Net is the
-// domain's clone of the network — full shape, so global node and link IDs
-// stay valid, with private link capacities — and Agents is indexed by
-// global NodeID with nil entries for foreign nodes. Nothing a domain does
-// at runtime touches another domain (see NewEmulation), so Run may
-// advance them one after another in any order.
+// emulation's network, shared by every domain — full shape, so global
+// node and link IDs stay valid — of which a domain writes and reads live
+// only the links it owns. Agents is indexed by global NodeID with nil
+// entries for foreign nodes. Nothing a domain does at runtime touches
+// another domain (see NewEmulation), so Run may advance them one after
+// another in any order.
 type Domain struct {
 	Engine *sim.Engine
 	Net    *graph.Network
@@ -40,6 +41,9 @@ type Domain struct {
 	cfg   Config
 	rng   *rand.Rand
 	flows []*Flow
+	// initCap holds every link's capacity at construction (one slice,
+	// shared by the domains); a domain reads it for foreign links.
+	initCap []float64
 
 	// capEpoch[l] counts link l's capacity changes — the invariant
 	// checker's witness that a link stayed dead (or alive) across a
@@ -119,12 +123,13 @@ func (e *Domain) freeHeldFrame(h *heldFrame) {
 }
 
 // newDomain builds the closed emulation of the nodes that nodeDom maps to
-// domain d, on the domain's private clone of the network.
-func newDomain(net *graph.Network, cfg Config, seed int64, nodeDom []int, d int) *Domain {
+// domain d.
+func newDomain(net *graph.Network, cfg Config, seed int64, nodeDom []int, d int, initCap []float64) *Domain {
 	e := &Domain{
 		Engine:   &sim.Engine{},
 		Net:      net,
 		cfg:      cfg,
+		initCap:  initCap,
 		capEpoch: make([]uint32, net.NumLinks()),
 	}
 	e.numTechs = 1
@@ -324,14 +329,14 @@ func hasIngress(net *graph.Network, id graph.NodeID, tech graph.Tech) bool {
 // linkEstimate returns the capacity estimate used for price terms, read
 // from the estimator of the link's owner (see capacityEstimate).
 func (e *Domain) linkEstimate(l graph.LinkID) float64 {
-	var est *linkest.Estimator
-	if a := e.Agents[e.Net.Link(l).From]; a != nil {
-		est = a.est[l]
+	a := e.Agents[e.Net.Link(l).From]
+	if a == nil {
+		// A foreign link reads its construction-time capacity: routing
+		// inside the domain can never use it, so the value only feeds
+		// aggregate signals, and no domain reads another's live state.
+		return e.initCap[l]
 	}
-	// A foreign link has no local estimator and falls back to the domain
-	// clone's (frozen) capacity — routing inside the domain can never use
-	// a foreign link, so the value only feeds aggregate signals.
-	return e.capacityEstimate(est, l)
+	return e.capacityEstimate(a.est[l], l)
 }
 
 // capacityEstimate is the one capacity rule behind price terms, route

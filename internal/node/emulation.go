@@ -89,8 +89,9 @@ func (c *Config) priceInterval() float64 {
 // Emulation is the emulated network: one closed Domain per interference
 // domain of the topology, and the coordinator state that dispatches every
 // operation to the domain owning its link or node. Net is the caller's
-// network, kept as a mirror of the live link capacities; Agents merges
-// the per-domain agents (Agents[n] lives in node n's domain).
+// network, which every domain works on, so its link capacities are the
+// live ground truth; Agents merges the per-domain agents (Agents[n] lives
+// in node n's domain).
 type Emulation struct {
 	Net    *graph.Network
 	Agents []*Agent
@@ -106,8 +107,11 @@ type Emulation struct {
 // is the one-domain instance). The decomposition merges links across
 // interference and shared endpoints, which closes each domain under every
 // interaction the emulation has — MAC contention, frame forwarding, price
-// earshot, flow paths — so domains exchange no events at runtime, and the
-// order Run advances them in never changes a byte.
+// earshot, flow paths — so domains exchange no events at runtime. All
+// domains share net; the one read that crosses domains, a foreign link's
+// capacity in a domain's aggregate routing signal, comes from a snapshot
+// taken here, so the order Run advances the domains in never changes a
+// byte.
 func NewEmulation(net *graph.Network, cfg Config, seed int64) *Emulation {
 	dec := optimal.InterferenceDomains(net)
 	e := &Emulation{
@@ -117,11 +121,12 @@ func NewEmulation(net *graph.Network, cfg Config, seed int64) *Emulation {
 		nodeDom: dec.Node,
 		linkDom: dec.Link,
 	}
+	initCap := make([]float64, net.NumLinks())
+	for l := range initCap {
+		initCap[l] = net.Link(graph.LinkID(l)).Capacity
+	}
 	for d := range e.doms {
-		// Each domain works on its own clone: links are deep-copied, so
-		// capacity mutations stay domain-local, while the immutable
-		// topology (nodes, interference, adjacency) is shared.
-		e.doms[d] = newDomain(net.Clone(), cfg, domainSeed(seed, d, dec.Num), dec.Node, d)
+		e.doms[d] = newDomain(net, cfg, domainSeed(seed, d, dec.Num), dec.Node, d, initCap)
 	}
 	for n := range e.Agents {
 		e.Agents[n] = e.doms[dec.Node[n]].Agents[n]
@@ -148,13 +153,10 @@ func (e *Emulation) Agent(id graph.NodeID) *Agent { return e.Agents[id] }
 // when samples stop arriving (linkest.Estimator.Failed, within the
 // failure timeout), a capacity change when the noisy samples move.
 //
-// The owning domain's clone is the live ground truth; the new value is
-// mirrored into Net so external readers keep seeing one consistent
-// capacity map.
+// The new value is written to Net, the one network every domain shares;
+// only the owning domain reads it live.
 func (e *Emulation) SetLinkCapacity(l graph.LinkID, c float64) {
-	d := e.doms[e.linkDom[l]]
-	d.setLinkCapacity(l, c)
-	e.Net.Link(l).Capacity = d.Net.Link(l).Capacity
+	e.doms[e.linkDom[l]].setLinkCapacity(l, c)
 }
 
 // SetLinkLoss sets link l's channel error probability at the current

@@ -62,8 +62,8 @@ type Flow struct {
 	x, xbar []float64
 	lastQR  []float64
 	tuner   *congestion.AlphaTuner
-	// seqBuf is scratch for the sequential-rate warm starts (seedRates,
-	// setRoutesOn): reroutes and flow churn stay allocation-free.
+	// seqBuf is scratch for the sequential-rate warm starts
+	// (installRoutes) and reuses its backing array across route swaps.
 	seqBuf []float64
 
 	// Token bucket shaping at rate Σx (bits), with a small queue ahead
@@ -105,45 +105,20 @@ func (e *Emulation) AddFlow(spec FlowSpec, startAt float64) (*Flow, error) {
 }
 
 func (e *Domain) addFlow(spec FlowSpec, startAt float64) (*Flow, error) {
-	if len(spec.Routes) == 0 {
-		return nil, fmt.Errorf("node: flow needs at least one route")
-	}
 	f := &Flow{
-		ID:     uint16(len(e.flows) + 1),
-		Src:    spec.Src,
-		Dst:    spec.Dst,
-		spec:   spec,
-		em:     e,
-		agent:  e.Agents[spec.Src],
-		routes: spec.Routes,
+		ID:        uint16(len(e.flows) + 1),
+		Src:       spec.Src,
+		Dst:       spec.Dst,
+		spec:      spec,
+		em:        e,
+		agent:     e.Agents[spec.Src],
+		lastAckAt: -1,
 	}
-	longest := 0
-	for _, r := range spec.Routes {
-		if err := e.Net.ValidatePath(r, spec.Src, spec.Dst); err != nil {
-			return nil, fmt.Errorf("node: flow route invalid: %w", err)
-		}
-		if len(r) > wire.MaxHops {
-			return nil, fmt.Errorf("node: route longer than %d hops", wire.MaxHops)
-		}
-		if len(r) > longest {
-			longest = len(r)
-		}
-		ids := make([]wire.InterfaceID, len(r))
-		for i, l := range r {
-			link := e.Net.Link(l)
-			ids[i] = wire.HashInterface(link.To, link.Tech)
-		}
-		f.ifaceIDs = append(f.ifaceIDs, ids)
-		f.firstLink = append(f.firstLink, r[0])
+	// The warm start reads ground truth, as the source's route selection
+	// did.
+	if err := f.installRoutes(e.Net, spec.Routes); err != nil {
+		return nil, err
 	}
-	n := len(spec.Routes)
-	f.x = make([]float64, n)
-	f.xbar = make([]float64, n)
-	f.lastQR = make([]float64, n)
-	f.routeLogs = newRouteLogs(n)
-	f.lastAckAt = -1
-	f.seedRates()
-	f.tuner = congestion.NewAlphaTuner(flowAlphaBase, n, longest)
 	e.flows = append(e.flows, f)
 	f.agent.addSource(f)
 	if spec.TCP {
@@ -151,6 +126,56 @@ func (e *Domain) addFlow(spec FlowSpec, startAt float64) (*Flow, error) {
 	}
 	e.Engine.AtFunc(startAt, flowStart, f)
 	return f, nil
+}
+
+// installRoutes is the one route-install path, behind AddFlow and every
+// route swap. It validates every route (a path from Src to Dst, at most
+// wire.MaxHops hops) before it mutates anything, then installs the set:
+// interface IDs and first hops, congestion-control state warm-started at
+// 85 % of the sequential residual rates R(P) on view (the §3.2
+// exploration-tree loading), floored at initialRate, a fresh α tuner,
+// and one empty sent-packet log per route, the previous set's logs
+// retired. Warm starting reproduces the paper's behaviour of reaching
+// near-target rates within seconds (Figure 9/10-right), and makes a
+// mid-failure reroute cost tens of controller slots instead of a ramp.
+func (f *Flow) installRoutes(view *graph.Network, routes []graph.Path) error {
+	if len(routes) == 0 {
+		return ErrNoRoutes
+	}
+	ifaceIDs := make([][]wire.InterfaceID, len(routes))
+	firsts := make([]graph.LinkID, len(routes))
+	longest := 0
+	for i, r := range routes {
+		if err := f.em.Net.ValidatePath(r, f.Src, f.Dst); err != nil {
+			return fmt.Errorf("node: flow route invalid: %w", err)
+		}
+		if len(r) > wire.MaxHops {
+			return wire.ErrRouteTooLong
+		}
+		longest = max(longest, len(r))
+		ifaceIDs[i] = make([]wire.InterfaceID, len(r))
+		for h, l := range r {
+			link := f.em.Net.Link(l)
+			ifaceIDs[i][h] = wire.HashInterface(link.To, link.Tech)
+		}
+		firsts[i] = r[0]
+	}
+	n := len(routes)
+	f.routes = append([]graph.Path(nil), routes...)
+	f.ifaceIDs = ifaceIDs
+	f.firstLink = firsts
+	f.x = make([]float64, n)
+	f.xbar = make([]float64, n)
+	f.lastQR = make([]float64, n)
+	f.retired = append(f.retired, f.routeLogs...)
+	f.routeLogs = newRouteLogs(n)
+	f.seqBuf = routing.AppendSequentialRates(view, f.routes, f.seqBuf[:0])
+	for i, r := range f.seqBuf {
+		f.x[i] = max(0.85*r, initialRate)
+		f.xbar[i] = f.x[i]
+	}
+	f.tuner = congestion.NewAlphaTuner(flowAlphaBase, n, longest)
+	return nil
 }
 
 // newRouteLogs returns one empty sent-packet log per route.
@@ -430,24 +455,6 @@ func (f *Flow) sendPacket(r int, payloadBytes int, meta interface{}) {
 	bits := frameBits(df)
 	if f.agent.sendOnLink(first, bits, p) {
 		f.routeLogs[r].add(f.em.Engine.Now(), bits)
-	}
-}
-
-// seedRates warm-starts the per-route rates at 85 % of the sequential
-// residual achievable rate R(P) (the §3.2 exploration-tree loading the
-// source computed during route selection), floored at initialRate. Warm
-// starting reproduces the paper's behaviour of reaching near-target rates
-// within seconds (Figure 9/10-right); the controller then trims against the
-// measured prices.
-func (f *Flow) seedRates() {
-	f.seqBuf = routing.AppendSequentialRates(f.em.Net, f.routes, f.seqBuf[:0])
-	for i, r := range f.seqBuf {
-		x := 0.85 * r
-		if x < initialRate {
-			x = initialRate
-		}
-		f.x[i] = x
-		f.xbar[i] = x
 	}
 }
 

@@ -46,11 +46,11 @@ func refFreshGammaSum(a *Agent, tech graph.Tech, now float64) float64 {
 
 // refLinkEstimate is linkEstimate with the capacity rule inline.
 func refLinkEstimate(e *Domain, l graph.LinkID) float64 {
+	a := e.Agents[e.Net.Link(l).From]
+	if a == nil {
+		return e.initCap[l]
+	}
 	if e.cfg.Estimation {
-		a := e.Agents[e.Net.Link(l).From]
-		if a == nil {
-			return e.Net.Link(l).Capacity
-		}
 		if est := a.est[l]; est != nil {
 			if est.Failed(e.Engine.Now()) {
 				return 0

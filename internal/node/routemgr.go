@@ -4,14 +4,12 @@ import (
 	"errors"
 	"math"
 
-	"repro/internal/congestion"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/routing"
-	"repro/internal/wire"
 )
 
-// ErrNoRoutes is returned by SetRoutes for an empty route set.
+// ErrNoRoutes is returned by AddFlow and SetRoutes for an empty route set.
 var ErrNoRoutes = errors.New("node: flow needs at least one route")
 
 // RouteManager implements the route-maintenance policy of §3.2: "the
@@ -125,7 +123,7 @@ func (e *Emulation) EstimatedNetwork() *graph.Network {
 
 // estimatedNetwork is the view a source inside the domain routes on: its
 // own links by estimate, foreign links (which no route of the domain can
-// use) at the clone's frozen capacity.
+// use) at their construction-time capacity.
 func (e *Domain) estimatedNetwork() *graph.Network {
 	return estimatedView(e.Net, e.linkEstimate)
 }
@@ -203,7 +201,7 @@ func (m *RouteManager) checkWith(view *graph.Network) {
 		m.lastNetTotal = netTotal
 		return
 	}
-	if err := m.flow.setRoutesOn(view, paths); err != nil {
+	if err := m.flow.installRoutes(view, paths); err != nil {
 		return
 	}
 	m.Reroutes++
@@ -234,66 +232,10 @@ func netCapacityTotal(view *graph.Network) float64 {
 }
 
 // SetRoutes swaps the flow's route set live: congestion-control state is
-// re-seeded (the controller reconverges within tens of slots) and the
-// sequence space continues, so the destination's reordering is
-// unaffected. Routes longer than the header limit are rejected.
+// re-seeded from the estimated network (the controller reconverges within
+// tens of slots) and the sequence space continues, so the destination's
+// reordering is unaffected. Routes longer than the header limit are
+// rejected with wire.ErrRouteTooLong.
 func (f *Flow) SetRoutes(routes []graph.Path) error {
-	return f.setRoutesOn(f.em.estimatedNetwork(), routes)
-}
-
-// setRoutesOn is SetRoutes with the warm-start view supplied by the
-// caller — the route manager already holds the estimated network it
-// selected the routes on, so it must not be cloned a second time.
-func (f *Flow) setRoutesOn(view *graph.Network, routes []graph.Path) error {
-	if len(routes) == 0 {
-		return ErrNoRoutes
-	}
-	var ifaceIDs [][]wire.InterfaceID
-	var firsts []graph.LinkID
-	for _, r := range routes {
-		if err := f.em.Net.ValidatePath(r, f.Src, f.Dst); err != nil {
-			return err
-		}
-		if len(r) > wire.MaxHops {
-			return wire.ErrRouteTooLong
-		}
-		ids := make([]wire.InterfaceID, len(r))
-		for i, l := range r {
-			link := f.em.Net.Link(l)
-			ids[i] = wire.HashInterface(link.To, link.Tech)
-		}
-		ifaceIDs = append(ifaceIDs, ids)
-		firsts = append(firsts, r[0])
-	}
-	f.routes = append([]graph.Path(nil), routes...)
-	f.ifaceIDs = ifaceIDs
-	f.firstLink = firsts
-	n := len(routes)
-	f.x = make([]float64, n)
-	f.xbar = make([]float64, n)
-	f.lastQR = make([]float64, n)
-	f.retired = append(f.retired, f.routeLogs...)
-	f.routeLogs = newRouteLogs(n)
-	// Warm-start the rates from the estimated network — the link state
-	// the source actually knows — like seedRates does at flow creation
-	// from ground truth. A reroute then costs tens of controller slots
-	// instead of a from-scratch ramp, which is what makes mid-failure
-	// reroutes (the §3.2 policy) non-disruptive.
-	f.seqBuf = routing.AppendSequentialRates(view, f.routes, f.seqBuf[:0])
-	for i, r := range f.seqBuf {
-		x := 0.85 * r
-		if x < initialRate {
-			x = initialRate
-		}
-		f.x[i] = x
-		f.xbar[i] = x
-	}
-	longest := 0
-	for _, r := range routes {
-		if len(r) > longest {
-			longest = len(r)
-		}
-	}
-	f.tuner = congestion.NewAlphaTuner(flowAlphaBase, n, longest)
-	return nil
+	return f.installRoutes(f.em.estimatedNetwork(), routes)
 }

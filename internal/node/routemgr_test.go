@@ -1,9 +1,13 @@
 package node
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/wire"
 )
 
 // diamond builds s->d with two disjoint 2-hop branches: via m1 (PLC) and
@@ -91,6 +95,38 @@ func TestSetRoutesValidation(t *testing.T) {
 	}
 	if err := fl.SetRoutes([]graph.Path{{plcRoute[1]}}); err == nil {
 		t.Error("broken route accepted")
+	}
+	// A set with one bad route installs nothing.
+	if err := fl.SetRoutes([]graph.Path{plcRoute, {plcRoute[1]}}); err == nil {
+		t.Error("set with a broken route accepted")
+	}
+	if got := fl.Routes(); len(got) != 1 || !slices.Equal(got[0], plcRoute) {
+		t.Errorf("a rejected set changed the routes to %v", got)
+	}
+
+	// Creation and swaps share one check: a path of wire.MaxHops+1 hops
+	// fails with wire.ErrRouteTooLong in both.
+	b := graph.NewBuilder(nil)
+	var long graph.Path
+	prev := b.AddNode("n0", 0, 0, graph.TechPLC)
+	first := prev
+	for i := 1; i <= wire.MaxHops+1; i++ {
+		n := b.AddNode(fmt.Sprintf("n%d", i), float64(i), 0, graph.TechPLC)
+		l, _ := b.AddDuplex(prev, n, graph.TechPLC, 40)
+		long = append(long, l)
+		prev = n
+	}
+	short := b.AddLink(first, prev, graph.TechPLC, 40)
+	lineEm := NewEmulation(b.Build(), Config{}, 53)
+	if _, err := lineEm.AddFlow(FlowSpec{Src: first, Dst: prev, Routes: []graph.Path{long}}, 0); !errors.Is(err, wire.ErrRouteTooLong) {
+		t.Errorf("AddFlow with a %d-hop route: err = %v, want wire.ErrRouteTooLong", len(long), err)
+	}
+	lineFl, err := lineEm.AddFlow(FlowSpec{Src: first, Dst: prev, Routes: []graph.Path{{short}}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lineFl.SetRoutes([]graph.Path{long}); !errors.Is(err, wire.ErrRouteTooLong) {
+		t.Errorf("SetRoutes with a %d-hop route: err = %v, want wire.ErrRouteTooLong", len(long), err)
 	}
 }
 

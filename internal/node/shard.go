@@ -25,8 +25,9 @@ func domainSeed(seed int64, d, num int) int64 {
 
 // Run advances every domain to absolute virtual time t (seconds), one
 // after another in domain order, and closes the window with a barrier
-// record in each domain's flight recorder. Domains share no state during
-// a run, so the order never affects the trajectory.
+// record in each domain's flight recorder. A domain reads live only the
+// state it owns (see NewEmulation), so the order never affects the
+// trajectory.
 func (e *Emulation) Run(t float64) {
 	for _, d := range e.doms {
 		d.Engine.Run(t)

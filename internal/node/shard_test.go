@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -179,8 +180,8 @@ func TestShardedSingleDomainFallsBack(t *testing.T) {
 }
 
 // TestShardedDispatch pins the dispatcher surface: domain lookups,
-// capacity mutation routing (with the top-level mirror), and the merged
-// agent view.
+// capacity mutation routing into the one shared network, the frozen
+// foreign-link reads, and the merged agent view.
 func TestShardedDispatch(t *testing.T) {
 	net, cflows := clusterNet(3)
 	em := NewEmulation(net, Config{Estimation: true}, 5)
@@ -198,18 +199,22 @@ func TestShardedDispatch(t *testing.T) {
 			}
 		}
 	}
-	// A capacity change lands in the owning domain's clone, mirrors into
-	// the top-level network, and leaves other domains untouched.
+	// Every domain works on the caller's network.
+	for d := 0; d < em.NumDomains(); d++ {
+		if em.Domain(d).Net != em.Net {
+			t.Fatalf("domain %d works on a network other than em.Net", d)
+		}
+	}
+	// A capacity change lands in the shared network, while a foreign
+	// domain's estimate of the link keeps its construction-time value.
 	l := cflows[1].routes[0][0]
+	before := em.Net.Link(l).Capacity
 	em.SetLinkCapacity(l, 0)
 	if em.Net.Link(l).Capacity != 0 {
-		t.Fatal("top-level capacity not mirrored")
+		t.Fatal("capacity change did not reach the network")
 	}
-	if em.Domain(1).Net.Link(l).Capacity != 0 {
-		t.Fatal("owning domain's clone not mutated")
-	}
-	if em.Domain(0).Net.Link(l).Capacity == 0 {
-		t.Fatal("foreign domain's clone mutated")
+	if got := em.Domain(0).linkEstimate(l); got != before {
+		t.Fatalf("foreign domain reads link %d at %v, want its construction-time %v", l, got, before)
 	}
 	// The merged agent view serves every node, owned by its domain.
 	for n := 0; n < net.NumNodes(); n++ {
@@ -313,5 +318,65 @@ func TestMultiDomainExternalSource(t *testing.T) {
 	}
 	if got := em.Domain(0).MAC.Stats(ext).DeliveredPkts; got != 0 {
 		t.Fatalf("foreign domain's MAC delivered %d frames for link %d", got, ext)
+	}
+}
+
+// orderFingerprint runs three clusters, each flow under a route manager
+// with fast failover and each cluster losing the first link of its first
+// route for a while, and folds every manager's reroute count, the final
+// routes and the bits of every rate into a string. run advances the
+// domains to virtual time `until`.
+func orderFingerprint(t *testing.T, run func(em *Emulation, until float64)) string {
+	t.Helper()
+	net, cflows := clusterNet(3)
+	em := NewEmulation(net, Config{Estimation: true}, 31)
+	var mgrs []*RouteManager
+	for i, cf := range cflows {
+		fl, err := em.AddFlow(FlowSpec{Src: cf.src, Dst: cf.dst, Routes: cf.routes, Kind: TrafficSaturated}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := em.ManageRoutes(fl)
+		m.EnableFastFailover()
+		mgrs = append(mgrs, m)
+		l := cf.routes[0][0]
+		eng := em.Domain(em.LinkDomain(l)).Engine
+		c := net.Link(l).Capacity
+		at := 3 + 1.3*float64(i)
+		eng.At(at, func() { em.SetLinkCapacity(l, 0) })
+		eng.At(at+6, func() { em.SetLinkCapacity(l, c) })
+	}
+	run(em, 16)
+	out := ""
+	for i, m := range mgrs {
+		out += fmt.Sprintf("flow%d reroutes=%d routes=%v rates=", i, m.Reroutes, m.flow.Routes())
+		for _, x := range m.flow.Rates() {
+			out += fmt.Sprintf("%x ", math.Float64bits(x))
+		}
+		out += "\n"
+	}
+	return out
+}
+
+// TestDomainOrderCannotChangeValues: domains share one network, and no
+// domain reads another's live state, so advancing the domains in the
+// coordinator's windows and running each domain to the end by hand, last
+// domain first, give one trajectory — reroutes, routes and rates to the
+// bit. A domain that read a foreign link's live capacity (its
+// route manager's network-wide total) would see another cluster's
+// failure in one order and not in the other.
+func TestDomainOrderCannotChangeValues(t *testing.T) {
+	windows := orderFingerprint(t, func(em *Emulation, until float64) {
+		for w := 0.5; w <= until; w += 0.5 {
+			em.Run(w)
+		}
+	})
+	reverse := orderFingerprint(t, func(em *Emulation, until float64) {
+		for d := em.NumDomains() - 1; d >= 0; d-- {
+			em.Domain(d).Engine.Run(until)
+		}
+	})
+	if windows != reverse {
+		t.Fatalf("domain order changed the run:\n--- windows\n%s--- reverse\n%s", windows, reverse)
 	}
 }

@@ -83,34 +83,33 @@ type Transition struct {
 
 // Runtime is a scenario bound to a running emulation.
 //
-// The runtime mirrors the emulation's domain decomposition: all state an
-// event handler mutates — flow records, failure windows, transitions,
-// departed-node links — lives in per-domain substates, because on a
-// multi-domain emulation each domain runs to the barrier in turn, so the
-// handlers of different domains do not fire in virtual-time order. The
-// exported observation fields (Transitions, Failures, SkippedFlows) are
-// merged deterministically from the domains by Finish.
+// Every event runs on the engine of the domain owning its link, node or
+// flow source, and Emulation.Run advances the domains one after another,
+// so the handlers of different domains do not fire in virtual-time order:
+// the records are appended in run order (window, then domain, then
+// time), and Finish sorts them stably by time. Equal times can only meet
+// inside one Run window, where domain 0 runs first, so the result is the
+// (time, domain) order — a pure function of the scenario and seed.
 type Runtime struct {
 	Scenario *Scenario
 	Em       *node.Emulation
 
 	opts Options
-	doms []*rtDomain
 	// flowDom maps every flow name known at bind time to its owning
-	// domain (the source node's domain). Read-only during the run.
+	// domain (the source node's domain), where its stop event runs.
 	flowDom map[string]int
 
-	// base and saved are indexed by LinkID and shared across domains:
-	// every handler only touches its own domain's links, so the element
-	// writes are disjoint.
-	base  []float64 // capacities at bind time
+	flows map[string]*FlowRecord
+	order []string // flow names in start order (run order)
+	left  map[graph.NodeID][]graph.LinkID
+
+	base  []float64 // capacities at bind time, by LinkID
 	saved []float64 // capacity before the last fail
 
 	// Unresolved lists events dropped at bind time because a reference
-	// didn't resolve (lenient mode). The remaining observation fields are
-	// rebuilt by Finish (which Run calls): Transitions and Failures merge
-	// the per-domain records in time order (ties in domain order),
-	// SkippedFlows lists flows that found no routes.
+	// didn't resolve (lenient mode). SkippedFlows lists flows that found
+	// no routes or reused a started flow's name. Transitions and Failures
+	// are in time order once Finish (which Run calls) has sorted them.
 	Unresolved   []string
 	SkippedFlows []string
 	Transitions  []Transition
@@ -118,22 +117,6 @@ type Runtime struct {
 
 	// checker is the invariant checker (nil unless Options.Invariants).
 	checker *invariant.Checker
-}
-
-// rtDomain is the per-domain slice of the runtime: the state the owning
-// domain's event handlers mutate, plus the emulation domain whose engine
-// the domain's timeline rides on.
-type rtDomain struct {
-	rt  *Runtime
-	dom *node.Domain
-
-	flows map[string]*FlowRecord
-	order []string // flow names in creation order (deterministic iteration)
-	left  map[graph.NodeID][]graph.LinkID
-
-	skipped     []string
-	transitions []Transition
-	failures    []*Failure
 }
 
 // boundEvent is an event with its references resolved at bind time.
@@ -165,21 +148,14 @@ func Bind(em *node.Emulation, sc *Scenario, seed int64, opts Options) (*Runtime,
 		Em:       em,
 		opts:     opts,
 		flowDom:  map[string]int{},
+		flows:    map[string]*FlowRecord{},
+		left:     map[graph.NodeID][]graph.LinkID{},
 		base:     make([]float64, em.Net.NumLinks()),
 		saved:    make([]float64, em.Net.NumLinks()),
 	}
 	for l := 0; l < em.Net.NumLinks(); l++ {
 		rt.base[l] = em.Net.Link(graph.LinkID(l)).Capacity
 		rt.saved[l] = rt.base[l]
-	}
-	rt.doms = make([]*rtDomain, em.NumDomains())
-	for i := range rt.doms {
-		rt.doms[i] = &rtDomain{
-			rt:    rt,
-			dom:   em.Domain(i),
-			flows: map[string]*FlowRecord{},
-			left:  map[graph.NodeID][]graph.LinkID{},
-		}
 	}
 
 	for i := range sc.Flows {
@@ -192,9 +168,9 @@ func Bind(em *node.Emulation, sc *Scenario, seed int64, opts Options) (*Runtime,
 			rt.Unresolved = append(rt.Unresolved, err.Error())
 			continue
 		}
-		d := rt.domainOfNode(src)
-		rt.flowDom[spec.Name] = d.index()
-		d.dom.Engine.At(spec.Start, func() { d.startFlow(spec) })
+		rt.flowDom[spec.Name] = em.NodeDomain(src)
+		d := em.Domain(rt.flowDom[spec.Name])
+		d.Engine.At(spec.Start, func() { rt.startFlow(d, spec) })
 	}
 
 	events := append(append([]Event(nil), sc.Events...), realized...)
@@ -231,15 +207,15 @@ func Bind(em *node.Emulation, sc *Scenario, seed int64, opts Options) (*Runtime,
 				if len(part) > 0 {
 					sub := be
 					sub.links = part
-					bound = append(bound, timelineEvent{d: rt.doms[di], be: sub})
+					bound = append(bound, timelineEvent{rt: rt, d: rt.Em.Domain(di), be: sub})
 				}
 			}
 			continue
 		}
-		bound = append(bound, timelineEvent{d: rt.eventDomain(be), be: be})
+		bound = append(bound, timelineEvent{rt: rt, d: rt.eventDomain(be), be: be})
 	}
 	for i := range bound {
-		bound[i].d.dom.Engine.AtFunc(bound[i].be.At, applyTimelineEvent, &bound[i])
+		bound[i].d.Engine.AtFunc(bound[i].be.At, applyTimelineEvent, &bound[i])
 	}
 	if opts.Invariants {
 		rt.checker = invariant.Attach(em, invariant.Config{Flows: rt.domainFlows})
@@ -247,16 +223,14 @@ func Bind(em *node.Emulation, sc *Scenario, seed int64, opts Options) (*Runtime,
 	return rt, nil
 }
 
-// domainFlows feeds the invariant checker the flows a domain owns, in
-// creation order. The checker calls it from the owning domain's engine,
-// which is also what mutates d.flows, so the read needs no
-// synchronization.
+// domainFlows feeds the invariant checker the running flows a domain
+// owns, in creation order. The checker calls it from the owning domain's
+// engine, the only one that starts or stops those flows.
 func (rt *Runtime) domainFlows(dom int) []invariant.FlowInfo {
-	d := rt.doms[dom]
-	out := make([]invariant.FlowInfo, 0, len(d.order))
-	for _, name := range d.order {
-		rec := d.flows[name]
-		if rec.StoppedAt > 0 {
+	var out []invariant.FlowInfo
+	for _, name := range rt.order {
+		rec := rt.flows[name]
+		if rt.Em.NodeDomain(rec.Src) != dom || rec.StoppedAt > 0 {
 			continue
 		}
 		out = append(out, invariant.FlowInfo{
@@ -266,48 +240,35 @@ func (rt *Runtime) domainFlows(dom int) []invariant.FlowInfo {
 	return out
 }
 
-func (d *rtDomain) index() int {
-	for i, dd := range d.rt.doms {
-		if dd == d {
-			return i
-		}
-	}
-	return 0
-}
-
-func (rt *Runtime) domainOfNode(n graph.NodeID) *rtDomain {
-	return rt.doms[rt.Em.NodeDomain(n)]
-}
-
 // eventDomain routes a bound event to the domain owning its subject:
 // link events by the link, node events by the node, flow starts by the
 // source, flow stops by the flow's bind-time domain (unknown names fall
-// to domain 0, where the stop is a no-op, exactly as an unknown name was
-// before).
-func (rt *Runtime) eventDomain(be boundEvent) *rtDomain {
+// to domain 0, where the stop is a no-op).
+func (rt *Runtime) eventDomain(be boundEvent) *node.Domain {
 	switch be.Kind {
 	case LinkFail, LinkRecover, SetCapacity, ScaleCapacity, SetLoss, GroupFail, GroupRecover:
-		return rt.doms[rt.Em.LinkDomain(be.links[0])]
+		return rt.Em.Domain(rt.Em.LinkDomain(be.links[0]))
 	case NodeLeave, NodeJoin:
-		return rt.domainOfNode(be.node)
+		return rt.Em.Domain(rt.Em.NodeDomain(be.node))
 	case FlowStart:
-		return rt.domainOfNode(be.src)
+		return rt.Em.Domain(rt.Em.NodeDomain(be.src))
 	case FlowStop:
-		return rt.doms[rt.flowDom[be.FlowName]]
+		return rt.Em.Domain(rt.flowDom[be.FlowName])
 	}
-	return rt.doms[0]
+	return rt.Em.Domain(0)
 }
 
 // timelineEvent pairs a bound event with its owning domain for the
 // closure-free timeline scheduling.
 type timelineEvent struct {
-	d  *rtDomain
+	rt *Runtime
+	d  *node.Domain
 	be boundEvent
 }
 
 func applyTimelineEvent(arg any) {
 	ev := arg.(*timelineEvent)
-	ev.d.apply(ev.be)
+	ev.rt.apply(ev.d, ev.be)
 }
 
 // Run advances the emulation to the scenario's duration and closes the
@@ -318,22 +279,20 @@ func (rt *Runtime) Run() {
 }
 
 // Finish closes open failure windows at the current virtual time and
-// merges the per-domain observations into the exported fields. Run calls
-// it; callers driving the emulation themselves call it once at the end.
-// It is idempotent (the merge rebuilds from the domain records).
+// sorts the records by time (see Runtime). Run calls it; callers driving
+// the emulation themselves call it once at the end. It is idempotent.
 func (rt *Runtime) Finish() {
-	for _, d := range rt.doms {
-		now := d.dom.Engine.Now()
-		for _, f := range d.failures {
-			if f.RecoveredAt == 0 {
-				f.RecoveredAt = now
-			}
+	now := rt.Em.Now()
+	for _, f := range rt.Failures {
+		if f.RecoveredAt == 0 {
+			f.RecoveredAt = now
 		}
 	}
 	if rt.checker != nil {
 		rt.checker.Final()
 	}
-	rt.merge()
+	sort.SliceStable(rt.Transitions, func(i, j int) bool { return rt.Transitions[i].At < rt.Transitions[j].At })
+	sort.SliceStable(rt.Failures, func(i, j int) bool { return rt.Failures[i].At < rt.Failures[j].At })
 }
 
 // Violations returns the invariant violations collected during the run
@@ -363,50 +322,15 @@ func (rt *Runtime) DropsByReason() map[string]int {
 	return out
 }
 
-// merge rebuilds the exported observation fields from the per-domain
-// records: concatenated in domain order, then stably sorted by time.
-// Within a domain the records are already time-ordered (virtual time is
-// monotone), so for a single domain the merge is the identity; across
-// domains the (time, domain) order is a pure function of the scenario
-// and seed — never of the worker count.
-func (rt *Runtime) merge() {
-	rt.Transitions = rt.Transitions[:0]
-	rt.Failures = rt.Failures[:0]
-	rt.SkippedFlows = rt.SkippedFlows[:0]
-	for _, d := range rt.doms {
-		rt.Transitions = append(rt.Transitions, d.transitions...)
-		rt.Failures = append(rt.Failures, d.failures...)
-		rt.SkippedFlows = append(rt.SkippedFlows, d.skipped...)
-	}
-	sort.SliceStable(rt.Transitions, func(i, j int) bool { return rt.Transitions[i].At < rt.Transitions[j].At })
-	sort.SliceStable(rt.Failures, func(i, j int) bool { return rt.Failures[i].At < rt.Failures[j].At })
-}
-
 // Flow returns the runtime record of a named flow (nil if it never
 // started).
-func (rt *Runtime) Flow(name string) *FlowRecord {
-	for _, d := range rt.doms {
-		if rec := d.flows[name]; rec != nil {
-			return rec
-		}
-	}
-	return nil
-}
+func (rt *Runtime) Flow(name string) *FlowRecord { return rt.flows[name] }
 
 // FlowNames lists the started flows in creation order (across domains:
 // by start time, ties in domain order).
 func (rt *Runtime) FlowNames() []string {
-	var names []string
-	for _, d := range rt.doms {
-		names = append(names, d.order...)
-	}
-	starts := map[string]float64{}
-	for _, d := range rt.doms {
-		for name, rec := range d.flows {
-			starts[name] = rec.StartedAt
-		}
-	}
-	sort.SliceStable(names, func(i, j int) bool { return starts[names[i]] < starts[names[j]] })
+	names := append([]string(nil), rt.order...)
+	sort.SliceStable(names, func(i, j int) bool { return rt.flows[names[i]].StartedAt < rt.flows[names[j]].StartedAt })
 	return names
 }
 
@@ -450,119 +374,103 @@ func (rt *Runtime) bindFlowSpec(spec *FlowSpec) (graph.NodeID, error) {
 
 // apply executes one event at its scheduled virtual time, on the owning
 // domain's engine.
-func (d *rtDomain) apply(be boundEvent) {
-	if rec := d.dom.Engine.Recorder(); rec != nil {
+func (rt *Runtime) apply(d *node.Domain, be boundEvent) {
+	if rec := d.Engine.Recorder(); rec != nil {
 		subject := int32(-1)
 		if len(be.links) > 0 {
 			subject = int32(be.links[0])
 		} else if be.Kind == NodeLeave || be.Kind == NodeJoin {
 			subject = int32(be.node)
 		}
-		rec.Record(d.dom.Engine.Now(), obs.RecScenarioEvent, EventKindOrdinal(be.Kind), subject, 0)
+		rec.Record(d.Engine.Now(), obs.RecScenarioEvent, EventKindOrdinal(be.Kind), subject, 0)
 	}
 	switch be.Kind {
-	case LinkFail:
-		d.fail(be.links)
-	case LinkRecover:
-		d.recoverLinks(be.links)
-	case GroupFail:
-		d.fail(be.links)
-	case GroupRecover:
-		d.recoverLinks(be.links)
+	case LinkFail, GroupFail:
+		rt.fail(d, be.links)
+	case LinkRecover, GroupRecover:
+		rt.recoverLinks(d, be.links)
 	case SetLoss:
-		d.setLoss(be.links, be.Loss)
+		rt.setLoss(d, be.links, be.Loss)
 	case SetCapacity:
-		d.setCapacities(be.Kind, be.links, be.Capacity)
+		for _, l := range be.links {
+			rt.setCapacity(d, be.Kind, l, be.Capacity)
+		}
 	case ScaleCapacity:
 		for _, l := range be.links {
 			// Drift rides on a live link: a link that failed (flap,
 			// node-leave) stays dead until its own recovery event —
 			// a drift step must not resurrect it, nor close its
 			// failure window as a spurious recovery.
-			if d.dom.Net.Link(l).Capacity <= 0 {
+			if rt.Em.Net.Link(l).Capacity <= 0 {
 				continue
 			}
-			d.setCapacity(be.Kind, l, d.rt.base[l]*be.Factor)
+			rt.setCapacity(d, be.Kind, l, rt.base[l]*be.Factor)
 		}
 	case NodeLeave:
-		links := d.nodeLinks(be.node)
-		d.left[be.node] = links
-		d.fail(links)
+		links := rt.nodeLinks(be.node)
+		rt.left[be.node] = links
+		rt.fail(d, links)
 	case NodeJoin:
-		d.recoverLinks(d.left[be.node])
-		delete(d.left, be.node)
+		rt.recoverLinks(d, rt.left[be.node])
+		delete(rt.left, be.node)
 	case FlowStart:
-		d.startFlow(*be.Flow)
+		rt.startFlow(d, *be.Flow)
 	case FlowStop:
-		d.stopFlow(be.FlowName)
+		rt.stopFlow(d, be.FlowName)
 	}
-}
-
-// setLinkCapacity mutates a domain-owned link's ground truth through the
-// top-level emulation, which dispatches into the owning domain's network
-// clone and mirrors the value into the shared top-level network (an
-// element-disjoint write: no other domain touches this link).
-func (d *rtDomain) setLinkCapacity(l graph.LinkID, c float64) {
-	d.rt.Em.SetLinkCapacity(l, c)
 }
 
 // fail kills links (saving their capacities) and opens failure windows
 // for the flows whose current routes traverse them.
-func (d *rtDomain) fail(links []graph.LinkID) {
-	now := d.dom.Engine.Now()
+func (rt *Runtime) fail(d *node.Domain, links []graph.LinkID) {
+	now := d.Engine.Now()
 	var killed []graph.LinkID
 	for _, l := range links {
-		if c := d.dom.Net.Link(l).Capacity; c > 0 {
-			d.rt.saved[l] = c
-			d.setLinkCapacity(l, 0)
-			d.transitions = append(d.transitions, Transition{At: now, Kind: LinkFail, Link: l})
+		if c := rt.Em.Net.Link(l).Capacity; c > 0 {
+			rt.saved[l] = c
+			rt.Em.SetLinkCapacity(l, 0)
+			rt.Transitions = append(rt.Transitions, Transition{At: now, Kind: LinkFail, Link: l})
 			killed = append(killed, l)
 		}
 	}
-	d.openFailures(killed, now)
+	rt.openFailures(killed, now)
 }
 
 // recoverLinks restores dead links to their pre-failure capacity and
 // closes the matching failure windows.
-func (d *rtDomain) recoverLinks(links []graph.LinkID) {
-	now := d.dom.Engine.Now()
+func (rt *Runtime) recoverLinks(d *node.Domain, links []graph.LinkID) {
+	now := d.Engine.Now()
 	for _, l := range links {
-		if d.dom.Net.Link(l).Capacity <= 0 {
-			c := d.rt.saved[l]
+		if rt.Em.Net.Link(l).Capacity <= 0 {
+			c := rt.saved[l]
 			if c <= 0 {
-				c = d.rt.base[l]
+				c = rt.base[l]
 			}
-			d.setLinkCapacity(l, c)
-			d.transitions = append(d.transitions, Transition{At: now, Kind: LinkRecover, Link: l, Capacity: c})
+			rt.Em.SetLinkCapacity(l, c)
+			rt.Transitions = append(rt.Transitions, Transition{At: now, Kind: LinkRecover, Link: l, Capacity: c})
 		}
 	}
-	d.closeFailures(links, now)
-}
-
-func (d *rtDomain) setCapacities(kind EventKind, links []graph.LinkID, c float64) {
-	for _, l := range links {
-		d.setCapacity(kind, l, c)
-	}
+	rt.closeFailures(links, now)
 }
 
 // setCapacity applies an arbitrary capacity change, treating a
 // transition through zero as a failure/recovery for the measurement
 // windows.
-func (d *rtDomain) setCapacity(kind EventKind, l graph.LinkID, c float64) {
-	now := d.dom.Engine.Now()
-	was := d.dom.Net.Link(l).Capacity
+func (rt *Runtime) setCapacity(d *node.Domain, kind EventKind, l graph.LinkID, c float64) {
+	now := d.Engine.Now()
+	was := rt.Em.Net.Link(l).Capacity
 	if was == c {
 		return
 	}
 	if c <= 0 && was > 0 {
-		d.rt.saved[l] = was
+		rt.saved[l] = was
 	}
-	d.setLinkCapacity(l, c)
-	d.transitions = append(d.transitions, Transition{At: now, Kind: kind, Link: l, Capacity: c})
+	rt.Em.SetLinkCapacity(l, c)
+	rt.Transitions = append(rt.Transitions, Transition{At: now, Kind: kind, Link: l, Capacity: c})
 	if c <= 0 && was > 0 {
-		d.openFailures([]graph.LinkID{l}, now)
+		rt.openFailures([]graph.LinkID{l}, now)
 	} else if c > 0 && was <= 0 {
-		d.closeFailures([]graph.LinkID{l}, now)
+		rt.closeFailures([]graph.LinkID{l}, now)
 	}
 }
 
@@ -571,14 +479,14 @@ func (d *rtDomain) setCapacity(kind EventKind, l graph.LinkID, c float64) {
 // the given probability. Estimation sees the loss through the effective
 // capacity it samples, so detection happens through the same noisy
 // channel the paper's schemes rely on — no oracle side-channel.
-func (d *rtDomain) setLoss(links []graph.LinkID, p float64) {
-	now := d.dom.Engine.Now()
+func (rt *Runtime) setLoss(d *node.Domain, links []graph.LinkID, p float64) {
+	now := d.Engine.Now()
 	for _, l := range links {
-		if d.rt.Em.LinkLoss(l) == p {
+		if rt.Em.LinkLoss(l) == p {
 			continue
 		}
-		d.rt.Em.SetLinkLoss(l, p)
-		d.transitions = append(d.transitions, Transition{At: now, Kind: SetLoss, Link: l, Loss: p})
+		rt.Em.SetLinkLoss(l, p)
+		rt.Transitions = append(rt.Transitions, Transition{At: now, Kind: SetLoss, Link: l, Loss: p})
 	}
 }
 
@@ -619,38 +527,38 @@ func (rt *Runtime) resolveGroup(name string) ([]graph.LinkID, error) {
 }
 
 // nodeLinks returns the node's live links (both directions).
-func (d *rtDomain) nodeLinks(n graph.NodeID) []graph.LinkID {
+func (rt *Runtime) nodeLinks(n graph.NodeID) []graph.LinkID {
+	net := rt.Em.Net
 	var out []graph.LinkID
-	for _, l := range d.dom.Net.Out(n) {
-		if d.dom.Net.Link(l).Capacity > 0 {
+	for _, l := range net.Out(n) {
+		if net.Link(l).Capacity > 0 {
 			out = append(out, l)
 		}
 	}
-	for _, l := range d.dom.Net.In(n) {
-		if d.dom.Net.Link(l).Capacity > 0 {
+	for _, l := range net.In(n) {
+		if net.Link(l).Capacity > 0 {
 			out = append(out, l)
 		}
 	}
 	return out
 }
 
-// openFailures records a failure window for every running flow of this
-// domain whose current routes use one of the killed links (a killed link
-// can only be routed by its own domain's flows). A flow with an open
-// window is not re-registered: overlapping failures measure as one
-// episode.
-func (d *rtDomain) openFailures(killed []graph.LinkID, now float64) {
+// openFailures records a failure window for every running flow whose
+// current routes use one of the killed links (only flows of the links'
+// own domain can route them). A flow with an open window is not
+// re-registered: overlapping failures measure as one episode.
+func (rt *Runtime) openFailures(killed []graph.LinkID, now float64) {
 	if len(killed) == 0 {
 		return
 	}
 	open := map[string]bool{}
-	for _, f := range d.failures {
+	for _, f := range rt.Failures {
 		if f.RecoveredAt == 0 {
 			open[f.Flow] = true
 		}
 	}
-	for _, name := range d.order {
-		rec := d.flows[name]
+	for _, name := range rt.order {
+		rec := rt.flows[name]
 		if rec.StoppedAt > 0 || open[name] {
 			continue
 		}
@@ -665,14 +573,14 @@ func (d *rtDomain) openFailures(killed []graph.LinkID, now float64) {
 			}
 		}
 		if len(hit) > 0 {
-			d.failures = append(d.failures, &Failure{Flow: name, Links: hit, At: now})
+			rt.Failures = append(rt.Failures, &Failure{Flow: name, Links: hit, At: now})
 		}
 	}
 }
 
 // closeFailures ends the windows of failures involving a recovered link.
-func (d *rtDomain) closeFailures(links []graph.LinkID, now float64) {
-	for _, f := range d.failures {
+func (rt *Runtime) closeFailures(links []graph.LinkID, now float64) {
+	for _, f := range rt.Failures {
 		if f.RecoveredAt != 0 {
 			continue
 		}
@@ -688,67 +596,72 @@ func (d *rtDomain) closeFailures(links []graph.LinkID, now float64) {
 }
 
 // startFlow computes routes and starts a flow at the current virtual
-// time. Routes are computed on the domain's network as it now is (failed
-// links have zero capacity and are avoided); a flow with no routes is
-// recorded in SkippedFlows, as a blocked arrival would be.
-func (d *rtDomain) startFlow(spec FlowSpec) {
-	now := d.dom.Engine.Now()
-	if d.flows[spec.Name] != nil {
+// time, on its source's domain d. Routes are computed on the network as
+// it now is (failed links have zero capacity and are avoided); a flow
+// with no routes is recorded in SkippedFlows, as a blocked arrival would
+// be.
+func (rt *Runtime) startFlow(d *node.Domain, spec FlowSpec) {
+	now := d.Engine.Now()
+	if rt.flows[spec.Name] != nil {
 		// Validate catches duplicates among scripted flows; this guards
 		// the remaining hole (a scripted name colliding with a generated
-		// arrival name) so measurements never double-count a record.
-		d.skipped = append(d.skipped, spec.Name)
+		// arrival name, in any domain) so measurements never double-count
+		// or misattribute a record. The flow started first in run order
+		// keeps the name.
+		rt.SkippedFlows = append(rt.SkippedFlows, spec.Name)
 		return
 	}
-	src, err1 := resolveNode(d.dom.Net, spec.Src)
-	dst, err2 := resolveNode(d.dom.Net, spec.Dst)
+	net := rt.Em.Net
+	src, err1 := resolveNode(net, spec.Src)
+	dst, err2 := resolveNode(net, spec.Dst)
 	if err1 != nil || err2 != nil {
-		d.skipped = append(d.skipped, spec.Name)
+		rt.SkippedFlows = append(rt.SkippedFlows, spec.Name)
 		return
 	}
-	routes := d.rt.opts.routes()(d.dom.Net, src, dst)
+	routes := rt.opts.routes()(net, src, dst)
 	if max := spec.MaxRoutes; max > 0 && len(routes) > max {
 		routes = routes[:max]
 	}
 	if len(routes) == 0 {
-		d.skipped = append(d.skipped, spec.Name)
+		rt.SkippedFlows = append(rt.SkippedFlows, spec.Name)
 		return
 	}
 	kind := node.TrafficSaturated
 	if spec.Kind == "file" {
 		kind = node.TrafficFile
 	}
-	f, err := d.rt.Em.AddFlow(node.FlowSpec{
+	f, err := rt.Em.AddFlow(node.FlowSpec{
 		Src: src, Dst: dst, Routes: routes, Kind: kind, FileBytes: spec.FileBytes,
 	}, now)
 	if err != nil {
-		d.skipped = append(d.skipped, spec.Name)
+		rt.SkippedFlows = append(rt.SkippedFlows, spec.Name)
 		return
 	}
 	rec := &FlowRecord{Spec: spec, Flow: f, Src: src, Dst: dst, StartedAt: now}
-	if d.rt.opts.ManageRoutes {
-		rec.Mgr = d.rt.Em.ManageRoutes(f)
+	if rt.opts.ManageRoutes {
+		rec.Mgr = rt.Em.ManageRoutes(f)
 		// Reroutes re-run the same selection the flow started with, so
 		// scheme semantics survive maintenance (a single-path scheme's
 		// manager recomputes a single path).
-		rec.Mgr.Select = node.SelectFn(d.rt.opts.routes())
+		rec.Mgr.Select = node.SelectFn(rt.opts.routes())
 		rec.Mgr.EnableFastFailover()
 	}
-	d.flows[spec.Name] = rec
-	d.order = append(d.order, spec.Name)
+	rt.flows[spec.Name] = rec
+	rt.order = append(rt.order, spec.Name)
 	if spec.Stop > now {
 		name := spec.Name
-		d.dom.Engine.At(spec.Stop, func() { d.stopFlow(name) })
+		d.Engine.At(spec.Stop, func() { rt.stopFlow(d, name) })
 	}
 }
 
-// stopFlow halts a running flow (and its route manager).
-func (d *rtDomain) stopFlow(name string) {
-	rec := d.flows[name]
-	if rec == nil || rec.StoppedAt > 0 {
+// stopFlow halts a running flow (and its route manager). A stop that
+// arrives on a domain other than the flow's own is ignored.
+func (rt *Runtime) stopFlow(d *node.Domain, name string) {
+	rec := rt.flows[name]
+	if rec == nil || rec.StoppedAt > 0 || rt.Em.Domain(rt.Em.NodeDomain(rec.Src)) != d {
 		return
 	}
-	rec.StoppedAt = d.dom.Engine.Now()
+	rec.StoppedAt = d.Engine.Now()
 	rec.Flow.Stop()
 	if rec.Mgr != nil {
 		rec.Mgr.Stop()
@@ -758,11 +671,9 @@ func (d *rtDomain) stopFlow(name string) {
 // Reroutes sums the route swaps across all managed flows.
 func (rt *Runtime) Reroutes() int {
 	n := 0
-	for _, d := range rt.doms {
-		for _, name := range d.order {
-			if rec := d.flows[name]; rec.Mgr != nil {
-				n += rec.Mgr.Reroutes
-			}
+	for _, name := range rt.order {
+		if rec := rt.flows[name]; rec.Mgr != nil {
+			n += rec.Mgr.Reroutes
 		}
 	}
 	return n
@@ -798,11 +709,9 @@ func (rt *Runtime) FlowGoodput(name string, from, to float64) float64 {
 // flows, in Mbps averaged over the scenario duration.
 func (rt *Runtime) AggregateGoodput() float64 {
 	var bits float64
-	for _, d := range rt.doms {
-		for _, name := range d.order {
-			if s := rt.sink(d.flows[name]); s != nil {
-				bits += float64(s.TotalBytes) * 8
-			}
+	for _, name := range rt.order {
+		if s := rt.sink(rt.flows[name]); s != nil {
+			bits += float64(s.TotalBytes) * 8
 		}
 	}
 	if rt.Scenario.Duration <= 0 {

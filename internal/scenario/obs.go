@@ -41,7 +41,10 @@ func OrdinalEventKind(i int32) EventKind {
 
 // SampleMetrics reads the runtime's observations — and the underlying
 // emulation's intrinsic counters — into registry slots. Call it after
-// Finish; it only reads.
+// Finish; it only reads. Reroutes and per-reason drops are the
+// emulation's series (empower_reroutes_total,
+// empower_mac_dropped_packets_total): in a scenario run every route
+// manager belongs to the runtime, so the runtime adds no copy of them.
 func (rt *Runtime) SampleMetrics(r *obs.Registry) {
 	rt.Em.SampleMetrics(r)
 	r.Counter("empower_scenario_transitions_total",
@@ -52,26 +55,17 @@ func (rt *Runtime) SampleMetrics(r *obs.Registry) {
 	r.Counter("empower_scenario_skipped_flows_total",
 		"flows skipped for want of routes").Add(float64(len(rt.SkippedFlows)))
 	active := 0
-	for _, d := range rt.doms {
-		for _, name := range d.order {
-			if rec := d.flows[name]; rec != nil && rec.Flow != nil && rec.Flow.Active() {
-				active++
-			}
+	for _, name := range rt.order {
+		if rt.flows[name].Flow.Active() {
+			active++
 		}
 	}
 	r.Gauge("empower_scenario_active_flows",
 		"flows still active at the end of the run (max across replications)").
 		Max(float64(active))
-	r.Counter("empower_flow_reroutes_total",
-		"route swaps by scenario-managed flows").Add(float64(rt.Reroutes()))
 	if rt.checker != nil {
 		r.Counter("empower_invariant_violations_total",
 			"runtime invariant violations").Add(float64(len(rt.Violations())))
-	}
-	for reason, n := range rt.DropsByReason() {
-		r.Counter("empower_scenario_dropped_packets_total",
-			"frames dropped during the scenario, by reason",
-			obs.Label{Key: "reason", Value: reason}).Add(float64(n))
 	}
 }
 

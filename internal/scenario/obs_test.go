@@ -145,3 +145,52 @@ func TestRuntimeSampleMetrics(t *testing.T) {
 		t.Fatalf("snapshot fails lint: %v", err)
 	}
 }
+
+// TestSampleMetricsOneSeriesPerQuantity: a clusters.json replication's
+// registry carries reroutes and per-reason drops once, as the
+// emulation's series, and those equal the runtime's own tallies.
+func TestSampleMetricsOneSeriesPerQuantity(t *testing.T) {
+	sc, err := Load("../../examples/scenarios/clusters.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Duration = 30
+	net, err := sc.Topology.Build(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	em := node.NewEmulation(net, node.Config{Estimation: true}, 9)
+	rt, err := Bind(em, sc, 41, Options{ManageRoutes: true, Strict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Run()
+	reg := obs.NewRegistry()
+	rt.SampleMetrics(reg)
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, dup := range []string{"empower_flow_reroutes_total", "empower_scenario_dropped_packets_total"} {
+		if strings.Contains(buf.String(), dup) {
+			t.Errorf("registry carries the duplicate series %s", dup)
+		}
+	}
+	if rt.Reroutes() == 0 {
+		t.Fatal("no reroutes: the comparison below would be vacuous")
+	}
+	if got := reg.Counter("empower_reroutes_total", "").Value(); got != float64(rt.Reroutes()) {
+		t.Errorf("empower_reroutes_total = %v, runtime counts %d", got, rt.Reroutes())
+	}
+	drops := 0
+	for reason, n := range rt.DropsByReason() {
+		got := reg.Counter("empower_mac_dropped_packets_total", "", obs.Label{Key: "reason", Value: reason}).Value()
+		if got != float64(n) {
+			t.Errorf("empower_mac_dropped_packets_total{reason=%q} = %v, runtime counts %d", reason, got, n)
+		}
+		drops += n
+	}
+	if drops == 0 {
+		t.Fatal("no drops: the comparison above was vacuous")
+	}
+}

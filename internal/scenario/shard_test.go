@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/node"
 )
 
@@ -179,5 +180,109 @@ func TestCollectReadsDoNotPerturb(t *testing.T) {
 	}
 	if queried, plain := digest(true), digest(false); queried != plain {
 		t.Errorf("a mid-run query changed the run: digest %s, unqueried %s", queried, plain)
+	}
+}
+
+// twoDomainNet is two duplex WiFi pairs s0–d0 and s1–d1 a kilometre
+// apart: two interference domains.
+func twoDomainNet(t *testing.T) *graph.Network {
+	t.Helper()
+	b := graph.NewBuilder(graph.RangeBased{SenseRadius: map[graph.Tech]float64{graph.TechWiFi: 50}})
+	for i := 0; i < 2; i++ {
+		s := b.AddNode(fmt.Sprintf("s%d", i), 1000*float64(i), 0, graph.TechWiFi)
+		d := b.AddNode(fmt.Sprintf("d%d", i), 1000*float64(i)+10, 0, graph.TechWiFi)
+		b.AddDuplex(s, d, graph.TechWiFi, 30)
+	}
+	net := b.Build()
+	if em := node.NewEmulation(net, node.Config{}, 1); em.NumDomains() != 2 {
+		t.Fatalf("domains=%d, want 2", em.NumDomains())
+	}
+	return net
+}
+
+// TestRecordsInTimeDomainOrder: Run advances domain 0 to each barrier
+// before domain 1, so the handlers fire out of virtual-time order across
+// domains; Transitions, Failures and FlowNames still come out ordered by
+// time, ties by domain, whatever the barriers.
+func TestRecordsInTimeDomainOrder(t *testing.T) {
+	net := twoDomainNet(t)
+	sc := New("order", 10)
+	// Domain 1's flow starts first; the two later flows start together.
+	sc.AddFlow(FlowSpec{Name: "late0", Src: "s0", Dst: "d0", Start: 3})
+	sc.AddFlow(FlowSpec{Name: "early1", Src: "s1", Dst: "d1", Start: 1})
+	sc.AddFlow(FlowSpec{Name: "tie1", Src: "d1", Dst: "s1", Start: 2})
+	sc.AddFlow(FlowSpec{Name: "tie0", Src: "d0", Dst: "s0", Start: 2})
+	// Both domains lose their pair at t=5; domain 0's comes back later
+	// than domain 1's but runs first inside the window.
+	sc.FailLink(5, Link("s0", "d0", graph.TechWiFi))
+	sc.FailLink(5, Link("s1", "d1", graph.TechWiFi))
+	sc.RecoverLink(7, Link("s0", "d0", graph.TechWiFi))
+	sc.RecoverLink(6, Link("s1", "d1", graph.TechWiFi))
+	em := node.NewEmulation(net, node.Config{Estimation: true}, 3)
+	rt, err := Bind(em, sc, 5, Options{Strict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, until := range []float64{4, 7.5, 10} {
+		em.Run(until)
+	}
+	rt.Finish()
+
+	ordered := func(what string, n int, at func(int) float64, dom func(int) int) {
+		t.Helper()
+		for i := 1; i < n; i++ {
+			if at(i) < at(i-1) || at(i) == at(i-1) && dom(i) < dom(i-1) {
+				t.Errorf("%s %d (t=%v, domain %d) after (t=%v, domain %d)",
+					what, i, at(i), dom(i), at(i-1), dom(i-1))
+			}
+		}
+	}
+	tr := rt.Transitions
+	if len(tr) != 8 {
+		t.Fatalf("%d transitions, want 8: %+v", len(tr), tr)
+	}
+	ordered("transition", len(tr), func(i int) float64 { return tr[i].At },
+		func(i int) int { return em.LinkDomain(tr[i].Link) })
+	fs := rt.Failures
+	if len(fs) != 4 {
+		t.Fatalf("%d failures, want 4", len(fs))
+	}
+	flowDom := func(name string) int { return em.NodeDomain(rt.Flow(name).Src) }
+	ordered("failure", len(fs), func(i int) float64 { return fs[i].At },
+		func(i int) int { return flowDom(fs[i].Flow) })
+	names := rt.FlowNames()
+	if want := []string{"early1", "tie0", "tie1", "late0"}; fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("FlowNames = %v, want %v", names, want)
+	}
+}
+
+// TestDuplicateFlowNameAcrossDomains: a scripted flow and a generated
+// arrival that share a name start in different domains. The later one is
+// skipped, so Flow(name) names the only record there is.
+func TestDuplicateFlowNameAcrossDomains(t *testing.T) {
+	net := twoDomainNet(t)
+	sc := New("dup", 10)
+	sc.AddFlow(FlowSpec{Name: "arrival-0-0", Src: "s0", Dst: "d0"})
+	sc.PoissonFlows(1, 2, "s1", "d1")
+	em := node.NewEmulation(net, node.Config{Estimation: true}, 3)
+	rt, err := Bind(em, sc, 5, Options{Strict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Run()
+	if fmt.Sprint(rt.SkippedFlows) != "[arrival-0-0]" {
+		t.Fatalf("SkippedFlows = %v, want [arrival-0-0]", rt.SkippedFlows)
+	}
+	if rec := rt.Flow("arrival-0-0"); rec == nil || rec.StartedAt != 0 || em.NodeDomain(rec.Src) != 0 {
+		t.Fatalf("arrival-0-0 is not the scripted flow of domain 0: %+v", rec)
+	}
+	seen := 0
+	for _, name := range rt.FlowNames() {
+		if name == "arrival-0-0" {
+			seen++
+		}
+	}
+	if seen != 1 {
+		t.Fatalf("FlowNames lists arrival-0-0 %d times", seen)
 	}
 }

@@ -72,6 +72,18 @@ jq_check "empower-scenario envelope" "$bindir/scenario.json" \
 jq_check "empower-scenario scheme rows" "$bindir/scenario.json" \
   '[.result.rows[].scheme] | contains(["EMPoWER", "SP"])'
 
+# The four-cluster scenario is the multi-domain emulation: every run must
+# pass the invariant checker, and the worker count must not move a byte.
+echo "== empower-scenario (clusters: four domains, 2 runs, -parallel 1 vs 2)" >&2
+for p in 1 2; do
+  "$bindir/empower-scenario" -scenario examples/scenarios/clusters.json -runs 2 \
+    -invariants -json -parallel "$p" > "$bindir/clusters-p$p.json"
+done
+if ! cmp "$bindir/clusters-p1.json" "$bindir/clusters-p2.json"; then
+  echo "e2e: empower-scenario clusters.json output depends on -parallel" >&2
+  exit 1
+fi
+
 echo "== empower-route (built-in Figure 1 example)" >&2
 "$bindir/empower-route" -n 3 > "$bindir/route.out"
 grep -q '^single-path:' "$bindir/route.out"
