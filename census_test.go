@@ -1,14 +1,17 @@
 package empower
 
 import (
+	"errors"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -19,53 +22,28 @@ import (
 // internal/, must be written by a program — a non-test Go file outside
 // examples/ (cmd/, internal/, bench/). Writes from tests and examples do
 // not count: a knob only tests turn is a second code path no program runs.
-// A write is a composite-literal key (`Config{F: v}`), the left side of an
-// assignment or ++/-- (`c.F = v`), or an address taken (`&c.F`, as flag
-// registration does). A field no program writes only ever holds its
-// default in every program; make it a constant at its use instead, or —
-// where a test must still reach it — list it in testOnlyFields with the
-// reason. The census fails on an unlisted field without a program writer,
-// and on a listed field that has gained one or no longer exists.
-//
-// The census parses but does not type-check, so it matches writes to
-// fields by name. Only a composite literal whose type is spelled out
-// (`node.Config{…}`) is tied to its struct. Every other write — an assignment, an address, a key of a literal whose type
-// is elided — counts for every same-named field of every package the
-// writing file can reach through its imports. A write to an unrelated
-// same-named field can therefore hide an unset one; the census never
-// reports a field that is set.
+// A write is a composite-literal key (`Config{F: v}`, its type spelled
+// out or elided), the left side of an assignment or ++/-- (`c.F = v`), or
+// an address taken (`&c.F`, as flag registration does). The census
+// type-checks the module's programs (go/types, the standard library
+// imported from source), so every write is tied to the one field it
+// writes. A field no program writes only ever holds its default in every
+// program; make it a constant at its use instead, or — where a test must
+// still reach it — list it in testOnlyFields with the reason. The census
+// fails on an unlisted field without a program writer, and on a listed
+// field that has gained one or no longer exists.
 func TestEveryConfigFieldIsSet(t *testing.T) {
 	const module = "repro"
-	type file struct {
-		pkg string // import path of the file's directory
-		f   *ast.File
-	}
-	fset := token.NewFileSet()
-	var files []file
-	imports := map[string][]string{} // package → module packages its non-test files import
+	var dirs []string
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if p != "." && (strings.HasPrefix(d.Name(), ".") || p == filepath.Join("bench", "out")) {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || p == "examples" || p == filepath.Join("bench", "out")) {
 				return filepath.SkipDir
 			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := path.Join(module, filepath.ToSlash(filepath.Dir(p)))
-		files = append(files, file{pkg, f})
-		if !strings.HasSuffix(p, "_test.go") {
-			for _, im := range f.Imports {
-				imports[pkg] = append(imports[pkg], importPath(im))
-			}
+			dirs = append(dirs, p)
 		}
 		return nil
 	})
@@ -73,104 +51,149 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The census, keyed "pkg.Type.Field".
-	type field struct{ pos, pkg, name string }
-	fields := map[string]field{}
-	for _, fl := range files {
-		declares := strings.HasPrefix(fl.pkg, module+"/internal/") && !strings.HasSuffix(fset.File(fl.f.Pos()).Name(), "_test.go")
-		ast.Inspect(fl.f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok {
-				return true
+	// The module uses no cgo, so everything is checked as built without
+	// it: the source importer (which reads build.Default) then takes the
+	// standard library's pure-Go files and runs no C toolchain.
+	cgo := build.Default.CgoEnabled
+	build.Default.CgoEnabled = false
+	t.Cleanup(func() { build.Default.CgoEnabled = cgo })
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "source", nil)
+	type checked struct {
+		pkg   *types.Package
+		files []*ast.File
+		info  *types.Info
+	}
+	pkgs := map[string]*checked{} // by import path, each checked once
+	var check func(dir string) (*checked, error)
+	imp := importerFunc(func(p string) (*types.Package, error) {
+		if rel, ok := strings.CutPrefix(p, module+"/"); ok {
+			c, err := check(filepath.FromSlash(rel))
+			if err != nil {
+				return nil, err
 			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !declares || !ok || !(strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Options")) {
-				return true
+			return c.pkg, nil
+		}
+		return std.Import(p)
+	})
+	check = func(dir string) (*checked, error) {
+		p := path.Join(module, filepath.ToSlash(dir))
+		if c := pkgs[p]; c != nil {
+			return c, nil
+		}
+		bp, err := build.Default.ImportDir(dir, 0)
+		if err != nil {
+			return nil, err
+		}
+		c := &checked{info: &types.Info{
+			Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}}
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
 			}
-			for _, f := range st.Fields.List {
-				for _, name := range f.Names {
-					if name.IsExported() {
-						fields[fl.pkg+"."+ts.Name.Name+"."+name.Name] = field{
-							fset.Position(name.Pos()).String(), fl.pkg, ts.Name.Name + "." + name.Name}
-					}
-				}
-			}
-			return true
-		})
+			c.files = append(c.files, f)
+		}
+		conf := types.Config{Importer: imp}
+		if c.pkg, err = conf.Check(p, fset, c.files, c.info); err != nil {
+			return nil, err
+		}
+		pkgs[p] = c
+		return c, nil
+	}
+	for _, dir := range dirs {
+		var none *build.NoGoError
+		if _, err := check(dir); err != nil && !errors.As(err, &none) {
+			t.Fatal(err)
+		}
 	}
 
-	// The writes: typed[pkg.Type.Field] for spelled-out literals,
-	// byName[pkg.Field] for every package the writing file can reach.
-	typed, byName := map[string]bool{}, map[string]bool{}
-	for _, fl := range files {
-		name := filepath.ToSlash(fset.File(fl.f.Pos()).Name())
-		if strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, "examples/") {
+	// The census: every exported field of a *Config/*Options struct
+	// declared under internal/.
+	fields := map[*types.Var]string{} // field → "package.Type.Field"
+	for p, c := range pkgs {
+		if !strings.HasPrefix(p, module+"/internal/") {
 			continue
 		}
-		local := localImports(fl.f)
-		reach := map[string]bool{}
-		var visit func(string)
-		visit = func(p string) {
-			if !reach[p] {
-				reach[p] = true
-				for _, q := range imports[p] {
-					visit(q)
+		scope := c.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					fields[f] = c.pkg.Name() + "." + name + "." + f.Name()
 				}
 			}
 		}
-		visit(fl.pkg)
-		for _, p := range local {
-			visit(p)
-		}
-		mark := func(name string) {
-			for p := range reach {
-				byName[p+"."+name] = true
+	}
+
+	// The writes, each resolved to its field.
+	written := map[*types.Var]bool{}
+	field := func(info *types.Info, e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+				continue
+			case *ast.IndexExpr:
+				e = x.X
+				continue
+			case *ast.SelectorExpr:
+				if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+					written[sel.Obj().(*types.Var).Origin()] = true
+				}
 			}
+			return
 		}
-		ast.Inspect(fl.f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				typ := typeName(fl.pkg, local, n.Type)
-				for _, elt := range n.Elts {
-					kv, ok := elt.(*ast.KeyValueExpr)
-					if !ok {
-						continue
-					}
-					if id, ok := kv.Key.(*ast.Ident); ok {
-						if _, known := fields[typ+"."+id.Name]; known {
-							typed[typ+"."+id.Name] = true
-						} else {
-							mark(id.Name)
+	}
+	for _, c := range pkgs {
+		for _, f := range c.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								if v, ok := c.info.Uses[id].(*types.Var); ok && v.IsField() {
+									written[v.Origin()] = true
+								}
+							}
 						}
 					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						field(c.info, lhs)
+					}
+				case *ast.IncDecStmt:
+					field(c.info, n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						field(c.info, n.X)
+					}
 				}
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					markSelector(mark, lhs)
-				}
-			case *ast.IncDecStmt:
-				markSelector(mark, n.X)
-			case *ast.UnaryExpr:
-				if n.Op == token.AND {
-					markSelector(mark, n.X)
-				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 
 	var bad []string
 	listed := map[string]bool{}
-	for key, f := range fields {
-		short := path.Base(f.pkg) + "." + f.name
-		written := typed[key] || byName[f.pkg+f.name[strings.IndexByte(f.name, '.'):]]
+	for f, short := range fields {
 		_, allowed := testOnlyFields[short]
 		listed[short] = allowed
+		pos := fset.Position(f.Pos()).String()
 		switch {
-		case allowed && written:
-			bad = append(bad, f.pos+": "+short+" is in testOnlyFields but a program writes it: drop the entry")
-		case !allowed && !written:
-			bad = append(bad, f.pos+": no program writes "+short)
+		case allowed && written[f]:
+			bad = append(bad, pos+": "+short+" is in testOnlyFields but a program writes it: drop the entry")
+		case !allowed && !written[f]:
+			bad = append(bad, pos+": no program writes "+short)
 		}
 	}
 	for short := range testOnlyFields {
@@ -188,6 +211,11 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 	t.Logf("%d exported Config/Options fields, %d of them in testOnlyFields", len(fields), len(testOnlyFields))
 }
 
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
 // testOnlyFields are the Config/Options fields no program writes that stay
 // settable anyway, each with its reason. Keys are "package.Type.Field".
 var testOnlyFields = map[string]string{
@@ -202,58 +230,7 @@ var testOnlyFields = map[string]string{
 	"fleet.SupervisorConfig.BackoffBase": "the retry tests run on the wall clock and shorten the backoff",
 	"fleet.SupervisorConfig.BackoffMax":  "the retry tests run on the wall clock and shorten the backoff",
 	"invariant.Config.Limit":             "TestViolationLimit sets the cap on recorded violations",
+	"invariant.Config.Interval":          "TestChecksFire's rate-bound case ticks every 2 ms to catch a rate above a bound that just collapsed",
+	"optimal.Config.Delta":               "the centralized solver is to be replaced whole (ROADMAP item 6); TestOptimalWithDelta checks the margin",
 	"scenario.Options.Strict":            "an input-validation mode: scenario tests fail on unresolvable event references",
-}
-
-func importPath(im *ast.ImportSpec) string {
-	p, _ := strconv.Unquote(im.Path.Value)
-	return p
-}
-
-// localImports maps each import's local name to its path (a package's
-// name is taken to be the last element of its path, as it is in this
-// module).
-func localImports(f *ast.File) map[string]string {
-	m := map[string]string{}
-	for _, im := range f.Imports {
-		p := importPath(im)
-		name := path.Base(p)
-		if im.Name != nil {
-			name = im.Name.Name
-		}
-		m[name] = p
-	}
-	return m
-}
-
-// typeName returns "pkg.Type" for a type spelled `Type` (in package pkg)
-// or `imp.Type`, and "" for any other type expression.
-func typeName(pkg string, local map[string]string, e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return pkg + "." + x.Name
-	case *ast.SelectorExpr:
-		if id, ok := x.X.(*ast.Ident); ok && local[id.Name] != "" {
-			return local[id.Name] + "." + x.Sel.Name
-		}
-	}
-	return ""
-}
-
-// markSelector records the field name of a selector expression, looking
-// through parentheses and index expressions (so `c.F[i] = v` writes F).
-func markSelector(mark func(string), e ast.Expr) {
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			mark(x.Sel.Name)
-			return
-		default:
-			return
-		}
-	}
 }

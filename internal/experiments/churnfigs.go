@@ -286,11 +286,11 @@ func churnReplication(sc *scenario.Scenario, scheme core.Scheme, cfg ChurnConfig
 		Censored:  censored,
 		Goodput:   rt.AggregateGoodput(),
 		Degraded:  rt.DegradedGoodput(),
-		Reroutes:  rt.Reroutes(),
+		Reroutes:  rt.Em.Reroutes(),
 		Skipped:   len(rt.SkippedFlows),
 	}
 	if cfg.Invariants {
-		out.Drops = rt.DropsByReason()
+		out.Drops = rt.Em.DropsByReason()
 		vs := rt.Violations()
 		out.Violations = len(vs)
 		for _, v := range vs {
@@ -311,27 +311,37 @@ func churnReplication(sc *scenario.Scenario, scheme core.Scheme, cfg ChurnConfig
 // carries from the owning domain.
 const violationTail = 64
 
-// ChurnTrace re-runs one (run, scheme) replication with a flight
-// recorder of `size` records per domain and returns each domain's full
-// ring contents — the -trace export of empower-scenario. The re-run is
-// bit-identical to the sweep's own replication (same seed derivations),
-// so the trace shows exactly the trajectory the sweep measured.
+// ChurnTrace re-runs the sweep's (run, scheme) replication (churnRep)
+// with a flight recorder of `size` records per domain and returns each
+// domain's full ring contents — the -trace export of empower-scenario,
+// showing exactly the trajectory the sweep measured.
 func ChurnTrace(sc *scenario.Scenario, cfg ChurnConfig, run int, scheme core.Scheme, size int) ([][]obs.Record, error) {
-	schemes := cfg.schemes()
-	si := 0
-	for i, s := range schemes {
-		if s == scheme {
-			si = i
-			break
-		}
+	rep, err := churnRep(cfg, run, scheme)
+	if err != nil {
+		return nil, err
 	}
-	emSeed := stats.SplitSeed(cfg.Seed, run*len(schemes)+si)
-	rt, err := bindChurn(sc, scheme, cfg, run, emSeed, size)
+	rt, err := bindChurn(sc, scheme, cfg, run, rep.Seed, size)
 	if err != nil {
 		return nil, err
 	}
 	rt.Run()
-	return rt.RecorderTails(size), nil
+	return rt.Em.RecorderTails(size), nil
+}
+
+// churnRep returns the sweep replication that runs `run` under scheme:
+// flat index run*len(schemes)+position — the layout ChurnRepJob decodes
+// and MergeChurnReps folds — seeded as the runner seeds it.
+func churnRep(cfg ChurnConfig, run int, scheme core.Scheme) (runner.Rep, error) {
+	schemes := cfg.schemes()
+	if run < 0 || run >= cfg.runs() {
+		return runner.Rep{}, fmt.Errorf("experiments: run %d is outside the sweep's %d runs", run, cfg.runs())
+	}
+	for si, s := range schemes {
+		if s == scheme {
+			return runner.RepAt(cfg.Seed, run*len(schemes)+si), nil
+		}
+	}
+	return runner.Rep{}, fmt.Errorf("experiments: scheme %v is not one of the sweep's schemes %v", scheme, schemes)
 }
 
 // runnerConfig maps the sweep configuration onto the shared runner.

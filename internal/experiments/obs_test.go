@@ -107,3 +107,25 @@ func TestChurnTraceMatchesSweep(t *testing.T) {
 		t.Fatal("trace recorded no events")
 	}
 }
+
+// TestChurnTraceRejectsReplicationOutsideSweep: a scheme the sweep does
+// not run, or a run past its -runs, names no replication of the sweep,
+// so ChurnTrace refuses it instead of tracing a trajectory the sweep
+// never measured.
+func TestChurnTraceRejectsReplicationOutsideSweep(t *testing.T) {
+	sc := loadFlaps(t)
+	sc.Duration = 5
+	cfg := ChurnConfig{Seed: 7, Runs: 2, Schemes: []core.Scheme{core.SchemeEMPoWER}}
+	for _, c := range []struct {
+		run    int
+		scheme core.Scheme
+		want   string
+	}{
+		{0, core.SchemeSPWoCC, "scheme"},
+		{2, core.SchemeEMPoWER, "run 2"},
+	} {
+		if _, err := ChurnTrace(sc, cfg, c.run, c.scheme, 64); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ChurnTrace(run %d, %v) = %v, want an error naming the %s", c.run, c.scheme, err, c.want)
+		}
+	}
+}

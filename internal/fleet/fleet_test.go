@@ -529,6 +529,7 @@ func TestFleetSpecRejections(t *testing.T) {
 		{"unknown-field", `{"scenario":` + testScenario + `,"runz":3}`, "runz"},
 		{"missing-scenario", `{"runs":3}`, "scenario"},
 		{"bad-scenario", `{"scenario":{"name":"x","duration":10,"nope":1}}`, "scenario"},
+		{"reserved-flow-name", `{"scenario":{"name":"x","duration":10,"flows":[{"name":"arrival-0-0","src":"0","dst":"1"}]}}`, "scenario"},
 		{"bad-scheme", `{"scenario":` + testScenario + `,"schemes":"NoSuch"}`, "schemes"},
 		{"negative-runs", `{"scenario":` + testScenario + `,"runs":-1}`, "runs"},
 		{"bad-delta", `{"scenario":` + testScenario + `,"delta":1.5}`, "delta"},

@@ -303,12 +303,12 @@ func runArm(sc *scenario.Scenario, scheme core.Scheme, scSeed, emSeed int64, inv
 		}
 		fmt.Fprintf(&b, "f %s %d %d %d\n", name, sink.TotalPackets, sink.TotalBytes, sink.Lost)
 	}
-	drops := rt.DropsByReason()
+	drops := rt.Em.DropsByReason()
 	for _, reason := range []string{"dead-link", "queue-overflow", "link-down", "channel-loss"} {
 		fmt.Fprintf(&b, "d %s %d\n", reason, drops[reason])
 	}
 	fmt.Fprintf(&b, "r %d s %d u %d g %.9f\n",
-		rt.Reroutes(), len(rt.SkippedFlows), len(rt.Unresolved), res.goodput)
+		rt.Em.Reroutes(), len(rt.SkippedFlows), len(rt.Unresolved), res.goodput)
 	res.sig = b.String()
 	return res, nil
 }
@@ -434,7 +434,7 @@ func dumpTrace(sc *scenario.Scenario, scSeed, emSeed int64, path string) (string
 		return "", err
 	}
 	rt.Run()
-	if err := obs.WriteChromeTraceFile(path, rt.RecorderTails(traceRing)); err != nil {
+	if err := obs.WriteChromeTraceFile(path, rt.Em.RecorderTails(traceRing)); err != nil {
 		return "", err
 	}
 	return path, nil

@@ -69,7 +69,7 @@ func TestAllocsEmulationInstrumented(t *testing.T) {
 	em.Run(5.05) // drain in-flight frames
 
 	pinReversePaths(em)
-	if em.DomainRecorder(0) == nil {
+	if em.Domain(0).Engine.Recorder() == nil {
 		t.Fatal("recorder not attached")
 	}
 
@@ -81,7 +81,7 @@ func TestAllocsEmulationInstrumented(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("instrumented steady-state report slot allocates %v per 100 ms, want 0", avg)
 	}
-	if em.DomainRecorder(0).Total() == 0 {
+	if em.Domain(0).Engine.Recorder().Total() == 0 {
 		t.Error("recorder saw no events during the measured slots")
 	}
 }

@@ -41,8 +41,8 @@ type Domain struct {
 	cfg   Config
 	rng   *rand.Rand
 	flows []*Flow
-	// initCap holds every link's capacity at construction (one slice,
-	// shared by the domains); a domain reads it for foreign links.
+	// initCap is the Emulation's construction-time capacity slice
+	// (Emulation.InitCapacity); a domain reads it for foreign links.
 	initCap []float64
 
 	// capEpoch[l] counts link l's capacity changes — the invariant

@@ -99,7 +99,8 @@ type Emulation struct {
 	doms    []*Domain
 	nodeDom []int
 	linkDom []int
-	windows uint64 // completed Run calls
+	initCap []float64 // every link's capacity at construction, by LinkID
+	windows uint64    // completed Run calls
 }
 
 // NewEmulation builds the emulated network, decomposed into its
@@ -120,19 +121,24 @@ func NewEmulation(net *graph.Network, cfg Config, seed int64) *Emulation {
 		doms:    make([]*Domain, dec.Num),
 		nodeDom: dec.Node,
 		linkDom: dec.Link,
+		initCap: make([]float64, net.NumLinks()),
 	}
-	initCap := make([]float64, net.NumLinks())
-	for l := range initCap {
-		initCap[l] = net.Link(graph.LinkID(l)).Capacity
+	for l := range e.initCap {
+		e.initCap[l] = net.Link(graph.LinkID(l)).Capacity
 	}
 	for d := range e.doms {
-		e.doms[d] = newDomain(net, cfg, domainSeed(seed, d, dec.Num), dec.Node, d, initCap)
+		e.doms[d] = newDomain(net, cfg, domainSeed(seed, d, dec.Num), dec.Node, d, e.initCap)
 	}
 	for n := range e.Agents {
 		e.Agents[n] = e.doms[dec.Node[n]].Agents[n]
 	}
 	return e
 }
+
+// InitCapacity returns link l's capacity when the emulation was built —
+// the reference of scale-capacity events and the value a link that
+// never failed recovers to.
+func (e *Emulation) InitCapacity(l graph.LinkID) float64 { return e.initCap[l] }
 
 // Agent returns node id's agent.
 func (e *Emulation) Agent(id graph.NodeID) *Agent { return e.Agents[id] }

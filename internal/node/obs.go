@@ -28,10 +28,46 @@ func (e *Emulation) EventsFired() uint64 {
 	return n
 }
 
-// DomainRecorder returns domain d's flight recorder, or nil when
-// recording is off (Config.Recorder == 0).
-func (e *Emulation) DomainRecorder(d int) *obs.Recorder {
-	return e.doms[d].Engine.Recorder()
+// RecorderTails returns every domain's last n flight-recorder records
+// (oldest first, one slice per domain; nil slices when recording is off,
+// Config.Recorder == 0) — the input of obs.WriteChromeTraceFile and of
+// the -invariants violation tails.
+func (e *Emulation) RecorderTails(n int) [][]obs.Record {
+	tails := make([][]obs.Record, len(e.doms))
+	for d, dom := range e.doms {
+		if rec := dom.Engine.Recorder(); rec != nil {
+			tails[d] = rec.Tail(n)
+		}
+	}
+	return tails
+}
+
+// macTotals folds every domain's MAC counters into one LinkStats.
+func (e *Emulation) macTotals() mac.LinkStats {
+	var total mac.LinkStats
+	for _, dom := range e.doms {
+		st := dom.MAC.TotalStats()
+		total.DeliveredBits += st.DeliveredBits
+		total.DeliveredPkts += st.DeliveredPkts
+		total.DroppedPkts += st.DroppedPkts
+		for i := range st.Dropped {
+			total.Dropped[i] += st.Dropped[i]
+		}
+		total.BusySeconds += st.BusySeconds
+	}
+	return total
+}
+
+// DropsByReason returns the MAC drop counters summed over every link,
+// keyed by reason name. Every reason appears, zero or not, so reports
+// have a stable shape.
+func (e *Emulation) DropsByReason() map[string]int {
+	total := e.macTotals()
+	out := make(map[string]int, int(mac.NumDropReasons))
+	for r := mac.DropReason(0); r < mac.NumDropReasons; r++ {
+		out[r.String()] = total.Dropped[r]
+	}
+	return out
 }
 
 // SampleMetrics reads the emulation's intrinsic counters into registry
@@ -40,7 +76,6 @@ func (e *Emulation) DomainRecorder(d int) *obs.Recorder {
 // trajectory with sampling is identical to one without.
 func (e *Emulation) SampleMetrics(r *obs.Registry) {
 	heapDepth, freeTimers, queueDepth, failovers, estResets := 0, 0, 0, 0, 0
-	var total mac.LinkStats
 	for _, dom := range e.doms {
 		failovers += dom.failovers
 		estResets += dom.estResets
@@ -53,15 +88,8 @@ func (e *Emulation) SampleMetrics(r *obs.Registry) {
 		if q := dom.MAC.TotalQueueLen(); q > queueDepth {
 			queueDepth = q
 		}
-		st := dom.MAC.TotalStats()
-		total.DeliveredBits += st.DeliveredBits
-		total.DeliveredPkts += st.DeliveredPkts
-		total.DroppedPkts += st.DroppedPkts
-		for i := range st.Dropped {
-			total.Dropped[i] += st.Dropped[i]
-		}
-		total.BusySeconds += st.BusySeconds
 	}
+	total := e.macTotals()
 	r.Counter("empower_events_fired_total",
 		"discrete events processed by the engines").Add(float64(e.EventsFired()))
 	r.Counter("empower_reroutes_total",

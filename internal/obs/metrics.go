@@ -35,7 +35,6 @@ type Kind uint8
 const (
 	KindCounter Kind = iota
 	KindGauge
-	KindHistogram
 )
 
 func (k Kind) String() string {
@@ -44,8 +43,6 @@ func (k Kind) String() string {
 		return "counter"
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "histogram"
 	}
 	return "untyped"
 }
@@ -67,15 +64,7 @@ type metric struct {
 	labels []Label
 	series string // rendered name{labels} key, unique per registry
 
-	val float64 // counter/gauge value
-
-	// Histogram state (kind == KindHistogram): cumulative bucket counts
-	// are computed at export; counts[i] holds the per-bucket (le
-	// bounds[i]) increment.
-	bounds []float64
-	counts []uint64
-	sum    float64
-	count  uint64
+	val float64
 }
 
 // Counter is a monotonically increasing slot.
@@ -134,27 +123,6 @@ func (g Gauge) Value() float64 {
 	return g.m.val
 }
 
-// Histogram is a fixed-bucket histogram slot.
-type Histogram struct{ m *metric }
-
-// Observe records one sample.
-func (h Histogram) Observe(v float64) {
-	m := h.m
-	if m == nil {
-		return
-	}
-	for i, b := range m.bounds {
-		if v <= b {
-			m.counts[i]++
-			break
-		}
-	}
-	// Samples above every bound land only in +Inf (the implicit last
-	// bucket rendered at export).
-	m.sum += v
-	m.count++
-}
-
 // Registry is a set of metric slots registered at bind time. It is not
 // goroutine-safe: a registry belongs to one replication (or one
 // aggregator behind its own mutex), and its slots are updated by plain
@@ -188,16 +156,12 @@ func seriesKey(name string, labels []Label) string {
 }
 
 // register creates (or returns the existing) slot for a series.
-func (r *Registry) register(name, help string, kind Kind, bounds []float64, labels []Label) *metric {
+func (r *Registry) register(name, help string, kind Kind, labels []Label) *metric {
 	key := seriesKey(name, labels)
 	if m := r.byKey[key]; m != nil {
 		return m
 	}
 	m := &metric{name: name, help: help, kind: kind, labels: labels, series: key}
-	if kind == KindHistogram {
-		m.bounds = append([]float64(nil), bounds...)
-		m.counts = make([]uint64, len(m.bounds))
-	}
 	r.metrics = append(r.metrics, m)
 	r.byKey[key] = m
 	return m
@@ -205,43 +169,28 @@ func (r *Registry) register(name, help string, kind Kind, bounds []float64, labe
 
 // Counter registers (or finds) a counter series.
 func (r *Registry) Counter(name, help string, labels ...Label) Counter {
-	return Counter{r.register(name, help, KindCounter, nil, labels)}
+	return Counter{r.register(name, help, KindCounter, labels)}
 }
 
 // Gauge registers (or finds) a gauge series.
 func (r *Registry) Gauge(name, help string, labels ...Label) Gauge {
-	return Gauge{r.register(name, help, KindGauge, nil, labels)}
-}
-
-// Histogram registers (or finds) a histogram series with the given
-// upper bucket bounds (ascending; +Inf is implicit).
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) Histogram {
-	return Histogram{r.register(name, help, KindHistogram, bounds, labels)}
+	return Gauge{r.register(name, help, KindGauge, labels)}
 }
 
 // Merge folds another registry into this one with deterministic,
-// order-independent semantics: counters sum, gauges keep the maximum,
-// histograms merge bucket-wise (bounds must match). Series missing here
-// are created. Replications complete in scheduler order, so only
+// order-independent semantics: counters sum, gauges keep the maximum.
+// Series missing here are created. Replications complete in scheduler order, so only
 // commutative folds keep the aggregate bit-identical at any worker
 // count.
 func (r *Registry) Merge(other *Registry) {
 	for _, om := range other.metrics {
-		m := r.register(om.name, om.help, om.kind, om.bounds, om.labels)
+		m := r.register(om.name, om.help, om.kind, om.labels)
 		switch om.kind {
 		case KindCounter:
 			m.val += om.val
 		case KindGauge:
 			if om.val > m.val {
 				m.val = om.val
-			}
-		case KindHistogram:
-			if len(m.counts) == len(om.counts) {
-				for i := range om.counts {
-					m.counts[i] += om.counts[i]
-				}
-				m.sum += om.sum
-				m.count += om.count
 			}
 		}
 	}
@@ -262,25 +211,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 			fmt.Fprintf(bw, "# TYPE %s %s\n", m.name, m.kind)
 		}
-		switch m.kind {
-		case KindHistogram:
-			cum := uint64(0)
-			for i, b := range m.bounds {
-				cum += m.counts[i]
-				fmt.Fprintf(bw, "%s %d\n", seriesKey(m.name+"_bucket", append(append([]Label(nil), m.labels...), Label{"le", formatFloat(b)})), cum)
-			}
-			fmt.Fprintf(bw, "%s %d\n", seriesKey(m.name+"_bucket", append(append([]Label(nil), m.labels...), Label{"le", "+Inf"})), m.count)
-			fmt.Fprintf(bw, "%s %s\n", seriesKey(m.name+"_sum", m.labels), formatFloat(m.sum))
-			fmt.Fprintf(bw, "%s %d\n", seriesKey(m.name+"_count", m.labels), m.count)
-		default:
-			fmt.Fprintf(bw, "%s %s\n", m.series, formatFloat(m.val))
-		}
+		fmt.Fprintf(bw, "%s %s\n", m.series, formatFloat(m.val))
 	}
 	return bw.Flush()
 }
 
-// formatFloat renders a value the Prometheus way ("+Inf" for the
-// implicit last histogram bound, %g otherwise).
+// formatFloat renders a value the Prometheus way ("+Inf" for positive
+// infinity, %g otherwise).
 func formatFloat(v float64) string {
 	if math.IsInf(v, 1) {
 		return "+Inf"

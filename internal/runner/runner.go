@@ -80,6 +80,13 @@ type Rep struct {
 	Seed int64
 }
 
+// RepAt returns replication index of a sweep whose Config.BaseSeed is
+// base — the seed rule Run applies, for callers that re-run one
+// replication outside a sweep.
+func RepAt(base int64, index int) Rep {
+	return Rep{Index: index, Seed: stats.SplitSeed(base, index)}
+}
+
 // Job computes one replication. The context is canceled when the sweep is
 // aborted (caller cancellation, a failed replication, or a panic in
 // another replication); long-running jobs may poll it to stop early.
@@ -207,7 +214,7 @@ func RunFrom[T any](ctx context.Context, total int, done *RepSet, cfg Config, jo
 		if cfg.OnJobTime != nil {
 			start = time.Now()
 		}
-		out, err := job(runCtx, Rep{Index: idx, Seed: stats.SplitSeed(cfg.BaseSeed, idx)})
+		out, err := job(runCtx, RepAt(cfg.BaseSeed, idx))
 		if cfg.OnJobTime != nil {
 			elapsed := time.Since(start)
 			mu.Lock()

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/invariant"
-	"repro/internal/mac"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/routing"
@@ -103,13 +102,12 @@ type Runtime struct {
 	order []string // flow names in start order (run order)
 	left  map[graph.NodeID][]graph.LinkID
 
-	base  []float64 // capacities at bind time, by LinkID
-	saved []float64 // capacity before the last fail
+	saved []float64 // capacity before the last fail, by LinkID
 
 	// Unresolved lists events dropped at bind time because a reference
 	// didn't resolve (lenient mode). SkippedFlows lists flows that found
-	// no routes or reused a started flow's name. Transitions and Failures
-	// are in time order once Finish (which Run calls) has sorted them.
+	// no routes. Transitions and Failures are in time order once Finish
+	// (which Run calls) has sorted them.
 	Unresolved   []string
 	SkippedFlows []string
 	Transitions  []Transition
@@ -119,7 +117,8 @@ type Runtime struct {
 	checker *invariant.Checker
 }
 
-// boundEvent is an event with its references resolved at bind time.
+// boundEvent is an event with its references resolved at bind time
+// (src and dst are a flow-start's endpoints).
 type boundEvent struct {
 	Event
 	links []graph.LinkID
@@ -131,10 +130,13 @@ type boundEvent struct {
 // Bind expands the scenario's processes with the given seed, resolves
 // every reference against the emulation's network, and schedules the
 // whole timeline on the emulation's engines — each event on the engine
-// of the domain that owns its link, node or flow source. The emulation
-// must be at virtual time 0. Run the result with Runtime.Run (or advance
-// the emulation manually and call Finish at the end). A timeline whose
-// processes draw more than maxTimelineEvents events is an error.
+// of the domain that owns its link, node or flow source. The timeline is
+// the scripted flows (as flow-start events), then Events, then the
+// processes' events, sorted stably by time. The emulation must be at
+// virtual time 0 with the capacities it was built with (the bind-time
+// capacities, node.Emulation.InitCapacity). Run the result with
+// Runtime.Run (or advance the emulation manually and call Finish at the
+// end). Processes drawing over maxTimelineEvents events are an error.
 func Bind(em *node.Emulation, sc *Scenario, seed int64, opts Options) (*Runtime, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -150,30 +152,17 @@ func Bind(em *node.Emulation, sc *Scenario, seed int64, opts Options) (*Runtime,
 		flowDom:  map[string]int{},
 		flows:    map[string]*FlowRecord{},
 		left:     map[graph.NodeID][]graph.LinkID{},
-		base:     make([]float64, em.Net.NumLinks()),
 		saved:    make([]float64, em.Net.NumLinks()),
 	}
-	for l := 0; l < em.Net.NumLinks(); l++ {
-		rt.base[l] = em.Net.Link(graph.LinkID(l)).Capacity
-		rt.saved[l] = rt.base[l]
+	for l := range rt.saved {
+		rt.saved[l] = em.InitCapacity(graph.LinkID(l))
 	}
 
+	events := make([]Event, 0, len(sc.Flows)+len(sc.Events)+len(realized))
 	for i := range sc.Flows {
-		spec := sc.Flows[i]
-		src, err := rt.bindFlowSpec(&spec)
-		if err != nil {
-			if opts.Strict {
-				return nil, err
-			}
-			rt.Unresolved = append(rt.Unresolved, err.Error())
-			continue
-		}
-		rt.flowDom[spec.Name] = em.NodeDomain(src)
-		d := em.Domain(rt.flowDom[spec.Name])
-		d.Engine.At(spec.Start, func() { rt.startFlow(d, spec) })
+		events = append(events, Event{At: sc.Flows[i].Start, Kind: FlowStart, Flow: &sc.Flows[i]})
 	}
-
-	events := append(append([]Event(nil), sc.Events...), realized...)
+	events = append(append(events, sc.Events...), realized...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 	// Timeline events ride the engine's closure-free scheduling: the
 	// bound events live in one slice allocated here, and each timer
@@ -304,24 +293,6 @@ func (rt *Runtime) Violations() []invariant.Violation {
 	return rt.checker.Violations()
 }
 
-// DropsByReason aggregates the per-reason MAC drop counters across all
-// links, keyed by reason name. Every reason appears, zero or not, so
-// reports have a stable shape.
-func (rt *Runtime) DropsByReason() map[string]int {
-	out := make(map[string]int, int(mac.NumDropReasons))
-	for r := mac.DropReason(0); r < mac.NumDropReasons; r++ {
-		out[r.String()] = 0
-	}
-	for l := 0; l < rt.Em.Net.NumLinks(); l++ {
-		id := graph.LinkID(l)
-		st := rt.Em.Domain(rt.Em.LinkDomain(id)).MAC.Stats(id)
-		for r := mac.DropReason(0); r < mac.NumDropReasons; r++ {
-			out[r.String()] += st.Dropped[r]
-		}
-	}
-	return out
-}
-
 // Flow returns the runtime record of a named flow (nil if it never
 // started).
 func (rt *Runtime) Flow(name string) *FlowRecord { return rt.flows[name] }
@@ -346,30 +317,17 @@ func (rt *Runtime) bindEvent(ev Event) (boundEvent, error) {
 	case NodeLeave, NodeJoin:
 		be.node, err = resolveNode(rt.Em.Net, ev.Node)
 	case FlowStart:
-		spec := *ev.Flow
-		be.src, err = rt.bindFlowSpec(&spec)
-		be.Flow = &spec
-		if err == nil {
-			rt.flowDom[spec.Name] = rt.Em.NodeDomain(be.src)
+		if be.src, err = resolveNode(rt.Em.Net, ev.Flow.Src); err == nil {
+			be.dst, err = resolveNode(rt.Em.Net, ev.Flow.Dst)
 		}
+		if err != nil {
+			return be, fmt.Errorf("scenario: flow %q: %w", ev.Flow.Name, err)
+		}
+		rt.flowDom[ev.Flow.Name] = rt.Em.NodeDomain(be.src)
 	case FlowStop:
 		// Resolution happens at apply time (the flow may not exist yet).
 	}
 	return be, err
-}
-
-// bindFlowSpec resolves a flow's endpoints (mutating the spec is safe:
-// every caller works on its own copy) and returns the source node, which
-// decides the owning domain.
-func (rt *Runtime) bindFlowSpec(spec *FlowSpec) (graph.NodeID, error) {
-	src, err := resolveNode(rt.Em.Net, spec.Src)
-	if err != nil {
-		return 0, fmt.Errorf("scenario: flow %q: %w", spec.Name, err)
-	}
-	if _, err := resolveNode(rt.Em.Net, spec.Dst); err != nil {
-		return 0, fmt.Errorf("scenario: flow %q: %w", spec.Name, err)
-	}
-	return src, nil
 }
 
 // apply executes one event at its scheduled virtual time, on the owning
@@ -404,7 +362,7 @@ func (rt *Runtime) apply(d *node.Domain, be boundEvent) {
 			if rt.Em.Net.Link(l).Capacity <= 0 {
 				continue
 			}
-			rt.setCapacity(d, be.Kind, l, rt.base[l]*be.Factor)
+			rt.setCapacity(d, be.Kind, l, rt.Em.InitCapacity(l)*be.Factor)
 		}
 	case NodeLeave:
 		links := rt.nodeLinks(be.node)
@@ -414,7 +372,7 @@ func (rt *Runtime) apply(d *node.Domain, be boundEvent) {
 		rt.recoverLinks(d, rt.left[be.node])
 		delete(rt.left, be.node)
 	case FlowStart:
-		rt.startFlow(d, *be.Flow)
+		rt.startFlow(d, *be.Flow, be.src, be.dst)
 	case FlowStop:
 		rt.stopFlow(d, be.FlowName)
 	}
@@ -442,12 +400,8 @@ func (rt *Runtime) recoverLinks(d *node.Domain, links []graph.LinkID) {
 	now := d.Engine.Now()
 	for _, l := range links {
 		if rt.Em.Net.Link(l).Capacity <= 0 {
-			c := rt.saved[l]
-			if c <= 0 {
-				c = rt.base[l]
-			}
-			rt.Em.SetLinkCapacity(l, c)
-			rt.Transitions = append(rt.Transitions, Transition{At: now, Kind: LinkRecover, Link: l, Capacity: c})
+			rt.Em.SetLinkCapacity(l, rt.saved[l])
+			rt.Transitions = append(rt.Transitions, Transition{At: now, Kind: LinkRecover, Link: l, Capacity: rt.saved[l]})
 		}
 	}
 	rt.closeFailures(links, now)
@@ -595,30 +549,15 @@ func (rt *Runtime) closeFailures(links []graph.LinkID, now float64) {
 	}
 }
 
-// startFlow computes routes and starts a flow at the current virtual
-// time, on its source's domain d. Routes are computed on the network as
-// it now is (failed links have zero capacity and are avoided); a flow
-// with no routes is recorded in SkippedFlows, as a blocked arrival would
-// be.
-func (rt *Runtime) startFlow(d *node.Domain, spec FlowSpec) {
+// startFlow computes routes and starts a flow between its bind-time
+// endpoints at the current virtual time, on its source's domain d. Flow
+// names are unique (Validate reserves the generated ones), so every
+// start gets its own record. Routes are computed on the network as it
+// now is (failed links have zero capacity and are avoided); a flow with
+// no routes is recorded in SkippedFlows, as a blocked arrival would be.
+func (rt *Runtime) startFlow(d *node.Domain, spec FlowSpec, src, dst graph.NodeID) {
 	now := d.Engine.Now()
-	if rt.flows[spec.Name] != nil {
-		// Validate catches duplicates among scripted flows; this guards
-		// the remaining hole (a scripted name colliding with a generated
-		// arrival name, in any domain) so measurements never double-count
-		// or misattribute a record. The flow started first in run order
-		// keeps the name.
-		rt.SkippedFlows = append(rt.SkippedFlows, spec.Name)
-		return
-	}
-	net := rt.Em.Net
-	src, err1 := resolveNode(net, spec.Src)
-	dst, err2 := resolveNode(net, spec.Dst)
-	if err1 != nil || err2 != nil {
-		rt.SkippedFlows = append(rt.SkippedFlows, spec.Name)
-		return
-	}
-	routes := rt.opts.routes()(net, src, dst)
+	routes := rt.opts.routes()(rt.Em.Net, src, dst)
 	if max := spec.MaxRoutes; max > 0 && len(routes) > max {
 		routes = routes[:max]
 	}
@@ -654,11 +593,11 @@ func (rt *Runtime) startFlow(d *node.Domain, spec FlowSpec) {
 	}
 }
 
-// stopFlow halts a running flow (and its route manager). A stop that
-// arrives on a domain other than the flow's own is ignored.
+// stopFlow halts a running flow (and its route manager); a stop of a
+// flow that has not started or already stopped does nothing.
 func (rt *Runtime) stopFlow(d *node.Domain, name string) {
 	rec := rt.flows[name]
-	if rec == nil || rec.StoppedAt > 0 || rt.Em.Domain(rt.Em.NodeDomain(rec.Src)) != d {
+	if rec == nil || rec.StoppedAt > 0 {
 		return
 	}
 	rec.StoppedAt = d.Engine.Now()
@@ -666,17 +605,6 @@ func (rt *Runtime) stopFlow(d *node.Domain, name string) {
 	if rec.Mgr != nil {
 		rec.Mgr.Stop()
 	}
-}
-
-// Reroutes sums the route swaps across all managed flows.
-func (rt *Runtime) Reroutes() int {
-	n := 0
-	for _, name := range rt.order {
-		if rec := rt.flows[name]; rec.Mgr != nil {
-			n += rec.Mgr.Reroutes
-		}
-	}
-	return n
 }
 
 // sink returns a flow's destination sink, nil while the flow has
@@ -729,18 +657,13 @@ func (rt *Runtime) AggregateGoodput() float64 {
 // single-path scheme that lost its only route — and are counted in
 // `censored` instead of producing a latency, as are episodes that only
 // recover when the link itself returns. Flows that were not delivering
-// before the failure are skipped entirely.
+// before the failure are skipped entirely. bin and frac must be positive
+// (the churn sweep passes ChurnConfig's defaults, 0.2 s and 0.8).
 //
 // This is the §6.1 measurement: EMPoWER's detection (estimation timeout)
 // plus rerouting shows up as a sub-second latency; a scheme without an
 // alternative route shows up censored.
 func (rt *Runtime) FailoverLatencies(bin, frac float64) (latencies []float64, censored int) {
-	if bin <= 0 {
-		bin = 0.2
-	}
-	if frac <= 0 {
-		frac = 0.8
-	}
 	for _, f := range rt.Failures {
 		rec := rt.Flow(f.Flow)
 		if rec == nil || f.RecoveredAt <= f.At {

@@ -9,8 +9,8 @@ import (
 
 // This file is the scenario runtime's face of internal/obs: the dense
 // event-kind ordinals of the flight-recorder records, barrier sampling of
-// the runtime's observations into registry slots, and the recorder-tail
-// helper behind the -invariants failure messages.
+// the runtime's observations into registry slots, and the -invariants
+// failure messages built on the emulation's recorder tails.
 
 // eventKindOrder fixes the ordinal each EventKind carries in a
 // RecScenarioEvent record (EventKind itself is a string for the JSON
@@ -29,14 +29,6 @@ func EventKindOrdinal(k EventKind) int32 {
 		}
 	}
 	return -1
-}
-
-// OrdinalEventKind inverts EventKindOrdinal (empty for out-of-range).
-func OrdinalEventKind(i int32) EventKind {
-	if i < 0 || int(i) >= len(eventKindOrder) {
-		return ""
-	}
-	return eventKindOrder[i]
 }
 
 // SampleMetrics reads the runtime's observations — and the underlying
@@ -69,36 +61,11 @@ func (rt *Runtime) SampleMetrics(r *obs.Registry) {
 	}
 }
 
-// RecorderTail returns the last n flight-recorder records of the domain
-// owning a violation (oldest first), or nil when recording is off
-// (node.Config.Recorder == 0).
-func (rt *Runtime) RecorderTail(domain, n int) []obs.Record {
-	if domain < 0 || domain >= rt.Em.NumDomains() {
-		return nil
-	}
-	rec := rt.Em.DomainRecorder(domain)
-	if rec == nil {
-		return nil
-	}
-	return rec.Tail(n)
-}
-
-// RecorderTails returns every domain's last n flight-recorder records
-// (oldest first, one slice per domain, nil slices when recording is off)
-// — the per-domain input of obs.WriteChromeTraceFile after a run.
-func (rt *Runtime) RecorderTails(n int) [][]obs.Record {
-	doms := make([][]obs.Record, rt.Em.NumDomains())
-	for d := range doms {
-		doms[d] = rt.RecorderTail(d, n)
-	}
-	return doms
-}
-
 // ViolationReport renders a violation together with the owning domain's
 // recorder tail (up to tail records) — the -invariants failure payload.
 // Without a recorder it degrades to the bare violation line.
 func (rt *Runtime) ViolationReport(v invariant.Violation, tail int) string {
-	recs := rt.RecorderTail(v.Domain, tail)
+	recs := rt.Em.RecorderTails(tail)[v.Domain]
 	if len(recs) == 0 {
 		return v.String()
 	}

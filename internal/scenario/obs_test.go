@@ -2,43 +2,32 @@ package scenario
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/invariant"
+	"repro/internal/mac"
 	"repro/internal/node"
 	"repro/internal/obs"
 )
 
-// TestEventKindOrdinalRoundTrip pins the compact encoding the flight
-// recorder uses for scenario events: every kind must have a stable
-// ordinal that round-trips, and unknown kinds must map to -1.
-func TestEventKindOrdinalRoundTrip(t *testing.T) {
+// TestEventKindOrdinalsPinned pins the compact encoding the flight
+// recorder uses for scenario events: each kind's ordinal is its position
+// below (the trace format; append only), and unknown kinds map to -1.
+func TestEventKindOrdinalsPinned(t *testing.T) {
 	kinds := []EventKind{
 		LinkFail, LinkRecover, SetCapacity, ScaleCapacity, NodeLeave,
 		NodeJoin, FlowStart, FlowStop, SetLoss, GroupFail, GroupRecover,
 	}
-	seen := map[int32]bool{}
-	for _, k := range kinds {
-		ord := EventKindOrdinal(k)
-		if ord < 0 {
-			t.Errorf("%s: no ordinal", k)
-			continue
-		}
-		if seen[ord] {
-			t.Errorf("%s: ordinal %d reused", k, ord)
-		}
-		seen[ord] = true
-		if back := OrdinalEventKind(ord); back != k {
-			t.Errorf("%s: ordinal %d maps back to %s", k, ord, back)
+	for i, k := range kinds {
+		if ord := EventKindOrdinal(k); ord != int32(i) {
+			t.Errorf("%s: ordinal %d, pinned %d", k, ord, i)
 		}
 	}
 	if EventKindOrdinal(EventKind("no-such-kind")) != -1 {
 		t.Error("unknown kind must map to -1")
-	}
-	if OrdinalEventKind(-1) != "" || OrdinalEventKind(10_000) != "" {
-		t.Error("out-of-range ordinals must map to the empty kind")
 	}
 }
 
@@ -72,7 +61,7 @@ func TestViolationReportCarriesTail(t *testing.T) {
 // tail its reports print.
 func TestViolationReportRingSize(t *testing.T) {
 	small, large := tailRun(t, 64), tailRun(t, 256)
-	if n := small.Em.DomainRecorder(0).Total(); n <= 256 {
+	if n := small.Em.Domain(0).Engine.Recorder().Total(); n <= 256 {
 		t.Fatalf("only %d records written; both rings must wrap", n)
 	}
 	v := invariant.Violation{At: 5, Domain: 0, Check: "flow-conservation", Detail: "synthetic"}
@@ -148,7 +137,10 @@ func TestRuntimeSampleMetrics(t *testing.T) {
 
 // TestSampleMetricsOneSeriesPerQuantity: a clusters.json replication's
 // registry carries reroutes and per-reason drops once, as the
-// emulation's series, and those equal the runtime's own tallies.
+// emulation's series. Both the series and the emulation's own reads
+// equal independent tallies: the runtime's per-flow route-manager swaps,
+// and the MAC drop counters summed link by link through each link's
+// owning domain.
 func TestSampleMetricsOneSeriesPerQuantity(t *testing.T) {
 	sc, err := Load("../../examples/scenarios/clusters.json")
 	if err != nil {
@@ -160,6 +152,9 @@ func TestSampleMetricsOneSeriesPerQuantity(t *testing.T) {
 		t.Fatal(err)
 	}
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 9)
+	if em.NumDomains() < 2 {
+		t.Fatalf("clusters.json: %d domains; the per-domain sums below need several", em.NumDomains())
+	}
 	rt, err := Bind(em, sc, 41, Options{ManageRoutes: true, Strict: true})
 	if err != nil {
 		t.Fatal(err)
@@ -176,21 +171,46 @@ func TestSampleMetricsOneSeriesPerQuantity(t *testing.T) {
 			t.Errorf("registry carries the duplicate series %s", dup)
 		}
 	}
-	if rt.Reroutes() == 0 {
+
+	reroutes := 0
+	for _, name := range rt.FlowNames() {
+		if mgr := rt.Flow(name).Mgr; mgr != nil {
+			reroutes += mgr.Reroutes
+		}
+	}
+	if reroutes == 0 {
 		t.Fatal("no reroutes: the comparison below would be vacuous")
 	}
-	if got := reg.Counter("empower_reroutes_total", "").Value(); got != float64(rt.Reroutes()) {
-		t.Errorf("empower_reroutes_total = %v, runtime counts %d", got, rt.Reroutes())
+	if got := reg.Counter("empower_reroutes_total", "").Value(); got != float64(reroutes) {
+		t.Errorf("empower_reroutes_total = %v, route managers count %d", got, reroutes)
+	}
+	if got := em.Reroutes(); got != reroutes {
+		t.Errorf("Em.Reroutes() = %d, route managers count %d", got, reroutes)
+	}
+
+	perLink := make(map[string]int, int(mac.NumDropReasons))
+	for r := mac.DropReason(0); r < mac.NumDropReasons; r++ {
+		perLink[r.String()] = 0
+	}
+	for l := 0; l < net.NumLinks(); l++ {
+		id := graph.LinkID(l)
+		st := em.Domain(em.LinkDomain(id)).MAC.Stats(id)
+		for r := mac.DropReason(0); r < mac.NumDropReasons; r++ {
+			perLink[r.String()] += st.Dropped[r]
+		}
+	}
+	if got := em.DropsByReason(); !reflect.DeepEqual(got, perLink) {
+		t.Errorf("Em.DropsByReason() = %v, per-link sum %v", got, perLink)
 	}
 	drops := 0
-	for reason, n := range rt.DropsByReason() {
+	for reason, n := range perLink {
 		got := reg.Counter("empower_mac_dropped_packets_total", "", obs.Label{Key: "reason", Value: reason}).Value()
 		if got != float64(n) {
-			t.Errorf("empower_mac_dropped_packets_total{reason=%q} = %v, runtime counts %d", reason, got, n)
+			t.Errorf("empower_mac_dropped_packets_total{reason=%q} = %v, per-link sum %d", reason, got, n)
 		}
 		drops += n
 	}
 	if drops == 0 {
-		t.Fatal("no drops: the comparison above was vacuous")
+		t.Fatal("no drops: the comparisons above were vacuous")
 	}
 }

@@ -159,7 +159,7 @@ func expandPoisson(tl *timeline, p Process, index int, duration float64, net *gr
 			return
 		}
 		spec := FlowSpec{
-			Name:  fmt.Sprintf("arrival-%d-%d", index, n),
+			Name:  fmt.Sprintf(arrivalPrefix+"%d-%d", index, n),
 			Src:   p.Src,
 			Dst:   p.Dst,
 			Start: t,
@@ -200,7 +200,7 @@ func expandFlashCrowd(tl *timeline, p Process, index int, duration float64, net 
 				continue
 			}
 			spec := FlowSpec{
-				Name:  fmt.Sprintf("crowd-%d-%d-%d", index, b, k),
+				Name:  fmt.Sprintf(crowdPrefix+"%d-%d-%d", index, b, k),
 				Src:   p.Src,
 				Dst:   p.Dst,
 				Start: t,

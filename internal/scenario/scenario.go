@@ -131,8 +131,9 @@ func (r LinkRef) String() string {
 // FlowSpec scripts one flow of the scenario.
 type FlowSpec struct {
 	// Name identifies the flow for FlowStop events and measurements.
-	// Bind rejects duplicate names; expanded arrival processes generate
-	// unique names ("arrival-<process>-<n>").
+	// Validate rejects duplicate names and names in the namespaces the
+	// processes name their flows in ("arrival-<process>-<n>",
+	// "crowd-<process>-<burst>-<k>"), so every flow name is unique.
 	Name string `json:"name"`
 	Src  string `json:"src"`
 	Dst  string `json:"dst"`
@@ -148,6 +149,13 @@ type FlowSpec struct {
 	// beyond the binding Options).
 	MaxRoutes int `json:"max_routes,omitempty"`
 }
+
+// The prefixes of the flow names poisson-flows and flash-crowd processes
+// generate; scripted flows may not use them.
+const (
+	arrivalPrefix = "arrival-"
+	crowdPrefix   = "crowd-"
+)
 
 // Process kinds.
 const (
@@ -393,6 +401,10 @@ func (s *Scenario) Validate() error {
 		}
 		if names[f.Name] {
 			return fmt.Errorf("scenario %q: duplicate flow name %q", s.Name, f.Name)
+		}
+		if strings.HasPrefix(f.Name, arrivalPrefix) || strings.HasPrefix(f.Name, crowdPrefix) {
+			return fmt.Errorf("scenario %q: flow name %q is reserved: names starting %q or %q belong to process-generated flows",
+				s.Name, f.Name, arrivalPrefix, crowdPrefix)
 		}
 		names[f.Name] = true
 		if f.Src == "" || f.Dst == "" {

@@ -472,7 +472,7 @@ func TestGrayLossWiresMACLossProb(t *testing.T) {
 	if !found {
 		t.Error("no set-loss transition with loss 0.3 recorded")
 	}
-	if n := rt.DropsByReason()["channel-loss"]; n == 0 {
+	if n := rt.Em.DropsByReason()["channel-loss"]; n == 0 {
 		t.Error("0 channel-loss drops across 55 s of 30% loss under load")
 	}
 	if v := rt.Violations(); len(v) != 0 {

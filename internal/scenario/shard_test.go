@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -49,7 +50,7 @@ func clustersFingerprint(t *testing.T, recorder int) string {
 	}
 	lat, cens := rt.FailoverLatencies(0.2, 0.8)
 	out += fmt.Sprintf("latencies=%v censored=%d reroutes=%d skipped=%v agg=%.9f\n",
-		lat, cens, rt.Reroutes(), rt.SkippedFlows, rt.AggregateGoodput())
+		lat, cens, rt.Em.Reroutes(), rt.SkippedFlows, rt.AggregateGoodput())
 	return out
 }
 
@@ -185,7 +186,7 @@ func TestCollectReadsDoNotPerturb(t *testing.T) {
 
 // twoDomainNet is two duplex WiFi pairs s0–d0 and s1–d1 a kilometre
 // apart: two interference domains.
-func twoDomainNet(t *testing.T) *graph.Network {
+func twoDomainNet(t testing.TB) *graph.Network {
 	t.Helper()
 	b := graph.NewBuilder(graph.RangeBased{SenseRadius: map[graph.Tech]float64{graph.TechWiFi: 50}})
 	for i := 0; i < 2; i++ {
@@ -256,33 +257,49 @@ func TestRecordsInTimeDomainOrder(t *testing.T) {
 	}
 }
 
-// TestDuplicateFlowNameAcrossDomains: a scripted flow and a generated
-// arrival that share a name start in different domains. The later one is
-// skipped, so Flow(name) names the only record there is.
-func TestDuplicateFlowNameAcrossDomains(t *testing.T) {
+// TestReservedFlowNamesRejected: the names poisson-flows and
+// flash-crowd processes generate are reserved, so a scripted flow or a
+// flow-start event may not take one — Validate and Bind both refuse it,
+// naming the reserved name, even when no process would generate it.
+func TestReservedFlowNamesRejected(t *testing.T) {
 	net := twoDomainNet(t)
-	sc := New("dup", 10)
-	sc.AddFlow(FlowSpec{Name: "arrival-0-0", Src: "s0", Dst: "d0"})
-	sc.PoissonFlows(1, 2, "s1", "d1")
+	for _, name := range []string{"arrival-0-0", "crowd-1-0-2"} {
+		scripted := New("reserved", 10)
+		scripted.AddFlow(FlowSpec{Name: name, Src: "s0", Dst: "d0"})
+		scripted.PoissonFlows(1, 2, "s1", "d1")
+		event := New("reserved-event", 10)
+		event.Events = append(event.Events, Event{At: 1, Kind: FlowStart, Flow: &FlowSpec{Name: name, Src: "s1", Dst: "d1"}})
+		for _, sc := range []*Scenario{scripted, event} {
+			if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "reserved") || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s: Validate = %v, want an error naming the reserved name %q", sc.Name, err, name)
+			}
+			em := node.NewEmulation(net, node.Config{Estimation: true}, 3)
+			if _, err := Bind(em, sc, 5, Options{}); err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s: Bind = %v, want an error naming the reserved name %q", sc.Name, err, name)
+			}
+		}
+	}
+}
+
+// TestScriptedFlowStartsBeforeSameTimeEvent: a scripted flow and a
+// link-fail at the same time in one domain apply in timeline order — the
+// flow starts first, routes over the link, and the failure opens a
+// window on it.
+func TestScriptedFlowStartsBeforeSameTimeEvent(t *testing.T) {
+	net := twoDomainNet(t)
+	sc := New("tie", 10)
+	sc.FailLink(2, Link("s0", "d0", graph.TechWiFi))
+	sc.AddFlow(FlowSpec{Name: "f", Src: "s0", Dst: "d0", Start: 2})
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 3)
 	rt, err := Bind(em, sc, 5, Options{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt.Run()
-	if fmt.Sprint(rt.SkippedFlows) != "[arrival-0-0]" {
-		t.Fatalf("SkippedFlows = %v, want [arrival-0-0]", rt.SkippedFlows)
+	if rec := rt.Flow("f"); rec == nil || rec.StartedAt != 2 {
+		t.Fatalf("flow f did not start at t=2 (skipped: %v)", rt.SkippedFlows)
 	}
-	if rec := rt.Flow("arrival-0-0"); rec == nil || rec.StartedAt != 0 || em.NodeDomain(rec.Src) != 0 {
-		t.Fatalf("arrival-0-0 is not the scripted flow of domain 0: %+v", rec)
-	}
-	seen := 0
-	for _, name := range rt.FlowNames() {
-		if name == "arrival-0-0" {
-			seen++
-		}
-	}
-	if seen != 1 {
-		t.Fatalf("FlowNames lists arrival-0-0 %d times", seen)
+	if len(rt.Failures) != 1 || rt.Failures[0].Flow != "f" || rt.Failures[0].At != 2 {
+		t.Fatalf("failures = %+v, want one window on f at t=2", rt.Failures)
 	}
 }

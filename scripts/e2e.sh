@@ -12,10 +12,29 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 bindir="${1:-}"
+tmp_bindir=
 if [[ -z "$bindir" ]]; then
   bindir="$(mktemp -d)"
-  trap 'rm -rf "$bindir"' EXIT
+  tmp_bindir=1
 fi
+# Background processes the script starts; cleanup stops and reaps them
+# whichever check ends the script, so a failed run leaves no daemon
+# holding the fleet port.
+fleet_pid=
+sim_pid=
+cleanup() {
+  local pid
+  for pid in "$fleet_pid" "$sim_pid"; do
+    if [[ -n "$pid" ]]; then
+      kill "$pid" 2> /dev/null || true
+      wait "$pid" 2> /dev/null || true
+    fi
+  done
+  if [[ -n "$tmp_bindir" ]]; then
+    rm -rf "$bindir"
+  fi
+}
+trap cleanup EXIT
 
 clis=(empower-sim empower-testbed empower-scenario empower-route empower-fuzz empower-fleet)
 
@@ -150,6 +169,15 @@ if [[ "$hostile_status" != 1 || "$hostile_out" != *"budget of 65536 timeline eve
   echo "e2e: over-budget timeline: exit $hostile_status (want 1): $hostile_out" >&2
   exit 1
 fi
+# A scripted flow may not take a name the arrival processes generate.
+jq '.flows[0].name = "arrival-0-0"' examples/scenarios/flaps.json > "$bindir/reserved.json"
+reserved_status=0
+reserved_out="$("$bindir/empower-scenario" -scenario "$bindir/reserved.json" -runs 1 -schemes SP 2>&1 > /dev/null)" \
+  || reserved_status=$?
+if [[ "$reserved_status" != 1 || "$reserved_out" != *'"arrival-0-0" is reserved'* ]]; then
+  echo "e2e: reserved flow name: exit $reserved_status (want 1): $reserved_out" >&2
+  exit 1
+fi
 # An interrupted sweep exits 130 and still leaves its last -metrics snapshot.
 "$bindir/empower-sim" -fig 6 -runs 100000 -metrics "$bindir/interrupted.prom" > /dev/null 2>&1 &
 sim_pid=$!
@@ -157,6 +185,7 @@ sleep 1
 kill -INT "$sim_pid"
 sim_status=0
 wait "$sim_pid" || sim_status=$?
+sim_pid=
 if [[ "$sim_status" != 130 || ! -s "$bindir/interrupted.prom" ]]; then
   echo "e2e: interrupted empower-sim: exit $sim_status (want 130), snapshot: $(ls -l "$bindir/interrupted.prom" 2>&1)" >&2
   exit 1
@@ -198,9 +227,13 @@ echo "== empower-route reads back what it dumps" >&2
 
 echo "== empower-fleet (daemon: submit, poll, results, SIGTERM drain)" >&2
 fleet_port=18080
+fleet_base="http://127.0.0.1:$fleet_port"
+if curl -sf "$fleet_base/healthz" > /dev/null 2>&1; then
+  echo "e2e: 127.0.0.1:$fleet_port already answers /healthz; stop the daemon holding it first" >&2
+  exit 1
+fi
 "$bindir/empower-fleet" -addr "127.0.0.1:$fleet_port" -wal "$bindir/fleet.wal" -quiet &
 fleet_pid=$!
-fleet_base="http://127.0.0.1:$fleet_port"
 for _ in $(seq 1 100); do
   curl -sf "$fleet_base/healthz" > /dev/null 2>&1 && break
   sleep 0.1
@@ -231,8 +264,11 @@ curl -sf "$fleet_base/metrics" | grep -q '^fleet_reps_completed_total 15' \
   || { echo "e2e: empower-fleet /metrics misses the completed-replication counter" >&2; exit 1; }
 
 kill -TERM "$fleet_pid"
-if ! wait "$fleet_pid"; then
-  echo "e2e: empower-fleet SIGTERM drain exited non-zero" >&2
+fleet_status=0
+wait "$fleet_pid" || fleet_status=$?
+fleet_pid=
+if [[ "$fleet_status" != 0 ]]; then
+  echo "e2e: empower-fleet SIGTERM drain exited $fleet_status" >&2
   exit 1
 fi
 
