@@ -439,8 +439,8 @@ func BenchmarkDataFrameCodec(b *testing.B) {
 // ≈ 170) with three links of one collision domain kept backlogged — the
 // regime the §6 emulation spends its time in: a long freed row, a couple
 // of links that can actually start. It is the micro meter of the MAC
-// completion kernel (row shuffle, contender skip, cell counts);
-// scripts/bench.sh records it in BENCH_SCENARIO.json.
+// completion kernel (row shuffle, contender skip, cell counts); its
+// recorded twin is bench/'s mac.kernel_ns_per_frame.
 func BenchmarkMACCompletion(b *testing.B) {
 	net := topology.Testbed(stats.NewRand(42), topology.Config{}).Build(topology.ViewHybrid).Network
 	var eng sim.Engine
@@ -482,7 +482,8 @@ func engineTick(arg any) {
 // recycle, handler, push — with `depth` self-rescheduling closure-free
 // timers of distinct periods pending: depth 57 is the churn-testbed
 // workload's peak heap depth, 4096 a heap that has left the L1 cache.
-// The micro meter of the event heap; recorded in BENCH_SCENARIO.json.
+// The micro meter of the event heap; its recorded twin is bench/'s
+// sim.kernel_ns_per_event.
 func BenchmarkEngineHeap(b *testing.B) {
 	for _, depth := range []int{57, 4096} {
 		b.Run(benchName("depth", depth), func(b *testing.B) {
@@ -506,8 +507,8 @@ func BenchmarkEngineHeap(b *testing.B) {
 // flaps scenario under EMPoWER with route management — the steady-state
 // cost every §6 figure and churn experiment pays per emulated second
 // (MAC events, agents, acks, price broadcasts, scenario events). It is
-// the allocation canary of the emulation fast path: scripts/bench.sh
-// records it in BENCH_SCENARIO.json next to the end-to-end churn sweep.
+// the allocation canary of the emulation fast path; its recorded twin is
+// bench/'s node.ns_per_event.
 func BenchmarkEmulationSecond(b *testing.B) {
 	sc, err := scenario.Load("examples/scenarios/flaps.json")
 	if err != nil {
@@ -546,8 +547,8 @@ func BenchmarkEmulationSecond(b *testing.B) {
 // (one ring-slot write per engine/MAC event) plus a registry sample per
 // emulated second — more often than real sweeps, which sample once per
 // replication. The comparison against BenchmarkEmulationSecond is the
-// issue's overhead budget: ≤ 5% ns/op, and still zero allocs/op.
-// scripts/bench.sh records both side by side in BENCH_SCENARIO.json.
+// observability budget: ≤ 5% ns/op, and still zero allocs/op. Its
+// recorded twin is bench/'s trace.overhead_frac.
 func BenchmarkMetricsOverhead(b *testing.B) {
 	sc, err := scenario.Load("examples/scenarios/flaps.json")
 	if err != nil {
@@ -588,7 +589,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 // shipped flap scenario: per iteration, 2 replications × 2 schemes of
 // the full scenario pipeline (topology build, bind, expansion, 150
 // emulated seconds of flapping, failover measurement) on the parallel
-// runner. scripts/bench.sh records it in BENCH_SCENARIO.json.
+// runner. Its recorded twins are bench/'s churn-* workloads.
 func BenchmarkChurnSweep(b *testing.B) {
 	sc, err := scenario.Load("examples/scenarios/flaps.json")
 	if err != nil {
@@ -613,8 +614,8 @@ func BenchmarkChurnSweep(b *testing.B) {
 // itself happens once, outside the timer. The delivery logs do not change
 // across iterations, so from the second one on every binning is a memo
 // read — the cost of each further read of a finished run; a
-// replication's first read also pays one binning per bin width.
-// scripts/bench.sh records it in BENCH_SCENARIO.json.
+// replication's first read also pays one binning per bin width. Its
+// recorded twin is bench/'s scenario.collect_ms.
 func BenchmarkChurnCollect(b *testing.B) {
 	sc, err := scenario.Load("examples/scenarios/flaps.json")
 	if err != nil {

@@ -224,7 +224,6 @@ var testOnlyFields = map[string]string{
 	"optimal.SolveOptions.Step":          "the centralized solver is to be replaced whole (ROADMAP item 6)",
 	"optimal.SolveOptions.Gain":          "the centralized solver is to be replaced whole (ROADMAP item 6)",
 	"mac.Options.QueueLimit":             "bench/layers.go builds mac.Options with an empty literal and is frozen",
-	"mac.Options.LossProb":               "bench/layers.go builds mac.Options with an empty literal and is frozen",
 	"topology.Config.WiFiSenseFactor":    "bench/layers.go builds topology.Config with an empty literal and is frozen",
 	"node.Config.PriceInterval":          "TestPriceTermMatchesReference scripts its price reports between the automatic ticks",
 	"fleet.SupervisorConfig.BackoffBase": "the retry tests run on the wall clock and shorten the backoff",

@@ -111,7 +111,7 @@ func TestFigure7RoutelessLastPair(t *testing.T) {
 		s, d := inst.RandomFlow(rng)
 		pairs[i] = [2]graph.NodeID{s, d}
 	}
-	for _, s := range figure7Schemes {
+	for _, s := range optimumSchemes {
 		ev := core.Evaluate(inst, s, pairs, core.Options{Delta: 0.05})
 		if len(ev.Flows) != len(pairs) {
 			t.Fatalf("%v: %d flow results for %d pairs", s, len(ev.Flows), len(pairs))

@@ -107,6 +107,34 @@ func TestFigure10ParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestTestbedParallelDeterminism extends TestFigure10ParallelDeterminism
+// to the other testbed sweeps that fan out on the runner — Figures 11
+// and 13 and Table 1 — at testbedPins' sizes: one worker and eight must
+// give the same result. Table 1 is the slow one and runs outside -short.
+func TestTestbedParallelDeterminism(t *testing.T) {
+	base := TestbedConfig{Seed: 3, Duration: 4, Pairs: 2, Flows: 2, Repeats: 1, Delta: 0.05}
+	for _, tc := range []struct {
+		name string
+		run  func(TestbedConfig) any
+	}{
+		{"fig11", func(c TestbedConfig) any { return must(Figure11Ctx(context.Background(), c)) }},
+		{"fig13", func(c TestbedConfig) any { return must(Figure13Ctx(context.Background(), c)) }},
+		{"table1", func(c TestbedConfig) any { return must(Table1Ctx(context.Background(), c)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "table1" && testing.Short() {
+				t.Skip("Table 1 is the slow one")
+			}
+			serial, wide := base, base
+			serial.Parallel, wide.Parallel = 1, 8
+			r1, r8 := tc.run(serial), tc.run(wide)
+			if !reflect.DeepEqual(r1, r8) {
+				t.Fatalf("%s differs across worker counts:\n  parallel=1: %+v\n  parallel=8: %+v", tc.name, r1, r8)
+			}
+		})
+	}
+}
+
 // TestFigure4Cancellation proves a sweep aborts promptly when its
 // context is canceled instead of running all replications.
 func TestFigure4Cancellation(t *testing.T) {

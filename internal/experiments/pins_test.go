@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -88,37 +89,50 @@ func TestSimFigureDigests(t *testing.T) {
 // rescans; they hold the §6 agent layer to that commit's bytes in plain
 // `go test` (bench/golden.json pins the same quantities only under the
 // benchmark harness). linux/amd64 only, like simPins.
+//
+// The "-wifi" pins run SP-WiFi, MP-WiFi and MP-mWiFi instead, so the
+// single- and dual-WiFi views of a custom topology
+// (TopologySpec.buildCustom) are pinned too; recorded from commit
+// 4989773.
 var scenarioPins = []struct {
-	file     string
+	name     string
 	duration float64
+	schemes  []core.Scheme
 	sha256   string
 }{
-	{file: "flaps.json", duration: 60, sha256: "d1643bc6f42ac10d57bde4a7ad1af45adb88899651c6902dd4eb36ce550f1c04"},
-	{file: "clusters.json", duration: 30, sha256: "68436aae4a678a78907b2a70526244abe00109eb24e059df332dd06ce31382b0"},
+	{name: "flaps.json", duration: 60, schemes: hybridSchemes, sha256: "d1643bc6f42ac10d57bde4a7ad1af45adb88899651c6902dd4eb36ce550f1c04"},
+	{name: "clusters.json", duration: 30, schemes: hybridSchemes, sha256: "68436aae4a678a78907b2a70526244abe00109eb24e059df332dd06ce31382b0"},
+	{name: "flaps.json-wifi", duration: 60, schemes: wifiSchemes, sha256: "a87a25b821110f7e5fd5c4278dce772f06d8e0a5abf86fc85274decdc0a1168c"},
+	{name: "clusters.json-wifi", duration: 30, schemes: wifiSchemes, sha256: "ab41e0d15d99e6bba674d2d2793cdfa2c4ff5296e6974b66bc8ac3f62ba47e20"},
 }
+
+var (
+	hybridSchemes = []core.Scheme{core.SchemeEMPoWER, core.SchemeSP, core.SchemeSPWoCC}
+	wifiSchemes   = []core.Scheme{core.SchemeSPWiFi, core.SchemeMPWiFi, core.SchemeMPmWiFi}
+)
 
 func TestScenarioDigests(t *testing.T) {
 	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
 		t.Skipf("pins are for linux/amd64, this is %s/%s", runtime.GOOS, runtime.GOARCH)
 	}
 	for _, pin := range scenarioPins {
-		t.Run(pin.file, func(t *testing.T) {
+		t.Run(pin.name, func(t *testing.T) {
 			t.Parallel()
-			sc, err := scenario.Load("../../examples/scenarios/" + pin.file)
+			sc, err := scenario.Load("../../examples/scenarios/" + strings.TrimSuffix(pin.name, "-wifi"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			sc.Duration = pin.duration
 			res := must(ChurnFailoverCtx(context.Background(), sc, ChurnConfig{
 				Seed: 3, Runs: 2, Delta: 0.05, ManageRoutes: true, Invariants: true,
-				Schemes: []core.Scheme{core.SchemeEMPoWER, core.SchemeSP, core.SchemeSPWoCC},
+				Schemes: pin.schemes,
 			}))
 			h := sha256.New()
 			if err := json.NewEncoder(h).Encode(res); err != nil {
 				t.Fatal(err)
 			}
 			if got := hex.EncodeToString(h.Sum(nil)); got != pin.sha256 {
-				t.Errorf("%s (%g s, seed 3): sha256 %s, pinned %s", pin.file, pin.duration, got, pin.sha256)
+				t.Errorf("%s (%g s, seed 3): sha256 %s, pinned %s", pin.name, pin.duration, got, pin.sha256)
 			}
 		})
 	}

@@ -230,52 +230,75 @@ type Figure6Result struct {
 	Ratios map[string][]float64
 }
 
-// f6run is one Figure 6 replication: the conservative-opt ratio followed
-// by one ratio per scheme. A nil run is a disconnected or unsolvable
-// instance (the serial loops skipped those with continue).
-type f6run struct {
-	cons   float64
-	ratios []float64
+// optimumSchemes are the schemes Figures 6 and 7 compare with the optimum.
+var optimumSchemes = []core.Scheme{core.SchemeEMPoWER, core.SchemeMP2bp, core.SchemeMPWoCC, core.SchemeSP}
+
+// optimumRatios is the sweep behind Figures 6 and 7. Each replication
+// draws an instance and nflows random flows (the instanceFor seeding),
+// solves the optimum and the conservative optimum on the hybrid view, and
+// returns the conservative optimum ("conservative opt") and each of
+// optimumSchemes as a fraction of the optimum, clamped to [0, 1]. The
+// quantity compared is the first flow's throughput, or the total utility
+// when utility is set. An instance whose optimum is 0 (a disconnected
+// pair) is skipped.
+func optimumRatios(ctx context.Context, t Topo, cfg SimConfig, nflows int, utility bool) (map[string][]float64, error) {
+	measure := func(flowRate, u float64) float64 {
+		if utility {
+			return u
+		}
+		return flowRate
+	}
+	// Bound the baselines' path enumeration: local-network routes are a
+	// few hops (§3.2), and beyond ~500 paths the extra routes carry no
+	// capacity while slowing the solver.
+	optCfg := optimal.Config{Enumerate: optimal.EnumerateOptions{MaxHops: 4, MaxPaths: 512}}
+	runs, err := runner.Collect(ctx, cfg.runs(), cfg.runnerConfig(),
+		func(_ context.Context, rep runner.Rep) []float64 {
+			inst := generate(t, cfg.Seed+int64(rep.Index))
+			rng := stats.NewRand(cfg.Seed + int64(rep.Index) + 1_000_000)
+			pairs := make([][2]graph.NodeID, nflows)
+			flows := make([]optimal.FlowSpec, nflows)
+			for i := range pairs {
+				s, d := inst.RandomFlow(rng)
+				pairs[i] = [2]graph.NodeID{s, d}
+				flows[i] = optimal.FlowSpec{Src: s, Dst: d}
+			}
+			opt, cons, err := optimal.Baselines(inst.BuildCached(topology.ViewHybrid).Network, flows, optCfg)
+			if err != nil {
+				return nil
+			}
+			best := measure(opt.FlowRates[0], opt.Utility)
+			if best <= 0 {
+				return nil
+			}
+			out := []float64{clampRatio(measure(cons.FlowRates[0], cons.Utility) / best)}
+			for _, s := range optimumSchemes {
+				ev := core.Evaluate(inst, s, pairs, cfg.Core)
+				out = append(out, clampRatio(measure(ev.Flows[0].Throughput, ev.Utility)/best))
+			}
+			return out
+		})
+	if err != nil {
+		return nil, err
+	}
+	ratios := map[string][]float64{}
+	for _, r := range runs {
+		if r == nil {
+			continue
+		}
+		ratios["conservative opt"] = append(ratios["conservative opt"], r[0])
+		for i, s := range optimumSchemes {
+			ratios[s.String()] = append(ratios[s.String()], r[i+1])
+		}
+	}
+	return ratios, nil
 }
 
 // Figure6Ctx reproduces Figure 6: the distribution of T_X/T_optimal for
 // conservative-opt, EMPoWER, MP-2bp, MP-w/o-CC and SP on single flows.
 func Figure6Ctx(ctx context.Context, t Topo, cfg SimConfig) (Figure6Result, error) {
-	schemes := []core.Scheme{core.SchemeEMPoWER, core.SchemeMP2bp, core.SchemeMPWoCC, core.SchemeSP}
-	// Bound the baselines' path enumeration: local-network routes are a
-	// few hops (§3.2), and beyond ~500 paths the extra routes carry no
-	// capacity while slowing the solver.
-	optCfg := optimal.Config{Enumerate: optimal.EnumerateOptions{MaxHops: 4, MaxPaths: 512}}
-	res := Figure6Result{Topo: t, Ratios: map[string][]float64{}}
-	runs, err := runner.Collect(ctx, cfg.runs(), cfg.runnerConfig(),
-		func(_ context.Context, rep runner.Rep) *f6run {
-			inst, src, dst := instanceFor(t, cfg, rep.Index)
-			net := inst.BuildCached(topology.ViewHybrid)
-			flows := []optimal.FlowSpec{{Src: src, Dst: dst}}
-			opt, cons, err := optimal.Baselines(net.Network, flows, optCfg)
-			if err != nil || opt.FlowRates[0] <= 0 {
-				return nil // disconnected pair: ratios undefined
-			}
-			out := &f6run{cons: clampRatio(cons.FlowRates[0] / opt.FlowRates[0])}
-			for _, s := range schemes {
-				tx := core.Throughput(inst, s, src, dst, cfg.Core)
-				out.ratios = append(out.ratios, clampRatio(tx/opt.FlowRates[0]))
-			}
-			return out
-		})
-	if err != nil {
-		return res, err
-	}
-	for _, r := range runs {
-		if r == nil {
-			continue
-		}
-		res.Ratios["conservative opt"] = append(res.Ratios["conservative opt"], r.cons)
-		for i, s := range schemes {
-			res.Ratios[s.String()] = append(res.Ratios[s.String()], r.ratios[i])
-		}
-	}
-	return res, nil
+	ratios, err := optimumRatios(ctx, t, cfg, 1, false)
+	return Figure6Result{Topo: t, Ratios: ratios}, err
 }
 
 // clampRatio guards against tiny solver noise pushing ratios above 1.
@@ -316,50 +339,11 @@ type Figure7Result struct {
 	Ratios map[string][]float64
 }
 
-// figure7Schemes are the schemes Figure 7 compares with the optimum.
-var figure7Schemes = []core.Scheme{core.SchemeEMPoWER, core.SchemeMP2bp, core.SchemeMPWoCC, core.SchemeSP}
-
 // Figure7Ctx reproduces Figure 7: total network utility with three
 // contending flows, as a fraction of the optimal utility.
 func Figure7Ctx(ctx context.Context, t Topo, cfg SimConfig) (Figure7Result, error) {
-	res := Figure7Result{Topo: t, Ratios: map[string][]float64{}}
-	runs, err := runner.Collect(ctx, cfg.runs(), cfg.runnerConfig(),
-		func(_ context.Context, rep runner.Rep) *f6run {
-			inst := generate(t, cfg.Seed+int64(rep.Index))
-			rng := stats.NewRand(cfg.Seed + int64(rep.Index) + 1_000_000)
-			pairs := make([][2]graph.NodeID, 3)
-			flows := make([]optimal.FlowSpec, 3)
-			for i := range pairs {
-				s, d := inst.RandomFlow(rng)
-				pairs[i] = [2]graph.NodeID{s, d}
-				flows[i] = optimal.FlowSpec{Src: s, Dst: d}
-			}
-			net := inst.BuildCached(topology.ViewHybrid)
-			optCfg := optimal.Config{Enumerate: optimal.EnumerateOptions{MaxHops: 4, MaxPaths: 512}}
-			opt, cons, err := optimal.Baselines(net.Network, flows, optCfg)
-			if err != nil || opt.Utility <= 0 {
-				return nil
-			}
-			out := &f6run{cons: clampRatio(cons.Utility / opt.Utility)}
-			for _, s := range figure7Schemes {
-				ev := core.Evaluate(inst, s, pairs, cfg.Core)
-				out.ratios = append(out.ratios, clampRatio(ev.Utility/opt.Utility))
-			}
-			return out
-		})
-	if err != nil {
-		return res, err
-	}
-	for _, r := range runs {
-		if r == nil {
-			continue
-		}
-		res.Ratios["conservative opt"] = append(res.Ratios["conservative opt"], r.cons)
-		for i, s := range figure7Schemes {
-			res.Ratios[s.String()] = append(res.Ratios[s.String()], r.ratios[i])
-		}
-	}
-	return res, nil
+	ratios, err := optimumRatios(ctx, t, cfg, 3, true)
+	return Figure7Result{Topo: t, Ratios: ratios}, err
 }
 
 // Render prints the utility-ratio CDFs.

@@ -789,6 +789,51 @@ func TestDaemonGaugesMatchList(t *testing.T) {
 	}
 }
 
+// TestMetricsMergeMatchesListOrder: GET /metrics walks the sweeps in
+// submission order instead of building and sorting a Status per sweep.
+// Submission order is ID order and the registry merge is commutative, so
+// the bytes must equal the daemon's series merged with every sweep's in
+// List's order: counters summed (a fractional one too), gauges at their
+// maximum.
+func TestMetricsMergeMatchesListOrder(t *testing.T) {
+	st, err := OpenStore(filepath.Join(t.TempDir(), "fleet.wal"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := 0; i < 4; i++ {
+		sw, err := st.Submit(testSpecJSON(1, int64(i+1), "SP"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := obs.NewRegistry()
+		r.Counter("test_seconds_total", "a fractional counter").Add(0.1 * float64(i+1))
+		r.Counter("test_reps_total", "an integral counter", obs.Label{Key: "scheme", Value: "SP"}).Add(float64(i))
+		r.Gauge("test_peak", "a gauge").Set(float64((i * 7) % 4))
+		sw.Agg.Add(r)
+	}
+	daemon := obs.NewAggregator()
+	d := obs.NewRegistry()
+	d.Counter("test_seconds_total", "a fractional counter").Add(0.7)
+	daemon.Add(d)
+
+	want := obs.NewRegistry()
+	daemon.With(func(r *obs.Registry) { want.Merge(r) })
+	for _, status := range st.List() {
+		sw, _ := st.Get(status.ID)
+		sw.Agg.With(func(r *obs.Registry) { want.Merge(r) })
+	}
+	var wantBuf bytes.Buffer
+	if err := want.WritePrometheus(&wantBuf); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	NewGateway(st, daemon).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Code != http.StatusOK || rec.Body.String() != wantBuf.String() {
+		t.Fatalf("GET /metrics: %d\n%s\nwant:\n%s", rec.Code, rec.Body, wantBuf.String())
+	}
+}
+
 // TestRetiredFieldReplaysAsFailed: a WAL written when the spec schema
 // still had a field (here "shards") replays that sweep as failed, with
 // the reason, instead of running it or refusing to open the log — also

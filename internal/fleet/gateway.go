@@ -250,11 +250,8 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if g.agg != nil {
 		g.agg.With(func(r *obs.Registry) { snapshot.Merge(r) })
 	}
-	st := g.st.List()
-	for _, status := range st {
-		if sw, ok := g.st.Get(status.ID); ok {
-			sw.Agg.With(func(r *obs.Registry) { snapshot.Merge(r) })
-		}
+	for _, sw := range g.st.all() {
+		sw.Agg.With(func(r *obs.Registry) { snapshot.Merge(r) })
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	snapshot.WritePrometheus(w)

@@ -66,8 +66,7 @@ type Sweep struct {
 
 	mu    sync.Mutex
 	state SweepState
-	done  *runner.RepSet
-	// outs[i] is replication i's serialized ChurnRepOut ("" until
+	// outs[i] is replication i's serialized ChurnRepOut (nil until
 	// completed). Results are always merged from these bytes — never
 	// from live in-memory values — so an uninterrupted sweep and a
 	// resumed one share one code path and one output byte stream.
@@ -95,7 +94,6 @@ func newSweep(id string, spec *SweepSpec) *Sweep {
 		Spec:    spec,
 		Agg:     obs.NewAggregator(),
 		state:   StatePending,
-		done:    runner.NewRepSet(spec.Total),
 		outs:    make([]json.RawMessage, spec.Total),
 		changed: make(chan struct{}),
 	}
@@ -145,7 +143,7 @@ func (sw *Sweep) Status() Status {
 		Name:      sw.Spec.Name,
 		State:     string(sw.state),
 		Total:     sw.Spec.Total,
-		Completed: sw.done.Count(),
+		Completed: len(sw.order),
 		Retries:   sw.retries,
 		Timeouts:  sw.timeouts,
 		Panics:    sw.panics,
@@ -165,12 +163,21 @@ func (sw *Sweep) doneSnapshot() *runner.RepSet {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	s := runner.NewRepSet(sw.Spec.Total)
-	for i := 0; i < sw.Spec.Total; i++ {
-		if sw.done.Has(i) {
-			s.Add(i)
-		}
+	for _, i := range sw.order {
+		s.Add(i)
 	}
 	return s
+}
+
+// completeLocked records replication idx's output unless it has one
+// already and reports whether it did. The caller holds sw.mu.
+func (sw *Sweep) completeLocked(idx int, out []byte) bool {
+	if sw.outs[idx] != nil {
+		return false
+	}
+	sw.outs[idx] = append(json.RawMessage(nil), out...)
+	sw.order = append(sw.order, idx)
+	return true
 }
 
 // Results merges the persisted replication outputs into the final sweep
@@ -291,11 +298,7 @@ func (st *Store) replay(payload []byte) error {
 			return nil
 		}
 		sw.mu.Lock()
-		if !sw.done.Has(rec.Rep) {
-			sw.done.Add(rec.Rep)
-			sw.outs[rec.Rep] = append(json.RawMessage(nil), rec.Out...)
-			sw.order = append(sw.order, rec.Rep)
-		}
+		sw.completeLocked(rec.Rep, rec.Out)
 		sw.mu.Unlock()
 	case "state":
 		sw := st.sweeps[rec.ID]
@@ -410,11 +413,18 @@ func (st *Store) Get(id string) (*Sweep, bool) {
 	return sw, ok
 }
 
-// List snapshots every sweep's status in submission order.
-func (st *Store) List() []Status {
+// all returns the stored sweeps in submission order without copying:
+// byAge only ever grows by append, so the header taken under the store
+// lock stays valid while the caller reads the sweeps outside it.
+func (st *Store) all() []*Sweep {
 	st.mu.Lock()
-	sweeps := append([]*Sweep(nil), st.byAge...)
-	st.mu.Unlock()
+	defer st.mu.Unlock()
+	return st.byAge
+}
+
+// List snapshots every sweep's status, sorted by ID.
+func (st *Store) List() []Status {
+	sweeps := st.all()
 	out := make([]Status, 0, len(sweeps))
 	for _, sw := range sweeps {
 		out = append(out, sw.Status())
@@ -426,20 +436,16 @@ func (st *Store) List() []Status {
 // Tally counts the stored sweeps in each of sweepStates (same order) and
 // sums their completed replications. It builds no Status and copies no
 // slice, so the daemon gauges that call it after every replication cost
-// no garbage. byAge only ever grows by append, so the header taken under
-// the store lock stays valid while the sweeps are read outside it.
+// no garbage.
 func (st *Store) Tally() (byState [len(sweepStates)]int, completed int) {
-	st.mu.Lock()
-	sweeps := st.byAge
-	st.mu.Unlock()
-	for _, sw := range sweeps {
+	for _, sw := range st.all() {
 		sw.mu.Lock()
 		for i, s := range sweepStates {
 			if sw.state == s {
 				byState[i]++
 			}
 		}
-		completed += sw.done.Count()
+		completed += len(sw.order)
 		sw.mu.Unlock()
 	}
 	return byState, completed
@@ -452,10 +458,7 @@ func (st *Store) CompleteRep(sw *Sweep, idx int, out []byte) error {
 		return err
 	}
 	sw.mu.Lock()
-	if !sw.done.Has(idx) {
-		sw.done.Add(idx)
-		sw.outs[idx] = append(json.RawMessage(nil), out...)
-		sw.order = append(sw.order, idx)
+	if sw.completeLocked(idx, out) {
 		sw.notifyLocked()
 	}
 	sw.mu.Unlock()

@@ -137,14 +137,9 @@ type Result struct {
 	Failure *Failure `json:"failure,omitempty"`
 }
 
-// Run executes the session.
-func Run(cfg Config) (Result, error) {
-	return RunCtx(context.Background(), cfg)
-}
-
-// RunCtx is Run with cancellation: the session checks ctx between
-// scenarios (one scenario's checks are not preempted mid-run) and
-// returns ctx.Err() with the partial result when interrupted.
+// RunCtx executes the session. It checks ctx between scenarios (one
+// scenario's checks are not preempted mid-run) and returns ctx.Err() with
+// the partial result when interrupted.
 func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	var res Result
 	for i := 0; i < cfg.runs(); i++ {

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestCleanSession(t *testing.T) {
 	if testing.Short() {
 		t.Skip("each fuzz run emulates three full trajectories")
 	}
-	res, err := Run(Config{Runs: 3, Seed: 1, OutDir: t.TempDir()})
+	res, err := RunCtx(context.Background(), Config{Runs: 3, Seed: 1, OutDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestInjectCounterCaught(t *testing.T) {
 	if testing.Short() {
 		t.Skip("each fuzz run emulates three full trajectories")
 	}
-	res, err := Run(Config{Runs: 1, Seed: 1, OutDir: t.TempDir(), Inject: InjectCounter})
+	res, err := RunCtx(context.Background(), Config{Runs: 1, Seed: 1, OutDir: t.TempDir(), Inject: InjectCounter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestInjectSeedCaught(t *testing.T) {
 	if testing.Short() {
 		t.Skip("each fuzz run emulates three full trajectories")
 	}
-	res, err := Run(Config{Runs: 1, Seed: 1, OutDir: t.TempDir(), Inject: InjectSeed})
+	res, err := RunCtx(context.Background(), Config{Runs: 1, Seed: 1, OutDir: t.TempDir(), Inject: InjectSeed})
 	if err != nil {
 		t.Fatal(err)
 	}

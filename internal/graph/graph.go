@@ -7,7 +7,8 @@
 //
 // The airtime of an unsaturated link carrying rate x_l is µ_l = x_l·d_l
 // (eq. 1 of the paper); Lemma 1 gives the maximum common rate of links that
-// all contend for one medium as Rmax = (Σ d_li)^-1.
+// all contend for one medium as Rmax = (Σ d_li)^-1, which routing.RatePath
+// applies per interference domain of a path.
 package graph
 
 import (
@@ -414,24 +415,6 @@ func (n *Network) FindLink(from, to NodeID, tech Tech) LinkID {
 		}
 	}
 	return -1
-}
-
-// Rmax implements Lemma 1: the maximum rate simultaneously achievable by
-// each of a set of links that all contend for the same medium,
-// Rmax = (Σ d_li)^-1. Links with zero capacity make the result 0.
-func Rmax(links []*Link) float64 {
-	var sum float64
-	for _, l := range links {
-		d := l.D()
-		if math.IsInf(d, 1) {
-			return 0
-		}
-		sum += d
-	}
-	if sum == 0 {
-		return math.Inf(1)
-	}
-	return 1 / sum
 }
 
 // PathNodes returns the node sequence visited by a path, starting with the

@@ -3,7 +3,6 @@ package graph
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 // buildFigure1 builds the three-node scenario of Figure 1 of the paper:
@@ -148,45 +147,6 @@ func TestLinkD(t *testing.T) {
 	z := Link{Capacity: 0}
 	if !math.IsInf(z.D(), 1) {
 		t.Error("D of zero-capacity link should be +Inf")
-	}
-}
-
-func TestRmaxLemma1(t *testing.T) {
-	// Paper Figure 1 computation: links of 15 and 30 Mbps sharing a medium
-	// can each sustain x where x/15 + x/30 = 1 => x = 10.
-	l1 := &Link{Capacity: 15}
-	l2 := &Link{Capacity: 30}
-	if got := Rmax([]*Link{l1, l2}); math.Abs(got-10) > 1e-9 {
-		t.Errorf("Rmax = %v, want 10", got)
-	}
-	// Single link: Rmax is its capacity.
-	if got := Rmax([]*Link{l1}); math.Abs(got-15) > 1e-9 {
-		t.Errorf("Rmax single = %v, want 15", got)
-	}
-	// A dead link zeroes the rate.
-	if got := Rmax([]*Link{l1, {Capacity: 0}}); got != 0 {
-		t.Errorf("Rmax with dead link = %v, want 0", got)
-	}
-	// No links: infinite.
-	if !math.IsInf(Rmax(nil), 1) {
-		t.Error("Rmax of no links should be +Inf")
-	}
-}
-
-func TestRmaxProperty(t *testing.T) {
-	// For λ equal-capacity links, Rmax = c/λ.
-	f := func(c uint8, lam uint8) bool {
-		cap := float64(c%100) + 1
-		n := int(lam%10) + 1
-		links := make([]*Link, n)
-		for i := range links {
-			links[i] = &Link{Capacity: cap}
-		}
-		got := Rmax(links)
-		return math.Abs(got-cap/float64(n)) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -240,9 +240,13 @@ func TestMatchesReferenceMAC(t *testing.T) {
 						loss[l] = 0.3 * lr.Float64()
 					}
 				}
-				opts := Options{QueueLimit: 6, LossProb: loss}
+				opts := Options{QueueLimit: 6}
 				live := newScriptedLive(net, seed, opts)
 				ref := newScriptedReference(net, seed, opts)
+				for l, p := range loss {
+					live.setLoss(graph.LinkID(l), p)
+					ref.setLoss(graph.LinkID(l), p)
+				}
 				cov := runScript(t, live, seed+1000, 8)
 				runScript(t, ref, seed+1000, 8)
 

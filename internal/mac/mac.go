@@ -102,10 +102,6 @@ type Options struct {
 	// QueueLimit is the per-link FIFO capacity in packets (default 100,
 	// drop-tail).
 	QueueLimit int
-	// LossProb[l] is an optional per-link channel error probability
-	// applied per packet (default none). The MAC copies it into its own
-	// dense table at New; later mutations go through SetLossProb.
-	LossProb []float64
 }
 
 func (o Options) queueLimit() int {
@@ -215,8 +211,8 @@ type MAC struct {
 	cellBusy []int32
 	rowCells [][]int32
 	stats    []LinkStats
-	// lossProb[l] is the live per-link channel error probability (dense;
-	// seeded from Options.LossProb, mutated by SetLossProb).
+	// lossProb[l] is the live per-link channel error probability applied
+	// per packet (dense; zero until SetLossProb sets it).
 	lossProb []float64
 
 	// completion[l] is the preallocated argument of link l's completion
@@ -260,9 +256,6 @@ func New(engine *sim.Engine, net *graph.Network, rng *rand.Rand, opts Options) *
 	m.cellBusy = make([]int32, len(m.rowCells))
 	for l := range m.completion {
 		m.completion[l] = completeArg{m: m, l: graph.LinkID(l)}
-	}
-	for l := 0; l < n && l < len(opts.LossProb); l++ {
-		m.SetLossProb(graph.LinkID(l), opts.LossProb[l])
 	}
 	return m
 }

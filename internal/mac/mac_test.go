@@ -165,11 +165,10 @@ func TestDeadLinkRejects(t *testing.T) {
 func TestChannelErrors(t *testing.T) {
 	var e sim.Engine
 	net, l1, _, _ := twoContenders()
-	loss := make([]float64, net.NumLinks())
-	loss[l1] = 0.5
-	m := New(&e, net, rng(6), Options{LossProb: loss})
+	m := New(&e, net, rng(6), Options{})
+	m.SetLossProb(l1, 0.5)
 	if got := m.LossProb(l1); got != 0.5 {
-		t.Fatalf("LossProb = %v, want 0.5 (Options not copied)", got)
+		t.Fatalf("LossProb = %v, want 0.5", got)
 	}
 	delivered, dropped := 0, 0
 	m.Deliver = func(l graph.LinkID, pkt Packet) { delivered++ }

@@ -69,9 +69,6 @@ func newReference(engine *sim.Engine, net *graph.Network, rng *rand.Rand, opts O
 	for l := range m.completion {
 		m.completion[l] = refCompleteArg{m: m, l: graph.LinkID(l)}
 	}
-	for l := 0; l < n && l < len(opts.LossProb); l++ {
-		m.lossProb[l] = min(max(opts.LossProb[l], 0), 1)
-	}
 	return m
 }
 

@@ -111,17 +111,6 @@ func (ws *workspace) dijkstra(capv []float64, src, dst graph.NodeID, cfg Config,
 	return p, pathWeightView(ws, capv, p, cfg)
 }
 
-// removeNodeLoops shortcuts any node revisits in a walk. With the EMPoWER
-// weights this never increases the path weight: removing a loop at node u
-// drops at least one egress link of u (weight ≥ w_ns(u)) while adding at
-// most w_ns(u) of channel-switching cost. The walk is modified in place.
-func removeNodeLoops(net *graph.Network, p graph.Path) graph.Path {
-	ws := getWS(net)
-	p = ws.removeNodeLoops(p)
-	putWS(ws)
-	return p
-}
-
 // SinglePath runs the single-path procedure of §3.1: the shortest path on
 // the virtual interface graph from src to dst under the EMPoWER link metric
 // and CSC. It returns nil if dst is unreachable.

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -414,6 +415,50 @@ func TestMultipathRandomInvariants(t *testing.T) {
 	}
 }
 
+// chain builds a WiFi chain with one link per capacity; under the
+// default interference model every link of it contends for one medium.
+func chain(caps ...float64) (*graph.Network, graph.Path) {
+	b := graph.NewBuilder(nil)
+	prev := b.AddNode("n0", 0, 0, graph.TechWiFi)
+	p := make(graph.Path, len(caps))
+	for i, c := range caps {
+		next := b.AddNode(fmt.Sprintf("n%d", i+1), float64(i+1), 0, graph.TechWiFi)
+		p[i] = b.AddLink(prev, next, graph.TechWiFi, c)
+		prev = next
+	}
+	return b.Build(), p
+}
+
+func TestRatePathLemma1(t *testing.T) {
+	// Paper Figure 1 computation: links of 15 and 30 Mbps sharing a medium
+	// can each sustain x where x/15 + x/30 = 1 => x = 10.
+	if got := RatePath(chain(15, 30)); math.Abs(got-10) > 1e-9 {
+		t.Errorf("RatePath = %v, want 10", got)
+	}
+	// Single link: the rate is its capacity.
+	if got := RatePath(chain(15)); math.Abs(got-15) > 1e-9 {
+		t.Errorf("RatePath single = %v, want 15", got)
+	}
+	// A dead link zeroes the rate.
+	if got := RatePath(chain(15, 0)); got != 0 {
+		t.Errorf("RatePath with dead link = %v, want 0", got)
+	}
+}
+
+func TestRatePathLemma1Property(t *testing.T) {
+	// For λ equal-capacity links on one medium, the rate is c/λ.
+	f := func(c uint8, lam uint8) bool {
+		caps := make([]float64, int(lam%10)+1)
+		for i := range caps {
+			caps[i] = float64(c%100) + 1
+		}
+		return math.Abs(RatePath(chain(caps...))-caps[0]/float64(len(caps))) < 1e-9
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestRemoveNodeLoops(t *testing.T) {
 	b := graph.NewBuilder(nil)
 	u := b.AddNode("u", 0, 0, graph.TechWiFi)
@@ -424,8 +469,10 @@ func TestRemoveNodeLoops(t *testing.T) {
 	uv2 := b.AddLink(u, v, graph.TechWiFi, 20)
 	vw := b.AddLink(v, w, graph.TechWiFi, 10)
 	net := b.Build()
+	ws := getWS(net)
+	defer putWS(ws)
 	// Walk u->v->u->v->w has a loop at v... (cut at first revisit).
-	got := removeNodeLoops(net, graph.Path{uv, vu, uv2, vw})
+	got := ws.removeNodeLoops(graph.Path{uv, vu, uv2, vw})
 	if err := net.ValidatePath(got, u, w); err != nil {
 		t.Fatalf("loop removal failed: %v (%v)", err, got)
 	}
@@ -434,7 +481,7 @@ func TestRemoveNodeLoops(t *testing.T) {
 	}
 	// A loopless path is unchanged.
 	p := graph.Path{uv, vw}
-	if got := removeNodeLoops(net, p); len(got) != 2 || got[0] != uv || got[1] != vw {
+	if got := ws.removeNodeLoops(p); len(got) != 2 || got[0] != uv || got[1] != vw {
 		t.Errorf("loopless path modified: %v", got)
 	}
 }

@@ -376,8 +376,10 @@ func (ws *workspace) validPath(p graph.Path, src, dst graph.NodeID) bool {
 
 // removeNodeLoops shortcuts node revisits in a walk, in place, with the
 // same cut-first-revisit-and-restart policy as the reference
-// implementation (see the removeNodeLoops wrapper for why cuts never
-// increase the path weight).
+// implementation. With the EMPoWER weights a cut never increases the path
+// weight: removing a loop at node u drops at least one egress link of u
+// (weight ≥ w_ns(u)) while adding at most w_ns(u) of channel-switching
+// cost.
 func (ws *workspace) removeNodeLoops(p []graph.LinkID) []graph.LinkID {
 	net := ws.net
 	for {

@@ -75,15 +75,6 @@ func (r TimerRef) Active() bool {
 	return r.t != nil && r.t.gen == r.gen && r.t.index >= 0
 }
 
-// When returns the virtual time the timer fires at, or NaN for a handle
-// whose timer already fired or was cancelled.
-func (r TimerRef) When() float64 {
-	if !r.Active() {
-		return math.NaN()
-	}
-	return r.t.owner.heap[r.t.index].at
-}
-
 // entry is one heap slot: the ordering key inline next to the timer it
 // schedules. FIFO among simultaneous events comes from seq.
 type entry struct {

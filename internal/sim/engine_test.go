@@ -175,14 +175,6 @@ func TestPendingAndNextEventTime(t *testing.T) {
 	}
 }
 
-func TestTimerWhen(t *testing.T) {
-	var e Engine
-	timer := e.Schedule(4, func() {})
-	if timer.When() != 4 {
-		t.Errorf("When = %v, want 4", timer.When())
-	}
-}
-
 // TestCancelRemovesFromHeap pins the heap-hygiene contract of Cancel:
 // cancelling a timer removes it from the heap immediately (via the
 // tracked index) instead of leaving a dead entry behind until it is

@@ -99,17 +99,6 @@ func NewCDF(xs []float64) CDF {
 	return c
 }
 
-// At returns the CDF evaluated at x: the fraction of samples ≤ x.
-func (c CDF) At(x float64) float64 {
-	// sort.SearchFloat64s returns the first index with X[i] >= x; we want
-	// the count of samples <= x.
-	i := sort.Search(len(c.X), func(i int) bool { return c.X[i] > x })
-	if len(c.X) == 0 {
-		return math.NaN()
-	}
-	return float64(i) / float64(len(c.X))
-}
-
 // Points down-samples the CDF to at most n points for printing, always
 // keeping the first and last point.
 func (c CDF) Points(n int) CDF {

@@ -77,17 +77,11 @@ func TestCDFBasic(t *testing.T) {
 	if !sort.Float64sAreSorted(c.X) {
 		t.Fatal("CDF X not sorted")
 	}
-	if c.At(0.5) != 0 {
-		t.Errorf("At(0.5) = %v, want 0", c.At(0.5))
-	}
-	if !almostEqual(c.At(1), 1.0/3, 1e-12) {
-		t.Errorf("At(1) = %v, want 1/3", c.At(1))
-	}
-	if !almostEqual(c.At(2.5), 2.0/3, 1e-12) {
-		t.Errorf("At(2.5) = %v, want 2/3", c.At(2.5))
-	}
-	if c.At(3) != 1 {
-		t.Errorf("At(3) = %v, want 1", c.At(3))
+	// P[i] is the fraction of samples ≤ X[i].
+	for i, want := range []float64{1.0 / 3, 2.0 / 3, 1} {
+		if !almostEqual(c.P[i], want, 1e-12) {
+			t.Errorf("P[%d] = %v, want %v", i, c.P[i], want)
+		}
 	}
 }
 

@@ -238,20 +238,6 @@ func (f *PriceFrame) UnmarshalBinary(buf []byte) error {
 	return nil
 }
 
-// Peek returns the frame type of an encoded buffer.
-func Peek(buf []byte) (FrameType, error) {
-	if len(buf) < 1 {
-		return 0, ErrShort
-	}
-	t := FrameType(buf[0])
-	switch t {
-	case TypeData, TypeAck, TypePrice:
-		return t, nil
-	default:
-		return 0, ErrBadType
-	}
-}
-
 func floatBits(f float64) uint64 { return math.Float64bits(f) }
 
 func bitsFloat(u uint64) float64 { return math.Float64frombits(u) }

@@ -25,7 +25,6 @@ func TestDecodersNeverPanicOnRandomBytes(t *testing.T) {
 		_ = a.UnmarshalBinary(buf)
 		var p PriceFrame
 		_ = p.UnmarshalBinary(buf)
-		_, _ = Peek(buf)
 	}
 }
 

@@ -233,23 +233,6 @@ func TestPriceFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPeek(t *testing.T) {
-	d := (&DataFrame{}).MarshalBinary()
-	if ty, err := Peek(d); err != nil || ty != TypeData {
-		t.Errorf("Peek data = %v, %v", ty, err)
-	}
-	p := (&PriceFrame{}).MarshalBinary()
-	if ty, err := Peek(p); err != nil || ty != TypePrice {
-		t.Errorf("Peek price = %v, %v", ty, err)
-	}
-	if _, err := Peek(nil); err != ErrShort {
-		t.Error("want ErrShort")
-	}
-	if _, err := Peek([]byte{77}); err != ErrBadType {
-		t.Error("want ErrBadType")
-	}
-}
-
 func TestFrameTypeString(t *testing.T) {
 	if TypeData.String() != "data" || TypeAck.String() != "ack" || TypePrice.String() != "price" {
 		t.Error("FrameType strings wrong")
