@@ -412,7 +412,7 @@ func BenchmarkHeaderCodec(b *testing.B) {
 	h.SetRoute([]wire.InterfaceID{1, 2, 3})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf := h.MarshalBinary()
+		buf := h.AppendBinary(nil)
 		var g wire.Header
 		if err := g.UnmarshalBinary(buf); err != nil {
 			b.Fatal(err)
@@ -426,7 +426,7 @@ func BenchmarkDataFrameCodec(b *testing.B) {
 	f.Header.SetRoute([]wire.InterfaceID{4, 5})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf := f.MarshalBinary()
+		buf := f.AppendBinary(nil)
 		var g wire.DataFrame
 		if err := g.UnmarshalBinary(buf); err != nil {
 			b.Fatal(err)
@@ -494,10 +494,13 @@ func BenchmarkEngineHeap(b *testing.B) {
 			}
 			eng.Run(4) // every slot recycled at least once
 			start := eng.Fired()
+			// About 0.7 events fall in each step (the periods lie in
+			// [1, 2)), so the loop stops within a few events of b.N.
+			step := 1 / float64(depth)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for eng.Fired()-start < uint64(b.N) {
-				eng.Run(eng.NextEventTime())
+				eng.Run(eng.Now() + step)
 			}
 		})
 	}

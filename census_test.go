@@ -16,23 +16,33 @@ import (
 	"testing"
 )
 
-// TestEveryConfigFieldIsSet is the census behind DESIGN.md's rule that a
-// settable field must have a program that sets it: every exported field of
-// a struct named *Config or *Options, declared in a non-test file under
-// internal/, must be written by a program — a non-test Go file outside
-// examples/ (cmd/, internal/, bench/). Writes from tests and examples do
-// not count: a knob only tests turn is a second code path no program runs.
-// A write is a composite-literal key (`Config{F: v}`, its type spelled
-// out or elided), the left side of an assignment or ++/-- (`c.F = v`), or
-// an address taken (`&c.F`, as flag registration does). The census
-// type-checks the module's programs (go/types, the standard library
-// imported from source), so every write is tied to the one field it
-// writes. A field no program writes only ever holds its default in every
-// program; make it a constant at its use instead, or — where a test must
-// still reach it — list it in testOnlyFields with the reason. The census
-// fails on an unlisted field without a program writer, and on a listed
-// field that has gained one or no longer exists.
-func TestEveryConfigFieldIsSet(t *testing.T) {
+// TestEveryExportedNameHasAProgram is the census behind DESIGN.md's rule
+// that every exported name under internal/ has a program. A program is a
+// non-test Go file in cmd/, internal/, bench/ or examples/. One type-check
+// pass (go/types, the standard library imported from source) ties every
+// write and call to the one object it names, and two rules are checked on
+// the non-test files under internal/:
+//
+//   - Fields. Every exported field of a struct declared there, untagged
+//     and not embedded, is written by a program outside examples/: a
+//     composite-literal key (`T{F: v}`, its type spelled out or elided),
+//     the left side of an assignment or ++/-- (`c.F = v`), or an address
+//     taken (`&c.F`, as flag registration does). A struct tag marks a
+//     field encoding/json writes. Writes from tests and examples do not
+//     count: a knob only they turn is a code path no program runs.
+//   - Functions. Every exported function and method is referenced by a
+//     program (called, or taken as a value), implements a method of an
+//     interface a program calls or hands a value to, or is one of the
+//     methods the standard library finds by reflection (reflected).
+//     A function only tests call is a second implementation or an
+//     observer of state the tests can read in-package.
+//
+// A test instrument that fails a rule on purpose — an oracle, a fault
+// injector, a wire format under fuzz — is listed with its reason in
+// testOnlyFields or testOnlyFuncs. The census fails on an unlisted name
+// without a program, and on a listed name that has gained one or no
+// longer exists.
+func TestEveryExportedNameHasAProgram(t *testing.T) {
 	const module = "repro"
 	var dirs []string
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
@@ -40,7 +50,7 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 			return err
 		}
 		if d.IsDir() {
-			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || p == "examples" || p == filepath.Join("bench", "out")) {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || p == filepath.Join("bench", "out")) {
 				return filepath.SkipDir
 			}
 			dirs = append(dirs, p)
@@ -86,6 +96,7 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 			return nil, err
 		}
 		c := &checked{info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{},
 			Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}}
 		for _, name := range bp.GoFiles {
@@ -109,33 +120,50 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 		}
 	}
 
-	// The census: every exported field of a *Config/*Options struct
-	// declared under internal/.
-	fields := map[*types.Var]string{} // field → "package.Type.Field"
+	// The census: every exported field, function and method declared
+	// under internal/, keyed "package.Name" or "package.Type.Name".
+	fields := map[*types.Var]string{}
+	funcs := map[*types.Func]string{}
+	var named []*types.Named // the named non-interface types declared there
 	for p, c := range pkgs {
 		if !strings.HasPrefix(p, module+"/internal/") {
 			continue
 		}
 		scope := c.pkg.Scope()
 		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
-				continue
-			}
-			st, ok := tn.Type().Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				if f := st.Field(i); f.Exported() {
-					fields[f] = c.pkg.Name() + "." + name + "." + f.Name()
+			switch o := scope.Lookup(name).(type) {
+			case *types.Func:
+				if o.Exported() {
+					funcs[o] = c.pkg.Name() + "." + name
+				}
+			case *types.TypeName:
+				n, ok := o.Type().(*types.Named)
+				if !ok || types.IsInterface(n) {
+					continue
+				}
+				named = append(named, n)
+				for i := 0; i < n.NumMethods(); i++ {
+					if m := n.Method(i); m.Exported() {
+						funcs[m] = c.pkg.Name() + "." + name + "." + m.Name()
+					}
+				}
+				st, ok := n.Underlying().(*types.Struct)
+				if !ok {
+					continue
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && !f.Embedded() && st.Tag(i) == "" {
+						fields[f] = c.pkg.Name() + "." + name + "." + f.Name()
+					}
 				}
 			}
 		}
 	}
 
-	// The writes, each resolved to its field.
+	// The writes and references, each resolved to its object.
 	written := map[*types.Var]bool{}
+	used := map[*types.Func]bool{}
+	ifaces := map[*types.Interface]bool{} // interfaces a program calls or converts to
 	field := func(info *types.Info, e ast.Expr) {
 		for {
 			switch x := e.(type) {
@@ -153,62 +181,194 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 			return
 		}
 	}
-	for _, c := range pkgs {
+	// into records a value of a concrete type handed to an interface.
+	into := func(info *types.Info, e ast.Expr, to types.Type) {
+		if it, ok := to.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			if tv, ok := info.Types[e]; ok && !types.IsInterface(tv.Type) {
+				ifaces[it] = true
+			}
+		}
+	}
+	for p, c := range pkgs {
+		example := strings.HasPrefix(p, module+"/examples/")
+		for _, o := range c.info.Uses {
+			if fn, ok := o.(*types.Func); ok {
+				used[fn.Origin()] = true
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+					if it, ok := recv.Type().Underlying().(*types.Interface); ok {
+						ifaces[it] = true
+					}
+				}
+			}
+		}
 		for _, f := range c.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.CompositeLit:
-					for _, elt := range n.Elts {
+					tv := c.info.Types[n]
+					for i, elt := range n.Elts {
 						if kv, ok := elt.(*ast.KeyValueExpr); ok {
 							if id, ok := kv.Key.(*ast.Ident); ok {
 								if v, ok := c.info.Uses[id].(*types.Var); ok && v.IsField() {
-									written[v.Origin()] = true
+									if !example {
+										written[v.Origin()] = true
+									}
+									into(c.info, kv.Value, v.Type())
+									continue
 								}
+							}
+							elt = kv.Value
+						}
+						if tv.Type == nil {
+							continue
+						}
+						switch u := tv.Type.Underlying().(type) {
+						case *types.Slice:
+							into(c.info, elt, u.Elem())
+						case *types.Array:
+							into(c.info, elt, u.Elem())
+						case *types.Map:
+							into(c.info, elt, u.Elem())
+						case *types.Struct:
+							if i < u.NumFields() {
+								into(c.info, elt, u.Field(i).Type())
 							}
 						}
 					}
 				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						field(c.info, lhs)
+					for i, lhs := range n.Lhs {
+						if !example {
+							field(c.info, lhs)
+						}
+						if len(n.Lhs) == len(n.Rhs) {
+							if tv, ok := c.info.Types[lhs]; ok {
+								into(c.info, n.Rhs[i], tv.Type)
+							}
+						}
 					}
 				case *ast.IncDecStmt:
-					field(c.info, n.X)
-				case *ast.UnaryExpr:
-					if n.Op == token.AND {
+					if !example {
 						field(c.info, n.X)
 					}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND && !example {
+						field(c.info, n.X)
+					}
+				case *ast.CallExpr:
+					tv, ok := c.info.Types[n.Fun]
+					if !ok {
+						return true
+					}
+					if tv.IsType() {
+						if len(n.Args) == 1 {
+							into(c.info, n.Args[0], tv.Type)
+						}
+						return true
+					}
+					sig, ok := tv.Type.Underlying().(*types.Signature)
+					if !ok {
+						return true
+					}
+					for i, a := range n.Args {
+						var pt types.Type
+						switch {
+						case sig.Variadic() && i >= sig.Params().Len()-1:
+							pt = sig.Params().At(sig.Params().Len() - 1).Type()
+							if n.Ellipsis == token.NoPos {
+								pt = pt.(*types.Slice).Elem()
+							}
+						case i < sig.Params().Len():
+							pt = sig.Params().At(i).Type()
+						default:
+							continue
+						}
+						into(c.info, a, pt)
+					}
+				case *ast.FuncDecl:
+					returns(c.info, n.Body, c.info.Defs[n.Name].Type(), into)
+				case *ast.FuncLit:
+					returns(c.info, n.Body, c.info.Types[n].Type, into)
 				}
 				return true
 			})
 		}
 	}
-
-	var bad []string
-	listed := map[string]bool{}
-	for f, short := range fields {
-		_, allowed := testOnlyFields[short]
-		listed[short] = allowed
-		pos := fset.Position(f.Pos()).String()
-		switch {
-		case allowed && written[f]:
-			bad = append(bad, pos+": "+short+" is in testOnlyFields but a program writes it: drop the entry")
-		case !allowed && !written[f]:
-			bad = append(bad, pos+": no program writes "+short)
+	// A method a program reaches only through an interface.
+	for _, n := range named {
+		for it := range ifaces {
+			if !types.Implements(n, it) && !types.Implements(types.NewPointer(n), it) {
+				continue
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				if obj, _, _ := types.LookupFieldOrMethod(n, true, n.Obj().Pkg(), it.Method(i).Name()); obj != nil {
+					used[obj.(*types.Func)] = true
+				}
+			}
 		}
 	}
-	for short := range testOnlyFields {
-		if !listed[short] {
-			bad = append(bad, "testOnlyFields lists "+short+", which no longer exists: drop the entry")
+
+	var bad []string
+	audit := func(list map[string]string, listName, short string, pos token.Pos, has bool, none string) {
+		_, allowed := list[short]
+		at := fset.Position(pos).String()
+		switch {
+		case allowed && has:
+			bad = append(bad, at+": "+short+" is in "+listName+" but has a program: drop the entry")
+		case !allowed && !has:
+			bad = append(bad, at+": "+none+short)
+		}
+	}
+	seen := map[string]bool{}
+	for f, short := range fields {
+		seen[short] = true
+		audit(testOnlyFields, "testOnlyFields", short, f.Pos(), written[f], "no program writes ")
+	}
+	for fn, short := range funcs {
+		seen[short] = true
+		audit(testOnlyFuncs, "testOnlyFuncs", short, fn.Pos(), used[fn] || reflected[fn.Name()], "no program calls ")
+	}
+	for _, list := range []map[string]string{testOnlyFields, testOnlyFuncs} {
+		for short, why := range list {
+			if !seen[short] {
+				bad = append(bad, "the census lists "+short+", which no longer exists: drop the entry")
+			}
+			if why == "" {
+				bad = append(bad, "the census lists "+short+" without a reason")
+			}
 		}
 	}
 	sort.Strings(bad)
 	for _, b := range bad {
 		t.Error(b)
 	}
-	if len(fields) == 0 {
-		t.Fatal("census found no Config/Options fields under internal/")
+	if len(fields) == 0 || len(funcs) == 0 {
+		t.Fatal("census found no exported fields or functions under internal/")
 	}
-	t.Logf("%d exported Config/Options fields, %d of them in testOnlyFields", len(fields), len(testOnlyFields))
+	t.Logf("%d exported fields (%d test-only), %d exported functions and methods (%d test-only)",
+		len(fields), len(testOnlyFields), len(funcs), len(testOnlyFuncs))
+}
+
+// returns hands into, for each return statement of one function body
+// (not of the function literals inside it), each value with the result
+// type of sig it is returned as.
+func returns(info *types.Info, body *ast.BlockStmt, sig types.Type, into func(*types.Info, ast.Expr, types.Type)) {
+	s := sig.(*types.Signature)
+	if body == nil || s.Results().Len() == 0 {
+		return
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			if len(n.Results) == s.Results().Len() {
+				for i, r := range n.Results {
+					into(info, r, s.Results().At(i).Type())
+				}
+			}
+		}
+		return true
+	})
 }
 
 // importerFunc adapts a function to types.Importer.
@@ -216,8 +376,15 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// testOnlyFields are the Config/Options fields no program writes that stay
-// settable anyway, each with its reason. Keys are "package.Type.Field".
+// reflected are the method names the standard library finds on a value
+// by reflection or a type assertion rather than by a call in this module.
+var reflected = map[string]bool{
+	"String": true, "GoString": true, "Format": true, "Error": true, "Unwrap": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+}
+
+// testOnlyFields are the fields no program writes that stay settable
+// anyway, each with its reason. Keys are "package.Type.Field".
 var testOnlyFields = map[string]string{
 	"optimal.Config.Solver":              "the centralized solver is to be replaced whole (ROADMAP item 6)",
 	"optimal.SolveOptions.Iters":         "the centralized solver is to be replaced whole (ROADMAP item 6)",
@@ -232,4 +399,18 @@ var testOnlyFields = map[string]string{
 	"invariant.Config.Interval":          "TestChecksFire's rate-bound case ticks every 2 ms to catch a rate above a bound that just collapsed",
 	"optimal.Config.Delta":               "the centralized solver is to be replaced whole (ROADMAP item 6); TestOptimalWithDelta checks the margin",
 	"scenario.Options.Strict":            "an input-validation mode: scenario tests fail on unresolvable event references",
+	"optimal.Problem.Utilities":          "the solver's tests substitute utilities to reach park/wake transitions; the field goes with the solver (ROADMAP item 6)",
+}
+
+// testOnlyFuncs are the exported functions and methods no program calls
+// that stay anyway, each with its reason. Keys are "package.Name" or
+// "package.Type.Method".
+var testOnlyFuncs = map[string]string{
+	"congestion.Controller.MaxAirtimeViolation": "the feasibility oracle of the controller's tests",
+	"obs.Lint":                         "CI's exposition-format check of a sweep's -metrics file (TestLintFile)",
+	"obs.Counter.Value":                "the scenario tests hold the exported counters to the route managers' and MACs' own counts",
+	"node.Emulation.AddExternalSource": "the instrument for the §4.3 external-traffic tests",
+	"graph.Network.FindLink":           "the lookup the tests of five packages name their links with",
+	"wire.AckFrame.AppendBinary":       "the ack codec: its encoding must stay WireLen() bytes, the size that sets every ack's airtime (FuzzFrameRoundTrip)",
+	"wire.AckFrame.UnmarshalBinary":    "the ack codec: its encoding must stay WireLen() bytes, the size that sets every ack's airtime (FuzzFrameRoundTrip)",
 }

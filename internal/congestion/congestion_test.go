@@ -55,11 +55,6 @@ func TestProportionalFairness(t *testing.T) {
 	if !math.IsInf(u.PrimeInv(0), 1) {
 		t.Error("PrimeInv(0) should be +Inf")
 	}
-	// Weighted variant scales.
-	w := ProportionalFairness{Weight: 2}
-	if math.Abs(w.Prime(1)-1) > 1e-12 {
-		t.Error("weighted Prime wrong")
-	}
 }
 
 func TestProportionalFairnessConcavity(t *testing.T) {
@@ -78,19 +73,6 @@ func TestProportionalFairnessConcavity(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAlphaFair(t *testing.T) {
-	u := AlphaFair{A: 2}
-	for _, x := range []float64{0.1, 1, 5} {
-		if got := u.PrimeInv(u.Prime(x)); math.Abs(got-x) > 1e-6 {
-			t.Errorf("AlphaFair PrimeInv(Prime(%v)) = %v", x, got)
-		}
-	}
-	log := AlphaFair{A: 1}
-	if math.Abs(log.Value(math.E-log.eps())-1) > 1e-9 {
-		t.Error("A=1 should be log utility")
 	}
 }
 
@@ -244,13 +226,13 @@ func TestFlowRatesAndUtility(t *testing.T) {
 	net, p := singleLink(10)
 	c, _ := New(net, []Route{{Links: p, Flow: 0}}, Options{})
 	c.x[0] = 4
-	if got := c.FlowRates(); len(got) != 1 || got[0] != 4 {
-		t.Errorf("FlowRates = %v", got)
+	if got := c.FlowRate(0); got != 4 {
+		t.Errorf("FlowRate = %v", got)
 	}
-	if got := c.Utility(); math.Abs(got-math.Log(5)) > 1e-12 {
+	if got := (ProportionalFairness{}).Value(c.FlowRate(0)); math.Abs(got-math.Log(5)) > 1e-12 {
 		t.Errorf("Utility = %v, want log(5)", got)
 	}
-	if c.NumRoutes() != 1 || c.NumFlows() != 1 {
+	if len(c.Rates()) != 1 || c.NumFlows() != 1 {
 		t.Error("counts wrong")
 	}
 }

@@ -477,9 +477,6 @@ func fillFlowCSR(idx, off, flowOf []int32, flows int) {
 	off[0] = 0
 }
 
-// NumRoutes returns the number of routes under control.
-func (c *Controller) NumRoutes() int { return len(c.routes) }
-
 // NumFlows returns the number of flows.
 func (c *Controller) NumFlows() int { return c.flows }
 
@@ -495,31 +492,6 @@ func (c *Controller) FlowRate(f int) float64 {
 	}
 	return s
 }
-
-// FlowRates returns the per-flow total rates.
-func (c *Controller) FlowRates() []float64 {
-	out := make([]float64, c.flows)
-	for f := range out {
-		out[f] = c.FlowRate(f)
-	}
-	return out
-}
-
-// Utility returns the aggregate network utility Σ_f U_f(x_f) at the
-// current rates.
-func (c *Controller) Utility() float64 {
-	var s float64
-	for f := 0; f < c.flows; f++ {
-		s += ProportionalFairness{}.Value(c.FlowRate(f))
-	}
-	return s
-}
-
-// Price returns the current route price q_r.
-func (c *Controller) Price(r int) float64 { return c.q[r] }
-
-// Gamma returns the dual variable of link l.
-func (c *Controller) Gamma(l graph.LinkID) float64 { return c.gamma[c.cellOf[l]] }
 
 // Step advances the controller by one time slot — offered load on the used
 // links, one γ update per interference cell, one price sum per distinct

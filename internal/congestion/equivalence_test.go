@@ -70,12 +70,12 @@ func assertSameState(t *testing.T, tag string, ctrl *Controller, ref *refControl
 		}
 	}
 	for l := range ref.gamma {
-		if g, w := ctrl.Gamma(graph.LinkID(l)), ref.gamma[l]; g != w {
+		if g, w := ctrl.gamma[ctrl.cellOf[graph.LinkID(l)]], ref.gamma[l]; g != w {
 			t.Fatalf("%s: gamma[%d]: batch %v != reference %v", tag, l, g, w)
 		}
 	}
 	for r := range ref.q {
-		if g, w := ctrl.Price(r), ref.q[r]; g != w {
+		if g, w := ctrl.q[r], ref.q[r]; g != w {
 			t.Fatalf("%s: q[%d]: batch %v != reference %v", tag, r, g, w)
 		}
 	}
@@ -208,7 +208,7 @@ func TestBatchMatchesReferenceMidRun(t *testing.T) {
 			ref.Step()
 			assertSameState(t, fmt.Sprintf("case %d (opts=%+v) slot %d", it, opts, s), ctrl, ref)
 			for l := range phase {
-				switch g := ctrl.Gamma(graph.LinkID(l)); {
+				switch g := ctrl.gamma[ctrl.cellOf[graph.LinkID(l)]]; {
 				case g > 0 && phase[l] == 2:
 					rose++
 					phase[l] = 1
@@ -241,11 +241,11 @@ func TestBatchSourcelessLinksMatchReference(t *testing.T) {
 	routes := []Route{{Links: graph.Path{w0, w1}, Flow: 0}}
 	ctrl, ref := newPair(t, net, routes, Options{})
 	stepBoth(t, "wifi only", ctrl, ref, 200)
-	if g := ctrl.Gamma(p0) + ctrl.Gamma(p1); g != 0 {
+	if g := ctrl.gamma[ctrl.cellOf[p0]] + ctrl.gamma[ctrl.cellOf[p1]]; g != 0 {
 		t.Fatalf("PLC duals %v with no source in range, want 0", g)
 	}
-	if ctrl.Gamma(w0) <= 0 {
-		t.Fatalf("WiFi dual %v on a saturated route, want > 0", ctrl.Gamma(w0))
+	if ctrl.gamma[ctrl.cellOf[w0]] <= 0 {
+		t.Fatalf("WiFi dual %v on a saturated route, want > 0", ctrl.gamma[ctrl.cellOf[w0]])
 	}
 }
 
@@ -415,8 +415,8 @@ func TestBatchDeadLinkMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		if !math.IsInf(ctrl.Price(0), 1) {
-			t.Fatalf("%d routes: expected infinite price on dead route, got %v", len(routes), ctrl.Price(0))
+		if !math.IsInf(ctrl.q[0], 1) {
+			t.Fatalf("%d routes: expected infinite price on dead route, got %v", len(routes), ctrl.q[0])
 		}
 	}
 }
@@ -530,12 +530,12 @@ func assertReplayExact(t *testing.T, tag string, got, want *Controller, n int, g
 		t.Fatalf("%s: n=%d: x̄ %v, stepping gives %v", tag, n, got.xbar[:nr], want.xbar[:nr])
 	}
 	for r := 0; r < nr; r++ {
-		if a, b := got.Price(r), want.Price(r); math.Float64bits(a) != math.Float64bits(b) {
+		if a, b := got.q[r], want.q[r]; math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("%s: n=%d: q[%d] = %v, stepping gives %v", tag, n, r, a, b)
 		}
 	}
 	for l := 0; l < want.net.NumLinks(); l++ {
-		if a, b := got.Gamma(graph.LinkID(l)), want.Gamma(graph.LinkID(l)); math.Float64bits(a) != math.Float64bits(b) {
+		if a, b := got.gamma[got.cellOf[graph.LinkID(l)]], want.gamma[want.cellOf[graph.LinkID(l)]]; math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("%s: n=%d: gamma[%d] = %v, stepping gives %v", tag, n, l, a, b)
 		}
 	}

@@ -30,93 +30,32 @@ type Utility interface {
 }
 
 // ProportionalFairness is the utility used throughout the paper's
-// evaluation: U(x) = w·log(1 + x). It tunes the classic throughput-vs-
+// evaluation: U(x) = log(1 + x). It tunes the classic throughput-vs-
 // fairness trade-off.
-type ProportionalFairness struct {
-	// Weight scales the utility; 1 if zero.
-	Weight float64
-}
-
-func (u ProportionalFairness) w() float64 {
-	if u.Weight == 0 {
-		return 1
-	}
-	return u.Weight
-}
+type ProportionalFairness struct{}
 
 // Value implements Utility.
-func (u ProportionalFairness) Value(x float64) float64 {
+func (ProportionalFairness) Value(x float64) float64 {
 	if x < 0 {
 		x = 0
 	}
-	return u.w() * math.Log1p(x)
+	return math.Log1p(x)
 }
 
 // Prime implements Utility.
-func (u ProportionalFairness) Prime(x float64) float64 {
+func (ProportionalFairness) Prime(x float64) float64 {
 	if x < 0 {
 		x = 0
 	}
-	return u.w() / (1 + x)
+	return 1 / (1 + x)
 }
 
-// PrimeInv implements Utility. For U' = w/(1+x): x = w/q − 1, clamped at 0.
-func (u ProportionalFairness) PrimeInv(q float64) float64 {
+// PrimeInv implements Utility. For U' = 1/(1+x): x = 1/q − 1, clamped at 0.
+func (ProportionalFairness) PrimeInv(q float64) float64 {
 	if q <= 0 {
 		return math.Inf(1)
 	}
-	x := u.w()/q - 1
-	if x < 0 {
-		return 0
-	}
-	return x
-}
-
-// AlphaFair is the α-fair utility family (Mo & Walrand):
-// U(x) = x^{1−a}/(1−a) for a ≠ 1 and log utility in the limit a → 1.
-// a = 0 is throughput maximization (not strictly concave, avoid), a = 1 is
-// proportional fairness over x (not 1+x), a = 2 approximates minimum
-// potential delay fairness, a → ∞ max-min fairness.
-type AlphaFair struct {
-	A float64
-	// Eps regularizes near x = 0 where log/α-fair utilities diverge;
-	// defaults to 1e-3.
-	Eps float64
-}
-
-func (u AlphaFair) eps() float64 {
-	if u.Eps <= 0 {
-		return 1e-3
-	}
-	return u.Eps
-}
-
-// Value implements Utility.
-func (u AlphaFair) Value(x float64) float64 {
-	if x < 0 {
-		x = 0
-	}
-	x += u.eps()
-	if u.A == 1 {
-		return math.Log(x)
-	}
-	return math.Pow(x, 1-u.A) / (1 - u.A)
-}
-
-// Prime implements Utility: U'(x) = (x+eps)^{-a}.
-func (u AlphaFair) Prime(x float64) float64 {
-	if x < 0 {
-		x = 0
-	}
-	return math.Pow(x+u.eps(), -u.A)
-}
-
-// PrimeInv implements Utility: x = q^{-1/a} − eps.
-func (u AlphaFair) PrimeInv(q float64) float64 {
-	if q <= 0 {
-		return math.Inf(1)
-	}
-	x := math.Pow(q, -1/u.A) - u.eps()
+	x := 1/q - 1
 	if x < 0 {
 		return 0
 	}

@@ -7,7 +7,7 @@
 //     fluid MAC model for the no-congestion-control baselines. This is
 //     the mode used for the paper's 1000-instance Monte-Carlo sweeps
 //     (Figures 4-7); the packet-level simulator agrees with it at steady
-//     state (see the cross-check tests).
+//     state (experiments.TestCrossModelRows).
 //   - packet: the full node-agent emulation over the event-driven MAC
 //     (used for the testbed experiments of §6).
 package core
@@ -178,15 +178,8 @@ type FlowResult struct {
 
 // Result is the outcome of evaluating one scheme on one instance.
 type Result struct {
-	Scheme  Scheme
 	Flows   []FlowResult
 	Utility float64
-	// ConvergenceSlots is the slots-to-steady-state of the total-rate
-	// trajectory at the paper's 1 % band (CC schemes only; 0 otherwise).
-	ConvergenceSlots int
-	// ConvergenceSlots5 uses a 5 % band, appropriate for the fixed-step
-	// controller whose iterates hover around the optimizer.
-	ConvergenceSlots5 int
 }
 
 // evaluator holds the per-evaluation scratch state — the batch congestion
@@ -203,7 +196,6 @@ type evaluator struct {
 	initial       []float64
 	seqBuf        []float64
 	traj          []float64 // slot-major per-flow rates from RunAppend
-	totals        []float64
 	avg           []float64
 	allRoutes     []graph.Path
 	inject        []float64
@@ -219,7 +211,7 @@ func Evaluate(inst *topology.Instance, s Scheme, pairs [][2]graph.NodeID, opts O
 	// read capacities), so the per-instance view cache is safe and
 	// collapses the per-scheme rebuilds that dominate sweep allocations.
 	net := inst.BuildCached(s.View())
-	res := Result{Scheme: s, Flows: make([]FlowResult, len(pairs))}
+	res := Result{Flows: make([]FlowResult, len(pairs))}
 
 	ev := evalPool.Get().(*evaluator)
 	defer evalPool.Put(ev)
@@ -269,17 +261,6 @@ func Evaluate(inst *topology.Instance, s Scheme, pairs [][2]graph.NodeID, opts O
 		nf := ev.ctrl.NumFlows()
 		traj := ev.ctrl.RunAppend(slots, ev.traj[:0])
 		ev.traj = traj
-		totals := growFloats(ev.totals, slots)
-		ev.totals = totals
-		for t := 0; t < slots; t++ {
-			var tot float64
-			for _, v := range traj[t*nf : (t+1)*nf] {
-				tot += v
-			}
-			totals[t] = tot
-		}
-		res.ConvergenceSlots = congestion.SlotsToSteady(totals, 0.01)
-		res.ConvergenceSlots5 = congestion.SlotsToSteady(totals, 0.05)
 		// Report the time-averaged rates over the last quarter of the
 		// run: with a fixed step size the iterates hover around the
 		// optimizer, and the ergodic average is the converged allocation.

@@ -210,19 +210,6 @@ func TestEvaluateMultipleFlowsUtility(t *testing.T) {
 	}
 }
 
-func TestConvergenceSlotsReported(t *testing.T) {
-	inst := instance(6)
-	rng := rand.New(rand.NewSource(2100))
-	src, dst := inst.RandomFlow(rng)
-	res := Evaluate(inst, SchemeEMPoWER, [][2]graph.NodeID{{src, dst}}, Options{})
-	if res.Flows[0].Throughput > 0 {
-		if res.ConvergenceSlots <= 0 || res.ConvergenceSlots >= 4000 {
-			t.Errorf("convergence slots = %d, want within the run", res.ConvergenceSlots)
-		}
-		t.Logf("converged in %d slots", res.ConvergenceSlots)
-	}
-}
-
 func TestDeltaMarginLowersThroughput(t *testing.T) {
 	inst := instance(7)
 	rng := rand.New(rand.NewSource(2200))

@@ -100,6 +100,10 @@ func (c ChurnConfig) frac() float64 {
 	return c.Frac
 }
 
+// maxRuns bounds Runs so that the flat replication count runs × schemes
+// (at most eight) cannot overflow an int.
+const maxRuns = 1_000_000
+
 // CheckRanges names the first range-checked knob of c that is outside
 // its range, with the reason, or returns two empty strings. The sweep
 // spec's field and the CLI flag that set a knob share its name, so the
@@ -109,6 +113,8 @@ func (c ChurnConfig) CheckRanges() (knob, reason string) {
 	switch {
 	case c.Runs < 0:
 		return "runs", fmt.Sprintf("must be >= 0 (0 = default 20), got %d", c.Runs)
+	case c.Runs > maxRuns:
+		return "runs", fmt.Sprintf("must be <= %d, got %d", maxRuns, c.Runs)
 	case !(c.Delta >= 0 && c.Delta < 1):
 		return "delta", fmt.Sprintf("must be in [0, 1), got %g", c.Delta)
 	case !(c.Bin >= 0):

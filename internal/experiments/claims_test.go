@@ -8,7 +8,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/node"
 	"repro/internal/runner"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -197,6 +200,187 @@ func TestPaperClaims(t *testing.T) {
 		t.Logf("  under %q: %.4f", c.mutation, mv)
 		if c.check(mv) == nil {
 			t.Errorf("%s: mutation %q gives %.4f, which the row does not catch", c.name, c.mutation, mv)
+		}
+	}
+}
+
+// The §5 ↔ §6 cross-model rows hold the packet emulation to the analytic
+// model on the same flows: EMPoWER at δ = 0.05, the flows of Figure 4's
+// runs 0–39 (residential) and 0–19 (enterprise) at seed 0, the analytic
+// steady state (core.Evaluate) against the emulation's goodput over
+// 120–150 s of a 150 s run with estimation on, on the analytic run's
+// routes. The analytic rate counts on-air bits and the goodput counts
+// payload, so a flow that reaches the steady state delivers the payload
+// share of it: 1500 of a data frame's 1539 bytes.
+//
+//   - Single-route flows: the median of packet/analytic is 1500/1539 to
+//     within crossTol, the largest distance of that median from
+//     1500/1539 over the disjoint blocks of runs 0–39/0–19, 40–79/20–39
+//     and 80–119/40–59 (7.7·10⁻⁵, rounded up).
+//   - Multi-route flows: crossBandShare of them sit inside the 10th–90th
+//     percentile band of packet/analytic over the 117 multi-route flows
+//     of those three blocks, [crossBandLo, crossBandHi]. The blocks put
+//     0.86, 0.74 and 0.81 of their flows inside; the tolerance is the
+//     largest distance from 0.8, rounded up.
+//
+// Each mutation changes the packet run's inputs only and must fail a row.
+// To keep the rows under a minute on two cores, a mutation re-runs the
+// first crossMutated flows of the row it must fail.
+const (
+	crossPayloadShare = 1500.0 / 1539
+	crossTol          = 1e-4
+	crossBandLo       = 0.9572
+	crossBandHi       = 0.9740
+	crossBandShare    = 0.8
+	crossBandTol      = 0.07
+	crossMutated      = 8
+)
+
+// crossRun names one flow of the cross-model rows: run `run` of
+// Figure 4's seeding on topology topo.
+type crossRun struct {
+	topo Topo
+	run  int
+}
+
+// crossFlow is one flow's outcome on both models.
+type crossFlow struct {
+	crossRun
+	analytic, packet float64
+	routes           int
+}
+
+// packetInputs is what a mutation may change in the packet run.
+type packetInputs struct {
+	net    *graph.Network
+	routes []graph.Path
+	delta  float64
+}
+
+// crossFlows evaluates each run on both models, fanned out on the runner;
+// mutate changes the packet run's inputs only. Flows without a route are
+// left out.
+func crossFlows(runs []crossRun, mutate func(*packetInputs)) []crossFlow {
+	const delta = 0.05
+	flows := must(runner.Collect(context.Background(), len(runs), runner.Config{},
+		func(_ context.Context, rep runner.Rep) crossFlow {
+			cr := runs[rep.Index]
+			inst, src, dst := instanceFor(cr.topo, SimConfig{}, cr.run)
+			res := core.Evaluate(inst, core.SchemeEMPoWER, [][2]graph.NodeID{{src, dst}}, core.Options{Delta: delta})
+			routes := res.Flows[0].Routes
+			if len(routes) == 0 {
+				return crossFlow{crossRun: cr}
+			}
+			in := packetInputs{net: inst.BuildCached(core.SchemeEMPoWER.View()).Clone(), routes: routes, delta: delta}
+			mutate(&in)
+			em := node.NewEmulation(in.net, node.Config{Delta: in.delta, Estimation: true}, int64(cr.run))
+			if _, err := em.AddFlow(node.FlowSpec{Src: src, Dst: dst, Routes: in.routes, Kind: node.TrafficSaturated}, 0); err != nil {
+				panic(err)
+			}
+			em.Run(150)
+			return crossFlow{crossRun: cr, analytic: res.Flows[0].Throughput,
+				packet: em.Agent(dst).Sinks()[0].MeanRate(120, 150), routes: len(routes)}
+		}))
+	out := flows[:0]
+	for _, f := range flows {
+		if f.routes > 0 {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// ratios returns packet/analytic of the flows with one route (multi
+// false) or with several (multi true), and their runs.
+func ratios(flows []crossFlow, multi bool) ([]float64, []crossRun) {
+	var rs []float64
+	var runs []crossRun
+	for _, f := range flows {
+		if (f.routes > 1) == multi {
+			rs = append(rs, f.packet/f.analytic)
+			runs = append(runs, f.crossRun)
+		}
+	}
+	return rs, runs
+}
+
+// singleRouteRow returns the single-route row's value on flows and why it
+// fails, or nil.
+func singleRouteRow(flows []crossFlow) (float64, error) {
+	rs, _ := ratios(flows, false)
+	v := stats.Quantile(rs, 0.5)
+	if !(math.Abs(v-crossPayloadShare) <= crossTol) {
+		return v, fmt.Errorf("median packet/analytic %.6f of %d single-route flows is not 1500/1539 = %.6f ± %g", v, len(rs), crossPayloadShare, crossTol)
+	}
+	return v, nil
+}
+
+// multiRouteRow returns the multi-route row's value on flows and why it
+// fails, or nil.
+func multiRouteRow(flows []crossFlow) (float64, error) {
+	rs, _ := ratios(flows, true)
+	in := 0
+	for _, r := range rs {
+		if r >= crossBandLo && r <= crossBandHi {
+			in++
+		}
+	}
+	v := float64(in) / float64(len(rs))
+	if !(math.Abs(v-crossBandShare) <= crossBandTol) {
+		return v, fmt.Errorf("%.3f of %d multi-route flows have packet/analytic in [%g, %g], want %g ± %g", v, len(rs), crossBandLo, crossBandHi, crossBandShare, crossBandTol)
+	}
+	return v, nil
+}
+
+// TestCrossModelRows checks the §5 ↔ §6 cross-model rows and that each
+// mutation of the packet run fails one of them.
+func TestCrossModelRows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("60 packet emulations of 150 s, plus the mutated ones")
+	}
+	var runs []crossRun
+	for r := 0; r < 40; r++ {
+		runs = append(runs, crossRun{TopoResidential, r})
+	}
+	for r := 0; r < 20; r++ {
+		runs = append(runs, crossRun{TopoEnterprise, r})
+	}
+	flows := crossFlows(runs, func(*packetInputs) {})
+	rows := []struct {
+		name  string
+		row   func([]crossFlow) (float64, error)
+		multi bool
+	}{
+		{"single-route flows: median packet/analytic = 1500/1539", singleRouteRow, false},
+		{"multi-route flows: share inside the recorded 10th–90th percentile band", multiRouteRow, true},
+	}
+	for _, r := range rows {
+		v, err := r.row(flows)
+		t.Logf("%-75s %.6f", r.name, v)
+		if err != nil {
+			t.Errorf("%s: %v", r.name, err)
+		}
+	}
+	mutations := []struct {
+		name   string
+		row    int
+		mutate func(*packetInputs)
+	}{
+		{"every capacity × 0.95", 0, func(in *packetInputs) {
+			for i := range in.net.Links {
+				in.net.Links[i].Capacity *= 0.95
+			}
+		}},
+		{"the first route only", 1, func(in *packetInputs) { in.routes = in.routes[:1] }},
+		{"δ = 0.3", 0, func(in *packetInputs) { in.delta = 0.3 }},
+	}
+	for _, m := range mutations {
+		r := rows[m.row]
+		_, sample := ratios(flows, r.multi)
+		v, err := r.row(crossFlows(sample[:crossMutated], m.mutate))
+		t.Logf("  under %q, %s: %.6f", m.name, r.name, v)
+		if err == nil {
+			t.Errorf("mutation %q gives %.6f, which %q does not catch", m.name, v, r.name)
 		}
 	}
 }

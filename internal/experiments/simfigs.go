@@ -422,7 +422,7 @@ func ConvergenceCtx(ctx context.Context, t Topo, cfg SimConfig) (ConvergenceResu
 		for i, p := range routes {
 			ccRoutes[i] = congestion.Route{Links: p, Flow: 0}
 		}
-		initial := routing.SequentialRates(net.Network, routes)
+		initial := routing.AppendSequentialRates(net.Network, routes, nil)
 		for i := range initial {
 			initial[i] *= 0.7
 		}

@@ -239,7 +239,7 @@ type Figure10Result struct {
 // scheme differences rather than evaluator differences; the packet
 // emulation of EMPoWER supplies the convergence fractions (right panel)
 // and is cross-checked against the analytic steady state elsewhere
-// (TestAnalyticMatchesPacketEmulation). The brute-force baselines SP-bf
+// (TestCrossModelRows). The brute-force baselines SP-bf
 // and SP-WiFi-bf are the exact maximum sustainable rate R(P) of the
 // corresponding single path.
 //
@@ -814,19 +814,13 @@ func Figure13Ctx(ctx context.Context, cfg TestbedConfig) (Figure13Result, error)
 	cells, err := runner.Collect(ctx, len(sel)*2, cfg.runnerConfig(),
 		func(_ context.Context, rep runner.Rep) cell {
 			p, emp := sel[rep.Index/2], rep.Index%2 == 0
-			var cfgN node.Config
+			cfgN, rs := node.Config{DisableCC: true, Estimation: true}, p.sp[:1]
 			if emp {
-				cfgN = node.Config{Delta: 0.3, DelayEqualize: true, Estimation: true}
-			} else {
-				cfgN = node.Config{DisableCC: true, Estimation: true}
+				cfgN, rs = node.Config{Delta: 0.3, DelayEqualize: true, Estimation: true}, p.mp
 			}
 			// The emulation seed keeps the serial loop's derivation:
-			// 1-based pair ordinal × 71 plus the scheme bit.
-			em := node.NewEmulation(net.Network, cfgN, cfg.Seed+int64(rep.Index/2+1)*71+boolInt64(emp))
-			rs := p.sp[:1]
-			if emp {
-				rs = p.mp
-			}
+			// 1-based pair ordinal × 71 plus the scheme bit (1 for EMPoWER).
+			em := node.NewEmulation(net.Network, cfgN, cfg.Seed+int64(rep.Index/2+1)*71+int64(1-rep.Index%2))
 			conn, err := transport.Dial(em, p.src, p.dst, rs, -1)
 			if err != nil {
 				return cell{}
@@ -848,13 +842,6 @@ func Figure13Ctx(ctx context.Context, cfg TestbedConfig) (Figure13Result, error)
 		res.SPStd = append(res.SPStd, cells[i+1].std)
 	}
 	return res, nil
-}
-
-func boolInt64(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Render prints the bar-chart data.

@@ -100,7 +100,7 @@ func startServer(t *testing.T, cfg Config) (*Server, *httptest.Server, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hts := httptest.NewServer(srv.Handler())
+	hts := httptest.NewServer(srv.gw)
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -256,7 +256,7 @@ func TestFleetDrainAndResume(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	stop1()
-	sw1, _ := srv1.Store().Get(st.ID)
+	sw1, _ := srv1.st.Get(st.ID)
 	atDrain := sw1.doneSnapshot().Count()
 	if atDrain == 0 || atDrain == 8 {
 		t.Fatalf("drain caught %d/8 completions; need a mid-flight cut", atDrain)
@@ -282,7 +282,7 @@ func TestFleetDrainAndResume(t *testing.T) {
 			return job(ctx, rep)
 		}
 	}
-	hts2 := httptest.NewServer(srv2.Handler())
+	hts2 := httptest.NewServer(srv2.gw)
 	defer hts2.Close()
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
@@ -345,7 +345,7 @@ func TestFleetSupervisionFaults(t *testing.T) {
 			return job(ctx, rep)
 		}
 	}
-	hts := httptest.NewServer(srv.Handler())
+	hts := httptest.NewServer(srv.gw)
 	defer hts.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -395,7 +395,7 @@ func TestFleetPoisonedSweepFailsAlone(t *testing.T) {
 			return job(ctx, rep)
 		}
 	}
-	hts := httptest.NewServer(srv.Handler())
+	hts := httptest.NewServer(srv.gw)
 	defer hts.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -532,6 +532,8 @@ func TestFleetSpecRejections(t *testing.T) {
 		{"reserved-flow-name", `{"scenario":{"name":"x","duration":10,"flows":[{"name":"arrival-0-0","src":"0","dst":"1"}]}}`, "scenario"},
 		{"bad-scheme", `{"scenario":` + testScenario + `,"schemes":"NoSuch"}`, "schemes"},
 		{"negative-runs", `{"scenario":` + testScenario + `,"runs":-1}`, "runs"},
+		{"overflowing-runs", `{"scenario":` + testScenario + `,"runs":4611686018427387904,"schemes":"EMPoWER,SP"}`, "runs"},
+		{"wrapping-runs", `{"scenario":` + testScenario + `,"runs":2305843009213693952}`, "runs"},
 		{"bad-delta", `{"scenario":` + testScenario + `,"delta":1.5}`, "delta"},
 		{"bad-frac", `{"scenario":` + testScenario + `,"frac":2}`, "frac"},
 		{"retired-shards", `{"scenario":` + testScenario + `,"shards":2}`, "shards"},
@@ -584,8 +586,8 @@ func TestFleetBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Store().Close()
-	hts := httptest.NewServer(srv.Handler())
+	defer srv.st.Close()
+	hts := httptest.NewServer(srv.gw)
 	defer hts.Close()
 	// No supervisor running: the first sweep stays queued.
 	if _, resp := postSweep(t, hts.URL, testSpecJSON(1, 1, "EMPoWER")); resp.StatusCode != http.StatusCreated {
@@ -614,7 +616,7 @@ func TestFleetCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hts := httptest.NewServer(srv.Handler())
+	hts := httptest.NewServer(srv.gw)
 	st, _ := postSweep(t, hts.URL, testSpecJSON(1, 1, "EMPoWER"))
 	req, _ := http.NewRequest(http.MethodDelete, hts.URL+"/sweeps/"+st.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -639,7 +641,7 @@ func TestFleetCancel(t *testing.T) {
 		t.Fatalf("double cancel: %d, want 409", resp2.StatusCode)
 	}
 	hts.Close()
-	srv.Store().Close()
+	srv.st.Close()
 
 	// Running cancellation: slow reps, cancel mid-sweep, reopen the WAL
 	// and require the cancelled state to have survived.
@@ -839,6 +841,42 @@ func TestMetricsMergeMatchesListOrder(t *testing.T) {
 // the reason, instead of running it or refusing to open the log — also
 // when the sweep had finished before the restart, and its results
 // endpoint answers an error rather than merging against no scenario.
+// TestOverflowingRunsReplaysAsFailed: a WAL written before runs was
+// bounded may hold a sweep whose runs × schemes overflows an int. The
+// store opens, the sweep reads failed, and the daemon answers /healthz.
+func TestOverflowingRunsReplaysAsFailed(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "fleet.wal")
+	st, err := OpenStore(wal, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := json.RawMessage(`{"scenario":` + testScenario + `,"runs":4611686018427387904,"schemes":"EMPoWER,SP"}`)
+	if err := st.appendRecord(walRecord{Kind: "sweep", ID: "sweep-000001", Spec: hostile}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	st, err = OpenStore(wal, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sw, ok := st.Get("sweep-000001")
+	if !ok {
+		t.Fatal("sweep lost on replay")
+	}
+	if s := sw.Status(); s.State != string(StateFailed) || !strings.Contains(s.Error, `"runs"`) {
+		t.Fatalf("replayed as %s (%q), want failed naming runs", s.State, s.Error)
+	}
+	if st.QueueDepth() != 0 {
+		t.Fatalf("the hostile sweep was queued: depth %d", st.QueueDepth())
+	}
+	rec := httptest.NewRecorder()
+	NewGateway(st, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /healthz: %d %s, want 200", rec.Code, rec.Body)
+	}
+}
+
 func TestRetiredFieldReplaysAsFailed(t *testing.T) {
 	wal := filepath.Join(t.TempDir(), "fleet.wal")
 	st, err := OpenStore(wal, 0)

@@ -56,12 +56,6 @@ func New(cfg Config) (*Server, error) {
 	return &Server{cfg: cfg, st: st, sup: sup, gw: NewGateway(st, agg), agg: agg}, nil
 }
 
-// Store exposes the sweep registry (tests and embedders).
-func (s *Server) Store() *Store { return s.st }
-
-// Handler returns the HTTP surface.
-func (s *Server) Handler() http.Handler { return s.gw }
-
 // Resumable reports how many sweeps recovery queued for resumption.
 func (s *Server) Resumable() int { return s.st.QueueDepth() }
 

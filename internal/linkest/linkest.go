@@ -119,13 +119,6 @@ func (e *Estimator) Failed(now float64) bool {
 	return e.haveSample && now-e.lastSample > failureTimeout
 }
 
-// Reset clears the estimator (e.g. after a detected failure recovers).
-func (e *Estimator) Reset() {
-	e.estimate = 0
-	e.haveSample = false
-	e.lastSample = 0
-}
-
 // Sample draws a noisy capacity reading from the true capacity for the
 // current mode, using the supplied RNG. It stands in for the MCS/BLE
 // decoding of real frames.

@@ -102,18 +102,6 @@ func TestFailureDetection(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	e := New()
-	e.Observe(50, 1)
-	e.Reset()
-	if e.Estimate() != 0 {
-		t.Error("reset did not clear estimate")
-	}
-	if e.Failed(100) {
-		t.Error("reset estimator cannot be failed")
-	}
-}
-
 func TestNegativeSampleClamped(t *testing.T) {
 	e := New()
 	e.Observe(-5, 1)

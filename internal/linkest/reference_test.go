@@ -39,14 +39,13 @@ func refObserve(e *Estimator, sample, now float64) {
 // TestObserveGainMemo holds the memoised gain to the per-call exp through
 // a scripted sequence — a repeated dt, a mode switch that changes the
 // window at the same dt, the dt ≤ 0 clamp (a repeated and a backwards
-// timestamp), Reset between samples — and then a long random walk over
+// timestamp) — and then a long random walk over
 // the same moves, and requires the script to hit the memo and to miss it
 // where the window changes.
 func TestObserveGainMemo(t *testing.T) {
 	const tick = 1.0 / 1024 // exact, so consecutive differences repeat bit for bit
 	type step struct {
 		mode   Mode
-		reset  bool
 		sample float64
 		now    float64
 		hit    int // 1: must reuse the memo, -1: must recompute, 0: either
@@ -62,18 +61,15 @@ func TestObserveGainMemo(t *testing.T) {
 		{mode: ModeProbe, sample: 34, now: 1 + 6*tick, hit: -1},   // dt = 0 → 1e-6
 		{mode: ModeProbe, sample: 35, now: 1 + 6*tick, hit: 1},    // clamped again
 		{mode: ModeProbe, sample: 36, now: 1 + 5*tick, hit: 1},    // backwards: clamped
-		{mode: ModeProbe, reset: true, sample: 20, now: 2},        // reset: first sample again
-		{mode: ModeProbe, sample: 21, now: 2 + 1e-6, hit: 0},      // 2+1e-6−2 need not be 1e-6
-		{mode: ModeProbe, reset: true, sample: -3, now: 3},        // clamped sample after reset
-		{mode: ModeProbe, sample: 22, now: 3 + tick, hit: -1},     // memo held the previous dt
-		{mode: ModeProbe, reset: true, sample: 25, now: 4},        // reset again
-		{mode: ModeProbe, sample: 26, now: 4 + tick, hit: 1},      // memo survives Reset
-		{mode: ModeTraffic, sample: 27, now: 4 + 2*tick, hit: -1}, // window changes at the same dt
+		{mode: ModeProbe, sample: -3, now: 2, hit: -1},            // a long gap, clamped sample
+		{mode: ModeProbe, sample: 22, now: 2 + tick, hit: -1},     // back to one tick
+		{mode: ModeProbe, sample: 26, now: 2 + 2*tick, hit: 1},    // repeated
+		{mode: ModeTraffic, sample: 27, now: 2 + 3*tick, hit: -1}, // window changes at the same dt
 	}
 	rng := rand.New(rand.NewSource(7))
 	now := 5.0
 	for i := 0; i < 4000; i++ {
-		s := step{mode: Mode(rng.Intn(2)), reset: rng.Intn(50) == 0, sample: 100 * rng.Float64()}
+		s := step{mode: Mode(rng.Intn(2)), sample: 100 * rng.Float64()}
 		switch rng.Intn(5) {
 		case 0:
 			now += tick
@@ -94,14 +90,10 @@ func TestObserveGainMemo(t *testing.T) {
 	for i, s := range script {
 		live.SetMode(s.mode)
 		ref.SetMode(s.mode)
-		if s.reset {
-			live.Reset()
-			ref.Reset()
-		}
 		before := [2]float64{live.gainDt, live.gainWindow}
 		live.Observe(s.sample, s.now)
 		refObserve(ref, s.sample, s.now)
-		hit := live.haveSample && before == [2]float64{live.gainDt, live.gainWindow} && !s.reset && i > 0
+		hit := live.haveSample && before == [2]float64{live.gainDt, live.gainWindow} && i > 0
 		if hit {
 			hits++
 		}

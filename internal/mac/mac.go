@@ -52,8 +52,6 @@ type Packet struct {
 	// Payload carries upper-layer state (e.g. a wire frame); the MAC
 	// never inspects it.
 	Payload interface{}
-	// Enqueued is the virtual time the packet entered the MAC queue.
-	Enqueued float64
 }
 
 // DeliverFunc receives packets on the far end of a link. The packet is
@@ -356,9 +354,6 @@ func (m *MAC) TotalQueueLen() int {
 // Busy reports whether link l is currently transmitting.
 func (m *MAC) Busy(l graph.LinkID) bool { return m.transmitting[l] }
 
-// QueueLimit returns the per-link FIFO capacity in packets.
-func (m *MAC) QueueLimit() int { return m.opts.queueLimit() }
-
 // LossProb returns link l's current channel error probability.
 func (m *MAC) LossProb(l graph.LinkID) float64 { return m.lossProb[l] }
 
@@ -425,7 +420,7 @@ func (m *MAC) CheckConsistency() error {
 // dead. The packet is built in place in the link's ring buffer — the
 // caller never constructs one.
 func (m *MAC) Send(l graph.LinkID, bits float64, payload interface{}) bool {
-	pkt := Packet{Bits: bits, Payload: payload, Enqueued: m.engine.Now()}
+	pkt := Packet{Bits: bits, Payload: payload}
 	link := m.net.Link(l)
 	if link.Capacity <= 0 {
 		m.drop(l, pkt, DropDeadLink)

@@ -136,14 +136,14 @@ func TestRingGrowthStopsAtQueueLimit(t *testing.T) {
 	for _, limit := range []int{0, 1, 3, 8, 9, 64, 65, 250} {
 		var e sim.Engine
 		m := New(&e, net, rng(1), Options{QueueLimit: limit})
-		for i := 0; i < 3*m.QueueLimit()+20; i++ {
+		for i := 0; i < 3*m.opts.queueLimit()+20; i++ {
 			m.Send(l1, 12000, nil)
 		}
-		if m.QueueLen(l1) != m.QueueLimit() {
+		if m.QueueLen(l1) != m.opts.queueLimit() {
 			t.Fatalf("limit %d: queue holds %d, want it full", limit, m.QueueLen(l1))
 		}
-		if c := cap(m.queues[l1].buf); c > m.QueueLimit() {
-			t.Errorf("limit %d: ring grew to %d slots", m.QueueLimit(), c)
+		if c := cap(m.queues[l1].buf); c > m.opts.queueLimit() {
+			t.Errorf("limit %d: ring grew to %d slots", m.opts.queueLimit(), c)
 		}
 		e.RunUntilIdle()
 		if err := m.CheckConsistency(); err != nil {

@@ -77,7 +77,7 @@ func newReference(engine *sim.Engine, net *graph.Network, rng *rand.Rand, opts O
 // dead. The packet is built in place in the link's ring buffer — the
 // caller never constructs one.
 func (m *referenceMAC) Send(l graph.LinkID, bits float64, payload interface{}) bool {
-	pkt := Packet{Bits: bits, Payload: payload, Enqueued: m.engine.Now()}
+	pkt := Packet{Bits: bits, Payload: payload}
 	link := m.net.Link(l)
 	if link.Capacity <= 0 {
 		m.drop(l, pkt, DropDeadLink)

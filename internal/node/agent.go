@@ -554,9 +554,6 @@ func (a *Agent) Sinks() []*Sink {
 	return out
 }
 
-// Gamma exposes the dual variable of an egress link (for tests).
-func (a *Agent) Gamma(l graph.LinkID) float64 { return a.gamma[l] }
-
 // frameBits returns the on-air size of a data frame in bits.
 func frameBits(f *wire.DataFrame) float64 {
 	return float64(f.WireLen()) * 8

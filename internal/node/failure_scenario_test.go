@@ -38,21 +38,21 @@ func TestLinkFailureShiftsTraffic(t *testing.T) {
 	// 150 s. The flow itself is pre-registered above (the scenario only
 	// drives the dynamics), so the scenario carries no flows.
 	sc := scenario.New("plc-outage", 270)
-	sc.FailLink(30, scenario.Link("s", "d", graph.TechPLC))
-	sc.RecoverLink(150, scenario.Link("s", "d", graph.TechPLC))
+	sc.FailLink(30, scenario.LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
+	sc.RecoverLink(150, scenario.LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
 	if _, err := scenario.Bind(em, sc, 1, scenario.Options{Strict: true}); err != nil {
 		t.Fatal(err)
 	}
 
 	em.Run(30)
-	beforePLC := fl.Rates()[0]
+	beforePLC := fl.AppendRates(nil)[0]
 	if beforePLC < 20 {
 		t.Fatalf("PLC route should carry ~40 before failure, got %.2f", beforePLC)
 	}
 
 	// Failure phase: traffic must shift onto WiFi.
 	em.Run(150)
-	after := fl.Rates()
+	after := fl.AppendRates(nil)
 	if after[0] > 2 {
 		t.Errorf("PLC route rate %.2f after failure, want ~0", after[0])
 	}
@@ -66,7 +66,7 @@ func TestLinkFailureShiftsTraffic(t *testing.T) {
 
 	// Recovery phase: capacity restored, traffic must shift back.
 	em.Run(270)
-	recovered := fl.Rates()
+	recovered := fl.AppendRates(nil)
 	if recovered[0] < 20 {
 		t.Errorf("PLC route rate %.2f after recovery, want most of its 40 Mbps back", recovered[0])
 	}

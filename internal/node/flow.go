@@ -201,13 +201,8 @@ func (f *Flow) Stop() {
 	f.sendTimer.Cancel()
 }
 
-// Rates returns a copy of the current per-route congestion-control rates
-// (Mbps). Per-slot callers use AppendRates to avoid the allocation.
-func (f *Flow) Rates() []float64 { return append([]float64(nil), f.x...) }
-
-// AppendRates appends the current per-route rates (Mbps) to dst and
-// returns it — the caller-buffer form of Rates for hot paths that read
-// the rates every slot.
+// AppendRates appends the current per-route congestion-control rates
+// (Mbps) to dst and returns it.
 func (f *Flow) AppendRates(dst []float64) []float64 { return append(dst, f.x...) }
 
 // TotalRate returns Σ_r x_r (Mbps).

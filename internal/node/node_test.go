@@ -87,7 +87,7 @@ func TestFigure1EmulationMultipathGain(t *testing.T) {
 	if rate > 18 {
 		t.Errorf("multipath delivered %.2f Mbps, above the optimum — airtime violated?", rate)
 	}
-	rates := fl.Rates()
+	rates := fl.AppendRates(nil)
 	if rates[0] < rates[1] {
 		t.Errorf("hybrid route should carry more: %v", rates)
 	}
@@ -217,7 +217,7 @@ func TestFigure9Offloading(t *testing.T) {
 		t.Fatal(err)
 	}
 	em.Run(40)
-	wifiShareBefore := f0.Rates()[1] / f0.TotalRate()
+	wifiShareBefore := f0.AppendRates(nil)[1] / f0.TotalRate()
 	// Start the contending WiFi flow.
 	_, err = em.AddFlow(FlowSpec{
 		Src: s2, Dst: d2, Routes: []graph.Path{{wifi2}}, Kind: TrafficSaturated,
@@ -226,16 +226,16 @@ func TestFigure9Offloading(t *testing.T) {
 		t.Fatal(err)
 	}
 	em.Run(120)
-	wifiShareAfter := f0.Rates()[1] / f0.TotalRate()
+	wifiShareAfter := f0.AppendRates(nil)[1] / f0.TotalRate()
 	if wifiShareAfter >= wifiShareBefore {
 		t.Errorf("flow 0 WiFi share should drop when contention appears: %.2f -> %.2f",
 			wifiShareBefore, wifiShareAfter)
 	}
 	// Flow 0 keeps its PLC rate high.
-	if f0.Rates()[0] < 20 {
-		t.Errorf("PLC route rate %.2f, want near 30", f0.Rates()[0])
+	if f0.AppendRates(nil)[0] < 20 {
+		t.Errorf("PLC route rate %.2f, want near 30", f0.AppendRates(nil)[0])
 	}
-	t.Logf("WiFi share %.2f -> %.2f, rates %v", wifiShareBefore, wifiShareAfter, f0.Rates())
+	t.Logf("WiFi share %.2f -> %.2f, rates %v", wifiShareBefore, wifiShareAfter, f0.AppendRates(nil))
 }
 
 func TestFileFlowCompletes(t *testing.T) {
@@ -260,7 +260,7 @@ func TestGammaRisesUnderOverload(t *testing.T) {
 	em := NewEmulation(net, Config{}, 11)
 	em.AddFlow(FlowSpec{Src: u, Dst: v, Routes: []graph.Path{p}, Kind: TrafficSaturated}, 0)
 	em.Run(20)
-	if g := em.Agent(u).Gamma(p[0]); g <= 0 {
+	if g := em.Agent(u).gamma[p[0]]; g <= 0 {
 		t.Errorf("gamma = %v, want > 0 on a saturated link", g)
 	}
 }

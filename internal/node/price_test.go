@@ -128,8 +128,8 @@ func TestPriceTermMatchesReference(t *testing.T) {
 		at(2, "before priceTick", func() { before = ag.priceTerm(wifiAB) })
 		at(2, "priceTick", func() {
 			ag.priceTick()
-			if ag.Gamma(wifiAB) == 0 || ag.priceTerm(wifiAB) == before {
-				t.Fatalf("priceTick left γ at %v and the price term at %v", ag.Gamma(wifiAB), before)
+			if ag.gamma[wifiAB] == 0 || ag.priceTerm(wifiAB) == before {
+				t.Fatalf("priceTick left γ at %v and the price term at %v", ag.gamma[wifiAB], before)
 			}
 		})
 		at(2.05, "neighbours heard a", func() {})

@@ -9,7 +9,7 @@ import (
 	"repro/internal/routing"
 )
 
-// ErrNoRoutes is returned by AddFlow and SetRoutes for an empty route set.
+// ErrNoRoutes is returned by AddFlow and a reroute for an empty route set.
 var ErrNoRoutes = errors.New("node: flow needs at least one route")
 
 // RouteManager implements the route-maintenance policy of §3.2: "the
@@ -112,13 +112,6 @@ func (m *RouteManager) failCheck() {
 			return
 		}
 	}
-}
-
-// EstimatedNetwork assembles the routing view of the network from the
-// per-agent capacity estimates: the capacities every EMPoWER node would
-// advertise in its link state. Failed links appear with zero capacity.
-func (e *Emulation) EstimatedNetwork() *graph.Network {
-	return estimatedView(e.Net, e.LinkEstimate)
 }
 
 // estimatedNetwork is the view a source inside the domain routes on: its
@@ -229,13 +222,4 @@ func netCapacityTotal(view *graph.Network) float64 {
 		s += view.Link(graph.LinkID(l)).Capacity
 	}
 	return s
-}
-
-// SetRoutes swaps the flow's route set live: congestion-control state is
-// re-seeded from the estimated network (the controller reconverges within
-// tens of slots) and the sequence space continues, so the destination's
-// reordering is unaffected. Routes longer than the header limit are
-// rejected with wire.ErrRouteTooLong.
-func (f *Flow) SetRoutes(routes []graph.Path) error {
-	return f.installRoutes(f.em.estimatedNetwork(), routes)
 }

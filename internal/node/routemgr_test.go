@@ -90,14 +90,14 @@ func TestSetRoutesValidation(t *testing.T) {
 	net, s, d, plcRoute, _ := diamond()
 	em := NewEmulation(net, Config{}, 53)
 	fl, _ := em.AddFlow(FlowSpec{Src: s, Dst: d, Routes: []graph.Path{plcRoute}, Kind: TrafficSaturated}, 0)
-	if err := fl.SetRoutes(nil); err == nil {
+	if err := fl.installRoutes(fl.em.estimatedNetwork(), nil); err == nil {
 		t.Error("empty route set accepted")
 	}
-	if err := fl.SetRoutes([]graph.Path{{plcRoute[1]}}); err == nil {
+	if err := fl.installRoutes(fl.em.estimatedNetwork(), []graph.Path{{plcRoute[1]}}); err == nil {
 		t.Error("broken route accepted")
 	}
 	// A set with one bad route installs nothing.
-	if err := fl.SetRoutes([]graph.Path{plcRoute, {plcRoute[1]}}); err == nil {
+	if err := fl.installRoutes(fl.em.estimatedNetwork(), []graph.Path{plcRoute, {plcRoute[1]}}); err == nil {
 		t.Error("set with a broken route accepted")
 	}
 	if got := fl.Routes(); len(got) != 1 || !slices.Equal(got[0], plcRoute) {
@@ -125,8 +125,8 @@ func TestSetRoutesValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lineFl.SetRoutes([]graph.Path{long}); !errors.Is(err, wire.ErrRouteTooLong) {
-		t.Errorf("SetRoutes with a %d-hop route: err = %v, want wire.ErrRouteTooLong", len(long), err)
+	if err := lineFl.installRoutes(lineFl.em.estimatedNetwork(), []graph.Path{long}); !errors.Is(err, wire.ErrRouteTooLong) {
+		t.Errorf("installRoutes with a %d-hop route: err = %v, want wire.ErrRouteTooLong", len(long), err)
 	}
 }
 
@@ -135,7 +135,7 @@ func TestEstimatedNetworkTracksCapacities(t *testing.T) {
 	em := NewEmulation(net, Config{Estimation: true}, 54)
 	em.AddFlow(FlowSpec{Src: s, Dst: d, Routes: []graph.Path{plcRoute}, Kind: TrafficSaturated}, 0)
 	em.Run(10)
-	est := em.EstimatedNetwork()
+	est := estimatedView(em.Net, em.LinkEstimate)
 	// Active link's estimate should be near truth.
 	got := est.Link(plcRoute[0]).Capacity
 	if got < 30 || got > 50 {

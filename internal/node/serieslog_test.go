@@ -67,11 +67,11 @@ func TestLoggedValuesAreWholeBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	em.Run(5)
-	if err := fl.SetRoutes(routes[1:]); err != nil {
+	if err := fl.installRoutes(fl.em.estimatedNetwork(), routes[1:]); err != nil {
 		t.Fatal(err)
 	}
 	em.Run(10)
-	if err := fl.SetRoutes(routes); err != nil {
+	if err := fl.installRoutes(fl.em.estimatedNetwork(), routes); err != nil {
 		t.Fatal(err)
 	}
 	em.Run(15)

@@ -82,7 +82,7 @@ func shardedFingerprint(t *testing.T, cfg Config, chunks int, seconds float64) s
 	out := ""
 	for i, fl := range flows {
 		s := em.Agent(fl.Dst).SinkFor(fl.Src, fl.ID)
-		out += fmt.Sprintf("flow%d bytes=%d rates=%v\n", i, s.TotalBytes, fl.Rates())
+		out += fmt.Sprintf("flow%d bytes=%d rates=%v\n", i, s.TotalBytes, fl.AppendRates(nil))
 	}
 	for n, a := range em.Agents {
 		if a.Forwarded+a.Consumed > 0 {
@@ -173,7 +173,7 @@ func TestShardedSingleDomainFallsBack(t *testing.T) {
 	}
 	em.Run(6)
 	s := em.Agent(c).SinkFor(a, fl.ID)
-	got := fmt.Sprintf("bytes=%d rates=%v", s.TotalBytes, fl.Rates())
+	got := fmt.Sprintf("bytes=%d rates=%v", s.TotalBytes, fl.AppendRates(nil))
 	if runtime.GOARCH == "amd64" && got != figure1Pin {
 		t.Fatalf("trajectory %q, pinned %q", got, figure1Pin)
 	}
@@ -283,7 +283,7 @@ func TestMultiDomainEstimatedNetwork(t *testing.T) {
 	em.Run(5)
 	// Warmed-up estimators sit near (never exactly on) the capacity, in
 	// both clusters.
-	est := em.EstimatedNetwork()
+	est := estimatedView(em.Net, em.LinkEstimate)
 	for _, cf := range cflows {
 		for _, l := range cf.routes[0] {
 			got, c := est.Link(l).Capacity, em.Net.Link(l).Capacity
@@ -299,7 +299,7 @@ func TestMultiDomainEstimatedNetwork(t *testing.T) {
 	dead := cflows[1].routes[0][0]
 	em.SetLinkCapacity(dead, 0)
 	em.Run(8)
-	if got := em.EstimatedNetwork().Link(dead).Capacity; got != 0 {
+	if got := estimatedView(em.Net, em.LinkEstimate).Link(dead).Capacity; got != 0 {
 		t.Fatalf("failed link estimated at %v, want 0", got)
 	}
 }
@@ -350,7 +350,7 @@ func orderFingerprint(t *testing.T, run func(em *Emulation, until float64)) stri
 	out := ""
 	for i, m := range mgrs {
 		out += fmt.Sprintf("flow%d reroutes=%d routes=%v rates=", i, m.Reroutes, m.flow.Routes())
-		for _, x := range m.flow.Rates() {
+		for _, x := range m.flow.AppendRates(nil) {
 			out += fmt.Sprintf("%x ", math.Float64bits(x))
 		}
 		out += "\n"

@@ -88,18 +88,12 @@ func newSink(a *Agent, src graph.NodeID, flowID uint16) *Sink {
 	}
 }
 
-// Src returns the flow's source node.
-func (s *Sink) Src() graph.NodeID { return s.src }
-
 // LastDeliveryAt returns the virtual time of the most recent data
 // arrival for this flow.
 func (s *Sink) LastDeliveryAt() float64 { return s.lastData }
 
 // IdleFor returns how long the flow has been silent at time now.
 func (s *Sink) IdleFor(now float64) float64 { return now - s.lastData }
-
-// FlowID returns the flow identifier.
-func (s *Sink) FlowID() uint16 { return s.flowID }
 
 // route returns the state of route r, growing the dense table on first
 // sight. The pointer is only valid until the next route call.

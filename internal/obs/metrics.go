@@ -115,14 +115,6 @@ func (g Gauge) Max(v float64) {
 	}
 }
 
-// Value returns the current value.
-func (g Gauge) Value() float64 {
-	if g.m == nil {
-		return 0
-	}
-	return g.m.val
-}
-
 // Registry is a set of metric slots registered at bind time. It is not
 // goroutine-safe: a registry belongs to one replication (or one
 // aggregator behind its own mutex), and its slots are updated by plain

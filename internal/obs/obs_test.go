@@ -90,14 +90,14 @@ func TestLintRejects(t *testing.T) {
 
 func TestRecorderRing(t *testing.T) {
 	r := NewRecorder(1) // rounds up to 64
-	if r.Cap() != 64 {
-		t.Fatalf("Cap = %d, want 64", r.Cap())
+	if len(r.buf) != 64 {
+		t.Fatalf("ring of %d records, want 64", len(r.buf))
 	}
 	for i := 0; i < 100; i++ {
 		r.Record(float64(i), RecTimerFire, int32(i), 0, 0)
 	}
-	if r.Total() != 100 {
-		t.Fatalf("Total = %d", r.Total())
+	if r.n != 100 {
+		t.Fatalf("%d records written, want 100", r.n)
 	}
 	tail := r.Tail(8)
 	if len(tail) != 8 {

@@ -82,13 +82,6 @@ func (r *Recorder) Record(at float64, kind RecKind, a, b int32, v float64) {
 	r.n++
 }
 
-// Total returns the number of records ever written (including ones the
-// ring has since overwritten).
-func (r *Recorder) Total() uint64 { return r.n }
-
-// Cap returns the ring capacity in records.
-func (r *Recorder) Cap() int { return len(r.buf) }
-
 // Tail returns a copy of the most recent min(n, held) records, oldest
 // first. It allocates and is meant for post-run dumps, not hot paths.
 func (r *Recorder) Tail(n int) []Record {

@@ -65,12 +65,8 @@ func (b *Backpressure) Step() {
 	// 1. Flow control: each source admits x_f = argmax V·U_f(x) − x·Q_s(d)
 	//    => x = U'^{-1}(Q/V), capped at the node's total egress capacity.
 	for f, spec := range b.flows {
-		u := spec.Utility
-		if u == nil {
-			u = congestion.ProportionalFairness{}
-		}
 		q := b.queues[spec.Src][spec.Dst]
-		x := u.PrimeInv(q / b.V)
+		x := congestion.ProportionalFairness{}.PrimeInv(q / b.V)
 		var capOut float64
 		for _, l := range b.net.Out(spec.Src) {
 			capOut += b.net.Link(l).Capacity
@@ -174,18 +170,6 @@ func (b *Backpressure) Run(n, f, window int) []float64 {
 		series[t] = (hist[t+1] - hist[t+1-w]) / (float64(w) * b.SlotSeconds)
 	}
 	return series
-}
-
-// TotalQueue returns the aggregate backlog in the network (Mb), a measure
-// of the large queues backpressure needs before converging.
-func (b *Backpressure) TotalQueue() float64 {
-	var s float64
-	for _, row := range b.queues {
-		for _, q := range row {
-			s += q
-		}
-	}
-	return s
 }
 
 // SlotsToFractionOfOptimal returns the first slot at which the trailing

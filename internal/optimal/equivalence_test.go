@@ -132,9 +132,9 @@ func randomProblem(rng *rand.Rand) Problem {
 		case 0:
 			p.Utilities = append(p.Utilities, nil)
 		case 1:
-			p.Utilities = append(p.Utilities, congestion.ProportionalFairness{Weight: 0.5 + 2*rng.Float64()})
+			p.Utilities = append(p.Utilities, weightedLog(0.5+2*rng.Float64()))
 		default:
-			p.Utilities = append(p.Utilities, congestion.AlphaFair{A: 0.5 + 1.5*rng.Float64()})
+			p.Utilities = append(p.Utilities, alphaFair(0.5+1.5*rng.Float64()))
 		}
 	}
 	bound := 1 - 0.2*rng.Float64() // Delta > 0
@@ -271,15 +271,15 @@ func assertSameResult(t *testing.T, name string, got, want Result) {
 	if !sameBits(got.Utility, want.Utility) {
 		t.Fatalf("%s: Utility = %v, want %v", name, got.Utility, want.Utility)
 	}
-	if len(got.FlowRates) != len(want.FlowRates) || len(got.X) != len(want.X) || len(got.Paths) != len(want.Paths) {
+	if len(got.FlowRates) != len(want.FlowRates) || len(got.X) != len(want.X) {
 		t.Fatalf("%s: shape differs", name)
 	}
 	for f := range want.FlowRates {
 		if !sameBits(got.FlowRates[f], want.FlowRates[f]) {
 			t.Fatalf("%s: FlowRates[%d] = %v, want %v", name, f, got.FlowRates[f], want.FlowRates[f])
 		}
-		if len(got.X[f]) != len(want.X[f]) || len(got.Paths[f]) != len(want.Paths[f]) {
-			t.Fatalf("%s: flow %d has %d rates / %d paths, want %d / %d", name, f, len(got.X[f]), len(got.Paths[f]), len(want.X[f]), len(want.Paths[f]))
+		if len(got.X[f]) != len(want.X[f]) {
+			t.Fatalf("%s: flow %d has %d rates, want %d", name, f, len(got.X[f]), len(want.X[f]))
 		}
 		for i := range want.X[f] {
 			if !sameBits(got.X[f][i], want.X[f][i]) {

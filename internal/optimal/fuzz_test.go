@@ -53,7 +53,7 @@ func fuzzProblem(data []byte) (Problem, SolveOptions) {
 	for f := 0; f < flows; f++ {
 		kind, w := b.byte()%4, b.float()
 		p.Utilities = append(p.Utilities, []congestion.Utility{
-			nil, congestion.ProportionalFairness{Weight: w}, congestion.AlphaFair{A: w}, scaledLog(w),
+			nil, weightedLog(w), alphaFair(w), scaledLog(w),
 		}[kind])
 	}
 	for c := 0; c < rows; c++ {

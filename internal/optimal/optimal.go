@@ -4,15 +4,13 @@ import (
 	"encoding/binary"
 	"math"
 
-	"repro/internal/congestion"
 	"repro/internal/graph"
 )
 
-// FlowSpec is a source-destination pair with an optional utility
-// (proportional fairness when nil).
+// FlowSpec is a source-destination pair; every flow's utility is
+// proportional fairness.
 type FlowSpec struct {
 	Src, Dst graph.NodeID
-	Utility  congestion.Utility
 }
 
 // Config tunes the baselines.
@@ -29,10 +27,7 @@ type Result struct {
 	FlowRates []float64
 	// Utility is the optimal aggregate utility.
 	Utility float64
-	// Paths[f] are the enumerated paths of flow f (shared by both
-	// baselines for a given network).
-	Paths [][]graph.Path
-	// X[f][i] is the rate on Paths[f][i].
+	// X[f][i] is the rate on the i-th enumerated path of flow f.
 	X [][]float64
 }
 
@@ -41,8 +36,7 @@ type Result struct {
 // route's bottleneck cap, and the link→routes incidence the constraint
 // generators read.
 type routeSet struct {
-	paths [][]graph.Path
-	// problem carries Flows, Utilities, RateCap and NumRoutes; each
+	// problem carries Flows, RateCap and NumRoutes; each
 	// baseline adds its own Constraints.
 	problem Problem
 	// routesOnLink lists the routes that traverse each link, with
@@ -53,17 +47,14 @@ type routeSet struct {
 
 // enumerateRoutes enumerates the paths of every flow.
 func enumerateRoutes(net *graph.Network, flows []FlowSpec, opts EnumerateOptions) routeSet {
-	rs := routeSet{paths: make([][]graph.Path, len(flows))}
+	var rs routeSet
 	var routes []graph.Path
 	rs.problem.Flows = make([][]int, len(flows))
 	for f, spec := range flows {
-		paths := EnumeratePaths(net, spec.Src, spec.Dst, opts)
-		rs.paths[f] = paths
-		for _, p := range paths {
+		for _, p := range EnumeratePaths(net, spec.Src, spec.Dst, opts) {
 			rs.problem.Flows[f] = append(rs.problem.Flows[f], len(routes))
 			routes = append(routes, p)
 		}
-		rs.problem.Utilities = append(rs.problem.Utilities, spec.Utility)
 	}
 	rs.problem.NumRoutes = len(routes)
 	rs.problem.RateCap = make([]float64, len(routes))
@@ -160,8 +151,7 @@ func (rs *routeSet) result(sol Solution) Result {
 	res := Result{
 		FlowRates: append([]float64(nil), sol.FlowRates...),
 		Utility:   sol.Utility,
-		Paths:     rs.paths,
-		X:         make([][]float64, len(rs.paths)),
+		X:         make([][]float64, len(rs.problem.Flows)),
 	}
 	for f, idxs := range rs.problem.Flows {
 		res.X[f] = make([]float64, len(idxs))
@@ -172,16 +162,11 @@ func (rs *routeSet) result(sol Solution) Result {
 	return res
 }
 
-// unconnected is the result when no flow has a path: all-zero rates.
+// unconnected is the result when no flow has a path: all-zero rates, and
+// the utility U(0) = 0 of every flow.
 func (rs *routeSet) unconnected() Result {
-	res := Result{Paths: rs.paths, FlowRates: make([]float64, len(rs.paths)), X: make([][]float64, len(rs.paths))}
-	for _, u := range rs.problem.Utilities {
-		if u == nil {
-			u = congestion.ProportionalFairness{}
-		}
-		res.Utility += u.Value(0)
-	}
-	return res
+	n := len(rs.problem.Flows)
+	return Result{FlowRates: make([]float64, n), X: make([][]float64, n)}
 }
 
 // solve optimizes the route set under one capacity region.
@@ -217,7 +202,7 @@ func ConservativeOpt(net *graph.Network, flows []FlowSpec, cfg Config) (Result, 
 // Optimal's result and cons equals ConservativeOpt's, bit for bit. When
 // the two capacity regions are the same rows — one collision domain per
 // technology, as in every residential instance — the problem is solved
-// once. The results share Paths and nothing else.
+// once. The results share nothing.
 func Baselines(net *graph.Network, flows []FlowSpec, cfg Config) (opt, cons Result, err error) {
 	rs := enumerateRoutes(net, flows, cfg.Enumerate)
 	n := rs.problem.NumRoutes

@@ -173,6 +173,95 @@ func (w scaledLog) Value(x float64) float64    { return float64(w) * math.Log(x)
 func (w scaledLog) Prime(x float64) float64    { return float64(w) / x }
 func (w scaledLog) PrimeInv(q float64) float64 { return float64(w) / q }
 
+// weightedLog is U = w·log(1 + x), weight 1 when w is 0: the weighted
+// proportional fairness the solver's tests give a flow.
+type weightedLog float64
+
+func (w weightedLog) weight() float64 {
+	if w == 0 {
+		return 1
+	}
+	return float64(w)
+}
+
+func (w weightedLog) Value(x float64) float64 {
+	if x < 0 {
+		x = 0
+	}
+	return w.weight() * math.Log1p(x)
+}
+
+func (w weightedLog) Prime(x float64) float64 {
+	if x < 0 {
+		x = 0
+	}
+	return w.weight() / (1 + x)
+}
+
+func (w weightedLog) PrimeInv(q float64) float64 {
+	if q <= 0 {
+		return math.Inf(1)
+	}
+	x := w.weight()/q - 1
+	if x < 0 {
+		return 0
+	}
+	return x
+}
+
+// alphaFair is the α-fair utility family (Mo & Walrand) at α = a,
+// regularized by alphaEps near x = 0: U(x) = (x+ε)^{1−a}/(1−a), and
+// log(x+ε) at a = 1.
+type alphaFair float64
+
+const alphaEps = 1e-3
+
+func (a alphaFair) Value(x float64) float64 {
+	if x < 0 {
+		x = 0
+	}
+	x += alphaEps
+	if a == 1 {
+		return math.Log(x)
+	}
+	return math.Pow(x, 1-float64(a)) / (1 - float64(a))
+}
+
+func (a alphaFair) Prime(x float64) float64 {
+	if x < 0 {
+		x = 0
+	}
+	return math.Pow(x+alphaEps, -float64(a))
+}
+
+func (a alphaFair) PrimeInv(q float64) float64 {
+	if q <= 0 {
+		return math.Inf(1)
+	}
+	x := math.Pow(q, -1/float64(a)) - alphaEps
+	if x < 0 {
+		return 0
+	}
+	return x
+}
+
+// TestAlphaFair checks the utility doubles: PrimeInv inverts Prime, a = 1
+// is the log utility, and a weight scales the marginal utility.
+func TestAlphaFair(t *testing.T) {
+	u := alphaFair(2)
+	for _, x := range []float64{0.1, 1, 5} {
+		if got := u.PrimeInv(u.Prime(x)); math.Abs(got-x) > 1e-6 {
+			t.Errorf("alphaFair PrimeInv(Prime(%v)) = %v", x, got)
+		}
+	}
+	if math.Abs(alphaFair(1).Value(math.E-alphaEps)-1) > 1e-9 {
+		t.Error("a = 1 should be log utility")
+	}
+	if math.Abs(weightedLog(2).Prime(1)-1) > 1e-12 {
+		t.Error("weighted Prime wrong")
+	}
+}
+
 // TestInfiniteMarginalUtility winds flow 0 down to a rate of exactly zero,
 // where its utility answers U′ = +Inf and every route jumps to its cap,
 // while flow 1 parks and wakes routes next to it.
@@ -197,7 +286,7 @@ func TestInfiniteMarginalUtility(t *testing.T) {
 func TestFlowSumBound(t *testing.T) {
 	p := Problem{
 		NumRoutes: 3, Flows: [][]int{{0}, {1, 2}},
-		Utilities: []congestion.Utility{congestion.ProportionalFairness{Weight: 1e5}, congestion.AlphaFair{A: 1}},
+		Utilities: []congestion.Utility{weightedLog(1e5), alphaFair(1)},
 	}
 	p.Constraints = []Constraint{{Coef: map[int]float64{0: 0.01, 1: 0.1, 2: 0.2}, Bound: 100}}
 	p.RateCap = []float64{3e4, 1, 1}

@@ -76,7 +76,7 @@ func TestAblationCombinationVsTwoBest(t *testing.T) {
 		// on the residual graph.
 		joint := RatePath(net, two[0])
 		if len(two) > 1 {
-			g1 := Update(net, two[0])
+			g1 := updated(net, two[0])
 			joint += RatePath(g1, two[1])
 		}
 		if comb.Total < joint-1e-6 {

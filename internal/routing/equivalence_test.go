@@ -8,7 +8,6 @@ package routing
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -154,8 +153,9 @@ func TestDenseMatchesReferenceTopologies(t *testing.T) {
 	}
 }
 
-// TestRateProceduresMatchReference pins RatePath / RateOnLink / Update /
-// SequentialRates to the reference formulas on random instances.
+// TestRateProceduresMatchReference pins RatePath, the workspace's
+// update(P,G) and AppendSequentialRates to the reference formulas on
+// random instances.
 func TestRateProceduresMatchReference(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := newRng(seed + 500)
@@ -165,47 +165,22 @@ func TestRateProceduresMatchReference(t *testing.T) {
 			if got, want := RatePath(net, p), refRatePath(net, p); got != want {
 				t.Fatalf("seed %d: RatePath %v != reference %v", seed, got, want)
 			}
-			for _, l := range p {
-				got := RateOnLink(net, l, p)
-				// Reference formula inline: sum of d over I_l ∩ P.
-				var sum float64
-				dead := false
-				for _, i := range net.Interference(l) {
-					for _, q := range p {
-						if q == i {
-							if net.Link(i).Capacity <= 0 {
-								dead = true
-							}
-							sum += net.Link(i).D()
-						}
-					}
-				}
-				want := math.Inf(1)
-				if dead {
-					want = 0
-				} else if sum > 0 {
-					want = 1 / sum
-				}
-				if got != want {
-					t.Fatalf("seed %d: RateOnLink %v != reference %v", seed, got, want)
-				}
-			}
-			g1 := Update(net, p)
+			g1 := updated(net, p)
 			g2 := refUpdate(net, p)
 			for i := 0; i < net.NumLinks(); i++ {
 				if g1.Link(graph.LinkID(i)).Capacity != g2.Link(graph.LinkID(i)).Capacity {
-					t.Fatalf("seed %d: Update capacity %d diverged: %v != %v",
+					t.Fatalf("seed %d: update capacity %d diverged: %v != %v",
 						seed, i, g1.Link(graph.LinkID(i)).Capacity, g2.Link(graph.LinkID(i)).Capacity)
 				}
 			}
 		}
-		// SequentialRates vs the RatePath/Update chain it replaces.
-		rates := SequentialRates(net, paths)
+		// AppendSequentialRates vs the RatePath/update chain it replaces.
+		rates := AppendSequentialRates(net, paths, nil)
 		g := net
 		for i, p := range paths {
 			want := refRatePath(g, p)
 			if rates[i] != want {
-				t.Fatalf("seed %d: SequentialRates[%d] = %v, chain gives %v", seed, i, rates[i], want)
+				t.Fatalf("seed %d: AppendSequentialRates[%d] = %v, chain gives %v", seed, i, rates[i], want)
 			}
 			if want > 0 {
 				g = refUpdate(g, p)

@@ -51,56 +51,6 @@ func (ws *workspace) ratePath(capv []float64, p graph.Path) float64 {
 	return 1 / worst
 }
 
-// RateOnLink returns R(l,P) = (Σ_{l'∈ I_l ∩ P} d_{l'})^{-1}: the maximum
-// path rate supported by link l (which must be on P).
-func RateOnLink(net *graph.Network, l graph.LinkID, p graph.Path) float64 {
-	ws := getWS(net)
-	ws.pathEpoch++
-	ep := ws.pathEpoch
-	for _, id := range p {
-		ws.inPathMark[id] = ep
-	}
-	var sum float64
-	for _, i := range net.Interference(l) {
-		if ws.inPathMark[i] == ep {
-			c := net.Link(i).Capacity
-			if c <= 0 {
-				putWS(ws)
-				return 0
-			}
-			sum += 1 / c
-		}
-	}
-	putWS(ws)
-	if sum == 0 {
-		return math.Inf(1)
-	}
-	return 1 / sum
-}
-
-// Update implements the procedure update(P,G) of §3.2: it returns a copy of
-// the multigraph whose link capacities reflect the consumption of resources
-// when traffic is sent on P at the full rate R(P). For every link l in the
-// union of the interference domains of P's links,
-//
-//	C(l) ← max{0, C(l) · r(l,P)},  r(l,P) = 1 − Σ_{l'∈ I_l ∩ P} R(P)·d_{l'}.
-//
-// At least one link of P (the bottleneck) ends with zero capacity, which
-// guarantees the exploration tree terminates.
-func Update(net *graph.Network, p graph.Path) *graph.Network {
-	out := net.Clone()
-	ws := getWS(net)
-	ws.fillCap()
-	if r := ws.ratePath(ws.capRoot, p); r > 0 {
-		ws.update(ws.capRoot, p, r)
-		for i := range out.Links {
-			out.Links[i].Capacity = ws.capRoot[i]
-		}
-	}
-	putWS(ws)
-	return out
-}
-
 // update applies update(P,G) to a capacity overlay in place, given
 // r = R(P) > 0 computed on the same overlay. It scatters rather than
 // gathers: each distinct path link p, in ascending LinkID order, adds its
@@ -155,22 +105,12 @@ func (ws *workspace) update(capv []float64, p graph.Path, r float64) {
 	ws.affList = aff[:0]
 }
 
-// SequentialRates returns R(P_i) for each path when the paths are loaded in
-// order, each at its full residual rate — the §3.2 exploration-tree
-// accounting that sources use to seed the congestion controller. It is
-// equivalent to chaining RatePath and Update per path but runs on one
-// reusable capacity overlay instead of cloning the network per step.
-func SequentialRates(net *graph.Network, paths []graph.Path) []float64 {
-	if len(paths) == 0 {
-		return nil
-	}
-	return AppendSequentialRates(net, paths, make([]float64, 0, len(paths)))
-}
-
 // AppendSequentialRates appends R(P_i) for each path to dst and returns
-// the extended slice: the allocation-free form of SequentialRates for
-// callers that keep a scratch buffer (controller seeding on the sweep and
-// emulation hot paths).
+// the extended slice: R(P_i) when the paths are loaded in order, each at
+// its full residual rate — the §3.2 exploration-tree accounting that
+// sources use to seed the congestion controller. It is equivalent to
+// chaining R(P) and update(P,G) per path but runs on one reusable
+// capacity overlay instead of cloning the network per step.
 func AppendSequentialRates(net *graph.Network, paths []graph.Path, dst []float64) []float64 {
 	if len(paths) == 0 {
 		return dst
@@ -205,7 +145,7 @@ type Combination struct {
 // Multipath runs the full multipath-routing procedure of §3.2: it builds
 // the exploration tree whose root is net, where each edge is a path
 // returned by n-shortest and each child vertex the multigraph updated by
-// Update, and returns the path set on the root-to-leaf branch maximizing
+// update(P,G), and returns the path set on the root-to-leaf branch maximizing
 // total capacity. The zero Combination is returned when dst is unreachable.
 func Multipath(net *graph.Network, src, dst graph.NodeID, cfg Config) Combination {
 	ws := getWS(net)

@@ -344,3 +344,13 @@ func refExplore(g *graph.Network, src, dst graph.NodeID, cfg Config, cur Combina
 		*best = cur
 	}
 }
+
+// PathKey returns a canonical comparable key for a path, used to
+// de-duplicate paths across the reference Yen's iterations.
+func PathKey(p graph.Path) string {
+	b := make([]byte, 0, len(p)*3)
+	for _, id := range p {
+		b = append(b, byte(id>>16), byte(id>>8), byte(id))
+	}
+	return string(b)
+}

@@ -196,25 +196,37 @@ func TestRatePathFigure1(t *testing.T) {
 	}
 }
 
+// TestRateOnLink checks R(P) as the minimum over P's links of Lemma 1's
+// R(l,P) = (Σ_{l'∈ I_l ∩ P} d_{l'})^{-1}.
 func TestRateOnLink(t *testing.T) {
 	net, a, bb, c := figure1()
-	wab := net.FindLink(a, bb, graph.TechWiFi)
 	wbc := net.FindLink(bb, c, graph.TechWiFi)
-	p := graph.Path{wab, wbc}
-	// Both links contend: R(l,P) identical on both = 10.
-	if r := RateOnLink(net, wab, p); math.Abs(r-10) > 1e-9 {
-		t.Errorf("R(l,P) = %v, want 10", r)
-	}
 	plc := net.FindLink(a, bb, graph.TechPLC)
 	hp := graph.Path{plc, wbc}
-	// On the hybrid path the PLC link sees only itself: R = 10.
-	if r := RateOnLink(net, plc, hp); math.Abs(r-10) > 1e-9 {
-		t.Errorf("R(plc,P) = %v, want 10", r)
+	// On the hybrid path each link sees only itself: R(plc,P) = 10 and
+	// R(wbc,P) = 30, so R(P) is the PLC link's term.
+	if r := RatePath(net, graph.Path{wbc}); math.Abs(r-30) > 1e-9 {
+		t.Errorf("R(wbc) = %v, want 30", r)
 	}
-	// And the WiFi link sees only itself: R = 30.
-	if r := RateOnLink(net, wbc, hp); math.Abs(r-30) > 1e-9 {
-		t.Errorf("R(wbc,P) = %v, want 30", r)
+	if r := RatePath(net, hp); math.Abs(r-10) > 1e-9 {
+		t.Errorf("R(hybrid) = %v, want min(10, 30) = 10", r)
 	}
+}
+
+// updated returns a copy of net after update(P,G) at R(P), applied by the
+// workspace kernel every route computation runs.
+func updated(net *graph.Network, p graph.Path) *graph.Network {
+	out := net.Clone()
+	ws := getWS(net)
+	ws.fillCap()
+	if r := ws.ratePath(ws.capRoot, p); r > 0 {
+		ws.update(ws.capRoot, p, r)
+		for i := range out.Links {
+			out.Links[i].Capacity = ws.capRoot[i]
+		}
+	}
+	putWS(ws)
+	return out
 }
 
 func TestUpdateBottleneckZeroed(t *testing.T) {
@@ -222,7 +234,7 @@ func TestUpdateBottleneckZeroed(t *testing.T) {
 	plc := net.FindLink(a, bb, graph.TechPLC)
 	wbc := net.FindLink(bb, c, graph.TechWiFi)
 	hybrid := graph.Path{plc, wbc}
-	g1 := Update(net, hybrid)
+	g1 := updated(net, hybrid)
 	// PLC is the bottleneck (10 = R(P)): its capacity must drop to 0.
 	if g1.Link(plc).Capacity != 0 {
 		t.Errorf("bottleneck capacity = %v, want 0", g1.Link(plc).Capacity)
@@ -238,14 +250,14 @@ func TestUpdateBottleneckZeroed(t *testing.T) {
 	}
 	// The original network is untouched.
 	if net.Link(plc).Capacity != 10 {
-		t.Error("Update mutated its input")
+		t.Error("update mutated its input")
 	}
 }
 
 func TestUpdatePropertyNonNegativeAndBounded(t *testing.T) {
 	net, a, _, c := figure1()
 	for _, p := range NShortest(net, a, c, DefaultConfig()) {
-		g1 := Update(net, p)
+		g1 := updated(net, p)
 		hasZero := false
 		for i := 0; i < g1.NumLinks(); i++ {
 			before := net.Link(graph.LinkID(i)).Capacity
@@ -260,7 +272,7 @@ func TestUpdatePropertyNonNegativeAndBounded(t *testing.T) {
 			}
 		}
 		if !hasZero {
-			t.Error("Update must zero at least one path link (the bottleneck)")
+			t.Error("update must zero at least one path link (the bottleneck)")
 		}
 	}
 }

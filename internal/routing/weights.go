@@ -107,13 +107,3 @@ func pathWeightView(ws *workspace, capv []float64, p graph.Path, cfg Config) flo
 	}
 	return w
 }
-
-// PathKey returns a canonical comparable key for a path, used to
-// de-duplicate paths across Yen iterations.
-func PathKey(p graph.Path) string {
-	b := make([]byte, 0, len(p)*3)
-	for _, id := range p {
-		b = append(b, byte(id>>16), byte(id>>8), byte(id))
-	}
-	return string(b)
-}

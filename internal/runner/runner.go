@@ -146,14 +146,6 @@ func (s *RepSet) Count() int {
 	return s.count
 }
 
-// Total returns the universe size the set was built over.
-func (s *RepSet) Total() int {
-	if s == nil {
-		return 0
-	}
-	return s.total
-}
-
 // Run executes total replications of job on the worker pool and returns
 // their results indexed by replication number.
 //

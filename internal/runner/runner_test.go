@@ -260,7 +260,7 @@ func TestRunFromProgressCountsFromCheckpoint(t *testing.T) {
 // RunFrom relies on.
 func TestRepSet(t *testing.T) {
 	s := NewRepSet(130)
-	if s.Count() != 0 || s.Total() != 130 || s.Has(0) {
+	if s.Count() != 0 || s.total != 130 || s.Has(0) {
 		t.Fatal("fresh set not empty")
 	}
 	s.Add(0)
@@ -281,7 +281,7 @@ func TestRepSet(t *testing.T) {
 		t.Error("Has reports indices never added")
 	}
 	var nilSet *RepSet
-	if nilSet.Count() != 0 || nilSet.Has(3) || nilSet.Total() != 0 {
+	if nilSet.Count() != 0 || nilSet.Has(3) {
 		t.Error("nil RepSet must behave as empty")
 	}
 	nilSet.Add(1) // must not panic

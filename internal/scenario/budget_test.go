@@ -13,7 +13,7 @@ import (
 // duration and means put beyond maxTimelineEvents fails Bind with an
 // error naming the budget, instead of expanding until memory runs out.
 func TestHostileTimelineFailsBind(t *testing.T) {
-	plc := Link("s", "d", graph.TechPLC)
+	plc := LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()}
 	cases := []struct {
 		name string
 		sc   *Scenario
@@ -43,7 +43,7 @@ func TestHostileTimelineFailsBind(t *testing.T) {
 // maxTimelineEvents steps binds, and one step more does not.
 func TestTimelineBudgetBoundary(t *testing.T) {
 	net, _, _ := twoRouteNet(t)
-	plc := Link("s", "d", graph.TechPLC)
+	plc := LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()}
 	fits := New("fits", maxTimelineEvents+0.5).Drift(plc, 1, 0.1, 0, 0)
 	if got := len(mustExpand(t, fits, net, 3)); got != maxTimelineEvents {
 		t.Fatalf("expanded %d events, want %d", got, maxTimelineEvents)

@@ -51,7 +51,6 @@ func (o Options) routes() RouteFn {
 
 // FlowRecord is the runtime state of one scenario flow.
 type FlowRecord struct {
-	Spec      FlowSpec
 	Flow      *node.Flow
 	Mgr       *node.RouteManager
 	Src, Dst  graph.NodeID
@@ -576,7 +575,7 @@ func (rt *Runtime) startFlow(d *node.Domain, spec FlowSpec, src, dst graph.NodeI
 		rt.SkippedFlows = append(rt.SkippedFlows, spec.Name)
 		return
 	}
-	rec := &FlowRecord{Spec: spec, Flow: f, Src: src, Dst: dst, StartedAt: now}
+	rec := &FlowRecord{Flow: f, Src: src, Dst: dst, StartedAt: now}
 	if rt.opts.ManageRoutes {
 		rec.Mgr = rt.Em.ManageRoutes(f)
 		// Reroutes re-run the same selection the flow started with, so
@@ -621,16 +620,6 @@ func (rt *Runtime) meanRate(rec *FlowRecord, from, to float64) float64 {
 		return s.MeanRate(from, to)
 	}
 	return 0
-}
-
-// FlowGoodput returns the delivered goodput (Mbps) of a named flow over
-// [from, to].
-func (rt *Runtime) FlowGoodput(name string, from, to float64) float64 {
-	rec := rt.Flow(name)
-	if rec == nil {
-		return 0
-	}
-	return rt.meanRate(rec, from, to)
 }
 
 // AggregateGoodput returns the total delivered goodput of all scenario

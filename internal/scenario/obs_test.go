@@ -61,8 +61,8 @@ func TestViolationReportCarriesTail(t *testing.T) {
 // tail its reports print.
 func TestViolationReportRingSize(t *testing.T) {
 	small, large := tailRun(t, 64), tailRun(t, 256)
-	if n := small.Em.Domain(0).Engine.Recorder().Total(); n <= 256 {
-		t.Fatalf("only %d records written; both rings must wrap", n)
+	if oldest := large.Em.Domain(0).Engine.Recorder().Tail(256)[0]; oldest.At == 0 {
+		t.Fatalf("the 256-record ring still holds a t=0 record (%s); both rings must wrap", obs.FormatRecord(oldest))
 	}
 	v := invariant.Violation{At: 5, Domain: 0, Check: "flow-conservation", Detail: "synthetic"}
 	if a, b := small.ViolationReport(v, 64), large.ViolationReport(v, 64); a != b {
@@ -82,7 +82,7 @@ func tailRun(t *testing.T, recorder int) *Runtime {
 	net := b.Build()
 	sc := New("tail", 10)
 	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	sc.FailLink(4, Link("s", "d", graph.TechPLC))
+	sc.FailLink(4, LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
 	em := node.NewEmulation(net, node.Config{Estimation: true, Recorder: recorder}, 31)
 	rt, err := Bind(em, sc, 7, Options{Strict: true})
 	if err != nil {
@@ -104,7 +104,7 @@ func TestRuntimeSampleMetrics(t *testing.T) {
 	net := b.Build()
 	sc := New("metrics", 10)
 	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	sc.FailLink(4, Link("s", "d", graph.TechPLC))
+	sc.FailLink(4, LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 31)
 	rt, err := Bind(em, sc, 7, Options{Strict: true, Invariants: true})
 	if err != nil {

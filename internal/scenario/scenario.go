@@ -251,11 +251,6 @@ func New(name string, duration float64) *Scenario {
 	return &Scenario{Name: name, Duration: duration}
 }
 
-// Link is a convenience constructor for a bidirectional link reference.
-func Link(from, to string, tech graph.Tech) LinkRef {
-	return LinkRef{From: from, To: to, Tech: tech.String()}
-}
-
 // AddFlow schedules a flow.
 func (s *Scenario) AddFlow(f FlowSpec) *Scenario {
 	s.Flows = append(s.Flows, f)
@@ -431,6 +426,12 @@ func (s *Scenario) Validate() error {
 		case LinkFail, LinkRecover, SetCapacity, ScaleCapacity:
 			if ev.Link == nil {
 				return fmt.Errorf("scenario %q: %s event %d needs a link", s.Name, ev.Kind, i)
+			}
+			if ev.Kind == SetCapacity && !(ev.Capacity >= 0) {
+				return fmt.Errorf("scenario %q: set-capacity event %d needs a capacity >= 0, got %g", s.Name, i, ev.Capacity)
+			}
+			if ev.Kind == ScaleCapacity && !(ev.Factor >= 0) {
+				return fmt.Errorf("scenario %q: scale-capacity event %d needs a factor >= 0, got %g", s.Name, i, ev.Factor)
 			}
 		case SetLoss:
 			if ev.Link == nil {

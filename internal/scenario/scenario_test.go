@@ -4,6 +4,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -42,8 +43,8 @@ func TestFlapFailoverMeasurement(t *testing.T) {
 	net, _, _ := twoRouteNet(t)
 	sc := New("flap", 150)
 	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	sc.FailLink(30, Link("s", "d", graph.TechPLC))
-	sc.RecoverLink(90, Link("s", "d", graph.TechPLC))
+	sc.FailLink(30, LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
+	sc.RecoverLink(90, LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
 
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 31)
 	rt, err := Bind(em, sc, 7, Options{Strict: true})
@@ -71,12 +72,12 @@ func TestFlapFailoverMeasurement(t *testing.T) {
 	}
 	rec := rt.Flow("f")
 	// After failover: WiFi (route with the WiFi first hop) carries ~40.
-	during := rt.FlowGoodput("f", 60, 90)
+	during := rt.meanRate(rt.Flow("f"), 60, 90)
 	if during < 25 {
 		t.Errorf("goodput %.2f Mbps during the PLC outage, want most of the WiFi capacity", during)
 	}
 	// After recovery: both routes again.
-	after := rt.FlowGoodput("f", 130, 150)
+	after := rt.meanRate(rt.Flow("f"), 130, 150)
 	if after < during+8 {
 		t.Errorf("goodput %.2f Mbps after recovery vs %.2f during outage: traffic did not shift back", after, during)
 	}
@@ -93,7 +94,7 @@ func TestDegradedSinglePath(t *testing.T) {
 	plc := net.FindLink(s, d, graph.TechPLC)
 	sc := New("degraded", 90)
 	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	sc.FailLink(30, Link("s", "d", graph.TechPLC))
+	sc.FailLink(30, LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
 
 	em := node.NewEmulation(net, node.Config{Estimation: true, DisableCC: true}, 5)
 	rt, err := Bind(em, sc, 7, Options{
@@ -207,7 +208,7 @@ func TestDriftStaysClamped(t *testing.T) {
 	plc := net.FindLink(s, d, graph.TechPLC)
 	sc := New("drift", 60)
 	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	sc.Drift(Link("s", "d", graph.TechPLC), 1, 0.3, 0.25, 1.25)
+	sc.Drift(LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()}, 1, 0.3, 0.25, 1.25)
 
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 2)
 	rt, err := Bind(em, sc, 11, Options{Strict: true})
@@ -246,7 +247,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		},
 	}
 	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	sc.Flap(Link("s", "d", graph.TechPLC), 20, 8, 25)
+	sc.Flap(LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()}, 20, 8, 25)
 	path := filepath.Join(t.TempDir(), "sc.json")
 	if err := sc.Save(path); err != nil {
 		t.Fatal(err)
@@ -279,6 +280,25 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestValidateErrors is the table of events Validate rejects, each with
+// the words its error must carry.
+func TestValidateErrors(t *testing.T) {
+	link := `"link":{"from":"s","to":"d","tech":"PLC"}`
+	cases := []struct{ name, event, want string }{
+		{"link-less fail", `{"at":1,"kind":"link-fail"}`, "needs a link"},
+		{"negative time", `{"at":-1,"kind":"link-fail",` + link + `}`, "negative time"},
+		{"loss above 1", `{"at":1,"kind":"set-loss",` + link + `,"loss":1.5}`, "loss in [0,1]"},
+		{"negative capacity", `{"at":1,"kind":"set-capacity",` + link + `,"capacity":-5}`, "capacity >= 0"},
+		{"negative factor", `{"at":1,"kind":"scale-capacity",` + link + `,"factor":-0.5}`, "factor >= 0"},
+	}
+	for _, c := range cases {
+		_, err := Parse([]byte(`{"name":"x","duration":10,"events":[` + c.event + `]}`))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}
+
 // TestLenientUnresolved drops events whose links don't exist on this
 // view and records them, instead of failing the bind — scheme sweeps on
 // WiFi-only views depend on this.
@@ -290,7 +310,7 @@ func TestLenientUnresolved(t *testing.T) {
 	net := b.Build()
 	sc := New("lenient", 30)
 	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	sc.FailLink(10, Link("s", "d", graph.TechPLC)) // no PLC on this view
+	sc.FailLink(10, LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()}) // no PLC on this view
 
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 1)
 	if _, err := Bind(em, sc, 1, Options{Strict: true}); err == nil {
@@ -368,8 +388,8 @@ func TestManagedRerouteOnFailure(t *testing.T) {
 
 	sc := New("reroute", 180)
 	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0, MaxRoutes: 1})
-	sc.FailLink(30, Link("s", "d", graph.TechPLC))
-	sc.RecoverLink(90, Link("s", "d", graph.TechPLC))
+	sc.FailLink(30, LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
+	sc.RecoverLink(90, LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
 
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 17)
 	rt, err := Bind(em, sc, 5, Options{Strict: true, ManageRoutes: true})
@@ -385,7 +405,7 @@ func TestManagedRerouteOnFailure(t *testing.T) {
 	if rec.Mgr.Reroutes == 0 {
 		t.Fatal("manager never rerouted off the dead direct route")
 	}
-	if g := rt.FlowGoodput("f", 60, 90); g < 15 {
+	if g := rt.meanRate(rt.Flow("f"), 60, 90); g < 15 {
 		t.Errorf("goodput %.2f Mbps on the relay path during the outage, want ~25", g)
 	}
 	rt.Run()
@@ -403,7 +423,7 @@ func TestManagedRerouteOnFailure(t *testing.T) {
 	if !onPLC {
 		t.Errorf("flow still on %d relay route(s) 90 s after the direct route recovered", len(rec.Flow.Routes()))
 	}
-	if g := rt.FlowGoodput("f", 150, 180); g < 30 {
+	if g := rt.meanRate(rt.Flow("f"), 150, 180); g < 30 {
 		t.Errorf("goodput %.2f Mbps after re-adoption, want most of the 40 Mbps direct route", g)
 	}
 }
@@ -416,9 +436,9 @@ func TestDriftDoesNotResurrectDeadLink(t *testing.T) {
 	plc := net.FindLink(s, d, graph.TechPLC)
 	sc := New("drift-vs-fail", 60)
 	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	sc.FailLink(10, Link("s", "d", graph.TechPLC))
-	sc.RecoverLink(40, Link("s", "d", graph.TechPLC))
-	sc.Drift(Link("s", "d", graph.TechPLC), 1, 0.3, 0.25, 1.25)
+	sc.FailLink(10, LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
+	sc.RecoverLink(40, LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
+	sc.Drift(LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()}, 1, 0.3, 0.25, 1.25)
 
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 4)
 	rt, err := Bind(em, sc, 13, Options{Strict: true})
@@ -452,7 +472,7 @@ func TestGrayLossWiresMACLossProb(t *testing.T) {
 	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
 	// down_mean far beyond the duration: the first window opens at t=5
 	// and stays open, so the end state is deterministic.
-	sc.GrayLoss(Link("s", "d", graph.TechPLC), 0.3, 5, 1e6, 10)
+	sc.GrayLoss(LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()}, 0.3, 5, 1e6, 10)
 
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 21)
 	rt, err := Bind(em, sc, 9, Options{Strict: true, Invariants: true})
@@ -495,7 +515,7 @@ func TestGroupFailKillsAndRestoresMembers(t *testing.T) {
 
 	sc := New("group", 60)
 	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	sc.Group("phase", Link("s", "d", graph.TechPLC))
+	sc.Group("phase", LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
 	sc.FailGroup(20, "phase")
 	sc.RecoverGroup(40, "phase")
 

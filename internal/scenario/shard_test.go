@@ -46,7 +46,7 @@ func clustersFingerprint(t *testing.T, recorder int) string {
 		out += fmt.Sprintf("fail flow=%s at=%.9f rec=%.9f links=%v\n", f.Flow, f.At, f.RecoveredAt, f.Links)
 	}
 	for _, name := range rt.FlowNames() {
-		out += fmt.Sprintf("flow %s goodput=%.9f\n", name, rt.FlowGoodput(name, 0, sc.Duration))
+		out += fmt.Sprintf("flow %s goodput=%.9f\n", name, rt.meanRate(rt.Flow(name), 0, sc.Duration))
 	}
 	lat, cens := rt.FailoverLatencies(0.2, 0.8)
 	out += fmt.Sprintf("latencies=%v censored=%d reroutes=%d skipped=%v agg=%.9f\n",
@@ -157,7 +157,7 @@ func TestCollectReadsDoNotPerturb(t *testing.T) {
 			if rec == nil {
 				t.Fatal("flow main did not start at t=0")
 			}
-			if g := rt.FlowGoodput("main", 0, 1); g != 0 {
+			if g := rt.meanRate(rec, 0, 1); g != 0 {
 				t.Fatalf("goodput before any delivery = %v", g)
 			}
 			if g := rt.AggregateGoodput(); g != 0 {
@@ -215,10 +215,10 @@ func TestRecordsInTimeDomainOrder(t *testing.T) {
 	sc.AddFlow(FlowSpec{Name: "tie0", Src: "d0", Dst: "s0", Start: 2})
 	// Both domains lose their pair at t=5; domain 0's comes back later
 	// than domain 1's but runs first inside the window.
-	sc.FailLink(5, Link("s0", "d0", graph.TechWiFi))
-	sc.FailLink(5, Link("s1", "d1", graph.TechWiFi))
-	sc.RecoverLink(7, Link("s0", "d0", graph.TechWiFi))
-	sc.RecoverLink(6, Link("s1", "d1", graph.TechWiFi))
+	sc.FailLink(5, LinkRef{From: "s0", To: "d0", Tech: graph.TechWiFi.String()})
+	sc.FailLink(5, LinkRef{From: "s1", To: "d1", Tech: graph.TechWiFi.String()})
+	sc.RecoverLink(7, LinkRef{From: "s0", To: "d0", Tech: graph.TechWiFi.String()})
+	sc.RecoverLink(6, LinkRef{From: "s1", To: "d1", Tech: graph.TechWiFi.String()})
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 3)
 	rt, err := Bind(em, sc, 5, Options{Strict: true})
 	if err != nil {
@@ -288,7 +288,7 @@ func TestReservedFlowNamesRejected(t *testing.T) {
 func TestScriptedFlowStartsBeforeSameTimeEvent(t *testing.T) {
 	net := twoDomainNet(t)
 	sc := New("tie", 10)
-	sc.FailLink(2, Link("s0", "d0", graph.TechWiFi))
+	sc.FailLink(2, LinkRef{From: "s0", To: "d0", Tech: graph.TechWiFi.String()})
 	sc.AddFlow(FlowSpec{Name: "f", Src: "s0", Dst: "d0", Start: 2})
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 3)
 	rt, err := Bind(em, sc, 5, Options{Strict: true})

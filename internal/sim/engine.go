@@ -26,11 +26,7 @@
 // occupant.
 package sim
 
-import (
-	"math"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Timer is a scheduled callback slot. Timers are owned by the engine's
 // pool; user code interacts with them through TimerRef handles.
@@ -182,16 +178,6 @@ func (e *Engine) Recorder() *obs.Recorder { return e.rec }
 // from the heap immediately, so every heap entry is live and this is
 // O(1).
 func (e *Engine) Pending() int { return len(e.heap) }
-
-// NextEventTime returns the time of the earliest pending event, or +Inf
-// when the queue is empty. O(1): the heap root is the earliest live
-// timer (see Pending).
-func (e *Engine) NextEventTime() float64 {
-	if len(e.heap) == 0 {
-		return math.Inf(1)
-	}
-	return e.heap[0].at
-}
 
 // alloc hands out a timer slot from the free list (or a fresh one).
 func (e *Engine) alloc() *Timer {

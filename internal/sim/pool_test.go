@@ -260,7 +260,7 @@ func TestStaleCancelAfterRecycle(t *testing.T) {
 }
 
 // TestHeapEntriesAlwaysLive pins the invariant behind the O(1)
-// Pending/NextEventTime: Cancel removes timers from the heap
+// Pending and the heap root: Cancel removes timers from the heap
 // immediately, so every heap entry has a live handler.
 func TestHeapEntriesAlwaysLive(t *testing.T) {
 	var e Engine
@@ -284,14 +284,14 @@ func TestHeapEntriesAlwaysLive(t *testing.T) {
 	min := math.Inf(1)
 	for _, ent := range e.heap {
 		if ent.t.fn == nil && ent.t.hfn == nil {
-			t.Fatal("heap contains a dead entry; Pending/NextEventTime invariant broken")
+			t.Fatal("heap contains a dead entry; Pending and the heap root invariant broken")
 		}
 		if ent.at < min {
 			min = ent.at
 		}
 	}
-	if e.NextEventTime() != min {
-		t.Fatalf("NextEventTime = %v, want %v", e.NextEventTime(), min)
+	if nextAt(&e) != min {
+		t.Fatalf("heap root at %v, want %v", nextAt(&e), min)
 	}
 	e.Run(5)
 	for _, ent := range e.heap {

@@ -18,12 +18,10 @@ import (
 
 // Summary holds the usual first and second moment statistics of a sample.
 type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64 // sample standard deviation (n-1 denominator)
-	Min    float64
-	Max    float64
-	Median float64
+	Mean float64
+	Std  float64 // sample standard deviation (n-1 denominator)
+	Min  float64
+	Max  float64
 }
 
 // Summarize computes summary statistics over xs. It returns the zero Summary
@@ -32,7 +30,7 @@ func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
 	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
+	s := Summary{Min: math.Inf(1), Max: math.Inf(-1)}
 	var sum float64
 	for _, x := range xs {
 		sum += x
@@ -52,7 +50,6 @@ func Summarize(xs []float64) Summary {
 		}
 		s.Std = math.Sqrt(ss / float64(len(xs)-1))
 	}
-	s.Median = Quantile(xs, 0.5)
 	return s
 }
 

@@ -16,7 +16,6 @@ type Connection struct {
 	Sender   *Sender
 	Receiver *Receiver
 	Forward  *node.Flow
-	Reverse  *node.Flow
 
 	// FinishedAt is the virtual completion time of a bounded transfer
 	// (< 0 while unfinished).
@@ -44,7 +43,7 @@ func Dial(em *node.Emulation, src, dst graph.NodeID, routes []graph.Path, totalB
 		return nil, fmt.Errorf("transport: reverse flow: %w", err)
 	}
 
-	conn := &Connection{Forward: fwd, Reverse: rev, FinishedAt: -1}
+	conn := &Connection{Forward: fwd, FinishedAt: -1}
 
 	// Both flows validated, so src and dst share one interference domain:
 	// the connection's timers ride that domain's engine.

@@ -104,12 +104,6 @@ func NewSender(engine *sim.Engine, totalBytes int64, send SendFunc) *Sender {
 // OnDone registers a completion callback (file transfers).
 func (s *Sender) OnDone(fn func(finishedAt float64)) { s.onDone = fn }
 
-// Done reports whether the transfer completed (all bytes acked).
-func (s *Sender) Done() bool { return s.done }
-
-// Cwnd returns the congestion window in bytes.
-func (s *Sender) Cwnd() float64 { return s.cwnd }
-
 // Start begins transmission.
 func (s *Sender) Start() { s.pump() }
 

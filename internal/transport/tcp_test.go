@@ -46,7 +46,7 @@ func TestTCPTransfersAllBytes(t *testing.T) {
 	snd, rcv, _ := loop(&e, 100_000, nil)
 	snd.Start()
 	e.Run(30)
-	if !snd.Done() {
+	if !snd.done {
 		t.Fatal("transfer did not complete")
 	}
 	if rcv.DeliveredBytes != 100_000 {
@@ -61,10 +61,10 @@ func TestTCPSlowStartGrowth(t *testing.T) {
 	var e sim.Engine
 	snd, _, _ := loop(&e, -1, nil)
 	snd.Start()
-	start := snd.Cwnd()
+	start := snd.cwnd
 	e.Run(1)
-	if snd.Cwnd() <= start*4 {
-		t.Errorf("cwnd grew %v -> %v; slow start should be faster", start, snd.Cwnd())
+	if snd.cwnd <= start*4 {
+		t.Errorf("cwnd grew %v -> %v; slow start should be faster", start, snd.cwnd)
 	}
 }
 
@@ -74,7 +74,7 @@ func TestTCPRecoversFromLoss(t *testing.T) {
 	snd, rcv, _ := loop(&e, 200_000, map[int]bool{5: true, 20: true})
 	snd.Start()
 	e.Run(60)
-	if !snd.Done() {
+	if !snd.done {
 		t.Fatalf("transfer did not complete (delivered %d)", rcv.DeliveredBytes)
 	}
 	if rcv.DeliveredBytes != 200_000 {
@@ -90,7 +90,7 @@ func TestTCPFastRetransmit(t *testing.T) {
 	snd, _, _ := loop(&e, 500_000, map[int]bool{10: true})
 	snd.Start()
 	e.Run(60)
-	if !snd.Done() {
+	if !snd.done {
 		t.Fatal("transfer did not complete")
 	}
 	if snd.FastRecovers == 0 {
@@ -109,7 +109,7 @@ func TestTCPTimeoutOnBurstLoss(t *testing.T) {
 	snd, _, _ := loop(&e, 100_000, loss)
 	snd.Start()
 	e.Run(120)
-	if !snd.Done() {
+	if !snd.done {
 		t.Fatal("transfer did not complete")
 	}
 	if snd.Timeouts == 0 {
@@ -154,9 +154,9 @@ func TestTCPOverEmulationSinglePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	em.Run(90)
-	if !conn.Sender.Done() {
+	if !conn.Sender.done {
 		t.Fatalf("TCP transfer incomplete: %d/%d bytes delivered, cwnd %.0f, retx %d, timeouts %d",
-			conn.Receiver.DeliveredBytes, 2_000_000, conn.Sender.Cwnd(), conn.Sender.Retransmits, conn.Sender.Timeouts)
+			conn.Receiver.DeliveredBytes, 2_000_000, conn.Sender.cwnd, conn.Sender.Retransmits, conn.Sender.Timeouts)
 	}
 	if conn.FinishedAt <= 0 || conn.FinishedAt > 60 {
 		t.Errorf("finished at %.1f s, want within 60 s", conn.FinishedAt)
@@ -183,7 +183,7 @@ func TestTCPOverEmulationMultipath(t *testing.T) {
 		t.Fatal(err)
 	}
 	em.Run(200)
-	if !conn.Sender.Done() {
+	if !conn.Sender.done {
 		t.Fatalf("multipath TCP incomplete: %d bytes", conn.Receiver.DeliveredBytes)
 	}
 	// Both routes must have carried data.
@@ -230,9 +230,9 @@ func TestTCPOverEmulationTwoDomains(t *testing.T) {
 		t.Fatal(err)
 	}
 	em.Run(90)
-	if !conn.Sender.Done() || conn.FinishedAt <= 0 || conn.FinishedAt > 60 {
+	if !conn.Sender.done || conn.FinishedAt <= 0 || conn.FinishedAt > 60 {
 		t.Fatalf("TCP transfer: done=%v at %.1f s, %d/%d bytes delivered",
-			conn.Sender.Done(), conn.FinishedAt, conn.Receiver.DeliveredBytes, 2_000_000)
+			conn.Sender.done, conn.FinishedAt, conn.Receiver.DeliveredBytes, 2_000_000)
 	}
 	if sink := em.Agent(d).Sinks()[0]; sink.MeanRate(30, 90) < 15 {
 		t.Errorf("saturated flow in the other domain got %.2f Mbps, want most of 30", sink.MeanRate(30, 90))

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestAppendBinaryMatchesMarshal pins AppendBinary to MarshalBinary for
-// all three frame types plus the bare header, including appending after
-// existing bytes.
+// TestAppendBinaryMatchesMarshal pins AppendBinary after existing bytes
+// to the encoding into an empty buffer, for all three frame types plus
+// the bare header.
 func TestAppendBinaryMatchesMarshal(t *testing.T) {
 	h := Header{QR: 3.75, Seq: 99}
 	h.SetRoute([]InterfaceID{7, 8, 9})
@@ -20,13 +20,13 @@ func TestAppendBinaryMatchesMarshal(t *testing.T) {
 	pf := PriceFrame{Origin: 5, Tech: 1, Airtime: 0.75, GammaSum: 2.5, TCPPresent: true}
 
 	prefix := []byte{0xde, 0xad}
-	if got := h.AppendBinary(append([]byte(nil), prefix...)); !bytes.Equal(got[2:], h.MarshalBinary()) || !bytes.Equal(got[:2], prefix) {
+	if got := h.AppendBinary(append([]byte(nil), prefix...)); !bytes.Equal(got[2:], h.AppendBinary(nil)) || !bytes.Equal(got[:2], prefix) {
 		t.Errorf("Header.AppendBinary = %x", got)
 	}
-	if got := df.AppendBinary(append([]byte(nil), prefix...)); !bytes.Equal(got[2:], df.MarshalBinary()) || !bytes.Equal(got[:2], prefix) {
+	if got := df.AppendBinary(append([]byte(nil), prefix...)); !bytes.Equal(got[2:], df.AppendBinary(nil)) || !bytes.Equal(got[:2], prefix) {
 		t.Errorf("DataFrame.AppendBinary = %x", got)
 	}
-	want, err := ack.MarshalBinary()
+	want, err := ack.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,13 +37,13 @@ func TestAppendBinaryMatchesMarshal(t *testing.T) {
 	if !bytes.Equal(got[2:], want) || !bytes.Equal(got[:2], prefix) {
 		t.Errorf("AckFrame.AppendBinary = %x, want %x", got[2:], want)
 	}
-	if got := pf.AppendBinary(append([]byte(nil), prefix...)); !bytes.Equal(got[2:], pf.MarshalBinary()) || !bytes.Equal(got[:2], prefix) {
+	if got := pf.AppendBinary(append([]byte(nil), prefix...)); !bytes.Equal(got[2:], pf.AppendBinary(nil)) || !bytes.Equal(got[:2], prefix) {
 		t.Errorf("PriceFrame.AppendBinary = %x", got)
 	}
 }
 
 // TestAppendBinaryTooManyRoutes: the 255-route limit errors through
-// AppendBinary like it does through MarshalBinary.
+// AppendBinary.
 func TestAppendBinaryTooManyRoutes(t *testing.T) {
 	f := AckFrame{Routes: make([]RouteAck, 256)}
 	if _, err := f.AppendBinary(nil); err == nil {
@@ -59,7 +59,7 @@ func TestAckUnmarshalReusesRoutes(t *testing.T) {
 		{RouteIdx: 0, QR: 1, MaxSeq: 5, Delivered: 100},
 		{RouteIdx: 1, QR: 2, MaxSeq: 6, Delivered: 200},
 	}}
-	buf, err := src.MarshalBinary()
+	buf, err := src.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

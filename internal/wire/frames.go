@@ -51,11 +51,6 @@ func (f *DataFrame) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// MarshalBinary encodes the frame (without the simulated payload bytes).
-func (f *DataFrame) MarshalBinary() []byte {
-	return f.AppendBinary(make([]byte, 0, dataFrameSize))
-}
-
 // UnmarshalBinary decodes a data frame.
 func (f *DataFrame) UnmarshalBinary(buf []byte) error {
 	if len(buf) < dataFrameSize {
@@ -134,11 +129,6 @@ func (f *AckFrame) AppendBinary(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// MarshalBinary encodes the ack.
-func (f *AckFrame) MarshalBinary() ([]byte, error) {
-	return f.AppendBinary(make([]byte, 0, f.WireLen()))
-}
-
 // UnmarshalBinary decodes an ack.
 func (f *AckFrame) UnmarshalBinary(buf []byte) error {
 	if len(buf) < ackFixedSize {
@@ -197,9 +187,6 @@ type PriceFrame struct {
 
 const priceFrameSize = 1 + 2 + 1 + 4 + 4 + 1
 
-// WireLen returns the encoded size in bytes.
-func (f *PriceFrame) WireLen() int { return priceFrameSize }
-
 // AppendBinary appends the price-broadcast encoding to buf and returns
 // the extended slice; see Header.AppendBinary for the scratch-buffer
 // convention.
@@ -215,11 +202,6 @@ func (f *PriceFrame) AppendBinary(buf []byte) []byte {
 		buf[off+12] = 1
 	}
 	return buf
-}
-
-// MarshalBinary encodes the price broadcast.
-func (f *PriceFrame) MarshalBinary() []byte {
-	return f.AppendBinary(make([]byte, 0, priceFrameSize))
 }
 
 // UnmarshalBinary decodes a price broadcast.

@@ -173,11 +173,6 @@ func (h *Header) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// MarshalBinary encodes the header into exactly HeaderSize bytes.
-func (h *Header) MarshalBinary() []byte {
-	return h.AppendBinary(make([]byte, 0, HeaderSize))
-}
-
 // UnmarshalBinary decodes a header from buf.
 func (h *Header) UnmarshalBinary(buf []byte) error {
 	if len(buf) < HeaderSize {

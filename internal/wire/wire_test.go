@@ -13,7 +13,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if err := h.SetRoute([]InterfaceID{10, 20, 30}); err != nil {
 		t.Fatal(err)
 	}
-	buf := h.MarshalBinary()
+	buf := h.AppendBinary(nil)
 	if len(buf) != HeaderSize {
 		t.Fatalf("header size %d, want %d", len(buf), HeaderSize)
 	}
@@ -76,14 +76,14 @@ func TestAddQR(t *testing.T) {
 func TestFixedPointSaturation(t *testing.T) {
 	h := Header{QR: 1e9} // beyond 16.16 range
 	var g Header
-	g.UnmarshalBinary(h.MarshalBinary())
+	g.UnmarshalBinary(h.AppendBinary(nil))
 	if g.QR < 65000 {
 		t.Errorf("saturated QR = %v, want near max", g.QR)
 	}
 	// NaN encodes as 0.
 	h = Header{QR: math.NaN()}
 	g = Header{}
-	g.UnmarshalBinary(h.MarshalBinary())
+	g.UnmarshalBinary(h.AppendBinary(nil))
 	if g.QR != 0 {
 		t.Errorf("NaN QR decoded to %v, want 0", g.QR)
 	}
@@ -94,7 +94,7 @@ func TestHeaderQRPropertyRoundTrip(t *testing.T) {
 		v := float64(raw) / 65536 // representable range
 		h := Header{QR: v}
 		var g Header
-		g.UnmarshalBinary(h.MarshalBinary())
+		g.UnmarshalBinary(h.AppendBinary(nil))
 		return math.Abs(g.QR-v) <= 1.0/65536
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -137,7 +137,7 @@ func TestDataFrameRoundTrip(t *testing.T) {
 	f.Header.SetRoute([]InterfaceID{7, 8})
 	f.Header.QR = 2.5
 
-	buf := f.MarshalBinary()
+	buf := f.AppendBinary(nil)
 	var g DataFrame
 	if err := g.UnmarshalBinary(buf); err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestAckFrameRoundTrip(t *testing.T) {
 			{RouteIdx: 1, QR: 1.25, MaxSeq: 90, Delivered: 25000},
 		},
 	}
-	buf, err := f.MarshalBinary()
+	buf, err := f.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestAckFrameRoundTrip(t *testing.T) {
 
 func TestAckFrameTruncatedRoutes(t *testing.T) {
 	f := AckFrame{Routes: []RouteAck{{}, {}}}
-	buf, _ := f.MarshalBinary()
+	buf, _ := f.AppendBinary(nil)
 	var g AckFrame
 	if err := g.UnmarshalBinary(buf[:len(buf)-4]); err != ErrShort {
 		t.Errorf("err = %v, want ErrShort", err)
@@ -217,9 +217,9 @@ func TestAckFrameTruncatedRoutes(t *testing.T) {
 
 func TestPriceFrameRoundTrip(t *testing.T) {
 	f := PriceFrame{Origin: 9, Tech: graph.TechPLC, Airtime: 0.42, GammaSum: 3.5, TCPPresent: true}
-	buf := f.MarshalBinary()
-	if len(buf) != f.WireLen() {
-		t.Errorf("encoded %d, WireLen %d", len(buf), f.WireLen())
+	buf := f.AppendBinary(nil)
+	if len(buf) != priceFrameSize {
+		t.Errorf("encoded %d, want %d", len(buf), priceFrameSize)
 	}
 	var g PriceFrame
 	if err := g.UnmarshalBinary(buf); err != nil {

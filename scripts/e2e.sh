@@ -142,10 +142,16 @@ expect_exit 2 "$bindir/empower-fuzz" -inject bogus
 # before any replication runs.
 flaps=(-scenario examples/scenarios/flaps.json -runs 1 -schemes SP)
 for bad in "-delta NaN" "-delta 1.5" "-frac 1.5" "-bin -1" "-runs -1" \
-  "-flaprates NaN" "-flaprates Inf" "-tracerun 7"; do
+  "-runs 4611686018427387904" "-flaprates NaN" "-flaprates Inf" "-tracerun 7"; do
   # shellcheck disable=SC2086 # each case is a flag and its value
   expect_exit 2 "$bindir/empower-scenario" "${flaps[@]}" $bad
 done
+# A -runs whose runs × schemes would overflow is named as -runs.
+out="$("$bindir/empower-scenario" "${flaps[@]}" -runs 4611686018427387904 2>&1 || true)"
+if [[ "$out" != "empower-scenario: -runs: "* ]]; then
+  echo "e2e: an overflowing -runs was not reported as -runs: $out" >&2
+  exit 1
+fi
 expect_exit 2 "$bindir/empower-testbed" -fig 10 -duration 2 -pairs 1 -delta NaN
 # -shards is retired: both emulation CLIs reject it as an undefined flag.
 for c in empower-scenario empower-testbed; do
