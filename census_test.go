@@ -20,8 +20,8 @@ import (
 // that every exported name under internal/ has a program. A program is a
 // non-test Go file in cmd/, internal/, bench/ or examples/. One type-check
 // pass (go/types, the standard library imported from source) ties every
-// write and call to the one object it names, and two rules are checked on
-// the non-test files under internal/:
+// write, read and call to the one object it names, and three rules are
+// checked on the non-test files under internal/:
 //
 //   - Fields. Every exported field of a struct declared there, untagged
 //     and not embedded, is written by a program outside examples/: a
@@ -30,6 +30,13 @@ import (
 //     taken (`&c.F`, as flag registration does). A struct tag marks a
 //     field encoding/json writes. Writes from tests and examples do not
 //     count: a knob only they turn is a code path no program runs.
+//   - Reads. Every untagged field of a struct declared there, exported
+//     or not, that a program writes — by the rule above, or positionally
+//     in a composite literal — is read by a program: a selector use that
+//     is not the target of =, op=, ++/-- (`c.F = v`, `c.F[i] += v`) or a
+//     composite-literal key. A struct compared with == or used as a map
+//     key reads all its fields. State only written is work done for no
+//     one.
 //   - Functions. Every exported function and method is referenced by a
 //     program (called, or taken as a value), implements a method of an
 //     interface a program calls or hands a value to, or is one of the
@@ -39,9 +46,9 @@ import (
 //
 // A test instrument that fails a rule on purpose — an oracle, a fault
 // injector, a wire format under fuzz — is listed with its reason in
-// testOnlyFields or testOnlyFuncs. The census fails on an unlisted name
-// without a program, and on a listed name that has gained one or no
-// longer exists.
+// testOnlyFields, unreadFields or testOnlyFuncs. The census fails on an
+// unlisted name without a program, and on a listed name that has gained
+// one or no longer exists.
 func TestEveryExportedNameHasAProgram(t *testing.T) {
 	const module = "repro"
 	var dirs []string
@@ -120,9 +127,12 @@ func TestEveryExportedNameHasAProgram(t *testing.T) {
 		}
 	}
 
-	// The census: every exported field, function and method declared
-	// under internal/, keyed "package.Name" or "package.Type.Name".
+	// The census: every field, function and method declared under
+	// internal/, keyed "package.Name" or "package.Type.Name". fields are
+	// the exported untagged ones the write rule covers, stored every
+	// untagged one the read rule covers.
 	fields := map[*types.Var]string{}
+	stored := map[*types.Var]string{}
 	funcs := map[*types.Func]string{}
 	var named []*types.Named // the named non-interface types declared there
 	for p, c := range pkgs {
@@ -152,33 +162,58 @@ func TestEveryExportedNameHasAProgram(t *testing.T) {
 					continue
 				}
 				for i := 0; i < st.NumFields(); i++ {
-					if f := st.Field(i); f.Exported() && !f.Embedded() && st.Tag(i) == "" {
-						fields[f] = c.pkg.Name() + "." + name + "." + f.Name()
+					if f := st.Field(i); !f.Embedded() && st.Tag(i) == "" {
+						stored[f] = c.pkg.Name() + "." + name + "." + f.Name()
+						if f.Exported() {
+							fields[f] = stored[f]
+						}
 					}
 				}
 			}
 		}
 	}
 
-	// The writes and references, each resolved to its object.
+	// The writes, reads and references, each resolved to its object.
 	written := map[*types.Var]bool{}
+	read := map[*types.Var]bool{}
 	used := map[*types.Func]bool{}
 	ifaces := map[*types.Interface]bool{} // interfaces a program calls or converts to
-	field := func(info *types.Info, e ast.Expr) {
+	// target is the field an assignment, ++/-- or & writes through
+	// (`c.F = v`, `c.F[i]++`, `&c.F`), or nil.
+	target := func(info *types.Info, e ast.Expr) *ast.SelectorExpr {
 		for {
 			switch x := e.(type) {
 			case *ast.ParenExpr:
 				e = x.X
-				continue
 			case *ast.IndexExpr:
 				e = x.X
-				continue
 			case *ast.SelectorExpr:
 				if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
-					written[sel.Obj().(*types.Var).Origin()] = true
+					return x
+				}
+				return nil
+			default:
+				return nil
+			}
+		}
+	}
+	field := func(info *types.Info, sel *ast.SelectorExpr) *types.Var {
+		return info.Selections[sel].Obj().(*types.Var).Origin()
+	}
+	// readAll marks every field of a struct compared with == or used as
+	// a map key read, and those of the structs and arrays inside it.
+	var readAll func(t types.Type)
+	readAll = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Array:
+			readAll(u.Elem())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if f := u.Field(i).Origin(); !read[f] {
+					read[f] = true
+					readAll(f.Type())
 				}
 			}
-			return
 		}
 	}
 	// into records a value of a concrete type handed to an interface.
@@ -191,6 +226,11 @@ func TestEveryExportedNameHasAProgram(t *testing.T) {
 	}
 	for p, c := range pkgs {
 		example := strings.HasPrefix(p, module+"/examples/")
+		for _, tv := range c.info.Types {
+			if m, ok := tv.Type.Underlying().(*types.Map); ok {
+				readAll(m.Key())
+			}
+		}
 		for _, o := range c.info.Uses {
 			if fn, ok := o.(*types.Func); ok {
 				used[fn.Origin()] = true
@@ -202,8 +242,25 @@ func TestEveryExportedNameHasAProgram(t *testing.T) {
 			}
 		}
 		for _, f := range c.files {
+			targets := map[*ast.SelectorExpr]bool{} // selectors written through, not read
+			write := func(e ast.Expr) {
+				if sel := target(c.info, e); sel != nil {
+					targets[sel] = true
+					if !example {
+						written[field(c.info, sel)] = true
+					}
+				}
+			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if sel := c.info.Selections[n]; sel != nil && sel.Kind() == types.FieldVal && !targets[n] {
+						read[field(c.info, n)] = true
+					}
+				case *ast.BinaryExpr:
+					if tv, ok := c.info.Types[n.X]; ok && (n.Op == token.EQL || n.Op == token.NEQ) {
+						readAll(tv.Type)
+					}
 				case *ast.CompositeLit:
 					tv := c.info.Types[n]
 					for i, elt := range n.Elts {
@@ -231,15 +288,16 @@ func TestEveryExportedNameHasAProgram(t *testing.T) {
 							into(c.info, elt, u.Elem())
 						case *types.Struct:
 							if i < u.NumFields() {
+								if !example {
+									written[u.Field(i).Origin()] = true
+								}
 								into(c.info, elt, u.Field(i).Type())
 							}
 						}
 					}
 				case *ast.AssignStmt:
 					for i, lhs := range n.Lhs {
-						if !example {
-							field(c.info, lhs)
-						}
+						write(lhs)
 						if len(n.Lhs) == len(n.Rhs) {
 							if tv, ok := c.info.Types[lhs]; ok {
 								into(c.info, n.Rhs[i], tv.Type)
@@ -247,12 +305,11 @@ func TestEveryExportedNameHasAProgram(t *testing.T) {
 						}
 					}
 				case *ast.IncDecStmt:
-					if !example {
-						field(c.info, n.X)
-					}
+					write(n.X)
 				case *ast.UnaryExpr:
-					if n.Op == token.AND && !example {
-						field(c.info, n.X)
+					// &c.F is a write (flag registration) and a read.
+					if sel := target(c.info, n.X); n.Op == token.AND && sel != nil && !example {
+						written[field(c.info, sel)] = true
 					}
 				case *ast.CallExpr:
 					tv, ok := c.info.Types[n.Fun]
@@ -323,11 +380,15 @@ func TestEveryExportedNameHasAProgram(t *testing.T) {
 		seen[short] = true
 		audit(testOnlyFields, "testOnlyFields", short, f.Pos(), written[f], "no program writes ")
 	}
+	for f, short := range stored {
+		seen[short] = true
+		audit(unreadFields, "unreadFields", short, f.Pos(), read[f] || !written[f], "no program reads ")
+	}
 	for fn, short := range funcs {
 		seen[short] = true
 		audit(testOnlyFuncs, "testOnlyFuncs", short, fn.Pos(), used[fn] || reflected[fn.Name()], "no program calls ")
 	}
-	for _, list := range []map[string]string{testOnlyFields, testOnlyFuncs} {
+	for _, list := range []map[string]string{testOnlyFields, unreadFields, testOnlyFuncs} {
 		for short, why := range list {
 			if !seen[short] {
 				bad = append(bad, "the census lists "+short+", which no longer exists: drop the entry")
@@ -344,8 +405,8 @@ func TestEveryExportedNameHasAProgram(t *testing.T) {
 	if len(fields) == 0 || len(funcs) == 0 {
 		t.Fatal("census found no exported fields or functions under internal/")
 	}
-	t.Logf("%d exported fields (%d test-only), %d exported functions and methods (%d test-only)",
-		len(fields), len(testOnlyFields), len(funcs), len(testOnlyFuncs))
+	t.Logf("%d exported fields (%d test-only), %d fields under the read rule (%d unread), %d exported functions and methods (%d test-only)",
+		len(fields), len(testOnlyFields), len(stored), len(unreadFields), len(funcs), len(testOnlyFuncs))
 }
 
 // returns hands into, for each return statement of one function body
@@ -400,6 +461,20 @@ var testOnlyFields = map[string]string{
 	"optimal.Config.Delta":               "the centralized solver is to be replaced whole (ROADMAP item 6); TestOptimalWithDelta checks the margin",
 	"scenario.Options.Strict":            "an input-validation mode: scenario tests fail on unresolvable event references",
 	"optimal.Problem.Utilities":          "the solver's tests substitute utilities to reach park/wake transitions; the field goes with the solver (ROADMAP item 6)",
+}
+
+// unreadFields are the fields a program writes and no program reads
+// that stay anyway, each with its reason. Keys are "package.Type.Field".
+var unreadFields = map[string]string{
+	"experiments.ChurnConfig.Shards": "bench/layers.go writes it and is frozen (ROADMAP item 2's benchmark PR deletes both)",
+	"congestion.Controller.replayed": "the equivalence suite asserts that periodic trajectories replay and the stepping oracle never does; bit-equality alone cannot tell",
+	"optimal.Solution.X":             "the solver's bit-equality tests compare per-route rates; the field goes with the solver (ROADMAP item 6)",
+	"optimal.Solution.LiveShare":     "the solver's tests and BenchmarkOptimalSolve read it; the field goes with the solver (ROADMAP item 6)",
+	"optimal.Solution.freezes":       "park_test.go drives each freeze/thaw/park/wake/re-anchor transition by these counts; they go with the solver (ROADMAP item 6)",
+	"optimal.Solution.thaws":         "park_test.go drives each freeze/thaw/park/wake/re-anchor transition by these counts; they go with the solver (ROADMAP item 6)",
+	"optimal.Solution.parks":         "park_test.go drives each freeze/thaw/park/wake/re-anchor transition by these counts; they go with the solver (ROADMAP item 6)",
+	"optimal.Solution.wakes":         "park_test.go drives each freeze/thaw/park/wake/re-anchor transition by these counts; they go with the solver (ROADMAP item 6)",
+	"optimal.Solution.reanchors":     "park_test.go drives each freeze/thaw/park/wake/re-anchor transition by these counts; they go with the solver (ROADMAP item 6)",
 }
 
 // testOnlyFuncs are the exported functions and methods no program calls

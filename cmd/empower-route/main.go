@@ -67,25 +67,25 @@ func main() {
 			enc.SetIndent("", "  ")
 			return enc.Encode(spec)
 		}
-		net, err := spec.Build(0)
+		view, err := scenario.ParseView(spec.View)
 		if err != nil {
 			return err
 		}
-		node := func(role, name string) (graph.NodeID, error) {
-			for i := range net.Nodes {
-				if net.Nodes[i].Name == name {
-					return graph.NodeID(i), nil
-				}
-			}
-			return 0, fmt.Errorf("unknown %s %q", role, name)
-		}
-		s, err := node("source", *src)
+		net, err := spec.BuildView(0, view)
 		if err != nil {
 			return err
 		}
-		d, err := node("destination", *dst)
-		if err != nil {
-			return err
+		ids := map[string]graph.NodeID{}
+		for i := range net.Nodes {
+			ids[net.Nodes[i].Name] = graph.NodeID(i)
+		}
+		s, ok := ids[*src]
+		if !ok {
+			return fmt.Errorf("unknown source %q", *src)
+		}
+		d, ok := ids[*dst]
+		if !ok {
+			return fmt.Errorf("unknown destination %q", *dst)
 		}
 
 		cfg := routing.DefaultConfig()

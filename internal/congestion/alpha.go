@@ -6,8 +6,6 @@ package congestion
 // route has one hop, and is divided by 2 whenever 6 or more non-decreasing
 // oscillations of the flow rate are observed.
 type AlphaTuner struct {
-	// Base is the initial step size (default 0.02).
-	Base float64
 	// MinAlpha floors the division (default 1e-4).
 	MinAlpha float64
 
@@ -28,7 +26,7 @@ func NewAlphaTuner(base float64, numRoutes, longestHops int) *AlphaTuner {
 	if base <= 0 {
 		base = 0.02
 	}
-	t := &AlphaTuner{Base: base, MinAlpha: 1e-4}
+	t := &AlphaTuner{MinAlpha: 1e-4}
 	a := base
 	switch {
 	case longestHops <= 1:

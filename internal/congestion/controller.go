@@ -153,8 +153,6 @@ type Controller struct {
 	rowSum   []float64 // per-row Σ γ, a pure function of γ
 	moved    []bool    // per cell: γ changed bits in the last slot (cell 0 never moves)
 
-	t int
-
 	anchor   []float64 // RunAppend's snapshot of x ‖ x̄ ‖ γ; meaningless between calls
 	replayed int       // slots RunAppend replayed instead of stepping, since Reset
 }
@@ -206,7 +204,7 @@ func (c *Controller) Reset(net *graph.Network, routes []Route, opts Options) err
 	sameNet := c.net == net && net != nil
 	c.net, c.routes, c.opts = net, routes, opts
 	c.flows = maxFlow + 1
-	c.t, c.replayed = 0, 0
+	c.replayed = 0
 	nr, nl := len(routes), net.NumLinks()
 
 	// Link-slot arrays: latch capacities and airtime costs; rebuild the
@@ -613,7 +611,6 @@ func (c *Controller) Step() {
 		}
 		copy(c.x[:nr], c.newX[:nr])
 	}
-	c.t++
 }
 
 func (c *Controller) capRate(i int, x float64) float64 {
@@ -663,7 +660,6 @@ func (c *Controller) RunAppend(n int, dst []float64) []float64 {
 			p := t - anchorAt
 			skip := (n - t) / p * p
 			dst = appendCyclic(dst, p*c.flows, skip*c.flows)
-			c.t += skip
 			c.replayed += skip
 			for t += skip; t < n; t++ {
 				c.Step()

@@ -172,7 +172,6 @@ func (o Options) slots() int {
 
 // FlowResult reports one flow's outcome.
 type FlowResult struct {
-	Routes     []graph.Path
 	Throughput float64 // Mbps
 }
 
@@ -222,7 +221,6 @@ func Evaluate(inst *topology.Instance, s Scheme, pairs [][2]graph.NodeID, opts O
 	for f, pr := range pairs {
 		routes := RoutesFor(s, net.Network, pr[0], pr[1])
 		routesPerFlow[f] = routes
-		res.Flows[f].Routes = routes
 		for _, p := range routes {
 			ccRoutes = append(ccRoutes, congestion.Route{Links: p, Flow: f})
 		}

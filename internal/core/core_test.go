@@ -178,7 +178,6 @@ func TestEvaluateUnreachableFlow(t *testing.T) {
 	// Build a pair guaranteed disconnected by removing all links via a
 	// tiny custom instance instead.
 	tiny := &topology.Instance{
-		Kind: "tiny",
 		Nodes: []topology.NodeSpec{
 			{X: 0, Y: 0, Hybrid: true},
 			{X: 49, Y: 29, Hybrid: false},

@@ -14,7 +14,7 @@ import (
 // pair, and a fourth node with no link at all: any pair naming node 3 has
 // no route under any scheme.
 func islandInstance() *topology.Instance {
-	inst := &topology.Instance{Kind: "island"}
+	inst := &topology.Instance{}
 	for i := 0; i < 4; i++ {
 		inst.Nodes = append(inst.Nodes, topology.NodeSpec{X: 5 * float64(i), Hybrid: i < 3})
 		inst.WiFiCap = append(inst.WiFiCap, make([]float64, 4))
@@ -31,10 +31,11 @@ func islandInstance() *topology.Instance {
 	return inst
 }
 
-// checkFlows fails unless res has one finite, non-negative throughput per
-// pair, 0 for every pair without a route.
-func checkFlows(t *testing.T, tag string, res Result, pairs [][2]graph.NodeID) {
+// checkFlows fails unless res, s's result on inst, has one finite,
+// non-negative throughput per pair, 0 for every pair without a route.
+func checkFlows(t *testing.T, tag string, inst *topology.Instance, s Scheme, res Result, pairs [][2]graph.NodeID) {
 	t.Helper()
+	net := inst.BuildCached(s.View()).Network
 	if len(res.Flows) != len(pairs) {
 		t.Fatalf("%s: %d flow results for %d pairs", tag, len(res.Flows), len(pairs))
 	}
@@ -43,7 +44,7 @@ func checkFlows(t *testing.T, tag string, res Result, pairs [][2]graph.NodeID) {
 		if math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
 			t.Fatalf("%s: flow %d throughput %v", tag, f, x)
 		}
-		if len(fr.Routes) == 0 && x != 0 {
+		if len(RoutesFor(s, net, pairs[f][0], pairs[f][1])) == 0 && x != 0 {
 			t.Fatalf("%s: route-less flow %d reports %v Mbps", tag, f, x)
 		}
 	}
@@ -68,11 +69,12 @@ func TestEvaluateRoutelessPairs(t *testing.T) {
 		for s := SchemeEMPoWER; s <= SchemeMP2bp; s++ {
 			tag := fmt.Sprintf("%s/%v", c.name, s)
 			res := Evaluate(inst, s, c.pairs, Options{Slots: 400})
-			checkFlows(t, tag, res, c.pairs)
+			checkFlows(t, tag, inst, s, res, c.pairs)
+			net := inst.BuildCached(s.View()).Network
 			for f, pr := range c.pairs {
 				routed := pr[0] != 3 && pr[1] != 3
-				if routed != (len(res.Flows[f].Routes) > 0) {
-					t.Fatalf("%s: flow %d has %d routes", tag, f, len(res.Flows[f].Routes))
+				if routes := RoutesFor(s, net, pr[0], pr[1]); routed != (len(routes) > 0) {
+					t.Fatalf("%s: flow %d has %d routes", tag, f, len(routes))
 				}
 				if routed && res.Flows[f].Throughput <= 0 {
 					t.Fatalf("%s: routed flow %d reports %v Mbps", tag, f, res.Flows[f].Throughput)
@@ -106,6 +108,6 @@ func FuzzEvaluate(f *testing.F) {
 			pairs[i] = [2]graph.NodeID{src, dst}
 		}
 		res := Evaluate(inst, s, pairs, Options{Delta: 0.05, Slots: 1 + int(slots%400)})
-		checkFlows(t, s.String(), res, pairs)
+		checkFlows(t, s.String(), inst, s, res, pairs)
 	})
 }

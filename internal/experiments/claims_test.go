@@ -267,11 +267,12 @@ func crossFlows(runs []crossRun, mutate func(*packetInputs)) []crossFlow {
 			cr := runs[rep.Index]
 			inst, src, dst := instanceFor(cr.topo, SimConfig{}, cr.run)
 			res := core.Evaluate(inst, core.SchemeEMPoWER, [][2]graph.NodeID{{src, dst}}, core.Options{Delta: delta})
-			routes := res.Flows[0].Routes
+			net := inst.BuildCached(core.SchemeEMPoWER.View()).Network
+			routes := core.RoutesFor(core.SchemeEMPoWER, net, src, dst)
 			if len(routes) == 0 {
 				return crossFlow{crossRun: cr}
 			}
-			in := packetInputs{net: inst.BuildCached(core.SchemeEMPoWER.View()).Clone(), routes: routes, delta: delta}
+			in := packetInputs{net: net.Clone(), routes: routes, delta: delta}
 			mutate(&in)
 			em := node.NewEmulation(in.net, node.Config{Delta: in.delta, Estimation: true}, int64(cr.run))
 			if _, err := em.AddFlow(node.FlowSpec{Src: src, Dst: dst, Routes: in.routes, Kind: node.TrafficSaturated}, 0); err != nil {

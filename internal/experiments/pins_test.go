@@ -94,6 +94,10 @@ func TestSimFigureDigests(t *testing.T) {
 // single- and dual-WiFi views of a custom topology
 // (TopologySpec.buildCustom) are pinned too; recorded from commit
 // 4989773.
+//
+// grayfail.json is the one shipped scenario with gray-loss and
+// flash-crowd processes and group events, so its pins hold those paths
+// of the scenario engine; recorded from commit dff254e.
 var scenarioPins = []struct {
 	name     string
 	duration float64
@@ -104,6 +108,8 @@ var scenarioPins = []struct {
 	{name: "clusters.json", duration: 30, schemes: hybridSchemes, sha256: "68436aae4a678a78907b2a70526244abe00109eb24e059df332dd06ce31382b0"},
 	{name: "flaps.json-wifi", duration: 60, schemes: wifiSchemes, sha256: "a87a25b821110f7e5fd5c4278dce772f06d8e0a5abf86fc85274decdc0a1168c"},
 	{name: "clusters.json-wifi", duration: 30, schemes: wifiSchemes, sha256: "ab41e0d15d99e6bba674d2d2793cdfa2c4ff5296e6974b66bc8ac3f62ba47e20"},
+	{name: "grayfail.json", duration: 60, schemes: hybridSchemes, sha256: "8f4cb1f385ba778d4a4fc4831a711b0be4a834ca8d220d7a20f6af27c9be3b10"},
+	{name: "grayfail.json-wifi", duration: 60, schemes: wifiSchemes, sha256: "1cda291aba335be47604b2198f55fdcbfde12f177e16c62a7145a6e10a9f7c2e"},
 }
 
 var (

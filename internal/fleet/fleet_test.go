@@ -89,6 +89,22 @@ func delayJobs(d time.Duration) func(runner.Job[*experiments.ChurnRepOut]) runne
 	}
 }
 
+// gateJobs holds every replication until release is closed or the
+// replication's context is cancelled, so a test can act on a sweep that
+// is certain to be running.
+func gateJobs(release <-chan struct{}) func(runner.Job[*experiments.ChurnRepOut]) runner.Job[*experiments.ChurnRepOut] {
+	return func(job runner.Job[*experiments.ChurnRepOut]) runner.Job[*experiments.ChurnRepOut] {
+		return func(ctx context.Context, rep runner.Rep) (*experiments.ChurnRepOut, error) {
+			select {
+			case <-release:
+				return job(ctx, rep)
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+	}
+}
+
 // startServer runs a fleet server (store + supervisor) and its HTTP
 // gateway; the returned stop func drains and waits for Run to return.
 func startServer(t *testing.T, cfg Config) (*Server, *httptest.Server, func()) {
@@ -643,10 +659,13 @@ func TestFleetCancel(t *testing.T) {
 	hts.Close()
 	srv.st.Close()
 
-	// Running cancellation: slow reps, cancel mid-sweep, reopen the WAL
-	// and require the cancelled state to have survived.
+	// Running cancellation: replications held at a gate, so the cancel
+	// always meets a running sweep; reopen the WAL and require the
+	// cancelled state to have survived.
 	srv2, hts2, stop2 := startServer(t, Config{WALPath: wal, SupervisorConfig: SupervisorConfig{Workers: 1}})
-	srv2.sup.wrapJob = delayJobs(50 * time.Millisecond)
+	release := make(chan struct{})
+	defer close(release)
+	srv2.sup.wrapJob = gateJobs(release)
 	st2, _ := postSweep(t, hts2.URL, testSpecJSON(4, 2, "EMPoWER,SP-w/o-CC"))
 	deadline := time.Now().Add(30 * time.Second)
 	for getStatus(t, hts2.URL, st2.ID).State != string(StateRunning) {

@@ -36,11 +36,9 @@ func (c Config) walPath() string {
 // lifecycle: New recovers, Run serves until the context is done, then
 // drains and returns with everything checkpointed.
 type Server struct {
-	cfg Config
 	st  *Store
 	sup *Supervisor
 	gw  *Gateway
-	agg *obs.Aggregator
 }
 
 // New opens (or creates) the WAL, replays it, and prepares the daemon.
@@ -53,7 +51,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	agg := obs.NewAggregator()
 	sup := NewSupervisor(st, cfg.SupervisorConfig, agg)
-	return &Server{cfg: cfg, st: st, sup: sup, gw: NewGateway(st, agg), agg: agg}, nil
+	return &Server{st: st, sup: sup, gw: NewGateway(st, agg)}, nil
 }
 
 // Resumable reports how many sweeps recovery queued for resumption.

@@ -57,7 +57,6 @@ var walCRC = crc32.MakeTable(crc32.Castagnoli)
 type WAL struct {
 	mu      sync.Mutex
 	f       *os.File
-	path    string
 	hdr     [walHeaderSize]byte
 	records int
 	size    int64
@@ -74,7 +73,7 @@ func OpenWAL(path string, fn func(payload []byte) error) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: wal open: %w", err)
 	}
-	w := &WAL{f: f, path: path}
+	w := &WAL{f: f}
 	good, records, err := replayWAL(f, fn)
 	if err != nil {
 		f.Close()

@@ -351,54 +351,33 @@ func minimize(sc *scenario.Scenario, scSeed, emSeed int64, cfg Config, check0 st
 	}
 	cur := sc
 	for improved := true; improved && budget > 0; {
-		improved = false
-		for i := 0; i < len(cur.Events); i++ {
-			cand := clone(cur)
-			cand.Events = append(cand.Events[:i:i], cand.Events[i+1:]...)
-			if stillFails(cand) {
-				cur, improved = cand, true
-				i--
-			}
-		}
-		for i := 0; i < len(cur.Processes); i++ {
-			cand := clone(cur)
-			cand.Processes = append(cand.Processes[:i:i], cand.Processes[i+1:]...)
-			if stillFails(cand) {
-				cur, improved = cand, true
-				i--
-			}
-		}
-		for i := 0; i < len(cur.Flows); i++ {
-			cand := clone(cur)
-			cand.Flows = append(cand.Flows[:i:i], cand.Flows[i+1:]...)
-			if stillFails(cand) {
-				cur, improved = cand, true
-				i--
-			}
-		}
-		for i := 0; i < len(cur.Groups); i++ {
-			// Validate rejects dangling group references, so a still-used
-			// group simply fails the candidate and stays.
-			cand := clone(cur)
-			cand.Groups = append(cand.Groups[:i:i], cand.Groups[i+1:]...)
-			if stillFails(cand) {
-				cur, improved = cand, true
-				i--
-			}
-		}
+		improved = dropEach(&cur, stillFails, func(s *scenario.Scenario) *[]scenario.Event { return &s.Events })
+		improved = dropEach(&cur, stillFails, func(s *scenario.Scenario) *[]scenario.Process { return &s.Processes }) || improved
+		improved = dropEach(&cur, stillFails, func(s *scenario.Scenario) *[]scenario.FlowSpec { return &s.Flows }) || improved
+		// Validate rejects dangling group references, so a still-used
+		// group simply fails the candidate and stays.
+		improved = dropEach(&cur, stillFails, func(s *scenario.Scenario) *[]scenario.GroupSpec { return &s.Groups }) || improved
 	}
 	return cur
 }
 
-// clone copies the scenario one level deep — exactly the slices
-// minimize edits.
-func clone(sc *scenario.Scenario) *scenario.Scenario {
-	out := *sc
-	out.Flows = append([]scenario.FlowSpec(nil), sc.Flows...)
-	out.Events = append([]scenario.Event(nil), sc.Events...)
-	out.Processes = append([]scenario.Process(nil), sc.Processes...)
-	out.Groups = append([]scenario.GroupSpec(nil), sc.Groups...)
-	return &out
+// dropEach is minimize's one shrink loop: it drops the elements of one
+// of the scenario's slices one at a time, first to last, and keeps each
+// removal whenever the check still fails. It reports whether it kept
+// one. A candidate shares every other slice with cur; the edited one is
+// a fresh copy (the capped append cannot write into cur's array).
+func dropEach[T any](cur **scenario.Scenario, stillFails func(*scenario.Scenario) bool, items func(*scenario.Scenario) *[]T) bool {
+	improved := false
+	for i := 0; i < len(*items(*cur)); i++ {
+		cand := **cur
+		s := items(&cand)
+		*s = append((*s)[:i:i], (*s)[i+1:]...)
+		if stillFails(&cand) {
+			*cur, improved = &cand, true
+			i--
+		}
+	}
+	return improved
 }
 
 // writeRepro saves the scenario and round-trips it through the strict
@@ -443,7 +422,7 @@ func dumpTrace(sc *scenario.Scenario, scSeed, emSeed int64, path string) (string
 // knows.
 func Generate(rng *rand.Rand, maxDuration float64) *scenario.Scenario {
 	duration := 6 + rng.Float64()*(maxDuration-6)
-	sc := scenario.New("fuzz", duration)
+	sc := &scenario.Scenario{Name: "fuzz", Duration: duration}
 
 	clusters := 1 + rng.Intn(3)
 	topo := &scenario.TopologySpec{
@@ -497,7 +476,10 @@ func Generate(rng *rand.Rand, maxDuration float64) *scenario.Scenario {
 	}
 	sc.Topology = topo
 
-	randomLink := func(c int) scenario.LinkRef { return links[c][rng.Intn(len(links[c]))].ref }
+	randomLink := func(c int) *scenario.LinkRef {
+		ref := links[c][rng.Intn(len(links[c]))].ref
+		return &ref
+	}
 	clamp := func(t float64) float64 {
 		if t >= duration {
 			return duration - 0.5
@@ -513,7 +495,7 @@ func Generate(rng *rand.Rand, maxDuration float64) *scenario.Scenario {
 			if j >= i {
 				j++
 			}
-			sc.AddFlow(scenario.FlowSpec{
+			sc.Flows = append(sc.Flows, scenario.FlowSpec{
 				Name:  fmt.Sprintf("f%d", c),
 				Src:   nodes[c][i],
 				Dst:   nodes[c][j],
@@ -527,49 +509,58 @@ func Generate(rng *rand.Rand, maxDuration float64) *scenario.Scenario {
 			count := 1 + rng.Intn(2)
 			var refs []scenario.LinkRef
 			for k := 0; k < count; k++ {
-				refs = append(refs, randomLink(c))
+				refs = append(refs, *randomLink(c))
 			}
-			sc.Group(name, refs...)
+			sc.Groups = append(sc.Groups, scenario.GroupSpec{Name: name, Links: refs})
 			at := 2 + rng.Float64()*(duration-4)
-			sc.FailGroup(at, name)
+			sc.Events = append(sc.Events, scenario.Event{At: at, Kind: scenario.GroupFail, Group: name})
 			if rng.Float64() < 0.8 {
-				sc.RecoverGroup(clamp(at+0.5+rng.Float64()*2.5), name)
+				sc.Events = append(sc.Events, scenario.Event{At: clamp(at + 0.5 + rng.Float64()*2.5), Kind: scenario.GroupRecover, Group: name})
 			}
 		}
 		// Clean failures, gray failures, capacity downgrades, churn.
 		if rng.Float64() < 0.5 {
 			ref := randomLink(c)
 			at := 2 + rng.Float64()*(duration-4)
-			sc.FailLink(at, ref)
-			sc.RecoverLink(clamp(at+0.5+rng.Float64()*2), ref)
+			sc.Events = append(sc.Events,
+				scenario.Event{At: at, Kind: scenario.LinkFail, Link: ref},
+				scenario.Event{At: clamp(at + 0.5 + rng.Float64()*2), Kind: scenario.LinkRecover, Link: ref})
 		}
 		if rng.Float64() < 0.5 {
 			ref := randomLink(c)
 			at := 1 + rng.Float64()*(duration-3)
-			sc.SetLinkLoss(at, ref, 0.05+rng.Float64()*0.35)
+			sc.Events = append(sc.Events, scenario.Event{At: at, Kind: scenario.SetLoss, Link: ref, Loss: 0.05 + rng.Float64()*0.35})
 			if rng.Float64() < 0.7 {
-				sc.SetLinkLoss(clamp(at+1+rng.Float64()*2), ref, 0)
+				sc.Events = append(sc.Events, scenario.Event{At: clamp(at + 1 + rng.Float64()*2), Kind: scenario.SetLoss, Link: ref})
 			}
 		}
 		if rng.Float64() < 0.3 {
 			l := links[c][rng.Intn(len(links[c]))]
-			sc.SetLinkCapacity(1+rng.Float64()*(duration-2), l.ref, l.spec.Capacity*(0.3+rng.Float64()*0.6))
+			sc.Events = append(sc.Events, scenario.Event{
+				At: 1 + rng.Float64()*(duration-2), Kind: scenario.SetCapacity, Link: &l.ref,
+				Capacity: l.spec.Capacity * (0.3 + rng.Float64()*0.6),
+			})
 		}
 		if rng.Float64() < 0.25 && len(nodes[c]) > 2 {
 			n := nodes[c][rng.Intn(len(nodes[c]))]
 			at := 2 + rng.Float64()*(duration-4)
-			sc.NodeLeave(at, n)
-			sc.NodeJoin(clamp(at+1+rng.Float64()*2), n)
+			sc.Events = append(sc.Events,
+				scenario.Event{At: at, Kind: scenario.NodeLeave, Node: n},
+				scenario.Event{At: clamp(at + 1 + rng.Float64()*2), Kind: scenario.NodeJoin, Node: n})
 		}
 		// Stochastic processes, one of each kind at most per cluster.
+		// Each literal lists its fields in the order they are drawn.
 		if rng.Float64() < 0.4 {
-			sc.Flap(randomLink(c), 2+rng.Float64()*2, 0.5+rng.Float64()*2, 2+rng.Float64()*3)
+			sc.Processes = append(sc.Processes, scenario.Process{Kind: scenario.ProcFlap, Link: randomLink(c),
+				FirstAt: 2 + rng.Float64()*2, DownMean: 0.5 + rng.Float64()*2, UpMean: 2 + rng.Float64()*3})
 		}
 		if rng.Float64() < 0.4 {
-			sc.GrayLoss(randomLink(c), 0.1+rng.Float64()*0.4, 2+rng.Float64()*2, 0.5+rng.Float64()*2, 2+rng.Float64()*3)
+			sc.Processes = append(sc.Processes, scenario.Process{Kind: scenario.ProcGrayLoss, Link: randomLink(c),
+				Loss: 0.1 + rng.Float64()*0.4, FirstAt: 2 + rng.Float64()*2, DownMean: 0.5 + rng.Float64()*2, UpMean: 2 + rng.Float64()*3})
 		}
 		if rng.Float64() < 0.3 {
-			sc.Drift(randomLink(c), 0.5+rng.Float64(), 0.1+rng.Float64()*0.2, 0.3, 1.3)
+			sc.Processes = append(sc.Processes, scenario.Process{Kind: scenario.ProcDrift, Link: randomLink(c),
+				Interval: 0.5 + rng.Float64(), Std: 0.1 + rng.Float64()*0.2, Floor: 0.3, Ceil: 1.3})
 		}
 	}
 	// Network-wide load processes draw random pairs (cross-cluster
@@ -580,18 +571,20 @@ func Generate(rng *rand.Rand, maxDuration float64) *scenario.Scenario {
 		if rng.Float64() < 0.5 {
 			burstRate = 0.1 + rng.Float64()*0.2
 		}
-		sc.FlashCrowd(1+rng.Float64()*2, burstRate, 2+rng.Intn(3), 0.5+rng.Float64()*1.5, 2+rng.Float64()*2, "", "")
+		sc.Processes = append(sc.Processes, scenario.Process{Kind: scenario.ProcFlashCrowd, FirstAt: 1 + rng.Float64()*2,
+			Rate: burstRate, Count: 2 + rng.Intn(3), Spread: 0.5 + rng.Float64()*1.5, HoldMean: 2 + rng.Float64()*2})
 	}
 	if rng.Float64() < 0.3 {
-		sc.PoissonFlows(0.2+rng.Float64()*0.3, 2+rng.Float64()*2, "", "")
+		sc.Processes = append(sc.Processes, scenario.Process{Kind: scenario.ProcPoissonFlows,
+			Rate: 0.2 + rng.Float64()*0.3, HoldMean: 2 + rng.Float64()*2})
 	}
 	// The differential oracle leans on the timeline expansion streams;
 	// guarantee at least one stochastic process and one flow exist.
 	if len(sc.Processes) == 0 {
-		sc.Flap(randomLink(0), 2, 1, 3)
+		sc.Processes = append(sc.Processes, scenario.Process{Kind: scenario.ProcFlap, Link: randomLink(0), FirstAt: 2, DownMean: 1, UpMean: 3})
 	}
 	if len(sc.Flows) == 0 {
-		sc.AddFlow(scenario.FlowSpec{Name: "f0", Src: nodes[0][0], Dst: nodes[0][1], Start: 0.5})
+		sc.Flows = append(sc.Flows, scenario.FlowSpec{Name: "f0", Src: nodes[0][0], Dst: nodes[0][1], Start: 0.5})
 	}
 	return sc
 }

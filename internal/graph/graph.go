@@ -55,7 +55,6 @@ type LinkID int
 // Node is a network station. Position is in meters; Techs lists the
 // technologies (interfaces) the node is equipped with.
 type Node struct {
-	ID    NodeID
 	Name  string
 	X, Y  float64
 	Techs []Tech
@@ -206,7 +205,7 @@ func (b *Builder) AddNode(name string, x, y float64, techs ...Tech) NodeID {
 			}
 		}
 	}
-	b.nodes = append(b.nodes, Node{ID: id, Name: name, X: x, Y: y, Techs: ts})
+	b.nodes = append(b.nodes, Node{Name: name, X: x, Y: y, Techs: ts})
 	return id
 }
 

@@ -17,7 +17,6 @@ import (
 type neighborReport struct {
 	airtime  float64
 	gammaSum float64
-	tcp      bool
 	heardAt  float64
 }
 
@@ -457,7 +456,6 @@ func (a *Agent) onPrice(f *wire.PriceFrame) {
 	rep := &a.reports[f.Tech][f.Origin]
 	rep.airtime = f.Airtime
 	rep.gammaSum = f.GammaSum
-	rep.tcp = f.TCPPresent
 	rep.heardAt = a.em.Engine.Now()
 	a.gsum[f.Tech].valid = false
 	if f.TCPPresent {

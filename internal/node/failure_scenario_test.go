@@ -37,9 +37,11 @@ func TestLinkFailureShiftsTraffic(t *testing.T) {
 	// The PLC link dies at 30 s (e.g. a noisy appliance) and recovers at
 	// 150 s. The flow itself is pre-registered above (the scenario only
 	// drives the dynamics), so the scenario carries no flows.
-	sc := scenario.New("plc-outage", 270)
-	sc.FailLink(30, scenario.LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
-	sc.RecoverLink(150, scenario.LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
+	ref := scenario.LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()}
+	sc := &scenario.Scenario{Name: "plc-outage", Duration: 270, Events: []scenario.Event{
+		{At: 30, Kind: scenario.LinkFail, Link: &ref},
+		{At: 150, Kind: scenario.LinkRecover, Link: &ref},
+	}}
 	if _, err := scenario.Bind(em, sc, 1, scenario.Options{Strict: true}); err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,6 @@ type Flow struct {
 
 	// Congestion-control state (proximal multipath controller).
 	x, xbar []float64
-	lastQR  []float64
 	tuner   *congestion.AlphaTuner
 	// seqBuf is scratch for the sequential-rate warm starts
 	// (installRoutes) and reuses its backing array across route swaps.
@@ -166,7 +165,6 @@ func (f *Flow) installRoutes(view *graph.Network, routes []graph.Path) error {
 	f.firstLink = firsts
 	f.x = make([]float64, n)
 	f.xbar = make([]float64, n)
-	f.lastQR = make([]float64, n)
 	f.retired = append(f.retired, f.routeLogs...)
 	f.routeLogs = newRouteLogs(n)
 	f.seqBuf = routing.AppendSequentialRates(view, f.routes, f.seqBuf[:0])
@@ -471,7 +469,6 @@ func (f *Flow) onAck(ack *wire.AckFrame) {
 			continue
 		}
 		q := ra.QR
-		f.lastQR[r] = q
 		nx, nxbar := congestion.ProximalUpdate(f.x[r], f.xbar[r], congestion.DefaultUtilityScale, alpha, congestion.ProportionalFairness{}.Prime(total), q)
 		// Cap at the route's estimated bottleneck to suppress transients.
 		if cap := f.routeCap(r); nx > cap {

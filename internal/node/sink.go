@@ -59,7 +59,6 @@ type Sink struct {
 	// reverse caches the ack return route.
 	reverse   graph.Path
 	reverseAt float64
-	firstSeen float64
 	lastData  float64
 }
 
@@ -78,13 +77,12 @@ const sinkRingInit = 64
 
 func newSink(a *Agent, src graph.NodeID, flowID uint16) *Sink {
 	return &Sink{
-		agent:     a,
-		src:       src,
-		flowID:    flowID,
-		ring:      make([]bufEntry, sinkRingInit),
-		log:       &seriesLog{},
-		firstSeen: a.em.Engine.Now(),
-		lastData:  a.em.Engine.Now(),
+		agent:    a,
+		src:      src,
+		flowID:   flowID,
+		ring:     make([]bufEntry, sinkRingInit),
+		log:      &seriesLog{},
+		lastData: a.em.Engine.Now(),
 	}
 }
 

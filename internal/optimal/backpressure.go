@@ -34,11 +34,8 @@ type Backpressure struct {
 
 	// queues[n][d] is the backlog (Mb) at node n destined to node d.
 	queues [][]float64
-	// admitted[f] counts megabits admitted into the network by flow f.
-	admitted []float64
 	// delivered[f] counts megabits that reached the destination.
 	delivered []float64
-	t         int
 }
 
 // NewBackpressure creates a simulator for the given flows.
@@ -50,7 +47,6 @@ func NewBackpressure(net *graph.Network, flows []FlowSpec) *Backpressure {
 		V:               2000,
 		SlotSeconds:     0.01,
 		ExactSchedLimit: 24,
-		admitted:        make([]float64, len(flows)),
 		delivered:       make([]float64, len(flows)),
 	}
 	b.queues = make([][]float64, net.NumNodes())
@@ -64,7 +60,7 @@ func NewBackpressure(net *graph.Network, flows []FlowSpec) *Backpressure {
 func (b *Backpressure) Step() {
 	// 1. Flow control: each source admits x_f = argmax V·U_f(x) − x·Q_s(d)
 	//    => x = U'^{-1}(Q/V), capped at the node's total egress capacity.
-	for f, spec := range b.flows {
+	for _, spec := range b.flows {
 		q := b.queues[spec.Src][spec.Dst]
 		x := congestion.ProportionalFairness{}.PrimeInv(q / b.V)
 		var capOut float64
@@ -78,7 +74,6 @@ func (b *Backpressure) Step() {
 		// GOARCH (Go fuses x*y + z on arm64 and friends otherwise).
 		amount := float64(x * b.SlotSeconds)
 		b.queues[spec.Src][spec.Dst] += amount
-		b.admitted[f] += amount
 	}
 
 	// 2. Max-weight scheduling: w_l = c_l · max_d (Q_from(d) − Q_to(d))+.
@@ -148,7 +143,6 @@ func (b *Backpressure) Step() {
 			b.queues[m.to][m.dst] += m.amount
 		}
 	}
-	b.t++
 }
 
 // Run advances n slots and returns the per-slot delivered throughput of

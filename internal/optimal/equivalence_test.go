@@ -271,20 +271,12 @@ func assertSameResult(t *testing.T, name string, got, want Result) {
 	if !sameBits(got.Utility, want.Utility) {
 		t.Fatalf("%s: Utility = %v, want %v", name, got.Utility, want.Utility)
 	}
-	if len(got.FlowRates) != len(want.FlowRates) || len(got.X) != len(want.X) {
+	if len(got.FlowRates) != len(want.FlowRates) {
 		t.Fatalf("%s: shape differs", name)
 	}
 	for f := range want.FlowRates {
 		if !sameBits(got.FlowRates[f], want.FlowRates[f]) {
 			t.Fatalf("%s: FlowRates[%d] = %v, want %v", name, f, got.FlowRates[f], want.FlowRates[f])
-		}
-		if len(got.X[f]) != len(want.X[f]) {
-			t.Fatalf("%s: flow %d has %d rates, want %d", name, f, len(got.X[f]), len(want.X[f]))
-		}
-		for i := range want.X[f] {
-			if !sameBits(got.X[f][i], want.X[f][i]) {
-				t.Fatalf("%s: X[%d][%d] = %v, want %v", name, f, i, got.X[f][i], want.X[f][i])
-			}
 		}
 	}
 }
@@ -347,9 +339,6 @@ func TestBaselinesEqualsSingleEntries(t *testing.T) {
 			// Writing through one result must not show in the other.
 			for f := range opt.FlowRates {
 				opt.FlowRates[f] = -1
-				for i := range opt.X[f] {
-					opt.X[f][i] = -1
-				}
 			}
 			assertSameResult(t, "conservative after overwriting optimal", cons, wantCons)
 		})

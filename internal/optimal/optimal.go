@@ -27,8 +27,6 @@ type Result struct {
 	FlowRates []float64
 	// Utility is the optimal aggregate utility.
 	Utility float64
-	// X[f][i] is the rate on the i-th enumerated path of flow f.
-	X [][]float64
 }
 
 // routeSet is the part of a baseline's problem that does not depend on the
@@ -148,25 +146,14 @@ func domainKey(members []graph.LinkID) string {
 // result expands a solution over the route list into per-flow form. It
 // copies, so two results built from one solution share no rate slice.
 func (rs *routeSet) result(sol Solution) Result {
-	res := Result{
-		FlowRates: append([]float64(nil), sol.FlowRates...),
-		Utility:   sol.Utility,
-		X:         make([][]float64, len(rs.problem.Flows)),
-	}
-	for f, idxs := range rs.problem.Flows {
-		res.X[f] = make([]float64, len(idxs))
-		for i, r := range idxs {
-			res.X[f][i] = sol.X[r]
-		}
-	}
-	return res
+	return Result{FlowRates: append([]float64(nil), sol.FlowRates...), Utility: sol.Utility}
 }
 
 // unconnected is the result when no flow has a path: all-zero rates, and
 // the utility U(0) = 0 of every flow.
 func (rs *routeSet) unconnected() Result {
 	n := len(rs.problem.Flows)
-	return Result{FlowRates: make([]float64, n), X: make([][]float64, n)}
+	return Result{FlowRates: make([]float64, n)}
 }
 
 // solve optimizes the route set under one capacity region.

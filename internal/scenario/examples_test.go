@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/node"
+	"repro/internal/topology"
 )
 
 // TestExampleScenariosLoadAndBind is the schema-drift guard: every JSON
@@ -30,7 +31,7 @@ func TestExampleScenariosLoadAndBind(t *testing.T) {
 			if sc.Topology == nil {
 				t.Fatal("example scenario ships without a topology")
 			}
-			net, err := sc.Topology.Build(1)
+			net, err := sc.Topology.BuildView(1, topology.ViewHybrid)
 			if err != nil {
 				t.Fatal(err)
 			}

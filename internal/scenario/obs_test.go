@@ -11,6 +11,7 @@ import (
 	"repro/internal/mac"
 	"repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/topology"
 )
 
 // TestEventKindOrdinalsPinned pins the compact encoding the flight
@@ -80,9 +81,10 @@ func tailRun(t *testing.T, recorder int) *Runtime {
 	b.AddDuplex(s, d, graph.TechPLC, 40)
 	b.AddDuplex(s, d, graph.TechWiFi, 40)
 	net := b.Build()
-	sc := New("tail", 10)
-	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	sc.FailLink(4, LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
+	sc := &Scenario{Name: "tail", Duration: 10,
+		Flows:  []FlowSpec{{Name: "f", Src: "s", Dst: "d"}},
+		Events: []Event{{At: 4, Kind: LinkFail, Link: &plcSD}},
+	}
 	em := node.NewEmulation(net, node.Config{Estimation: true, Recorder: recorder}, 31)
 	rt, err := Bind(em, sc, 7, Options{Strict: true})
 	if err != nil {
@@ -102,9 +104,10 @@ func TestRuntimeSampleMetrics(t *testing.T) {
 	b.AddDuplex(s, d, graph.TechPLC, 40)
 	b.AddDuplex(s, d, graph.TechWiFi, 40)
 	net := b.Build()
-	sc := New("metrics", 10)
-	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	sc.FailLink(4, LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
+	sc := &Scenario{Name: "metrics", Duration: 10,
+		Flows:  []FlowSpec{{Name: "f", Src: "s", Dst: "d"}},
+		Events: []Event{{At: 4, Kind: LinkFail, Link: &plcSD}},
+	}
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 31)
 	rt, err := Bind(em, sc, 7, Options{Strict: true, Invariants: true})
 	if err != nil {
@@ -147,7 +150,7 @@ func TestSampleMetricsOneSeriesPerQuantity(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.Duration = 30
-	net, err := sc.Topology.Build(3)
+	net, err := sc.Topology.BuildView(3, topology.ViewHybrid)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,20 +22,31 @@ import (
 // maxTimelineEvents events: a hostile duration, mean or interval fails
 // the bind with an error instead of exhausting memory.
 func expandProcesses(sc *Scenario, net *graph.Network, seed int64) ([]Event, error) {
-	var tl timeline
+	tl := timeline{net: net, sources: egressSources(net)}
 	for i, p := range sc.Processes {
 		rng := stats.NewRand(stats.SplitSeed(seed, i))
 		switch p.Kind {
 		case ProcFlap:
-			expandFlap(&tl, p, sc.Duration, rng)
+			fail, recover := LinkFail, LinkRecover
+			switch {
+			case p.Node != "":
+				fail, recover = NodeLeave, NodeJoin
+			case p.Group != "":
+				fail, recover = GroupFail, GroupRecover
+			}
+			expandAlternating(&tl, p, sc.Duration, rng,
+				Event{Kind: fail, Link: p.Link, Node: p.Node, Group: p.Group},
+				Event{Kind: recover, Link: p.Link, Node: p.Node, Group: p.Group})
+		case ProcGrayLoss:
+			expandAlternating(&tl, p, sc.Duration, rng,
+				Event{Kind: SetLoss, Link: p.Link, Loss: p.Loss},
+				Event{Kind: SetLoss, Link: p.Link})
 		case ProcDrift:
 			expandDrift(&tl, p, sc.Duration, rng)
 		case ProcPoissonFlows:
-			expandPoisson(&tl, p, i, sc.Duration, net, rng)
-		case ProcGrayLoss:
-			expandGrayLoss(&tl, p, sc.Duration, rng)
+			expandPoisson(&tl, p, i, sc.Duration, rng)
 		case ProcFlashCrowd:
-			expandFlashCrowd(&tl, p, i, sc.Duration, net, rng)
+			expandFlashCrowd(&tl, p, i, sc.Duration, rng)
 		}
 		if tl.over() {
 			return nil, fmt.Errorf("scenario %q: process %d (%s) expands past the budget of %d timeline events over %g s; lengthen its means or intervals, or shorten the duration",
@@ -51,10 +62,14 @@ const maxTimelineEvents = 1 << 16
 
 // timeline is what the expanders realize: the events, and the number of
 // events they drew — emitted, or dropped as a flash-crowd flow past the
-// end — which maxTimelineEvents bounds.
+// end — which maxTimelineEvents bounds; and the network the arrival
+// processes draw their random pairs on.
 type timeline struct {
 	events []Event
 	drawn  int
+
+	net     *graph.Network
+	sources []graph.NodeID // the nodes with egress links
 }
 
 // draw charges one event to the budget and reports whether it fits.
@@ -65,48 +80,26 @@ func (tl *timeline) draw() bool {
 
 func (tl *timeline) over() bool { return tl.drawn > maxTimelineEvents }
 
-// expandFlap alternates fail/recover (or leave/join for a node target,
-// group-fail/group-recover for a group target) with exponential holding
-// times.
-func expandFlap(tl *timeline, p Process, duration float64, rng *rand.Rand) {
-	fail, recover := LinkFail, LinkRecover
-	switch {
-	case p.Node != "":
-		fail, recover = NodeLeave, NodeJoin
-	case p.Group != "":
-		fail, recover = GroupFail, GroupRecover
-	}
+// expandAlternating is the one loop of the on/off processes: the on
+// event, an exponential holding time of mean DownMean, the off event, one
+// of mean UpMean, and again, from FirstAt (or an exponential draw into
+// the off phase). A flap passes fail/recover (leave/join for a node
+// target, group-fail/group-recover for a group); a gray-loss passes
+// set-loss at Loss and set-loss 0.
+func expandAlternating(tl *timeline, p Process, duration float64, rng *rand.Rand, on, off Event) {
 	t := p.FirstAt
 	if t <= 0 {
 		t = rng.ExpFloat64() * p.UpMean
 	}
 	for t < duration && tl.draw() {
-		tl.events = append(tl.events, Event{At: t, Kind: fail, Link: p.Link, Node: p.Node, Group: p.Group})
+		on.At = t
+		tl.events = append(tl.events, on)
 		t += rng.ExpFloat64() * p.DownMean
 		if t >= duration || !tl.draw() {
 			break
 		}
-		tl.events = append(tl.events, Event{At: t, Kind: recover, Link: p.Link, Node: p.Node, Group: p.Group})
-		t += rng.ExpFloat64() * p.UpMean
-	}
-}
-
-// expandGrayLoss alternates the link between a lossy phase (set-loss at
-// p.Loss) and a clean phase (set-loss 0), mirroring expandFlap's timing
-// structure: first lossy phase at FirstAt (or an exponential draw into
-// the clean phase), exponential holding times.
-func expandGrayLoss(tl *timeline, p Process, duration float64, rng *rand.Rand) {
-	t := p.FirstAt
-	if t <= 0 {
-		t = rng.ExpFloat64() * p.UpMean
-	}
-	for t < duration && tl.draw() {
-		tl.events = append(tl.events, Event{At: t, Kind: SetLoss, Link: p.Link, Loss: p.Loss})
-		t += rng.ExpFloat64() * p.DownMean
-		if t >= duration || !tl.draw() {
-			break
-		}
-		tl.events = append(tl.events, Event{At: t, Kind: SetLoss, Link: p.Link})
+		off.At = t
+		tl.events = append(tl.events, off)
 		t += rng.ExpFloat64() * p.UpMean
 	}
 }
@@ -141,15 +134,9 @@ func expandDrift(tl *timeline, p Process, duration float64, rng *rand.Rand) {
 	}
 }
 
-// expandPoisson emits flow-start events with Poisson arrival times; each
-// flow carries its departure in Stop (exponential holding time) or a
-// file size. Random pairs draw the source uniformly among nodes with
-// egress links and the destination among the remaining nodes, mirroring
-// topology.Instance.RandomFlow; whether a route exists is decided at the
-// event time, on the network as it then is.
-func expandPoisson(tl *timeline, p Process, index int, duration float64, net *graph.Network, rng *rand.Rand) {
-	sources := egressSources(net)
-	if p.Src == "" && len(sources) == 0 {
+// expandPoisson emits arrivals at Poisson times after FirstAt.
+func expandPoisson(tl *timeline, p Process, index int, duration float64, rng *rand.Rand) {
+	if p.Src == "" && len(tl.sources) == 0 {
 		return
 	}
 	t := p.FirstAt
@@ -158,35 +145,18 @@ func expandPoisson(tl *timeline, p Process, index int, duration float64, net *gr
 		if t >= duration || !tl.draw() {
 			return
 		}
-		spec := FlowSpec{
-			Name:  fmt.Sprintf(arrivalPrefix+"%d-%d", index, n),
-			Src:   p.Src,
-			Dst:   p.Dst,
-			Start: t,
-		}
-		if p.Src == "" {
-			drawPair(&spec, sources, net, rng)
-		}
-		if p.FileBytes > 0 {
-			spec.Kind = "file"
-			spec.FileBytes = p.FileBytes
-		} else {
-			spec.Stop = t + rng.ExpFloat64()*p.HoldMean
-		}
-		f := spec
-		tl.events = append(tl.events, Event{At: t, Kind: FlowStart, Flow: &f})
+		tl.arrive(p, fmt.Sprintf(arrivalPrefix+"%d-%d", index, n), t, rng)
 	}
 }
 
-// expandFlashCrowd emits bursts of near-simultaneous flow starts: Count
+// expandFlashCrowd emits bursts of near-simultaneous arrivals: Count
 // flows per burst, each offset uniformly within the Spread window —
 // synchronized demand the Poisson process's independent arrivals never
 // produce (everyone starting a stream when the match kicks off). Burst
 // times follow expandPoisson's arrival structure when Rate is positive;
 // Rate 0 is a single scripted burst at FirstAt.
-func expandFlashCrowd(tl *timeline, p Process, index int, duration float64, net *graph.Network, rng *rand.Rand) {
-	sources := egressSources(net)
-	if p.Src == "" && len(sources) == 0 {
+func expandFlashCrowd(tl *timeline, p Process, index int, duration float64, rng *rand.Rand) {
+	if p.Src == "" && len(tl.sources) == 0 {
 		return
 	}
 	spread := p.Spread
@@ -195,27 +165,9 @@ func expandFlashCrowd(tl *timeline, p Process, index int, duration float64, net 
 	}
 	burst := func(b int, at float64) {
 		for k := 0; k < p.Count && tl.draw(); k++ {
-			t := at + rng.Float64()*spread
-			if t >= duration {
-				continue
+			if t := at + rng.Float64()*spread; t < duration {
+				tl.arrive(p, fmt.Sprintf(crowdPrefix+"%d-%d-%d", index, b, k), t, rng)
 			}
-			spec := FlowSpec{
-				Name:  fmt.Sprintf(crowdPrefix+"%d-%d-%d", index, b, k),
-				Src:   p.Src,
-				Dst:   p.Dst,
-				Start: t,
-			}
-			if p.Src == "" {
-				drawPair(&spec, sources, net, rng)
-			}
-			if p.FileBytes > 0 {
-				spec.Kind = "file"
-				spec.FileBytes = p.FileBytes
-			} else {
-				spec.Stop = t + rng.ExpFloat64()*p.HoldMean
-			}
-			f := spec
-			tl.events = append(tl.events, Event{At: t, Kind: FlowStart, Flow: &f})
 		}
 	}
 	if p.Rate <= 0 {
@@ -232,6 +184,25 @@ func expandFlashCrowd(tl *timeline, p Process, index int, duration float64, net 
 		}
 		burst(b, t)
 	}
+}
+
+// arrive is the one builder of a process-generated flow: it emits the
+// flow-start event of the flow named name at t, between the process's
+// fixed pair or a drawPair one, carrying the process's file size or a
+// departure an exponential holding time later. The draw order is
+// drawPair's, then the holding time's. Whether a route exists is decided
+// at the event time, on the network as it then is.
+func (tl *timeline) arrive(p Process, name string, t float64, rng *rand.Rand) {
+	f := &FlowSpec{Name: name, Src: p.Src, Dst: p.Dst, Start: t}
+	if p.Src == "" {
+		drawPair(f, tl.sources, tl.net, rng)
+	}
+	if p.FileBytes > 0 {
+		f.Kind, f.FileBytes = "file", p.FileBytes
+	} else {
+		f.Stop = t + rng.ExpFloat64()*p.HoldMean
+	}
+	tl.events = append(tl.events, Event{At: t, Kind: FlowStart, Flow: f})
 }
 
 // egressSources lists the nodes random flow pairs may start from (those

@@ -8,12 +8,12 @@
 // and distributed congestion controller adapt to *changing* hybrid
 // networks (§6.1 reports failover within hundreds of milliseconds), yet
 // its evaluation scripts each dynamic case by hand. A Scenario
-// systematizes that workload class: it is data (JSON-loadable, see Load)
-// or code (the builder methods), and binding it to an emulation expands
-// every stochastic process into a concrete event timeline using seeds
-// split with stats.SplitSeed — so a (scenario, seed) pair fully
-// determines a trajectory, replications stay bit-identical at any worker
-// count, and the runner can fan sweeps out across cores.
+// systematizes that workload class: a scenario is a Scenario value,
+// written as a Go literal or loaded from JSON (see Load), and binding it
+// to an emulation expands every stochastic process into a concrete event
+// timeline using seeds split with stats.SplitSeed — so a (scenario, seed)
+// pair fully determines a trajectory, replications stay bit-identical at
+// any worker count, and the runner can fan sweeps out across cores.
 //
 // Dynamics remain honest: scenario events mutate ground truth (link
 // capacities, node presence, offered load) through
@@ -246,130 +246,6 @@ type Event struct {
 	Group string `json:"group,omitempty"`
 }
 
-// New starts a scenario of the given name and duration (builder API).
-func New(name string, duration float64) *Scenario {
-	return &Scenario{Name: name, Duration: duration}
-}
-
-// AddFlow schedules a flow.
-func (s *Scenario) AddFlow(f FlowSpec) *Scenario {
-	s.Flows = append(s.Flows, f)
-	return s
-}
-
-// FailLink schedules a link failure at time t.
-func (s *Scenario) FailLink(t float64, ref LinkRef) *Scenario {
-	r := ref
-	s.Events = append(s.Events, Event{At: t, Kind: LinkFail, Link: &r})
-	return s
-}
-
-// RecoverLink schedules a link recovery at time t.
-func (s *Scenario) RecoverLink(t float64, ref LinkRef) *Scenario {
-	r := ref
-	s.Events = append(s.Events, Event{At: t, Kind: LinkRecover, Link: &r})
-	return s
-}
-
-// SetLinkCapacity schedules a capacity change at time t (Mbps).
-func (s *Scenario) SetLinkCapacity(t float64, ref LinkRef, capacity float64) *Scenario {
-	r := ref
-	s.Events = append(s.Events, Event{At: t, Kind: SetCapacity, Link: &r, Capacity: capacity})
-	return s
-}
-
-// SetLinkLoss schedules a gray failure at time t: the link's channel
-// error probability becomes p (0 restores a clean channel).
-func (s *Scenario) SetLinkLoss(t float64, ref LinkRef, p float64) *Scenario {
-	r := ref
-	s.Events = append(s.Events, Event{At: t, Kind: SetLoss, Link: &r, Loss: p})
-	return s
-}
-
-// Group declares a named link group for correlated failure events.
-func (s *Scenario) Group(name string, links ...LinkRef) *Scenario {
-	s.Groups = append(s.Groups, GroupSpec{Name: name, Links: links})
-	return s
-}
-
-// FailGroup schedules the atomic failure of a named link group at time t.
-func (s *Scenario) FailGroup(t float64, name string) *Scenario {
-	s.Events = append(s.Events, Event{At: t, Kind: GroupFail, Group: name})
-	return s
-}
-
-// RecoverGroup schedules the named group's recovery at time t.
-func (s *Scenario) RecoverGroup(t float64, name string) *Scenario {
-	s.Events = append(s.Events, Event{At: t, Kind: GroupRecover, Group: name})
-	return s
-}
-
-// NodeLeave schedules a node departure at time t.
-func (s *Scenario) NodeLeave(t float64, node string) *Scenario {
-	s.Events = append(s.Events, Event{At: t, Kind: NodeLeave, Node: node})
-	return s
-}
-
-// NodeJoin schedules the node's return at time t.
-func (s *Scenario) NodeJoin(t float64, node string) *Scenario {
-	s.Events = append(s.Events, Event{At: t, Kind: NodeJoin, Node: node})
-	return s
-}
-
-// Flap adds a link-flapping process: first failure at firstAt, then
-// exponential down/up holding times with the given means.
-func (s *Scenario) Flap(ref LinkRef, firstAt, downMean, upMean float64) *Scenario {
-	r := ref
-	s.Processes = append(s.Processes, Process{
-		Kind: ProcFlap, Link: &r, FirstAt: firstAt, DownMean: downMean, UpMean: upMean,
-	})
-	return s
-}
-
-// GrayLoss adds a gray-failure process on a link: lossy phases at
-// channel error probability p alternating with clean phases, first
-// lossy phase at firstAt, exponential holding times.
-func (s *Scenario) GrayLoss(ref LinkRef, p, firstAt, downMean, upMean float64) *Scenario {
-	r := ref
-	s.Processes = append(s.Processes, Process{
-		Kind: ProcGrayLoss, Link: &r, Loss: p, FirstAt: firstAt, DownMean: downMean, UpMean: upMean,
-	})
-	return s
-}
-
-// FlashCrowd adds a flow-burst process: bursts of count flows (each
-// scattered over spread seconds, living an exponential holdMean) at
-// exponential burst gaps of mean 1/rate after firstAt; rate 0 fires a
-// single burst at firstAt. Empty src/dst draws a random pair per flow.
-func (s *Scenario) FlashCrowd(firstAt, rate float64, count int, spread, holdMean float64, src, dst string) *Scenario {
-	s.Processes = append(s.Processes, Process{
-		Kind: ProcFlashCrowd, FirstAt: firstAt, Rate: rate, Count: count,
-		Spread: spread, HoldMean: holdMean, Src: src, Dst: dst,
-	})
-	return s
-}
-
-// Drift adds a capacity-drift process on a link: every interval seconds
-// the capacity moves one lognormal random-walk step (std per step),
-// clamped to [floor, ceil] times the bind-time capacity.
-func (s *Scenario) Drift(ref LinkRef, interval, std, floor, ceil float64) *Scenario {
-	r := ref
-	s.Processes = append(s.Processes, Process{
-		Kind: ProcDrift, Link: &r, Interval: interval, Std: std, Floor: floor, Ceil: ceil,
-	})
-	return s
-}
-
-// PoissonFlows adds a flow arrival process: arrivals at `rate` per
-// second, each flow living an exponential time of mean holdMean. Empty
-// src/dst draws a random pair per arrival.
-func (s *Scenario) PoissonFlows(rate, holdMean float64, src, dst string) *Scenario {
-	s.Processes = append(s.Processes, Process{
-		Kind: ProcPoissonFlows, Rate: rate, HoldMean: holdMean, Src: src, Dst: dst,
-	})
-	return s
-}
-
 // Validate checks the scenario's static structure (reference resolution
 // happens at Bind, against the concrete network).
 func (s *Scenario) Validate() error {
@@ -423,7 +299,7 @@ func (s *Scenario) Validate() error {
 			return fmt.Errorf("scenario %q: event %d at negative time %g", s.Name, i, ev.At)
 		}
 		switch ev.Kind {
-		case LinkFail, LinkRecover, SetCapacity, ScaleCapacity:
+		case LinkFail, LinkRecover, SetCapacity, ScaleCapacity, SetLoss:
 			if ev.Link == nil {
 				return fmt.Errorf("scenario %q: %s event %d needs a link", s.Name, ev.Kind, i)
 			}
@@ -433,11 +309,7 @@ func (s *Scenario) Validate() error {
 			if ev.Kind == ScaleCapacity && !(ev.Factor >= 0) {
 				return fmt.Errorf("scenario %q: scale-capacity event %d needs a factor >= 0, got %g", s.Name, i, ev.Factor)
 			}
-		case SetLoss:
-			if ev.Link == nil {
-				return fmt.Errorf("scenario %q: set-loss event %d needs a link", s.Name, i)
-			}
-			if ev.Loss < 0 || ev.Loss > 1 {
+			if ev.Kind == SetLoss && (ev.Loss < 0 || ev.Loss > 1) {
 				return fmt.Errorf("scenario %q: set-loss event %d needs loss in [0,1], got %g", s.Name, i, ev.Loss)
 			}
 		case GroupFail, GroupRecover:
@@ -485,9 +357,6 @@ func (s *Scenario) Validate() error {
 			if targets != 1 {
 				return fmt.Errorf("scenario %q: flap process %d needs exactly one of link, node or group", s.Name, i)
 			}
-			if p.DownMean <= 0 || p.UpMean <= 0 {
-				return fmt.Errorf("scenario %q: flap process %d needs positive down_mean and up_mean", s.Name, i)
-			}
 		case ProcGrayLoss:
 			if p.Link == nil {
 				return fmt.Errorf("scenario %q: gray-loss process %d needs a link", s.Name, i)
@@ -495,21 +364,12 @@ func (s *Scenario) Validate() error {
 			if p.Loss <= 0 || p.Loss > 1 {
 				return fmt.Errorf("scenario %q: gray-loss process %d needs loss in (0,1], got %g", s.Name, i, p.Loss)
 			}
-			if p.DownMean <= 0 || p.UpMean <= 0 {
-				return fmt.Errorf("scenario %q: gray-loss process %d needs positive down_mean and up_mean", s.Name, i)
-			}
 		case ProcFlashCrowd:
 			if p.Count <= 0 {
 				return fmt.Errorf("scenario %q: flash-crowd process %d needs a positive count", s.Name, i)
 			}
 			if p.Rate < 0 || p.Spread < 0 {
 				return fmt.Errorf("scenario %q: flash-crowd process %d needs non-negative rate and spread", s.Name, i)
-			}
-			if p.HoldMean <= 0 && p.FileBytes <= 0 {
-				return fmt.Errorf("scenario %q: flash-crowd process %d needs hold_mean or file_bytes", s.Name, i)
-			}
-			if (p.Src == "") != (p.Dst == "") {
-				return fmt.Errorf("scenario %q: flash-crowd process %d needs both src and dst, or neither", s.Name, i)
 			}
 		case ProcDrift:
 			if p.Link == nil {
@@ -522,14 +382,23 @@ func (s *Scenario) Validate() error {
 			if p.Rate <= 0 {
 				return fmt.Errorf("scenario %q: poisson-flows process %d needs a positive rate", s.Name, i)
 			}
-			if p.HoldMean <= 0 && p.FileBytes <= 0 {
-				return fmt.Errorf("scenario %q: poisson-flows process %d needs hold_mean or file_bytes", s.Name, i)
-			}
-			if (p.Src == "") != (p.Dst == "") {
-				return fmt.Errorf("scenario %q: poisson-flows process %d needs both src and dst, or neither", s.Name, i)
-			}
 		default:
 			return fmt.Errorf("scenario %q: process %d has unknown kind %q", s.Name, i, p.Kind)
+		}
+		// The rules the alternating and the arrival processes share,
+		// checked after each kind's own.
+		switch p.Kind {
+		case ProcFlap, ProcGrayLoss:
+			if p.DownMean <= 0 || p.UpMean <= 0 {
+				return fmt.Errorf("scenario %q: %s process %d needs positive down_mean and up_mean", s.Name, p.Kind, i)
+			}
+		case ProcPoissonFlows, ProcFlashCrowd:
+			if p.HoldMean <= 0 && p.FileBytes <= 0 {
+				return fmt.Errorf("scenario %q: %s process %d needs hold_mean or file_bytes", s.Name, p.Kind, i)
+			}
+			if (p.Src == "") != (p.Dst == "") {
+				return fmt.Errorf("scenario %q: %s process %d needs both src and dst, or neither", s.Name, p.Kind, i)
+			}
 		}
 	}
 	if s.Topology != nil {

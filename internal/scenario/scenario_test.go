@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/node"
+	"repro/internal/topology"
 )
 
 // twoRouteNet builds the canonical two-route hybrid: a direct PLC
@@ -23,6 +24,10 @@ func twoRouteNet(t *testing.T) (*graph.Network, graph.NodeID, graph.NodeID) {
 	b.AddDuplex(s, d, graph.TechWiFi, 40)
 	return b.Build(), s, d
 }
+
+// plcSD is the PLC connection between s and d of the test networks
+// here; the scenarios' events point at it and only read it.
+var plcSD = LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()}
 
 // mustExpand realizes sc's processes, failing the test on a budget error.
 func mustExpand(t *testing.T, sc *Scenario, net *graph.Network, seed int64) []Event {
@@ -41,10 +46,13 @@ func mustExpand(t *testing.T, sc *Scenario, net *graph.Network, seed int64) []Ev
 // and back after recovery.
 func TestFlapFailoverMeasurement(t *testing.T) {
 	net, _, _ := twoRouteNet(t)
-	sc := New("flap", 150)
-	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	sc.FailLink(30, LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
-	sc.RecoverLink(90, LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
+	sc := &Scenario{Name: "flap", Duration: 150,
+		Flows: []FlowSpec{{Name: "f", Src: "s", Dst: "d"}},
+		Events: []Event{
+			{At: 30, Kind: LinkFail, Link: &plcSD},
+			{At: 90, Kind: LinkRecover, Link: &plcSD},
+		},
+	}
 
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 31)
 	rt, err := Bind(em, sc, 7, Options{Strict: true})
@@ -92,9 +100,10 @@ func TestFlapFailoverMeasurement(t *testing.T) {
 func TestDegradedSinglePath(t *testing.T) {
 	net, s, d := twoRouteNet(t)
 	plc := net.FindLink(s, d, graph.TechPLC)
-	sc := New("degraded", 90)
-	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	sc.FailLink(30, LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
+	sc := &Scenario{Name: "degraded", Duration: 90,
+		Flows:  []FlowSpec{{Name: "f", Src: "s", Dst: "d"}},
+		Events: []Event{{At: 30, Kind: LinkFail, Link: &plcSD}},
+	}
 
 	em := node.NewEmulation(net, node.Config{Estimation: true, DisableCC: true}, 5)
 	rt, err := Bind(em, sc, 7, Options{
@@ -133,10 +142,13 @@ func TestNodeChurnRestoresCapacities(t *testing.T) {
 		before[l] = net.Link(graph.LinkID(l)).Capacity
 	}
 
-	sc := New("churn", 60)
-	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	sc.NodeLeave(20, "r")
-	sc.NodeJoin(40, "r")
+	sc := &Scenario{Name: "churn", Duration: 60,
+		Flows: []FlowSpec{{Name: "f", Src: "s", Dst: "d"}},
+		Events: []Event{
+			{At: 20, Kind: NodeLeave, Node: "r"},
+			{At: 40, Kind: NodeJoin, Node: "r"},
+		},
+	}
 
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 9)
 	rt, err := Bind(em, sc, 3, Options{Strict: true})
@@ -165,8 +177,9 @@ func TestNodeChurnRestoresCapacities(t *testing.T) {
 // identical, and that arrivals actually start and stop flows.
 func TestPoissonArrivalsDeterministic(t *testing.T) {
 	net, _, _ := twoRouteNet(t)
-	sc := New("arrivals", 120)
-	sc.PoissonFlows(0.1, 15, "s", "d")
+	sc := &Scenario{Name: "arrivals", Duration: 120,
+		Processes: []Process{{Kind: ProcPoissonFlows, Rate: 0.1, HoldMean: 15, Src: "s", Dst: "d"}},
+	}
 
 	e1 := mustExpand(t, sc, net, 42)
 	e2 := mustExpand(t, sc, net, 42)
@@ -206,9 +219,10 @@ func TestPoissonArrivalsDeterministic(t *testing.T) {
 func TestDriftStaysClamped(t *testing.T) {
 	net, s, d := twoRouteNet(t)
 	plc := net.FindLink(s, d, graph.TechPLC)
-	sc := New("drift", 60)
-	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	sc.Drift(LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()}, 1, 0.3, 0.25, 1.25)
+	sc := &Scenario{Name: "drift", Duration: 60,
+		Flows:     []FlowSpec{{Name: "f", Src: "s", Dst: "d"}},
+		Processes: []Process{{Kind: ProcDrift, Link: &plcSD, Interval: 1, Std: 0.3, Floor: 0.25, Ceil: 1.25}},
+	}
 
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 2)
 	rt, err := Bind(em, sc, 11, Options{Strict: true})
@@ -234,20 +248,21 @@ func TestDriftStaysClamped(t *testing.T) {
 
 // TestJSONRoundTrip saves a built scenario and loads it back.
 func TestJSONRoundTrip(t *testing.T) {
-	sc := New("roundtrip", 90)
-	sc.Topology = &TopologySpec{
-		Kind: "custom",
-		Nodes: []NodeSpec{
-			{Name: "s", Techs: []string{"PLC", "WiFi"}},
-			{Name: "d", X: 1, Techs: []string{"PLC", "WiFi"}},
+	sc := &Scenario{Name: "roundtrip", Duration: 90,
+		Topology: &TopologySpec{
+			Kind: "custom",
+			Nodes: []NodeSpec{
+				{Name: "s", Techs: []string{"PLC", "WiFi"}},
+				{Name: "d", X: 1, Techs: []string{"PLC", "WiFi"}},
+			},
+			Links: []LinkSpec{
+				{From: "s", To: "d", Tech: "PLC", Capacity: 40},
+				{From: "s", To: "d", Tech: "WiFi", Capacity: 40},
+			},
 		},
-		Links: []LinkSpec{
-			{From: "s", To: "d", Tech: "PLC", Capacity: 40},
-			{From: "s", To: "d", Tech: "WiFi", Capacity: 40},
-		},
+		Flows:     []FlowSpec{{Name: "f", Src: "s", Dst: "d"}},
+		Processes: []Process{{Kind: ProcFlap, Link: &plcSD, FirstAt: 20, DownMean: 8, UpMean: 25}},
 	}
-	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	sc.Flap(LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()}, 20, 8, 25)
 	path := filepath.Join(t.TempDir(), "sc.json")
 	if err := sc.Save(path); err != nil {
 		t.Fatal(err)
@@ -260,7 +275,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", got, sc)
 	}
 	// The loaded topology must build and the scenario must bind.
-	net, err := got.Topology.Build(1)
+	net, err := got.Topology.BuildView(1, topology.ViewHybrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,19 +295,34 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-// TestValidateErrors is the table of events Validate rejects, each with
-// the words its error must carry.
+// TestValidateErrors is the table of events and processes Validate
+// rejects, each with the words its error must carry.
 func TestValidateErrors(t *testing.T) {
 	link := `"link":{"from":"s","to":"d","tech":"PLC"}`
-	cases := []struct{ name, event, want string }{
-		{"link-less fail", `{"at":1,"kind":"link-fail"}`, "needs a link"},
-		{"negative time", `{"at":-1,"kind":"link-fail",` + link + `}`, "negative time"},
-		{"loss above 1", `{"at":1,"kind":"set-loss",` + link + `,"loss":1.5}`, "loss in [0,1]"},
-		{"negative capacity", `{"at":1,"kind":"set-capacity",` + link + `,"capacity":-5}`, "capacity >= 0"},
-		{"negative factor", `{"at":1,"kind":"scale-capacity",` + link + `,"factor":-0.5}`, "factor >= 0"},
+	event := func(e string) string { return `"events":[` + e + `]` }
+	process := func(p string) string { return `"processes":[` + p + `]` }
+	cases := []struct{ name, body, want string }{
+		{"link-less fail", event(`{"at":1,"kind":"link-fail"}`), "needs a link"},
+		{"link-less set-loss", event(`{"at":1,"kind":"set-loss","loss":0.5}`), "set-loss event 0 needs a link"},
+		{"negative time", event(`{"at":-1,"kind":"link-fail",` + link + `}`), "negative time"},
+		{"loss above 1", event(`{"at":1,"kind":"set-loss",` + link + `,"loss":1.5}`), "loss in [0,1]"},
+		{"negative capacity", event(`{"at":1,"kind":"set-capacity",` + link + `,"capacity":-5}`), "capacity >= 0"},
+		{"negative factor", event(`{"at":1,"kind":"scale-capacity",` + link + `,"factor":-0.5}`), "factor >= 0"},
+		{"flap without down_mean", process(`{"kind":"flap",` + link + `,"up_mean":3}`),
+			"flap process 0 needs positive down_mean and up_mean"},
+		{"gray-loss without up_mean", process(`{"kind":"gray-loss",` + link + `,"loss":0.2,"down_mean":3}`),
+			"gray-loss process 0 needs positive down_mean and up_mean"},
+		{"poisson without lifetime", process(`{"kind":"poisson-flows","rate":1}`),
+			"poisson-flows process 0 needs hold_mean or file_bytes"},
+		{"crowd without lifetime", process(`{"kind":"flash-crowd","count":2}`),
+			"flash-crowd process 0 needs hold_mean or file_bytes"},
+		{"poisson with src only", process(`{"kind":"poisson-flows","rate":1,"hold_mean":2,"src":"s"}`),
+			"poisson-flows process 0 needs both src and dst, or neither"},
+		{"crowd with dst only", process(`{"kind":"flash-crowd","count":2,"file_bytes":1000,"dst":"d"}`),
+			"flash-crowd process 0 needs both src and dst, or neither"},
 	}
 	for _, c := range cases {
-		_, err := Parse([]byte(`{"name":"x","duration":10,"events":[` + c.event + `]}`))
+		_, err := Parse([]byte(`{"name":"x","duration":10,` + c.body + `}`))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
 		}
@@ -308,9 +338,10 @@ func TestLenientUnresolved(t *testing.T) {
 	b.AddNode("d", 1, 0, graph.TechWiFi)
 	b.AddDuplex(0, 1, graph.TechWiFi, 40)
 	net := b.Build()
-	sc := New("lenient", 30)
-	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	sc.FailLink(10, LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()}) // no PLC on this view
+	sc := &Scenario{Name: "lenient", Duration: 30,
+		Flows:  []FlowSpec{{Name: "f", Src: "s", Dst: "d"}},
+		Events: []Event{{At: 10, Kind: LinkFail, Link: &plcSD}}, // no PLC on this view
+	}
 
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 1)
 	if _, err := Bind(em, sc, 1, Options{Strict: true}); err == nil {
@@ -386,10 +417,13 @@ func TestManagedRerouteOnFailure(t *testing.T) {
 	b.AddDuplex(r, d, graph.TechWiFi, 60)
 	net := b.Build()
 
-	sc := New("reroute", 180)
-	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0, MaxRoutes: 1})
-	sc.FailLink(30, LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
-	sc.RecoverLink(90, LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
+	sc := &Scenario{Name: "reroute", Duration: 180,
+		Flows: []FlowSpec{{Name: "f", Src: "s", Dst: "d", MaxRoutes: 1}},
+		Events: []Event{
+			{At: 30, Kind: LinkFail, Link: &plcSD},
+			{At: 90, Kind: LinkRecover, Link: &plcSD},
+		},
+	}
 
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 17)
 	rt, err := Bind(em, sc, 5, Options{Strict: true, ManageRoutes: true})
@@ -434,11 +468,14 @@ func TestManagedRerouteOnFailure(t *testing.T) {
 func TestDriftDoesNotResurrectDeadLink(t *testing.T) {
 	net, s, d := twoRouteNet(t)
 	plc := net.FindLink(s, d, graph.TechPLC)
-	sc := New("drift-vs-fail", 60)
-	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	sc.FailLink(10, LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
-	sc.RecoverLink(40, LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
-	sc.Drift(LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()}, 1, 0.3, 0.25, 1.25)
+	sc := &Scenario{Name: "drift-vs-fail", Duration: 60,
+		Flows: []FlowSpec{{Name: "f", Src: "s", Dst: "d"}},
+		Events: []Event{
+			{At: 10, Kind: LinkFail, Link: &plcSD},
+			{At: 40, Kind: LinkRecover, Link: &plcSD},
+		},
+		Processes: []Process{{Kind: ProcDrift, Link: &plcSD, Interval: 1, Std: 0.3, Floor: 0.25, Ceil: 1.25}},
+	}
 
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 4)
 	rt, err := Bind(em, sc, 13, Options{Strict: true})
@@ -468,11 +505,12 @@ func TestDriftDoesNotResurrectDeadLink(t *testing.T) {
 func TestGrayLossWiresMACLossProb(t *testing.T) {
 	net, s, d := twoRouteNet(t)
 	plc := net.FindLink(s, d, graph.TechPLC)
-	sc := New("gray", 60)
-	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	// down_mean far beyond the duration: the first window opens at t=5
-	// and stays open, so the end state is deterministic.
-	sc.GrayLoss(LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()}, 0.3, 5, 1e6, 10)
+	sc := &Scenario{Name: "gray", Duration: 60,
+		Flows: []FlowSpec{{Name: "f", Src: "s", Dst: "d"}},
+		// down_mean far beyond the duration: the first window opens at
+		// t=5 and stays open, so the end state is deterministic.
+		Processes: []Process{{Kind: ProcGrayLoss, Link: &plcSD, Loss: 0.3, FirstAt: 5, DownMean: 1e6, UpMean: 10}},
+	}
 
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 21)
 	rt, err := Bind(em, sc, 9, Options{Strict: true, Invariants: true})
@@ -513,11 +551,14 @@ func TestGroupFailKillsAndRestoresMembers(t *testing.T) {
 	plc := net.FindLink(s, d, graph.TechPLC)
 	wifi := net.FindLink(s, d, graph.TechWiFi)
 
-	sc := New("group", 60)
-	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	sc.Group("phase", LinkRef{From: "s", To: "d", Tech: graph.TechPLC.String()})
-	sc.FailGroup(20, "phase")
-	sc.RecoverGroup(40, "phase")
+	sc := &Scenario{Name: "group", Duration: 60,
+		Flows:  []FlowSpec{{Name: "f", Src: "s", Dst: "d"}},
+		Groups: []GroupSpec{{Name: "phase", Links: []LinkRef{plcSD}}},
+		Events: []Event{
+			{At: 20, Kind: GroupFail, Group: "phase"},
+			{At: 40, Kind: GroupRecover, Group: "phase"},
+		},
+	}
 
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 23)
 	rt, err := Bind(em, sc, 3, Options{Strict: true, Invariants: true})
@@ -548,9 +589,10 @@ func TestGroupFailKillsAndRestoresMembers(t *testing.T) {
 // actually running and departing.
 func TestFlashCrowdExpansion(t *testing.T) {
 	net, _, _ := twoRouteNet(t)
-	sc := New("crowd", 40)
-	sc.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d", Start: 0})
-	sc.FlashCrowd(10, 0, 4, 2, 5, "s", "d")
+	sc := &Scenario{Name: "crowd", Duration: 40,
+		Flows:     []FlowSpec{{Name: "f", Src: "s", Dst: "d"}},
+		Processes: []Process{{Kind: ProcFlashCrowd, FirstAt: 10, Count: 4, Spread: 2, HoldMean: 5, Src: "s", Dst: "d"}},
+	}
 
 	e1 := mustExpand(t, sc, net, 42)
 	e2 := mustExpand(t, sc, net, 42)
@@ -588,20 +630,20 @@ func TestFlashCrowdExpansion(t *testing.T) {
 // TestValidateRejectsDuplicateFlowNames covers scripted flows, event
 // flows, and the cross product of both.
 func TestValidateRejectsDuplicateFlowNames(t *testing.T) {
-	dup := New("dup", 30)
-	dup.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d"})
-	dup.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d"})
+	f := FlowSpec{Name: "f", Src: "s", Dst: "d"}
+	dup := &Scenario{Name: "dup", Duration: 30, Flows: []FlowSpec{f, f}}
 	if err := dup.Validate(); err == nil {
 		t.Fatal("duplicate scripted flow names accepted")
 	}
-	ev := New("dup-ev", 30)
-	ev.AddFlow(FlowSpec{Name: "f", Src: "s", Dst: "d"})
-	ev.Events = append(ev.Events, Event{At: 5, Kind: FlowStart, Flow: &FlowSpec{Name: "f", Src: "s", Dst: "d"}})
+	ev := &Scenario{Name: "dup-ev", Duration: 30, Flows: []FlowSpec{f},
+		Events: []Event{{At: 5, Kind: FlowStart, Flow: &FlowSpec{Name: "f", Src: "s", Dst: "d"}}},
+	}
 	if err := ev.Validate(); err == nil {
 		t.Fatal("flow-start event reusing a scripted flow name accepted")
 	}
-	anon := New("anon", 30)
-	anon.Events = append(anon.Events, Event{At: 5, Kind: FlowStart, Flow: &FlowSpec{Src: "s", Dst: "d"}})
+	anon := &Scenario{Name: "anon", Duration: 30,
+		Events: []Event{{At: 5, Kind: FlowStart, Flow: &FlowSpec{Src: "s", Dst: "d"}}},
+	}
 	if err := anon.Validate(); err == nil {
 		t.Fatal("nameless flow-start flow accepted")
 	}

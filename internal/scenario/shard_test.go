@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/node"
+	"repro/internal/topology"
 )
 
 // clustersFingerprint runs the shipped multi-cluster scenario end to end,
@@ -25,7 +26,7 @@ func clustersFingerprint(t *testing.T, recorder int) string {
 	if testing.Short() {
 		sc.Duration = 25
 	}
-	net, err := sc.Topology.Build(3)
+	net, err := sc.Topology.BuildView(3, topology.ViewHybrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestScenarioShardedDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := sc.Topology.Build(3)
+	net, err := sc.Topology.BuildView(3, topology.ViewHybrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 	if testing.Short() {
 		sc.Duration = 30
 	}
-	net, err := sc.Topology.Build(11)
+	net, err := sc.Topology.BuildView(11, topology.ViewHybrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestCollectReadsDoNotPerturb(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc.Duration = 30
-		net, err := sc.Topology.Build(11)
+		net, err := sc.Topology.BuildView(11, topology.ViewHybrid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,18 +208,26 @@ func twoDomainNet(t testing.TB) *graph.Network {
 // time, ties by domain, whatever the barriers.
 func TestRecordsInTimeDomainOrder(t *testing.T) {
 	net := twoDomainNet(t)
-	sc := New("order", 10)
-	// Domain 1's flow starts first; the two later flows start together.
-	sc.AddFlow(FlowSpec{Name: "late0", Src: "s0", Dst: "d0", Start: 3})
-	sc.AddFlow(FlowSpec{Name: "early1", Src: "s1", Dst: "d1", Start: 1})
-	sc.AddFlow(FlowSpec{Name: "tie1", Src: "d1", Dst: "s1", Start: 2})
-	sc.AddFlow(FlowSpec{Name: "tie0", Src: "d0", Dst: "s0", Start: 2})
-	// Both domains lose their pair at t=5; domain 0's comes back later
-	// than domain 1's but runs first inside the window.
-	sc.FailLink(5, LinkRef{From: "s0", To: "d0", Tech: graph.TechWiFi.String()})
-	sc.FailLink(5, LinkRef{From: "s1", To: "d1", Tech: graph.TechWiFi.String()})
-	sc.RecoverLink(7, LinkRef{From: "s0", To: "d0", Tech: graph.TechWiFi.String()})
-	sc.RecoverLink(6, LinkRef{From: "s1", To: "d1", Tech: graph.TechWiFi.String()})
+	wifi0 := LinkRef{From: "s0", To: "d0", Tech: graph.TechWiFi.String()}
+	wifi1 := LinkRef{From: "s1", To: "d1", Tech: graph.TechWiFi.String()}
+	sc := &Scenario{Name: "order", Duration: 10,
+		// Domain 1's flow starts first; the two later flows start
+		// together.
+		Flows: []FlowSpec{
+			{Name: "late0", Src: "s0", Dst: "d0", Start: 3},
+			{Name: "early1", Src: "s1", Dst: "d1", Start: 1},
+			{Name: "tie1", Src: "d1", Dst: "s1", Start: 2},
+			{Name: "tie0", Src: "d0", Dst: "s0", Start: 2},
+		},
+		// Both domains lose their pair at t=5; domain 0's comes back
+		// later than domain 1's but runs first inside the window.
+		Events: []Event{
+			{At: 5, Kind: LinkFail, Link: &wifi0},
+			{At: 5, Kind: LinkFail, Link: &wifi1},
+			{At: 7, Kind: LinkRecover, Link: &wifi0},
+			{At: 6, Kind: LinkRecover, Link: &wifi1},
+		},
+	}
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 3)
 	rt, err := Bind(em, sc, 5, Options{Strict: true})
 	if err != nil {
@@ -264,11 +273,13 @@ func TestRecordsInTimeDomainOrder(t *testing.T) {
 func TestReservedFlowNamesRejected(t *testing.T) {
 	net := twoDomainNet(t)
 	for _, name := range []string{"arrival-0-0", "crowd-1-0-2"} {
-		scripted := New("reserved", 10)
-		scripted.AddFlow(FlowSpec{Name: name, Src: "s0", Dst: "d0"})
-		scripted.PoissonFlows(1, 2, "s1", "d1")
-		event := New("reserved-event", 10)
-		event.Events = append(event.Events, Event{At: 1, Kind: FlowStart, Flow: &FlowSpec{Name: name, Src: "s1", Dst: "d1"}})
+		scripted := &Scenario{Name: "reserved", Duration: 10,
+			Flows:     []FlowSpec{{Name: name, Src: "s0", Dst: "d0"}},
+			Processes: []Process{{Kind: ProcPoissonFlows, Rate: 1, HoldMean: 2, Src: "s1", Dst: "d1"}},
+		}
+		event := &Scenario{Name: "reserved-event", Duration: 10,
+			Events: []Event{{At: 1, Kind: FlowStart, Flow: &FlowSpec{Name: name, Src: "s1", Dst: "d1"}}},
+		}
 		for _, sc := range []*Scenario{scripted, event} {
 			if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "reserved") || !strings.Contains(err.Error(), name) {
 				t.Errorf("%s: Validate = %v, want an error naming the reserved name %q", sc.Name, err, name)
@@ -287,9 +298,10 @@ func TestReservedFlowNamesRejected(t *testing.T) {
 // window on it.
 func TestScriptedFlowStartsBeforeSameTimeEvent(t *testing.T) {
 	net := twoDomainNet(t)
-	sc := New("tie", 10)
-	sc.FailLink(2, LinkRef{From: "s0", To: "d0", Tech: graph.TechWiFi.String()})
-	sc.AddFlow(FlowSpec{Name: "f", Src: "s0", Dst: "d0", Start: 2})
+	sc := &Scenario{Name: "tie", Duration: 10,
+		Events: []Event{{At: 2, Kind: LinkFail, Link: &LinkRef{From: "s0", To: "d0", Tech: graph.TechWiFi.String()}}},
+		Flows:  []FlowSpec{{Name: "f", Src: "s0", Dst: "d0", Start: 2}},
+	}
 	em := node.NewEmulation(net, node.Config{Estimation: true}, 3)
 	rt, err := Bind(em, sc, 5, Options{Strict: true})
 	if err != nil {

@@ -111,15 +111,6 @@ func ParseView(name string) (topology.View, error) {
 	}
 }
 
-// Build materializes the topology with the spec's own view.
-func (t *TopologySpec) Build(seed int64) (*graph.Network, error) {
-	view, err := ParseView(t.View)
-	if err != nil {
-		return nil, err
-	}
-	return t.BuildView(seed, view)
-}
-
 // BuildView materializes the topology under an explicit view — the hook
 // scheme sweeps use (core.Scheme.View decides the view per scheme). The
 // seed fixes the channel realization of generated kinds; custom

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/topology"
 )
 
 // sampleTopology is a bare topology file as empower-route -topo reads it:
@@ -41,7 +42,7 @@ func TestLoadTopologyAndBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := spec.Build(0)
+	net, err := spec.BuildView(0, topology.ViewHybrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +78,8 @@ func TestTopologyDumpLoadsBack(t *testing.T) {
 	if !reflect.DeepEqual(spec, back) {
 		t.Errorf("round trip changed the spec:\n%+v\n%+v", spec, back)
 	}
-	net, _ := spec.Build(0)
-	net2, err := back.Build(0)
+	net, _ := spec.BuildView(0, topology.ViewHybrid)
+	net2, err := back.BuildView(0, topology.ViewHybrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestTopologyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := spec.Build(0); err == nil {
+	if _, err := spec.BuildView(0, topology.ViewHybrid); err == nil {
 		t.Error("unknown node tech built")
 	}
 }

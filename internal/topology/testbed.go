@@ -39,7 +39,7 @@ var testbedPositions = [22][2]float64{
 // same distance-based distributions as the random topologies, using the
 // supplied RNG so experiments can fix the channel realization by seed.
 func Testbed(rng *rand.Rand, cfg Config) *Instance {
-	inst := &Instance{Kind: "testbed", Config: cfg}
+	inst := &Instance{Config: cfg}
 	for i, p := range testbedPositions {
 		panel := 0
 		if p[0] >= 32.5 {

@@ -66,7 +66,6 @@ type NodeSpec struct {
 // Instance is a generated topology before materialization into a
 // graph.Network view.
 type Instance struct {
-	Kind  string
 	Nodes []NodeSpec
 	// WiFiCap[i][j] is the capacity of the directed WiFi link i->j in
 	// Mbps (0 = no link). PLCCap likewise for PLC.
@@ -106,11 +105,9 @@ func (v View) String() string {
 	}
 }
 
-// Network couples the materialized multigraph with instance metadata.
+// Network is one materialized view: the multigraph and its hybrid nodes.
 type Network struct {
 	*graph.Network
-	Instance *Instance
-	View     View
 	// HybridNodes lists nodes with a PLC interface (candidate flow
 	// sources per §5.1).
 	HybridNodes []graph.NodeID
@@ -166,7 +163,7 @@ func (inst *Instance) Build(view View) *Network {
 			}
 		}
 	}
-	net := &Network{Network: b.Build(), Instance: inst, View: view}
+	net := &Network{Network: b.Build()}
 	for i, spec := range inst.Nodes {
 		if spec.Hybrid {
 			net.HybridNodes = append(net.HybridNodes, graph.NodeID(i))
@@ -291,7 +288,7 @@ func matrix(n int) [][]float64 {
 // Residential generates the §5.1 residential instance: 10 nodes on a
 // 50×30 m rectangle, 5 hybrid and 5 WiFi-only, one electrical panel.
 func Residential(rng *rand.Rand, cfg Config) *Instance {
-	inst := &Instance{Kind: "residential", Config: cfg}
+	inst := &Instance{Config: cfg}
 	for i := 0; i < 10; i++ {
 		inst.Nodes = append(inst.Nodes, NodeSpec{
 			X:      rng.Float64() * 50,
@@ -310,7 +307,7 @@ func Residential(rng *rand.Rand, cfg Config) *Instance {
 // panels split the building at x = 50 and PLC links exist only within a
 // panel.
 func Enterprise(rng *rand.Rand, cfg Config) *Instance {
-	inst := &Instance{Kind: "enterprise", Config: cfg}
+	inst := &Instance{Config: cfg}
 	// Grid points strictly inside the rectangle.
 	type pt struct{ x, y float64 }
 	var grid []pt

@@ -16,10 +16,6 @@ type Connection struct {
 	Sender   *Sender
 	Receiver *Receiver
 	Forward  *node.Flow
-
-	// FinishedAt is the virtual completion time of a bounded transfer
-	// (< 0 while unfinished).
-	FinishedAt float64
 }
 
 // Dial establishes a TCP connection from src to dst over the emulation,
@@ -43,7 +39,7 @@ func Dial(em *node.Emulation, src, dst graph.NodeID, routes []graph.Path, totalB
 		return nil, fmt.Errorf("transport: reverse flow: %w", err)
 	}
 
-	conn := &Connection{Forward: fwd, FinishedAt: -1}
+	conn := &Connection{Forward: fwd}
 
 	// Both flows validated, so src and dst share one interference domain:
 	// the connection's timers ride that domain's engine.
@@ -51,7 +47,6 @@ func Dial(em *node.Emulation, src, dst graph.NodeID, routes []graph.Path, totalB
 	conn.Sender = NewSender(engine, totalBytes, func(seg Segment) error {
 		return fwd.Push(seg.Len, seg)
 	})
-	conn.Sender.OnDone(func(at float64) { conn.FinishedAt = at })
 
 	const tcpAckBytes = 40
 	conn.Receiver = NewReceiver(func(a Ack) error {

@@ -76,13 +76,10 @@ type Sender struct {
 
 	rtoTimer sim.TimerRef
 	done     bool
-	onDone   func(finishedAt float64)
 
 	// Stats.
-	Retransmits  int
-	Timeouts     int
-	FastRecovers int
-	SentSegments int
+	Retransmits int
+	Timeouts    int
 }
 
 // NewSender creates a sender transferring totalBytes (-1 = unbounded)
@@ -100,9 +97,6 @@ func NewSender(engine *sim.Engine, totalBytes int64, send SendFunc) *Sender {
 	}
 	return s
 }
-
-// OnDone registers a completion callback (file transfers).
-func (s *Sender) OnDone(fn func(finishedAt float64)) { s.onDone = fn }
 
 // Start begins transmission.
 func (s *Sender) Start() { s.pump() }
@@ -136,7 +130,6 @@ func (s *Sender) pump() {
 }
 
 func (s *Sender) transmit(seq int64, length int, isRetx bool) {
-	s.SentSegments++
 	if isRetx {
 		s.Retransmits++
 		s.retxSeqs[seq] = true
@@ -214,9 +207,6 @@ func (s *Sender) OnAck(a Ack) {
 		if s.totalBytes >= 0 && s.sndUna >= s.totalBytes {
 			s.done = true
 			s.rtoTimer.Cancel()
-			if s.onDone != nil {
-				s.onDone(now)
-			}
 			return
 		}
 		s.armRTO()
@@ -229,7 +219,6 @@ func (s *Sender) OnAck(a Ack) {
 			s.pump()
 		} else if s.dupAcks >= 3 {
 			// Fast retransmit.
-			s.FastRecovers++
 			s.ssthresh = maxf(float64(s.sndNxt-s.sndUna)/2, 2*mss)
 			s.cwnd = s.ssthresh + 3*mss
 			s.inFastRecovery = true
@@ -265,9 +254,6 @@ type Receiver struct {
 	rcvNxt int64
 	buf    map[int64]int // seq -> len
 	ack    AckFunc
-
-	// DeliveredBytes counts in-order payload handed to the application.
-	DeliveredBytes int64
 }
 
 // NewReceiver creates a receiver emitting acks through ack.
@@ -292,7 +278,6 @@ func (r *Receiver) OnSegment(seg Segment) {
 	// In-order (or overlapping) segment: advance.
 	adv := seg.Seq + int64(seg.Len) - r.rcvNxt
 	r.rcvNxt += adv
-	r.DeliveredBytes += adv
 	// Drain the buffer.
 	for {
 		l, ok := r.buf[r.rcvNxt]
@@ -301,7 +286,6 @@ func (r *Receiver) OnSegment(seg Segment) {
 		}
 		delete(r.buf, r.rcvNxt)
 		r.rcvNxt += int64(l)
-		r.DeliveredBytes += int64(l)
 	}
 	_ = r.ack(Ack{CumAck: r.rcvNxt})
 }

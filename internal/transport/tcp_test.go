@@ -49,8 +49,8 @@ func TestTCPTransfersAllBytes(t *testing.T) {
 	if !snd.done {
 		t.Fatal("transfer did not complete")
 	}
-	if rcv.DeliveredBytes != 100_000 {
-		t.Errorf("delivered %d bytes, want 100000", rcv.DeliveredBytes)
+	if rcv.rcvNxt != 100_000 {
+		t.Errorf("delivered %d bytes, want 100000", rcv.rcvNxt)
 	}
 	if snd.Retransmits != 0 {
 		t.Errorf("unexpected retransmits on a clean pipe: %d", snd.Retransmits)
@@ -75,10 +75,10 @@ func TestTCPRecoversFromLoss(t *testing.T) {
 	snd.Start()
 	e.Run(60)
 	if !snd.done {
-		t.Fatalf("transfer did not complete (delivered %d)", rcv.DeliveredBytes)
+		t.Fatalf("transfer did not complete (delivered %d)", rcv.rcvNxt)
 	}
-	if rcv.DeliveredBytes != 200_000 {
-		t.Errorf("delivered %d bytes, want 200000", rcv.DeliveredBytes)
+	if rcv.rcvNxt != 200_000 {
+		t.Errorf("delivered %d bytes, want 200000", rcv.rcvNxt)
 	}
 	if snd.Retransmits == 0 {
 		t.Error("losses should cause retransmissions")
@@ -93,8 +93,9 @@ func TestTCPFastRetransmit(t *testing.T) {
 	if !snd.done {
 		t.Fatal("transfer did not complete")
 	}
-	if snd.FastRecovers == 0 {
-		t.Error("a single mid-stream loss should trigger fast retransmit, not timeout")
+	if snd.Retransmits == 0 || snd.Timeouts != 0 {
+		t.Errorf("%d retransmits, %d timeouts: a single mid-stream loss should trigger fast retransmit, not timeout",
+			snd.Retransmits, snd.Timeouts)
 	}
 }
 
@@ -124,8 +125,8 @@ func TestReceiverDuplicateHandling(t *testing.T) {
 	r.OnSegment(Segment{Seq: 0, Len: 100})   // duplicate
 	r.OnSegment(Segment{Seq: 200, Len: 100}) // gap
 	r.OnSegment(Segment{Seq: 100, Len: 100}) // fills the hole
-	if r.DeliveredBytes != 300 {
-		t.Errorf("delivered %d, want 300", r.DeliveredBytes)
+	if r.rcvNxt != 300 {
+		t.Errorf("delivered %d, want 300", r.rcvNxt)
 	}
 	want := []int64{100, 100, 100, 300}
 	if len(acks) != len(want) {
@@ -136,6 +137,20 @@ func TestReceiverDuplicateHandling(t *testing.T) {
 			t.Fatalf("acks = %v, want %v", acks, want)
 		}
 	}
+}
+
+// runTimed runs em to until and returns the end of the 10 ms step in
+// which conn's bounded transfer completed (-1 if it did not).
+func runTimed(em *node.Emulation, conn *Connection, until float64) float64 {
+	finished := -1.0
+	for i := 1; i <= int(until*100) && finished < 0; i++ {
+		em.Run(float64(i) / 100)
+		if conn.Sender.done {
+			finished = float64(i) / 100
+		}
+	}
+	em.Run(until)
+	return finished
 }
 
 func TestTCPOverEmulationSinglePath(t *testing.T) {
@@ -153,16 +168,16 @@ func TestTCPOverEmulationSinglePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em.Run(90)
+	finished := runTimed(em, conn, 90)
 	if !conn.Sender.done {
 		t.Fatalf("TCP transfer incomplete: %d/%d bytes delivered, cwnd %.0f, retx %d, timeouts %d",
-			conn.Receiver.DeliveredBytes, 2_000_000, conn.Sender.cwnd, conn.Sender.Retransmits, conn.Sender.Timeouts)
+			conn.Receiver.rcvNxt, 2_000_000, conn.Sender.cwnd, conn.Sender.Retransmits, conn.Sender.Timeouts)
 	}
-	if conn.FinishedAt <= 0 || conn.FinishedAt > 60 {
-		t.Errorf("finished at %.1f s, want within 60 s", conn.FinishedAt)
+	if finished <= 0 || finished > 60 {
+		t.Errorf("finished at %.1f s, want within 60 s", finished)
 	}
 	t.Logf("2 MB over 20 Mbps TCP finished at %.2f s (retx %d, timeouts %d)",
-		conn.FinishedAt, conn.Sender.Retransmits, conn.Sender.Timeouts)
+		finished, conn.Sender.Retransmits, conn.Sender.Timeouts)
 }
 
 func TestTCPOverEmulationMultipath(t *testing.T) {
@@ -182,9 +197,9 @@ func TestTCPOverEmulationMultipath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em.Run(200)
+	finished := runTimed(em, conn, 200)
 	if !conn.Sender.done {
-		t.Fatalf("multipath TCP incomplete: %d bytes", conn.Receiver.DeliveredBytes)
+		t.Fatalf("multipath TCP incomplete: %d bytes", conn.Receiver.rcvNxt)
 	}
 	// Both routes must have carried data.
 	sent := make([]float64, 2)
@@ -197,12 +212,12 @@ func TestTCPOverEmulationMultipath(t *testing.T) {
 	if sent[0] == 0 || sent[1] == 0 {
 		t.Errorf("route usage %v Mbps·s: both routes should carry TCP", sent)
 	}
-	goodput := 5_000_000 * 8 / conn.FinishedAt / 1e6
+	goodput := 5_000_000 * 8 / finished / 1e6
 	if goodput < 5 {
 		t.Errorf("TCP multipath goodput %.2f Mbps too low", goodput)
 	}
 	t.Logf("5 MB multipath TCP: %.1f s (%.2f Mbps), retx %d, timeouts %d",
-		conn.FinishedAt, goodput, conn.Sender.Retransmits, conn.Sender.Timeouts)
+		finished, goodput, conn.Sender.Retransmits, conn.Sender.Timeouts)
 }
 
 func TestTCPOverEmulationTwoDomains(t *testing.T) {
@@ -229,10 +244,9 @@ func TestTCPOverEmulationTwoDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em.Run(90)
-	if !conn.Sender.done || conn.FinishedAt <= 0 || conn.FinishedAt > 60 {
+	if finished := runTimed(em, conn, 90); !conn.Sender.done || finished <= 0 || finished > 60 {
 		t.Fatalf("TCP transfer: done=%v at %.1f s, %d/%d bytes delivered",
-			conn.Sender.done, conn.FinishedAt, conn.Receiver.DeliveredBytes, 2_000_000)
+			conn.Sender.done, finished, conn.Receiver.rcvNxt, 2_000_000)
 	}
 	if sink := em.Agent(d).Sinks()[0]; sink.MeanRate(30, 90) < 15 {
 		t.Errorf("saturated flow in the other domain got %.2f Mbps, want most of 30", sink.MeanRate(30, 90))
