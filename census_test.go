@@ -2,6 +2,7 @@ package empower
 
 import (
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -9,6 +10,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
 	"sort"
@@ -17,11 +19,11 @@ import (
 )
 
 // TestEveryExportedNameHasAProgram is the census behind DESIGN.md's rule
-// that every exported name under internal/ has a program. A program is a
+// that every field under internal/ has a program. A program is a
 // non-test Go file in cmd/, internal/, bench/ or examples/. One type-check
 // pass (go/types, the standard library imported from source) ties every
-// write, read and call to the one object it names, and three rules are
-// checked on the non-test files under internal/:
+// write and read to the one field it names, and two rules are checked on
+// the non-test files under internal/:
 //
 //   - Fields. Every exported field of a struct declared there, untagged
 //     and not embedded, is written by a program outside examples/: a
@@ -37,18 +39,12 @@ import (
 //     composite-literal key. A struct compared with == or used as a map
 //     key reads all its fields. State only written is work done for no
 //     one.
-//   - Functions. Every exported function and method is referenced by a
-//     program (called, or taken as a value), implements a method of an
-//     interface a program calls or hands a value to, or is one of the
-//     methods the standard library finds by reflection (reflected).
-//     A function only tests call is a second implementation or an
-//     observer of state the tests can read in-package.
 //
+// Functions are held by execution, not by reference: TestEveryFunctionRuns.
 // A test instrument that fails a rule on purpose — an oracle, a fault
-// injector, a wire format under fuzz — is listed with its reason in
-// testOnlyFields, unreadFields or testOnlyFuncs. The census fails on an
-// unlisted name without a program, and on a listed name that has gained
-// one or no longer exists.
+// injector — is listed with its reason in testOnlyFields or unreadFields.
+// The census fails on an unlisted field without a program, and on a
+// listed field that has gained one or no longer exists.
 func TestEveryExportedNameHasAProgram(t *testing.T) {
 	const module = "repro"
 	var dirs []string
@@ -127,57 +123,43 @@ func TestEveryExportedNameHasAProgram(t *testing.T) {
 		}
 	}
 
-	// The census: every field, function and method declared under
-	// internal/, keyed "package.Name" or "package.Type.Name". fields are
-	// the exported untagged ones the write rule covers, stored every
-	// untagged one the read rule covers.
+	// The census: every field of a struct declared under internal/, keyed
+	// "package.Type.Field". fields are the exported untagged ones the
+	// write rule covers, stored every untagged one the read rule covers.
 	fields := map[*types.Var]string{}
 	stored := map[*types.Var]string{}
-	funcs := map[*types.Func]string{}
-	var named []*types.Named // the named non-interface types declared there
 	for p, c := range pkgs {
 		if !strings.HasPrefix(p, module+"/internal/") {
 			continue
 		}
 		scope := c.pkg.Scope()
 		for _, name := range scope.Names() {
-			switch o := scope.Lookup(name).(type) {
-			case *types.Func:
-				if o.Exported() {
-					funcs[o] = c.pkg.Name() + "." + name
-				}
-			case *types.TypeName:
-				n, ok := o.Type().(*types.Named)
-				if !ok || types.IsInterface(n) {
-					continue
-				}
-				named = append(named, n)
-				for i := 0; i < n.NumMethods(); i++ {
-					if m := n.Method(i); m.Exported() {
-						funcs[m] = c.pkg.Name() + "." + name + "." + m.Name()
-					}
-				}
-				st, ok := n.Underlying().(*types.Struct)
-				if !ok {
-					continue
-				}
-				for i := 0; i < st.NumFields(); i++ {
-					if f := st.Field(i); !f.Embedded() && st.Tag(i) == "" {
-						stored[f] = c.pkg.Name() + "." + name + "." + f.Name()
-						if f.Exported() {
-							fields[f] = stored[f]
-						}
+			o, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			n, ok := o.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			st, ok := n.Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); !f.Embedded() && st.Tag(i) == "" {
+					stored[f] = c.pkg.Name() + "." + name + "." + f.Name()
+					if f.Exported() {
+						fields[f] = stored[f]
 					}
 				}
 			}
 		}
 	}
 
-	// The writes, reads and references, each resolved to its object.
+	// The writes and reads, each resolved to its field.
 	written := map[*types.Var]bool{}
 	read := map[*types.Var]bool{}
-	used := map[*types.Func]bool{}
-	ifaces := map[*types.Interface]bool{} // interfaces a program calls or converts to
 	// target is the field an assignment, ++/-- or & writes through
 	// (`c.F = v`, `c.F[i]++`, `&c.F`), or nil.
 	target := func(info *types.Info, e ast.Expr) *ast.SelectorExpr {
@@ -216,29 +198,11 @@ func TestEveryExportedNameHasAProgram(t *testing.T) {
 			}
 		}
 	}
-	// into records a value of a concrete type handed to an interface.
-	into := func(info *types.Info, e ast.Expr, to types.Type) {
-		if it, ok := to.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
-			if tv, ok := info.Types[e]; ok && !types.IsInterface(tv.Type) {
-				ifaces[it] = true
-			}
-		}
-	}
 	for p, c := range pkgs {
 		example := strings.HasPrefix(p, module+"/examples/")
 		for _, tv := range c.info.Types {
 			if m, ok := tv.Type.Underlying().(*types.Map); ok {
 				readAll(m.Key())
-			}
-		}
-		for _, o := range c.info.Uses {
-			if fn, ok := o.(*types.Func); ok {
-				used[fn.Origin()] = true
-				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-					if it, ok := recv.Type().Underlying().(*types.Interface); ok {
-						ifaces[it] = true
-					}
-				}
 			}
 		}
 		for _, f := range c.files {
@@ -270,39 +234,20 @@ func TestEveryExportedNameHasAProgram(t *testing.T) {
 									if !example {
 										written[v.Origin()] = true
 									}
-									into(c.info, kv.Value, v.Type())
 									continue
 								}
 							}
-							elt = kv.Value
 						}
 						if tv.Type == nil {
 							continue
 						}
-						switch u := tv.Type.Underlying().(type) {
-						case *types.Slice:
-							into(c.info, elt, u.Elem())
-						case *types.Array:
-							into(c.info, elt, u.Elem())
-						case *types.Map:
-							into(c.info, elt, u.Elem())
-						case *types.Struct:
-							if i < u.NumFields() {
-								if !example {
-									written[u.Field(i).Origin()] = true
-								}
-								into(c.info, elt, u.Field(i).Type())
-							}
+						if u, ok := tv.Type.Underlying().(*types.Struct); ok && i < u.NumFields() && !example {
+							written[u.Field(i).Origin()] = true
 						}
 					}
 				case *ast.AssignStmt:
-					for i, lhs := range n.Lhs {
+					for _, lhs := range n.Lhs {
 						write(lhs)
-						if len(n.Lhs) == len(n.Rhs) {
-							if tv, ok := c.info.Types[lhs]; ok {
-								into(c.info, n.Rhs[i], tv.Type)
-							}
-						}
 					}
 				case *ast.IncDecStmt:
 					write(n.X)
@@ -311,56 +256,9 @@ func TestEveryExportedNameHasAProgram(t *testing.T) {
 					if sel := target(c.info, n.X); n.Op == token.AND && sel != nil && !example {
 						written[field(c.info, sel)] = true
 					}
-				case *ast.CallExpr:
-					tv, ok := c.info.Types[n.Fun]
-					if !ok {
-						return true
-					}
-					if tv.IsType() {
-						if len(n.Args) == 1 {
-							into(c.info, n.Args[0], tv.Type)
-						}
-						return true
-					}
-					sig, ok := tv.Type.Underlying().(*types.Signature)
-					if !ok {
-						return true
-					}
-					for i, a := range n.Args {
-						var pt types.Type
-						switch {
-						case sig.Variadic() && i >= sig.Params().Len()-1:
-							pt = sig.Params().At(sig.Params().Len() - 1).Type()
-							if n.Ellipsis == token.NoPos {
-								pt = pt.(*types.Slice).Elem()
-							}
-						case i < sig.Params().Len():
-							pt = sig.Params().At(i).Type()
-						default:
-							continue
-						}
-						into(c.info, a, pt)
-					}
-				case *ast.FuncDecl:
-					returns(c.info, n.Body, c.info.Defs[n.Name].Type(), into)
-				case *ast.FuncLit:
-					returns(c.info, n.Body, c.info.Types[n].Type, into)
 				}
 				return true
 			})
-		}
-	}
-	// A method a program reaches only through an interface.
-	for _, n := range named {
-		for it := range ifaces {
-			if !types.Implements(n, it) && !types.Implements(types.NewPointer(n), it) {
-				continue
-			}
-			for i := 0; i < it.NumMethods(); i++ {
-				if obj, _, _ := types.LookupFieldOrMethod(n, true, n.Obj().Pkg(), it.Method(i).Name()); obj != nil {
-					used[obj.(*types.Func)] = true
-				}
-			}
 		}
 	}
 
@@ -384,11 +282,7 @@ func TestEveryExportedNameHasAProgram(t *testing.T) {
 		seen[short] = true
 		audit(unreadFields, "unreadFields", short, f.Pos(), read[f] || !written[f], "no program reads ")
 	}
-	for fn, short := range funcs {
-		seen[short] = true
-		audit(testOnlyFuncs, "testOnlyFuncs", short, fn.Pos(), used[fn] || reflected[fn.Name()], "no program calls ")
-	}
-	for _, list := range []map[string]string{testOnlyFields, unreadFields, testOnlyFuncs} {
+	for _, list := range []map[string]string{testOnlyFields, unreadFields} {
 		for short, why := range list {
 			if !seen[short] {
 				bad = append(bad, "the census lists "+short+", which no longer exists: drop the entry")
@@ -402,47 +296,17 @@ func TestEveryExportedNameHasAProgram(t *testing.T) {
 	for _, b := range bad {
 		t.Error(b)
 	}
-	if len(fields) == 0 || len(funcs) == 0 {
-		t.Fatal("census found no exported fields or functions under internal/")
+	if len(fields) == 0 {
+		t.Fatal("census found no exported fields under internal/")
 	}
-	t.Logf("%d exported fields (%d test-only), %d fields under the read rule (%d unread), %d exported functions and methods (%d test-only)",
-		len(fields), len(testOnlyFields), len(stored), len(unreadFields), len(funcs), len(testOnlyFuncs))
-}
-
-// returns hands into, for each return statement of one function body
-// (not of the function literals inside it), each value with the result
-// type of sig it is returned as.
-func returns(info *types.Info, body *ast.BlockStmt, sig types.Type, into func(*types.Info, ast.Expr, types.Type)) {
-	s := sig.(*types.Signature)
-	if body == nil || s.Results().Len() == 0 {
-		return
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ReturnStmt:
-			if len(n.Results) == s.Results().Len() {
-				for i, r := range n.Results {
-					into(info, r, s.Results().At(i).Type())
-				}
-			}
-		}
-		return true
-	})
+	t.Logf("%d exported fields (%d test-only), %d fields under the read rule (%d unread)",
+		len(fields), len(testOnlyFields), len(stored), len(unreadFields))
 }
 
 // importerFunc adapts a function to types.Importer.
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// reflected are the method names the standard library finds on a value
-// by reflection or a type assertion rather than by a call in this module.
-var reflected = map[string]bool{
-	"String": true, "GoString": true, "Format": true, "Error": true, "Unwrap": true,
-	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
-}
 
 // testOnlyFields are the fields no program writes that stay settable
 // anyway, each with its reason. Keys are "package.Type.Field".
@@ -477,15 +341,155 @@ var unreadFields = map[string]string{
 	"optimal.Solution.reanchors":     "park_test.go drives each freeze/thaw/park/wake/re-anchor transition by these counts; they go with the solver (ROADMAP item 6)",
 }
 
-// testOnlyFuncs are the exported functions and methods no program calls
-// that stay anyway, each with its reason. Keys are "package.Name" or
-// "package.Type.Method".
-var testOnlyFuncs = map[string]string{
-	"congestion.Controller.MaxAirtimeViolation": "the feasibility oracle of the controller's tests",
-	"obs.Lint":                         "CI's exposition-format check of a sweep's -metrics file (TestLintFile)",
+// TestEveryFunctionRuns is the execution census behind DESIGN.md's rule
+// that every function under internal/ runs in a program. REACH_PROFILE
+// names the coverage profile of the program corpus (scripts/e2e.sh's
+// runs, every binary built with -cover -coverpkg=repro/...) in `go tool
+// covdata textfmt` form, as scripts/reach.sh writes it; without it the
+// test skips. Every function and method declared in a non-test file
+// under internal/, exported or not, keyed "package.Name" or
+// "package.Type.Method", has an executed statement block in that
+// profile, or is listed with its reason in unreachedFuncs. A listed
+// function that runs, or that no longer exists, fails too.
+func TestEveryFunctionRuns(t *testing.T) {
+	profile := os.Getenv("REACH_PROFILE")
+	if profile == "" {
+		t.Skip("REACH_PROFILE names no coverage profile (scripts/reach.sh writes one and runs this test)")
+	}
+	data, err := os.ReadFile(profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The profile's blocks per file, each line "repro/dir/f.go:L0.C0,L1.C1
+	// statements count". A function ran if a block starting on a line of
+	// its body did; gofmt puts no two functions on one line.
+	type block struct{ line, count int }
+	blocks := map[string][]block{}
+	for _, ln := range strings.Split(string(data), "\n") {
+		name, span, ok := strings.Cut(ln, ":")
+		if !ok || name == "mode" {
+			continue
+		}
+		var b block
+		var col, endLine, endCol, stmts int
+		if _, err := fmt.Sscanf(span, "%d.%d,%d.%d %d %d", &b.line, &col, &endLine, &endCol, &stmts, &b.count); err != nil {
+			t.Fatalf("%s: %q: %v", profile, ln, err)
+		}
+		blocks[name] = append(blocks[name], b)
+	}
+
+	fset := token.NewFileSet()
+	ran := map[string]bool{}
+	at := map[string]string{}
+	err = filepath.WalkDir("internal", func(p string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			key := f.Name.Name + "." + fd.Name.Name
+			if fd.Recv != nil {
+				key = f.Name.Name + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+			}
+			from, to := fset.Position(fd.Body.Lbrace).Line, fset.Position(fd.Body.Rbrace).Line
+			executed := false
+			for _, b := range blocks["repro/"+filepath.ToSlash(p)] {
+				executed = executed || b.line >= from && b.line <= to && b.count > 0
+			}
+			ran[key], at[key] = executed, fset.Position(fd.Pos()).String()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var bad, report []string
+	for key, executed := range ran {
+		why, listed := unreachedFuncs[key]
+		switch {
+		case listed && executed:
+			bad = append(bad, at[key]+": "+key+" is in unreachedFuncs but runs: drop the entry")
+		case !listed && !executed:
+			bad = append(bad, at[key]+": no program run executes "+key)
+		case listed:
+			report = append(report, key+": "+why)
+		}
+	}
+	for key, why := range unreachedFuncs {
+		if _, ok := ran[key]; !ok {
+			bad = append(bad, "unreachedFuncs lists "+key+", which no longer exists: drop the entry")
+		}
+		if why == "" {
+			bad = append(bad, "unreachedFuncs lists "+key+" without a reason")
+		}
+	}
+	sort.Strings(bad)
+	sort.Strings(report)
+	for _, b := range bad {
+		t.Error(b)
+	}
+	if len(ran) == 0 {
+		t.Fatal("found no functions under internal/")
+	}
+	t.Logf("%d functions under internal/, %d listed as run by no program:\n\t%s",
+		len(ran), len(report), strings.Join(report, "\n\t"))
+}
+
+// recvName is the type name of a method's receiver: T for T, *T, T[P]
+// and *T[P].
+func recvName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			panic(fmt.Sprintf("receiver type %T", e))
+		}
+	}
+}
+
+// unreachedFuncs are the functions under internal/ that no program run
+// executes and that stay anyway, each with its reason. Keys are
+// "package.Name" or "package.Type.Method". A reason is one of: only the
+// frozen bench/layers.go calls it (ROADMAP item 10 deletes or moves
+// it), a codec under fuzz, an interface requires it, a lookup the tests
+// of several packages share, or only a firing invariant checker or a
+// route-less pair reaches it.
+var unreachedFuncs = map[string]string{
+	"optimal.ConservativeOpt":          "only the frozen bench/layers.go calls it (ROADMAP item 10)",
+	"sim.Engine.RunUntilIdle":          "only the frozen bench/layers.go calls it (ROADMAP item 10)",
+	"wire.Header.AppendBinary":         "only the frozen bench/layers.go calls it (ROADMAP items 10 and 13)",
+	"wire.Header.UnmarshalBinary":      "only the frozen bench/layers.go calls it (ROADMAP items 10 and 13)",
+	"wire.DataFrame.AppendBinary":      "only the frozen bench/layers.go calls it (ROADMAP items 10 and 13)",
+	"wire.DataFrame.UnmarshalBinary":   "only the frozen bench/layers.go calls it (ROADMAP items 10 and 13)",
+	"wire.floatBits":                   "the DataFrame codec's float field, which only the frozen bench/layers.go runs (ROADMAP item 10)",
+	"wire.bitsFloat":                   "the DataFrame codec's float field, which only the frozen bench/layers.go runs (ROADMAP item 10)",
+	"wire.AckFrame.AppendBinary":       "the ack codec under fuzz: its encoding must stay WireLen() bytes, the size that sets every ack's airtime (FuzzFrameRoundTrip)",
+	"wire.AckFrame.UnmarshalBinary":    "the ack codec under fuzz: its encoding must stay WireLen() bytes, the size that sets every ack's airtime (FuzzFrameRoundTrip)",
+	"stats.Source.Seed":                "rand.Source requires it; ROADMAP 1(e) deletes Source",
+	"fleet.SpecError.Error":            "the error interface requires it; the gateway answers a SpecError with its fields",
+	"graph.Network.FindLink":           "the lookup the tests of four packages name their links with",
+	"obs.Lint":                         "the exposition-format check of a sweep's -metrics file (TestLintFile, which scripts/e2e.sh runs) and of the cli, experiments, obs and scenario tests",
+	"obs.validMetricName":              "obs.Lint's name rule",
 	"obs.Counter.Value":                "the scenario tests hold the exported counters to the route managers' and MACs' own counts",
-	"node.Emulation.AddExternalSource": "the instrument for the §4.3 external-traffic tests",
-	"graph.Network.FindLink":           "the lookup the tests of five packages name their links with",
-	"wire.AckFrame.AppendBinary":       "the ack codec: its encoding must stay WireLen() bytes, the size that sets every ack's airtime (FuzzFrameRoundTrip)",
-	"wire.AckFrame.UnmarshalBinary":    "the ack codec: its encoding must stay WireLen() bytes, the size that sets every ack's airtime (FuzzFrameRoundTrip)",
+	"scenario.Runtime.ViolationReport": "the -invariants failure report: only a firing checker reaches it, and no valid input fires one",
+	"obs.FormatTail":                   "the -invariants failure report's recorder tail: only a firing checker reaches it",
+	"obs.FormatRecord":                 "the -invariants failure report's recorder tail: only a firing checker reaches it",
+	"obs.RecKind.String":               "the -invariants failure report's recorder tail: only a firing checker reaches it",
+	"invariant.Violation.String":       "the -invariants failure report's first line: only a firing checker reaches it",
+	"optimal.routeSet.unconnected":     "the optimum of a pair with no route: the figure sweeps draw none at the corpus's sizes",
 }

@@ -9,6 +9,36 @@ import (
 	"repro/internal/graph"
 )
 
+// MaxAirtimeViolation is the feasibility oracle of these tests: max_l
+// (y_l − 1), how much the airtime constraint (2) is exceeded at the
+// current rates (≤ 0 when feasible). It recomputes loads from the current
+// rates over every link, so it may be called between slots: Step clears
+// and reads offered on used links only.
+func (c *Controller) MaxAirtimeViolation() float64 {
+	for l := range c.offered {
+		c.offered[l] = 0
+	}
+	for i, r := range c.routes {
+		for _, l := range r.Links {
+			c.offered[l] += c.x[i]
+		}
+	}
+	worst := math.Inf(-1)
+	for l := 0; l < c.net.NumLinks(); l++ {
+		var y float64
+		for _, lp := range c.net.Interference(graph.LinkID(l)) {
+			link := c.net.Link(lp)
+			if c.offered[lp] > 0 && link.Capacity > 0 {
+				y += c.offered[lp] / link.Capacity
+			}
+		}
+		if v := y - 1; v > worst {
+			worst = v
+		}
+	}
+	return worst
+}
+
 // figure1 builds the paper's Figure 1 network (see routing tests).
 func figure1() (*graph.Network, graph.Path, graph.Path) {
 	b := graph.NewBuilder(nil)

@@ -742,35 +742,6 @@ func (c *Controller) Run(n int) [][]float64 {
 	return out
 }
 
-// MaxAirtimeViolation returns max_l (y_l − 1): how much the airtime
-// constraint (2) is exceeded at the current rates (≤ 0 when feasible).
-// It recomputes loads from the current rates over every link, so it may be
-// called between slots: Step clears and reads offered on used links only.
-func (c *Controller) MaxAirtimeViolation() float64 {
-	for l := range c.offered {
-		c.offered[l] = 0
-	}
-	for i, r := range c.routes {
-		for _, l := range r.Links {
-			c.offered[l] += c.x[i]
-		}
-	}
-	worst := math.Inf(-1)
-	for l := 0; l < c.net.NumLinks(); l++ {
-		var y float64
-		for _, lp := range c.net.Interference(graph.LinkID(l)) {
-			link := c.net.Link(lp)
-			if c.offered[lp] > 0 && link.Capacity > 0 {
-				y += c.offered[lp] / link.Capacity
-			}
-		}
-		if v := y - 1; v > worst {
-			worst = v
-		}
-	}
-	return worst
-}
-
 // SlotsToSteady returns the first slot index after which every value of
 // series stays within tol (relative) of the final value — the paper's
 // steady-state criterion ("throughput within 1% of the final throughput").

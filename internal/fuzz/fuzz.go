@@ -243,8 +243,6 @@ type violation struct {
 	Detail string
 }
 
-func (v violation) String() string { return v.Check + ": " + v.Detail }
-
 // bindArm binds the scenario under one arm's (scheme, checker, flight
 // recorder) configuration at δ = 0.05 with the route manager on CC
 // schemes. The timeline seed doubles as the topology seed.

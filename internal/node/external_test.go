@@ -6,6 +6,35 @@ import (
 	"repro/internal/graph"
 )
 
+// ExternalSource is a non-EMPoWER station transmitting on a link: it
+// injects raw MAC frames at a fixed rate, oblivious to prices and
+// acknowledgements. EMPoWER agents measure its airtime by carrier
+// sensing (the §4.3 mechanism: "nodes can measure traffic from external
+// nodes and add the corresponding airtimes in (7)") and converge to the
+// optimal allocation under that external load without disturbing it.
+type ExternalSource struct {
+	bits float64 // per-packet size
+
+	periodic interface{ Stop() }
+}
+
+// AddExternalSource starts a constant-rate external transmitter on the
+// given link (payload 1500 B frames at rate Mbps). The source itself is
+// the MAC payload — agents ignore payloads they don't recognize, exactly
+// how EMPoWER nodes treat foreign traffic.
+func (e *Emulation) AddExternalSource(l graph.LinkID, rate float64) *ExternalSource {
+	s := &ExternalSource{bits: 1500 * 8}
+	gap := s.bits / (rate * 1e6)
+	d := e.doms[e.linkDom[l]]
+	s.periodic = d.Engine.Every(gap, func() {
+		d.MAC.Send(l, s.bits, s)
+	})
+	return s
+}
+
+// Stop halts the source.
+func (s *ExternalSource) Stop() { s.periodic.Stop() }
+
 // externalNet builds two same-medium links: one EMPoWER flow and one
 // external station share the WiFi channel.
 func externalNet() (*graph.Network, graph.NodeID, graph.NodeID, graph.LinkID, graph.LinkID) {

@@ -222,3 +222,30 @@ func TestCheckConsistencyFires(t *testing.T) {
 		t.Errorf("an entry past its horizon was checked: %v", err)
 	}
 }
+
+// TestPriceBroadcastQuantizes: a price broadcast reaches its listeners
+// through the frame's wire encoding, whose Airtime and GammaSum fields
+// are unsigned 16.16 fixed point, truncated. A listener therefore hears
+// 1/3 as 21845/65536 and 0.1 as 6553/65536, not the values sent.
+func TestPriceBroadcastQuantizes(t *testing.T) {
+	b := graph.NewBuilder(nil)
+	listener := b.AddNode("listener", 0, 0, graph.TechWiFi)
+	origin := b.AddNode("origin", 10, 0, graph.TechWiFi)
+	b.AddDuplex(origin, listener, graph.TechWiFi, 30)
+	// The price interval keeps every automatic tick but the listener's
+	// own (node 0, at t = 0) past the run.
+	em := NewEmulation(b.Build(), Config{PriceInterval: 1000}, 1)
+	d := em.Domain(em.NodeDomain(origin))
+	d.Engine.At(0.5, func() {
+		d.broadcastPrice(origin, &wire.PriceFrame{Origin: origin, Tech: graph.TechWiFi, Airtime: 1.0 / 3, GammaSum: 0.1})
+	})
+	em.Run(1)
+	rep := em.Agent(listener).reports[graph.TechWiFi][origin]
+	if rep.heardAt != 0.5+1e-4 {
+		t.Fatalf("the listener heard the broadcast at %v, want 0.5001", rep.heardAt)
+	}
+	if rep.airtime != 21845.0/65536 || rep.gammaSum != 6553.0/65536 {
+		t.Errorf("heard airtime %v and γ sum %v, want the 16.16 truncations %v and %v",
+			rep.airtime, rep.gammaSum, 21845.0/65536, 6553.0/65536)
+	}
+}

@@ -7,8 +7,8 @@ import (
 )
 
 // TestLintFile validates a Prometheus snapshot file named by the PROMFILE
-// environment variable — the CI instrumented-sweep step runs a short
-// sweep with -metrics and points this test at the output. Without
+// environment variable — scripts/e2e.sh's instrumented sweep runs a
+// short sweep with -metrics and points this test at the output. Without
 // PROMFILE the test is skipped, so normal test runs are unaffected.
 func TestLintFile(t *testing.T) {
 	path := os.Getenv("PROMFILE")

@@ -120,14 +120,6 @@ type LinkRef struct {
 	OneWay bool   `json:"one_way,omitempty"`
 }
 
-func (r LinkRef) String() string {
-	arrow := "<->"
-	if r.OneWay {
-		arrow = "->"
-	}
-	return fmt.Sprintf("%s%s%s/%s", r.From, arrow, r.To, r.Tech)
-}
-
 // FlowSpec scripts one flow of the scenario.
 type FlowSpec struct {
 	// Name identifies the flow for FlowStop events and measurements.

@@ -320,6 +320,7 @@ func TestValidateErrors(t *testing.T) {
 			"poisson-flows process 0 needs both src and dst, or neither"},
 		{"crowd with dst only", process(`{"kind":"flash-crowd","count":2,"file_bytes":1000,"dst":"d"}`),
 			"flash-crowd process 0 needs both src and dst, or neither"},
+		{"unknown view", `"topology":{"kind":"residential","view":"bogus"}`, `unknown topology view "bogus"`},
 	}
 	for _, c := range cases {
 		_, err := Parse([]byte(`{"name":"x","duration":10,` + c.body + `}`))

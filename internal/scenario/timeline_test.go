@@ -110,7 +110,11 @@ func realizedBy(events []Event) int {
 		case ev.Flow != nil:
 			seen[ev.Flow.Name[:strings.LastIndexByte(ev.Flow.Name, '-')]] = true
 		case ev.Link != nil:
-			seen[string(ev.Kind)+" "+ev.Link.String()] = true
+			arrow := "<->"
+			if ev.Link.OneWay {
+				arrow = "->"
+			}
+			seen[string(ev.Kind)+" "+ev.Link.From+arrow+ev.Link.To+"/"+ev.Link.Tech] = true
 		default:
 			seen[string(ev.Kind)+" "+ev.Node+ev.Group] = true
 		}

@@ -52,6 +52,9 @@ type LinkSpec struct {
 }
 
 func (t *TopologySpec) validate() error {
+	if _, err := ParseView(t.View); err != nil {
+		return fmt.Errorf("unknown topology view %q", t.View)
+	}
 	switch t.Kind {
 	case "residential", "enterprise", "testbed":
 		return nil

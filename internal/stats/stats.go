@@ -8,7 +8,6 @@
 package stats
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -110,15 +109,6 @@ func (c CDF) Points(n int) CDF {
 		out.P = append(out.P, c.P[j])
 	}
 	return out
-}
-
-// String renders the CDF as "x p" rows, suitable for plotting tools.
-func (c CDF) String() string {
-	var b []byte
-	for i := range c.X {
-		b = append(b, fmt.Sprintf("%.4f\t%.4f\n", c.X[i], c.P[i])...)
-	}
-	return string(b)
 }
 
 // WriteTSV writes the CDF as a plottable two-column table: a

@@ -91,20 +91,6 @@ const (
 	ViewWiFiDual
 )
 
-// String implements fmt.Stringer.
-func (v View) String() string {
-	switch v {
-	case ViewHybrid:
-		return "hybrid"
-	case ViewWiFiSingle:
-		return "wifi-single"
-	case ViewWiFiDual:
-		return "wifi-dual"
-	default:
-		return fmt.Sprintf("View(%d)", int(v))
-	}
-}
-
 // Network is one materialized view: the multigraph and its hybrid nodes.
 type Network struct {
 	*graph.Network

@@ -246,9 +246,3 @@ func TestTestbed(t *testing.T) {
 		t.Fatal("testbed has no links")
 	}
 }
-
-func TestViewString(t *testing.T) {
-	if ViewHybrid.String() != "hybrid" || ViewWiFiSingle.String() != "wifi-single" || ViewWiFiDual.String() != "wifi-dual" {
-		t.Error("View.String wrong")
-	}
-}

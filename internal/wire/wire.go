@@ -21,7 +21,6 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 
 	"repro/internal/graph"
@@ -47,20 +46,6 @@ const (
 	TypeAck   FrameType = 2
 	TypePrice FrameType = 3
 )
-
-// String implements fmt.Stringer.
-func (t FrameType) String() string {
-	switch t {
-	case TypeData:
-		return "data"
-	case TypeAck:
-		return "ack"
-	case TypePrice:
-		return "price"
-	default:
-		return fmt.Sprintf("FrameType(%d)", byte(t))
-	}
-}
 
 // InterfaceID is the 2-byte identifier of a network interface at layer
 // 2.5 (a short hash of the interface's MAC address in the paper). The

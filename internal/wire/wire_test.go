@@ -232,12 +232,3 @@ func TestPriceFrameRoundTrip(t *testing.T) {
 		t.Errorf("values: %+v", g)
 	}
 }
-
-func TestFrameTypeString(t *testing.T) {
-	if TypeData.String() != "data" || TypeAck.String() != "ack" || TypePrice.String() != "price" {
-		t.Error("FrameType strings wrong")
-	}
-	if FrameType(9).String() == "" {
-		t.Error("unknown type string empty")
-	}
-}

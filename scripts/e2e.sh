@@ -2,9 +2,14 @@
 # End-to-end smoke: builds every CLI, gives each a tiny run, and asserts
 # exit codes plus output shape. This is the check that the six binaries
 # stay wired together — flags parse, JSON envelopes keep their fields,
-# figures actually produce samples, the fleet daemon serves and drains —
-# independent of the unit suites. It also runs the five examples/
-# walkthroughs at their default flags.
+# figures actually produce samples, the fleet daemon serves, drains and
+# resumes after kill -9 — independent of the unit suites. It also runs
+# the five examples/ walkthroughs at their default flags.
+#
+# It is also the program corpus: every figure in text, every sweep flag
+# and every fleet route runs here at least once, and scripts/reach.sh
+# runs this script with coverage binaries to hold that every function
+# under internal/ runs in some program.
 #
 # Usage: scripts/e2e.sh [bin-dir]
 #   bin-dir defaults to a temporary directory that is removed on exit.
@@ -109,13 +114,30 @@ grep -q '^single-path:' "$bindir/route.out"
 grep -q '^3-shortest:' "$bindir/route.out"
 grep -q '^multipath combination' "$bindir/route.out"
 
-echo "== empower-fuzz (3 scenarios)" >&2
-"$bindir/empower-fuzz" -runs 3 -seed 1 -out "$bindir/fuzz-failures" > "$bindir/fuzz.out"
+echo "== empower-fuzz (25 scenarios: invariants + checked vs recorded differential)" >&2
+"$bindir/empower-fuzz" -runs 25 -seed 1 -v -out "$bindir/fuzz-failures" > "$bindir/fuzz.out" 2>&1
 if [[ -d "$bindir/fuzz-failures" ]] && [[ -n "$(ls -A "$bindir/fuzz-failures" 2>/dev/null)" ]]; then
   echo "e2e: empower-fuzz wrote reproducers:" >&2
   ls "$bindir/fuzz-failures" >&2
   exit 1
 fi
+[[ "$(grep -c '^run [0-9]* ok ' "$bindir/fuzz.out")" == 25 ]] \
+  || { echo "e2e: empower-fuzz -v did not log 25 clean runs" >&2; exit 1; }
+# Each injected defect is caught — a corrupted relay counter by the
+# invariant checker, a perturbed comparison arm by the differential
+# oracle — with exit 1 and a reproducer beside its flight-recorder trace.
+for inject in "counter invariant:flow-conservation" "seed differential"; do
+  read -r mode check <<< "$inject"
+  inject_status=0
+  "$bindir/empower-fuzz" -runs 1 -seed 1 -inject "$mode" -out "$bindir/fuzz-$mode" \
+    > "$bindir/fuzz-$mode.out" 2>&1 || inject_status=$?
+  if [[ "$inject_status" != 1 ]] || ! grep -q "failed check $check\$" "$bindir/fuzz-$mode.out" \
+    || [[ ! -s "$bindir/fuzz-$mode/repro-run0.json.trace.json" ]]; then
+    echo "e2e: empower-fuzz -inject $mode: exit $inject_status (want 1), output:" >&2
+    cat "$bindir/fuzz-$mode.out" >&2
+    exit 1
+  fi
+done
 
 # expect_exit WANT CMD... — asserts CMD's exit status (output discarded).
 expect_exit() {
@@ -175,6 +197,15 @@ if [[ "$hostile_status" != 1 || "$hostile_out" != *"budget of 65536 timeline eve
   echo "e2e: over-budget timeline: exit $hostile_status (want 1): $hostile_out" >&2
   exit 1
 fi
+# A topology's view is checked where the scenario is parsed.
+jq '.topology.view = "bogus"' examples/scenarios/grayfail.json > "$bindir/bogus-view.json"
+view_status=0
+view_out="$("$bindir/empower-scenario" -scenario "$bindir/bogus-view.json" -runs 1 -schemes SP 2>&1 > /dev/null)" \
+  || view_status=$?
+if [[ "$view_status" != 1 || "$view_out" != *'unknown topology view "bogus"'* ]]; then
+  echo "e2e: bogus topology view: exit $view_status (want 1): $view_out" >&2
+  exit 1
+fi
 # A scripted flow may not take a name the arrival processes generate.
 jq '.flows[0].name = "arrival-0-0"' examples/scenarios/flaps.json > "$bindir/reserved.json"
 reserved_status=0
@@ -207,6 +238,49 @@ grep -qF "  EMPoWER route: $(jq -r '.result.Routes[0]' "$bindir/tb12.json")" "$b
 "$bindir/empower-scenario" -scenario examples/scenarios/flaps.json -runs 1 -schemes SP > "$bindir/flaps.txt"
 "$bindir/empower-scenario" -scenario examples/scenarios/flaps.json -runs 1 -schemes SP -json > "$bindir/flaps.json"
 grep -q "^SP  *$(jq -r '.result.rows[0].episodes' "$bindir/flaps.json")  *$(jq -r '.result.rows[0].censored' "$bindir/flaps.json") " "$bindir/flaps.txt"
+"$bindir/empower-scenario" -scenario examples/scenarios/flaps.json -runs 1 -schemes EMPoWER,SP -flaprates 1,4 \
+  > "$bindir/flaprates.txt"
+"$bindir/empower-scenario" -scenario examples/scenarios/flaps.json -runs 1 -schemes EMPoWER,SP -flaprates 1,4 -json \
+  > "$bindir/flaprates.json"
+jq_check "empower-scenario -flaprates" "$bindir/flaprates.json" '.experiment == "churn-flap-sweep"'
+grep -q "^4.00  *$(jq -r '.result.goodput[0][1]' "$bindir/flaprates.json" | xargs printf '%.2f')  " \
+  "$bindir/flaprates.txt" || { echo "e2e: -flaprates text and -json disagree" >&2; exit 1; }
+
+echo "== every figure and Table 1 as text; -out, -progress, -pprof" >&2
+"$bindir/empower-sim" -fig all -runs 2 -slots 300 -out "$bindir/tsv" -progress -pprof 127.0.0.1:0 \
+  > "$bindir/sim-all.txt" 2> "$bindir/sim-all.err"
+for topo in residential enterprise; do
+  for head in "Figure 4 ($topo)" "Figure 5 ($topo)" "Figure 6 ($topo)" "Figure 7 ($topo)" "Convergence ($topo"; do
+    grep -qF "$head" "$bindir/sim-all.txt" || { echo "e2e: empower-sim -fig all: no \"$head\"" >&2; exit 1; }
+  done
+done
+grep -q 'reps/s' "$bindir/sim-all.err" || { echo "e2e: empower-sim -progress drew no line" >&2; exit 1; }
+for f in "$bindir"/tsv/*.tsv; do
+  [[ "$(head -1 "$f")" == "# value	cdf" ]] || { echo "e2e: -out: $f has no TSV header" >&2; exit 1; }
+done
+[[ "$(ls "$bindir"/tsv/*.tsv | wc -l)" -ge 10 ]] || { echo "e2e: -out wrote too few CDF files" >&2; exit 1; }
+"$bindir/empower-testbed" -fig all -duration 3 -pairs 2 -flows 2 -runs 1 -progress \
+  > "$bindir/tb-all.txt" 2> /dev/null
+for head in "Figure 9:" "Figure 10 (left)" "Figure 11:" "Table 1:" "Figure 12:" "Figure 13"; do
+  grep -qF "$head" "$bindir/tb-all.txt" || { echo "e2e: empower-testbed -fig all: no \"$head\"" >&2; exit 1; }
+done
+"$bindir/empower-testbed" -table 1 -runs 1 -duration 2 -pprof 127.0.0.1:0 -json > "$bindir/tb-table.json"
+jq_check "empower-testbed -table 1" "$bindir/tb-table.json" '.figure == "table1" and (.result | type == "object")'
+
+# The observability flags change no stdout byte; the -metrics snapshot
+# lints as Prometheus text and the -trace file is a Chrome trace.
+echo "== instrumented sweep: -metrics -progress -phases -trace agree with a plain one" >&2
+flaps7=(-scenario examples/scenarios/flaps.json -runs 3 -seed 7 -schemes EMPoWER,SP)
+"$bindir/empower-scenario" "${flaps7[@]}" > "$bindir/plain.out"
+"$bindir/empower-scenario" "${flaps7[@]}" -metrics "$bindir/sweep.prom" -progress -phases \
+  -trace "$bindir/sweep.trace.json" -tracerun 1 > "$bindir/instr.out" 2> "$bindir/instr.err"
+cmp "$bindir/plain.out" "$bindir/instr.out"
+grep -q 'phases' "$bindir/instr.err" || { echo "e2e: -phases printed no breakdown" >&2; exit 1; }
+jq_check "empower-scenario -trace" "$bindir/sweep.trace.json" 'type == "array" and length > 0'
+PROMFILE="$bindir/sweep.prom" GOFLAGS= go test -count=1 -run '^TestLintFile$' ./internal/obs > /dev/null
+"$bindir/empower-scenario" "${flaps7[@]}" -manage=false -phases -json > "$bindir/unmanaged.json"
+jq_check "empower-scenario -manage=false -phases" "$bindir/unmanaged.json" \
+  '(.phases | type == "object") and ([.result.rows[].scheme] | contains(["EMPoWER", "SP"]))'
 
 # run_example NAME TEXT — runs examples/NAME at its default flags and
 # asserts exit 0 plus one characteristic output line, containing TEXT.
@@ -231,21 +305,51 @@ echo "== empower-route reads back what it dumps" >&2
 "$bindir/empower-route" -dump > "$bindir/fig1.json"
 "$bindir/empower-route" -topo "$bindir/fig1.json" -n 3 | cmp - "$bindir/route.out"
 
-echo "== empower-fleet (daemon: submit, poll, results, SIGTERM drain)" >&2
+echo "== empower-fleet (daemon: submit, poll, list, results, stream, metrics, cancel, SIGTERM drain)" >&2
 fleet_port=18080
 fleet_base="http://127.0.0.1:$fleet_port"
 if curl -sf "$fleet_base/healthz" > /dev/null 2>&1; then
   echo "e2e: 127.0.0.1:$fleet_port already answers /healthz; stop the daemon holding it first" >&2
   exit 1
 fi
-"$bindir/empower-fleet" -addr "127.0.0.1:$fleet_port" -wal "$bindir/fleet.wal" -quiet &
-fleet_pid=$!
-for _ in $(seq 1 100); do
-  curl -sf "$fleet_base/healthz" > /dev/null 2>&1 && break
-  sleep 0.1
-done
-curl -sf "$fleet_base/healthz" > /dev/null || { echo "e2e: empower-fleet never came up" >&2; exit 1; }
+rm -f "$bindir/fleet.wal" "$bindir/crash.wal"
+# start_fleet WAL [FLAG...] — starts the daemon and waits for /healthz.
+start_fleet() {
+  local wal="$1"
+  shift
+  "$bindir/empower-fleet" -addr "127.0.0.1:$fleet_port" -wal "$wal" -quiet "$@" &
+  fleet_pid=$!
+  for _ in $(seq 1 100); do
+    curl -sf "$fleet_base/healthz" > /dev/null 2>&1 && return
+    sleep 0.1
+  done
+  echo "e2e: empower-fleet never came up" >&2
+  exit 1
+}
+# stop_fleet SIGNAL WANT — signals the daemon and asserts its exit status.
+stop_fleet() {
+  local status=0
+  kill -"$1" "$fleet_pid"
+  wait "$fleet_pid" || status=$?
+  fleet_pid=
+  if [[ "$status" != "$2" ]]; then
+    echo "e2e: empower-fleet exited $status after SIG$1, want $2" >&2
+    exit 1
+  fi
+}
+# await_sweep ID — polls until the sweep is done, failed or cancelled
+# and prints its final status.
+await_sweep() {
+  local state
+  for _ in $(seq 1 600); do
+    state="$(curl -sf "$fleet_base/sweeps/$1" | jq -r .state)"
+    [[ "$state" == done || "$state" == failed || "$state" == cancelled ]] && break
+    sleep 0.1
+  done
+  curl -sf "$fleet_base/sweeps/$1"
+}
 
+start_fleet "$bindir/fleet.wal"
 curl -sf "$fleet_base/sweeps" -d @examples/sweeps/quickstart.json > "$bindir/fleet-submit.json"
 jq_check "empower-fleet submission" "$bindir/fleet-submit.json" \
   '.id == "sweep-000001" and .state == "pending" and .total == 15'
@@ -254,28 +358,74 @@ echo '{"scenario":{"name":"x"},"runz":3}' > "$bindir/fleet-bad.json"
 curl -s "$fleet_base/sweeps" -d @"$bindir/fleet-bad.json" > "$bindir/fleet-reject.json"
 jq_check "empower-fleet structured rejection" "$bindir/fleet-reject.json" \
   '.error.field == "runz" and .error.reason == "unknown field"'
+# The same spec at 10 runs, uninterrupted: the reference of the kill -9
+# resume below.
+jq '.runs = 10' examples/sweeps/quickstart.json > "$bindir/resume-spec.json"
+curl -sf "$fleet_base/sweeps" -d @"$bindir/resume-spec.json" > /dev/null
 
-for _ in $(seq 1 300); do
-  state="$(curl -sf "$fleet_base/sweeps/sweep-000001" | jq -r .state)"
-  [[ "$state" == "done" || "$state" == "failed" ]] && break
-  sleep 0.2
-done
-curl -sf "$fleet_base/sweeps/sweep-000001" > "$bindir/fleet-status.json"
+await_sweep sweep-000001 > "$bindir/fleet-status.json"
 jq_check "empower-fleet sweep completion" "$bindir/fleet-status.json" \
   '.state == "done" and .completed == 15'
+await_sweep sweep-000002 > "$bindir/fleet-status-2.json"
+jq_check "empower-fleet second sweep completion" "$bindir/fleet-status-2.json" \
+  '.state == "done" and .completed == 30'
 curl -sf "$fleet_base/sweeps/sweep-000001/results" > "$bindir/fleet-results.json"
 jq_check "empower-fleet results shape" "$bindir/fleet-results.json" \
   '.scenario == "plc-flaps" and ([.rows[].scheme] | contains(["EMPoWER", "SP"]))'
-curl -sf "$fleet_base/metrics" | grep -q '^fleet_reps_completed_total 15' \
-  || { echo "e2e: empower-fleet /metrics misses the completed-replication counter" >&2; exit 1; }
-
-kill -TERM "$fleet_pid"
-fleet_status=0
-wait "$fleet_pid" || fleet_status=$?
-fleet_pid=
-if [[ "$fleet_status" != 0 ]]; then
-  echo "e2e: empower-fleet SIGTERM drain exited $fleet_status" >&2
+curl -sf "$fleet_base/sweeps/sweep-000002/results" > "$bindir/fleet-results-2.json"
+# The SSE stream replays every replication, then ends in the results.
+curl -sfN "$fleet_base/sweeps/sweep-000001/results?stream=1" > "$bindir/fleet-stream.txt"
+if [[ "$(grep -c '^event: rep$' "$bindir/fleet-stream.txt")" != 15 \
+  || "$(grep '^event: ' "$bindir/fleet-stream.txt" | tail -1)" != "event: done" ]]; then
+  echo "e2e: empower-fleet results stream: want 15 rep events then done" >&2
   exit 1
 fi
+curl -sf "$fleet_base/sweeps" > "$bindir/fleet-list.json"
+jq_check "empower-fleet list" "$bindir/fleet-list.json" \
+  '[.sweeps[] | .id + " " + .state] == ["sweep-000001 done", "sweep-000002 done"]'
+curl -sf "$fleet_base/sweeps/sweep-000001/metrics" | grep -q '^# TYPE ' \
+  || { echo "e2e: empower-fleet per-sweep metrics are empty" >&2; exit 1; }
+code="$(curl -s -o /dev/null -w '%{http_code}' "$fleet_base/sweeps/sweep-999999")"
+[[ "$code" == 404 ]] || { echo "e2e: empower-fleet unknown sweep answered $code, want 404" >&2; exit 1; }
+curl -sf "$fleet_base/metrics" | grep -q '^fleet_reps_completed_total 45' \
+  || { echo "e2e: empower-fleet /metrics misses the completed-replication counter" >&2; exit 1; }
+# A sweep far too long to finish is cancelled.
+jq '.runs = 10000' examples/sweeps/quickstart.json > "$bindir/long-spec.json"
+curl -sf "$fleet_base/sweeps" -d @"$bindir/long-spec.json" > /dev/null
+curl -sf -X DELETE "$fleet_base/sweeps/sweep-000003" > /dev/null
+await_sweep sweep-000003 > "$bindir/fleet-cancel.json"
+jq_check "empower-fleet cancel" "$bindir/fleet-cancel.json" '.state == "cancelled"'
+stop_fleet TERM 0
+
+echo "== empower-fleet restart: the WAL replays; a 1 ms attempt timeout fails a sweep after backoff" >&2
+start_fleet "$bindir/fleet.wal" -timeout 1ms -retries 1
+curl -sf "$fleet_base/sweeps" > "$bindir/fleet-list-replayed.json"
+jq_check "empower-fleet replayed list" "$bindir/fleet-list-replayed.json" \
+  '[.sweeps[] | .id + " " + .state] == ["sweep-000001 done", "sweep-000002 done", "sweep-000003 cancelled"]'
+curl -sf "$fleet_base/sweeps/sweep-000001/results" | cmp - "$bindir/fleet-results.json"
+curl -sf "$fleet_base/sweeps" -d @examples/sweeps/quickstart.json > /dev/null
+await_sweep sweep-000004 > "$bindir/fleet-timeout.json"
+jq_check "empower-fleet timed-out sweep" "$bindir/fleet-timeout.json" \
+  '.state == "failed" and .timeouts >= 2 and .retries >= 1'
+stop_fleet TERM 0
+
+# kill -9 must land mid-sweep: one worker, polled until two replications
+# are checkpointed, and the sweep must not be done yet.
+echo "== empower-fleet kill -9 mid-sweep: the restart resumes to the uninterrupted results" >&2
+start_fleet "$bindir/crash.wal" -workers 1
+curl -sf "$fleet_base/sweeps" -d @"$bindir/resume-spec.json" > /dev/null
+for _ in $(seq 1 600); do
+  curl -sf "$fleet_base/sweeps/sweep-000001" > "$bindir/crash-status.json"
+  [[ "$(jq .completed "$bindir/crash-status.json")" -ge 2 ]] && break
+  sleep 0.05
+done
+jq_check "empower-fleet sweep still running at the kill" "$bindir/crash-status.json" \
+  '.state == "running" and .completed >= 2 and .completed < .total'
+stop_fleet KILL 137
+start_fleet "$bindir/crash.wal" -workers 1
+await_sweep sweep-000001 > "$bindir/crash-done.json"
+jq_check "empower-fleet resumed sweep" "$bindir/crash-done.json" '.state == "done" and .completed == 30'
+curl -sf "$fleet_base/sweeps/sweep-000001/results" | cmp - "$bindir/fleet-results-2.json"
+stop_fleet TERM 0
 
 echo "e2e: all CLIs OK" >&2
