@@ -10,6 +10,7 @@ package empower
 import (
 	"context"
 	"fmt"
+	"os"
 	"runtime"
 	"strconv"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/congestion"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/fleet"
 	"repro/internal/graph"
 	"repro/internal/mac"
 	"repro/internal/node"
@@ -605,6 +607,30 @@ func BenchmarkChurnSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.ChurnFailoverCtx(context.Background(), sc, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkChurnBurst measures, in process, the sweep bench/'s
+// fleet-burst workload submits: sweep-burst.json's 4 s flap scenario,
+// 4 runs × EMPoWER,SP at seed 7, parsed as the daemon parses it. Its
+// B/op is the per-sweep heap traffic of short replications, where the
+// per-packet logs and reorder rings are recycled between replications
+// (node.Emulation.Release); reps/op converts it to bytes per replication.
+func BenchmarkChurnBurst(b *testing.B) {
+	data, err := os.ReadFile("bench/workloads/sweep-burst.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, err := fleet.ParseSpec(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ReportMetric(float64(spec.Total), "reps/op")
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.ChurnFailoverCtx(context.Background(), spec.Scenario, spec.Churn); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"os"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/core"
@@ -22,6 +24,96 @@ func loadFlaps(t *testing.T) *scenario.Scenario {
 		t.Fatal(err)
 	}
 	return sc
+}
+
+// loadBurst loads the sweep bench/'s fleet-burst workload submits — a 4 s
+// flap scenario, 4 runs × EMPoWER,SP at seed 7 — with the daemon's
+// defaults for what the spec omits (route management on, δ = 0).
+func loadBurst(t *testing.T) (*scenario.Scenario, ChurnConfig) {
+	t.Helper()
+	data, err := os.ReadFile("../../bench/workloads/sweep-burst.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec struct {
+		Scenario json.RawMessage
+		Runs     int
+		Seed     int64
+		Schemes  string
+	}
+	if err := json.Unmarshal(data, &spec); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := scenario.Parse(spec.Scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemes, err := ParseSchemes(spec.Schemes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc, ChurnConfig{Seed: spec.Seed, Runs: spec.Runs, Schemes: schemes, ManageRoutes: true}
+}
+
+// TestAllocsChurnReplicationRecycles guards the replication memory
+// lifecycle: once a churn replication has been read, its delivery logs,
+// sent-packet logs and reorder rings go back to the pools
+// (node.Emulation.Release), so the next replication on a warm process
+// allocates a fraction of what the first one did. The collector is off
+// for the test so the pools keep what they are handed, and one P serves
+// every Put and Get: a pool's per-P private slot is out of reach from
+// another P, so a replication that migrated would miss the one large
+// reorder ring and count it again.
+func TestAllocsChurnReplicationRecycles(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops a quarter of what is put back")
+	}
+	sc, cfg := loadBurst(t)
+	rep, err := churnRep(cfg, 0, core.SchemeEMPoWER)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	runtime.GC() // two cycles empty the pools: the first replication is cold
+	allocated := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := churnReplication(sc, core.SchemeEMPoWER, cfg, 0, rep.Seed); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	cold := allocated()
+	warm := allocated()
+	if 4*warm > cold {
+		t.Errorf("a warm burst replication allocates %d B, a cold one %d B: want at most a quarter", warm, cold)
+	}
+}
+
+// TestChurnBurstParallelDeterminism is the -short form of
+// TestChurnParallelDeterminism, on the 4 s burst sweep: one worker and
+// four give bit-identical results, so under -race the pools that
+// replications share are exercised from several goroutines at once.
+func TestChurnBurstParallelDeterminism(t *testing.T) {
+	sc, base := loadBurst(t)
+	serial := base
+	serial.Parallel = 1
+	wide := base
+	wide.Parallel = 4
+	r1, err := ChurnFailoverCtx(context.Background(), sc, serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r4, err := ChurnFailoverCtx(context.Background(), sc, wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r1, r4) {
+		t.Fatalf("burst results differ across worker counts:\n  parallel=1: %+v\n  parallel=4: %+v", r1, r4)
+	}
 }
 
 // TestChurnParallelDeterminism mirrors TestFigure4ParallelDeterminism

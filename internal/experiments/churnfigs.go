@@ -310,6 +310,9 @@ func churnReplication(sc *scenario.Scenario, scheme core.Scheme, cfg ChurnConfig
 		cfg.Metrics.Add(reg)
 	}
 	cfg.Phases.AddCollect(time.Since(collectStart))
+	// Everything above has read the run: its logs and rings go back to
+	// the pools for the next replication.
+	rt.Em.Release()
 	return out, nil
 }
 

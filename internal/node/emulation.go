@@ -101,6 +101,8 @@ type Emulation struct {
 	linkDom []int
 	initCap []float64 // every link's capacity at construction, by LinkID
 	windows uint64    // completed Run calls
+	// released is set by Release; Run refuses to advance afterwards.
+	released bool
 }
 
 // NewEmulation builds the emulated network, decomposed into its
@@ -133,6 +135,36 @@ func NewEmulation(net *graph.Network, cfg Config, seed int64) *Emulation {
 		e.Agents[n] = e.doms[dec.Node[n]].Agents[n]
 	}
 	return e
+}
+
+// Release hands the run's per-packet memory back to the package pools:
+// every sink's delivery log and reorder ring, and every flow's
+// sent-packet logs, current and retired. Call it once every read of the
+// run is done; it moves no value and no draw, only the time at which the
+// buffers are freed. It is idempotent. Afterwards the rate readers
+// (RateSeries, MeanRate, SentRateSeries, RouteRateSeries) and Run panic
+// rather than read recycled memory; the counters (TotalBytes, Lost,
+// Reroutes, ...) stay readable.
+func (e *Emulation) Release() {
+	if e.released {
+		return
+	}
+	e.released = true
+	for _, d := range e.doms {
+		for _, a := range d.Agents {
+			if a == nil {
+				continue
+			}
+			for _, s := range a.sinks {
+				if s != nil {
+					s.release()
+				}
+			}
+		}
+		for _, f := range d.flows {
+			f.release()
+		}
+	}
 }
 
 // InitCapacity returns link l's capacity when the emulation was built —

@@ -185,6 +185,17 @@ func newRouteLogs(n int) []*seriesLog {
 	return logs
 }
 
+// release hands every sent-packet log back to the chunk pool
+// (Emulation.Release).
+func (f *Flow) release() {
+	for _, l := range f.retired {
+		l.release()
+	}
+	for _, l := range f.routeLogs {
+		l.release()
+	}
+}
+
 func flowStart(arg any) { arg.(*Flow).start() }
 
 func (f *Flow) start() {

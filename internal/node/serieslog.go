@@ -1,5 +1,7 @@
 package node
 
+import "sync"
+
 // seriesLog accumulates (time, bits) points for rate series. Points are
 // stored in fixed-size chunks instead of one doubling slice: a run that
 // logs millions of packets allocates one 64 KB chunk per 4096 points and
@@ -13,13 +15,20 @@ package node
 // the last binning per bin width together with the count it was taken
 // at, and a read at an unchanged count returns it instead of re-binning
 // the whole log.
+//
+// Chunks come from chunkPool and go back to it at release. A pooled
+// chunk is not zeroed: add writes a slot before n counts it, and every
+// reader stops at n, so a stale point is never read.
 type seriesLog struct {
-	chunks []*seriesChunk
-	n      int // total points
-	memo   []seriesMemo
+	chunks   []*seriesChunk
+	n        int // total points
+	memo     []seriesMemo
+	released bool
 }
 
 const seriesChunkPoints = 4096
+
+var chunkPool = sync.Pool{New: func() any { return new(seriesChunk) }}
 
 type seriesChunk struct {
 	times [seriesChunkPoints]float64
@@ -36,7 +45,7 @@ type seriesMemo struct {
 func (s *seriesLog) add(t, b float64) {
 	i := s.n % seriesChunkPoints
 	if i == 0 {
-		s.chunks = append(s.chunks, &seriesChunk{})
+		s.chunks = append(s.chunks, chunkPool.Get().(*seriesChunk))
 	}
 	c := s.chunks[len(s.chunks)-1]
 	c.times[i] = t
@@ -57,6 +66,7 @@ func (s *seriesLog) series(bin float64) ([]float64, []float64) {
 // binned is series without the copy: the returned slices are the memo's
 // and must not be modified.
 func (s *seriesLog) binned(bin float64) ([]float64, []float64) {
+	s.mustLive()
 	if s.n == 0 || bin <= 0 {
 		return nil, nil
 	}
@@ -86,6 +96,7 @@ func (s *seriesLog) binned(bin float64) ([]float64, []float64) {
 func rebin(logs []*seriesLog, bin float64) ([]float64, []float64) {
 	end, points := 0.0, 0
 	for _, s := range logs {
+		s.mustLive()
 		if s.n > 0 {
 			end = max(end, s.chunks[(s.n-1)/seriesChunkPoints].times[(s.n-1)%seriesChunkPoints])
 			points += s.n
@@ -112,4 +123,21 @@ func rebin(logs []*seriesLog, bin float64) ([]float64, []float64) {
 		rates[i] = sums[i] / bin / 1e6
 	}
 	return ts, rates
+}
+
+// release hands the log's chunks back to chunkPool. It is idempotent; the
+// log panics on any later read.
+func (s *seriesLog) release() {
+	for _, c := range s.chunks {
+		chunkPool.Put(c)
+	}
+	*s = seriesLog{released: true}
+}
+
+// mustLive panics on a released log: its chunks may already hold another
+// run's points.
+func (s *seriesLog) mustLive() {
+	if s.released {
+		panic("node: series log read after Emulation.Release")
+	}
 }

@@ -29,6 +29,9 @@ func domainSeed(seed int64, d, num int) int64 {
 // state it owns (see NewEmulation), so the order never affects the
 // trajectory.
 func (e *Emulation) Run(t float64) {
+	if e.released {
+		panic("node: Emulation.Run after Release")
+	}
 	for _, d := range e.doms {
 		d.Engine.Run(t)
 		if rec := d.Engine.Recorder(); rec != nil {

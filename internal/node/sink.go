@@ -1,6 +1,9 @@
 package node
 
 import (
+	"math/bits"
+	"sync"
+
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/wire"
@@ -75,12 +78,32 @@ type bufEntry struct {
 // ring doubles whenever an admitted packet lies beyond the window.
 const sinkRingInit = 64
 
+// ringPools[k] recycles reorder rings of length 2^k, up to 2^32: the
+// smallest power of two beyond a uint32 sequence gap. A ring is cleared
+// before it goes back — no slot present, no meta referenced — so a ring
+// taken from a pool is as empty as a fresh one.
+var ringPools [33]sync.Pool
+
+// getRing returns an all-absent ring of length n, a power of two.
+func getRing(n int) []bufEntry {
+	if r, ok := ringPools[bits.TrailingZeros(uint(n))].Get().(*[]bufEntry); ok {
+		return *r
+	}
+	return make([]bufEntry, n)
+}
+
+// putRing clears ring and hands it back to its length's pool.
+func putRing(ring []bufEntry) {
+	clear(ring)
+	ringPools[bits.TrailingZeros(uint(len(ring)))].Put(&ring)
+}
+
 func newSink(a *Agent, src graph.NodeID, flowID uint16) *Sink {
 	return &Sink{
 		agent:    a,
 		src:      src,
 		flowID:   flowID,
-		ring:     make([]bufEntry, sinkRingInit),
+		ring:     getRing(sinkRingInit),
 		log:      &seriesLog{},
 		lastData: a.em.Engine.Now(),
 	}
@@ -191,13 +214,22 @@ func (s *Sink) grow(d uint32) {
 	for uint64(n) <= uint64(d) {
 		n *= 2
 	}
-	ring := make([]bufEntry, n)
+	ring := getRing(n)
 	oldMask, mask := uint32(len(s.ring)-1), uint32(n-1)
 	for k := uint32(0); k < uint32(len(s.ring)); k++ {
 		seq := s.nextSeq + k
 		ring[seq&mask] = s.ring[seq&oldMask]
 	}
+	putRing(s.ring)
 	s.ring = ring
+}
+
+// release hands the sink's ring and delivery log back to their pools;
+// Emulation.Release calls it once.
+func (s *Sink) release() {
+	putRing(s.ring)
+	s.ring = nil
+	s.log.release()
 }
 
 func (s *Sink) flush() {

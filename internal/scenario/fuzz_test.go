@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/node"
+	"repro/internal/topology"
 )
 
 // FuzzParseBind feeds arbitrary bytes through Parse and, when they parse,
@@ -53,6 +55,46 @@ func FuzzParseBind(f *testing.F) {
 		for _, u := range rt.Unresolved {
 			if !strings.Contains(u, `"`) {
 				t.Errorf("unresolved reference not named: %s", u)
+			}
+		}
+	})
+}
+
+// FuzzLoadTopology feeds arbitrary bytes to LoadTopology's decode and
+// validate step, seeded with the topologies of the example scenarios.
+// Neither step may panic, and a topology it accepts builds under every
+// view into a network or an error, never a panic.
+func FuzzLoadTopology(f *testing.F) {
+	paths, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no example scenarios: %v", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var sc struct {
+			Topology json.RawMessage `json:"topology"`
+		}
+		if err := json.Unmarshal(data, &sc); err != nil || len(sc.Topology) == 0 {
+			f.Fatalf("%s: no topology: %v", p, err)
+		}
+		f.Add([]byte(sc.Topology))
+	}
+	f.Add([]byte(`{"kind":"custom","nodes":[{"name":"a","techs":[]},{"name":"b","techs":["wifi"]}],
+		"links":[{"from":"a","to":"b","tech":"plc","capacity":1}],"sense_radius":{"wifi":1e-300}}`))
+	f.Add([]byte(`{"kind":"residential","view":"wifi-dual"}`))
+	views := []topology.View{topology.ViewHybrid, topology.ViewWiFiSingle, topology.ViewWiFiDual}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := parseTopology(data)
+		if err != nil {
+			return
+		}
+		for _, v := range views {
+			net, err := spec.BuildView(1, v)
+			if (net == nil) == (err == nil) {
+				t.Fatalf("view %v: BuildView returned network %v and error %v, want exactly one", v, net != nil, err)
 			}
 		}
 	})

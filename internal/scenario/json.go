@@ -40,6 +40,11 @@ func LoadTopology(path string) (*TopologySpec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
+	return parseTopology(data)
+}
+
+// parseTopology decodes and validates a bare topology (LoadTopology).
+func parseTopology(data []byte) (*TopologySpec, error) {
 	var t TopologySpec
 	if err := decodeStrict(data, &t); err != nil {
 		return nil, err
